@@ -237,8 +237,8 @@ def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
     """
     if rhobar.depth() < 9:
         log.warning(
-            "parameter depth %d below 9; proceeding with scaled margins",
-            rhobar.depth(),
+            "parameter %s at p=%d has depth %d below 9; proceeding with scaled margins",
+            rhobar.display(), rhobar.p, rhobar.depth(),
         )
     wq = _wq(rhobar)
     vertices = tuple(sorted(set(wq.values()), key=lambda s: s.sort_key()))
@@ -295,9 +295,12 @@ def _steered_chain(
     return tuple(chain)
 
 
-def find_chain(rhobar: TamePresentation, sigma: SerreWeight) -> ChainResult:
+def find_chain(
+    rhobar: TamePresentation, sigma: SerreWeight, graph: WeightGraph | None = None
+) -> ChainResult:
     """Walks from sigma to the obvious weights, by BFS on the full graph and
-    by the steering strategy.  sigma must be a predicted weight."""
+    by the steering strategy.  sigma must be a predicted weight.  `graph`
+    is rhobar's weight graph when the caller has built it already."""
     wq_vals = w_question_set(rhobar)
     if sigma not in wq_vals:
         raise ValueError("weight is not predicted for this parameter")
@@ -305,7 +308,8 @@ def find_chain(rhobar: TamePresentation, sigma: SerreWeight) -> ChainResult:
     if sigma in obvious:
         return ChainResult((), ())
 
-    graph = build_graph(rhobar, check=False)
+    if graph is None:
+        graph = build_graph(rhobar, check=False)
     parent: dict[SerreWeight, tuple[SerreWeight, AdjacencyInstance]] = {}
     queue = deque([sigma])
     seen = {sigma}

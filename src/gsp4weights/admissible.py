@@ -7,7 +7,6 @@ group, so the set carries a single length-zero part.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -37,11 +36,11 @@ from .affine import (
     coset_ball,
     diamond,
     finite,
-    functional,
     functional_values,
     invert,
     length,
     omega_class,
+    shi_coordinates,
     star,
     translation,
 )
@@ -100,7 +99,7 @@ def adm_dual_set(lam: Weight) -> frozenset[ExtAffine]:
 
 def is_regular_element(x: ExtAffine) -> bool:
     """No alcove functional value inside the critical strip (0, 1)."""
-    return all(not (0 < v < 1) for v in functional_values(alcove_of(x)))
+    return all(not (0 < v < 6) for v in functional_values(alcove_of(x)))
 
 
 # --- Levi subgroups ------------------------------------------------------
@@ -158,22 +157,10 @@ def levi_affine_simples(levi: frozenset[int]) -> tuple[ExtAffine, ...]:
     return tuple(out)
 
 
-def _count_strict(a, b) -> int:
-    if a == b:
-        return 0
-    lo, hi = (a, b) if a < b else (b, a)
-    return math.ceil(hi) - math.floor(lo) - 1
-
-
 def levi_length(x: ExtAffine, levi: frozenset[int]) -> int:
     """Hyperplane count restricted to the Levi's roots, ambient base alcove."""
-    from .affine import BASE_ALCOVE, act_on_point
-
-    img = act_on_point(x, BASE_ALCOVE)
-    return sum(
-        _count_strict(functional(i, BASE_ALCOVE), functional(i, img))
-        for i in _LEVI_COROOTS[levi]
-    )
+    k = shi_coordinates(alcove_of(x))
+    return sum(abs(k[i]) for i in _LEVI_COROOTS[levi])
 
 
 def levi_reduced_word(x: ExtAffine, levi: frozenset[int]) -> tuple[tuple[int, ...], ExtAffine]:

@@ -2,8 +2,13 @@
 
 Elements are written t_nu * w with nu in the character lattice and w in
 the finite Weyl group.  The group acts on the plane spanned by the
-first two weight coordinates; alcoves are tracked by their exact
-rational barycenters.  The base alcove has barycenter (1/2, 1/6).
+first two weight coordinates.  Every alcove barycenter has denominator
+6, so an alcove is stored as its barycenter scaled by 6, a pair of
+integers: the base alcove, with barycenter (1/2, 1/6), is Alcove(3, 1).
+In these units the affine root hyperplane <., alpha^vee> = m is the line
+functional = 6m, and the Shi coordinates of an alcove (J.-Y. Shi,
+Alcoves corresponding to an affine Weyl group, J. London Math. Soc.
+1987) are the floors of its four functional values over 6.
 """
 
 from __future__ import annotations
@@ -32,16 +37,14 @@ from .base import (
 
 
 class Alcove(NamedTuple):
-    """Barycenter of an alcove, exact coordinates."""
+    """An alcove, by its barycenter scaled by 6."""
 
-    x: Fraction
-    y: Fraction
+    x: int
+    y: int
 
 
-Point = Alcove  # same representation for arbitrary plane points
-
-BASE_ALCOVE = Alcove(Fraction(1, 2), Fraction(1, 6))
-DUAL_BASE_ALCOVE = Alcove(Fraction(-1, 2), Fraction(-1, 6))
+BASE_ALCOVE = Alcove(3, 1)
+DUAL_BASE_ALCOVE = Alcove(-3, -1)
 
 # Linear functionals attached to the positive coroots (f-component is 0
 # for all of them, so only the plane coordinates matter), and the plane
@@ -50,13 +53,22 @@ _FUNCTIONALS = tuple((cov.d, cov.e) for cov in POSITIVE_COROOTS)
 _ROOT_VECS = tuple((r.a, r.b) for r in POSITIVE_ROOTS)
 
 
-def functional(i: int, pt: Point) -> Fraction:
+def functional(i: int, a: Alcove) -> int:
     d, e = _FUNCTIONALS[i]
-    return d * pt.x + e * pt.y
+    return d * a.x + e * a.y
 
 
-def functional_values(pt: Point) -> tuple[Fraction, Fraction, Fraction, Fraction]:
-    return tuple(functional(i, pt) for i in range(4))  # type: ignore[return-value]
+def functional_values(a: Alcove) -> tuple[int, int, int, int]:
+    x, y = a
+    return (x - y, y, x + y, x)
+
+
+def shi_coordinates(a: Alcove) -> tuple[int, int, int, int]:
+    """Per positive root, the k with 6k < functional < 6(k + 1): the
+    number of walls of that direction between the base alcove (all k = 0)
+    and a, signed.  This is the length kernel."""
+    x, y = a
+    return ((x - y) // 6, y // 6, (x + y) // 6, x // 6)
 
 
 @dataclass(frozen=True)
@@ -111,43 +123,36 @@ def star(x: ExtAffine) -> ExtAffine:
     return ExtAffine(wi.act(x.nu), wi)
 
 
-_PLANE_ACTION = {w: (w.act(Weight(1, 0, 0)), w.act(Weight(0, 1, 0))) for w in W_ALL}
+def _base_image(w: FiniteWeyl) -> tuple[int, int]:
+    img = w.act(Weight(BASE_ALCOVE.x, BASE_ALCOVE.y, 0))
+    return img.a, img.b
 
 
-def act_on_point(x: ExtAffine, pt: Point) -> Point:
-    ia, ib = _PLANE_ACTION[x.w]
-    return Point(x.nu.a + pt.x * ia.a + pt.y * ib.a, x.nu.b + pt.x * ia.b + pt.y * ib.b)
+# w(BASE_ALCOVE) by the index of w; w(DUAL_BASE_ALCOVE) is its negative
+_BASE_IMAGES = tuple(_base_image(w) for w in W_ALL)
 
 
 def alcove_of(x: ExtAffine) -> Alcove:
-    return act_on_point(x, BASE_ALCOVE)
-
-
-def _count_strictly_between(a: Fraction, b: Fraction) -> int:
-    if a == b:
-        return 0
-    lo, hi = (a, b) if a < b else (b, a)
-    return math.ceil(hi) - math.floor(lo) - 1
+    bx, by = _BASE_IMAGES[x.w.index]
+    nu = x.nu
+    return Alcove(6 * nu.a + bx, 6 * nu.b + by)
 
 
 @lru_cache(maxsize=None)
 def length(x: ExtAffine) -> int:
-    """Number of affine root hyperplanes separating the base alcove from its image."""
-    img = alcove_of(x)
-    return sum(
-        _count_strictly_between(functional(i, BASE_ALCOVE), functional(i, img))
-        for i in range(4)
-    )
+    """Number of affine root hyperplanes separating the base alcove from
+    its image: the sum of the image's |Shi coordinates|."""
+    k0, k1, k2, k3 = shi_coordinates(alcove_of(x))
+    return abs(k0) + abs(k1) + abs(k2) + abs(k3)
 
 
 @lru_cache(maxsize=None)
 def dual_length(x: ExtAffine) -> int:
-    """Length relative to the antidominant base alcove."""
-    base = DUAL_BASE_ALCOVE
-    img = act_on_point(x, base)
-    return sum(
-        _count_strictly_between(functional(i, base), functional(i, img)) for i in range(4)
-    )
+    """Length relative to the antidominant base alcove, whose Shi
+    coordinates are all -1."""
+    bx, by = _BASE_IMAGES[x.w.index]
+    img = Alcove(6 * x.nu.a - bx, 6 * x.nu.b - by)
+    return sum(abs(k + 1) for k in shi_coordinates(img))
 
 
 # affine simple reflections: walls x - y = 0, y = 0, x + y = 1
@@ -277,27 +282,29 @@ def coset_ball(delta: ExtAffine, max_len: int) -> frozenset[ExtAffine]:
 # --- upper arrow order --------------------------------------------------
 
 
-def reflect_alcove(pt: Point, i: int, m: int) -> Point:
-    """Affine reflection in the hyperplane functional_i = m."""
-    t = functional(i, pt)
+def reflect_alcove(a: Alcove, i: int, m: int) -> Alcove:
+    """Affine reflection in the hyperplane <., alpha_i^vee> = m."""
+    # s_{alpha,m}(pt) = pt - (<pt, alpha^vee> - m) * alpha_vec; scaled by
+    # 6, the functional value is compared with the wall at 6m
+    k = 6 * m - functional(i, a)
     va, vb = _ROOT_VECS[i]
-    # s_{alpha,m}(pt) = pt - (t - m) * alpha_vec / <alpha, alpha^vee> * 2
-    # with our normalization <alpha_vec, functional> = 2, the formula is
-    # pt + (m - t) * alpha_vec
-    return Point(pt.x + (m - t) * va, pt.y + (m - t) * vb)
+    return Alcove(a.x + k * va, a.y + k * vb)
 
 
-def up_step_targets(pt: Point, x_max: Fraction, s_max: Fraction) -> Iterator[Point]:
-    """Single arrow steps from pt, pruned by x <= x_max and x + y <= s_max."""
-    for i in range(4):
-        t = functional(i, pt)
-        m = math.floor(t) + 1
+def up_step_targets(a: Alcove, x_max: int, s_max: int) -> Iterator[Alcove]:
+    """Single arrow steps from a, pruned by x <= x_max and x + y <= s_max
+    (bounds in the units of Alcove.x)."""
+    x, y = a
+    for t, (va, vb) in zip(functional_values(a), _ROOT_VECS):
+        # the reflection in the wall 6m above t moves a by k = 6m - t
+        # times the root: k = 6 - t % 6, then 6 more per wall
+        k = 6 - t % 6
         while True:
-            q = reflect_alcove(pt, i, m)
-            if q.x > x_max or q.x + q.y > s_max:
+            qx, qy = x + k * va, y + k * vb
+            if qx > x_max or qx + qy > s_max:
                 break
-            yield q
-            m += 1
+            yield Alcove(qx, qy)
+            k += 6
 
 
 def upper_arrow_leq_alcove(a: Alcove, b: Alcove) -> bool:
@@ -317,8 +324,8 @@ def upper_arrow_leq_alcove(a: Alcove, b: Alcove) -> bool:
     frontier = [a]
     while frontier:
         nxt = []
-        for pt in frontier:
-            for q in up_step_targets(pt, x_max, s_max):
+        for c in frontier:
+            for q in up_step_targets(c, x_max, s_max):
                 if q == b:
                     return True
                 if q not in seen:
@@ -335,8 +342,9 @@ def upper_arrow_leq(x: ExtAffine, y: ExtAffine) -> bool:
     return upper_arrow_leq_alcove(alcove_of(x), alcove_of(y))
 
 
-def arrow_down_region(b: Alcove, min_x: Fraction, min_s: Fraction) -> frozenset[Alcove]:
-    """All alcoves a arrow-below b with a.x >= min_x and a.x+a.y >= min_s.
+def arrow_down_region(b: Alcove, min_x: int, min_s: int) -> frozenset[Alcove]:
+    """All alcoves a arrow-below b with a.x >= min_x and a.x+a.y >= min_s
+    (bounds in the units of Alcove.x).
 
     Along any arrow chain both x and x+y are monotone, so every chain
     from such an a to b stays inside the rectangle [min_x, b.x] x
@@ -347,24 +355,27 @@ def arrow_down_region(b: Alcove, min_x: Fraction, min_s: Fraction) -> frozenset[
     frontier = [b]
     while frontier:
         nxt = []
-        for pt in frontier:
-            for i in range(4):
-                t = functional(i, pt)
-                m = math.ceil(t) - 1
+        for c in frontier:
+            x, y = c
+            for t, (va, vb) in zip(functional_values(c), _ROOT_VECS):
+                # the wall 6m below t: k = 6m - t = -((t - 1) % 6 + 1),
+                # then 6 less per wall
+                k = -((t - 1) % 6 + 1)
                 while True:
-                    q = reflect_alcove(pt, i, m)
-                    if q.x < min_x or q.x + q.y < min_s:
+                    qx, qy = x + k * va, y + k * vb
+                    if qx < min_x or qx + qy < min_s:
                         break
+                    q = Alcove(qx, qy)
                     if q not in result:
                         result.add(q)
                         nxt.append(q)
-                    m -= 1
+                    k -= 6
         frontier = nxt
     return frozenset(result)
 
 
-def is_dominant_point(pt: Point) -> bool:
-    return functional(0, pt) > 0 and functional(1, pt) > 0
+def is_dominant_alcove(a: Alcove) -> bool:
+    return a.x > a.y > 0
 
 
 def dominant_down_set(b: Alcove) -> frozenset[Alcove]:
@@ -373,68 +384,80 @@ def dominant_down_set(b: Alcove) -> frozenset[Alcove]:
     Finite, with no truncation: a dominant alcove has x > 0 and
     x + y > 0, and chains keep those bounds.
     """
-    if not is_dominant_point(b):
+    if not is_dominant_alcove(b):
         return frozenset()
-    region = arrow_down_region(b, Fraction(0), Fraction(0))
-    return frozenset(a for a in region if is_dominant_point(a))
+    region = arrow_down_region(b, 0, 0)
+    return frozenset(a for a in region if is_dominant_alcove(a))
 
 
 def box_down_set(b: Alcove, radius: int) -> frozenset[Alcove]:
-    """Alcoves arrow-below b with all four functional values in [-radius, radius].
+    """Alcoves arrow-below b whose barycenter has all four functional
+    values in [-radius, radius] (radius in walls, not in Alcove units).
 
     The full arrow down-set is infinite; the box is the documented
     truncation.  Within the box the answer is exact since chains between
     box alcoves stay in the enclosing rectangle.
     """
-    if not all(abs(functional(i, b)) <= radius for i in range(4)):
+    r = 6 * radius
+    if not all(abs(v) <= r for v in functional_values(b)):
         raise ValueError("target alcove outside the search box")
-    region = arrow_down_region(b, Fraction(-radius), Fraction(-2 * radius))
-    return frozenset(
-        a for a in region if all(abs(functional(i, a)) <= radius for i in range(4))
-    )
+    region = arrow_down_region(b, -r, -2 * r)
+    return frozenset(a for a in region if all(abs(v) <= r for v in functional_values(a)))
 
 
 # --- locating alcoves and points ----------------------------------------
 
 
-def locate_point(pt: Point, max_steps: int = 100000) -> ExtAffine:
-    """The element u of the affine Weyl group with pt in u(base alcove).
+def _fold(x: int, y: int, scale: int, max_steps: int = 100000) -> ExtAffine | None:
+    """The element u of the affine Weyl group with the point (x, y)/scale
+    inside u(base alcove), or None for a point on a wall.
+
+    Folds the point into the base alcove by the simple reflections, whose
+    walls x = y, y = 0 and x + y = 1 sit at x = y, y = 0 and
+    x + y = scale in these units.
+    """
+    g = IDENTITY
+    for _ in range(max_steps):
+        if x < y:
+            x, y = y, x
+            g = compose(S1, g)
+        elif y < 0:
+            y = -y
+            g = compose(S2, g)
+        elif x + y > scale:
+            x, y = scale - y, scale - x
+            g = compose(S0, g)
+        elif x == y or y == 0 or x + y == scale:
+            return None
+        else:
+            return invert(g)
+    raise AssertionError("folding did not terminate")
+
+
+def locate_point(pt: tuple[Fraction, Fraction], max_steps: int = 100000) -> ExtAffine:
+    """The element u of the affine Weyl group with the rational point
+    pt = (x, y) in u(base alcove).
 
     Raises ValueError for points on a wall.
     """
-    g = IDENTITY
-    cur = pt
-    for _ in range(max_steps):
-        f1 = functional(0, cur)
-        f2 = functional(1, cur)
-        f3 = functional(2, cur)
-        if f1 == 0 or f2 == 0 or f3 == 0 or functional(3, cur) in (0, 1):
-            raise ValueError("point lies on a wall: %r" % (pt,))
-        if f1 < 0:
-            r = S1
-        elif f2 < 0:
-            r = S2
-        elif f3 > 1:
-            r = S0
-        elif f3 < 1:
-            return invert(g)
-        else:
-            raise ValueError("point lies on a wall: %r" % (pt,))
-        cur = act_on_point(r, cur)
-        g = compose(r, g)
-    raise AssertionError("folding did not terminate")
+    x, y = pt
+    scale = math.lcm(x.denominator, y.denominator)
+    u = _fold(int(x * scale), int(y * scale), scale, max_steps)
+    if u is None:
+        raise ValueError("point lies on a wall: %r" % (pt,))
+    return u
 
 
 def elem_of_alcove(a: Alcove) -> ExtAffine:
     """The affine Weyl group element mapping the base alcove to a."""
-    u = locate_point(a)
-    assert alcove_of(u) == a
+    u = _fold(a.x, a.y, 6)
+    assert u is not None and alcove_of(u) == a, a
     return u
 
 
 def is_restricted_alcove(a: Alcove) -> bool:
-    f1, f2 = functional(0, a), functional(1, a)
-    return 0 < f1 < 1 and 0 < f2 < 1
+    x, y = a
+    return 0 < x - y < 6 and 0 < y < 6
 
 
 def _build_restricted_chain() -> tuple[Alcove, Alcove, Alcove, Alcove]:
@@ -463,7 +486,7 @@ def is_restricted_element(x: ExtAffine) -> bool:
 
 
 def is_dominant_element(x: ExtAffine) -> bool:
-    return is_dominant_point(alcove_of(x))
+    return is_dominant_alcove(alcove_of(x))
 
 
 @lru_cache(maxsize=None)
@@ -496,15 +519,14 @@ def p_dot(x: ExtAffine, lam: Weight, p: int) -> Weight:
     return x.w.act(lam + ETA) + x.nu.scale(p) - ETA
 
 
-def scaled_point(lam: Weight, p: int) -> Point:
-    """(lam + eta)/p in plane coordinates."""
-    mu = lam + ETA
-    return Point(Fraction(mu.a, p), Fraction(mu.b, p))
-
-
 def locate_weight(lam: Weight, p: int) -> ExtAffine:
-    """u in the affine Weyl group with (lam+eta)/p inside u(base alcove)."""
-    return locate_point(scaled_point(lam, p))
+    """u in the affine Weyl group with (lam+eta)/p inside u(base alcove):
+    the integer vector lam + eta folded against walls at multiples of p."""
+    mu = lam + ETA
+    u = _fold(mu.a, mu.b, p)
+    if u is None:
+        raise ValueError("weight %r lies on a wall for p=%d" % (tuple(lam), p))
+    return u
 
 
 def orbit_weight(lam: Weight, p: int, target: ExtAffine) -> Weight:

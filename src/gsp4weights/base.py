@@ -8,8 +8,7 @@ The symplectic form is antidiagonal: J = antidiag(1, 1, -1, -1).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 
 class Weight(NamedTuple):
@@ -79,33 +78,47 @@ def std_coweight(cov: Coweight) -> tuple[int, int, int, int]:
 
 
 # --- finite Weyl group -------------------------------------------------
+#
+# The 8 elements are interned instances, each carrying its index into
+# tables built once, at import, by closing {s1, s2} under products: the
+# product and inverse tables and, per element, the 3x3 integer matrices
+# of its actions on characters and on coweights (row-major 9-tuples).
 
-def _act1(lam: Weight) -> Weight:
-    return Weight(lam.b, lam.a, lam.c)
-
-
-def _act2(lam: Weight) -> Weight:
-    return Weight(lam.a, -lam.b, lam.b + lam.c)
-
-
-def _coact1(cov: Coweight) -> Coweight:
-    return Coweight(cov.e, cov.d, cov.f)
-
-
-def _coact2(cov: Coweight) -> Coweight:
-    # Adjoint of _act2 under the pairing; the coordinate formula differs
-    # from the character side.
-    return Coweight(cov.d, cov.f - cov.e, cov.f)
+_IDENTITY_MATRIX = (1, 0, 0, 0, 1, 0, 0, 0, 1)
+# s1 swaps the first two coordinates on both sides; s2 sends (a, b; c) to
+# (a, -b; b + c) and, as the adjoint under the pairing, (d, e; f) to
+# (d, f - e; f).
+_SIMPLE_MATRICES = (
+    ("1", (0, 1, 0, 1, 0, 0, 0, 0, 1), (0, 1, 0, 1, 0, 0, 0, 0, 1)),
+    ("2", (1, 0, 0, 0, -1, 0, 0, 1, 1), (1, 0, 0, 0, -1, 1, 0, 0, 1)),
+)
 
 
-@dataclass(frozen=True)
+def _matmul(m: tuple[int, ...], n: tuple[int, ...]) -> tuple[int, ...]:
+    return tuple(
+        sum(m[3 * i + k] * n[3 * k + j] for k in range(3)) for i in range(3) for j in range(3)
+    )
+
+
 class FiniteWeyl:
     """Element of the Weyl group W of GSp4 (dihedral of order 8).
 
-    ``word`` is the canonical reduced word, letters '1' and '2'.
+    The elements are the 8 interned instances in ``W_ALL``, so equality is
+    identity.  ``index`` (0-7) is the position in ``W_ALL`` and in the
+    group tables; ``word`` is the canonical reduced word, letters '1' and
+    '2'.
     """
 
-    word: str
+    __slots__ = ("index", "word", "_char", "_cochar")
+
+    def __init__(self, index: int, word: str, char: tuple[int, ...], cochar: tuple[int, ...]):
+        self.index = index
+        self.word = word
+        self._char = char
+        self._cochar = cochar
+
+    def __hash__(self):
+        return self.index
 
     def __repr__(self):
         return "W[%s]" % (self.display(),)
@@ -120,48 +133,68 @@ class FiniteWeyl:
         return len(self.word)
 
     def act(self, lam: Weight) -> Weight:
-        for ch in reversed(self.word):
-            lam = _act1(lam) if ch == "1" else _act2(lam)
-        return lam
+        m = self._char
+        a, b, c = lam
+        return Weight(
+            m[0] * a + m[1] * b + m[2] * c,
+            m[3] * a + m[4] * b + m[5] * c,
+            m[6] * a + m[7] * b + m[8] * c,
+        )
 
     def act_coweight(self, cov: Coweight) -> Coweight:
-        for ch in reversed(self.word):
-            cov = _coact1(cov) if ch == "1" else _coact2(cov)
-        return cov
+        m = self._cochar
+        d, e, f = cov
+        return Coweight(
+            m[0] * d + m[1] * e + m[2] * f,
+            m[3] * d + m[4] * e + m[5] * f,
+            m[6] * d + m[7] * e + m[8] * f,
+        )
 
 
-def _basis_images(word: str) -> tuple[Weight, Weight, Weight]:
-    w = FiniteWeyl(word)
-    return (w.act(Weight(1, 0, 0)), w.act(Weight(0, 1, 0)), w.act(Weight(0, 0, 1)))
+def _close_weyl_group() -> tuple[FiniteWeyl, ...]:
+    """Breadth-first closure of {s1, s2}, appending letters '1' before '2',
+    so each element keeps the first shortest word reaching it."""
+    elems = [FiniteWeyl(0, "", _IDENTITY_MATRIX, _IDENTITY_MATRIX)]
+    seen = {_IDENTITY_MATRIX}
+    for w in elems:  # grows while it is walked
+        for letter, char, cochar in _SIMPLE_MATRICES:
+            m = _matmul(w._char, char)
+            if m not in seen:
+                seen.add(m)
+                elems.append(FiniteWeyl(len(elems), w.word + letter, m, _matmul(w._cochar, cochar)))
+    return tuple(elems)
 
 
-_CANONICAL_WORDS = ("", "1", "2", "12", "21", "121", "212", "1212")
-W_ALL = tuple(FiniteWeyl(word) for word in _CANONICAL_WORDS)
+W_ALL = _close_weyl_group()
+assert tuple(w.word for w in W_ALL) == ("", "1", "2", "12", "21", "121", "212", "1212")
 W_E, W_S1, W_S2 = W_ALL[0], W_ALL[1], W_ALL[2]
 W_LONG = W_ALL[7]
 
-_IMAGE_TO_CANON = {_basis_images(w.word): w for w in W_ALL}
-assert len(_IMAGE_TO_CANON) == 8
+_BY_CHAR = {w._char: w for w in W_ALL}
+_MUL = tuple(tuple(_BY_CHAR[_matmul(w._char, u._char)] for u in W_ALL) for w in W_ALL)
+_INV = tuple(next(u for u in W_ALL if _MUL[w.index][u.index] is W_E) for w in W_ALL)
+_LETTERS = {"1": W_S1, "2": W_S2}
 
 
 def weyl_mul(w: FiniteWeyl, u: FiniteWeyl) -> FiniteWeyl:
-    """Product w*u, acting as w(u(.)); result uses the canonical word."""
-    word = w.word + u.word
-    v = FiniteWeyl(word)
-    return _IMAGE_TO_CANON[(v.act(Weight(1, 0, 0)), v.act(Weight(0, 1, 0)), v.act(Weight(0, 0, 1)))]
+    """Product w*u, acting as w(u(.))."""
+    return _MUL[w.index][u.index]
 
 
 def weyl_inv(w: FiniteWeyl) -> FiniteWeyl:
-    for u in W_ALL:
-        if weyl_mul(w, u) is W_E:
-            return u
-    raise AssertionError("group without inverses")
+    return _INV[w.index]
 
 
 def weyl_from_word(word: str) -> FiniteWeyl:
-    """Canonical element for an arbitrary word in letters '1', '2'."""
-    v = FiniteWeyl(word)
-    return _IMAGE_TO_CANON[(v.act(Weight(1, 0, 0)), v.act(Weight(0, 1, 0)), v.act(Weight(0, 0, 1)))]
+    """The element of an arbitrary word in letters '1', '2' (the empty word
+    is the identity); any other letter raises ValueError."""
+    acc = W_E
+    for ch in word:
+        s = _LETTERS.get(ch)
+        if s is None:
+            raise ValueError("Weyl word %r: letter %r is not 1 or 2" % (word, ch))
+        acc = _MUL[acc.index][s.index]
+    return acc
 
 
 # Reflections attached to the four positive roots, in the same order.

@@ -127,30 +127,51 @@ def _parse_triple(text: str) -> Weight:
     return Weight(a, b, c)
 
 
+def _is_json_int(value) -> bool:
+    # bool is a subclass of int, but JSON true/false are not numbers
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
 def load_presentation(path: str, expect_p: int | None = None) -> TamePresentation:
     """Read a tame presentation fixture; presentations are always supplied
-    as files, never inferred from other inputs."""
+    as files, never inferred from other inputs.  p and the mu entries must
+    be JSON integers and each s entry a word in the letters 1 and 2."""
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or obj.get("schema") != "gsp4weights/presentation/1":
         raise ValueError("%s: not a gsp4weights/presentation/1 fixture" % path)
     try:
         kind = obj["kind"]
-        p = int(obj["p"])
+        p = obj["p"]
         words = obj["s"]
         mus = obj["mu"]
-    except (KeyError, TypeError, ValueError):
+    except KeyError:
         raise ValueError("%s: malformed presentation fixture" % path) from None
+    if not _is_json_int(p):
+        raise ValueError("%s: p must be an integer, got %s" % (path, json.dumps(p)))
     if expect_p is not None and p != expect_p:
         raise ValueError(
             "%s: fixture has p=%d but the run is configured with p=%d"
             % (path, p, expect_p)
         )
+    if not isinstance(words, list) or not isinstance(mus, list):
+        raise ValueError("%s: s and mu must be lists" % path)
     if len(words) != len(mus):
         raise ValueError("%s: s and mu have different lengths" % path)
-    s = tuple(weyl_from_word(str(w)) for w in words)
-    mu = tuple(Weight(int(m[0]), int(m[1]), int(m[2])) for m in mus)
-    return TamePresentation(kind, s, mu, p)
+    if not words:
+        raise ValueError("%s: s and mu are empty; give one entry per embedding" % path)
+    s = []
+    for w in words:
+        if not isinstance(w, str):
+            raise ValueError("%s: s entry %s is not a string" % (path, json.dumps(w)))
+        try:
+            s.append(weyl_from_word(w))
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (path, exc)) from None
+    for m in mus:
+        if not (isinstance(m, list) and len(m) == 3 and all(_is_json_int(v) for v in m)):
+            raise ValueError("%s: mu entry %s is not three integers" % (path, json.dumps(m)))
+    return TamePresentation(kind, tuple(s), tuple(Weight(*m) for m in mus), p)
 
 
 def save_presentation(pres: TamePresentation, path: str) -> None:
@@ -378,7 +399,7 @@ def _cmd_graph(cfg: RunConfig, args) -> list[str]:
     chains = []
     if args.chains:
         for sigma in graph.vertices:
-            res = find_chain(rhobar, sigma)
+            res = find_chain(rhobar, sigma, graph)
             chains.append((sigma, len(res.bfs), len(res.steered)))
     if cfg.fmt == "json":
         obj = {

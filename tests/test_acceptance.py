@@ -29,7 +29,6 @@ from gsp4weights.affine import (
     IDENTITY,
     RESTRICTED_ALCOVES,
     W0,
-    Point,
     alcove_of,
     box_down_set,
     bruhat_leq,
@@ -185,20 +184,20 @@ def test_criterion_03_alcove_order():
                 elem_of_alcove(RESTRICTED_ALCOVES[i]), elem_of_alcove(RESTRICTED_ALCOVES[j])
             ) == (i <= j)
     # partial order on the radius-12 box below a deep dominant alcove
-    top = alcove_of(locate_point(Point(Fraction(21, 2), Fraction(1, 4))))
+    top = alcove_of(locate_point((Fraction(21, 2), Fraction(1, 4))))
     box = sorted(box_down_set(top, 12))
     assert len(box) > 1000
     for a in box:
         assert upper_arrow_leq_alcove(a, a)
         # every arrow step weakly raises x and x+y and strictly raises
         # 2x+y, so no distinct cycle can close up: antisymmetry
-        for q in up_step_targets(a, Fraction(12), Fraction(24)):
+        for q in up_step_targets(a, 6 * 12, 6 * 24):
             assert q.x >= a.x and q.x + q.y >= a.x + a.y
             assert 2 * q.x + q.y > 2 * a.x + a.y
     # exhaustive antisymmetry and transitivity on a seeded subset; kept to
     # small coordinates so each comparison search stays shallow
     rng = random.Random(3)
-    band = [a for a in box if a.x <= 5]
+    band = [a for a in box if a.x <= 6 * 5]
     sub = rng.sample(band, 32) + list(RESTRICTED_ALCOVES)
     rel = {(a, b) for a in sub for b in sub if upper_arrow_leq_alcove(a, b)}
     for a, b in rel:

@@ -1,4 +1,5 @@
 import collections
+import itertools
 
 import pytest
 
@@ -6,6 +7,7 @@ from gsp4weights.base import ETA, W_ALL, Weight, weyl_from_word
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     S1,
+    ExtAffine,
     W0,
     compose,
     compose_all,
@@ -35,6 +37,8 @@ from gsp4weights.admissible import (
     levi_reduced_word,
     translation_generators,
 )
+
+import oracles
 
 
 def test_adm_eta_against_oracle():
@@ -107,6 +111,15 @@ def test_levi_lengths():
     word, rem = levi_reduced_word(t_eta, LEVI_M1)
     assert len(word) == 1
     assert levi_length(rem, LEVI_M1) == 0
+
+
+def test_levi_lengths_against_barycenter_oracle():
+    roots = {LEVI_T: (), LEVI_M1: (0,), LEVI_M2: (1,), LEVI_G: range(4)}
+    for a, b in itertools.product(range(-4, 5), repeat=2):
+        for w in W_ALL:
+            x = ExtAffine(Weight(a, b, 0), w)
+            for levi, idx in roots.items():
+                assert levi_length(x, levi) == oracles.length(x, roots=idx)
 
 
 def test_levi_finite_weyl_sizes():

@@ -58,6 +58,8 @@ from gsp4weights.affine import (
     weight_arrow_leq,
 )
 
+import oracles
+
 
 def random_element(rng, span=3):
     nu = Weight(rng.randint(-span, span), rng.randint(-span, span), rng.randint(-span, span))
@@ -177,9 +179,9 @@ def test_restricted_alcove_chain():
     a0, a1, a2, a3 = RESTRICTED_ALCOVES
     assert a0 == BASE_ALCOVE
     assert (a1, a2, a3) == (
-        Alcove(Fraction(5, 6), Fraction(1, 2)),
-        Alcove(Fraction(7, 6), Fraction(1, 2)),
-        Alcove(Fraction(3, 2), Fraction(5, 6)),
+        Alcove(5, 3),
+        Alcove(7, 3),
+        Alcove(9, 5),
     )
     for lo, hi in ((a0, a1), (a1, a2), (a2, a3)):
         assert upper_arrow_leq_alcove(lo, hi)
@@ -203,7 +205,7 @@ def test_arrow_is_partial_order_sample():
 
 def test_arrow_below_base_is_infinite_without_truncation():
     # the alcove two steps below the base alcove through the x+y walls
-    c = Alcove(BASE_ALCOVE.x - 1, BASE_ALCOVE.y - 1)
+    c = Alcove(BASE_ALCOVE.x - 6, BASE_ALCOVE.y - 6)
     assert upper_arrow_leq_alcove(c, BASE_ALCOVE)
     assert not is_dominant_element(elem_of_alcove(c))
 
@@ -220,7 +222,7 @@ def test_dominant_down_set_sizes():
 def test_box_down_set_contains_nondominant():
     ds = box_down_set(BASE_ALCOVE, 4)
     assert BASE_ALCOVE in ds
-    c = Alcove(BASE_ALCOVE.x - 1, BASE_ALCOVE.y - 1)
+    c = Alcove(BASE_ALCOVE.x - 6, BASE_ALCOVE.y - 6)
     assert c in ds
     assert len(ds) > 4
     for a in ds:
@@ -262,7 +264,7 @@ def test_locate_point_roundtrip():
         assert alcove_of(u) == a
         assert omega_class(u) == 0
     with pytest.raises(ValueError):
-        locate_point(Alcove(Fraction(1, 2), Fraction(1, 2)))  # on wall x-y=0
+        locate_point((Fraction(1, 2), Fraction(1, 2)))  # on wall x-y=0
 
 
 def test_locate_weight_and_orbit():
@@ -303,18 +305,9 @@ def test_normalize_c():
 
 
 def test_functional_values_of_base():
-    assert functional_values(BASE_ALCOVE) == (
-        Fraction(1, 3),
-        Fraction(1, 6),
-        Fraction(2, 3),
-        Fraction(1, 2),
-    )
-    assert functional_values(DUAL_BASE_ALCOVE) == (
-        Fraction(-1, 3),
-        Fraction(-1, 6),
-        Fraction(-2, 3),
-        Fraction(-1, 2),
-    )
+    # barycenter values 1/3, 1/6, 2/3, 1/2, scaled by 6
+    assert functional_values(BASE_ALCOVE) == (2, 1, 4, 3)
+    assert functional_values(DUAL_BASE_ALCOVE) == (-2, -1, -4, -3)
 
 
 def test_reflect_alcove_is_involution():
@@ -325,3 +318,49 @@ def test_reflect_alcove_is_involution():
         for i in range(4):
             for m in (-1, 0, 1, 2):
                 assert reflect_alcove(reflect_alcove(a, i, m), i, m) == a
+
+
+def _grid():
+    """Every t_nu * w with |nu_a|, |nu_b| <= 4, in two central classes."""
+    for a, b, c in itertools.product(range(-4, 5), range(-4, 5), (0, -1)):
+        for w in W_ALL:
+            yield ExtAffine(Weight(a, b, c), w)
+
+
+def test_integer_alcoves_against_barycenter_oracle():
+    for x in _grid():
+        bx, by = oracles.barycenter(x)
+        assert alcove_of(x) == Alcove(6 * bx, 6 * by)
+        assert length(x) == oracles.length(x)
+        assert dual_length(x) == oracles.dual_length(x)
+        assert is_restricted_element(x) == oracles.is_restricted(x)
+
+
+def test_locate_weight_against_folding_oracle():
+    # weights p-dot-moved from the lowest 7-alcove into every grid
+    # element's alcove, and one on the wall x = y
+    p = 7
+    thetas = (Weight(0, 0, 0), Weight(2, 1, 1), Weight(1, 2, 0))
+    for x in _grid():
+        for theta in thetas:
+            lam = p_dot(x, theta, p)
+            try:
+                expect = oracles.locate_weight(lam, p)
+            except ValueError:
+                with pytest.raises(ValueError):
+                    locate_weight(lam, p)
+                continue
+            assert locate_weight(lam, p) == expect
+
+
+def test_arrow_order_against_barycenter_oracle():
+    # a seeded sample of criterion 3's box, at small x so that the
+    # oracle's rational searches stay shallow
+    top = alcove_of(locate_point((Fraction(21, 2), Fraction(1, 4))))
+    band = sorted(a for a in box_down_set(top, 12) if a.x <= 6 * 4)
+    sample = random.Random(12).sample(band, 20) + list(RESTRICTED_ALCOVES)
+    for a, b in itertools.product(sample, repeat=2):
+        expect = oracles.upper_arrow_leq(
+            (Fraction(a.x, 6), Fraction(a.y, 6)), (Fraction(b.x, 6), Fraction(b.y, 6))
+        )
+        assert upper_arrow_leq_alcove(a, b) == expect

@@ -1,6 +1,8 @@
 import itertools
 import random
 
+import pytest
+
 from gsp4weights.base import (
     ALPHA1,
     ALPHA2,
@@ -29,6 +31,8 @@ from gsp4weights.base import (
     weyl_inv,
     weyl_mul,
 )
+
+from oracles import CHAR_BASIS, COWEIGHT_BASIS, word_act, word_act_coweight, word_images
 
 
 def test_pairing_table():
@@ -77,6 +81,29 @@ def test_group_structure():
     assert len(set(orbit)) == 4
     assert weyl_from_word("1212") is W_LONG
     assert weyl_from_word("2121") is W_LONG
+    assert weyl_from_word("") is W_E
+
+
+@pytest.mark.parametrize("word", ["3", "abc", "1x2"])
+def test_weyl_from_word_rejects_other_letters(word):
+    with pytest.raises(ValueError, match="not 1 or 2"):
+        weyl_from_word(word)
+
+
+def test_tables_against_word_oracle():
+    # each element's word and index, and its action matrices on the
+    # character and coweight bases
+    for i, w in enumerate(W_ALL):
+        assert w.index == i and weyl_from_word(w.word) is w
+        for e in CHAR_BASIS:
+            assert w.act(e) == word_act(w.word, e)
+        for e in COWEIGHT_BASIS:
+            assert w.act_coweight(e) == word_act_coweight(w.word, e)
+    # all 64 products and all 8 inverses: the concatenated word acts alike
+    for w, u in itertools.product(W_ALL, repeat=2):
+        assert word_images(weyl_mul(w, u).word) == word_images(w.word + u.word)
+    for w in W_ALL:
+        assert word_images(w.word + weyl_inv(w).word) == CHAR_BASIS
 
 
 def test_lengths():

@@ -1,5 +1,6 @@
 import json
 import os
+import re
 
 import pytest
 
@@ -254,6 +255,61 @@ def test_load_presentation_rejects_junk(tmp_path):
     path.write_text(json.dumps({"schema": "something/else"}))
     with pytest.raises(ValueError):
         load_presentation(str(path))
+
+
+def _write_presentation(tmp_path, **fields):
+    obj = {"schema": "gsp4weights/presentation/1", "kind": "param", "p": 37,
+           "s": ["12"], "mu": [[17, 8, -1]]}
+    obj.update(fields)
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps(obj))
+    return str(path)
+
+
+@pytest.mark.parametrize("word", ["3", "abc", "1x2"])
+def test_presentation_bad_word_is_user_error(capsys, tmp_path, word):
+    path = _write_presentation(tmp_path, s=[word])
+    with pytest.raises(ValueError, match="not 1 or 2"):
+        load_presentation(path)
+    code, out, err = capture(capsys, ["weights", "--rhobar", path])
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: " % path) and "Traceback" not in err
+
+
+@pytest.mark.parametrize("fields", [
+    {"p": 37.0},
+    {"p": "37"},
+    {"p": True},
+    {"mu": [[17.9, 8, -1]]},
+    {"mu": [[17, "8", -1]]},
+    {"mu": [[17, 8, True]]},
+    {"mu": [[17, 8]]},
+    {"s": [12]},
+    {"s": "1"},
+], ids=["p-float", "p-string", "p-bool", "mu-float", "mu-string", "mu-bool", "mu-short",
+        "s-number", "s-not-a-list"])
+def test_presentation_values_are_not_coerced(capsys, tmp_path, fields):
+    path = _write_presentation(tmp_path, **fields)
+    with pytest.raises(ValueError, match="^%s: " % re.escape(path)):
+        load_presentation(path)
+    code, out, err = capture(capsys, ["weights", "--rhobar", path])
+    assert code == 2 and err.startswith("error: %s: " % path)
+
+
+def test_empty_presentation_is_user_error(capsys, tmp_path):
+    path = _write_presentation(tmp_path, s=[], mu=[])
+    code, out, err = capture(capsys, ["weights", "--rhobar", path])
+    assert code == 2
+    assert err == "error: %s: s and mu are empty; give one entry per embedding\n" % path
+
+
+def test_shallow_parameter_warned_once_per_run(capsys, caplog):
+    caplog.set_level("WARNING", logger="gsp4weights.adjacency")
+    code, out, err = capture(capsys, ["graph", "--rhobar", fx("rb1.json"), "--chains"])
+    assert code == 0
+    shallow = [r.getMessage() for r in caplog.records if "below 9" in r.getMessage()]
+    assert shallow == ["parameter param[s=s1s2 mu=17,8,-1] at p=37 has depth 8 below 9;"
+                       " proceeding with scaled margins"]
 
 
 def test_load_matrix_wrapped_and_bare(tmp_path):
