@@ -12,6 +12,7 @@ from __future__ import annotations
 import logging
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 
 from .base import W_S1, W_S2, weyl_mul
 from .affine import (
@@ -35,10 +36,10 @@ from .weights import (
     obvious_weights,
     outer_weight_at,
     predicted_pair_of_weight,
+    predicted_weight_at,
     presentation_from_w_tilde,
     t_compose,
     type_from_target,
-    w_question,
     w_question_set,
 )
 
@@ -46,13 +47,10 @@ log = logging.getLogger(__name__)
 
 SIMPLES = {1: W_S1, 2: W_S2}
 
-_WQ_CACHE: dict[TamePresentation, dict[APPair, SerreWeight]] = {}
-
-
-def _wq(rhobar: TamePresentation) -> dict[APPair, SerreWeight]:
-    if rhobar not in _WQ_CACHE:
-        _WQ_CACHE[rhobar] = w_question(rhobar)
-    return _WQ_CACHE[rhobar]
+# No weight table is cached per parameter any more, so this stays empty.
+# perfbench's traced runs still report its size (adjacency.wq_cache.entries,
+# now 0); it goes when that metric does.
+_WQ_CACHE: dict = {}
 
 
 def valid_simples(pair: APPair) -> tuple[tuple[int, int], ...]:
@@ -171,7 +169,7 @@ def build_instance(
                 "intersection is not the expected two outer weights: %s"
                 % sorted(s.display() for s in got)
             )
-        if _wq(rhobar)[pair] != sigma1:
+        if predicted_weight_at(rhobar, pair) != sigma1:
             raise AssertionError("sigma1 does not match the weight of the pair")
     return AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
 
@@ -184,14 +182,17 @@ class WeightGraph:
     edges: dict[tuple[SerreWeight, SerreWeight], tuple[AdjacencyInstance, ...]]
     obvious: frozenset[SerreWeight]
 
-    def neighbors(self, sigma: SerreWeight) -> tuple[SerreWeight, ...]:
-        out = []
+    @cached_property
+    def _adjacent(self) -> dict[SerreWeight, tuple[SerreWeight, ...]]:
+        """Each endpoint's neighbours in sort_key order, built once."""
+        nbs: dict[SerreWeight, set[SerreWeight]] = {}
         for a, b in self.edges:
-            if a == sigma:
-                out.append(b)
-            elif b == sigma:
-                out.append(a)
-        return tuple(sorted(set(out), key=lambda s: s.sort_key()))
+            nbs.setdefault(a, set()).add(b)
+            nbs.setdefault(b, set()).add(a)
+        return {v: tuple(sorted(vs, key=lambda s: s.sort_key())) for v, vs in nbs.items()}
+
+    def neighbors(self, sigma: SerreWeight) -> tuple[SerreWeight, ...]:
+        return self._adjacent.get(sigma, ())
 
     def components(self) -> tuple[frozenset[SerreWeight], ...]:
         seen: set[SerreWeight] = set()
@@ -240,8 +241,7 @@ def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
             "parameter %s at p=%d has depth %d below 9; proceeding with scaled margins",
             rhobar.display(), rhobar.p, rhobar.depth(),
         )
-    wq = _wq(rhobar)
-    vertices = tuple(sorted(set(wq.values()), key=lambda s: s.sort_key()))
+    vertices = tuple(sorted(w_question_set(rhobar), key=lambda s: s.sort_key()))
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
     for pair in enumerate_ap_prime(rhobar.f):
         for s in valid_simples(pair):

@@ -204,8 +204,9 @@ def load_matrix(path: str, field) -> PolyMat:
 
 def _header(cfg: RunConfig, pres: TamePresentation | None = None, **extra) -> str:
     """One comment line echoing the run parameters, including all
-    genericity depths in play."""
-    bits = ["p=%d" % cfg.p, "f=%d" % cfg.f, "seed=%d" % cfg.seed]
+    genericity depths in play.  f is the presentation's when there is one."""
+    f = cfg.f if pres is None else pres.f
+    bits = ["p=%d" % cfg.p, "f=%d" % f, "seed=%d" % cfg.seed]
     if cfg.depth is not None:
         bits.append("depth_override=%d" % cfg.depth)
     if pres is not None:
@@ -217,7 +218,7 @@ def _header(cfg: RunConfig, pres: TamePresentation | None = None, **extra) -> st
 
 
 def _json_meta(cfg: RunConfig, pres: TamePresentation | None = None) -> dict:
-    meta = {"p": cfg.p, "f": cfg.f, "seed": cfg.seed}
+    meta = {"p": cfg.p, "f": cfg.f if pres is None else pres.f, "seed": cfg.seed}
     if cfg.depth is not None:
         meta["depth_override"] = cfg.depth
     if pres is not None:

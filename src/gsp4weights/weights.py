@@ -204,23 +204,31 @@ class LowestAlcovePresentation:
         return len(self.w1)
 
 
+def _check_theta(theta: Weight, p: int) -> Weight:
+    if lowest_alcove_depth(theta, p) < 0:
+        raise GenericityError("omega - eta must lie inside the lowest alcove")
+    return theta
+
+
+def _dot_part(y: ExtAffine, theta: Weight, p: int) -> Weight:
+    """One weight part y . theta, for a restricted y."""
+    if not is_restricted_element(y):
+        raise ValueError("presentation element is not restricted")
+    lam = p_dot(y, theta, p)
+    if not is_p_restricted(lam, p):
+        raise ValueError("presentation out of range")
+    return lam
+
+
 def serre_weight_of_presentation(pres: LowestAlcovePresentation, p: int) -> SerreWeight:
     """F of a presentation: rotate the element tuple one step, then apply
     the p-dot action to omega - eta componentwise."""
     f = pres.f
-    parts = []
-    for j in range(f):
-        theta = pres.omega[j] - ETA
-        if lowest_alcove_depth(theta, p) < 0:
-            raise GenericityError("omega - eta must lie inside the lowest alcove")
-        w = pres.w1[(j - 1) % f]
-        if not is_restricted_element(w):
-            raise ValueError("presentation element is not restricted")
-        lam = p_dot(w, theta, p)
-        if not is_p_restricted(lam, p):
-            raise ValueError("presentation out of range")
-        parts.append(lam)
-    return SerreWeight.make(p, tuple(parts))
+    parts = tuple(
+        _dot_part(pres.w1[(j - 1) % f], _check_theta(pres.omega[j] - ETA, p), p)
+        for j in range(f)
+    )
+    return SerreWeight.make(p, parts)
 
 
 def presentation_of(sigma: SerreWeight) -> LowestAlcovePresentation:
@@ -368,24 +376,20 @@ def _ap_prime_pairs_single() -> tuple[tuple[ExtAffine, ExtAffine], ...]:
     return tuple(sorted(pairs, key=lambda pr: elem_sort_key(pr[0]) + elem_sort_key(pr[1])))
 
 
+def _enumerate_pairs(singles, flavor: str, f: int) -> tuple[APPair, ...]:
+    """All f-tuples of per-embedding pairs, slot 0 varying slowest."""
+    return tuple(
+        APPair(tuple(pr[0] for pr in combo), tuple(pr[1] for pr in combo), flavor)
+        for combo in product(singles, repeat=f)
+    )
+
+
 def enumerate_ap(f: int) -> tuple[APPair, ...]:
-    singles = _ap_pairs_single()
-    out = []
-    for combo in product(singles, repeat=f):
-        w1 = tuple(pr[0] for pr in combo)
-        w2 = tuple(pr[1] for pr in combo)
-        out.append(APPair(w1, w2, "AP"))
-    return tuple(out)
+    return _enumerate_pairs(_ap_pairs_single(), "AP", f)
 
 
 def enumerate_ap_prime(f: int) -> tuple[APPair, ...]:
-    singles = _ap_prime_pairs_single()
-    out = []
-    for combo in product(singles, repeat=f):
-        w1 = tuple(pr[0] for pr in combo)
-        w2 = tuple(pr[1] for pr in combo)
-        out.append(APPair(w1, w2, "AP'"))
-    return tuple(out)
+    return _enumerate_pairs(_ap_prime_pairs_single(), "AP'", f)
 
 
 def ap_target(pair: APPair) -> TupleElt:
@@ -396,6 +400,13 @@ def ap_target(pair: APPair) -> TupleElt:
 
 
 # --- the two weight bijections ---------------------------------------------
+#
+# F_tau (on AP pairs) and F_rhobar (on AP' pairs) are one map with the two
+# pair components in swapped roles.  Part j of the weight of a pair tuple
+# is y . theta_j: theta_j = (w~_j x^(-1)).nu - eta comes from the pair at
+# slot j, the restricted element y from the pair at slot j - 1.  That
+# one-step rotation is the only coupling between embeddings, so the parts
+# are tabulated slot by slot and whole weights are made only when needed.
 
 
 def _require_depth(pres: TamePresentation, m: int) -> None:
@@ -406,39 +417,109 @@ def _require_depth(pres: TamePresentation, m: int) -> None:
         )
 
 
+def _theta(wt_j: ExtAffine, x: ExtAffine, p: int) -> Weight:
+    return _check_theta(compose(wt_j, invert(x)).nu - ETA, p)
+
+
+def _weight_at(pres: TamePresentation, xs: TupleElt, ys: TupleElt) -> SerreWeight:
+    """F_pres at one pair tuple: theta from xs, the p-dot by ys rotated."""
+    wt = pres.w_tilde()
+    p = pres.p
+    parts = tuple(
+        _dot_part(ys[j - 1], _theta(wt[j], xs[j], p), p) for j in range(pres.f)
+    )
+    return SerreWeight.make(p, parts)
+
+
+# kind -> (wrong-kind error, per-embedding pairs, flavor, pair index of x)
+_ROLES = {
+    "type": ("jh_factors expects a type presentation", _ap_pairs_single, "AP", 1),
+    "param": ("w_question expects a parameter presentation", _ap_prime_pairs_single, "AP'", 0),
+}
+
+
+class _SlotKernel:
+    """The weight parts of F_pres on all tuples of per-embedding pairs.
+
+    parts[j][i][k] is part j when slot j holds single k and slot j - 1 holds
+    a single whose y is the i-th distinct one: (distinct y) x (singles)
+    p-dot evaluations per slot instead of f * singles^f.  At f = 1 slot
+    j - 1 is slot j, so only the entries whose i is k's own y are evaluated
+    (the others are None).  Every check of serre_weight_of_presentation
+    runs on every entry.  Of these checks only the lowest-alcove one on
+    theta can fail (each y is restricted, and y . theta is then
+    p-restricted), so the first failure raised here is the one that
+    evaluating the tuples one by one raises.
+    """
+
+    def __init__(self, pres: TamePresentation, kind: str, min_depth: int):
+        wrong_kind, singles_of, self.flavor, ix = _ROLES[kind]
+        if pres.kind != kind:
+            raise ValueError(wrong_kind)
+        _require_depth(pres, min_depth)
+        self.singles = singles_of()
+        self.p, self.f = pres.p, pres.f
+        p, f = pres.p, pres.f
+        ys: list[ExtAffine] = []
+        self.y_slot = []
+        for pr in self.singles:
+            y = pr[1 - ix]
+            if y not in ys:
+                ys.append(y)
+            self.y_slot.append(ys.index(y))
+        wt = pres.w_tilde()
+        self.parts = []
+        for j in range(f):
+            thetas = [_theta(wt[j], pr[ix], p) for pr in self.singles]
+            self.parts.append([
+                [
+                    _dot_part(y, theta, p) if f > 1 or self.y_slot[k] == i else None
+                    for k, theta in enumerate(thetas)
+                ]
+                for i, y in enumerate(ys)
+            ])
+
+    def _part(self, j: int, combo: tuple[int, ...]) -> Weight:
+        return self.parts[j][self.y_slot[combo[j - 1]]][combo[j]]
+
+    def weight(self, combo: tuple[int, ...]) -> SerreWeight:
+        return SerreWeight.make(self.p, tuple(self._part(j, combo) for j in range(self.f)))
+
+    def table(self) -> dict[APPair, SerreWeight]:
+        """F_pres on every pair tuple, in enumeration order."""
+        combos = product(range(len(self.singles)), repeat=self.f)
+        pairs = _enumerate_pairs(self.singles, self.flavor, self.f)
+        return {pair: self.weight(combo) for pair, combo in zip(pairs, combos)}
+
+    def labels(self, j: int) -> set[tuple[int, int]]:
+        """The (a, b) of every part at slot j."""
+        return {(lam.a, lam.b) for row in self.parts[j] for lam in row if lam is not None}
+
+    def weights_within(self, keep: list[set[tuple[int, int]]]) -> frozenset[SerreWeight]:
+        """The weights of the tuples whose single at each slot j has some
+        part with its (a, b) in keep[j].  Part j of a tuple is one of the
+        parts of its slot-j single, so these include every tuple whose
+        parts all have their (a, b) in keep."""
+        live = [
+            [
+                k for k in range(len(self.singles))
+                if any(row[k] is not None and (row[k].a, row[k].b) in keep[j]
+                       for row in self.parts[j])
+            ]
+            for j in range(self.f)
+        ]
+        return frozenset(self.weight(combo) for combo in product(*live))
+
+
 def jh_factors(tau: TamePresentation, min_depth: int = 3) -> dict[APPair, SerreWeight]:
     """F_tau over AP pairs; the image is the predicted JH set of the
     reduction of the type."""
-    if tau.kind != "type":
-        raise ValueError("jh_factors expects a type presentation")
-    _require_depth(tau, min_depth)
-    wt = tau.w_tilde()
-    out = {}
-    for pair in enumerate_ap(tau.f):
-        omega = tuple(
-            compose(a, invert(b)).nu for a, b in zip(wt, pair.w2, strict=True)
-        )
-        out[pair] = serre_weight_of_presentation(
-            LowestAlcovePresentation(pair.w1, omega), tau.p
-        )
-    return out
+    return _SlotKernel(tau, "type", min_depth).table()
 
 
 def w_question(rhobar: TamePresentation, min_depth: int = 3) -> dict[APPair, SerreWeight]:
     """F_rhobar over AP' pairs; the image is the predicted weight set."""
-    if rhobar.kind != "param":
-        raise ValueError("w_question expects a parameter presentation")
-    _require_depth(rhobar, min_depth)
-    wt = rhobar.w_tilde()
-    out = {}
-    for pair in enumerate_ap_prime(rhobar.f):
-        omega = tuple(
-            compose(a, invert(b)).nu for a, b in zip(wt, pair.w1, strict=True)
-        )
-        out[pair] = serre_weight_of_presentation(
-            LowestAlcovePresentation(pair.w2, omega), rhobar.p
-        )
-    return out
+    return _SlotKernel(rhobar, "param", min_depth).table()
 
 
 def jh_set(tau: TamePresentation, min_depth: int = 3) -> frozenset[SerreWeight]:
@@ -452,7 +533,15 @@ def w_question_set(rhobar: TamePresentation, min_depth: int = 3) -> frozenset[Se
 def intersect_w_jh(
     rhobar: TamePresentation, tau: TamePresentation, min_depth: int = 3
 ) -> frozenset[SerreWeight]:
-    return w_question_set(rhobar, min_depth) & jh_set(tau, min_depth)
+    """W?(rhobar) & JH(tau) slot by slot: a weight of both sets has the
+    same (a, b) in each part on both sides, so only the tuples that can
+    pass that test are made into weights and compared."""
+    wq = _SlotKernel(rhobar, "param", min_depth)
+    jh = _SlotKernel(tau, "type", min_depth)
+    if (rhobar.p, rhobar.f) != (tau.p, tau.f):
+        return frozenset()
+    keep = [wq.labels(j) & jh.labels(j) for j in range(rhobar.f)]
+    return wq.weights_within(keep) & jh.weights_within(keep)
 
 
 def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:
@@ -484,11 +573,19 @@ def outer_weight_at(
     if tau.kind != "type":
         raise ValueError("outer_weight_at expects a type presentation")
     _require_depth(tau, min_depth)
-    wt = tau.w_tilde()
     w1 = tuple(diamond(w) for w in ws)
     w2 = tuple(compose(HIGHEST_RESTRICTED, d) for d in w1)
-    omega = tuple(compose(a, invert(b)).nu for a, b in zip(wt, w2, strict=True))
-    return serre_weight_of_presentation(LowestAlcovePresentation(w1, omega), tau.p)
+    return _weight_at(tau, w2, w1)
+
+
+def predicted_weight_at(
+    rhobar: TamePresentation, pair: APPair, min_depth: int = 3
+) -> SerreWeight:
+    """F_rhobar at one AP' pair tuple, without building the whole table."""
+    if rhobar.kind != "param":
+        raise ValueError("predicted_weight_at expects a parameter presentation")
+    _require_depth(rhobar, min_depth)
+    return _weight_at(rhobar, pair.w1, pair.w2)
 
 
 def predicted_pair_of_weight(rhobar: TamePresentation) -> dict[SerreWeight, APPair]:

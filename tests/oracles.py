@@ -11,6 +11,10 @@ Nothing here reads the library's action matrices or integer alcoves:
 finite parts act through their words.  The folding oracle composes the
 affine simple reflections with the library's `compose`, whose products
 the table tests check.
+- F_tau and F_rhobar evaluate every pair tuple in full through
+  `serre_weight_of_presentation`, the definition of the weight of one
+  lowest alcove presentation; the library's slot-wise kernel must give the
+  same tables, the same intersections and the same errors.
 """
 
 from __future__ import annotations
@@ -20,6 +24,13 @@ from fractions import Fraction
 
 from gsp4weights.base import ETA, Coweight, Weight
 from gsp4weights.affine import IDENTITY, S0, S1, S2, ExtAffine, compose, invert
+from gsp4weights.weights import (
+    GenericityError,
+    LowestAlcovePresentation,
+    enumerate_ap,
+    enumerate_ap_prime,
+    serre_weight_of_presentation,
+)
 
 
 # --- finite Weyl group by words ----------------------------------------
@@ -166,3 +177,40 @@ def upper_arrow_leq(a, b) -> bool:
                     m += 1
         frontier = nxt
     return False
+
+
+# --- the weight maps by brute force ---------------------------------------
+
+
+def _weight_table(pres, kind, pairs, theta_of, dot_by, min_depth):
+    if pres.kind != kind:
+        raise ValueError("expected a %s presentation" % kind)
+    if pres.depth() < min_depth:
+        raise GenericityError("presentation is too shallow")
+    wt = pres.w_tilde()
+    out = {}
+    for pair in pairs:
+        omega = tuple(
+            compose(a, invert(b)).nu for a, b in zip(wt, theta_of(pair), strict=True)
+        )
+        out[pair] = serre_weight_of_presentation(
+            LowestAlcovePresentation(dot_by(pair), omega), pres.p
+        )
+    return out
+
+
+def jh_factors(tau, min_depth=3):
+    """F_tau on every AP pair tuple: theta from w2, the p-dot by w1."""
+    return _weight_table(tau, "type", enumerate_ap(tau.f),
+                         lambda pr: pr.w2, lambda pr: pr.w1, min_depth)
+
+
+def w_question(rhobar, min_depth=3):
+    """F_rhobar on every AP' pair tuple: theta from w1, the p-dot by w2."""
+    return _weight_table(rhobar, "param", enumerate_ap_prime(rhobar.f),
+                         lambda pr: pr.w1, lambda pr: pr.w2, min_depth)
+
+
+def intersect_w_jh(rhobar, tau, min_depth=3):
+    return (frozenset(w_question(rhobar, min_depth).values())
+            & frozenset(jh_factors(tau, min_depth).values()))

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -26,6 +27,7 @@ from gsp4weights.weights import (
     w_question,
     w_question_set,
 )
+from gsp4weights.cli import load_presentation
 from gsp4weights.adjacency import (
     AdjacencyInstance,
     build_graph,
@@ -281,3 +283,43 @@ def test_graph_connected_f2_p37():
     g = build_graph(rho, check=False)
     assert len(g.vertices) == 400
     assert g.is_connected()
+
+
+def _assert_adjacency_matches_edge_scan(g):
+    for v in g.vertices:
+        scan = {b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v}
+        assert g.neighbors(v) == tuple(sorted(scan, key=lambda s: s.sort_key()))
+    # components by union-find over the edge list
+    root = {v: v for v in g.vertices}
+
+    def find(v):
+        while root[v] != v:
+            v = root[v]
+        return v
+
+    for a, b in g.edges:
+        root[find(a)] = find(b)
+    classes = {}
+    for v in g.vertices:
+        classes.setdefault(find(v), set()).add(v)
+
+    def keys(comps):
+        return sorted(sorted(v.sort_key() for v in comp) for comp in comps)
+
+    assert keys(g.components()) == keys(classes.values())
+
+
+def test_neighbors_and_components_f1():
+    for rho in (rho41(), rho37()):
+        _assert_adjacency_matches_edge_scan(build_graph(rho, check=False))
+
+
+def test_full_f2_graph_with_checks():
+    # every one of the 920 edges' instances runs the full intersection check
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "rb_f2.json")
+    g = build_graph(load_presentation(path), check=True)
+    assert len(g.vertices) == 400
+    assert len(g.edges) == 920
+    assert len(g.obvious) == 64
+    assert g.is_connected()
+    _assert_adjacency_matches_edge_scan(g)

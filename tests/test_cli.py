@@ -110,6 +110,16 @@ def test_weights_header_echoes_depth(capsys):
     assert "count=20" in header
 
 
+@pytest.mark.parametrize("extra", ([], ["--obvious"]))
+def test_weights_header_f_is_the_presentations(capsys, extra):
+    # --f defaults to 1; the fixture has two embeddings
+    code, out, err = capture(capsys, ["weights", "--rhobar", fx("rb_f2.json")] + extra)
+    assert code == 0
+    assert out.splitlines()[0].split()[1:3] == ["p=37", "f=2"]
+    code, out, err = capture(capsys, ["weights", "--rhobar", fx("rb_f2.json"), "--json"] + extra)
+    assert code == 0 and json.loads(out)["meta"]["f"] == 2
+
+
 def test_weights_obvious_count(capsys):
     code, out, err = capture(
         capsys, ["weights", "--rhobar", fx("rb1.json"), "--obvious", "--json"])

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -38,6 +39,7 @@ from gsp4weights.weights import (
     param_of_reduction,
     predicted_pair_of_weight,
     predicted_set_via_shift,
+    predicted_weight_at,
     presentation_of,
     random_deep_presentation,
     rotate_left,
@@ -49,6 +51,10 @@ from gsp4weights.weights import (
     w_question_set,
     weight_class_arrow_leq,
 )
+from gsp4weights.adjacency import build_instance, valid_simples
+from gsp4weights.cli import load_presentation
+
+import oracles
 
 P = 37
 
@@ -311,3 +317,121 @@ def test_weight_class_arrow_basic():
         for b in vals[:8]:
             if a != b and weight_class_arrow_leq(a, b):
                 assert not weight_class_arrow_leq(b, a)
+
+
+# --- the slot-wise kernel against the brute-force oracle -------------------
+
+FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
+PRESENTATION_FIXTURES = ("rb1.json", "rb41.json", "rb_f2.json", "tau1.json")
+
+
+def _fixture(name):
+    return load_presentation(os.path.join(FIXTURES, name))
+
+
+def _both_kinds(pres):
+    return (TamePresentation("param", pres.s, pres.mu, pres.p),
+            TamePresentation("type", pres.s, pres.mu, pres.p))
+
+
+@pytest.mark.parametrize("name", PRESENTATION_FIXTURES)
+def test_kernel_tables_match_oracle_on_fixtures(name):
+    rho, tau = _both_kinds(_fixture(name))
+    # same keys, values and order
+    wq = w_question(rho)
+    assert list(wq.items()) == list(oracles.w_question(rho).items())
+    assert list(jh_factors(tau).items()) == list(oracles.jh_factors(tau).items())
+    for pair, sigma in wq.items():
+        assert predicted_weight_at(rho, pair) == sigma
+
+
+def _instances(rho, count=None, rng=None):
+    """Adjacency instances of rho: all of them, or `count` seeded draws."""
+    if count is None:
+        for pair in enumerate_ap_prime(rho.f):
+            for s in valid_simples(pair):
+                yield build_instance(rho, pair, s, check=False)
+        return
+    pairs = enumerate_ap_prime(rho.f)
+    for _ in range(count):
+        pair = rng.choice(pairs)
+        yield build_instance(rho, pair, rng.choice(valid_simples(pair)), check=False)
+
+
+def _assert_intersection_matches(inst):
+    got = intersect_w_jh(inst.rhobar0, inst.tau)
+    assert got == oracles.intersect_w_jh(inst.rhobar0, inst.tau)
+    assert got == {inst.sigma1, inst.sigma2}
+    assert predicted_weight_at(inst.rhobar, inst.pair) == inst.sigma1
+
+
+@pytest.mark.parametrize("name", ("rb1.json", "rb41.json"))
+def test_kernel_intersection_matches_oracle_on_every_f1_instance(name):
+    count = 0
+    for inst in _instances(_fixture(name)):
+        _assert_intersection_matches(inst)
+        count += 1
+    assert count == 34
+
+
+def test_kernel_intersection_matches_oracle_on_f2_sample():
+    rng = random.Random(2024)
+    rhos = [_fixture("rb_f2.json")] + [rho_fixture(seed=seed, f=2) for seed in (3, 4)]
+    for rho in rhos:
+        for inst in _instances(rho, 12, rng):
+            _assert_intersection_matches(inst)
+
+
+def test_kernel_intersection_matches_oracle_on_f3_sample():
+    rng = random.Random(303)
+    for seed in (1, 2, 3):
+        rho = rho_fixture(seed=seed, f=3)
+        for inst in _instances(rho, 1, rng):
+            _assert_intersection_matches(inst)
+
+
+def test_kernel_intersection_matches_oracle_on_random_targets():
+    # targets w(rhobar, tau) drawn from Adm(eta): intersections of up to
+    # 120 weights, where the slot-wise (a, b) filter admits many tuples
+    rng = random.Random(77)
+    adm = sorted(adm_set(ETA).elements, key=lambda x: x.display())
+    sizes = set()
+    for seed in (5, 6, 7, 8):
+        rho = rho_fixture(seed=seed, f=2)
+        for _ in range(3):
+            tau = type_from_target(rho, tuple(rng.choice(adm) for _ in range(2)))
+            got = intersect_w_jh(rho, tau)
+            assert got == oracles.intersect_w_jh(rho, tau)
+            sizes.add(len(got))
+    assert len(sizes) > 3
+
+
+def _error_of(fn, *args):
+    with pytest.raises(ValueError) as info:
+        fn(*args)
+    return type(info.value), str(info.value)
+
+
+def test_kernel_errors_match_oracle():
+    # too shallow for the default depth: refused before any weight
+    shallow = TamePresentation("param", (W_E, W_E), (Weight(1, 0, 0), Weight(16, 8, 0)), P)
+    assert shallow.depth() < 3
+    # allowed at depth 0, but thetas leave the lowest alcove: refused by
+    # the lowest-alcove check of a weight part
+    edge = TamePresentation("param", (W_E, W_E), (Weight(16, 8, 0), Weight(1, 0, 0)), P)
+    assert edge.depth() == 0
+    _, deep_tau = _both_kinds(_fixture("rb_f2.json"))
+    for pres, depth in ((shallow, 3), (edge, 0)):
+        rho, tau = _both_kinds(pres)
+        for fast, slow, arg in ((w_question, oracles.w_question, rho),
+                                (jh_factors, oracles.jh_factors, tau)):
+            assert _error_of(fast, arg, depth)[0] is _error_of(slow, arg, depth)[0] is GenericityError
+        assert (_error_of(intersect_w_jh, rho, deep_tau, depth)[0]
+                is _error_of(oracles.intersect_w_jh, rho, deep_tau, depth)[0])
+    # the lowest-alcove failure reads the same on both sides
+    rho, tau = _both_kinds(edge)
+    assert _error_of(w_question, rho, 0) == _error_of(oracles.w_question, rho, 0)
+    assert _error_of(jh_factors, tau, 0) == _error_of(oracles.jh_factors, tau, 0)
+    # the wrong kind of presentation
+    assert _error_of(w_question, tau)[0] is _error_of(oracles.w_question, tau)[0] is ValueError
+    assert _error_of(jh_factors, rho)[0] is _error_of(oracles.jh_factors, rho)[0] is ValueError
