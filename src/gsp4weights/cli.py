@@ -524,7 +524,10 @@ def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
             raise ValueError("q must be prime")
         field = PrimeField(args.q)
         mat = load_matrix(args.shape, field)
-        z = shape_of(mat)
+        try:
+            z = shape_of(mat)
+        except ValueError as exc:
+            raise ValueError("%s: %s" % (args.shape, exc)) from None
         if cfg.fmt == "json":
             obj = {
                 "schema": "gsp4weights/localmodel/1",
@@ -542,9 +545,11 @@ def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
     if not args.verify_regcolone:
         raise ValueError("localmodel needs --verify-regcolone or --shape FILE")
 
+    draws = args.draws
+    if draws < 1:
+        raise ValueError("--draws must be at least 1, got %d" % draws)
     p = cfg.p
     rng = random.Random(cfg.seed)
-    draws = args.draws
     lines = [_header(cfg, mode="verify-regcolone", draws=draws)]
     for field, tag in ((QQ, "QQ"), (PrimeField(p), "F_%d" % p)):
         done = 0

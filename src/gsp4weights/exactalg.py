@@ -187,6 +187,15 @@ class LaurentPoly:
 
     # -- constructors
 
+    @classmethod
+    def _canonical(cls, field, coeffs: tuple) -> "LaurentPoly":
+        """Trusted constructor: ``coeffs`` is already in canonical form
+        (sorted exponents, reduced nonzero scalars of the field)."""
+        out = object.__new__(cls)
+        object.__setattr__(out, "field", field)
+        object.__setattr__(out, "coeffs", coeffs)
+        return out
+
     @staticmethod
     def const(field, x) -> "LaurentPoly":
         return LaurentPoly(field, {0: field.coerce(x)})
@@ -263,13 +272,18 @@ class LaurentPoly:
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return LaurentPoly(self.field, tuple(self.coeffs) + tuple(other.coeffs))
+        f = self.field
+        acc = dict(self.coeffs)
+        for e, c in other.coeffs:
+            acc[e] = f.add(acc[e], c) if e in acc else c
+        return LaurentPoly._canonical(
+            f, tuple(sorted((e, c) for e, c in acc.items() if not f.is_zero(c))))
 
     __radd__ = __add__
 
     def __neg__(self):
         f = self.field
-        return LaurentPoly(f, tuple((e, f.neg(c)) for e, c in self.coeffs))
+        return LaurentPoly._canonical(f, tuple((e, f.neg(c)) for e, c in self.coeffs))
 
     def __sub__(self, other):
         other = self._coerce_other(other)
@@ -288,13 +302,19 @@ class LaurentPoly:
         if other is None:
             return NotImplemented
         f = self.field
+        # scalars are Fractions or ints mod q: accumulate with the plain
+        # operators and reduce mod q once per exponent
         acc = {}
         for e1, c1 in self.coeffs:
             for e2, c2 in other.coeffs:
                 e = e1 + e2
-                t = f.mul(c1, c2)
-                acc[e] = f.add(acc[e], t) if e in acc else t
-        return LaurentPoly(f, acc)
+                t = c1 * c2
+                acc[e] = acc[e] + t if e in acc else t
+        q = f.char
+        if q:
+            return LaurentPoly._canonical(
+                f, tuple(sorted((e, c % q) for e, c in acc.items() if c % q)))
+        return LaurentPoly._canonical(f, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     __rmul__ = __mul__
 
@@ -320,7 +340,7 @@ class LaurentPoly:
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        return LaurentPoly(self.field, tuple((e + k, c) for e, c in self.coeffs))
+        return LaurentPoly._canonical(self.field, tuple((e + k, c) for e, c in self.coeffs))
 
     def derivative(self) -> "LaurentPoly":
         f = self.field
@@ -329,7 +349,8 @@ class LaurentPoly:
 
     def truncate(self, n: int) -> "LaurentPoly":
         """Drop all terms of exponent >= n."""
-        return LaurentPoly(self.field, tuple((e, c) for e, c in self.coeffs if e < n))
+        return LaurentPoly._canonical(
+            self.field, tuple((e, c) for e, c in self.coeffs if e < n))
 
     def evaluate(self, x):
         f = self.field

@@ -11,7 +11,6 @@ point anywhere.
 
 from __future__ import annotations
 
-import itertools
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
@@ -35,7 +34,7 @@ from .affine import (
     star,
     translation,
 )
-from .exactalg import LaurentPoly, PrimeField, RatFunc, e_valuation
+from .exactalg import LaurentPoly, PrimeField, RatFunc
 
 __all__ = [
     "PolyMat",
@@ -134,9 +133,18 @@ class PolyMat:
         if isinstance(other, PolyMat):
             if other.field != self.field:
                 raise TypeError("matrix field mismatch")
-            rows = [[sum((self.rows[i][k] * other.rows[k][j] for k in range(4)),
-                         LaurentPoly.zero(self.field)) for j in range(4)]
-                    for i in range(4)]
+            zero = LaurentPoly.zero(self.field)
+            rows = []
+            for left in self.rows:
+                row = []
+                for j in range(4):
+                    acc = zero
+                    for a, right in zip(left, other.rows):
+                        b = right[j]
+                        if not (a.is_zero or b.is_zero):
+                            acc = acc + a * b
+                    row.append(acc)
+                rows.append(row)
             return PolyMat(self.field, rows)
         if isinstance(other, (LaurentPoly, int, Fraction)):
             c = self._coerce_entry(self.field, other)
@@ -263,48 +271,159 @@ class SimilitudeResult:
     unit_form: bool = False
 
 
+def _form_scalar(A: PolyMat):
+    """(c, None) when transpose(A) * J * A == c * J, else (None, (i, j))
+    with the first entry, in row-major order, where the two differ.
+
+    transpose(A) * J * A is alternating, so its six entries above the
+    diagonal decide the comparison, and a failure above the diagonal
+    precedes its mirror image."""
+    r0, r1, r2, r3 = A.rows
+
+    def entry(i, j):
+        return (r0[i] * r3[j] - r3[i] * r0[j]) + (r1[i] * r2[j] - r2[i] * r1[j])
+
+    c = entry(0, 3)
+    zero = LaurentPoly.zero(A.field)
+    for i, j in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)):
+        if entry(i, j) != (c if (i, j) == (1, 2) else zero):
+            return None, (i, j)
+    return c, None
+
+
 def symplectic_similitude(A: PolyMat, p: int | None = None) -> SimilitudeResult:
     """Check transpose(A) * J * A == c * J and report the similitude c.
 
     When c factors exactly as scalar * v^a * E(v)^b the orders a, b are
     reported and unit_form is set (over F_q any E-power is a v-power, so
-    unit_form there just means c is a monomial).
+    unit_form there just means c is a monomial).  A singular matrix
+    raises ValueError; when the form check holds, det(A)^2 = c^4 decides
+    singularity without the determinant.
     """
-    if A.det().is_zero:
+    c, failed = _form_scalar(A)
+    if c is None:
+        if A.det().is_zero:
+            raise ValueError("matrix is singular")
+        return SimilitudeResult(False, None, failed)
+    if c.is_zero:
         raise ValueError("matrix is singular")
     field = A.field
-    S = A.transpose() * j_matrix(field) * A
-    c = S.entry(0, 3)
-    jrows = j_matrix(field).rows
-    for i in range(4):
-        for j in range(4):
-            if S.rows[i][j] != c * jrows[i][j]:
-                return SimilitudeResult(False, None, (i, j))
     v_ord = c.low_degree
     e_ord = None
-    unit = False
     stripped = c.shift(-v_ord)
     if field.char != 0:
         e_ord = v_ord
         unit = stripped.is_constant
     elif p is not None:
-        e_ord = e_valuation(c, p)
-        rest = stripped
-        ep = e_poly(field, p)
-        for _ in range(e_ord):
-            rest = _exact_quotient(rest, ep)
-        unit = rest.is_constant
+        # v = u - p makes E = u: c is scalar * v^a * E^b exactly when its
+        # v-free part becomes a monomial in u
+        at_e = _taylor_shift(stripped, _minus_p(field, p))
+        e_ord = at_e.low_degree
+        unit = at_e.is_monomial
     else:
         unit = stripped.is_constant
     return SimilitudeResult(True, c, None, v_ord, e_ord, unit)
 
 
-def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    from .exactalg import exact_div
+# ---------------------------------------------------------------------------
+# the local elimination kernel
+#
+# A local Smith form by valuation pivoting (Cohen, GTM 138, section 2.4),
+# on matrices of power series in one uniformizer truncated mod v^prec.
+# With d the valuation of det(A), prec = d + 1 is exact: v^d * A^-1 =
+# v^d * adj(A) / det(A) is integral, so A + v^(d+1) * B = A * (1 + v * X)
+# with X = (v^d A^-1) * B integral, a right factor in the pro-unipotent
+# Iwahori, and no entry of valuation > d is ever a pivot (every pivot of
+# a square block is at most the valuation of its determinant).
 
-    q = exact_div(a, b)
-    assert q is not None, "division claimed exact was not"
-    return q
+
+def _unit_inverse(u: LaurentPoly, n: int) -> LaurentPoly:
+    """1/u mod v^n for u with nonzero constant term and no negative
+    exponents."""
+    f = u.field
+    c = dict(u.coeffs)
+    w0 = f.inv(c[0])
+    w = [w0]
+    for k in range(1, n):
+        acc = f.zero
+        for j in range(1, k + 1):
+            if j in c:
+                acc = f.add(acc, f.mul(c[j], w[k - j]))
+        w.append(f.neg(f.mul(w0, acc)))
+    return LaurentPoly(f, enumerate(w))
+
+
+def _local_pivots(rows, prec: int) -> list[tuple[int, int, int]]:
+    """Pivots (row, column, valuation), in elimination order, of a square
+    matrix of power series without negative exponents, truncated mod
+    v^prec with prec above the valuation of its nonzero determinant.
+
+    Each step takes the nonzero entry minimizing (valuation, bottom-most
+    row, left-most column) among the rows and columns left and clears its
+    column in the other rows left.  This pivot rule keeps every row
+    operation in the Iwahori (a higher row is added to a lower one only
+    with a multiple divisible by v), and so the column operations that
+    would clear the pivot's row, which change nothing else and are only
+    checked.
+    """
+    work = [list(r) for r in rows]
+    rows_left = list(range(len(work)))
+    cols_left = list(range(len(work)))
+    pivots = []
+    while rows_left:
+        best = min(((work[r][c].low_degree, -r, c) for r in rows_left for c in cols_left
+                    if not work[r][c].is_zero), default=None)
+        assert best is not None, "a block left by the elimination vanishes mod v^prec"
+        m, r, c = best[0], -best[1], best[2]
+        rows_left.remove(r)
+        cols_left.remove(c)
+        prow = work[r]
+        for j in cols_left:
+            e = prow[j]
+            assert e.is_zero or e.low_degree - m >= (1 if j < c else 0), \
+                "pivot rule produced a non-Iwahori column operation"
+        inv = _unit_inverse(prow[c].shift(-m), prec - m) if rows_left else None
+        for i in rows_left:
+            e = work[i][c]
+            if e.is_zero:
+                continue
+            assert e.low_degree - m >= (1 if i > r else 0), \
+                "pivot rule produced a non-Iwahori row operation"
+            q = (e.shift(-m) * inv).truncate(prec - m)
+            row = work[i]
+            for j in cols_left:
+                if not prow[j].is_zero:
+                    row[j] = (row[j] - q * prow[j]).truncate(prec)
+        pivots.append((r, c, m))
+    return pivots
+
+
+def _taylor_shift(a: LaurentPoly, s) -> LaurentPoly:
+    """a(v + s) for a polynomial a without negative exponents."""
+    if a.is_zero:
+        return a
+    f = a.field
+    n = a.degree
+    c = [f.zero] * (n + 1)
+    for e, x in a.coeffs:
+        c[e] = x
+    for i in range(n):
+        for k in range(n - 1, i - 1, -1):
+            c[k] = f.add(c[k], f.mul(s, c[k + 1]))
+    return LaurentPoly(f, enumerate(c))
+
+
+def _minus_p(field, p: int):
+    """-p as a scalar of the rationals, where E(v) = v + p has its root."""
+    if p == 0:
+        raise ValueError("E(v) = v + p needs p != 0 over the rationals")
+    return field.coerce(-p)
+
+
+def _nonnegative_shift(A: PolyMat) -> int:
+    """The least k >= 0 with v^k * A free of negative exponents."""
+    lows = [e.low_degree for row in A.rows for e in row if e.coeffs]
+    return -min(min(lows, default=0), 0)
 
 
 # ---------------------------------------------------------------------------
@@ -314,29 +433,27 @@ def _exact_quotient(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 def e_divisor_pattern(A: PolyMat, p: int) -> tuple[int, int, int, int]:
     """Exponents of the E(v)-elementary divisors, sorted decreasingly.
 
-    d_k is the minimum E-adic valuation over all k x k minors; the
-    returned tuple is (d1, d2-d1, d3-d2, d4-d3) sorted in decreasing
-    order.  E-adic means order of vanishing at v = -p over the
-    rationals and plain v-adic valuation over F_q.
+    E-adic means order of vanishing at v = -p over the rationals and
+    plain v-adic valuation over F_q.  The exponents are the pivot
+    valuations of the local elimination kernel at the E-adic precision
+    val(det) + 1.  Negative v-powers are cleared first: over the
+    rationals v is a unit at E, over F_q the shift is subtracted again.
+    Over the rationals v = u - p turns the E-adic valuation into the
+    u-adic one.
     """
-    if A.det().is_zero:
+    field = A.field
+    k = _nonnegative_shift(A)
+    rows = [[e.shift(k) for e in row] for row in A.rows]
+    if field.char == 0:
+        s = _minus_p(field, p)
+        rows = [[_taylor_shift(e, s) for e in row] for row in rows]
+        k = 0  # v^k is a unit at E over the rationals
+    det = _det(rows)
+    if det.is_zero:
         raise ValueError("matrix is singular")
-    rows = [list(r) for r in A.rows]
-    d = []
-    for k in range(1, 5):
-        best = None
-        for ri in itertools.combinations(range(4), k):
-            for ci in itertools.combinations(range(4), k):
-                minor = _det([[rows[i][j] for j in ci] for i in ri])
-                if minor.is_zero:
-                    continue
-                val = e_valuation(minor, p)
-                if best is None or val < best:
-                    best = val
-        assert best is not None, "nonsingular matrix with all k-minors zero"
-        d.append(best)
-    steps = (d[0], d[1] - d[0], d[2] - d[1], d[3] - d[2])
-    return tuple(sorted(steps, reverse=True))
+    prec = det.low_degree + 1
+    pivots = _local_pivots([[e.truncate(prec) for e in row] for row in rows], prec)
+    return tuple(sorted((m - k for _, _, m in pivots), reverse=True))
 
 
 def dominance_leq(mu, lam) -> bool:
@@ -368,83 +485,30 @@ def _weyl_patterns() -> dict:
     return out
 
 
-def _series_div(num: LaurentPoly, piv: LaurentPoly, prec: int) -> LaurentPoly:
-    """num / piv as a truncated Laurent series mod v^prec."""
-    field = num.field
-    m = piv.low_degree
-    lead = piv.trailing_coeff
-    q = LaurentPoly.zero(field)
-    rem = num
-    while not rem.is_zero:
-        k = rem.low_degree
-        if k - m >= prec:
-            break
-        c = field.div(rem.trailing_coeff, lead)
-        t = LaurentPoly(field, {k - m: c})
-        q = q + t
-        rem = (rem - t * piv).truncate(prec + m)
-    return q
-
-
 def shape_of(A: PolyMat) -> ExtAffine:
     """The element z with A in I z I for the Iwahori I (integral, upper
     triangular mod v), over a prime field.
 
-    Valuation-pivot elimination: repeatedly pick the entry minimizing
-    (v-adic valuation, bottom-most row, left-most column), then clear
-    its row and column with Iwahori-allowed operations.  The final
-    monomial pattern is asserted to lie in the GSp4 torus normalizer.
+    A must be a symplectic similitude, transpose(A) * J * A = c * J, else
+    ValueError.  Then val(det A) = 2 * val(c), and the local elimination
+    kernel runs at precision val(det) + 1 on A scaled by the central
+    v-power that clears its negative exponents; its pivots form a
+    monomial pattern, asserted to lie in the GSp4 torus normalizer.
     """
     field = A.field
     if not isinstance(field, PrimeField):
         raise ValueError("shape is computed on the special fiber; use a prime field")
-    det = A.det()
-    if det.is_zero:
+    c, failed = _form_scalar(A)
+    if c is None:
+        raise ValueError("matrix is not a symplectic similitude: transpose(A)*J*A "
+                         "is not a multiple of J at entry (%d,%d)" % failed)
+    if c.is_zero:
         raise ValueError("matrix is singular")
-    # normalize entries to nonnegative valuation; a global v-power is a
-    # central translation which we restore at the end
-    low = min(e.low_degree for row in A.rows for e in row if not e.is_zero)
-    shift = -min(low, 0)
-    work = [[e.shift(shift) for e in row] for row in A.rows]
-    dval = det.low_degree + 4 * shift
-    maxdeg = max(e.degree for row in work for e in row if not e.is_zero)
-    prec = dval + maxdeg + 4
-    rows_left = {0, 1, 2, 3}
-    cols_left = {0, 1, 2, 3}
-    pivots = {}
-    for _ in range(4):
-        best = None
-        for r in rows_left:
-            for c in cols_left:
-                e = work[r][c]
-                if e.is_zero:
-                    continue
-                key = (e.low_degree, -r, c)
-                if best is None or key < best[0]:
-                    best = (key, r, c)
-        if best is None:
-            raise ValueError("matrix is singular")
-        _, r, c = best
-        piv = work[r][c]
-        for i in rows_left:
-            if i == r or work[i][c].is_zero:
-                continue
-            q = _series_div(work[i][c], piv, prec)
-            assert q.is_zero or q.low_degree >= (1 if i > r else 0), \
-                "pivot rule produced a non-Iwahori row operation"
-            for j in cols_left:
-                work[i][j] = (work[i][j] - q * work[r][j]).truncate(prec)
-        for j in cols_left:
-            if j == c or work[r][j].is_zero:
-                continue
-            q = _series_div(work[r][j], piv, prec)
-            assert q.is_zero or q.low_degree >= (1 if j < c else 0), \
-                "pivot rule produced a non-Iwahori column operation"
-            for i in rows_left:
-                work[i][j] = (work[i][j] - q * work[i][c]).truncate(prec)
-        pivots[r] = (c, piv.low_degree)
-        rows_left.remove(r)
-        cols_left.remove(c)
+    # a global v-power is a central translation which we restore at the end
+    shift = _nonnegative_shift(A)
+    prec = 2 * c.low_degree + 4 * shift + 1
+    work = [[e.shift(shift).truncate(prec) for e in row] for row in A.rows]
+    pivots = {r: (col, m) for r, col, m in _local_pivots(work, prec)}
     support = frozenset((r, pivots[r][0]) for r in pivots)
     w = _weyl_patterns().get(support)
     assert w is not None, \

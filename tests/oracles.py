@@ -15,15 +15,34 @@ the table tests check.
   `serre_weight_of_presentation`, the definition of the weight of one
   lowest alcove presentation; the library's slot-wise kernel must give the
   same tables, the same intersections and the same errors.
+- E(v)-elementary divisors come from the determinantal divisors: the
+  minimum E-valuation of the k x k minors, over all 69 minors of a 4 x 4
+  matrix.  Iwahori shapes come from valuation-pivot elimination at the
+  full precision val(det) + (largest degree) + 4 with exact series
+  division.  The library's local elimination kernel, which works at
+  precision val(det) + 1, must give the same patterns and shapes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 from fractions import Fraction
 
-from gsp4weights.base import ETA, Coweight, Weight
-from gsp4weights.affine import IDENTITY, S0, S1, S2, ExtAffine, compose, invert
+from gsp4weights.base import ETA, W_ALL, Coweight, Weight
+from gsp4weights.affine import (
+    IDENTITY,
+    S0,
+    S1,
+    S2,
+    ExtAffine,
+    compose,
+    finite,
+    invert,
+    translation,
+)
+from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, e_valuation
+from gsp4weights.localmodel import weyl_matrix
 from gsp4weights.weights import (
     GenericityError,
     LowestAlcovePresentation,
@@ -214,3 +233,109 @@ def w_question(rhobar, min_depth=3):
 def intersect_w_jh(rhobar, tau, min_depth=3):
     return (frozenset(w_question(rhobar, min_depth).values())
             & frozenset(jh_factors(tau, min_depth).values()))
+
+
+# --- local models by determinantal divisors and full-precision elimination
+
+
+def minor_det(rows):
+    """Cofactor expansion along the first row."""
+    if len(rows) == 1:
+        return rows[0][0]
+    acc = None
+    for j in range(len(rows)):
+        term = rows[0][j] * minor_det([r[:j] + r[j + 1:] for r in rows[1:]])
+        if j % 2:
+            term = -term
+        acc = term if acc is None else acc + term
+    return acc
+
+
+def e_divisor_pattern(A, p):
+    """d_k is the minimum E-adic valuation over all k x k minors; the
+    pattern is (d1, d2 - d1, d3 - d2, d4 - d3) sorted decreasingly."""
+    rows = [list(r) for r in A.rows]
+    if minor_det(rows).is_zero:
+        raise ValueError("matrix is singular")
+    d = []
+    for k in range(1, 5):
+        vals = []
+        for ri in itertools.combinations(range(4), k):
+            for ci in itertools.combinations(range(4), k):
+                minor = minor_det([[rows[i][j] for j in ci] for i in ri])
+                if not minor.is_zero:
+                    vals.append(e_valuation(minor, p))
+        d.append(min(vals))
+    steps = (d[0], d[1] - d[0], d[2] - d[1], d[3] - d[2])
+    return tuple(sorted(steps, reverse=True))
+
+
+def _series_div(num, piv, prec):
+    """num / piv as a truncated Laurent series mod v^prec."""
+    field = num.field
+    m = piv.low_degree
+    lead = piv.trailing_coeff
+    q = LaurentPoly.zero(field)
+    rem = num
+    while not rem.is_zero:
+        k = rem.low_degree
+        if k - m >= prec:
+            break
+        t = LaurentPoly(field, {k - m: field.div(rem.trailing_coeff, lead)})
+        q = q + t
+        rem = (rem - t * piv).truncate(prec + m)
+    return q
+
+
+def _weyl_of_support(support):
+    for w in W_ALL:
+        m = weyl_matrix(w, QQ)
+        if support == frozenset((i, j) for i in range(4) for j in range(4)
+                                if not m.rows[i][j].is_zero):
+            return w
+    raise AssertionError("pivots do not form a symplectic monomial pattern")
+
+
+def shape_of(A):
+    """Pick the entry minimizing (valuation, bottom-most row, left-most
+    column), clear its row and column by series division at precision
+    val(det) + (largest degree) + 4, and repeat."""
+    field = A.field
+    if not isinstance(field, PrimeField):
+        raise ValueError("shape is computed on the special fiber")
+    det = minor_det([list(r) for r in A.rows])
+    if det.is_zero:
+        raise ValueError("matrix is singular")
+    low = min(e.low_degree for row in A.rows for e in row if not e.is_zero)
+    shift = -min(low, 0)
+    work = [[e.shift(shift) for e in row] for row in A.rows]
+    maxdeg = max(e.degree for row in work for e in row if not e.is_zero)
+    prec = det.low_degree + 4 * shift + maxdeg + 4
+    rows_left = {0, 1, 2, 3}
+    cols_left = {0, 1, 2, 3}
+    pivots = {}
+    for _ in range(4):
+        _, r, c = min(((work[r][c].low_degree, -r, c), r, c)
+                      for r in rows_left for c in cols_left if not work[r][c].is_zero)
+        piv = work[r][c]
+        for i in rows_left - {r}:
+            q = _series_div(work[i][c], piv, prec)
+            assert q.is_zero or q.low_degree >= (1 if i > r else 0), \
+                "non-Iwahori row operation"
+            for j in cols_left:
+                work[i][j] = (work[i][j] - q * work[r][j]).truncate(prec)
+        for j in cols_left - {c}:
+            q = _series_div(work[r][j], piv, prec)
+            assert q.is_zero or q.low_degree >= (1 if j < c else 0), \
+                "non-Iwahori column operation"
+            for i in rows_left:
+                work[i][j] = (work[i][j] - q * work[i][c]).truncate(prec)
+        pivots[r] = (c, piv.low_degree)
+        rows_left.remove(r)
+        cols_left.remove(c)
+    w = _weyl_of_support(frozenset((r, pivots[r][0]) for r in pivots))
+    t = tuple(pivots[r][1] for r in range(4))
+    cc, bb, aa = t[3], t[2] - t[3], t[1] - t[3]
+    assert t[0] == aa + bb + cc, "pivots are not a GSp4 torus element"
+    z = compose(translation(Weight(aa, bb, cc)), finite(w))
+    return compose(translation(Weight(0, 0, -shift)), z)

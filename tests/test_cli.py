@@ -223,6 +223,40 @@ def test_localmodel_shape_needs_q(capsys):
     assert code == 2 and "--q" in err
 
 
+def _write_matrix(tmp_path, exps):
+    """A diagonal matrix diag(v^e) as a gsp4weights/matrix/1 fixture."""
+    rows = [[{"coeffs": {str(exps[i]): "1"} if i == j else {}} for j in range(4)]
+            for i in range(4)]
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"schema": "gsp4weights/matrix/1", "rows": rows}))
+    return str(path)
+
+
+@pytest.mark.parametrize("exps", [(0, 1, 0, 0), (2, 0, 0, 0), (1, 1, 0, 1)])
+def test_localmodel_shape_rejects_non_similitudes(capsys, tmp_path, exps):
+    # diag(v^e) is a symplectic similitude exactly when e0 + e3 = e1 + e2
+    path = _write_matrix(tmp_path, exps)
+    code, out, err = capture(capsys, ["localmodel", "--shape", path, "--q", "37"])
+    assert code == 2 and out == ""
+    assert err.startswith("error: %s: " % path)
+    assert "not a symplectic similitude" in err
+
+
+def test_localmodel_shape_singular_is_an_input_error(capsys, tmp_path):
+    path = tmp_path / "zero.json"
+    path.write_text(json.dumps([[{"coeffs": {}}] * 4] * 4))
+    code, out, err = capture(capsys, ["localmodel", "--shape", str(path), "--q", "5"])
+    assert code == 2 and err == "error: %s: matrix is singular\n" % path
+
+
+@pytest.mark.parametrize("draws", ["0", "-3"])
+def test_localmodel_rejects_fewer_than_one_draw(capsys, draws):
+    code, out, err = capture(
+        capsys, ["localmodel", "--verify-regcolone", "--draws", draws])
+    assert code == 2 and out == ""
+    assert err == "error: --draws must be at least 1, got %s\n" % draws
+
+
 def test_localmodel_verify_regcolone(capsys):
     code, out, err = capture(
         capsys, ["localmodel", "--verify-regcolone", "--p", "37",

@@ -2,6 +2,8 @@ import random
 
 import pytest
 
+import oracles
+
 from gsp4weights.base import (
     ETA,
     W_ALL,
@@ -256,6 +258,13 @@ def test_shape_errors():
         shape_of(PolyMat(F, [[zero] * 4] * 4))
 
 
+def test_shape_rejects_non_similitudes():
+    F = PrimeField(5)
+    for exps in ((0, 1, 0, 0), (2, 0, 0, 0), (1, 1, 0, 1)):
+        with pytest.raises(ValueError, match="not a symplectic similitude"):
+            shape_of(diag_mat(F, exps))
+
+
 def test_shape_of_regcolone_strata():
     # the two components of the special fiber carry extremal translation
     # shapes; their intersection carries the colength-one element
@@ -277,6 +286,160 @@ def test_shape_of_regcolone_strata():
     second = shape_of(build_regcolone_matrix(adm, P))
     assert second == translation(Weight(-1, -2, 3))
     assert dual_length(second) == 7 and dual_length(first) == 7
+
+
+# ---------------------------------------------------------------------------
+# the local elimination kernel against the minors and full-precision oracles
+
+
+def family_draws(field, rng, n):
+    out = []
+    while len(out) < n:
+        vals = [rng.randrange(1, P) for _ in range(7)]
+        try:
+            params = RegColOneParams.admissible(field, P, *vals)
+        except ValueError:
+            continue
+        out.append(build_regcolone_matrix(params, P))
+    return out
+
+
+def unimodular(field, rng, lower):
+    """Unitriangular matrix with random integer polynomials off the diagonal."""
+    one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
+    rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
+    for i in range(4):
+        for j in range(4):
+            if (i > j) if lower else (i < j):
+                rows[i][j] = LaurentPoly(
+                    field, {e: rng.randrange(-3, 4) for e in range(3)})
+    return PolyMat(field, rows)
+
+
+def test_kernel_on_adm_monomials_matches_oracles():
+    elems = sorted(adm_dual_set(ETA), key=elem_sort_key)
+    assert len(elems) == 63
+    for z in elems:
+        M = monomial_matrix(z, QQ)
+        assert e_divisor_pattern(M, P) == oracles.e_divisor_pattern(M, P) == (0, 0, 0, 0)
+        for q in (5, 37):
+            F = PrimeField(q)
+            M = monomial_matrix(z, F)
+            assert shape_of(M) == oracles.shape_of(M) == z
+            assert e_divisor_pattern(M, q) == oracles.e_divisor_pattern(M, q)
+
+
+@pytest.mark.parametrize("q", [5, 37])
+def test_kernel_on_iwahori_sandwiches_matches_oracles(q):
+    F = PrimeField(q)
+    rng = random.Random(40 + q)
+    elems = sorted(adm_dual_set(ETA), key=elem_sort_key)
+    for i in range(16):
+        # a bare Iwahori element has det of valuation 0
+        iw = random_iwahori(F, rng)
+        assert shape_of(iw) == oracles.shape_of(iw) == IDENTITY
+        assert e_divisor_pattern(iw, q) == oracles.e_divisor_pattern(iw, q) == (0, 0, 0, 0)
+        z = rng.choice(elems)
+        M = random_iwahori(F, rng) * monomial_matrix(z, F) * random_iwahori(F, rng)
+        for k in (0, 1 + i % 3):
+            A = M * LaurentPoly.v_power(F, -k)
+            expect = compose(translation(Weight(0, 0, -k)), z)
+            assert shape_of(A) == oracles.shape_of(A) == expect
+            assert e_divisor_pattern(A, q) == oracles.e_divisor_pattern(A, q)
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=["QQ", "F37"])
+def test_kernel_on_family_draws_matches_oracle(field):
+    for A in family_draws(field, random.Random(77), 150):
+        assert e_divisor_pattern(A, P) == oracles.e_divisor_pattern(A, P)
+
+
+UNBALANCED = ((3, 0, 0, 0), (0, 0, 2, 0), (1, 0, 0, 1), (0, 4, 1, 0), (2, 2, 0, 0))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+def test_kernel_on_unbalanced_divisors_matches_oracle(field):
+    # non-symplectic U * diag(E^e) * L: one divisor may carry all of
+    # val(det), the case that needs the precision val(det) + 1
+    p = P if field.char == 0 else field.char
+    E = e_poly(field, p)
+    zero = LaurentPoly.zero(field)
+    rng = random.Random(13)
+    for exps in UNBALANCED:
+        D = PolyMat(field, [[E ** exps[i] if i == j else zero for j in range(4)]
+                            for i in range(4)])
+        for k in (0, 2):
+            A = (unimodular(field, rng, False) * D * unimodular(field, rng, True)
+                 * LaurentPoly.v_power(field, -k))
+            want = tuple(sorted(exps, reverse=True))
+            if field.char:
+                want = tuple(e - k for e in want)  # over F_q, v^-k is E^-k
+            assert e_divisor_pattern(A, p) == oracles.e_divisor_pattern(A, p) == want
+
+
+def test_kernel_and_oracles_reject_singular_input():
+    F = PrimeField(5)
+    zero = LaurentPoly.zero(F)
+    v = LaurentPoly.v_power(F, 1)
+    rank3 = [list(r) for r in random_iwahori(F, random.Random(4)).rows]
+    rank3[3] = [e * v for e in rank3[1]]
+    cases = [
+        PolyMat(F, [[zero] * 4] * 4),
+        PolyMat(F, [[v if (i, j) in ((0, 3), (1, 2)) else zero for j in range(4)]
+                    for i in range(4)]),  # form check holds with c = 0
+        PolyMat(F, rank3),
+    ]
+    for A in cases:
+        with pytest.raises(ValueError):
+            symplectic_similitude(A, 5)  # by c = 0 or, failing the form, by det
+        for shape in (shape_of, oracles.shape_of):
+            with pytest.raises(ValueError):
+                shape(A)
+        for divisors in (e_divisor_pattern, oracles.e_divisor_pattern):
+            with pytest.raises(ValueError):
+                divisors(A, 5)
+    q_rows = [list(r) for r in build_regcolone_matrix(solved_params(), P).rows]
+    q_rows[2] = q_rows[0]
+    for divisors in (e_divisor_pattern, oracles.e_divisor_pattern):
+        with pytest.raises(ValueError):
+            divisors(PolyMat(QQ, q_rows), P)
+
+
+def sympy_pattern(sympy, A, p):
+    """E-valuations of the invariant factors of v^k * A over Q[v]."""
+    from sympy.matrices.normalforms import smith_normal_form
+
+    v = sympy.Symbol("v")
+    k = max(0, -min(e.low_degree for row in A.rows for e in row if not e.is_zero))
+    M = sympy.Matrix([[sum(sympy.Rational(c) * v ** (e + k) for e, c in x.coeffs)
+                       for x in row] for row in A.rows])
+    snf = smith_normal_form(M, domain=sympy.QQ[v])
+    out = []
+    for i in range(4):
+        f = sympy.Poly(snf[i, i], v)
+        n = 0
+        while True:
+            quo, rem = sympy.div(f, sympy.Poly(v + p, v))
+            if not rem.is_zero:
+                break
+            f, n = quo, n + 1
+        out.append(n)
+    return tuple(sorted(out, reverse=True))
+
+
+def test_kernel_divisors_match_sympy_smith_form():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(5)
+    cases = family_draws(QQ, rng, 20)
+    E = e_poly(QQ, P)
+    zero = LaurentPoly.zero(QQ)
+    for exps in UNBALANCED:
+        D = PolyMat(QQ, [[E ** exps[i] if i == j else zero for j in range(4)]
+                         for i in range(4)])
+        cases.append(unimodular(QQ, rng, False) * D * unimodular(QQ, rng, True)
+                     * LaurentPoly.v_power(QQ, -1))
+    for A in cases:
+        assert e_divisor_pattern(A, P) == sympy_pattern(sympy, A, P)
 
 
 # ---------------------------------------------------------------------------
