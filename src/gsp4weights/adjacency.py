@@ -15,6 +15,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .base import W_S1, W_S2, weyl_mul
+from .config import RHOBAR_DEPTH, derived_depth_bound
 from .affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -145,7 +146,7 @@ def build_instance(
     )
 
     # genericity margins scale with the input parameter's actual depth
-    need = min(6, rhobar.depth() - 3)
+    need = derived_depth_bound(rhobar.depth())
     if tau.depth() < need:
         raise GenericityError(
             "derived type has depth %d < %d" % (tau.depth(), need)
@@ -236,10 +237,10 @@ def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
     Iteration over pairs and reflections is in fixed sorted order, so the
     result is reproducible byte for byte.
     """
-    if rhobar.depth() < 9:
+    if rhobar.depth() < RHOBAR_DEPTH:
         log.warning(
-            "parameter %s at p=%d has depth %d below 9; proceeding with scaled margins",
-            rhobar.display(), rhobar.p, rhobar.depth(),
+            "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",
+            rhobar.display(), rhobar.p, rhobar.depth(), RHOBAR_DEPTH,
         )
     vertices = tuple(sorted(w_question_set(rhobar), key=lambda s: s.sort_key()))
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}

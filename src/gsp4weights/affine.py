@@ -189,10 +189,6 @@ def omega_split(x: ExtAffine) -> tuple[tuple[int, ...], ExtAffine]:
     return tuple(word), cur
 
 
-def reduced_word(x: ExtAffine) -> tuple[int, ...]:
-    return omega_split(x)[0]
-
-
 def omega_part(x: ExtAffine) -> ExtAffine:
     return omega_split(x)[1]
 
@@ -500,15 +496,6 @@ def diamond(w: FiniteWeyl) -> ExtAffine:
                 found.append(x)
     assert len(found) == 1, (w, found)
     return found[0]
-
-
-def restricted_lift(x: ExtAffine) -> ExtAffine:
-    """The restricted element with c = 0 sharing the finite part of x.
-
-    For a fixed finite part there is exactly one choice of the first two
-    translation coordinates landing in the restricted range.
-    """
-    return diamond(x.w)
 
 
 # --- dot action ----------------------------------------------------------

@@ -67,12 +67,12 @@ commands:
   ap          list admissible pairs (--f N [--prime])
   weights     predicted weights of a parameter (--rhobar FILE [--obvious])
   graph       weight adjacency graph (--rhobar FILE [--dot FILE] [--chains])
-  cycles      cycle reports for a type (--tau FILE [--bm]
-              [--colength-one --rhobar FILE])
+  cycles      cycle reports for a type (--tau FILE
+              [--bm | --colength-one --rhobar FILE])
   localmodel  local model hooks (--verify-regcolone [--draws N] |
               --shape FILE --q Q)
 
-common options: --p P --f N --depth D --radius R --seed S --fmt json|table|dot
+common options: --p P --f N --seed S --fmt json|table|dot
 """
 
 
@@ -82,8 +82,6 @@ class RunConfig:
 
     p: int = 37
     f: int = 1
-    depth: int | None = None
-    radius: int = 12
     seed: int = 0
     fmt: str = "table"
 
@@ -92,12 +90,8 @@ class RunConfig:
             raise ValueError("p must be a prime >= 5 (got %r)" % (self.p,))
         if self.f < 1:
             raise ValueError("f must be a positive integer")
-        if self.radius < 8:
-            raise ValueError("box radius must be at least 8")
         if self.fmt not in ("json", "table", "dot"):
             raise ValueError("format must be one of json, table, dot")
-        if self.depth is not None and self.depth < 0:
-            raise ValueError("depth override must be nonnegative")
 
 
 # ---------------------------------------------------------------------------
@@ -203,12 +197,10 @@ def load_matrix(path: str, field) -> PolyMat:
 
 
 def _header(cfg: RunConfig, pres: TamePresentation | None = None, **extra) -> str:
-    """One comment line echoing the run parameters, including all
-    genericity depths in play.  f is the presentation's when there is one."""
+    """One comment line echoing the run parameters and the presentation's
+    depth.  f is the presentation's when there is one."""
     f = cfg.f if pres is None else pres.f
     bits = ["p=%d" % cfg.p, "f=%d" % f, "seed=%d" % cfg.seed]
-    if cfg.depth is not None:
-        bits.append("depth_override=%d" % cfg.depth)
     if pres is not None:
         bits.append("kind=%s" % pres.kind)
         bits.append("depth=%d" % pres.depth())
@@ -219,8 +211,6 @@ def _header(cfg: RunConfig, pres: TamePresentation | None = None, **extra) -> st
 
 def _json_meta(cfg: RunConfig, pres: TamePresentation | None = None) -> dict:
     meta = {"p": cfg.p, "f": cfg.f if pres is None else pres.f, "seed": cfg.seed}
-    if cfg.depth is not None:
-        meta["depth_override"] = cfg.depth
     if pres is not None:
         meta["kind"] = pres.kind
         meta["depth"] = pres.depth()
@@ -387,6 +377,8 @@ def _cmd_weights(cfg: RunConfig, args) -> list[str]:
 
 
 def _cmd_graph(cfg: RunConfig, args) -> list[str]:
+    if args.chains and cfg.fmt == "dot":
+        raise ValueError("--chains has no dot output; use --fmt table or json")
     rhobar = load_presentation(args.rhobar, expect_p=cfg.p)
     graph = build_graph(rhobar)
     edges = sorted(graph.edges.items(),
@@ -442,6 +434,10 @@ def _cmd_cycles(cfg: RunConfig, args) -> list[str]:
     tau = load_presentation(args.tau, expect_p=cfg.p)
     if tau.kind != "type":
         raise ValueError("cycles expects a type fixture (kind 'type')")
+    if args.colength_one and args.bm:
+        raise ValueError("--bm and --colength-one are separate reports; give one")
+    if args.rhobar and not args.colength_one:
+        raise ValueError("--rhobar is only read by --colength-one")
     if args.colength_one:
         if not args.rhobar:
             raise ValueError("--colength-one needs --rhobar as well")
@@ -517,7 +513,11 @@ def _generic_triple(p: int) -> tuple[int, int, int]:
 
 
 def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
+    if args.shape and args.verify_regcolone:
+        raise ValueError("--shape and --verify-regcolone are separate modes; give one")
     if args.shape:
+        if args.draws is not None:
+            raise ValueError("--draws is only read by --verify-regcolone")
         if args.q is None:
             raise ValueError("--shape needs --q (the residue field size)")
         if args.q < 2 or not _is_prime(args.q):
@@ -544,8 +544,10 @@ def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
         ]
     if not args.verify_regcolone:
         raise ValueError("localmodel needs --verify-regcolone or --shape FILE")
+    if args.q is not None:
+        raise ValueError("--q is only read by --shape")
 
-    draws = args.draws
+    draws = 100 if args.draws is None else args.draws
     if draws < 1:
         raise ValueError("--draws must be at least 1, got %d" % draws)
     p = cfg.p
@@ -631,8 +633,6 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gsp4weights %s" % command, add_help=True)
     ap.add_argument("--p", type=int, default=37)
     ap.add_argument("--f", type=int, default=1)
-    ap.add_argument("--depth", type=int, default=None)
-    ap.add_argument("--radius", type=int, default=12)
     ap.add_argument("--seed", type=int, default=0)
     ap.add_argument("--fmt", default=None, choices=("json", "table", "dot"))
     ap.add_argument("--json", action="store_true", help="shorthand for --fmt json")
@@ -657,7 +657,7 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     elif command == "localmodel":
         ap.add_argument("--verify-regcolone", dest="verify_regcolone",
                         action="store_true")
-        ap.add_argument("--draws", type=int, default=100)
+        ap.add_argument("--draws", type=int, default=None)
         ap.add_argument("--shape", default=None)
         ap.add_argument("--q", type=int, default=None)
     return ap
@@ -682,9 +682,12 @@ def main(argv=None) -> int:
     if args.json and args.table:
         sys.stderr.write("error: pick one of --json / --table\n")
         return 2
-    fmt = args.fmt or ("json" if args.json else "table")
-    cfg = RunConfig(p=args.p, f=args.f, depth=args.depth, radius=args.radius,
-                    seed=args.seed, fmt=fmt)
+    short = "json" if args.json else "table" if args.table else None
+    if args.fmt and short and args.fmt != short:
+        sys.stderr.write("error: --fmt %s contradicts --%s\n" % (args.fmt, short))
+        return 2
+    fmt = args.fmt or short or "table"
+    cfg = RunConfig(p=args.p, f=args.f, seed=args.seed, fmt=fmt)
     return run(command, cfg, args)
 
 

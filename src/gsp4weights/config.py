@@ -1,46 +1,18 @@
-"""Run-wide configuration.
+"""The genericity policy: every depth threshold of the package, defined once.
 
-Depth thresholds are data, not constants baked into the algorithms:
-several statements hold verbatim only above a genericity bound, and the
-bounds attainable in practice depend on p (see max_presentation_depth).
+A parameter rhobar is held to RHOBAR_DEPTH, the types it pairs with to
+TAU_DEPTH, and the presentations the weight maps evaluate and the weights
+the cycle formula takes to WEIGHT_DEPTH.  Below its threshold the weight
+maps, the cycle formula and adjacency instances raise GenericityError; the
+weight graph, type_from_target and the colength-one count warn and go on.
 """
 
-from __future__ import annotations
-
-from dataclasses import dataclass
-
-
-@dataclass(frozen=True)
-class GenericityConfig:
-    rhobar_depth: int = 9
-    tau_depth: int = 6
-    weight_depth: int = 3
-
-    def capped(self, p: int) -> "GenericityConfig":
-        """Lower the thresholds to what is attainable for this p."""
-        cap = (p - 4) // 4
-        return GenericityConfig(
-            rhobar_depth=min(self.rhobar_depth, cap),
-            tau_depth=min(self.tau_depth, cap),
-            weight_depth=min(self.weight_depth, cap),
-        )
+RHOBAR_DEPTH = 9
+TAU_DEPTH = 6
+WEIGHT_DEPTH = 3
 
 
-@dataclass(frozen=True)
-class RunConfig:
-    p: int = 37
-    f: int = 1
-    box_radius: int = 12
-    seed: int = 0
-    fmt: str = "json"
-    genericity: GenericityConfig = GenericityConfig()
-
-    def validate(self) -> None:
-        if self.p < 5:
-            raise ValueError("p must be at least 5")
-        if self.f < 1:
-            raise ValueError("f must be at least 1")
-        if self.box_radius < 8:
-            raise ValueError("box radius must be at least 8")
-        if self.fmt not in ("json", "table", "dot"):
-            raise ValueError("unknown output format %r" % (self.fmt,))
+def derived_depth_bound(d: int) -> int:
+    """The depth a type or parameter derived from a d-deep parameter is held
+    to: TAU_DEPTH, lowered by the parameter's shortfall below RHOBAR_DEPTH."""
+    return min(TAU_DEPTH, d - (RHOBAR_DEPTH - TAU_DEPTH))

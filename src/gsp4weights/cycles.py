@@ -15,6 +15,7 @@ from functools import lru_cache
 from itertools import product
 
 from .base import ETA, W_ALL, Weight
+from .config import TAU_DEPTH, WEIGHT_DEPTH
 from .admissible import irregular_family
 from .affine import (
     HIGHEST_RESTRICTED,
@@ -165,8 +166,8 @@ def bm_cycle(sigma: SerreWeight, p: int | None = None) -> Cycle:
         p = sigma.p
     if p != sigma.p:
         raise ValueError("p does not match the weight")
-    if sigma.depth() < 3:
-        raise GenericityError("cycle formula needs a 3-deep weight")
+    if sigma.depth() < WEIGHT_DEPTH:
+        raise GenericityError("cycle formula needs a %d-deep weight" % WEIGHT_DEPTH)
     options = []
     doubled = 0
     for lam in sigma.parts:
@@ -296,8 +297,9 @@ def colength_one_components(
     set with the JH set has exactly 2^(#case-2/3 embeddings) weights."""
     g = compat_element(rhobar, tau)
     cases = tuple(classify_embedding_shape(gj) for gj in g)
-    if tau.depth() < 6:
-        log.warning("type depth %d below 6; count relies on deeper input", tau.depth())
+    if tau.depth() < TAU_DEPTH:
+        log.warning("type depth %d below %d; count relies on deeper input",
+                    tau.depth(), TAU_DEPTH)
     inter = intersect_w_jh(rhobar, tau)
     expected = 2 ** sum(1 for c in cases if c in (2, 3))
     if len(inter) != expected:

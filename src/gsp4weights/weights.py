@@ -24,6 +24,7 @@ from .base import (
     max_presentation_depth,
     pairing,
 )
+from .config import WEIGHT_DEPTH, derived_depth_bound
 from .affine import (
     HIGHEST_RESTRICTED,
     IDENTITY,
@@ -44,7 +45,6 @@ from .affine import (
     normalize_c,
     omega_part,
     p_dot,
-    star,
     translation,
     upper_arrow_leq,
     upper_arrow_leq_alcove,
@@ -68,17 +68,9 @@ def t_invert(x: TupleElt) -> TupleElt:
     return tuple(invert(a) for a in x)
 
 
-def t_star(x: TupleElt) -> TupleElt:
-    return tuple(star(a) for a in x)
-
-
 def rotate_left(x: tuple) -> tuple:
     """The index shift (pi x)_j = x_(j+1)."""
     return x[1:] + x[:1]
-
-
-def rotate_right(x: tuple) -> tuple:
-    return x[-1:] + x[:-1]
 
 
 # --- Serre weight normal form --------------------------------------------
@@ -308,7 +300,7 @@ def type_from_target(rhobar: TamePresentation, g: TupleElt) -> TamePresentation:
     """The tame type tau with w(rhobar, tau) = g, i.e. w(tau) = w(rhobar) g^(-1)."""
     wt = t_compose(rhobar.w_tilde(), t_invert(g))
     tau = presentation_from_w_tilde("type", wt, rhobar.p)
-    if tau.depth() < min(6, rhobar.depth() - 3):
+    if tau.depth() < derived_depth_bound(rhobar.depth()):
         log.warning(
             "type depth %d below the expected bound for a %d-deep parameter",
             tau.depth(),
@@ -511,27 +503,35 @@ class _SlotKernel:
         return frozenset(self.weight(combo) for combo in product(*live))
 
 
-def jh_factors(tau: TamePresentation, min_depth: int = 3) -> dict[APPair, SerreWeight]:
+def jh_factors(
+    tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
+) -> dict[APPair, SerreWeight]:
     """F_tau over AP pairs; the image is the predicted JH set of the
     reduction of the type."""
     return _SlotKernel(tau, "type", min_depth).table()
 
 
-def w_question(rhobar: TamePresentation, min_depth: int = 3) -> dict[APPair, SerreWeight]:
+def w_question(
+    rhobar: TamePresentation, min_depth: int = WEIGHT_DEPTH
+) -> dict[APPair, SerreWeight]:
     """F_rhobar over AP' pairs; the image is the predicted weight set."""
     return _SlotKernel(rhobar, "param", min_depth).table()
 
 
-def jh_set(tau: TamePresentation, min_depth: int = 3) -> frozenset[SerreWeight]:
+def jh_set(
+    tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
+) -> frozenset[SerreWeight]:
     return frozenset(jh_factors(tau, min_depth).values())
 
 
-def w_question_set(rhobar: TamePresentation, min_depth: int = 3) -> frozenset[SerreWeight]:
+def w_question_set(
+    rhobar: TamePresentation, min_depth: int = WEIGHT_DEPTH
+) -> frozenset[SerreWeight]:
     return frozenset(w_question(rhobar, min_depth).values())
 
 
 def intersect_w_jh(
-    rhobar: TamePresentation, tau: TamePresentation, min_depth: int = 3
+    rhobar: TamePresentation, tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
 ) -> frozenset[SerreWeight]:
     """W?(rhobar) & JH(tau) slot by slot: a weight of both sets has the
     same (a, b) in each part on both sides, so only the tuples that can
@@ -566,7 +566,7 @@ def outer_weights(tau: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWe
 
 
 def outer_weight_at(
-    tau: TamePresentation, ws: tuple[FiniteWeyl, ...], min_depth: int = 3
+    tau: TamePresentation, ws: tuple[FiniteWeyl, ...], min_depth: int = WEIGHT_DEPTH
 ) -> SerreWeight:
     """F_tau at the single outer pair labeled by a finite Weyl tuple, without
     building the whole JH table."""
@@ -579,7 +579,7 @@ def outer_weight_at(
 
 
 def predicted_weight_at(
-    rhobar: TamePresentation, pair: APPair, min_depth: int = 3
+    rhobar: TamePresentation, pair: APPair, min_depth: int = WEIGHT_DEPTH
 ) -> SerreWeight:
     """F_rhobar at one AP' pair tuple, without building the whole table."""
     if rhobar.kind != "param":

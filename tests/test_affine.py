@@ -47,7 +47,6 @@ from gsp4weights.affine import (
     omega_split,
     orbit_weight,
     p_dot,
-    reduced_word,
     reflect_alcove,
     restricted_alcove_index,
     star,

@@ -37,8 +37,6 @@ def test_config_validation():
     with pytest.raises(ValueError):
         RunConfig(f=0).validate()
     with pytest.raises(ValueError):
-        RunConfig(radius=7).validate()
-    with pytest.raises(ValueError):
         RunConfig(fmt="yaml").validate()
 
 
@@ -369,3 +367,42 @@ def test_load_matrix_wrapped_and_bare(tmp_path):
 def test_run_entry_unknown_command(capsys):
     cfg = RunConfig()
     assert run("nope", cfg, None) == 64
+
+
+@pytest.mark.parametrize("flag", (["--depth", "50"], ["--radius", "9"]))
+def test_removed_flags_are_rejected(capsys, flag):
+    # neither flag was ever applied; they no longer exist
+    code, out, err = capture(capsys, ["weights", "--rhobar", fx("rb1.json")] + flag)
+    assert code == 2 and out == ""
+    assert "unrecognized arguments: %s" % " ".join(flag) in err
+
+
+@pytest.mark.parametrize("argv,message", (
+    (["localmodel", "--shape", fx("mat1.json"), "--q", "37", "--verify-regcolone"],
+     "--shape and --verify-regcolone are separate modes; give one"),
+    (["localmodel", "--verify-regcolone", "--q", "5"],
+     "--q is only read by --shape"),
+    (["localmodel", "--shape", fx("mat1.json"), "--q", "37", "--draws", "5"],
+     "--draws is only read by --verify-regcolone"),
+    (["cycles", "--tau", fx("tau1.json"), "--bm", "--rhobar", fx("rb1.json")],
+     "--rhobar is only read by --colength-one"),
+    (["cycles", "--tau", fx("tau1.json"), "--rhobar", fx("rb1.json")],
+     "--rhobar is only read by --colength-one"),
+    (["cycles", "--tau", fx("tau1.json"), "--bm", "--colength-one",
+      "--rhobar", fx("rb1.json")],
+     "--bm and --colength-one are separate reports; give one"),
+    (["graph", "--rhobar", fx("rb1.json"), "--chains", "--fmt", "dot"],
+     "--chains has no dot output; use --fmt table or json"),
+    (["adm", "--fmt", "table", "--json"], "--fmt table contradicts --json"),
+    (["graph", "--rhobar", fx("rb1.json"), "--fmt", "dot", "--table"],
+     "--fmt dot contradicts --table"),
+))
+def test_ignored_flag_combinations_are_rejected(capsys, argv, message):
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+def test_matching_format_flags_are_accepted(capsys):
+    both = capture(capsys, ["adm", "--fmt", "json", "--json"])
+    assert both == capture(capsys, ["adm", "--json"])
