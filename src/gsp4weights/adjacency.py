@@ -41,7 +41,7 @@ from .weights import (
     presentation_from_w_tilde,
     t_compose,
     type_from_target,
-    w_question_set,
+    w_question,
 )
 
 log = logging.getLogger(__name__)
@@ -242,13 +242,14 @@ def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
             "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",
             rhobar.display(), rhobar.p, rhobar.depth(), RHOBAR_DEPTH,
         )
-    vertices = tuple(sorted(w_question_set(rhobar), key=lambda s: s.sort_key()))
+    table = w_question(rhobar)
+    vertices = tuple(sorted(set(table.values()), key=lambda s: s.sort_key()))
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
     for pair in enumerate_ap_prime(rhobar.f):
         for s in valid_simples(pair):
             inst = build_instance(rhobar, pair, s, check=check)
             edges.setdefault(inst.edge, []).append(inst)
-    obvious = frozenset(obvious_weights(rhobar).values())
+    obvious = frozenset(obvious_weights(rhobar, table).values())
     return WeightGraph(vertices, {e: tuple(v) for e, v in edges.items()}, obvious)
 
 
@@ -262,13 +263,12 @@ class ChainResult:
 
 
 def _steered_chain(
-    rhobar: TamePresentation, sigma: SerreWeight
+    rhobar: TamePresentation, sigma: SerreWeight, back: dict[SerreWeight, APPair]
 ) -> tuple[AdjacencyInstance, ...]:
     """Steering: at the smallest embedding whose w2 component has positive
     length, pick s by the component's alcove (second alcove -> s_1, top
     alcove -> s_2 when allowed, else s_1; first alcove -> s_1).  Each step
-    keeps the other embeddings' alcoves fixed."""
-    back = predicted_pair_of_weight(rhobar)
+    keeps the other embeddings' alcoves fixed; `back` inverts F_rhobar."""
     chain: list[AdjacencyInstance] = []
     cur = sigma
     limit = 3 * rhobar.f
@@ -302,10 +302,10 @@ def find_chain(
     """Walks from sigma to the obvious weights, by BFS on the full graph and
     by the steering strategy.  sigma must be a predicted weight.  `graph`
     is rhobar's weight graph when the caller has built it already."""
-    wq_vals = w_question_set(rhobar)
-    if sigma not in wq_vals:
+    table = w_question(rhobar)
+    if sigma not in frozenset(table.values()):
         raise ValueError("weight is not predicted for this parameter")
-    obvious = frozenset(obvious_weights(rhobar).values())
+    obvious = frozenset(obvious_weights(rhobar, table).values())
     if sigma in obvious:
         return ChainResult((), ())
 
@@ -337,4 +337,5 @@ def find_chain(
         node = prev
     bfs.reverse()
 
-    return ChainResult(tuple(bfs), _steered_chain(rhobar, sigma))
+    back = predicted_pair_of_weight(rhobar, table)
+    return ChainResult(tuple(bfs), _steered_chain(rhobar, sigma, back))

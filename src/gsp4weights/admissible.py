@@ -8,13 +8,10 @@ group, so the set carries a single length-zero part.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .base import (
     ETA,
-    POSITIVE_COROOTS,
     W_ALL,
-    W_E,
     FiniteWeyl,
     Weight,
     dominant,
@@ -22,15 +19,14 @@ from .base import (
     weyl_mul,
 )
 from .affine import (
-    AFFINE_SIMPLES,
     ExtAffine,
     HIGHEST_RESTRICTED,
     S1,
     S2,
     W0,
     alcove_of,
+    bruhat_down_set,
     bruhat_leq,
-    bruhat_lower_interval,
     compose,
     compose_all,
     coset_ball,
@@ -39,7 +35,7 @@ from .affine import (
     functional_values,
     invert,
     length,
-    omega_class,
+    omega_part,
     shi_coordinates,
     star,
     translation,
@@ -72,13 +68,9 @@ class AdmissibleSet:
         return [x for x in self.sorted_elements() if self.colength(x) == k]
 
 
-@lru_cache(maxsize=None)
 def adm_set(lam: Weight) -> AdmissibleSet:
     """Union of the lower Bruhat intervals of the Weyl translates of lam."""
-    elems: set[ExtAffine] = set()
-    for g in translation_generators(lam):
-        elems |= bruhat_lower_interval(g)
-    return AdmissibleSet(lam, frozenset(elems))
+    return AdmissibleSet(lam, bruhat_down_set(translation_generators(lam)))
 
 
 def adm_set_oracle(lam: Weight) -> AdmissibleSet:
@@ -86,8 +78,6 @@ def adm_set_oracle(lam: Weight) -> AdmissibleSet:
     Bruhat comparison.  Slower; used to cross-check adm_set."""
     gens = translation_generators(lam)
     max_len = max(length(g) for g in gens)
-    from .affine import omega_part
-
     ball = coset_ball(omega_part(gens[0]), max_len)
     elems = {x for x in ball if any(bruhat_leq(x, g) for g in gens)}
     return AdmissibleSet(lam, frozenset(elems))
@@ -120,41 +110,10 @@ _LEVI_COROOTS = {
 
 
 def levi_finite_weyl(levi: frozenset[int]) -> tuple[FiniteWeyl, ...]:
-    from .base import W_S1, W_S2
-
-    gens = []
-    if 0 in levi:
-        gens.append(W_S1)
-    if 1 in levi:
-        gens.append(W_S2)
-    elems = {W_E}
-    frontier = [W_E]
-    while frontier:
-        nxt = []
-        for w in frontier:
-            for s in gens:
-                u = weyl_mul(s, w)
-                if u not in elems:
-                    elems.add(u)
-                    nxt.append(u)
-        frontier = nxt
-    return tuple(sorted(elems, key=lambda w: (w.length, w.word)))
-
-
-def levi_affine_simples(levi: frozenset[int]) -> tuple[ExtAffine, ...]:
-    """Affine simple reflections of the Levi's own affine Weyl group,
-    embedded in the ambient extended group."""
-    if levi == LEVI_G:
-        return AFFINE_SIMPLES
-    out = []
-    if 0 in levi:
-        # wall <., alpha1^vee> = 0 and the opposite wall at level 1
-        out.append(S1)
-        out.append(compose(translation(Weight(1, -1, 0)), S1))
-    if 1 in levi:
-        out.append(S2)
-        out.append(compose(translation(Weight(0, 2, -1)), S2))
-    return tuple(out)
+    """The Levi's finite Weyl group, by length: the elements whose reduced
+    words use only its simple reflections (letter i + 1 for root i)."""
+    letters = {str(i + 1) for i in levi}
+    return tuple(w for w in W_ALL if set(w.word) <= letters)
 
 
 def levi_length(x: ExtAffine, levi: frozenset[int]) -> int:
@@ -163,62 +122,16 @@ def levi_length(x: ExtAffine, levi: frozenset[int]) -> int:
     return sum(abs(k[i]) for i in _LEVI_COROOTS[levi])
 
 
-def levi_reduced_word(x: ExtAffine, levi: frozenset[int]) -> tuple[tuple[int, ...], ExtAffine]:
-    """Greedy reduced word for the Levi length; remainder has Levi length 0."""
-    simples = levi_affine_simples(levi)
-    word: list[int] = []
-    cur = x
-    n = levi_length(cur, levi)
-    while n > 0:
-        for i, s in enumerate(simples):
-            nxt = compose(s, cur)
-            if levi_length(nxt, levi) < n:
-                word.append(i)
-                cur, n = nxt, levi_length(nxt, levi)
-                break
-        else:
-            raise AssertionError("no Levi descent at positive Levi length: %r" % (x,))
-    return tuple(word), cur
-
-
 def levi_adm_set(lam: Weight, levi: frozenset[int]) -> frozenset[ExtAffine]:
-    """Admissible set of the Levi, inside the ambient group.
-
-    Elements are Levi-Bruhat below some t_{w(lam)} with w in the Levi's
-    finite Weyl group; the length-zero remainder must match exactly.
-    """
-    simples = levi_affine_simples(levi)
-    out: set[ExtAffine] = set()
-    for w in levi_finite_weyl(levi):
-        g = translation(w.act(lam))
-        word, delta = levi_reduced_word(g, levi)
-        prods: set[ExtAffine] = {delta}
-        # build subword products right-to-left so the remainder stays fixed
-        for i in reversed(word):
-            prods |= {compose(simples[i], q) for q in prods}
-        out |= prods
-    return frozenset(out)
+    """Admissible set of the Levi inside the ambient group: the elements
+    Levi-Bruhat below some t_{w(lam)}, w in the Levi's finite Weyl group."""
+    gens = [translation(w.act(lam)) for w in levi_finite_weyl(levi)]
+    return bruhat_down_set(gens, _LEVI_COROOTS[levi])
 
 
 def levi_minimal_rep(w: FiniteWeyl, levi: frozenset[int]) -> tuple[FiniteWeyl, FiniteWeyl]:
     """Decompose w = w_M * w^M with w^M minimal in its W_M-coset."""
-    from .base import W_S1, W_S2
-
-    gens = []
-    if 0 in levi:
-        gens.append(W_S1)
-    if 1 in levi:
-        gens.append(W_S2)
-    u = w
-    changed = True
-    while changed:
-        changed = False
-        for s in gens:
-            su = weyl_mul(s, u)
-            if su.length < u.length:
-                u = su
-                changed = True
-                break
+    u = min((weyl_mul(v, w) for v in levi_finite_weyl(levi)), key=lambda v: v.length)
     w_m = weyl_mul(w, weyl_inv(u))
     assert weyl_mul(w_m, u) == w
     return w_m, u
@@ -247,11 +160,12 @@ def irregular_family() -> frozenset[ExtAffine]:
     over finite w and the simple s making the result irregular."""
     out = set()
     t_eta_side = compose(invert(HIGHEST_RESTRICTED), W0)  # = t_eta
+    adm = adm_set(ETA).elements
     for w in W_ALL:
         d = diamond(w)
         for s in (S1, S2):
             cand = compose_all(invert(d), t_eta_side, s, d)
-            if cand in adm_set(ETA).elements and not is_regular_element(cand):
+            if cand in adm and not is_regular_element(cand):
                 out.add(cand)
     return frozenset(out)
 

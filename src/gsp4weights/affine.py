@@ -17,7 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Iterator, NamedTuple, Sequence
 
 from .base import (
     ETA,
@@ -69,6 +69,21 @@ def shi_coordinates(a: Alcove) -> tuple[int, int, int, int]:
     and a, signed.  This is the length kernel."""
     x, y = a
     return ((x - y) // 6, y // 6, (x + y) // 6, x // 6)
+
+
+def alcove_length(a: Alcove) -> int:
+    """Number of root hyperplanes between the base alcove and a."""
+    k0, k1, k2, k3 = shi_coordinates(a)
+    return abs(k0) + abs(k1) + abs(k2) + abs(k3)
+
+
+def reflect_alcove(a: Alcove, i: int, m: int) -> Alcove:
+    """Affine reflection in the hyperplane <., alpha_i^vee> = m."""
+    # s_{alpha,m}(pt) = pt - (<pt, alpha^vee> - m) * alpha_vec; scaled by
+    # 6, the functional value is compared with the wall at 6m
+    k = 6 * m - functional(i, a)
+    va, vb = _ROOT_VECS[i]
+    return Alcove(a.x + k * va, a.y + k * vb)
 
 
 @dataclass(frozen=True)
@@ -142,8 +157,7 @@ def alcove_of(x: ExtAffine) -> Alcove:
 def length(x: ExtAffine) -> int:
     """Number of affine root hyperplanes separating the base alcove from
     its image: the sum of the image's |Shi coordinates|."""
-    k0, k1, k2, k3 = shi_coordinates(alcove_of(x))
-    return abs(k0) + abs(k1) + abs(k2) + abs(k3)
+    return alcove_length(alcove_of(x))
 
 
 @lru_cache(maxsize=None)
@@ -206,57 +220,110 @@ def normalize_c(x: ExtAffine) -> tuple[ExtAffine, int]:
 
 # --- Bruhat order -------------------------------------------------------
 
-_BRUHAT_CACHE: dict[tuple[ExtAffine, ExtAffine], bool] = {}
+_BRUHAT_CACHE: dict[tuple[Alcove, Alcove], bool] = {}
 
 
-def _first_left_descent(x: ExtAffine) -> ExtAffine | None:
-    n = length(x)
-    for s in AFFINE_SIMPLES:
-        if length(compose(s, x)) < n:
-            return s
-    return None
+# (w, w(BASE_ALCOVE)) by the residues of w(BASE_ALCOVE) mod 6: two w per
+# residue pair, their images 6 apart in one coordinate
+_BY_RESIDUE = {
+    r: [(w, bx, by) for w, (bx, by) in zip(W_ALL, _BASE_IMAGES) if (bx % 6, by % 6) == r]
+    for r in {(bx % 6, by % 6) for bx, by in _BASE_IMAGES}
+}
+
+
+def _element_at(a: Alcove, cls: int) -> ExtAffine:
+    """The element of Omega-class cls (= a + b + 2c) mapping the base
+    alcove to a: of the two candidate finite parts, whose translations
+    differ in the parity of a + b, the one leaving cls - a - b even."""
+    x, y = a
+    for w, bx, by in _BY_RESIDUE[x % 6, y % 6]:
+        na, nb = (x - bx) // 6, (y - by) // 6
+        if (cls - na - nb) % 2 == 0:
+            return ExtAffine(Weight(na, nb, (cls - na - nb) // 2), w)
+    raise AssertionError("no element of class %d at %r" % (cls, a))
+
+
+def bruhat_down_set(
+    gens: Sequence[ExtAffine], roots: Sequence[int] = range(4)
+) -> frozenset[ExtAffine]:
+    """All elements Bruhat-below some generator, in the order of the
+    reflections of the given root directions (a Levi's coroot indices give
+    the Levi's order).  A reflection shortens an element it multiplies on
+    the left iff its wall separates the element's alcove from the base
+    alcove, and chains of such steps reach exactly the elements below
+    (Humphreys, Reflection Groups and Coxeter Groups, 5.9): the walls of
+    Shi coordinate k are m = 1..k for k > 0 and m = k+1..0 for k < 0.  The
+    generators' one Omega-class fixes the element of each alcove."""
+    classes = {omega_class(g) for g in gens}
+    assert len(classes) == 1, "generators in several Omega-classes: %r" % (gens,)
+    (cls,) = classes
+    dirs = [(i, _ROOT_VECS[i]) for i in roots]
+    seen = {alcove_of(g) for g in gens}
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for a in frontier:
+            x, y = a
+            vals = (x - y, y, x + y, x)
+            for i, (va, vb) in dirs:
+                t = vals[i]
+                k = t // 6
+                # the reflection in the wall 6m moves a by 6m - t times the
+                # root; plain tuples, equal to Alcoves, are cheaper to make
+                for m in range(1, k + 1) if k > 0 else range(k + 1, 1):
+                    d = 6 * m - t
+                    q = (x + d * va, y + d * vb)
+                    if q not in seen:
+                        seen.add(q)
+                        nxt.append(q)
+        frontier = nxt
+    elems = {a: _element_at(a, cls) for a in seen}
+    assert all(alcove_of(z) == a for a, z in elems.items())
+    return frozenset(elems.values())
 
 
 def bruhat_leq(x: ExtAffine, y: ExtAffine) -> bool:
     """Bruhat order on the extended group; different cosets are incomparable."""
     if omega_class(x) != omega_class(y):
         return False
-    return _bruhat_leq_coset(x, y)
+    return _bruhat_leq_coset(alcove_of(x), alcove_of(y))
 
 
-def _bruhat_leq_coset(x: ExtAffine, y: ExtAffine) -> bool:
-    if x == y:
+def _bruhat_leq_coset(a: Alcove, b: Alcove) -> bool:
+    """Bruhat order on the alcoves of one coset, by the descent recursion:
+    for s shortening b, a <= b iff min(a, sa) <= sb.  Left multiplication
+    by S0, S1, S2 reflects an alcove in the walls x + y = 6, x = y, y = 0."""
+    if a == b:
         return True
-    if length(x) >= length(y):
+    if alcove_length(a) >= alcove_length(b):
         return False
-    key = (x, y)
+    key = (a, b)
     cached = _BRUHAT_CACHE.get(key)
     if cached is not None:
         return cached
-    s = _first_left_descent(y)
-    assert s is not None
-    sy = compose(s, y)
-    sx = compose(s, x)
-    if length(sx) < length(x):
-        res = _bruhat_leq_coset(sx, sy)
-    else:
-        res = _bruhat_leq_coset(x, sy) or _bruhat_leq_coset(sx, sy)
+    x, y = b
+    i, m = (2, 1) if x + y > 6 else (0, 0) if x < y else (1, 0)
+    sa = reflect_alcove(a, i, m)
+    low = sa if alcove_length(sa) < alcove_length(a) else a
+    res = _bruhat_leq_coset(low, reflect_alcove(b, i, m))
     _BRUHAT_CACHE[key] = res
     return res
 
 
 def bruhat_lower_interval(y: ExtAffine) -> frozenset[ExtAffine]:
-    """All x <= y, via subword products of one reduced word (independent oracle)."""
+    """All x <= y."""
+    return bruhat_down_set((y,))
+
+
+def bruhat_leq_oracle(x: ExtAffine, y: ExtAffine) -> bool:
+    """x <= y by subword products of one reduced word of y: shares no
+    code with the reflection closure or the descent recursion."""
     word, delta = omega_split(y)
     prods: set[ExtAffine] = {IDENTITY}
     for i in word:
         s = AFFINE_SIMPLES[i]
         prods |= {compose(q, s) for q in prods}
-    return frozenset(compose(q, delta) for q in prods)
-
-
-def bruhat_leq_oracle(x: ExtAffine, y: ExtAffine) -> bool:
-    return x in bruhat_lower_interval(y)
+    return x in {compose(q, delta) for q in prods}
 
 
 def coset_ball(delta: ExtAffine, max_len: int) -> frozenset[ExtAffine]:
@@ -276,15 +343,6 @@ def coset_ball(delta: ExtAffine, max_len: int) -> frozenset[ExtAffine]:
 
 
 # --- upper arrow order --------------------------------------------------
-
-
-def reflect_alcove(a: Alcove, i: int, m: int) -> Alcove:
-    """Affine reflection in the hyperplane <., alpha_i^vee> = m."""
-    # s_{alpha,m}(pt) = pt - (<pt, alpha^vee> - m) * alpha_vec; scaled by
-    # 6, the functional value is compared with the wall at 6m
-    k = 6 * m - functional(i, a)
-    va, vb = _ROOT_VECS[i]
-    return Alcove(a.x + k * va, a.y + k * vb)
 
 
 def up_step_targets(a: Alcove, x_max: int, s_max: int) -> Iterator[Alcove]:
@@ -445,10 +503,9 @@ def locate_point(pt: tuple[Fraction, Fraction], max_steps: int = 100000) -> ExtA
 
 
 def elem_of_alcove(a: Alcove) -> ExtAffine:
-    """The affine Weyl group element mapping the base alcove to a."""
-    u = _fold(a.x, a.y, 6)
-    assert u is not None and alcove_of(u) == a, a
-    return u
+    """The affine Weyl group element (Omega-class 0) mapping the base
+    alcove to a."""
+    return _element_at(a, 0)
 
 
 def is_restricted_alcove(a: Alcove) -> bool:

@@ -72,8 +72,14 @@ commands:
   localmodel  local model hooks (--verify-regcolone [--draws N] |
               --shape FILE --q Q)
 
-common options: --p P --f N --seed S --fmt json|table|dot
+common options: --fmt json|table|dot, and where read: --p P (selfcheck,
+  weights, graph, cycles, localmodel --verify-regcolone), --f N (ap),
+  --seed S (localmodel --verify-regcolone)
 """
+
+# The common flags each command reads
+_READS = {"selfcheck": ("p",), "adm": (), "ap": ("f",), "weights": ("p",), "graph": ("p",),
+          "cycles": ("p",), "localmodel": ("p", "seed"), "localmodel --shape": ()}
 
 
 @dataclass(frozen=True)
@@ -126,7 +132,8 @@ def _is_json_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
-def load_presentation(path: str, expect_p: int | None = None) -> TamePresentation:
+def load_presentation(path: str, expect_p: int | None = None,
+                      expect_kind: str | None = None) -> TamePresentation:
     """Read a tame presentation fixture; presentations are always supplied
     as files, never inferred from other inputs.  p and the mu entries must
     be JSON integers and each s entry a word in the letters 1 and 2."""
@@ -148,6 +155,9 @@ def load_presentation(path: str, expect_p: int | None = None) -> TamePresentatio
             "%s: fixture has p=%d but the run is configured with p=%d"
             % (path, p, expect_p)
         )
+    if expect_kind is not None and kind != expect_kind:
+        raise ValueError("%s: fixture has kind %s, expected %s"
+                         % (path, json.dumps(kind), json.dumps(expect_kind)))
     if not isinstance(words, list) or not isinstance(mus, list):
         raise ValueError("%s: s and mu must be lists" % path)
     if len(words) != len(mus):
@@ -328,7 +338,7 @@ def _cmd_ap(cfg: RunConfig, args) -> list[str]:
 
 
 def _cmd_weights(cfg: RunConfig, args) -> list[str]:
-    rhobar = load_presentation(args.rhobar, expect_p=cfg.p)
+    rhobar = load_presentation(args.rhobar, expect_p=cfg.p, expect_kind="param")
     if args.obvious:
         table = obvious_weights(rhobar)
         rows = sorted(
@@ -379,7 +389,7 @@ def _cmd_weights(cfg: RunConfig, args) -> list[str]:
 def _cmd_graph(cfg: RunConfig, args) -> list[str]:
     if args.chains and cfg.fmt == "dot":
         raise ValueError("--chains has no dot output; use --fmt table or json")
-    rhobar = load_presentation(args.rhobar, expect_p=cfg.p)
+    rhobar = load_presentation(args.rhobar, expect_p=cfg.p, expect_kind="param")
     graph = build_graph(rhobar)
     edges = sorted(graph.edges.items(),
                    key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
@@ -431,9 +441,7 @@ def _cmd_graph(cfg: RunConfig, args) -> list[str]:
 
 
 def _cmd_cycles(cfg: RunConfig, args) -> list[str]:
-    tau = load_presentation(args.tau, expect_p=cfg.p)
-    if tau.kind != "type":
-        raise ValueError("cycles expects a type fixture (kind 'type')")
+    tau = load_presentation(args.tau, expect_p=cfg.p, expect_kind="type")
     if args.colength_one and args.bm:
         raise ValueError("--bm and --colength-one are separate reports; give one")
     if args.rhobar and not args.colength_one:
@@ -441,7 +449,7 @@ def _cmd_cycles(cfg: RunConfig, args) -> list[str]:
     if args.colength_one:
         if not args.rhobar:
             raise ValueError("--colength-one needs --rhobar as well")
-        rhobar = load_presentation(args.rhobar, expect_p=cfg.p)
+        rhobar = load_presentation(args.rhobar, expect_p=cfg.p, expect_kind="param")
         report = colength_one_components(rhobar, tau)
         weights = sorted(report.weights, key=lambda s: s.sort_key())
         if cfg.fmt == "json":
@@ -609,6 +617,16 @@ _RUNNERS = {
 }
 
 
+def _reject_unread_flags(command: str, args) -> None:
+    """A common flag given on the command line (not None) that the command
+    does not read is an input error."""
+    if command == "localmodel" and args.shape:
+        command += " --shape"
+    for name in ("p", "f", "seed"):
+        if getattr(args, name) is not None and name not in _READS[command]:
+            raise ValueError("--%s is not read by %s" % (name, command))
+
+
 def run(command: str, cfg: RunConfig, args) -> int:
     """Execute one command; returns the process exit code."""
     if command not in _RUNNERS:
@@ -618,6 +636,7 @@ def run(command: str, cfg: RunConfig, args) -> int:
         cfg.validate()
         if cfg.fmt == "dot" and command != "graph":
             raise ValueError("dot output is only available for the graph command")
+        _reject_unread_flags(command, args)
         lines = _RUNNERS[command](cfg, args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)
@@ -631,9 +650,10 @@ def run(command: str, cfg: RunConfig, args) -> int:
 
 def _build_parser(command: str) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gsp4weights %s" % command, add_help=True)
-    ap.add_argument("--p", type=int, default=37)
-    ap.add_argument("--f", type=int, default=1)
-    ap.add_argument("--seed", type=int, default=0)
+    # None marks a flag not given; RunConfig holds the defaults
+    ap.add_argument("--p", type=int, default=None)
+    ap.add_argument("--f", type=int, default=None)
+    ap.add_argument("--seed", type=int, default=None)
     ap.add_argument("--fmt", default=None, choices=("json", "table", "dot"))
     ap.add_argument("--json", action="store_true", help="shorthand for --fmt json")
     ap.add_argument("--table", action="store_true", help="shorthand for --fmt table")
@@ -687,7 +707,8 @@ def main(argv=None) -> int:
         sys.stderr.write("error: --fmt %s contradicts --%s\n" % (args.fmt, short))
         return 2
     fmt = args.fmt or short or "table"
-    cfg = RunConfig(p=args.p, f=args.f, seed=args.seed, fmt=fmt)
+    given = {k: getattr(args, k) for k in ("p", "f", "seed") if getattr(args, k) is not None}
+    cfg = RunConfig(fmt=fmt, **given)
     return run(command, cfg, args)
 
 

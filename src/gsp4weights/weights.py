@@ -341,10 +341,11 @@ def _ap_pairs_single() -> tuple[tuple[ExtAffine, ExtAffine], ...]:
     """Per-embedding AP pairs: w1 restricted (c = 0), w2 dominant,
     w1 arrow-below hw^(-1) w2, and w2^(-1) w0 w1 admissible for eta."""
     hw_inv = invert(HIGHEST_RESTRICTED)
+    adm = adm_set(ETA).elements
     pairs = []
     for w in W_ALL:
         w1 = diamond(w)
-        for z in adm_set(ETA).elements:
+        for z in adm:
             w2 = compose_all(W0, w1, invert(z))
             if not is_dominant_element(w2):
                 continue
@@ -544,9 +545,12 @@ def intersect_w_jh(
     return wq.weights_within(keep) & jh.weights_within(keep)
 
 
-def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:
-    """F_rhobar on the diagonal pairs (w_diamond, w_diamond)."""
-    table = w_question(rhobar)
+def obvious_weights(
+    rhobar: TamePresentation, table: dict[APPair, SerreWeight] | None = None
+) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:
+    """F_rhobar on the diagonal pairs (w_diamond, w_diamond), read from
+    `table` = w_question(rhobar) when the caller has built it already."""
+    table = w_question(rhobar) if table is None else table
     out = {}
     for ws in product(W_ALL, repeat=rhobar.f):
         d = tuple(diamond(w) for w in ws)
@@ -588,9 +592,12 @@ def predicted_weight_at(
     return _weight_at(rhobar, pair.w1, pair.w2)
 
 
-def predicted_pair_of_weight(rhobar: TamePresentation) -> dict[SerreWeight, APPair]:
-    """Inverse of F_rhobar; raises if the forward map is not injective."""
-    table = w_question(rhobar)
+def predicted_pair_of_weight(
+    rhobar: TamePresentation, table: dict[APPair, SerreWeight] | None = None
+) -> dict[SerreWeight, APPair]:
+    """Inverse of F_rhobar, from `table` = w_question(rhobar) when given;
+    raises if the forward map is not injective."""
+    table = w_question(rhobar) if table is None else table
     inv: dict[SerreWeight, APPair] = {}
     for pair, sigma in table.items():
         if sigma in inv:

@@ -198,6 +198,78 @@ def upper_arrow_leq(a, b) -> bool:
     return False
 
 
+# --- Bruhat intervals by subword products ---------------------------------
+
+AFFINE_SIMPLES = (S0, S1, S2)
+LEVI_G = frozenset({0, 1})
+# the positive coroot indices of each standard Levi, by its simple roots
+LEVI_ROOTS = {frozenset(): (), frozenset({0}): (0,), frozenset({1}): (1,), LEVI_G: range(4)}
+
+
+def levi_affine_simples(levi) -> tuple[ExtAffine, ...]:
+    """Affine simple reflections of the Levi's own affine Weyl group,
+    embedded in the ambient extended group."""
+    if levi == LEVI_G:
+        return AFFINE_SIMPLES
+    out = []
+    if 0 in levi:
+        # wall <., alpha1^vee> = 0 and the opposite wall at level 1
+        out += [S1, compose(translation(Weight(1, -1, 0)), S1)]
+    if 1 in levi:
+        out += [S2, compose(translation(Weight(0, 2, -1)), S2)]
+    return tuple(out)
+
+
+def levi_reduced_word(x: ExtAffine, levi) -> tuple[tuple[int, ...], ExtAffine]:
+    """Greedy word x = s_i1 ... s_ik * delta in the Levi's affine simples,
+    each letter lowering the count of hyperplanes of the Levi's root
+    directions between the base alcove and its image; delta has count 0."""
+    simples = levi_affine_simples(levi)
+    roots = LEVI_ROOTS[levi]
+    word: list[int] = []
+    cur, n = x, length(x, roots)
+    while n > 0:
+        for i, s in enumerate(simples):
+            nxt = compose(s, cur)
+            if length(nxt, roots) < n:
+                word.append(i)
+                cur, n = nxt, length(nxt, roots)
+                break
+        else:
+            raise AssertionError("no Levi descent at positive Levi length: %r" % (x,))
+    return tuple(word), cur
+
+
+def _subword_products(x: ExtAffine, levi) -> set[ExtAffine]:
+    """Products of the subwords of one reduced word of x, built right to
+    left so that the length-zero remainder stays fixed."""
+    word, delta = levi_reduced_word(x, levi)
+    simples = levi_affine_simples(levi)
+    prods = {delta}
+    for i in reversed(word):
+        prods |= {compose(simples[i], q) for q in prods}
+    return prods
+
+
+def bruhat_lower_interval(y: ExtAffine) -> frozenset[ExtAffine]:
+    return frozenset(_subword_products(y, LEVI_G))
+
+
+def levi_adm_set(lam: Weight, levi) -> frozenset[ExtAffine]:
+    """Levi-Bruhat down-set of the translations by the Levi's Weyl
+    translates of lam; the Levi's Weyl group is read off the words."""
+    letters = {str(i + 1) for i in levi}
+    out: set[ExtAffine] = set()
+    for w in W_ALL:
+        if set(w.word) <= letters:
+            out |= _subword_products(translation(word_act(w.word, lam)), levi)
+    return frozenset(out)
+
+
+def adm_set(lam: Weight) -> frozenset[ExtAffine]:
+    return levi_adm_set(lam, LEVI_G)
+
+
 # --- the weight maps by brute force ---------------------------------------
 
 

@@ -67,7 +67,6 @@ from gsp4weights.admissible import (
     elem_sort_key,
     is_regular_element,
     levi_adm_set,
-    levi_affine_simples,
     levi_finite_weyl,
     levi_minimal_rep,
     adm_levi_conjugate,
@@ -111,6 +110,8 @@ from gsp4weights.localmodel import (
     shape_of,
     symplectic_similitude,
 )
+
+from oracles import levi_affine_simples
 
 
 def _report(n, detail, t0, budget):

@@ -27,6 +27,7 @@ from gsp4weights.weights import (
     w_question,
     w_question_set,
 )
+from gsp4weights import weights
 from gsp4weights.cli import load_presentation
 from gsp4weights.adjacency import (
     AdjacencyInstance,
@@ -229,6 +230,18 @@ def test_find_chain_rejects_unknown_weight():
     stray = next(iter(w_question_set(other) - w_question_set(rho)))
     with pytest.raises(ValueError, match="not predicted"):
         find_chain(rho, stray)
+
+
+def test_find_chain_builds_the_weight_table_once(monkeypatch):
+    rho = rho41()
+    graph = build_graph(rho, check=False)
+    sigma = next(s for s in graph.vertices if s not in graph.obvious)
+    builds = []
+    table = weights._SlotKernel.table
+    monkeypatch.setattr(weights._SlotKernel, "table",
+                        lambda self: builds.append(self.flavor) or table(self))
+    find_chain(rho, sigma, graph)
+    assert builds == ["AP'"]
 
 
 def test_steering_single_step_from_second_alcove():

@@ -34,7 +34,6 @@ from gsp4weights.admissible import (
     levi_finite_weyl,
     levi_length,
     levi_minimal_rep,
-    levi_reduced_word,
     translation_generators,
 )
 
@@ -48,6 +47,19 @@ def test_adm_eta_against_oracle():
 def test_adm_small_weights_against_oracle():
     for lam in (Weight(1, 0, 0), Weight(1, 1, 0)):
         assert adm_set(lam).elements == adm_set_oracle(lam).elements
+
+
+def test_adm_set_against_subword_oracle_on_grid():
+    # t_(0,0,c) is central and of length 0, so Adm(lam + (0,0,c)) is
+    # t_(0,0,c) Adm(lam): the oracle runs once per (a, b), the kernel on
+    # every lam
+    for a in range(1, 7):
+        for b in range(a + 1):
+            want = oracles.adm_set(Weight(a, b, 0))
+            for c in range(-3, 4):
+                shift = translation(Weight(0, 0, c))
+                got = adm_set(Weight(a, b, c)).elements
+                assert got == {compose(shift, z) for z in want}, (a, b, c)
 
 
 def test_adm_eta_counts():
@@ -108,7 +120,7 @@ def test_levi_lengths():
     assert levi_length(t_eta, LEVI_M2) == 1
     assert levi_length(t_eta, LEVI_G) == length(t_eta)
     assert levi_length(t_eta, LEVI_T) == 0
-    word, rem = levi_reduced_word(t_eta, LEVI_M1)
+    word, rem = oracles.levi_reduced_word(t_eta, LEVI_M1)
     assert len(word) == 1
     assert levi_length(rem, LEVI_M1) == 0
 
@@ -139,6 +151,15 @@ def test_levi_adm_inside_full_adm():
         sub = levi_adm_set(ETA, levi)
         assert sub <= adm
     assert levi_adm_set(ETA, LEVI_G) == adm
+
+
+def test_levi_adm_set_against_subword_oracle():
+    # lam need not be dominant: the Levi's Weyl translates are generators
+    for levi in (LEVI_T, LEVI_M1, LEVI_M2, LEVI_G):
+        for a, b in itertools.product(range(-3, 4), repeat=2):
+            for c in (-1, 0, 1):
+                lam = Weight(a, b, c)
+                assert levi_adm_set(lam, levi) == oracles.levi_adm_set(lam, levi), (lam, levi)
 
 
 def test_levi_conjugate_inclusion():

@@ -5,6 +5,7 @@ from fractions import Fraction
 import pytest
 
 from gsp4weights.base import ETA, W_ALL, W_E, W_LONG, Weight, weyl_from_word
+from gsp4weights.admissible import adm_set, elem_sort_key
 from gsp4weights.affine import (
     AFFINE_SIMPLES,
     BASE_ALCOVE,
@@ -20,6 +21,7 @@ from gsp4weights.affine import (
     ExtAffine,
     alcove_of,
     box_down_set,
+    bruhat_down_set,
     bruhat_leq,
     bruhat_leq_oracle,
     bruhat_lower_interval,
@@ -172,6 +174,31 @@ def test_bruhat_interval_of_eta_translation():
     ball = coset_ball(delta, 7)
     slow = {x for x in ball if bruhat_leq(x, translation(ETA))}
     assert iv == frozenset(slow)
+
+
+def test_bruhat_down_set_against_subword_oracle():
+    rng = random.Random(9)
+    delta1 = compose(translation(Weight(1, 0, 0)), finite(weyl_from_word("121")))
+    for delta in (IDENTITY, delta1):
+        ball = sorted(coset_ball(delta, 6), key=lambda e: (length(e), str(e)))
+        for y in rng.sample(ball, 16):
+            assert bruhat_lower_interval(y) == oracles.bruhat_lower_interval(y)
+    # several generators of one Omega-class, some of them comparable
+    t31 = translation(Weight(3, 1, 0))
+    gens = (t31, translation(Weight(1, 3, 0)), translation(Weight(2, 2, 0)), compose(t31, S1))
+    want = set().union(*(oracles.bruhat_lower_interval(g) for g in gens))
+    assert bruhat_down_set(gens) == want
+    with pytest.raises(AssertionError):
+        bruhat_down_set((IDENTITY, translation(Weight(0, 0, 1))))
+
+
+def test_bruhat_leq_against_oracle_on_adm_pairs():
+    rng = random.Random(8)
+    for lam in (Weight(2, 1, 0), Weight(3, 1, 1), Weight(3, 3, -1), Weight(5, 2, 0)):
+        elems = sorted(adm_set(lam).elements, key=elem_sort_key)
+        for _ in range(100):
+            x, y = rng.choice(elems), rng.choice(elems)
+            assert bruhat_leq(x, y) == bruhat_leq_oracle(x, y), (x, y)
 
 
 def test_restricted_alcove_chain():

@@ -193,6 +193,19 @@ def test_cycles_rejects_param_fixture(capsys):
     assert code == 2 and "type" in err
 
 
+@pytest.mark.parametrize("argv", (
+    ["weights", "--rhobar", fx("tau1.json")],
+    ["weights", "--rhobar", fx("tau1.json"), "--obvious"],
+    ["graph", "--rhobar", fx("tau1.json")],
+    ["cycles", "--tau", fx("tau1.json"), "--colength-one", "--rhobar", fx("tau1.json")],
+))
+def test_type_fixture_as_rhobar_is_rejected(capsys, caplog, argv):
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == 'error: %s: fixture has kind "type", expected "param"\n' % fx("tau1.json")
+    assert caplog.records == []
+
+
 def test_cycles_colength_one_needs_rhobar(capsys):
     code, out, err = capture(
         capsys, ["cycles", "--tau", fx("tau1.json"), "--colength-one"])
@@ -398,6 +411,29 @@ def test_removed_flags_are_rejected(capsys, flag):
      "--fmt dot contradicts --table"),
 ))
 def test_ignored_flag_combinations_are_rejected(capsys, argv, message):
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert err == "error: %s\n" % message
+
+
+@pytest.mark.parametrize("argv,message", (
+    (["adm", "--f", "3"], "--f is not read by adm"),
+    (["adm", "--p", "41"], "--p is not read by adm"),
+    (["adm", "--seed", "2", "--dual"], "--seed is not read by adm"),
+    (["ap", "--p", "41"], "--p is not read by ap"),
+    (["weights", "--rhobar", fx("rb_f2.json"), "--f", "2"], "--f is not read by weights"),
+    (["graph", "--rhobar", fx("rb1.json"), "--seed", "1"], "--seed is not read by graph"),
+    (["cycles", "--tau", fx("tau1.json"), "--f", "1"], "--f is not read by cycles"),
+    (["selfcheck", "--seed", "3"], "--seed is not read by selfcheck"),
+    (["localmodel", "--shape", fx("mat1.json"), "--q", "37", "--f", "4"],
+     "--f is not read by localmodel --shape"),
+    (["localmodel", "--shape", fx("mat1.json"), "--q", "37", "--p", "41"],
+     "--p is not read by localmodel --shape"),
+    (["localmodel", "--verify-regcolone", "--draws", "1", "--f", "2"],
+     "--f is not read by localmodel"),
+))
+def test_unread_common_flags_are_rejected(capsys, argv, message):
+    # the header used to echo these values although nothing read them
     code, out, err = capture(capsys, argv)
     assert code == 2 and out == ""
     assert err == "error: %s\n" % message

@@ -22,6 +22,7 @@ from gsp4weights.affine import (
     alcove_of,
     bruhat_lower_interval,
     compose,
+    compose_all,
     dual_length,
     finite,
     in_omega,
@@ -640,6 +641,15 @@ def test_fixed_point_set_T_sizes():
         fp = fixed_point_set_T(a, b)
         assert len(fp) == len(bruhat_lower_interval(compose(W0, a)))
         assert fp <= adm
+
+
+def test_fixed_point_set_T_against_subword_oracle():
+    hw_inv = invert(HIGHEST_RESTRICTED)
+    for pr in ap_prime_pairs():
+        a, b = pr.w1[0], pr.w2[0]
+        want = frozenset(star(compose_all(invert(b), hw_inv, wt))
+                         for wt in oracles.bruhat_lower_interval(compose(W0, a)))
+        assert fixed_point_set_T(a, b) == want
 
 
 def test_fixed_point_set_T_tuple_form():
