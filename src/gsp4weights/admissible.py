@@ -36,7 +36,6 @@ from .affine import (
     invert,
     length,
     omega_part,
-    shi_coordinates,
     star,
     translation,
 )
@@ -116,12 +115,6 @@ def levi_finite_weyl(levi: frozenset[int]) -> tuple[FiniteWeyl, ...]:
     return tuple(w for w in W_ALL if set(w.word) <= letters)
 
 
-def levi_length(x: ExtAffine, levi: frozenset[int]) -> int:
-    """Hyperplane count restricted to the Levi's roots, ambient base alcove."""
-    k = shi_coordinates(alcove_of(x))
-    return sum(abs(k[i]) for i in _LEVI_COROOTS[levi])
-
-
 def levi_adm_set(lam: Weight, levi: frozenset[int]) -> frozenset[ExtAffine]:
     """Admissible set of the Levi inside the ambient group: the elements
     Levi-Bruhat below some t_{w(lam)}, w in the Levi's finite Weyl group."""
@@ -148,10 +141,6 @@ def adm_levi_conjugate(lam: Weight, levi: frozenset[int], w: FiniteWeyl) -> froz
 
 
 # --- colength-one structure for eta --------------------------------------
-
-
-def eta_translation_elements() -> frozenset[ExtAffine]:
-    return frozenset(translation(w.act(ETA)) for w in W_ALL)
 
 
 def irregular_family() -> frozenset[ExtAffine]:

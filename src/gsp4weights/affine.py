@@ -13,9 +13,7 @@ Alcoves corresponding to an affine Weyl group, J. London Math. Soc.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from typing import Iterator, NamedTuple, Sequence
 
@@ -209,13 +207,6 @@ def omega_part(x: ExtAffine) -> ExtAffine:
 
 def in_omega(x: ExtAffine) -> bool:
     return length(x) == 0
-
-
-def normalize_c(x: ExtAffine) -> tuple[ExtAffine, int]:
-    """Remove the central similitude translation: returns (x', k) with
-    x = t_(0,0,k) * x' and x' having c-coordinate 0."""
-    k = x.nu.c
-    return ExtAffine(Weight(x.nu.a, x.nu.b, 0), x.w), k
 
 
 # --- Bruhat order -------------------------------------------------------
@@ -459,47 +450,34 @@ def box_down_set(b: Alcove, radius: int) -> frozenset[Alcove]:
     return frozenset(a for a in region if all(abs(v) <= r for v in functional_values(a)))
 
 
-# --- locating alcoves and points ----------------------------------------
+# --- locating alcoves and weights ---------------------------------------
 
 
-def _fold(x: int, y: int, scale: int, max_steps: int = 100000) -> ExtAffine | None:
-    """The element u of the affine Weyl group with the point (x, y)/scale
-    inside u(base alcove), or None for a point on a wall.
+def locate_weight(lam: Weight, p: int) -> ExtAffine:
+    """u in the affine Weyl group with (lam+eta)/p inside u(base alcove).
 
-    Folds the point into the base alcove by the simple reflections, whose
-    walls x = y, y = 0 and x + y = 1 sit at x = y, y = 0 and
-    x + y = scale in these units.
+    Folds the integer vector lam + eta into the base alcove by the simple
+    reflections, whose walls x = y, y = 0 and x + y = 1 sit at x = y,
+    y = 0 and x + y = p in these units.
     """
+    mu = lam + ETA
+    x, y = mu.a, mu.b
     g = IDENTITY
-    for _ in range(max_steps):
+    for _ in range(100000):
         if x < y:
             x, y = y, x
             g = compose(S1, g)
         elif y < 0:
             y = -y
             g = compose(S2, g)
-        elif x + y > scale:
-            x, y = scale - y, scale - x
+        elif x + y > p:
+            x, y = p - y, p - x
             g = compose(S0, g)
-        elif x == y or y == 0 or x + y == scale:
-            return None
+        elif x == y or y == 0 or x + y == p:
+            raise ValueError("weight %r lies on a wall for p=%d" % (tuple(lam), p))
         else:
             return invert(g)
     raise AssertionError("folding did not terminate")
-
-
-def locate_point(pt: tuple[Fraction, Fraction], max_steps: int = 100000) -> ExtAffine:
-    """The element u of the affine Weyl group with the rational point
-    pt = (x, y) in u(base alcove).
-
-    Raises ValueError for points on a wall.
-    """
-    x, y = pt
-    scale = math.lcm(x.denominator, y.denominator)
-    u = _fold(int(x * scale), int(y * scale), scale, max_steps)
-    if u is None:
-        raise ValueError("point lies on a wall: %r" % (pt,))
-    return u
 
 
 def elem_of_alcove(a: Alcove) -> ExtAffine:
@@ -561,16 +539,6 @@ def diamond(w: FiniteWeyl) -> ExtAffine:
 def p_dot(x: ExtAffine, lam: Weight, p: int) -> Weight:
     """(t_nu w) . lam = w(lam + eta) + p*nu - eta."""
     return x.w.act(lam + ETA) + x.nu.scale(p) - ETA
-
-
-def locate_weight(lam: Weight, p: int) -> ExtAffine:
-    """u in the affine Weyl group with (lam+eta)/p inside u(base alcove):
-    the integer vector lam + eta folded against walls at multiples of p."""
-    mu = lam + ETA
-    u = _fold(mu.a, mu.b, p)
-    if u is None:
-        raise ValueError("weight %r lies on a wall for p=%d" % (tuple(lam), p))
-    return u
 
 
 def orbit_weight(lam: Weight, p: int, target: ExtAffine) -> Weight:

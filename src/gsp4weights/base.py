@@ -72,11 +72,6 @@ def std_character(lam: Weight) -> tuple[int, int, int, int]:
     return (lam.a + lam.b + lam.c, lam.a + lam.c, lam.b + lam.c, lam.c)
 
 
-def std_coweight(cov: Coweight) -> tuple[int, int, int, int]:
-    """Diagonal entries' exponents of the cocharacter (d, e; f)."""
-    return (cov.d, cov.e, cov.f - cov.e, cov.f - cov.d)
-
-
 # --- finite Weyl group -------------------------------------------------
 #
 # The 8 elements are interned instances, each carrying its index into
@@ -206,43 +201,11 @@ REFLECTIONS = (
 )
 
 
-def reflection_of_root(i: int) -> FiniteWeyl:
-    return REFLECTIONS[i]
-
-
 def dominant(lam: Weight) -> bool:
     return all(pairing(lam, POSITIVE_COROOTS[i]) >= 0 for i in SIMPLE_INDICES)
 
 
-def dominant_representative(lam: Weight) -> tuple[Weight, FiniteWeyl]:
-    """The dominant Weyl orbit representative, with a w such that w(rep) = lam."""
-    for w in W_ALL:
-        mu = weyl_inv(w).act(lam)
-        if dominant(mu):
-            return mu, w
-    raise AssertionError("orbit misses the dominant chamber")
-
-
-# --- depth and genericity ----------------------------------------------
-
-def is_m_deep(lam: Weight, p: int, m: int) -> bool:
-    """Whether lam lies m-deep in its alcove (relative to the shifted origin).
-
-    For each positive root there must be an integer k with
-    p*k + m < <lam + eta, coroot> < p*(k + 1) - m.
-    """
-    if m < 0:
-        raise ValueError("depth must be nonnegative")
-    for cov in POSITIVE_COROOTS:
-        v = pairing(lam + ETA, cov)
-        ok = False
-        for k in range(v // p - 1, v // p + 2):
-            if p * k + m < v < p * (k + 1) - m:
-                ok = True
-                break
-        if not ok:
-            return False
-    return True
+# --- depth ------------------------------------------------------------
 
 
 def depth(lam: Weight, p: int) -> int:
@@ -267,20 +230,6 @@ def lowest_alcove_depth(lam: Weight, p: int) -> int:
     return best - 1
 
 
-def is_m_generic(lam: Weight, p: int, m: int) -> bool:
-    """Whether |<lam, coroot> + p*k| > m for every root and integer k."""
-    if m < 0:
-        raise ValueError("genericity bound must be nonnegative")
-    for cov in POSITIVE_COROOTS:
-        v = pairing(lam, cov)
-        for sv in (v, -v):
-            k0 = -sv // p
-            for k in range(k0 - 1, k0 + 2):
-                if abs(sv + p * k) <= m:
-                    return False
-    return True
-
-
 def max_presentation_depth(p: int) -> int:
     """Largest m so that some m-deep p-restricted weight exists.
 
@@ -288,14 +237,6 @@ def max_presentation_depth(p: int) -> int:
     3*(m+1) <= v3 <= p - m - 1, i.e. m <= (p - 4) / 4.
     """
     return (p - 4) // 4
-
-
-def deep_weight_example(p: int, m: int) -> Weight:
-    """A concrete m-deep weight with b = m, a = 2m, c = 0."""
-    lam = Weight(2 * m, m, 0)
-    if not is_m_deep(lam, p, m):
-        raise ValueError("no weight of the standard shape is %d-deep for p=%d" % (m, p))
-    return lam
 
 
 def _selfcheck() -> None:

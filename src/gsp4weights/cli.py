@@ -13,10 +13,9 @@ import random
 import sys
 from dataclasses import dataclass
 
-from .base import ETA, Weight, pairing, weyl_from_word, POSITIVE_COROOTS, W_ALL
+from .base import ETA, Weight, pairing, weyl_from_word, POSITIVE_COROOTS
 from .affine import (
     RESTRICTED_ALCOVES,
-    alcove_of,
     dual_length,
     length,
     translation,
@@ -26,7 +25,6 @@ from .admissible import (
     adm_dual_set,
     adm_set,
     adm_set_oracle,
-    colength_one_split,
     elem_sort_key,
     is_regular_element,
 )
@@ -40,7 +38,7 @@ from .weights import (
     w_question,
 )
 from .adjacency import build_graph, find_chain
-from .cycles import bm_cycle, bm_sum, classify_embedding_shape, colength_one_components
+from .cycles import bm_cycle, bm_sum, colength_one_components
 from .exactalg import QQ, PrimeField, _is_prime
 from .localmodel import (
     MonodromyParams,
@@ -72,14 +70,19 @@ commands:
   localmodel  local model hooks (--verify-regcolone [--draws N] |
               --shape FILE --q Q)
 
-common options: --fmt json|table|dot, and where read: --p P (selfcheck,
-  weights, graph, cycles, localmodel --verify-regcolone), --f N (ap),
-  --seed S (localmodel --verify-regcolone)
+common options: --fmt table|json|dot where written (selfcheck: table only;
+  dot: graph only), and where read: --p P (selfcheck, weights, graph,
+  cycles, localmodel --verify-regcolone), --f N (ap), --seed S (localmodel
+  --verify-regcolone)
 """
 
 # The common flags each command reads
 _READS = {"selfcheck": ("p",), "adm": (), "ap": ("f",), "weights": ("p",), "graph": ("p",),
           "cycles": ("p",), "localmodel": ("p", "seed"), "localmodel --shape": ()}
+# The output formats each command writes
+_FORMATS = {"selfcheck": ("table",), "adm": ("table", "json"), "ap": ("table", "json"),
+            "weights": ("table", "json"), "graph": ("table", "json", "dot"),
+            "cycles": ("table", "json"), "localmodel": ("table", "json")}
 
 
 @dataclass(frozen=True)
@@ -176,18 +179,6 @@ def load_presentation(path: str, expect_p: int | None = None,
         if not (isinstance(m, list) and len(m) == 3 and all(_is_json_int(v) for v in m)):
             raise ValueError("%s: mu entry %s is not three integers" % (path, json.dumps(m)))
     return TamePresentation(kind, tuple(s), tuple(Weight(*m) for m in mus), p)
-
-
-def save_presentation(pres: TamePresentation, path: str) -> None:
-    obj = {
-        "schema": "gsp4weights/presentation/1",
-        "kind": pres.kind,
-        "p": pres.p,
-        "s": [w.word for w in pres.s],
-        "mu": [[m.a, m.b, m.c] for m in pres.mu],
-    }
-    with open(path, "w") as fh:
-        fh.write(_dump(obj) + "\n")
 
 
 def load_matrix(path: str, field) -> PolyMat:
@@ -634,8 +625,9 @@ def run(command: str, cfg: RunConfig, args) -> int:
         return 64
     try:
         cfg.validate()
-        if cfg.fmt == "dot" and command != "graph":
-            raise ValueError("dot output is only available for the graph command")
+        if cfg.fmt not in _FORMATS[command]:
+            raise ValueError("--fmt %s is not available for %s; only for %s" % (
+                cfg.fmt, command, ", ".join(c for c in COMMANDS if cfg.fmt in _FORMATS[c])))
         _reject_unread_flags(command, args)
         lines = _RUNNERS[command](cfg, args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

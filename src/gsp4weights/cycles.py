@@ -3,8 +3,8 @@
 Cycles are finitely supported integer combinations of Serre weights, one
 basis label per irreducible component.  The module provides the two-term
 cycle attached to a weight with a second-alcove embedding, Weyl-module
-classes in the Grothendieck group, the upper-arrow support bound, and the
-component count for extremal and colength-one configurations.
+classes in the Grothendieck group, and the component count for extremal
+and colength-one configurations.
 """
 
 from __future__ import annotations
@@ -23,7 +23,6 @@ from .affine import (
     W0,
     alcove_of,
     compose_all,
-    diamond,
     elem_of_alcove,
     in_omega,
     invert,
@@ -42,9 +41,6 @@ from .weights import (
     intersect_w_jh,
     is_p_restricted,
     jh_set,
-    type_from_target,
-    w_question_set,
-    weight_class_arrow_leq,
 )
 
 log = logging.getLogger(__name__)
@@ -221,29 +217,6 @@ def weyl_class(lam, p: int) -> GrothendieckClass:
     )
 
 
-# --- support bound ----------------------------------------------------------
-
-
-def support_upper_bound(sigma: SerreWeight) -> frozenset[SerreWeight]:
-    """All p-restricted weights arrow-below sigma: per embedding, the orbit
-    points in the restricted alcoves below its own."""
-    p = sigma.p
-    per_part = []
-    for lam in sigma.parts:
-        cand = [
-            kappa
-            for kappa in restricted_chain(lam, p)
-            if is_p_restricted(kappa, p)
-        ]
-        per_part.append(tuple(cand))
-    out = set()
-    for combo in product(*per_part):
-        kappa = SerreWeight.make(p, combo)
-        assert weight_class_arrow_leq(kappa, sigma)
-        out.add(kappa)
-    return frozenset(out)
-
-
 # --- colength-one component counts ------------------------------------------
 
 
@@ -357,32 +330,3 @@ def bm_sum(lam, tau: TamePresentation, n_table=None) -> BMSumResult:
             total = total + n * bm_cycle(sigma)
     return BMSumResult(total, assumptions)
 
-
-@dataclass(frozen=True)
-class ObviousConsistencyReport:
-    expected: frozenset[SerreWeight]
-    restricted_support: frozenset[SerreWeight]
-
-    @property
-    def discrepancy(self) -> frozenset[SerreWeight]:
-        return self.restricted_support - self.expected
-
-
-def obvious_bm_report(rhobar: TamePresentation, ws) -> ObviousConsistencyReport:
-    """Consistency of the default-multiplicity sum with the single-component
-    count for the obvious type of a finite Weyl tuple: the predicted part of
-    the sum's support must contain the singleton intersection.  Any surplus
-    is reported, never asserted away."""
-    g = tuple(
-        compose_all(invert(diamond(w)), invert(HIGHEST_RESTRICTED), W0, diamond(w))
-        for w in ws
-    )
-    tau = type_from_target(rhobar, g)
-    expected = intersect_w_jh(rhobar, tau)
-    if len(expected) != 1:
-        raise AssertionError("obvious type must meet the predicted set once")
-    res = bm_sum(None, tau)
-    restricted = frozenset(res.cycle.support()) & w_question_set(rhobar)
-    if not expected <= restricted:
-        raise AssertionError("the obvious weight is missing from the cycle sum")
-    return ObviousConsistencyReport(expected, restricted)

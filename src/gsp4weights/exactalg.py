@@ -481,35 +481,6 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return a
 
 
-def root_multiplicity(a: LaurentPoly, r) -> int:
-    """Multiplicity of the nonzero scalar r as a root of a."""
-    if a.is_zero:
-        raise ValueError("zero polynomial has roots of infinite multiplicity")
-    f = a.field
-    r = f.coerce(r) if not _is_scalar_of(f, r) else r
-    if f.is_zero(r):
-        raise ValueError("use low_degree for the valuation at v=0")
-    lin = LaurentPoly(f, {1: f.one, 0: f.neg(r)})
-    mult = 0
-    cur = a.shift(-a.low_degree)
-    while True:
-        q, rem = divmod_poly(cur, lin)
-        if not rem.is_zero:
-            return mult
-        mult += 1
-        cur = q
-
-
-def e_valuation(a: LaurentPoly, p: int):
-    """Order of vanishing at the uniformizer E: v = -p in characteristic 0,
-    v = 0 in characteristic p.  None for the zero polynomial."""
-    if a.is_zero:
-        return None
-    if a.field.char == 0:
-        return root_multiplicity(a, Fraction(-p))
-    return a.low_degree
-
-
 # ---------------------------------------------------------------------------
 # fraction field
 

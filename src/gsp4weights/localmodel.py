@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .base import FiniteWeyl, W_ALL, W_E, W_LONG, W_S1, W_S2, Weight, std_character
+from .base import FiniteWeyl, W_ALL, W_E, W_S1, W_S2, Weight, std_character
 from .affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -834,14 +834,6 @@ def regcolone_coordinates(params: RegColOneParams, p: int) -> dict:
         "y": y,
         "xy": f.mul(params.c00, y),
     }
-
-
-# free-parameter counts of the parabolic factorization: the torus case
-# is a 4-dimensional affine space; the colength-one case contributes 3
-# affine coordinates plus the X_p fiber {x*y = p}
-FREE_PARAMS_T = 4
-REGCOLONE_AFFINE_COORDS = ("c21", "c13", "c31")
-REGCOLONE_XP_COORDS = ("c00", "y")
 
 
 # ---------------------------------------------------------------------------

@@ -21,13 +21,11 @@ from .base import (
     Weight,
     depth as weight_depth,
     lowest_alcove_depth,
-    max_presentation_depth,
     pairing,
 )
 from .config import WEIGHT_DEPTH, derived_depth_bound
 from .affine import (
     HIGHEST_RESTRICTED,
-    IDENTITY,
     ExtAffine,
     W0,
     alcove_of,
@@ -40,16 +38,12 @@ from .affine import (
     invert,
     is_dominant_element,
     is_restricted_element,
-    length,
-    locate_weight,
-    normalize_c,
     omega_part,
     p_dot,
     translation,
     upper_arrow_leq,
-    upper_arrow_leq_alcove,
 )
-from .admissible import adm_set, elem_sort_key, is_regular_element
+from .admissible import adm_set, elem_sort_key
 
 log = logging.getLogger(__name__)
 
@@ -66,11 +60,6 @@ def t_compose(x: TupleElt, y: TupleElt) -> TupleElt:
 
 def t_invert(x: TupleElt) -> TupleElt:
     return tuple(invert(a) for a in x)
-
-
-def rotate_left(x: tuple) -> tuple:
-    """The index shift (pi x)_j = x_(j+1)."""
-    return x[1:] + x[:1]
 
 
 # --- Serre weight normal form --------------------------------------------
@@ -167,78 +156,7 @@ class SerreWeight:
         return "F(" + " | ".join("%d,%d,%d" % tuple(lam) for lam in self.parts) + ")"
 
 
-def alcove_shift(sigma: SerreWeight) -> SerreWeight:
-    """The bijection F(lam) -> F(highest_restricted . lam) on regular weights."""
-    if not sigma.is_regular():
-        raise ValueError("alcove shift is only defined for regular weights")
-    parts = tuple(p_dot(HIGHEST_RESTRICTED, lam, sigma.p) for lam in sigma.parts)
-    return SerreWeight.make(sigma.p, parts)
-
-
-def alcove_shift_inv(sigma: SerreWeight) -> SerreWeight:
-    parts = tuple(p_dot(invert(HIGHEST_RESTRICTED), lam, sigma.p) for lam in sigma.parts)
-    out = SerreWeight.make(sigma.p, parts)
-    if not out.is_regular():
-        raise ValueError("inverse alcove shift left the regular range")
-    return out
-
-
 # --- presentations --------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class LowestAlcovePresentation:
-    w1: TupleElt
-    omega: tuple[Weight, ...]
-
-    @property
-    def f(self) -> int:
-        return len(self.w1)
-
-
-def _check_theta(theta: Weight, p: int) -> Weight:
-    if lowest_alcove_depth(theta, p) < 0:
-        raise GenericityError("omega - eta must lie inside the lowest alcove")
-    return theta
-
-
-def _dot_part(y: ExtAffine, theta: Weight, p: int) -> Weight:
-    """One weight part y . theta, for a restricted y."""
-    if not is_restricted_element(y):
-        raise ValueError("presentation element is not restricted")
-    lam = p_dot(y, theta, p)
-    if not is_p_restricted(lam, p):
-        raise ValueError("presentation out of range")
-    return lam
-
-
-def serre_weight_of_presentation(pres: LowestAlcovePresentation, p: int) -> SerreWeight:
-    """F of a presentation: rotate the element tuple one step, then apply
-    the p-dot action to omega - eta componentwise."""
-    f = pres.f
-    parts = tuple(
-        _dot_part(pres.w1[(j - 1) % f], _check_theta(pres.omega[j] - ETA, p), p)
-        for j in range(f)
-    )
-    return SerreWeight.make(p, parts)
-
-
-def presentation_of(sigma: SerreWeight) -> LowestAlcovePresentation:
-    """The canonical lowest alcove presentation of a weight whose parts
-    are deep enough to sit inside open restricted alcoves."""
-    p = sigma.p
-    u = [locate_weight(lam, p) for lam in sigma.parts]
-    for x in u:
-        if not is_restricted_element(x):
-            raise ValueError("weight part outside the open restricted range")
-    w1 = tuple(normalize_c(rotate_left(tuple(u))[j])[0] for j in range(sigma.f))
-    omega = tuple(
-        ETA + p_dot(invert(w1[(j - 1) % sigma.f]), sigma.parts[j], p)
-        for j in range(sigma.f)
-    )
-    pres = LowestAlcovePresentation(w1, omega)
-    assert serre_weight_of_presentation(pres, p) == sigma
-    return pres
 
 
 @dataclass(frozen=True)
@@ -307,11 +225,6 @@ def type_from_target(rhobar: TamePresentation, g: TupleElt) -> TamePresentation:
             rhobar.depth(),
         )
     return tau
-
-
-def param_from_target(rhobar: TamePresentation, g: TupleElt) -> TamePresentation:
-    wt = t_compose(rhobar.w_tilde(), t_invert(g))
-    return presentation_from_w_tilde("param", wt, rhobar.p)
 
 
 # --- AP pairs --------------------------------------------------------------
@@ -385,13 +298,6 @@ def enumerate_ap_prime(f: int) -> tuple[APPair, ...]:
     return _enumerate_pairs(_ap_prime_pairs_single(), "AP'", f)
 
 
-def ap_target(pair: APPair) -> TupleElt:
-    """The admissible element w2^(-1) w0 w1 attached to an AP pair."""
-    return tuple(
-        compose_all(invert(b), W0, a) for a, b in zip(pair.w1, pair.w2, strict=True)
-    )
-
-
 # --- the two weight bijections ---------------------------------------------
 #
 # F_tau (on AP pairs) and F_rhobar (on AP' pairs) are one map with the two
@@ -411,7 +317,20 @@ def _require_depth(pres: TamePresentation, m: int) -> None:
 
 
 def _theta(wt_j: ExtAffine, x: ExtAffine, p: int) -> Weight:
-    return _check_theta(compose(wt_j, invert(x)).nu - ETA, p)
+    theta = compose(wt_j, invert(x)).nu - ETA
+    if lowest_alcove_depth(theta, p) < 0:
+        raise GenericityError("omega - eta must lie inside the lowest alcove")
+    return theta
+
+
+def _dot_part(y: ExtAffine, theta: Weight, p: int) -> Weight:
+    """One weight part y . theta, for a restricted y."""
+    if not is_restricted_element(y):
+        raise ValueError("presentation element is not restricted")
+    lam = p_dot(y, theta, p)
+    if not is_p_restricted(lam, p):
+        raise ValueError("presentation out of range")
+    return lam
 
 
 def _weight_at(pres: TamePresentation, xs: TupleElt, ys: TupleElt) -> SerreWeight:
@@ -438,11 +357,11 @@ class _SlotKernel:
     a single whose y is the i-th distinct one: (distinct y) x (singles)
     p-dot evaluations per slot instead of f * singles^f.  At f = 1 slot
     j - 1 is slot j, so only the entries whose i is k's own y are evaluated
-    (the others are None).  Every check of serre_weight_of_presentation
-    runs on every entry.  Of these checks only the lowest-alcove one on
-    theta can fail (each y is restricted, and y . theta is then
-    p-restricted), so the first failure raised here is the one that
-    evaluating the tuples one by one raises.
+    (the others are None).  The checks of `_theta` and `_dot_part` run on
+    every entry.  Of these only the lowest-alcove check on theta can fail
+    (each y is restricted, and y . theta is then p-restricted), so the
+    first failure raised here is the one that evaluating the tuples one by
+    one raises.
     """
 
     def __init__(self, pres: TamePresentation, kind: str, min_depth: int):
@@ -558,17 +477,6 @@ def obvious_weights(
     return out
 
 
-def outer_weights(tau: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:
-    """F_tau on the pairs (w_diamond, highest * w_diamond)."""
-    table = jh_factors(tau)
-    out = {}
-    for ws in product(W_ALL, repeat=tau.f):
-        w1 = tuple(diamond(w) for w in ws)
-        w2 = tuple(compose(HIGHEST_RESTRICTED, d) for d in w1)
-        out[ws] = table[APPair(w1, w2, "AP")]
-    return out
-
-
 def outer_weight_at(
     tau: TamePresentation, ws: tuple[FiniteWeyl, ...], min_depth: int = WEIGHT_DEPTH
 ) -> SerreWeight:
@@ -605,63 +513,3 @@ def predicted_pair_of_weight(
         inv[sigma] = pair
     return inv
 
-
-def param_of_reduction(rhobar: TamePresentation) -> TamePresentation:
-    """The type presentation with the same data, for reductions of
-    parameter-level objects."""
-    return TamePresentation("type", rhobar.s, rhobar.mu, rhobar.p)
-
-
-def predicted_set_via_shift(rhobar: TamePresentation) -> frozenset[SerreWeight]:
-    """Cross-check: the predicted set equals the alcove shift of the JH
-    set of the reduction."""
-    tau = param_of_reduction(rhobar)
-    return frozenset(alcove_shift(sigma) for sigma in jh_set(tau))
-
-
-def weight_class_arrow_leq(sigma: SerreWeight, sigma0: SerreWeight) -> bool:
-    """Arrow order on weight classes: some representatives are linked
-    componentwise with arrow-related alcoves, allowing one central-lattice
-    adjustment across all embeddings."""
-    if sigma.p != sigma0.p or sigma.f != sigma0.f:
-        return False
-    p = sigma.p
-    shifts = []
-    for lam, mu in zip(sigma.parts, sigma0.parts):
-        u = locate_weight(lam, p)
-        v = locate_weight(mu, p)
-        moved = p_dot(compose(v, invert(u)), lam, p)
-        if (moved.a, moved.b) != (mu.a, mu.b):
-            return False
-        if not upper_arrow_leq_alcove(alcove_of(u), alcove_of(v)):
-            return False
-        shifts.append(moved.c - mu.c)
-    return normalize_central(tuple(shifts), p) == (0,) * sigma.f
-
-
-# --- random sampling for tests and self-checks -----------------------------
-
-
-def random_deep_presentation(p, f, min_depth, rng, kind="type") -> TamePresentation:
-    """Seeded sampler for presentations of at least the given depth.
-
-    Draws mu + eta = (x, y; *) directly from the region where the four
-    functionals x - y, y, x + y, x all lie in (min_depth, p - min_depth),
-    so it works even when that region is a handful of points.
-    """
-    m = min_depth
-    if m > max_presentation_depth(p):
-        raise GenericityError(
-            "no %d-deep presentation exists for p=%d" % (min_depth, p)
-        )
-    s = tuple(rng.choice(W_ALL) for _ in range(f))
-    mu = []
-    while len(mu) < f:
-        y = rng.randrange(m + 1, p - m)
-        if y + m + 1 > p - m - 1 - y:
-            continue
-        x = rng.randrange(y + m + 1, p - m - y)
-        cand = Weight(x - 2, y - 1, rng.randrange(-2, 3))
-        assert lowest_alcove_depth(cand, p) >= m
-        mu.append(cand)
-    return TamePresentation(kind, s, tuple(mu), p)

@@ -1,0 +1,127 @@
+"""Cross-checks and a sampler built from the library's own maps.
+
+Unlike `oracles.py`, these call the library: they relate its weight maps,
+cycle sums and arrow order to each other rather than to an independent
+definition.
+"""
+
+from __future__ import annotations
+
+from dataclasses import dataclass
+from itertools import product
+
+from gsp4weights.base import W_ALL, Weight, lowest_alcove_depth, max_presentation_depth
+from gsp4weights.affine import (
+    HIGHEST_RESTRICTED,
+    W0,
+    alcove_of,
+    compose,
+    compose_all,
+    diamond,
+    invert,
+    locate_weight,
+    p_dot,
+    upper_arrow_leq_alcove,
+)
+from gsp4weights.cycles import bm_sum, restricted_chain
+from gsp4weights.weights import (
+    GenericityError,
+    SerreWeight,
+    TamePresentation,
+    intersect_w_jh,
+    is_p_restricted,
+    normalize_central,
+    type_from_target,
+    w_question_set,
+)
+
+
+def random_deep_presentation(p, f, min_depth, rng, kind="type") -> TamePresentation:
+    """Seeded sampler for presentations of at least the given depth.
+
+    Draws mu + eta = (x, y; *) directly from the region where the four
+    functionals x - y, y, x + y, x all lie in (min_depth, p - min_depth),
+    so it works even when that region is a handful of points.
+    """
+    m = min_depth
+    if m > max_presentation_depth(p):
+        raise GenericityError(
+            "no %d-deep presentation exists for p=%d" % (min_depth, p)
+        )
+    s = tuple(rng.choice(W_ALL) for _ in range(f))
+    mu = []
+    while len(mu) < f:
+        y = rng.randrange(m + 1, p - m)
+        if y + m + 1 > p - m - 1 - y:
+            continue
+        x = rng.randrange(y + m + 1, p - m - y)
+        cand = Weight(x - 2, y - 1, rng.randrange(-2, 3))
+        assert lowest_alcove_depth(cand, p) >= m
+        mu.append(cand)
+    return TamePresentation(kind, s, tuple(mu), p)
+
+
+def weight_class_arrow_leq(sigma: SerreWeight, sigma0: SerreWeight) -> bool:
+    """Arrow order on weight classes: some representatives are linked
+    componentwise with arrow-related alcoves, allowing one central-lattice
+    adjustment across all embeddings."""
+    if sigma.p != sigma0.p or sigma.f != sigma0.f:
+        return False
+    p = sigma.p
+    shifts = []
+    for lam, mu in zip(sigma.parts, sigma0.parts):
+        u = locate_weight(lam, p)
+        v = locate_weight(mu, p)
+        moved = p_dot(compose(v, invert(u)), lam, p)
+        if (moved.a, moved.b) != (mu.a, mu.b):
+            return False
+        if not upper_arrow_leq_alcove(alcove_of(u), alcove_of(v)):
+            return False
+        shifts.append(moved.c - mu.c)
+    return normalize_central(tuple(shifts), p) == (0,) * sigma.f
+
+
+def support_upper_bound(sigma: SerreWeight) -> frozenset[SerreWeight]:
+    """All p-restricted weights arrow-below sigma: per embedding, the orbit
+    points in the restricted alcoves below its own."""
+    p = sigma.p
+    per_part = [
+        tuple(kappa for kappa in restricted_chain(lam, p) if is_p_restricted(kappa, p))
+        for lam in sigma.parts
+    ]
+    out = set()
+    for combo in product(*per_part):
+        kappa = SerreWeight.make(p, combo)
+        assert weight_class_arrow_leq(kappa, sigma)
+        out.add(kappa)
+    return frozenset(out)
+
+
+@dataclass(frozen=True)
+class ObviousConsistencyReport:
+    expected: frozenset[SerreWeight]
+    restricted_support: frozenset[SerreWeight]
+
+    @property
+    def discrepancy(self) -> frozenset[SerreWeight]:
+        return self.restricted_support - self.expected
+
+
+def obvious_bm_report(rhobar: TamePresentation, ws) -> ObviousConsistencyReport:
+    """Consistency of the default-multiplicity sum with the single-component
+    count for the obvious type of a finite Weyl tuple: the predicted part of
+    the sum's support must contain the singleton intersection.  Any surplus
+    is reported, never asserted away."""
+    g = tuple(
+        compose_all(invert(diamond(w)), invert(HIGHEST_RESTRICTED), W0, diamond(w))
+        for w in ws
+    )
+    tau = type_from_target(rhobar, g)
+    expected = intersect_w_jh(rhobar, tau)
+    if len(expected) != 1:
+        raise AssertionError("obvious type must meet the predicted set once")
+    res = bm_sum(None, tau)
+    restricted = frozenset(res.cycle.support()) & w_question_set(rhobar)
+    if not expected <= restricted:
+        raise AssertionError("the obvious weight is missing from the cycle sum")
+    return ObviousConsistencyReport(expected, restricted)

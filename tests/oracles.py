@@ -2,6 +2,7 @@
 
 - Weyl words act letter by letter through the coordinate formulas of the
   simple reflections; the library's group tables must agree with them.
+  Depth and genericity are read off their definitions by root pairings.
 - Alcoves are exact rational barycenters (the base alcove has barycenter
   (1/2, 1/6)), and lengths count the root hyperplanes strictly between
   two barycenters; the library's alcoves are these barycenters scaled by
@@ -13,14 +14,20 @@ affine simple reflections with the library's `compose`, whose products
 the table tests check.
 - F_tau and F_rhobar evaluate every pair tuple in full through
   `serre_weight_of_presentation`, the definition of the weight of one
-  lowest alcove presentation; the library's slot-wise kernel must give the
-  same tables, the same intersections and the same errors.
+  lowest alcove presentation, with the p-dot action through words and
+  restrictedness read off barycenters; the library's slot-wise kernel
+  must give the same tables, the same intersections and the same errors.
+  The alcove shift maps the JH set of a parameter's reduction onto its
+  predicted set.
 - E(v)-elementary divisors come from the determinantal divisors: the
   minimum E-valuation of the k x k minors, over all 69 minors of a 4 x 4
   matrix.  Iwahori shapes come from valuation-pivot elimination at the
   full precision val(det) + (largest degree) + 4 with exact series
   division.  The library's local elimination kernel, which works at
   precision val(det) + 1, must give the same patterns and shapes.
+
+Checks that are built from the library's own maps live in
+`crosschecks.py`, so that everything here stays a definition.
 """
 
 from __future__ import annotations
@@ -29,8 +36,11 @@ import itertools
 import math
 from fractions import Fraction
 
-from gsp4weights.base import ETA, W_ALL, Coweight, Weight
+from dataclasses import dataclass
+
+from gsp4weights.base import ETA, POSITIVE_COROOTS, W_ALL, Coweight, Weight, pairing
 from gsp4weights.affine import (
+    HIGHEST_RESTRICTED,
     IDENTITY,
     S0,
     S1,
@@ -41,14 +51,14 @@ from gsp4weights.affine import (
     invert,
     translation,
 )
-from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, e_valuation
+from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, divmod_poly
 from gsp4weights.localmodel import weyl_matrix
 from gsp4weights.weights import (
     GenericityError,
-    LowestAlcovePresentation,
+    SerreWeight,
+    TamePresentation,
     enumerate_ap,
     enumerate_ap_prime,
-    serre_weight_of_presentation,
 )
 
 
@@ -91,6 +101,43 @@ COWEIGHT_BASIS = (Coweight(1, 0, 0), Coweight(0, 1, 0), Coweight(0, 0, 1))
 def word_images(word: str) -> tuple[Weight, Weight, Weight]:
     """Images of the character basis: they determine the element."""
     return tuple(word_act(word, e) for e in CHAR_BASIS)  # type: ignore[return-value]
+
+
+def std_coweight(cov: Coweight) -> tuple[int, int, int, int]:
+    """Exponents of the diagonal entries of the cocharacter (d, e; f)."""
+    return (cov.d, cov.e, cov.f - cov.e, cov.f - cov.d)
+
+
+# --- depth and genericity by their definitions ----------------------------
+
+
+def is_m_deep(lam: Weight, p: int, m: int) -> bool:
+    """Whether lam lies m-deep in its alcove (relative to the shifted origin).
+
+    For each positive root there must be an integer k with
+    p*k + m < <lam + eta, coroot> < p*(k + 1) - m.
+    """
+    if m < 0:
+        raise ValueError("depth must be nonnegative")
+    for cov in POSITIVE_COROOTS:
+        v = pairing(lam + ETA, cov)
+        if not any(p * k + m < v < p * (k + 1) - m for k in range(v // p - 1, v // p + 2)):
+            return False
+    return True
+
+
+def is_m_generic(lam: Weight, p: int, m: int) -> bool:
+    """Whether |<lam, coroot> + p*k| > m for every root and integer k."""
+    if m < 0:
+        raise ValueError("genericity bound must be nonnegative")
+    for cov in POSITIVE_COROOTS:
+        v = pairing(lam, cov)
+        for sv in (v, -v):
+            k0 = -sv // p
+            for k in range(k0 - 1, k0 + 2):
+                if abs(sv + p * k) <= m:
+                    return False
+    return True
 
 
 # --- alcoves as rational barycenters ------------------------------------
@@ -270,6 +317,78 @@ def adm_set(lam: Weight) -> frozenset[ExtAffine]:
     return levi_adm_set(lam, LEVI_G)
 
 
+# --- the weight of a lowest alcove presentation ---------------------------
+
+
+@dataclass(frozen=True)
+class LowestAlcovePresentation:
+    w1: tuple[ExtAffine, ...]
+    omega: tuple[Weight, ...]
+
+
+def p_dot(x: ExtAffine, lam: Weight, p: int) -> Weight:
+    """(t_nu w) . lam = w(lam + eta) + p*nu - eta, w acting through its word."""
+    return word_act(x.w.word, lam + ETA) + x.nu.scale(p) - ETA
+
+
+def serre_weight_of_presentation(pres: LowestAlcovePresentation, p: int) -> SerreWeight:
+    """F of a presentation: part j is w1[j - 1] . (omega[j] - eta), where
+    omega - eta lies inside the lowest alcove and each w1 is restricted."""
+    parts = []
+    for j, omega in enumerate(pres.omega):
+        if not all(0 < pairing(omega, cov) < p for cov in POSITIVE_COROOTS):
+            raise GenericityError("omega - eta must lie inside the lowest alcove")
+        y = pres.w1[j - 1]
+        if not is_restricted(y):
+            raise ValueError("presentation element is not restricted")
+        lam = p_dot(y, omega - ETA, p)
+        if not all(0 <= pairing(lam, cov) < p for cov in POSITIVE_COROOTS[:2]):
+            raise ValueError("presentation out of range")
+        parts.append(lam)
+    return SerreWeight.make(p, tuple(parts))
+
+
+def presentation_of(sigma: SerreWeight) -> LowestAlcovePresentation:
+    """The canonical lowest alcove presentation of a weight whose parts
+    sit inside open restricted alcoves: w1[j] is the element of the alcove
+    of part j + 1, with its c-coordinate dropped."""
+    p = sigma.p
+    u = [locate_weight(lam, p) for lam in sigma.parts]
+    if not all(is_restricted(x) for x in u):
+        raise ValueError("weight part outside the open restricted range")
+    w1 = tuple(ExtAffine(Weight(x.nu.a, x.nu.b, 0), x.w) for x in u[1:] + u[:1])
+    omega = tuple(ETA + p_dot(invert(w1[j - 1]), lam, p) for j, lam in enumerate(sigma.parts))
+    pres = LowestAlcovePresentation(w1, omega)
+    assert serre_weight_of_presentation(pres, p) == sigma
+    return pres
+
+
+def alcove_shift(sigma: SerreWeight) -> SerreWeight:
+    """The bijection F(lam) -> F(highest_restricted . lam) on regular weights."""
+    if not sigma.is_regular():
+        raise ValueError("alcove shift is only defined for regular weights")
+    return SerreWeight.make(sigma.p, tuple(p_dot(HIGHEST_RESTRICTED, lam, sigma.p)
+                                           for lam in sigma.parts))
+
+
+def alcove_shift_inv(sigma: SerreWeight) -> SerreWeight:
+    out = SerreWeight.make(sigma.p, tuple(p_dot(invert(HIGHEST_RESTRICTED), lam, sigma.p)
+                                          for lam in sigma.parts))
+    if not out.is_regular():
+        raise ValueError("inverse alcove shift left the regular range")
+    return out
+
+
+def param_of_reduction(rhobar: TamePresentation) -> TamePresentation:
+    """The type presentation with the same data as a parameter."""
+    return TamePresentation("type", rhobar.s, rhobar.mu, rhobar.p)
+
+
+def predicted_set_via_shift(rhobar: TamePresentation) -> frozenset[SerreWeight]:
+    """The predicted set as the alcove shift of the JH set of the reduction."""
+    return frozenset(alcove_shift(s) for s in jh_factors(param_of_reduction(rhobar)).values())
+
+
 # --- the weight maps by brute force ---------------------------------------
 
 
@@ -321,6 +440,35 @@ def minor_det(rows):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def root_multiplicity(a: LaurentPoly, r) -> int:
+    """Multiplicity of the nonzero scalar r as a root of a."""
+    if a.is_zero:
+        raise ValueError("zero polynomial has roots of infinite multiplicity")
+    f = a.field
+    r = f.coerce(r)
+    if f.is_zero(r):
+        raise ValueError("use low_degree for the valuation at v=0")
+    lin = LaurentPoly(f, {1: f.one, 0: f.neg(r)})
+    mult = 0
+    cur = a.shift(-a.low_degree)
+    while True:
+        q, rem = divmod_poly(cur, lin)
+        if not rem.is_zero:
+            return mult
+        mult += 1
+        cur = q
+
+
+def e_valuation(a: LaurentPoly, p: int):
+    """Order of vanishing at the uniformizer E: v = -p in characteristic 0,
+    v = 0 in characteristic p.  None for the zero polynomial."""
+    if a.is_zero:
+        return None
+    if a.field.char == 0:
+        return root_multiplicity(a, Fraction(-p))
+    return a.low_degree
 
 
 def e_divisor_pattern(A, p):

@@ -13,13 +13,13 @@ from gsp4weights.base import (
     ETA,
     POSITIVE_COROOTS,
     POSITIVE_ROOTS,
+    REFLECTIONS,
     W_ALL,
     W_E,
     W_S1,
     Weight,
     max_presentation_depth,
     pairing,
-    reflection_of_root,
     std_character,
     weyl_inv,
     weyl_mul,
@@ -41,12 +41,9 @@ from gsp4weights.affine import (
     dominant_down_set,
     elem_of_alcove,
     finite,
-    functional_values,
     in_omega,
     invert,
     length,
-    locate_point,
-    normalize_c,
     omega_part,
     orbit_weight,
     restricted_alcove_index,
@@ -79,7 +76,6 @@ from gsp4weights.weights import (
     jh_factors,
     jh_set,
     obvious_weights,
-    random_deep_presentation,
     type_from_target,
     w_question,
     w_question_set,
@@ -95,7 +91,6 @@ from gsp4weights.cycles import (
 )
 from gsp4weights.exactalg import QQ, PrimeField
 from gsp4weights.localmodel import (
-    MonodromyParams,
     RegColOneParams,
     build_regcolone_matrix,
     dominance_leq,
@@ -111,7 +106,8 @@ from gsp4weights.localmodel import (
     symplectic_similitude,
 )
 
-from oracles import levi_affine_simples
+from crosschecks import random_deep_presentation
+from oracles import levi_affine_simples, locate_point
 
 
 def _report(n, detail, t0, budget):
@@ -143,7 +139,7 @@ def test_criterion_01_root_datum():
                 assert pairing(w.act(lam), w.act_coweight(cov)) == pairing(lam, cov)
     # reflection identities, one per positive root
     for i in range(4):
-        s = reflection_of_root(i)
+        s = REFLECTIONS[i]
         assert weyl_mul(s, s) == W_E
         root, cov = POSITIVE_ROOTS[i], POSITIVE_COROOTS[i]
         for lam in grid:
@@ -232,7 +228,7 @@ def test_criterion_04_admissible_sets():
         for s in (finite(W_ALL[1]), finite(W_ALL[2])):
             family.add(compose_all(invert(d), invert(HIGHEST_RESTRICTED), W0, s, d))
     for x in irr:
-        assert any(normalize_c(x)[0] == normalize_c(y)[0] for y in family)
+        assert any(x.w == y.w and x.nu[:2] == y.nu[:2] for y in family)
     _report(4, "double oracle |Adm|=63, closure, %d reg + %d irr partition" % (len(reg), len(irr)), t0, 60)
 
 

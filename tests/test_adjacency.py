@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gsp4weights.base import Weight, W_ALL, W_S1, W_S2, weyl_mul
+from gsp4weights.base import W_ALL, W_S1, W_S2, weyl_mul
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -16,14 +16,12 @@ from gsp4weights.affine import (
     restricted_alcove_index,
 )
 from gsp4weights.weights import (
-    APPair,
     enumerate_ap_prime,
     intersect_w_jh,
     jh_set,
     obvious_weights,
-    outer_weights,
+    outer_weight_at,
     predicted_pair_of_weight,
-    random_deep_presentation,
     w_question,
     w_question_set,
 )
@@ -36,6 +34,8 @@ from gsp4weights.adjacency import (
     find_chain,
     valid_simples,
 )
+
+from crosschecks import random_deep_presentation
 
 
 def rho41(seed=7):
@@ -133,7 +133,7 @@ def test_edge_endpoints_are_outer_weights():
     for pair in enumerate_ap_prime(1)[::3]:
         for s in valid_simples(pair):
             inst = build_instance(rho, pair, s)
-            outs = set(outer_weights(inst.tau).values())
+            outs = {outer_weight_at(inst.tau, (w,)) for w in W_ALL}
             assert inst.sigma1 in outs and inst.sigma2 in outs
 
 

@@ -7,10 +7,8 @@ from gsp4weights.base import ETA, W_ALL, Weight, weyl_from_word
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     S1,
-    ExtAffine,
     W0,
     compose,
-    compose_all,
     invert,
     length,
     omega_class,
@@ -27,12 +25,10 @@ from gsp4weights.admissible import (
     adm_set,
     adm_set_oracle,
     colength_one_split,
-    eta_translation_elements,
     irregular_family,
     is_regular_element,
     levi_adm_set,
     levi_finite_weyl,
-    levi_length,
     levi_minimal_rep,
     translation_generators,
 )
@@ -73,9 +69,10 @@ def test_adm_eta_counts():
 
 def test_colength_zero_is_translations():
     adm = adm_set(ETA)
-    assert frozenset(adm.of_colength(0)) == eta_translation_elements()
-    assert len(eta_translation_elements()) == 8
-    for t in eta_translation_elements():
+    translations = frozenset(translation(w.act(ETA)) for w in W_ALL)
+    assert frozenset(adm.of_colength(0)) == translations
+    assert len(translations) == 8
+    for t in translations:
         assert is_regular_element(t)
 
 
@@ -112,26 +109,6 @@ def test_dual_set():
 def test_translation_generators_requires_dominant():
     with pytest.raises(ValueError):
         translation_generators(Weight(0, 1, 0))
-
-
-def test_levi_lengths():
-    t_eta = translation(ETA)
-    assert levi_length(t_eta, LEVI_M1) == 1
-    assert levi_length(t_eta, LEVI_M2) == 1
-    assert levi_length(t_eta, LEVI_G) == length(t_eta)
-    assert levi_length(t_eta, LEVI_T) == 0
-    word, rem = oracles.levi_reduced_word(t_eta, LEVI_M1)
-    assert len(word) == 1
-    assert levi_length(rem, LEVI_M1) == 0
-
-
-def test_levi_lengths_against_barycenter_oracle():
-    roots = {LEVI_T: (), LEVI_M1: (0,), LEVI_M2: (1,), LEVI_G: range(4)}
-    for a, b in itertools.product(range(-4, 5), repeat=2):
-        for w in W_ALL:
-            x = ExtAffine(Weight(a, b, 0), w)
-            for levi, idx in roots.items():
-                assert levi_length(x, levi) == oracles.length(x, roots=idx)
 
 
 def test_levi_finite_weyl_sizes():

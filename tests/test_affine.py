@@ -4,7 +4,7 @@ from fractions import Fraction
 
 import pytest
 
-from gsp4weights.base import ETA, W_ALL, W_E, W_LONG, Weight, weyl_from_word
+from gsp4weights.base import ETA, W_ALL, W_LONG, Weight, weyl_from_word
 from gsp4weights.admissible import adm_set, elem_sort_key
 from gsp4weights.affine import (
     AFFINE_SIMPLES,
@@ -33,17 +33,12 @@ from gsp4weights.affine import (
     dual_length,
     elem_of_alcove,
     finite,
-    functional,
     functional_values,
-    in_omega,
     invert,
     is_dominant_element,
-    is_restricted_alcove,
     is_restricted_element,
     length,
-    locate_point,
     locate_weight,
-    normalize_c,
     omega_class,
     omega_part,
     omega_split,
@@ -290,7 +285,7 @@ def test_locate_point_roundtrip():
         assert alcove_of(u) == a
         assert omega_class(u) == 0
     with pytest.raises(ValueError):
-        locate_point((Fraction(1, 2), Fraction(1, 2)))  # on wall x-y=0
+        locate_weight(Weight(1, 2, 0), 7)  # (lam + eta) / 7 on the wall x-y=0
 
 
 def test_locate_weight_and_orbit():
@@ -323,11 +318,11 @@ def test_upper_arrow_elements():
 
 
 def test_normalize_c():
+    # the central translation t_(0,0,c) splits off on either side
     x = ExtAffine(Weight(2, 1, -3), W_LONG)
-    y, k = normalize_c(x)
-    assert k == -3
-    assert y == ExtAffine(Weight(2, 1, 0), W_LONG)
-    assert compose(translation(Weight(0, 0, k)), y) == x
+    y = ExtAffine(Weight(2, 1, 0), W_LONG)
+    central = translation(Weight(0, 0, -3))
+    assert compose(central, y) == x == compose(y, central)
 
 
 def test_functional_values_of_base():
@@ -382,7 +377,7 @@ def test_locate_weight_against_folding_oracle():
 def test_arrow_order_against_barycenter_oracle():
     # a seeded sample of criterion 3's box, at small x so that the
     # oracle's rational searches stay shallow
-    top = alcove_of(locate_point((Fraction(21, 2), Fraction(1, 4))))
+    top = alcove_of(oracles.locate_point((Fraction(21, 2), Fraction(1, 4))))
     band = sorted(a for a in box_down_set(top, 12) if a.x <= 6 * 4)
     sample = random.Random(12).sample(band, 20) + list(RESTRICTED_ALCOVES)
     for a, b in itertools.product(sample, repeat=2):

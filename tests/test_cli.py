@@ -10,7 +10,6 @@ from gsp4weights.cli import (
     load_presentation,
     main,
     run,
-    save_presentation,
 )
 from gsp4weights.exactalg import PrimeField
 from gsp4weights.weights import TamePresentation
@@ -164,6 +163,14 @@ def test_dot_format_rejected_elsewhere(capsys):
     assert code == 2 and "graph" in err
 
 
+@pytest.mark.parametrize("flags", (["--json"], ["--fmt", "json"]))
+def test_selfcheck_has_no_json_output(capsys, flags):
+    code, out, err = capture(capsys, ["selfcheck"] + flags)
+    assert code == 2 and out == ""
+    assert err == "error: --fmt json is not available for selfcheck; only for adm, ap, " \
+        "weights, graph, cycles, localmodel\n"
+
+
 def test_cycles_per_weight_supports(capsys):
     code, out, err = capture(
         capsys, ["cycles", "--tau", fx("tau1.json"), "--json"])
@@ -299,7 +306,9 @@ def test_byte_determinism(capsys):
 def test_presentation_roundtrip(tmp_path):
     pres = load_presentation(fx("rb1.json"))
     path = tmp_path / "copy.json"
-    save_presentation(pres, str(path))
+    path.write_text(json.dumps({
+        "schema": "gsp4weights/presentation/1", "kind": pres.kind, "p": pres.p,
+        "s": [w.word for w in pres.s], "mu": [list(m) for m in pres.mu]}))
     again = load_presentation(str(path))
     assert again == pres
     assert isinstance(again, TamePresentation)

@@ -21,11 +21,9 @@ from gsp4weights.admissible import adm_set, colength_one_split
 from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
-    intersect_w_jh,
     jh_set,
     obvious_weights,
     outer_weight_at,
-    random_deep_presentation,
     type_from_target,
     w_question_set,
 )
@@ -37,10 +35,15 @@ from gsp4weights.cycles import (
     bm_sum,
     classify_embedding_shape,
     colength_one_components,
-    obvious_bm_report,
     restricted_chain,
-    support_upper_bound,
     weyl_class,
+)
+
+from crosschecks import (
+    obvious_bm_report,
+    random_deep_presentation,
+    support_upper_bound,
+    weight_class_arrow_leq,
 )
 
 P = 37
@@ -103,8 +106,6 @@ def test_bm_cycle_second_alcove_two_terms():
     assert cyc.coeff(sigma) == 1
     other = next(s for s in cyc.support() if s != sigma)
     assert weight_alcove_index(other.parts[0], P) == 0
-    from gsp4weights.weights import weight_class_arrow_leq
-
     assert weight_class_arrow_leq(other, sigma)
 
 
@@ -333,14 +334,8 @@ def test_bm_matches_colength_one_when_low():
             assert rep.weights <= restricted
             for kappa in extra:
                 assert any(
-                    weight_class_arrow_leq_guard(kappa, sig)
+                    weight_class_arrow_leq(kappa, sig)
                     for sig in jh_set(tau)
                 )
             found += 1
     assert found
-
-
-def weight_class_arrow_leq_guard(kappa, sigma):
-    from gsp4weights.weights import weight_class_arrow_leq
-
-    return weight_class_arrow_leq(kappa, sigma)

@@ -8,12 +8,12 @@ from gsp4weights.exactalg import (
     PrimeField,
     RatFunc,
     divmod_poly,
-    e_valuation,
     exact_div,
     poly_gcd,
-    root_multiplicity,
     unit_normalize,
 )
+
+from oracles import e_valuation, root_multiplicity
 
 
 def v(field=QQ):

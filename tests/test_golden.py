@@ -41,7 +41,7 @@ def _cases():
         for tag, flags in formats.items():
             cases["%s-%s" % (name, tag)] = argv + flags
 
-    add("selfcheck", ["selfcheck"])
+    add("selfcheck", ["selfcheck"], TABLE)
     add("adm", ["adm"])
     add("adm-dual", ["adm", "--dual"])
     add("adm-310", ["adm", "--lambda", "3,1,0"])

@@ -25,7 +25,6 @@ from gsp4weights.affine import (
     compose_all,
     dual_length,
     finite,
-    in_omega,
     invert,
     omega_part,
     restricted_alcove_index,
@@ -34,11 +33,8 @@ from gsp4weights.affine import (
 )
 from gsp4weights.admissible import adm_dual_set, elem_sort_key
 from gsp4weights.weights import enumerate_ap_prime
-from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, e_valuation
+from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField
 from gsp4weights.localmodel import (
-    FREE_PARAMS_T,
-    REGCOLONE_AFFINE_COORDS,
-    REGCOLONE_XP_COORDS,
     MonodromyParams,
     PolyMat,
     RegColOneParams,
@@ -564,13 +560,6 @@ def test_regcolone_solved_relation():
     assert QQ.sub(coords["xy"], QQ.coerce(P)) == QQ.zero
     assert coords["x"] == sp.c00
     assert set(coords) == {"z1", "z2", "z3", "x", "y", "xy"}
-
-
-def test_regcolone_free_coordinate_count():
-    assert FREE_PARAMS_T == 4
-    assert REGCOLONE_AFFINE_COORDS == ("c21", "c13", "c31")
-    assert REGCOLONE_XP_COORDS == ("c00", "y")
-    assert len(REGCOLONE_AFFINE_COORDS) + len(REGCOLONE_XP_COORDS) == 5
 
 
 def test_regcolone_admissible_similitude():

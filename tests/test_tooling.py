@@ -1,8 +1,12 @@
-"""The benchmark under perfbench/ imports the package by module and name.
+"""Rules on the shape of the package that no behavioural test sees.
 
+The benchmark under perfbench/ imports the package by module and name.
 These tests read perfbench without changing it, so that deleting or
-renaming a module, function or cache the benchmark uses fails here rather
-than in a benchmark run.
+renaming a module, function, class or cache the benchmark uses fails here
+rather than in a benchmark run.
+
+Every top-level function and class in src/ must be reachable from
+something the program runs; test-only helpers live under tests/.
 """
 
 import ast
@@ -14,6 +18,41 @@ import sys
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PERFBENCH = os.path.join(ROOT, "perfbench")
+PACKAGE = os.path.join(ROOT, "src", "gsp4weights")
+
+
+def _parse(path):
+    with open(path) as fh:
+        return ast.parse(fh.read(), path)
+
+
+def _read(path):
+    with open(path) as fh:
+        return fh.read()
+
+
+def _library_imports(tree):
+    """(module, name) of every `from gsp4weights.<module> import name`."""
+    return [
+        (node.module.split(".", 1)[1], alias.name)
+        for node in ast.walk(tree)
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("gsp4weights.")
+        for alias in node.names
+    ]
+
+
+def _run_caches():
+    """(module, name) of the caches the benchmark runner reads by name."""
+    return re.findall(r'"(\w+)\.(_\w+_CACHE)"', _read(os.path.join(PERFBENCH, "run.py")))
+
+
+def _traced_classes():
+    """(module, class) of every class whose methods the tracer wraps."""
+    for node in _parse(os.path.join(PERFBENCH, "tracing.py")).body:
+        if isinstance(node, ast.Assign) and getattr(node.targets[0], "id", "") == "CLASS_METHODS":
+            return [(m, cls) for m, classes in ast.literal_eval(node.value).items()
+                    for cls in classes]
+    raise AssertionError("perfbench/tracing.py defines no CLASS_METHODS")
 
 
 def _load_worker():
@@ -32,19 +71,74 @@ def test_benchmark_imports_every_module_it_names(monkeypatch):
 
 
 def test_benchmark_names_exist():
-    with open(os.path.join(PERFBENCH, "worker.py")) as fh:
-        tree = ast.parse(fh.read())
-    wanted = [
-        (node.module, alias.name)
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom)
-        and (node.module or "").startswith("gsp4weights.")
-        for alias in node.names
-    ]
-    with open(os.path.join(PERFBENCH, "run.py")) as fh:
-        wanted += [("gsp4weights." + m, name)
-                   for m, name in re.findall(r'"(\w+)\.(_\w+_CACHE)"', fh.read())]
+    wanted = _library_imports(_parse(os.path.join(PERFBENCH, "worker.py")))
+    wanted += _run_caches() + _traced_classes()
     assert wanted
     missing = [(m, name) for m, name in wanted
-               if not hasattr(importlib.import_module(m), name)]
+               if not hasattr(importlib.import_module("gsp4weights." + m), name)]
     assert missing == []
+    # the traced run reads each cache's size (a dict) or its hit counts (an
+    # lru_cache) by name
+    read = set(re.findall(r'after\["(\w+)\.(\w+)"\]', _read(os.path.join(PERFBENCH, "run.py"))))
+    assert ("affine", "length") in read
+    for m, name in read:
+        obj = getattr(importlib.import_module("gsp4weights." + m), name)
+        assert isinstance(obj, dict) or hasattr(obj, "cache_info"), (m, name)
+
+
+def unreachable_definitions():
+    """Top-level functions and classes of the package that nothing reaches.
+
+    The roots are `cli.main`, every module's top-level statements (with
+    the decorators, defaults and bases of its definitions), the names
+    perfbench's worker imports, the caches its runner reads, the classes
+    its tracer wraps and the names the acceptance gate imports.  A reached
+    definition reaches every name and attribute in its body that resolves,
+    in its module, to a definition there or to a `from .x import y` alias,
+    function-local imports included.
+    """
+    trees = {f[:-3]: _parse(os.path.join(PACKAGE, f))
+             for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
+    defs, scope = {}, {}
+    for mod, tree in trees.items():
+        scope[mod] = {}
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defs[mod, node.name] = node
+                scope[mod][node.name] = (mod, node.name)
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                scope[mod].update({a.asname or a.name: (node.module, a.name) for a in node.names})
+
+    def refs(mod, nodes):
+        for node in nodes:
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name in scope[mod]:
+                    yield scope[mod][name]
+
+    todo = [("cli", "main")]
+    for mod, tree in trees.items():
+        for node in tree.body:
+            if isinstance(node, ast.FunctionDef):
+                todo += refs(mod, node.decorator_list + node.args.defaults
+                             + [d for d in node.args.kw_defaults if d])
+            elif isinstance(node, ast.ClassDef):
+                todo += refs(mod, node.decorator_list + node.bases + node.keywords)
+            else:
+                todo += refs(mod, [node])
+    todo += _library_imports(_parse(os.path.join(PERFBENCH, "worker.py")))
+    todo += _run_caches() + _traced_classes()
+    todo += _library_imports(_parse(os.path.join(ROOT, "tests", "test_acceptance.py")))
+    reached = set()
+    while todo:
+        key = todo.pop()
+        if key in defs and key not in reached:
+            reached.add(key)
+            todo += refs(key[0], defs[key].body)
+    return sorted("%s.%s" % key for key in defs if key not in reached)
+
+
+def test_every_library_definition_is_reachable():
+    assert unreachable_definitions() == []

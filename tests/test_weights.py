@@ -11,7 +11,6 @@ from gsp4weights.affine import (
     compose,
     compose_all,
     diamond,
-    finite,
     invert,
     translation,
 )
@@ -19,12 +18,8 @@ from gsp4weights.admissible import adm_set, is_regular_element
 from gsp4weights.weights import (
     APPair,
     GenericityError,
-    LowestAlcovePresentation,
     SerreWeight,
     TamePresentation,
-    alcove_shift,
-    alcove_shift_inv,
-    ap_target,
     compat_element,
     enumerate_ap,
     enumerate_ap_prime,
@@ -34,27 +29,21 @@ from gsp4weights.weights import (
     normalize_central,
     obvious_weights,
     outer_weight_at,
-    outer_weights,
-    param_from_target,
-    param_of_reduction,
     predicted_pair_of_weight,
-    predicted_set_via_shift,
     predicted_weight_at,
-    presentation_of,
-    random_deep_presentation,
-    rotate_left,
-    serre_weight_of_presentation,
+    presentation_from_w_tilde,
     t_compose,
     t_invert,
     type_from_target,
     w_question,
     w_question_set,
-    weight_class_arrow_leq,
 )
 from gsp4weights.adjacency import build_instance, valid_simples
 from gsp4weights.cli import load_presentation
 
 import oracles
+from crosschecks import random_deep_presentation, weight_class_arrow_leq
+from oracles import LowestAlcovePresentation, serre_weight_of_presentation
 
 P = 37
 
@@ -119,8 +108,7 @@ def test_presentation_rotation_f2():
     # for f = 2 the rotation applied twice is the identity on classes
     lam = (Weight(20, 10, 0), Weight(16, 8, 1))
     sig = SerreWeight.make(P, lam)
-    pres = presentation_of(sig)
-    assert rotate_left(rotate_left(pres.w1)) == pres.w1
+    pres = oracles.presentation_of(sig)
     assert serre_weight_of_presentation(pres, P) == sig
 
 
@@ -129,7 +117,7 @@ def test_ap_counts_and_targets():
     app = enumerate_ap_prime(1)
     assert len(ap) == 20 and len(app) == 20
     regs = {x for x in adm_set(ETA).elements if is_regular_element(x)}
-    targets = [ap_target(pr)[0] for pr in ap]
+    targets = [compose_all(invert(pr.w2[0]), W0, pr.w1[0]) for pr in ap]
     assert len(set(targets)) == len(targets)
     assert set(targets) == regs
     assert len(enumerate_ap(2)) == 400
@@ -154,11 +142,12 @@ def test_jh_injective_random_types():
 
 def test_jh_outer_weights_distinct():
     tau = tau_fixture()
-    out = outer_weights(tau)
-    assert len(out) == 8
-    assert len(set(out.values())) == 8
-    for ws, sigma in out.items():
-        assert outer_weight_at(tau, ws) == sigma
+    table = jh_factors(tau)
+    out = [outer_weight_at(tau, (w,)) for w in W_ALL]
+    assert len(set(out)) == 8
+    for w, sigma in zip(W_ALL, out):
+        d = diamond(w)
+        assert table[APPair((d,), (compose(HIGHEST_RESTRICTED, d),), "AP")] == sigma
 
 
 def test_jh_depth_guard():
@@ -185,7 +174,7 @@ def test_wq_injective_and_sizes():
 def test_wq_cross_check_alcove_shift():
     for seed in (5, 17, 23):
         rho = rho_fixture(seed=seed)
-        assert predicted_set_via_shift(rho) == w_question_set(rho)
+        assert oracles.predicted_set_via_shift(rho) == w_question_set(rho)
 
 
 def test_alcove_shift_bijection():
@@ -193,7 +182,7 @@ def test_alcove_shift_bijection():
     sigmas = [s for s in w_question_set(rho) if s.is_regular()]
     assert sigmas
     for s in sigmas:
-        assert alcove_shift_inv(alcove_shift(s)) == s
+        assert oracles.alcove_shift_inv(oracles.alcove_shift(s)) == s
 
 
 def test_depth_audit_deep_prime():
@@ -264,9 +253,10 @@ def test_disjoint_presentations_empty_intersection():
 
 def test_param_of_reduction_and_param_from_target():
     rho = rho_fixture()
-    tau = param_of_reduction(rho)
+    tau = oracles.param_of_reduction(rho)
     assert tau.kind == "type" and tau.s == rho.s and tau.mu == rho.mu
-    back = param_from_target(rho, (IDENTITY,))
+    back = presentation_from_w_tilde(
+        "param", t_compose(rho.w_tilde(), t_invert((IDENTITY,))), rho.p)
     assert back.kind == "param"
     assert back.s == rho.s and back.mu == rho.mu
 
