@@ -70,19 +70,20 @@ commands:
   localmodel  local model hooks (--verify-regcolone [--draws N] |
               --shape FILE --q Q)
 
-common options: --fmt table|json|dot where written (selfcheck: table only;
-  dot: graph only), and where read: --p P (selfcheck, weights, graph,
-  cycles, localmodel --verify-regcolone), --f N (ap), --seed S (localmodel
-  --verify-regcolone)
+common options: --fmt table|json|dot where written (selfcheck and
+  localmodel --verify-regcolone: table only; dot: graph only), and where
+  read: --p P (selfcheck, weights, graph, cycles, localmodel
+  --verify-regcolone), --f N (ap), --seed S (localmodel --verify-regcolone)
 """
 
 # The common flags each command reads
 _READS = {"selfcheck": ("p",), "adm": (), "ap": ("f",), "weights": ("p",), "graph": ("p",),
           "cycles": ("p",), "localmodel": ("p", "seed"), "localmodel --shape": ()}
-# The output formats each command writes
+# The output formats each command writes; localmodel's verify mode has its own
 _FORMATS = {"selfcheck": ("table",), "adm": ("table", "json"), "ap": ("table", "json"),
             "weights": ("table", "json"), "graph": ("table", "json", "dot"),
-            "cycles": ("table", "json"), "localmodel": ("table", "json")}
+            "cycles": ("table", "json"), "localmodel": ("table", "json"),
+            "localmodel --verify-regcolone": ("table",)}
 
 
 @dataclass(frozen=True)
@@ -618,6 +619,14 @@ def _reject_unread_flags(command: str, args) -> None:
             raise ValueError("--%s is not read by %s" % (name, command))
 
 
+def _formats_of(command: str, args) -> tuple[str, tuple[str, ...]]:
+    """The command, named with its mode where the mode decides the output
+    formats, and the formats it writes."""
+    if command == "localmodel" and args.verify_regcolone and not args.shape:
+        command += " --verify-regcolone"
+    return command, _FORMATS[command]
+
+
 def run(command: str, cfg: RunConfig, args) -> int:
     """Execute one command; returns the process exit code."""
     if command not in _RUNNERS:
@@ -625,9 +634,10 @@ def run(command: str, cfg: RunConfig, args) -> int:
         return 64
     try:
         cfg.validate()
-        if cfg.fmt not in _FORMATS[command]:
+        mode, formats = _formats_of(command, args)
+        if cfg.fmt not in formats:
             raise ValueError("--fmt %s is not available for %s; only for %s" % (
-                cfg.fmt, command, ", ".join(c for c in COMMANDS if cfg.fmt in _FORMATS[c])))
+                cfg.fmt, mode, ", ".join(c for c in COMMANDS if cfg.fmt in _FORMATS[c])))
         _reject_unread_flags(command, args)
         lines = _RUNNERS[command](cfg, args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:

@@ -911,16 +911,6 @@ _ROOT_POSITIONS = (
 )
 
 
-def _root_matrix(field, spots, coeff: LaurentPoly, lower: bool) -> PolyMat:
-    rows = [[LaurentPoly.one(field) if i == j else LaurentPoly.zero(field)
-             for j in range(4)] for i in range(4)]
-    for (i, j), sign in spots:
-        if lower:
-            i, j = j, i
-        rows[i][j] = coeff if sign == 1 else -coeff
-    return PolyMat(field, rows)
-
-
 def _random_poly(field, rng, min_exp: int, max_exp: int) -> LaurentPoly:
     q = field.char
     return LaurentPoly(field, {e: rng.randrange(q) for e in range(min_exp, max_exp + 1)})
@@ -938,15 +928,22 @@ def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
     t4 = field.div(field.mul(t2, t3), t1)
     zero = LaurentPoly.zero(field)
     diag = [field.coerce(x) for x in (t1, t2, t3, t4)]
-    out = PolyMat(field, [[LaurentPoly.const(field, diag[i]) if i == j else zero
-                           for j in range(4)] for i in range(4)])
+    cols = [[LaurentPoly.const(field, diag[i]) if i == j else zero for i in range(4)]
+            for j in range(4)]
     for lower in (False, True, False):
         for spots in _ROOT_POSITIONS:
             coeff = _random_poly(field, rng, 1 if lower else 0, max_deg)
             if coeff.is_zero:
                 continue
-            out = out * _root_matrix(field, spots, coeff, lower)
-    return out
+            # times the root-group factor 1 + sum of sign * coeff * E_ij (E_ji
+            # when lower): column j gains sign * coeff times column i.  No
+            # spot's j is another spot's i, so the spots apply one by one.
+            for (i, j), sign in spots:
+                if lower:
+                    i, j = j, i
+                c = coeff if sign == 1 else -coeff
+                cols[j] = [a if b.is_zero else a + b * c for a, b in zip(cols[j], cols[i])]
+    return PolyMat(field, list(zip(*cols)))
 
 
 def _selfcheck() -> None:

@@ -11,12 +11,14 @@ import logging
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .base import (
     ETA,
     POSITIVE_COROOTS,
     SIMPLE_INDICES,
     W_ALL,
+    Coweight,
     FiniteWeyl,
     Weight,
     depth as weight_depth,
@@ -39,7 +41,6 @@ from .affine import (
     is_dominant_element,
     is_restricted_element,
     omega_part,
-    p_dot,
     translation,
     upper_arrow_leq,
 )
@@ -117,8 +118,12 @@ def normalize_central(cs: tuple[int, ...], p: int) -> tuple[int, ...]:
     return tuple(out)
 
 
+# The simple coroots pair (a, b; c) to a - b and b.
+assert tuple(POSITIVE_COROOTS[i] for i in SIMPLE_INDICES) == (Coweight(1, -1, 0), Coweight(0, 1, 0))
+
+
 def is_p_restricted(lam: Weight, p: int) -> bool:
-    return all(0 <= pairing(lam, POSITIVE_COROOTS[i]) <= p - 1 for i in SIMPLE_INDICES)
+    return 0 <= lam.a - lam.b < p and 0 <= lam.b < p
 
 
 @dataclass(frozen=True)
@@ -135,9 +140,15 @@ class SerreWeight:
         for lam in parts:
             if not is_p_restricted(lam, p):
                 raise ValueError("weight part %r is not p-restricted" % (lam,))
-        cs = normalize_central(tuple(lam.c for lam in parts), p)
-        fixed = tuple(Weight(lam.a, lam.b, c) for lam, c in zip(parts, cs))
-        return SerreWeight(p, fixed)
+        return SerreWeight._trusted(p, parts)
+
+    @staticmethod
+    def _trusted(p: int, parts: tuple[tuple[int, int, int], ...]) -> "SerreWeight":
+        """Trusted constructor: every part, a Weight or an (a, b, c) triple,
+        is already known to be p-restricted, so only the central characters
+        are normalised."""
+        cs = normalize_central(tuple([lam[2] for lam in parts]), p)
+        return SerreWeight(p, tuple([Weight(lam[0], lam[1], c) for lam, c in zip(parts, cs)]))
 
     def is_regular(self) -> bool:
         return all(
@@ -306,6 +317,17 @@ def enumerate_ap_prime(f: int) -> tuple[APPair, ...]:
 # slot j, the restricted element y from the pair at slot j - 1.  That
 # one-step rotation is the only coupling between embeddings, so the parts
 # are tabulated slot by slot and whole weights are made only when needed.
+#
+# With w~_j = t_(mu_j + eta) s_j, x^(-1) = t_nu' w' and y = t_(nu_y) w_y,
+# theta_j = mu_j + s_j(nu') and
+#
+#     y . theta_j = w_y(mu_j) + p nu_y + [w_y(eta + s_j(nu')) - eta].
+#
+# The bracket depends on the kind, s_j and the pair only, not on p or mu_j,
+# so it is read from a table with one row per (kind, s), built on first use.
+# Inside the kernel a part is a plain (a, b, c) triple of integers.
+
+Part = tuple[int, int, int]
 
 
 def _require_depth(pres: TamePresentation, m: int) -> None:
@@ -316,33 +338,6 @@ def _require_depth(pres: TamePresentation, m: int) -> None:
         )
 
 
-def _theta(wt_j: ExtAffine, x: ExtAffine, p: int) -> Weight:
-    theta = compose(wt_j, invert(x)).nu - ETA
-    if lowest_alcove_depth(theta, p) < 0:
-        raise GenericityError("omega - eta must lie inside the lowest alcove")
-    return theta
-
-
-def _dot_part(y: ExtAffine, theta: Weight, p: int) -> Weight:
-    """One weight part y . theta, for a restricted y."""
-    if not is_restricted_element(y):
-        raise ValueError("presentation element is not restricted")
-    lam = p_dot(y, theta, p)
-    if not is_p_restricted(lam, p):
-        raise ValueError("presentation out of range")
-    return lam
-
-
-def _weight_at(pres: TamePresentation, xs: TupleElt, ys: TupleElt) -> SerreWeight:
-    """F_pres at one pair tuple: theta from xs, the p-dot by ys rotated."""
-    wt = pres.w_tilde()
-    p = pres.p
-    parts = tuple(
-        _dot_part(ys[j - 1], _theta(wt[j], xs[j], p), p) for j in range(pres.f)
-    )
-    return SerreWeight.make(p, parts)
-
-
 # kind -> (wrong-kind error, per-embedding pairs, flavor, pair index of x)
 _ROLES = {
     "type": ("jh_factors expects a type presentation", _ap_pairs_single, "AP", 1),
@@ -350,52 +345,135 @@ _ROLES = {
 }
 
 
+class _Singles(NamedTuple):
+    """The per-embedding pairs of one kind, indexed by k."""
+
+    pairs: tuple[tuple[ExtAffine, ExtAffine], ...]
+    ys: tuple[ExtAffine, ...]  # the distinct y, in order of first use
+    y_slot: tuple[int, ...]  # index into ys of pair k's y
+    index: dict[tuple[ExtAffine, ExtAffine], int]  # (x, y) -> k
+    every: tuple[tuple[int, ...], ...]  # per y: all pairs
+    own: tuple[tuple[int, ...], ...]  # per y: the pairs holding it
+
+
+@lru_cache(maxsize=len(_ROLES))
+def _singles(kind: str) -> _Singles:
+    _, singles_of, _, ix = _ROLES[kind]
+    pairs = singles_of()
+    ys: list[ExtAffine] = []
+    for pr in pairs:
+        if pr[1 - ix] not in ys:
+            ys.append(pr[1 - ix])
+    y_slot = tuple(ys.index(pr[1 - ix]) for pr in pairs)
+    ks = range(len(pairs))
+    return _Singles(
+        pairs,
+        tuple(ys),
+        y_slot,
+        {(pr[ix], pr[1 - ix]): k for k, pr in enumerate(pairs)},
+        (tuple(ks),) * len(ys),
+        tuple(tuple(k for k in ks if y_slot[k] == i) for i in range(len(ys))),
+    )
+
+
+@lru_cache(maxsize=len(_ROLES) * len(W_ALL))
+def _offset_row(kind: str, s: FiniteWeyl) -> tuple[tuple[tuple[int, ...], ...],
+                                                   tuple[tuple[Part, ...], ...]]:
+    """The table row of (kind, s): per pair k, the pairings of
+    eta + s(nu') with the positive coroots (theta_k + eta pairs to these
+    plus the pairings of mu), and per distinct y and pair k the offset
+    w_y(eta + s(nu')) - eta as integers.  Each y is checked to be
+    restricted as its offsets are made."""
+    ix = _ROLES[kind][3]
+    sing = _singles(kind)
+    shifted = [ETA + s.act(invert(pr[ix]).nu) for pr in sing.pairs]
+    alcove = tuple(tuple(pairing(lam, cov) for cov in POSITIVE_COROOTS) for lam in shifted)
+    offsets = []
+    for y in sing.ys:
+        if not is_restricted_element(y):
+            raise ValueError("presentation element is not restricted")
+        offsets.append(tuple(tuple(y.w.act(lam) - ETA) for lam in shifted))
+    return alcove, tuple(offsets)
+
+
+def _slot_parts(kind, s, mu, p, ks, cells) -> list[list[Part | None]]:
+    """y . theta_k at one slot with element s and translation mu: a list
+    per distinct y of one entry per pair, made for the pairs k in that y's
+    cells and None elsewhere.  The lowest-alcove test on theta_k runs for
+    every k in ks first; then each entry is three additions to
+    w_y(mu) + p nu_y, tested to be p-restricted."""
+    alcove, offsets = _offset_row(kind, s)
+    m1, m2, m3, m4 = (pairing(mu, cov) for cov in POSITIVE_COROOTS)
+    for k in ks:
+        g1, g2, g3, g4 = alcove[k]
+        if not (0 < m1 + g1 < p and 0 < m2 + g2 < p and 0 < m3 + g3 < p and 0 < m4 + g4 < p):
+            raise GenericityError("omega - eta must lie inside the lowest alcove")
+    out = []
+    for y, row, want in zip(_singles(kind).ys, offsets, cells):
+        entries: list[Part | None] = [None] * len(row)
+        if want:
+            ba, bb, bc = y.w.act(mu) + y.nu.scale(p)
+            for k in want:
+                oa, ob, oc = row[k]
+                a, b = ba + oa, bb + ob
+                if not (0 <= a - b < p and 0 <= b < p):  # is_p_restricted, inlined
+                    raise ValueError("presentation out of range")
+                entries[k] = (a, b, bc + oc)
+        out.append(entries)
+    return out
+
+
+def _weight_at(pres: TamePresentation, xs: TupleElt, ys: TupleElt) -> SerreWeight:
+    """F_pres at one pair tuple (x from xs, y from ys), part by part."""
+    sing = _singles(pres.kind)
+    if len(xs) != pres.f or len(ys) != pres.f:
+        raise ValueError("pair tuple and presentation have different numbers of embeddings")
+    combo = [sing.index.get(pr) for pr in zip(xs, ys)]
+    if None in combo:
+        raise ValueError("pair tuple is not made of %s pairs" % _ROLES[pres.kind][2])
+    parts = []
+    for j in range(pres.f):
+        i, k = sing.y_slot[combo[j - 1]], combo[j]
+        cells = tuple((k,) if r == i else () for r in range(len(sing.ys)))
+        parts.append(_slot_parts(pres.kind, pres.s[j], pres.mu[j], pres.p, (k,), cells)[i][k])
+    return SerreWeight._trusted(pres.p, tuple(parts))
+
+
 class _SlotKernel:
     """The weight parts of F_pres on all tuples of per-embedding pairs.
 
     parts[j][i][k] is part j when slot j holds single k and slot j - 1 holds
     a single whose y is the i-th distinct one: (distinct y) x (singles)
-    p-dot evaluations per slot instead of f * singles^f.  At f = 1 slot
-    j - 1 is slot j, so only the entries whose i is k's own y are evaluated
-    (the others are None).  The checks of `_theta` and `_dot_part` run on
-    every entry.  Of these only the lowest-alcove check on theta can fail
-    (each y is restricted, and y . theta is then p-restricted), so the
-    first failure raised here is the one that evaluating the tuples one by
-    one raises.
+    entries per slot instead of f * singles^f.  At f = 1 slot j - 1 is
+    slot j, so only the entries whose i is k's own y are made (the others
+    are None).  Each entry is an (a, b, c) triple.  Three checks run: the
+    lowest-alcove test on each theta, per slot and single;
+    `is_restricted_element` on each distinct y, once, when its table row
+    is built; and `is_p_restricted` on every entry.  Of these only the
+    first can fail (each y is restricted, and y . theta is then
+    p-restricted), and the first failure raised here is the one that
+    evaluating the tuples one by one raises.
     """
 
     def __init__(self, pres: TamePresentation, kind: str, min_depth: int):
-        wrong_kind, singles_of, self.flavor, ix = _ROLES[kind]
+        wrong_kind, _, self.flavor, _ = _ROLES[kind]
         if pres.kind != kind:
             raise ValueError(wrong_kind)
         _require_depth(pres, min_depth)
-        self.singles = singles_of()
+        sing = _singles(kind)
+        self.singles, self.y_slot = sing.pairs, sing.y_slot
         self.p, self.f = pres.p, pres.f
-        p, f = pres.p, pres.f
-        ys: list[ExtAffine] = []
-        self.y_slot = []
-        for pr in self.singles:
-            y = pr[1 - ix]
-            if y not in ys:
-                ys.append(y)
-            self.y_slot.append(ys.index(y))
-        wt = pres.w_tilde()
-        self.parts = []
-        for j in range(f):
-            thetas = [_theta(wt[j], pr[ix], p) for pr in self.singles]
-            self.parts.append([
-                [
-                    _dot_part(y, theta, p) if f > 1 or self.y_slot[k] == i else None
-                    for k, theta in enumerate(thetas)
-                ]
-                for i, y in enumerate(ys)
-            ])
-
-    def _part(self, j: int, combo: tuple[int, ...]) -> Weight:
-        return self.parts[j][self.y_slot[combo[j - 1]]][combo[j]]
+        cells = sing.every if self.f > 1 else sing.own
+        ks = range(len(sing.pairs))
+        self.parts = [
+            _slot_parts(kind, s, mu, self.p, ks, cells) for s, mu in zip(pres.s, pres.mu)
+        ]
 
     def weight(self, combo: tuple[int, ...]) -> SerreWeight:
-        return SerreWeight.make(self.p, tuple(self._part(j, combo) for j in range(self.f)))
+        parts, y_slot = self.parts, self.y_slot
+        return SerreWeight._trusted(
+            self.p, tuple(parts[j][y_slot[combo[j - 1]]][combo[j]] for j in range(self.f))
+        )
 
     def table(self) -> dict[APPair, SerreWeight]:
         """F_pres on every pair tuple, in enumeration order."""
@@ -405,7 +483,7 @@ class _SlotKernel:
 
     def labels(self, j: int) -> set[tuple[int, int]]:
         """The (a, b) of every part at slot j."""
-        return {(lam.a, lam.b) for row in self.parts[j] for lam in row if lam is not None}
+        return {lam[:2] for row in self.parts[j] for lam in row if lam is not None}
 
     def weights_within(self, keep: list[set[tuple[int, int]]]) -> frozenset[SerreWeight]:
         """The weights of the tuples whose single at each slot j has some
@@ -415,7 +493,7 @@ class _SlotKernel:
         live = [
             [
                 k for k in range(len(self.singles))
-                if any(row[k] is not None and (row[k].a, row[k].b) in keep[j]
+                if any(row[k] is not None and row[k][:2] in keep[j]
                        for row in self.parts[j])
             ]
             for j in range(self.f)

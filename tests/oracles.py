@@ -25,6 +25,10 @@ the table tests check.
   full precision val(det) + (largest degree) + 4 with exact series
   division.  The library's local elimination kernel, which works at
   precision val(det) + 1, must give the same patterns and shapes.
+- A random Iwahori element is the product of the diagonal torus part with
+  one 4 x 4 root-group matrix per nonzero draw; the library's sampler,
+  which applies each factor as column operations, must give the same
+  matrix from the same draws.
 
 Checks that are built from the library's own maps live in
 `crosschecks.py`, so that everything here stays a definition.
@@ -52,7 +56,7 @@ from gsp4weights.affine import (
     translation,
 )
 from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, divmod_poly
-from gsp4weights.localmodel import weyl_matrix
+from gsp4weights.localmodel import PolyMat, weyl_matrix
 from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
@@ -559,3 +563,37 @@ def shape_of(A):
     assert t[0] == aa + bb + cc, "pivots are not a GSp4 torus element"
     z = compose(translation(Weight(aa, bb, cc)), finite(w))
     return compose(translation(Weight(0, 0, -shift)), z)
+
+
+# --- the Iwahori sampler by full matrix products ---------------------------
+
+# (row, column) and sign of each positive root's entries in its root group
+ROOT_SPOTS = (
+    (((0, 1), 1), ((2, 3), -1)),   # alpha1
+    (((1, 2), 1),),                # alpha2
+    (((0, 2), 1), ((1, 3), 1)),    # alpha1+alpha2
+    (((0, 3), 1),),                # 2*alpha1+alpha2
+)
+
+
+def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
+    """The torus part diag(t1, t2, t3, t2 t3 / t1) times, for upper, lower
+    and upper root groups in turn, the matrix 1 + sum of sign * coeff * E_ij
+    (transposed when lower) of every nonzero random coefficient."""
+    q = field.char
+    t1, t2, t3 = rng.randrange(1, q), rng.randrange(1, q), rng.randrange(1, q)
+    diag = (t1, t2, t3, field.div(field.mul(t2, t3), t1))
+    out = PolyMat(field, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
+    for lower in (False, True, False):
+        for spots in ROOT_SPOTS:
+            low = 1 if lower else 0
+            coeff = LaurentPoly(field, {e: rng.randrange(q) for e in range(low, max_deg + 1)})
+            if coeff.is_zero:
+                continue
+            rows = [[1 if i == j else 0 for j in range(4)] for i in range(4)]
+            for (i, j), sign in spots:
+                if lower:
+                    i, j = j, i
+                rows[i][j] = coeff if sign == 1 else -coeff
+            out = out * PolyMat(field, rows)
+    return out

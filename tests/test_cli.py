@@ -171,6 +171,14 @@ def test_selfcheck_has_no_json_output(capsys, flags):
         "weights, graph, cycles, localmodel\n"
 
 
+@pytest.mark.parametrize("flags", (["--json"], ["--fmt", "json"]))
+def test_localmodel_verify_has_no_json_output(capsys, flags):
+    code, out, err = capture(capsys, ["localmodel", "--verify-regcolone", "--draws", "1"] + flags)
+    assert code == 2 and out == ""
+    assert err == "error: --fmt json is not available for localmodel --verify-regcolone; " \
+        "only for adm, ap, weights, graph, cycles, localmodel\n"
+
+
 def test_cycles_per_weight_supports(capsys):
     code, out, err = capture(
         capsys, ["cycles", "--tau", fx("tau1.json"), "--json"])

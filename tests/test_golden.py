@@ -71,7 +71,7 @@ def _cases():
         ["cycles", "--colength-one", "--rhobar", fx("rb1.json")] + tau)
     add("localmodel-shape-mat1",
         ["localmodel", "--shape", fx("mat1.json"), "--q", "37"])
-    add("localmodel-verify", ["localmodel", "--verify-regcolone", "--draws", "3"])
+    add("localmodel-verify", ["localmodel", "--verify-regcolone", "--draws", "3"], TABLE)
     add("localmodel-verify-p41-seed5",
         ["localmodel", "--verify-regcolone", "--draws", "2", "--p", "41",
          "--seed", "5"], TABLE)

@@ -697,3 +697,15 @@ def test_random_iwahori_structure():
                     assert e.low_degree >= 1  # lower part vanishes mod v
     with pytest.raises(ValueError):
         random_iwahori(QQ, rng)
+
+
+@pytest.mark.parametrize("q", (5, 37))
+def test_random_iwahori_matches_product_oracle(q):
+    # the same draws give the same matrix, and leave the generator in the
+    # same state
+    F = PrimeField(q)
+    for seed in range(40):
+        for max_deg in (1, 2, 3):
+            fast, slow = random.Random(seed), random.Random(seed)
+            assert random_iwahori(F, fast, max_deg) == oracles.random_iwahori(F, slow, max_deg)
+            assert fast.random() == slow.random()

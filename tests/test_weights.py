@@ -425,3 +425,61 @@ def test_kernel_errors_match_oracle():
     # the wrong kind of presentation
     assert _error_of(w_question, tau)[0] is _error_of(oracles.w_question, tau)[0] is ValueError
     assert _error_of(jh_factors, rho)[0] is _error_of(oracles.jh_factors, rho)[0] is ValueError
+
+
+# --- the offset table, exhaustively at small primes ------------------------
+#
+# At f = 1 every slot element s and every lowest-alcove mu (c in -1..1)
+# reaches the kernel, shallow ones included (min_depth = 0), so each row of
+# the per-(kind, s) offset table and each outcome of the lowest-alcove test
+# is compared with the brute-force oracle.
+
+def _lowest_alcove_mus(p):
+    return [Weight(a, b, c) for a in range(-2, p) for b in range(-1, p) for c in (-1, 0, 1)
+            if lowest_alcove_depth(Weight(a, b, c), p) >= 0]
+
+
+def _outcome(fn, *args):
+    """fn's value, or the class and message of the ValueError it raises."""
+    try:
+        return fn(*args)
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _oracle_at(pres, xs, ys):
+    """The oracle's weight at one pair tuple: theta from xs, the p-dot by ys."""
+    omega = tuple(compose(a, invert(b)).nu for a, b in zip(pres.w_tilde(), xs))
+    return serre_weight_of_presentation(LowestAlcovePresentation(ys, omega), pres.p)
+
+
+@pytest.mark.parametrize("p", (11, 13))
+def test_offset_table_matches_oracle_exhaustively(p):
+    outer = [(w, APPair((diamond(w),), (compose(HIGHEST_RESTRICTED, diamond(w)),), "AP"))
+             for w in W_ALL]
+    raised = 0
+    for s in W_ALL:
+        for mu in _lowest_alcove_mus(p):
+            rho = TamePresentation("param", (s,), (mu,), p)
+            tau = TamePresentation("type", (s,), (mu,), p)
+            wq = _outcome(lambda: list(w_question(rho, 0).items()))
+            assert wq == _outcome(lambda: list(oracles.w_question(rho, 0).items()))
+            jh = _outcome(lambda: list(jh_factors(tau, 0).items()))
+            assert jh == _outcome(lambda: list(oracles.jh_factors(tau, 0).items()))
+            raised += isinstance(wq, tuple) + isinstance(jh, tuple)
+            wq_table = dict(wq) if isinstance(wq, list) else None
+            for pair in enumerate_ap_prime(1):
+                got = _outcome(predicted_weight_at, rho, pair, 0)
+                if wq_table is not None:
+                    assert got == wq_table[pair]
+                else:
+                    assert got == _outcome(_oracle_at, rho, pair.w1, pair.w2)
+            jh_table = dict(jh) if isinstance(jh, list) else None
+            for w, pair in outer:
+                got = _outcome(outer_weight_at, tau, (w,), 0)
+                if jh_table is not None:
+                    assert got == jh_table[pair]
+                else:
+                    assert got == _outcome(_oracle_at, tau, pair.w2, pair.w1)
+    # both outcomes occur: whole tables, and the lowest-alcove refusal
+    assert 0 < raised < 2 * len(W_ALL) * len(_lowest_alcove_mus(p))
