@@ -11,8 +11,10 @@ from __future__ import annotations
 
 import logging
 from collections import deque
+from collections.abc import Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
+from types import MappingProxyType
 
 from .base import W_S1, W_S2, weyl_mul
 from .config import RHOBAR_DEPTH, derived_depth_bound
@@ -48,9 +50,9 @@ log = logging.getLogger(__name__)
 
 SIMPLES = {1: W_S1, 2: W_S2}
 
-# No weight table is cached per parameter any more, so this stays empty.
-# perfbench's traced runs still report its size (adjacency.wq_cache.entries,
-# now 0); it goes when that metric does.
+# Always empty: the one per-parameter memo is `_graph_of`, which keeps the
+# last parameter's graph.  perfbench's traced runs still report this dict's
+# size (adjacency.wq_cache.entries, always 0); it goes when that metric does.
 _WQ_CACHE: dict = {}
 
 
@@ -162,25 +164,34 @@ def build_instance(
     )
     sigma1 = outer_weight_at(tau, w_tuple)
     sigma2 = outer_weight_at(tau, sw_tuple)
-
+    inst = AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
     if check:
-        got = intersect_w_jh(rhobar0, tau)
-        if got != frozenset((sigma1, sigma2)) or sigma1 == sigma2:
-            raise AssertionError(
-                "intersection is not the expected two outer weights: %s"
-                % sorted(s.display() for s in got)
-            )
-        if predicted_weight_at(rhobar, pair) != sigma1:
-            raise AssertionError("sigma1 does not match the weight of the pair")
-    return AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
+        _check_instance(inst)
+    return inst
+
+
+def _check_instance(inst: AdjacencyInstance) -> None:
+    """Raise AssertionError unless sigma1 and sigma2 are distinct and exhaust
+    the intersection of the predicted set of rhobar0 with the JH set of tau,
+    and sigma1 is F_rhobar at the pair."""
+    got = intersect_w_jh(inst.rhobar0, inst.tau)
+    if got != frozenset((inst.sigma1, inst.sigma2)) or inst.sigma1 == inst.sigma2:
+        raise AssertionError(
+            "intersection is not the expected two outer weights: %s"
+            % sorted(s.display() for s in got)
+        )
+    if predicted_weight_at(inst.rhobar, inst.pair) != inst.sigma1:
+        raise AssertionError("sigma1 does not match the weight of the pair")
 
 
 @dataclass(frozen=True)
 class WeightGraph:
-    """Simple graph on the predicted weights of a parameter."""
+    """Simple graph on the predicted weights of a parameter.  Every caller
+    asking for the same parameter's graph gets the same object, so `edges`
+    is a read-only view."""
 
     vertices: tuple[SerreWeight, ...]
-    edges: dict[tuple[SerreWeight, SerreWeight], tuple[AdjacencyInstance, ...]]
+    edges: Mapping[tuple[SerreWeight, SerreWeight], tuple[AdjacencyInstance, ...]]
     obvious: frozenset[SerreWeight]
 
     @cached_property
@@ -230,13 +241,14 @@ class WeightGraph:
         return "\n".join(lines) + "\n"
 
 
-def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
-    """The weight graph of rhobar: one edge per adjacency witness, edges
-    deduplicated by endpoint pair with all witnesses retained.
-
-    Iteration over pairs and reflections is in fixed sorted order, so the
-    result is reproducible byte for byte.
-    """
+@lru_cache(maxsize=1)
+def _graph_of(
+    rhobar: TamePresentation,
+) -> tuple[WeightGraph, tuple[AdjacencyInstance, ...]]:
+    """rhobar's weight graph, built without checks, and its instances in
+    enumeration order.  Only the last parameter's graph is kept: callers
+    ask for one parameter's graph several times in a row (`build_graph`,
+    then `find_chain` per weight).  No check result is kept."""
     if rhobar.depth() < RHOBAR_DEPTH:
         log.warning(
             "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",
@@ -244,13 +256,33 @@ def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
         )
     table = w_question(rhobar)
     vertices = tuple(sorted(set(table.values()), key=lambda s: s.sort_key()))
+    instances = tuple(
+        build_instance(rhobar, pair, s, check=False)
+        for pair in enumerate_ap_prime(rhobar.f)
+        for s in valid_simples(pair)
+    )
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
-    for pair in enumerate_ap_prime(rhobar.f):
-        for s in valid_simples(pair):
-            inst = build_instance(rhobar, pair, s, check=check)
-            edges.setdefault(inst.edge, []).append(inst)
+    for inst in instances:
+        edges.setdefault(inst.edge, []).append(inst)
     obvious = frozenset(obvious_weights(rhobar, table).values())
-    return WeightGraph(vertices, {e: tuple(v) for e, v in edges.items()}, obvious)
+    edge_view = MappingProxyType({e: tuple(v) for e, v in edges.items()})
+    return WeightGraph(vertices, edge_view, obvious), instances
+
+
+def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
+    """The weight graph of rhobar: one edge per adjacency witness, edges
+    deduplicated by endpoint pair with all witnesses retained.
+
+    Iteration over pairs and reflections is in fixed sorted order, so the
+    result is reproducible byte for byte.  The graph is built once per
+    parameter and shared (see `_graph_of`); check=True runs the checks of
+    every instance, in enumeration order, on every call.
+    """
+    graph, instances = _graph_of(rhobar)
+    if check:
+        for inst in instances:
+            _check_instance(inst)
+    return graph
 
 
 @dataclass(frozen=True)
@@ -296,12 +328,10 @@ def _steered_chain(
     return tuple(chain)
 
 
-def find_chain(
-    rhobar: TamePresentation, sigma: SerreWeight, graph: WeightGraph | None = None
-) -> ChainResult:
-    """Walks from sigma to the obvious weights, by BFS on the full graph and
-    by the steering strategy.  sigma must be a predicted weight.  `graph`
-    is rhobar's weight graph when the caller has built it already."""
+def find_chain(rhobar: TamePresentation, sigma: SerreWeight) -> ChainResult:
+    """Walks from sigma to the obvious weights, by BFS on rhobar's weight
+    graph (shared with `build_graph`) and by the steering strategy.  sigma
+    must be a predicted weight."""
     table = w_question(rhobar)
     if sigma not in frozenset(table.values()):
         raise ValueError("weight is not predicted for this parameter")
@@ -309,8 +339,7 @@ def find_chain(
     if sigma in obvious:
         return ChainResult((), ())
 
-    if graph is None:
-        graph = build_graph(rhobar, check=False)
+    graph, _ = _graph_of(rhobar)
     parent: dict[SerreWeight, tuple[SerreWeight, AdjacencyInstance]] = {}
     queue = deque([sigma])
     seen = {sigma}

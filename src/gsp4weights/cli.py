@@ -10,6 +10,7 @@ into the output.
 import argparse
 import json
 import random
+import shlex
 import sys
 from dataclasses import dataclass
 
@@ -394,7 +395,7 @@ def _cmd_graph(cfg: RunConfig, args) -> list[str]:
     chains = []
     if args.chains:
         for sigma in graph.vertices:
-            res = find_chain(rhobar, sigma, graph)
+            res = find_chain(rhobar, sigma)
             chains.append((sigma, len(res.bfs), len(res.steered)))
     if cfg.fmt == "json":
         obj = {
@@ -711,7 +712,11 @@ def main(argv=None) -> int:
     fmt = args.fmt or short or "table"
     given = {k: getattr(args, k) for k in ("p", "f", "seed") if getattr(args, k) is not None}
     cfg = RunConfig(fmt=fmt, **given)
-    return run(command, cfg, args)
+    code = run(command, cfg, args)
+    if code == 3:
+        # the command line names the fixture and the seed, so it reproduces the failure
+        sys.stderr.write("reproduce: gsp4weights %s\n" % shlex.join(argv))
+    return code
 
 
 if __name__ == "__main__":

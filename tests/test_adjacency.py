@@ -25,10 +25,11 @@ from gsp4weights.weights import (
     w_question,
     w_question_set,
 )
-from gsp4weights import weights
+from gsp4weights import adjacency, weights
 from gsp4weights.cli import load_presentation
 from gsp4weights.adjacency import (
     AdjacencyInstance,
+    _graph_of,
     build_graph,
     build_instance,
     find_chain,
@@ -240,8 +241,78 @@ def test_find_chain_builds_the_weight_table_once(monkeypatch):
     table = weights._SlotKernel.table
     monkeypatch.setattr(weights._SlotKernel, "table",
                         lambda self: builds.append(self.flavor) or table(self))
-    find_chain(rho, sigma, graph)
+    find_chain(rho, sigma)
     assert builds == ["AP'"]
+
+
+def fixture(name):
+    return load_presentation(
+        os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", name))
+
+
+def test_shallow_parameter_warned_once_per_build(caplog):
+    rho = fixture("rb1.json")  # depth 8
+    _graph_of.cache_clear()
+    caplog.set_level("WARNING", logger="gsp4weights.adjacency")
+    graph = build_graph(rho)
+    starts = [v for v in graph.vertices if v not in graph.obvious]
+    for sigma in starts[:4]:
+        assert find_chain(rho, sigma).bfs
+    shallow = [r for r in caplog.records if "below 9" in r.getMessage()]
+    assert len(shallow) == 1
+
+
+def test_memo_hit_reruns_every_check(monkeypatch):
+    rho = rho41()
+    build_graph(rho, check=False)
+    _, instances = _graph_of(rho)
+    hits = _graph_of.cache_info().hits
+    calls = []
+    real = adjacency.intersect_w_jh
+    monkeypatch.setattr(adjacency, "intersect_w_jh",
+                        lambda *args: calls.append(args) or real(*args))
+    build_graph(rho, check=True)
+    assert _graph_of.cache_info().hits == hits + 1
+    assert calls == [(inst.rhobar0, inst.tau) for inst in instances]
+    assert len(calls) == 34
+
+
+def test_failing_check_raises_after_unchecked_build(monkeypatch):
+    rho = rho41()
+    build_graph(rho, check=True)
+    build_graph(rho, check=False)
+    monkeypatch.setattr(adjacency, "intersect_w_jh", lambda *args: frozenset())
+    with pytest.raises(AssertionError, match="expected two outer weights"):
+        build_graph(rho, check=True)
+    assert build_graph(rho, check=False).is_connected()
+
+
+@pytest.mark.parametrize("name", ["rb1.json", "rb41.json"])
+def test_memoised_graph_equals_a_fresh_build(name):
+    rho = fixture(name)
+
+    def fresh_chain(sigma):
+        _graph_of.cache_clear()
+        return find_chain(rho, sigma)
+
+    build_graph(rho)
+    shared = build_graph(rho)
+    chains = [find_chain(rho, sigma) for sigma in shared.vertices]
+    _graph_of.cache_clear()
+    fresh = build_graph(rho)
+    assert fresh is not shared
+    assert (shared.vertices, dict(shared.edges), shared.obvious, shared.to_dot()) == (
+        fresh.vertices, dict(fresh.edges), fresh.obvious, fresh.to_dot())
+    assert chains == [fresh_chain(sigma) for sigma in fresh.vertices]
+
+
+def test_graph_edges_are_read_only():
+    g = build_graph(rho41(), check=False)
+    edge = next(iter(g.edges))
+    with pytest.raises(TypeError):
+        g.edges[edge] = ()
+    with pytest.raises(TypeError):
+        del g.edges[edge]
 
 
 def test_steering_single_step_from_second_alcove():
@@ -329,8 +400,7 @@ def test_neighbors_and_components_f1():
 
 def test_full_f2_graph_with_checks():
     # every one of the 920 edges' instances runs the full intersection check
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "rb_f2.json")
-    g = build_graph(load_presentation(path), check=True)
+    g = build_graph(fixture("rb_f2.json"), check=True)
     assert len(g.vertices) == 400
     assert len(g.edges) == 920
     assert len(g.obvious) == 64

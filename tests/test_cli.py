@@ -1,6 +1,7 @@
 import json
 import os
 import re
+import shlex
 
 import pytest
 
@@ -11,6 +12,7 @@ from gsp4weights.cli import (
     main,
     run,
 )
+from gsp4weights import adjacency
 from gsp4weights.exactalg import PrimeField
 from gsp4weights.weights import TamePresentation
 
@@ -376,12 +378,25 @@ def test_empty_presentation_is_user_error(capsys, tmp_path):
 
 
 def test_shallow_parameter_warned_once_per_run(capsys, caplog):
+    # a run in a fresh process starts without a memoised graph
+    adjacency._graph_of.cache_clear()
     caplog.set_level("WARNING", logger="gsp4weights.adjacency")
     code, out, err = capture(capsys, ["graph", "--rhobar", fx("rb1.json"), "--chains"])
     assert code == 0
     shallow = [r.getMessage() for r in caplog.records if "below 9" in r.getMessage()]
     assert shallow == ["parameter param[s=s1s2 mu=17,8,-1] at p=37 has depth 8 below 9;"
                        " proceeding with scaled margins"]
+
+
+def test_invariant_failure_prints_reproducer(capsys, monkeypatch):
+    monkeypatch.setattr(adjacency, "intersect_w_jh", lambda *args: frozenset())
+    argv = ["graph", "--rhobar", fx("rb1.json")]
+    code, out, err = capture(capsys, argv)
+    assert code == 3 and out == ""
+    assert err.splitlines() == [
+        "invariant failure: intersection is not the expected two outer weights: []",
+        "reproduce: gsp4weights " + shlex.join(argv),
+    ]
 
 
 def test_load_matrix_wrapped_and_bare(tmp_path):
