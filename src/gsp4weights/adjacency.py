@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
 
-from .base import W_S1, W_S2, weyl_mul
+from .base import SIMPLES, weyl_mul
 from .config import RHOBAR_DEPTH, derived_depth_bound
 from .affine import (
     HIGHEST_RESTRICTED,
@@ -47,8 +47,6 @@ from .weights import (
 )
 
 log = logging.getLogger(__name__)
-
-SIMPLES = {1: W_S1, 2: W_S2}
 
 # Always empty: the one per-parameter memo is `_graph_of`, which keeps the
 # last parameter's graph.  perfbench's traced runs still report this dict's

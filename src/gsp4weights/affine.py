@@ -158,7 +158,6 @@ def length(x: ExtAffine) -> int:
     return alcove_length(alcove_of(x))
 
 
-@lru_cache(maxsize=None)
 def dual_length(x: ExtAffine) -> int:
     """Length relative to the antidominant base alcove, whose Shi
     coordinates are all -1."""
@@ -183,7 +182,6 @@ def omega_class(x: ExtAffine) -> int:
     return x.nu.a + x.nu.b + 2 * x.nu.c
 
 
-@lru_cache(maxsize=None)
 def omega_split(x: ExtAffine) -> tuple[tuple[int, ...], ExtAffine]:
     """Greedy reduced word: x = S[i1] ... S[ik] * delta with length(delta) = 0."""
     word: list[int] = []
@@ -202,7 +200,9 @@ def omega_split(x: ExtAffine) -> tuple[tuple[int, ...], ExtAffine]:
 
 
 def omega_part(x: ExtAffine) -> ExtAffine:
-    return omega_split(x)[1]
+    """The length-zero element of x's Omega-class: it fixes the base
+    alcove."""
+    return _element_at(BASE_ALCOVE, omega_class(x))
 
 
 def in_omega(x: ExtAffine) -> bool:
@@ -520,17 +520,13 @@ def is_dominant_element(x: ExtAffine) -> bool:
     return is_dominant_alcove(alcove_of(x))
 
 
-@lru_cache(maxsize=None)
 def diamond(w: FiniteWeyl) -> ExtAffine:
-    """The unique restricted t_(a,b,0) * w."""
-    found = []
-    for a in range(-4, 5):
-        for b in range(-4, 5):
-            x = ExtAffine(Weight(a, b, 0), w)
-            if is_restricted_element(x):
-                found.append(x)
-    assert len(found) == 1, (w, found)
-    return found[0]
+    """The unique restricted t_(a,b,0) * w.  Its alcove (6a + bx, 6b + by),
+    with (bx, by) = w(BASE_ALCOVE), is restricted when 0 < 6b + by < 6 and
+    0 < 6(a - b) + bx - by < 6; by and bx - by are never multiples of 6."""
+    bx, by = _BASE_IMAGES[w.index]
+    b = -(by // 6)
+    return ExtAffine(Weight(b - (bx - by) // 6, b, 0), w)
 
 
 # --- dot action ----------------------------------------------------------

@@ -163,12 +163,14 @@ def _close_weyl_group() -> tuple[FiniteWeyl, ...]:
 W_ALL = _close_weyl_group()
 assert tuple(w.word for w in W_ALL) == ("", "1", "2", "12", "21", "121", "212", "1212")
 W_E, W_S1, W_S2 = W_ALL[0], W_ALL[1], W_ALL[2]
+# the simple reflections by their letter in Weyl words
+SIMPLES = {1: W_S1, 2: W_S2}
 W_LONG = W_ALL[7]
 
 _BY_CHAR = {w._char: w for w in W_ALL}
 _MUL = tuple(tuple(_BY_CHAR[_matmul(w._char, u._char)] for u in W_ALL) for w in W_ALL)
 _INV = tuple(next(u for u in W_ALL if _MUL[w.index][u.index] is W_E) for w in W_ALL)
-_LETTERS = {"1": W_S1, "2": W_S2}
+_LETTERS = {str(i): s for i, s in SIMPLES.items()}
 
 
 def weyl_mul(w: FiniteWeyl, u: FiniteWeyl) -> FiniteWeyl:

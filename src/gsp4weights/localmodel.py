@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 
-from .base import FiniteWeyl, W_ALL, W_E, W_S1, W_S2, Weight, std_character
+from .base import SIMPLES, FiniteWeyl, W_ALL, W_E, Weight, std_character
 from .affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -872,16 +872,13 @@ def fixed_point_set_T(w1, w2):
     return out[0] if bare1 else tuple(out)
 
 
-_SIMPLE_BY_INDEX = {1: W_S1, 2: W_S2}
-
-
 def fixed_point_set_colone(w1, s: int):
     """Colength-one fixed points {star(w1^-1 wh^-1 s w0 w) : w arrow-below
     w1 in the dominant range}; for s = s2 the length-zero w are excluded."""
-    if s not in _SIMPLE_BY_INDEX:
+    if s not in SIMPLES:
         raise ValueError("s must be 1 or 2")
     slots, bare = _as_slots(w1)
-    sw = finite(_SIMPLE_BY_INDEX[s])
+    sw = finite(SIMPLES[s])
     out = []
     for j, a in enumerate(slots):
         if not is_restricted_element(a):

@@ -8,7 +8,7 @@ and parameters enter purely through presentations t_(mu+eta) * s.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple
@@ -66,56 +66,14 @@ def t_invert(x: TupleElt) -> TupleElt:
 # --- Serre weight normal form --------------------------------------------
 
 
-def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
-    """Row Hermite normal form of a full-rank square integer matrix:
-    upper triangular, positive pivots, entries above a pivot reduced."""
-    n = len(rows)
-    m = [row[:] for row in rows]
-    for col in range(n):
-        # Euclid on the rows at or below the pivot row
-        while True:
-            nz = [i for i in range(col, n) if m[i][col] != 0]
-            assert nz, "matrix not full rank"
-            if len(nz) == 1:
-                piv = nz[0]
-                break
-            nz.sort(key=lambda i: abs(m[i][col]))
-            i0 = nz[0]
-            for i in nz[1:]:
-                q = m[i][col] // m[i0][col]
-                m[i] = [a - q * b for a, b in zip(m[i], m[i0])]
-        m[col], m[piv] = m[piv], m[col]
-        if m[col][col] < 0:
-            m[col] = [-a for a in m[col]]
-        for i in range(col):
-            q = m[i][col] // m[col][col]
-            if q:
-                m[i] = [a - q * b for a, b in zip(m[i], m[col])]
-    return m
-
-
-@lru_cache(maxsize=None)
-def _central_lattice_basis(p: int, f: int) -> tuple[tuple[int, ...], ...]:
-    """HNF basis of the lattice of central shifts identified to zero:
-    spanned by p*e_k - e_(k-1 mod f) acting on the c-coordinates."""
-    rows = []
-    for k in range(f):
-        v = [0] * f
-        v[k] += p
-        v[(k - 1) % f] -= 1
-        rows.append(v)
-    return tuple(tuple(r) for r in _hnf_rows(rows))
-
-
 def normalize_central(cs: tuple[int, ...], p: int) -> tuple[int, ...]:
-    f = len(cs)
-    basis = _central_lattice_basis(p, f)
-    out = list(cs)
-    for i in range(f):
-        q = out[i] // basis[i][i]
-        if q:
-            out = [a - q * b for a, b in zip(out, basis[i])]
-    return tuple(out)
+    """Central characters modulo the shifts p*e_k - e_(k-1 mod f): as
+    e_k = p^(f-1-k) e_(f-1) and (p^f - 1) e_(f-1) = 0 modulo them, the class
+    of cs is n = sum c_k p^(f-1-k) mod p^f - 1, stored in the last slot."""
+    n = 0
+    for c in cs:
+        n = n * p + c
+    return (0,) * (len(cs) - 1) + (n % (p ** len(cs) - 1),)
 
 
 # The simple coroots pair (a, b; c) to a - b and b.
@@ -179,12 +137,18 @@ class TamePresentation:
     s: tuple[FiniteWeyl, ...]
     mu: tuple[Weight, ...]
     p: int
+    # computed once, in __post_init__; not part of the presentation's identity
+    _depth: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("type", "param"):
             raise ValueError("kind must be 'type' or 'param'")
         if len(self.s) != len(self.mu):
             raise ValueError("mismatched tuple lengths")
+        if not self.s:
+            raise ValueError("a presentation needs at least one embedding")
+        object.__setattr__(
+            self, "_depth", min(lowest_alcove_depth(mu, self.p) for mu in self.mu))
 
     @property
     def f(self) -> int:
@@ -197,7 +161,7 @@ class TamePresentation:
         )
 
     def depth(self) -> int:
-        return min(lowest_alcove_depth(mu, self.p) for mu in self.mu)
+        return self._depth
 
     def display(self) -> str:
         ss = ",".join(w.display() for w in self.s)

@@ -6,7 +6,11 @@
 - Alcoves are exact rational barycenters (the base alcove has barycenter
   (1/2, 1/6)), and lengths count the root hyperplanes strictly between
   two barycenters; the library's alcoves are these barycenters scaled by
-  6, and its lengths come from Shi coordinates.
+  6, and its lengths come from Shi coordinates.  The diamond of w is
+  found by searching t_(a,b,0) * w for a restricted barycenter.
+- Central characters are reduced by the row Hermite normal form of the
+  lattice of shifts p*e_k - e_(k-1 mod f); the library reads the class
+  off as one integer mod p^f - 1.
 
 Nothing here reads the library's action matrices or integer alcoves:
 finite parts act through their words.  The folding oracle composes the
@@ -188,6 +192,14 @@ def is_restricted(x: ExtAffine) -> bool:
     return 0 < f[0] < 1 and 0 < f[1] < 1
 
 
+def diamond(w) -> ExtAffine:
+    """The unique restricted t_(a,b,0) * w, by search over a, b in [-4, 4]."""
+    found = [x for a, b in itertools.product(range(-4, 5), repeat=2)
+             if is_restricted(x := ExtAffine(Weight(a, b, 0), w))]
+    assert len(found) == 1, (w, found)
+    return found[0]
+
+
 def locate_point(pt, max_steps: int = 100000) -> ExtAffine:
     """Fold the rational point into the base alcove by S1, S2 and S0."""
     g = IDENTITY
@@ -319,6 +331,56 @@ def levi_adm_set(lam: Weight, levi) -> frozenset[ExtAffine]:
 
 def adm_set(lam: Weight) -> frozenset[ExtAffine]:
     return levi_adm_set(lam, LEVI_G)
+
+
+# --- central characters by Hermite normal form ----------------------------
+
+
+def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
+    """Row Hermite normal form of a full-rank square integer matrix:
+    upper triangular, positive pivots, entries above a pivot reduced."""
+    n = len(rows)
+    m = [row[:] for row in rows]
+    for col in range(n):
+        # Euclid on the rows at or below the pivot row
+        while True:
+            nz = [i for i in range(col, n) if m[i][col] != 0]
+            assert nz, "matrix not full rank"
+            if len(nz) == 1:
+                piv = nz[0]
+                break
+            nz.sort(key=lambda i: abs(m[i][col]))
+            i0 = nz[0]
+            for i in nz[1:]:
+                q = m[i][col] // m[i0][col]
+                m[i] = [a - q * b for a, b in zip(m[i], m[i0])]
+        m[col], m[piv] = m[piv], m[col]
+        if m[col][col] < 0:
+            m[col] = [-a for a in m[col]]
+        for i in range(col):
+            q = m[i][col] // m[col][col]
+            if q:
+                m[i] = [a - q * b for a, b in zip(m[i], m[col])]
+    return m
+
+
+def normalize_central(cs: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """cs reduced by the HNF basis of the lattice of central shifts
+    identified to zero, spanned by p*e_k - e_(k-1 mod f)."""
+    f = len(cs)
+    rows = []
+    for k in range(f):
+        v = [0] * f
+        v[k] += p
+        v[(k - 1) % f] -= 1
+        rows.append(v)
+    basis = _hnf_rows(rows)
+    out = list(cs)
+    for i in range(f):
+        q = out[i] // basis[i][i]
+        if q:
+            out = [a - q * b for a, b in zip(out, basis[i])]
+    return tuple(out)
 
 
 # --- the weight of a lowest alcove presentation ---------------------------

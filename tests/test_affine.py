@@ -122,6 +122,16 @@ def test_omega_split():
         assert compose(acc, delta) == x
 
 
+def test_omega_part_against_greedy_word():
+    # every element of four coset balls, in Omega-classes 0, 1, 2 and -1
+    delta1 = compose(translation(Weight(1, 0, 0)), finite(weyl_from_word("121")))
+    centre = translation(Weight(0, 0, 1))
+    for delta in (IDENTITY, delta1, centre, compose(delta1, invert(centre))):
+        assert length(delta) == 0
+        for x in coset_ball(delta, 5):
+            assert omega_part(x) == omega_split(x)[1] == delta
+
+
 def test_omega_class():
     rng = random.Random(5)
     assert omega_class(S0) == 0
@@ -248,6 +258,11 @@ def test_box_down_set_contains_nondominant():
     assert len(ds) > 4
     for a in ds:
         assert upper_arrow_leq_alcove(a, BASE_ALCOVE)
+
+
+def test_diamond_against_search_oracle():
+    for w in W_ALL:
+        assert diamond(w) == oracles.diamond(w)
 
 
 def test_diamond_table():

@@ -277,6 +277,41 @@ def test_localmodel_shape_singular_is_an_input_error(capsys, tmp_path):
     assert code == 2 and err == "error: %s: matrix is singular\n" % path
 
 
+def _identity_rows(corner):
+    """The identity matrix as fixture rows, with cell (0, 0) set to corner."""
+    rows = [[{"coeffs": {"0": "1"} if i == j else {}} for j in range(4)] for i in range(4)]
+    rows[0][0] = corner
+    return rows
+
+
+@pytest.mark.parametrize("rows, why", [
+    (_identity_rows({"coeffs": [1]}), 'cell (0, 0) is not {"coeffs": {exponent: scalar}}'),
+    (_identity_rows({"coeffs": {"0": True}}), 'cell (0, 0): coefficient true is not an integer or "a/b"'),
+    (_identity_rows({"coeffs": {"0": 1.5}}), 'cell (0, 0): coefficient 1.5 is not an integer or "a/b"'),
+    (_identity_rows({"coeffs": {"0": "1.5"}}), 'cell (0, 0): coefficient "1.5" is not an integer or "a/b"'),
+    (_identity_rows({"coeffs": {"x": 1}}), 'cell (0, 0): exponent "x" is not an integer'),
+    (_identity_rows({"coeffs": {"01": 1}}), 'cell (0, 0): exponent "01" is not an integer'),
+    (_identity_rows({"coeffs": {"0": "1/37"}}), "cell (0, 0): denominator of 1/37 vanishes mod 37"),
+    (_identity_rows({"coeffs": {"0": "1/0"}}), "cell (0, 0): Fraction(1, 0)"),
+    (_identity_rows({"coeffs": {"0": "1"}})[:3], "the matrix is not a 4x4 array of cells"),
+    ({"schema": "gsp4weights/matrix/1"}, "the matrix is not a 4x4 array of cells"),
+], ids=["coeffs_list", "bool", "float", "float_string", "exponent_x", "exponent_01",
+        "denominator_q", "denominator_0", "three_rows", "no_rows"])
+def test_localmodel_shape_rejects_malformed_matrices(capsys, tmp_path, rows, why):
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(rows))
+    code, out, err = capture(capsys, ["localmodel", "--shape", str(path), "--q", "37"])
+    assert (code, out, err) == (2, "", "error: %s: %s\n" % (path, why))
+
+
+def test_load_matrix_reads_integer_and_fraction_coefficients(tmp_path):
+    F = PrimeField(37)
+    ints, strs = tmp_path / "ints.json", tmp_path / "strs.json"
+    ints.write_text(json.dumps(_identity_rows({"coeffs": {"-1": -2, "2": 3}})))
+    strs.write_text(json.dumps(_identity_rows({"coeffs": {"-1": "-4/2", "2": "6/2"}})))
+    assert load_matrix(str(ints), F) == load_matrix(str(strs), F)
+
+
 @pytest.mark.parametrize("draws", ["0", "-3"])
 def test_localmodel_rejects_fewer_than_one_draw(capsys, draws):
     code, out, err = capture(

@@ -7,11 +7,15 @@ rather than in a benchmark run.
 
 Every top-level function and class in src/ must be reachable from
 something the program runs; test-only helpers live under tests/.
+
+An unbounded cache keeps an entry per distinct argument for the life of
+the process, so only tables of no arguments may be cached whole.
 """
 
 import ast
 import importlib
 import importlib.util
+import inspect
 import os
 import re
 import sys
@@ -142,3 +146,35 @@ def unreachable_definitions():
 
 def test_every_library_definition_is_reachable():
     assert unreachable_definitions() == []
+
+
+def _package_modules():
+    return [importlib.import_module("gsp4weights." + f[:-3])
+            for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py") and f != "__init__.py"]
+
+
+def _module_attrs():
+    """(module, name, object) of every module-level name of the package."""
+    for mod in _package_modules():
+        for attr, obj in vars(mod).items():
+            yield mod.__name__.rsplit(".", 1)[1], attr, obj
+
+
+def test_unbounded_lru_caches_take_no_arguments():
+    # affine.length keeps its argument cache while the benchmark reports
+    # its hit ratio by name
+    unbounded = {
+        (m, attr): inspect.signature(obj.__wrapped__).parameters
+        for m, attr, obj in _module_attrs()
+        if hasattr(obj, "cache_parameters") and obj.__module__ == "gsp4weights." + m
+        and obj.cache_parameters()["maxsize"] is None
+    }
+    assert unbounded
+    assert [key for key, params in unbounded.items()
+            if params and key != ("affine", "length")] == []
+
+
+def test_module_level_caches_are_the_ones_the_benchmark_reads():
+    found = {(m, attr) for m, attr, obj in _module_attrs()
+             if attr.endswith("_CACHE") and isinstance(obj, dict)}
+    assert found and found <= set(_run_caches())

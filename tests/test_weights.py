@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -66,6 +67,20 @@ def test_normalize_central():
     assert normalize_central((1, -P), P) == (0, 0)
     assert normalize_central((0, P * P - 1), P) == (0, 0)
     assert normalize_central((2, 5), P) == (0, 5 + 2 * P)
+
+
+@pytest.mark.parametrize("p", [5, 7, 37, 41])
+def test_normalize_central_against_hnf_oracle(p):
+    # per coordinate: around 0, around p, and p^2 - 1; then seeded large
+    # values of both signs
+    grid = (-p, -1, 0, 1, 2, p - 2, p - 1, p, p + 1, p * p - 1)
+    rng = random.Random(p)
+    for f in range(1, 5):
+        for cs in itertools.product(grid, repeat=f):
+            assert normalize_central(cs, p) == oracles.normalize_central(cs, p), cs
+        for _ in range(200):
+            cs = tuple(rng.randrange(-10 ** 12, 10 ** 12) for _ in range(f))
+            assert normalize_central(cs, p) == oracles.normalize_central(cs, p), cs
 
 
 def test_serre_weight_normal_form():
