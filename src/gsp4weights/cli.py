@@ -10,11 +10,9 @@ into the output.
 import argparse
 import json
 import random
-import re
 import shlex
 import sys
 from dataclasses import dataclass
-from fractions import Fraction
 
 from .base import ETA, Weight, pairing, weyl_from_word, POSITIVE_COROOTS
 from .affine import (
@@ -42,7 +40,7 @@ from .weights import (
 )
 from .adjacency import build_graph, find_chain
 from .cycles import bm_cycle, bm_sum, colength_one_components
-from .exactalg import QQ, LaurentPoly, PrimeField, _is_prime
+from .exactalg import QQ, PrimeField, _is_prime
 from .localmodel import (
     MonodromyParams,
     PolyMat,
@@ -185,49 +183,19 @@ def load_presentation(path: str, expect_p: int | None = None,
     return TamePresentation(kind, tuple(s), tuple(Weight(*m) for m in mus), p)
 
 
-# exponents as str(int) writes them; coefficient strings "a" or "a/b"
-_EXPONENT = re.compile(r"0|-?[1-9][0-9]*")
-_SCALAR_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
-
-
 def load_matrix(path: str, field) -> PolyMat:
-    """Read a 4x4 polynomial matrix: a JSON array of arrays of
-    {"coeffs": {exponent: scalar}} cells, optionally wrapped in an object
-    with a schema tag.  An exponent is an integer written as a string; a
-    scalar is a JSON integer or a string "a" or "a/b" of integers."""
+    """Read a 4x4 polynomial matrix in PolyMat.to_json_obj's format,
+    optionally wrapped in an object with a schema tag."""
     with open(path) as fh:
         obj = json.load(fh)
     if isinstance(obj, dict):
         if obj.get("schema") != "gsp4weights/matrix/1":
             raise ValueError("%s: not a gsp4weights/matrix/1 fixture" % path)
         obj = obj.get("rows")
-    if not (isinstance(obj, list) and len(obj) == 4
-            and all(isinstance(row, list) and len(row) == 4 for row in obj)):
-        raise ValueError("%s: the matrix is not a 4x4 array of cells" % path)
-    rows = [[_load_cell("%s: cell (%d, %d)" % (path, i, j), cell, field)
-             for j, cell in enumerate(row)] for i, row in enumerate(obj)]
-    return PolyMat(field, rows)
-
-
-def _load_cell(where: str, cell, field) -> LaurentPoly:
-    coeffs = cell.get("coeffs") if isinstance(cell, dict) else None
-    if not isinstance(coeffs, dict):
-        raise ValueError('%s is not {"coeffs": {exponent: scalar}}' % where)
-    terms = {}
     try:
-        for e, c in coeffs.items():
-            if not _EXPONENT.fullmatch(e):
-                raise ValueError("%s: exponent %s is not an integer" % (where, json.dumps(e)))
-            m = _SCALAR_STR.fullmatch(c) if isinstance(c, str) else None
-            if m:
-                c = int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2]))
-            elif not _is_json_int(c):
-                raise ValueError('%s: coefficient %s is not an integer or "a/b"'
-                                 % (where, json.dumps(c)))
-            terms[int(e)] = field.coerce(c)
-        return LaurentPoly(field, terms)
-    except ZeroDivisionError as exc:
-        raise ValueError("%s: %s" % (where, exc)) from None
+        return PolyMat.from_json_obj(field, obj)
+    except (ValueError, ZeroDivisionError) as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
 
 
 def _header(cfg: RunConfig, pres: TamePresentation | None = None, **extra) -> str:

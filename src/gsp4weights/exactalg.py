@@ -9,6 +9,8 @@ division by zero raises, it never produces a silent junk value.
 
 from __future__ import annotations
 
+import json
+import re
 from fractions import Fraction
 
 
@@ -406,7 +408,26 @@ class LaurentPoly:
 
     @staticmethod
     def from_coeff_json(field, obj: dict) -> "LaurentPoly":
-        return LaurentPoly(field, {int(e): field.coerce(str(c)) for e, c in obj.items()})
+        """Inverse of to_coeff_json.  An exponent is an integer as str(int)
+        writes it; a coefficient is a JSON integer or a string "a" or "a/b"
+        of integers.  Anything else raises ValueError; a denominator that
+        is 0 or vanishes in the field raises ZeroDivisionError."""
+        terms = {}
+        for e, c in obj.items():
+            if not (isinstance(e, str) and _EXPONENT.fullmatch(e)):
+                raise ValueError("exponent %s is not an integer" % json.dumps(e))
+            m = _SCALAR_STR.fullmatch(c) if isinstance(c, str) else None
+            if m:
+                c = int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2]))
+            elif not isinstance(c, int) or isinstance(c, bool):
+                raise ValueError('coefficient %s is not an integer or "a/b"' % json.dumps(c))
+            terms[int(e)] = field.coerce(c)
+        return LaurentPoly(field, terms)
+
+
+# exponents as str(int) writes them; coefficient strings "a" or "a/b"
+_EXPONENT = re.compile(r"0|-?[1-9][0-9]*")
+_SCALAR_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
 def _is_scalar_of(field, x) -> bool:

@@ -201,8 +201,24 @@ class PolyMat:
 
     @staticmethod
     def from_json_obj(field, obj) -> "PolyMat":
-        rows = [[LaurentPoly.from_coeff_json(field, cell["coeffs"]) for cell in row]
-                for row in obj]
+        """Inverse of to_json_obj: a 4x4 array of {"coeffs": ...} cells, each
+        read by LaurentPoly.from_coeff_json.  A malformed array raises
+        ValueError; a bad cell re-raises its error with the cell named."""
+        if not (isinstance(obj, list) and len(obj) == 4
+                and all(isinstance(row, list) and len(row) == 4 for row in obj)):
+            raise ValueError("the matrix is not a 4x4 array of cells")
+        rows = []
+        for i, row in enumerate(obj):
+            rows.append([])
+            for j, cell in enumerate(row):
+                where = "cell (%d, %d)" % (i, j)
+                coeffs = cell.get("coeffs") if isinstance(cell, dict) else None
+                if not isinstance(coeffs, dict):
+                    raise ValueError('%s is not {"coeffs": {exponent: scalar}}' % where)
+                try:
+                    rows[i].append(LaurentPoly.from_coeff_json(field, coeffs))
+                except (ValueError, ZeroDivisionError) as exc:
+                    raise type(exc)("%s: %s" % (where, exc)) from None
         return PolyMat(field, rows)
 
     def display(self) -> str:

@@ -97,6 +97,28 @@ def test_laurent_display_and_json():
     assert LaurentPoly.from_coeff_json(F, q.to_coeff_json()) == q
 
 
+def test_from_coeff_json_reads_integers_and_fraction_strings():
+    F = PrimeField(5)
+    assert LaurentPoly.from_coeff_json(F, {"-1": -2, "2": "6/4"}) == \
+        LaurentPoly.from_coeff_json(F, {"-1": "3", "2": "4"})
+    assert LaurentPoly.from_coeff_json(QQ, {"0": "-1/2"}) == \
+        LaurentPoly.const(QQ, Fraction(-1, 2))
+
+
+@pytest.mark.parametrize("blob, why", [
+    ({"0": True}, 'coefficient true is not an integer or "a/b"'),
+    ({"0": 1.5}, 'coefficient 1.5 is not an integer or "a/b"'),
+    ({"0": "1.5"}, 'coefficient "1.5" is not an integer or "a/b"'),
+    ({"x": 1}, 'exponent "x" is not an integer'),
+    ({"01": 1}, 'exponent "01" is not an integer'),
+    ({0: 1}, "exponent 0 is not an integer"),
+])
+def test_from_coeff_json_rejects_noncanonical_cells(blob, why):
+    with pytest.raises(ValueError) as exc:
+        LaurentPoly.from_coeff_json(QQ, blob)
+    assert str(exc.value) == why
+
+
 def test_divmod_and_exact_div():
     x = v()
     a = (x + 1) * (x ** 2 + 2)
