@@ -162,20 +162,18 @@ class LaurentPoly:
     """Laurent polynomial in v with coefficients in a fixed field.
 
     Canonical form: ``coeffs`` is a tuple of (exponent, scalar) pairs,
-    sorted by increasing exponent, with no zero scalars.
+    sorted by increasing exponent, with no zero scalars; over F_q every
+    scalar is an int in [1, q), as the sums and products rely on.
     """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
-        if isinstance(coeffs, dict):
-            items = coeffs.items()
-        else:
-            items = coeffs
+        items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         acc = {}
         for exp, val in items:
             exp = int(exp)
-            val = field.coerce(val) if not _is_scalar_of(field, val) else val
+            val = field.coerce(val)
             if exp in acc:
                 val = field.add(acc[exp], val)
             acc[exp] = val
@@ -200,7 +198,7 @@ class LaurentPoly:
 
     @staticmethod
     def const(field, x) -> "LaurentPoly":
-        return LaurentPoly(field, {0: field.coerce(x)})
+        return LaurentPoly(field, {0: x})
 
     @staticmethod
     def zero(field) -> "LaurentPoly":
@@ -271,15 +269,7 @@ class LaurentPoly:
         return None
 
     def __add__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        f = self.field
-        acc = dict(self.coeffs)
-        for e, c in other.coeffs:
-            acc[e] = f.add(acc[e], c) if e in acc else c
-        return LaurentPoly._canonical(
-            f, tuple(sorted((e, c) for e, c in acc.items() if not f.is_zero(c))))
+        return self._merge(other, False)
 
     __radd__ = __add__
 
@@ -288,34 +278,60 @@ class LaurentPoly:
         return LaurentPoly._canonical(f, tuple((e, f.neg(c)) for e, c in self.coeffs))
 
     def __sub__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
+        return self._merge(other, True)
 
     def __rsub__(self, other):
         other = self._coerce_other(other)
+        return NotImplemented if other is None else other._merge(self, True)
+
+    def _merge(self, other, negate: bool):
+        """self + other, or self - other when negate, in one pass over the
+        two sorted term tuples, reducing mod q once per exponent."""
+        other = self._coerce_other(other)
         if other is None:
             return NotImplemented
-        return other + (-self)
+        a = self.coeffs
+        q = self.field.char
+        out = []
+        i, n = 0, len(a)
+        for e, c in other.coeffs:
+            while i < n and a[i][0] < e:
+                out.append(a[i])
+                i += 1
+            if negate:
+                c = -c
+            if i < n and a[i][0] == e:
+                c += a[i][1]
+                i += 1
+            if q:
+                c %= q
+            if c:
+                out.append((e, c))
+        out += a[i:]
+        return LaurentPoly._canonical(self.field, tuple(out))
 
     def __mul__(self, other):
         other = self._coerce_other(other)
         if other is None:
             return NotImplemented
         f = self.field
-        # scalars are Fractions or ints mod q: accumulate with the plain
-        # operators and reduce mod q once per exponent
+        a, b = self.coeffs, other.coeffs
+        if len(a) < len(b):
+            a, b = b, a
+        if not b:
+            return LaurentPoly._canonical(f, ())
+        if len(b) == 1:  # a monomial factor: a shift and a scale
+            (e0, c0), = b
+            return LaurentPoly._canonical(f, tuple((e + e0, f.mul(c, c0)) for e, c in a))
+        q = f.char
+        if q:
+            return LaurentPoly._canonical(f, _kronecker_mul(a, b, q))
         acc = {}
-        for e1, c1 in self.coeffs:
-            for e2, c2 in other.coeffs:
+        for e1, c1 in a:
+            for e2, c2 in b:
                 e = e1 + e2
                 t = c1 * c2
                 acc[e] = acc[e] + t if e in acc else t
-        q = f.char
-        if q:
-            return LaurentPoly._canonical(
-                f, tuple(sorted((e, c % q) for e, c in acc.items() if c % q)))
         return LaurentPoly._canonical(f, tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     __rmul__ = __mul__
@@ -337,7 +353,7 @@ class LaurentPoly:
 
     def scale(self, x) -> "LaurentPoly":
         f = self.field
-        x = f.coerce(x) if not _is_scalar_of(f, x) else x
+        x = f.coerce(x)
         return LaurentPoly(f, tuple((e, f.mul(c, x)) for e, c in self.coeffs))
 
     def shift(self, k: int) -> "LaurentPoly":
@@ -356,7 +372,7 @@ class LaurentPoly:
 
     def evaluate(self, x):
         f = self.field
-        x = f.coerce(x) if not _is_scalar_of(f, x) else x
+        x = f.coerce(x)
         out = f.zero
         for e, c in self.coeffs:
             if e < 0:
@@ -422,7 +438,8 @@ class LaurentPoly:
             elif not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError('coefficient %s is not an integer or "a/b"' % json.dumps(c))
             terms[int(e)] = field.coerce(c)
-        return LaurentPoly(field, terms)
+        return LaurentPoly._canonical(
+            field, tuple(sorted(t for t in terms.items() if not field.is_zero(t[1]))))
 
 
 # exponents as str(int) writes them; coefficient strings "a" or "a/b"
@@ -430,10 +447,30 @@ _EXPONENT = re.compile(r"0|-?[1-9][0-9]*")
 _SCALAR_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
 
 
-def _is_scalar_of(field, x) -> bool:
-    if field.char == 0:
-        return isinstance(x, Fraction)
-    return isinstance(x, int)
+def _kronecker_mul(a: tuple, b: tuple, q: int) -> tuple:
+    """The terms of a * b over F_q by Kronecker substitution (Schoenhage
+    1982; Harvey, J. Symb. Comp. 2009).  The coefficients of the canonical
+    term tuples a, b, all in [0, q), are packed one per slot of w bits into
+    one integer each: a product slot sums at most min(len a, len b) terms
+    below q^2, so w bits hold it without carrying into the next slot."""
+    w = (min(len(a), len(b)) * (q - 1) ** 2).bit_length()
+    la, lb = a[0][0], b[0][0]
+    x = y = 0
+    for e, c in a:
+        x |= c << ((e - la) * w)
+    for e, c in b:
+        y |= c << ((e - lb) * w)
+    z = x * y
+    mask = (1 << w) - 1
+    out = []
+    e = la + lb
+    while z:
+        c = (z & mask) % q
+        if c:
+            out.append((e, c))
+        z >>= w
+        e += 1
+    return tuple(out)
 
 
 def _scalar_pow(field, x, n: int):

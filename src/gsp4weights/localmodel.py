@@ -64,30 +64,35 @@ __all__ = [
 # 4x4 matrices of Laurent polynomials
 
 
+# the column pairs of a 2x2 minor, in row-major order of the pair
+_PAIRS = ((0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3))
+
+
+def _minors(ra, rb) -> dict:
+    """The six 2x2 minors of the rows ra, rb, keyed by column pair."""
+    return {(j, k): ra[j] * rb[k] - ra[k] * rb[j] for j, k in _PAIRS}
+
+
 def _det(rows):
-    n = len(rows)
-    if n == 1:
-        return rows[0][0]
-    acc = None
-    for j in range(n):
-        minor = [r[:j] + r[j + 1:] for r in rows[1:]]
-        term = rows[0][j] * _det(minor)
-        if j % 2:
-            term = -term
-        acc = term if acc is None else acc + term
-    return acc
+    """Determinant of a 4x4 matrix by Laplace expansion along rows (0, 1):
+    each of their 2x2 minors times the complementary minor of rows (2, 3)."""
+    t, b = _minors(rows[0], rows[1]), _minors(rows[2], rows[3])
+    return (t[0, 1] * b[2, 3] - t[0, 2] * b[1, 3] + t[0, 3] * b[1, 2]
+            + t[1, 2] * b[0, 3] - t[1, 3] * b[0, 2] + t[2, 3] * b[0, 1])
 
 
 def _adjugate(rows):
-    n = len(rows)
-    out = [[None] * n for _ in range(n)]
-    for i in range(n):
-        for j in range(n):
-            minor = [r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i]
-            cof = _det(minor)
-            if (i + j) % 2:
-                cof = -cof
-            out[j][i] = cof
+    """adj(A)[j][i] = (-1)^(i+j) det(A without row i and column j).  Each
+    3x3 minor keeps one of the row pairs (0, 1), (2, 3) whole and is
+    expanded along its one other row against that pair's 2x2 minors."""
+    kept = (_minors(rows[2], rows[3]), _minors(rows[0], rows[1]))
+    out = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        m, x = kept[i // 2], rows[i ^ 1]
+        for j in range(4):
+            c1, c2, c3 = (k for k in range(4) if k != j)
+            cof = x[c1] * m[c2, c3] - x[c2] * m[c1, c3] + x[c3] * m[c1, c2]
+            out[j][i] = -cof if (i + j) % 2 else cof
     return out
 
 
@@ -177,10 +182,10 @@ class PolyMat:
         return hash((self.field, self.rows))
 
     def det(self) -> LaurentPoly:
-        return _det([list(r) for r in self.rows])
+        return _det(self.rows)
 
     def adjugate(self) -> "PolyMat":
-        return PolyMat(self.field, _adjugate([list(r) for r in self.rows]))
+        return PolyMat(self.field, _adjugate(self.rows))
 
     def derivative(self) -> "PolyMat":
         return PolyMat(self.field, [[e.derivative() for e in row] for row in self.rows])
@@ -294,16 +299,13 @@ def _form_scalar(A: PolyMat):
     transpose(A) * J * A is alternating, so its six entries above the
     diagonal decide the comparison, and a failure above the diagonal
     precedes its mirror image."""
-    r0, r1, r2, r3 = A.rows
-
-    def entry(i, j):
-        return (r0[i] * r3[j] - r3[i] * r0[j]) + (r1[i] * r2[j] - r2[i] * r1[j])
-
-    c = entry(0, 3)
+    m03, m12 = _minors(A.rows[0], A.rows[3]), _minors(A.rows[1], A.rows[2])
+    entry = {ij: m03[ij] + m12[ij] for ij in _PAIRS}
+    c = entry[0, 3]
     zero = LaurentPoly.zero(A.field)
-    for i, j in ((0, 1), (0, 2), (1, 2), (1, 3), (2, 3)):
-        if entry(i, j) != (c if (i, j) == (1, 2) else zero):
-            return None, (i, j)
+    for ij in _PAIRS:
+        if entry[ij] != (c if ij in ((0, 3), (1, 2)) else zero):
+            return None, ij
     return c, None
 
 

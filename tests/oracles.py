@@ -23,6 +23,11 @@ the table tests check.
   must give the same tables, the same intersections and the same errors.
   The alcove shift maps the JH set of a parameter's reduction onto its
   predicted set.
+- A Laurent product is the schoolbook sum over every pair of terms; the
+  library multiplies over F_q by Kronecker substitution.  Determinants
+  and adjugates are cofactor expansions, and the similitude form
+  transpose(A) * J * A is a full matrix product; the library reads all
+  three off 2 x 2 minors.
 - E(v)-elementary divisors come from the determinantal divisors: the
   minimum E-valuation of the k x k minors, over all 69 minors of a 4 x 4
   matrix.  Iwahori shapes come from valuation-pivot elimination at the
@@ -60,7 +65,7 @@ from gsp4weights.affine import (
     translation,
 )
 from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, divmod_poly
-from gsp4weights.localmodel import PolyMat, weyl_matrix
+from gsp4weights.localmodel import PolyMat, j_matrix, weyl_matrix
 from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
@@ -506,6 +511,43 @@ def minor_det(rows):
             term = -term
         acc = term if acc is None else acc + term
     return acc
+
+
+def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
+    """Schoolbook product: every pair of terms, accumulated per exponent
+    with the scalars' own operators and reduced mod q once per exponent."""
+    acc = {}
+    for e1, c1 in a.coeffs:
+        for e2, c2 in b.coeffs:
+            acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
+    q = a.field.char
+    return LaurentPoly(a.field, [(e, c % q if q else c) for e, c in acc.items()])
+
+
+def cofactor_adjugate(A: PolyMat) -> PolyMat:
+    """adj(A)[j][i] = (-1)^(i+j) times the determinant of A without row i
+    and column j, each by cofactor expansion."""
+    rows = [list(r) for r in A.rows]
+    out = [[None] * 4 for _ in range(4)]
+    for i in range(4):
+        for j in range(4):
+            cof = minor_det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i])
+            out[j][i] = -cof if (i + j) % 2 else cof
+    return PolyMat(A.field, out)
+
+
+def similitude_form(A: PolyMat):
+    """(c, None) when S = transpose(A) * J * A equals c * J for c = S[0][3],
+    else (None, (i, j)) with the first entry in row-major order of all 16
+    where they differ."""
+    J = j_matrix(A.field)
+    S = A.transpose() * J * A
+    c = S.entry(0, 3)
+    for i in range(4):
+        for j in range(4):
+            if S.entry(i, j) != c * J.entry(i, j):
+                return None, (i, j)
+    return c, None
 
 
 def root_multiplicity(a: LaurentPoly, r) -> int:

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -13,7 +14,7 @@ from gsp4weights.exactalg import (
     unit_normalize,
 )
 
-from oracles import e_valuation, root_multiplicity
+from oracles import e_valuation, laurent_mul, root_multiplicity
 
 
 def v(field=QQ):
@@ -69,6 +70,127 @@ def test_laurent_negative_exponents():
     assert q.shift(1) == x ** 2 + LaurentPoly.one(QQ)
     with pytest.raises(ValueError):
         q ** -1  # only monomials invert
+
+
+def test_prime_field_scalars_are_reduced_on_the_way_in():
+    F = PrimeField(37)
+    assert LaurentPoly(F, {0: -2}) == LaurentPoly(F, {0: 35})
+    assert LaurentPoly(F, {0: -2}).coeffs == ((0, 35),)
+    assert LaurentPoly(F, [(1, 40), (1, -3), (2, 74)]).is_zero
+    x = v(F)
+    assert (x + 1).scale(-2) == LaurentPoly(F, {0: 35, 1: 35})
+    assert (x + 1).scale(-2).coeffs == ((0, 35), (1, 35))
+    assert (x ** 2 + x ** -1 + 3).evaluate(-1) == 3
+    assert (x ** 2 + 3).evaluate(-1) == 4
+
+
+def is_canonical(a: LaurentPoly, q: int) -> bool:
+    """Strictly increasing exponents and every coefficient an int in [1, q)."""
+    exps = [e for e, _ in a.coeffs]
+    return (all(x < y for x, y in zip(exps, exps[1:]))
+            and all(type(c) is int and 0 < c < q for _, c in a.coeffs))
+
+
+def random_leaf(F, rng):
+    """A polynomial from one of the public constructors, fed raw ints
+    outside [0, q), repeated exponents and fraction strings."""
+    q = F.char
+    kind = rng.randrange(6)
+    if kind == 0:
+        return LaurentPoly(F, [(rng.randrange(-4, 9), rng.randrange(-3 * q, 3 * q))
+                               for _ in range(rng.randrange(8))])
+    if kind == 1:
+        return LaurentPoly.const(F, rng.randrange(-3 * q, 3 * q))
+    if kind == 2:
+        return LaurentPoly.v_power(F, rng.randrange(-4, 5))
+    if kind == 3:
+        return rng.choice((LaurentPoly.zero(F), LaurentPoly.one(F)))
+    cells = {}
+    for e in range(rng.randrange(-3, 2), rng.randrange(2, 9)):
+        if kind == 4:
+            cells[str(e)] = rng.randrange(-3 * q, 3 * q)
+        else:
+            cells[str(e)] = "%d/%d" % (rng.randrange(-3 * q, 3 * q), rng.randrange(1, q))
+    return LaurentPoly.from_coeff_json(F, cells)
+
+
+def random_expression(F, rng, depth, seen):
+    """A seeded random expression tree over F.  Each inner node applies
+    every operation to its two subtrees and keeps one result at random;
+    all of them are appended to `seen`."""
+    if depth == 0 or rng.random() < 0.2:
+        seen.append(random_leaf(F, rng))
+        return seen[-1]
+    a = random_expression(F, rng, depth - 1, seen)
+    b = random_expression(F, rng, depth - 1, seen)
+    k = rng.randrange(-2 * F.char, 2 * F.char)
+    results = (a + b, a - b, a * b, -a, a ** rng.randrange(4), a.scale(k),
+               a.shift(rng.randrange(-3, 4)), a.derivative(),
+               a.truncate(rng.randrange(-2, 6)), k + a, k - a, a - k, k * a)
+    seen.extend(results)
+    return rng.choice(results)
+
+
+@pytest.mark.parametrize("q", [2, 5, 37, 10007])
+def test_canonical_form_survives_every_constructor_and_operation(q):
+    F = PrimeField(q)
+    rng = random.Random(q)
+    seen = []
+    for _ in range(60):
+        random_expression(F, rng, 4, seen)
+    assert len(seen) > 2000
+    assert all(is_canonical(a, q) for a in seen)
+    # raw evaluation points outside [0, q), none of them 0 mod q
+    assert all(a.evaluate(rng.randrange(1, q) + q * rng.randrange(-2, 2)) in range(q)
+               for a in seen[:300])
+
+
+def random_poly(F, rng, n, low, gap=0.3):
+    """Up to n terms from exponent `low` on, each skipped with chance gap."""
+    return LaurentPoly(F, {low + k: rng.randrange(1, F.char) for k in range(n)
+                           if rng.random() >= gap})
+
+
+@pytest.mark.parametrize("q", [2, 5, 37, 10007])
+def test_kronecker_product_matches_schoolbook(q):
+    F = PrimeField(q)
+    rng = random.Random(100 + q)
+    x, one, zero = v(F), LaurentPoly.one(F), LaurentPoly.zero(F)
+    full = LaurentPoly(F, {e: q - 1 for e in range(-7, 33)})  # 40 slots of q - 1
+    assert len(full.coeffs) == 40
+    cases = [
+        (full, full),                                      # the widest slot sums
+        (full, LaurentPoly(F, {e: q - 1 for e in range(40, 80)})),
+        (full, x - 1),
+        (full, zero),
+        (zero, zero),
+        (x ** -3, full),                                   # monomial factors
+        (LaurentPoly.const(F, q - 1), full),
+        (x + 1, x - 1),                                    # the v-term cancels
+        (x ** -2 + x ** 5, x ** 3 - x ** -4),              # far-apart terms
+    ]
+    if q < 100:
+        # (1 + v)^q = 1 + v^q: every middle coefficient cancels mod q
+        frobenius = ((x + 1) ** (q - 1), x + 1)
+        assert laurent_mul(*frobenius).coeffs == ((0, 1), (q, 1))
+        cases.append(frobenius)
+    for _ in range(150):
+        a = random_poly(F, rng, rng.randrange(0, 41), rng.randrange(-10, 10))
+        b = random_poly(F, rng, rng.randrange(0, 41), rng.randrange(-10, 10))
+        cases.append((a, b))
+    for a, b in cases:
+        want = laurent_mul(a, b)
+        assert (a * b).coeffs == want.coeffs and (b * a).coeffs == want.coeffs
+        assert is_canonical(a * b, q)
+
+
+def test_rational_product_matches_schoolbook():
+    rng = random.Random(3)
+    for _ in range(40):
+        a, b = (LaurentPoly(QQ, {rng.randrange(-5, 8): Fraction(rng.randrange(-9, 10),
+                                                                rng.randrange(1, 6))
+                                 for _ in range(rng.randrange(6))}) for _ in range(2))
+        assert a * b == laurent_mul(a, b)
 
 
 def test_laurent_derivative_and_evaluate():

@@ -4,6 +4,7 @@ import pytest
 
 import oracles
 
+from gsp4weights import localmodel
 from gsp4weights.base import (
     ETA,
     W_ALL,
@@ -139,6 +140,67 @@ def test_polymat_json_roundtrip():
     M = monomial_matrix(star(translation(ETA)), QQ)
     blob = M.to_json_obj()
     assert PolyMat.from_json_obj(QQ, blob) == M
+
+
+# ---------------------------------------------------------------------------
+# the 2x2-minor kernel behind det, adjugate and the similitude form
+
+
+def random_entry(field, rng):
+    q = field.char or 7
+    return LaurentPoly(field, {e: rng.randrange(-q, q) for e in range(-2, 4)
+                               if rng.random() < 0.5})
+
+
+def minor_kernel_cases(field, rng):
+    """Seeded 4x4 matrices: similitudes (Iwahori sandwiches over F_q,
+    family draws over Q), each also with one random entry perturbed,
+    random matrices, and singular ones."""
+    if field.char:
+        elems = sorted(adm_dual_set(ETA), key=elem_sort_key)
+        sims = [random_iwahori(field, rng) * monomial_matrix(rng.choice(elems), field)
+                * random_iwahori(field, rng) * LaurentPoly.v_power(field, -rng.randrange(3))
+                for _ in range(10)]
+    else:
+        sims = family_draws(field, rng, 10)
+    perturbed = []
+    for A in sims:
+        rows = [list(r) for r in A.rows]
+        i, j = rng.randrange(4), rng.randrange(4)
+        rows[i][j] = rows[i][j] + LaurentPoly.v_power(field, rng.randrange(-1, 3))
+        perturbed.append(PolyMat(field, rows))
+    zero, v = LaurentPoly.zero(field), LaurentPoly.v_power(field, 1)
+    for k in (1, 2):
+        # column 3 plus v times column k: the form first fails at (3 - k, 3)
+        perturbed.append(PolyMat(field, [r[:3] + (r[3] + r[k] * v,) for r in sims[k].rows]))
+    randoms = [PolyMat(field, [[random_entry(field, rng) for _ in range(4)] for _ in range(4)])
+               for _ in range(10)]
+    singular = [PolyMat(field, [[zero] * 4] * 4),
+                PolyMat(field, [[v if (i, j) in ((0, 3), (1, 2)) else zero for j in range(4)]
+                                for i in range(4)])]
+    for A in sims[:3] + randoms[:3]:
+        rows = [list(r) for r in A.rows]
+        rows[3] = [a * v + b.scale(2) for a, b in zip(rows[1], rows[0])]
+        singular.append(PolyMat(field, rows))
+        singular.append(PolyMat(field, [r[:2] + (zero,) + r[3:] for r in A.rows]))
+    return sims + perturbed + randoms + singular
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5), PrimeField(P)], ids=["QQ", "F5", "F37"])
+def test_minor_kernel_matches_cofactor_oracles(field):
+    failed_at = set()
+    n_singular = 0
+    for A in minor_kernel_cases(field, random.Random(60 + field.char)):
+        det = A.det()
+        assert det == oracles.minor_det([list(r) for r in A.rows])
+        assert A.adjugate() == oracles.cofactor_adjugate(A)
+        form = localmodel._form_scalar(A)
+        assert form == oracles.similitude_form(A)
+        failed_at.add(form[1])
+        n_singular += det.is_zero
+    assert n_singular == 14
+    # similitudes pass, and non-similitudes fail at several first entries
+    assert {None, (0, 1), (1, 2), (1, 3), (2, 3)} <= failed_at
 
 
 # ---------------------------------------------------------------------------
