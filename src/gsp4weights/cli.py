@@ -589,7 +589,7 @@ def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
     lines.append("monodromy on the solved family: pass (a=%d,%d,%d)" % a)
     bumped = RegColOneParams.make(
         QQ, c00=sp.c00, c21=sp.c21, c13=sp.c13, c31=sp.c31, c31p=sp.c31p,
-        c33=QQ.add(sp.c33, QQ.one), c33p=sp.c33p, c33pp=sp.c33pp,
+        c33=sp.c33 + 1, c33p=sp.c33p, c33pp=sp.c33pp,
         a0=sp.a0, a1=sp.a1, a2=sp.a2, a3=sp.a3, e=sp.e)
     bad = monodromy_defect(build_regcolone_matrix(bumped, p), mp)
     assert bad is not None, "perturbed parameters still pass monodromy"

@@ -2,9 +2,11 @@
 
 Two coefficient fields are supported: the rationals (characteristic 0,
 scalars are ``fractions.Fraction``) and the prime field F_q (scalars are
-ints reduced mod q).  On top of these we build Laurent polynomials in a
-single variable ``v`` and their fraction field.  Everything is exact;
-division by zero raises, it never produces a silent junk value.
+ints in [0, q)).  Scalar arithmetic is Python operators; a field object
+only maps a value into the field (``coerce``) and inverts (``inv``).  On
+top of these we build Laurent polynomials in a single variable ``v``.
+Everything is exact; division by zero raises, it never produces a silent
+junk value.
 """
 
 from __future__ import annotations
@@ -43,36 +45,10 @@ class RationalField:
             return Fraction(x)
         raise TypeError("cannot coerce %r into the rationals" % (x,))
 
-    @property
-    def zero(self) -> Fraction:
-        return Fraction(0)
-
-    @property
-    def one(self) -> Fraction:
-        return Fraction(1)
-
-    def add(self, x, y):
-        return x + y
-
-    def sub(self, x, y):
-        return x - y
-
-    def mul(self, x, y):
-        return x * y
-
-    def neg(self, x):
-        return -x
-
-    def div(self, x, y):
-        if y == 0:
+    def inv(self, x) -> Fraction:
+        if x == 0:
             raise ZeroDivisionError("division by zero in the rationals")
-        return x / y
-
-    def inv(self, x):
-        return self.div(self.one, x)
-
-    def is_zero(self, x) -> bool:
-        return x == 0
+        return 1 / Fraction(x)
 
     def to_str(self, x) -> str:
         return str(x)
@@ -107,36 +83,10 @@ class PrimeField:
             return self.coerce(Fraction(x))
         raise TypeError("cannot coerce %r into F_%d" % (x, self.char))
 
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
-    def add(self, x, y):
-        return (x + y) % self.char
-
-    def sub(self, x, y):
-        return (x - y) % self.char
-
-    def mul(self, x, y):
-        return (x * y) % self.char
-
-    def neg(self, x):
-        return (-x) % self.char
-
-    def div(self, x, y):
-        if y % self.char == 0:
+    def inv(self, x) -> int:
+        if x % self.char == 0:
             raise ZeroDivisionError("division by zero in F_%d" % self.char)
-        return (x * pow(y, -1, self.char)) % self.char
-
-    def inv(self, x):
-        return self.div(1, x)
-
-    def is_zero(self, x) -> bool:
-        return x % self.char == 0
+        return pow(x, -1, self.char)
 
     def to_str(self, x) -> str:
         return str(x % self.char)
@@ -163,24 +113,24 @@ class LaurentPoly:
 
     Canonical form: ``coeffs`` is a tuple of (exponent, scalar) pairs,
     sorted by increasing exponent, with no zero scalars; over F_q every
-    scalar is an int in [1, q), as the sums and products rely on.
+    scalar is an int in [1, q), as the sums and products rely on.  A
+    canonical scalar is never zero, so a zero test is its truth value.
     """
 
     __slots__ = ("field", "coeffs")
 
     def __init__(self, field, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
+        coerce = field.coerce
         acc = {}
         for exp, val in items:
             exp = int(exp)
-            val = field.coerce(val)
+            val = coerce(val)
             if exp in acc:
-                val = field.add(acc[exp], val)
+                val = coerce(acc[exp] + val)
             acc[exp] = val
         object.__setattr__(self, "field", field)
-        object.__setattr__(
-            self, "coeffs",
-            tuple(sorted((e, c) for e, c in acc.items() if not field.is_zero(c))))
+        object.__setattr__(self, "coeffs", tuple(sorted((e, c) for e, c in acc.items() if c)))
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -210,7 +160,7 @@ class LaurentPoly:
 
     @staticmethod
     def v_power(field, k: int) -> "LaurentPoly":
-        return LaurentPoly(field, {k: field.one})
+        return LaurentPoly(field, {k: 1})
 
     # -- inspection
 
@@ -239,7 +189,7 @@ class LaurentPoly:
         for e, c in self.coeffs:
             if e == exp:
                 return c
-        return self.field.zero
+        return self.field.coerce(0)
 
     @property
     def constant_term(self):
@@ -274,8 +224,10 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self):
-        f = self.field
-        return LaurentPoly._canonical(f, tuple((e, f.neg(c)) for e, c in self.coeffs))
+        q = self.field.char
+        if q:
+            return LaurentPoly._canonical(self.field, tuple((e, q - c) for e, c in self.coeffs))
+        return LaurentPoly._canonical(self.field, tuple((e, -c) for e, c in self.coeffs))
 
     def __sub__(self, other):
         return self._merge(other, True)
@@ -320,10 +272,12 @@ class LaurentPoly:
             a, b = b, a
         if not b:
             return LaurentPoly._canonical(f, ())
+        q = f.char
         if len(b) == 1:  # a monomial factor: a shift and a scale
             (e0, c0), = b
-            return LaurentPoly._canonical(f, tuple((e + e0, f.mul(c, c0)) for e, c in a))
-        q = f.char
+            if q:
+                return LaurentPoly._canonical(f, tuple((e + e0, c * c0 % q) for e, c in a))
+            return LaurentPoly._canonical(f, tuple((e + e0, c * c0) for e, c in a))
         if q:
             return LaurentPoly._canonical(f, _kronecker_mul(a, b, q))
         acc = {}
@@ -354,32 +308,19 @@ class LaurentPoly:
     def scale(self, x) -> "LaurentPoly":
         f = self.field
         x = f.coerce(x)
-        return LaurentPoly(f, tuple((e, f.mul(c, x)) for e, c in self.coeffs))
+        return LaurentPoly(f, tuple((e, c * x) for e, c in self.coeffs))
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
         return LaurentPoly._canonical(self.field, tuple((e + k, c) for e, c in self.coeffs))
 
     def derivative(self) -> "LaurentPoly":
-        f = self.field
-        return LaurentPoly(
-            f, tuple((e - 1, f.mul(c, f.coerce(e))) for e, c in self.coeffs if e != 0))
+        return LaurentPoly(self.field, tuple((e - 1, c * e) for e, c in self.coeffs if e != 0))
 
     def truncate(self, n: int) -> "LaurentPoly":
         """Drop all terms of exponent >= n."""
         return LaurentPoly._canonical(
             self.field, tuple((e, c) for e, c in self.coeffs if e < n))
-
-    def evaluate(self, x):
-        f = self.field
-        x = f.coerce(x)
-        out = f.zero
-        for e, c in self.coeffs:
-            if e < 0:
-                out = f.add(out, f.mul(c, f.inv(_scalar_pow(f, x, -e))))
-            else:
-                out = f.add(out, f.mul(c, _scalar_pow(f, x, e)))
-        return out
 
     # -- comparison and display
 
@@ -438,8 +379,7 @@ class LaurentPoly:
             elif not isinstance(c, int) or isinstance(c, bool):
                 raise ValueError('coefficient %s is not an integer or "a/b"' % json.dumps(c))
             terms[int(e)] = field.coerce(c)
-        return LaurentPoly._canonical(
-            field, tuple(sorted(t for t in terms.items() if not field.is_zero(t[1]))))
+        return LaurentPoly._canonical(field, tuple(sorted(t for t in terms.items() if t[1])))
 
 
 # exponents as str(int) writes them; coefficient strings "a" or "a/b"
@@ -473,13 +413,6 @@ def _kronecker_mul(a: tuple, b: tuple, q: int) -> tuple:
     return tuple(out)
 
 
-def _scalar_pow(field, x, n: int):
-    out = field.one
-    for _ in range(n):
-        out = field.mul(out, x)
-    return out
-
-
 # ---------------------------------------------------------------------------
 # polynomial division, gcd, valuations
 
@@ -501,11 +434,10 @@ def divmod_poly(a: LaurentPoly, b: LaurentPoly) -> tuple[LaurentPoly, LaurentPol
     q = LaurentPoly.zero(f)
     r = aa
     db = bb.degree
-    lead = bb.leading_coeff
+    lead_inv = f.inv(bb.leading_coeff)
     while not r.is_zero and r.degree >= db:
         k = r.degree - db
-        c = f.div(r.leading_coeff, lead)
-        t = LaurentPoly(f, {k: c})
+        t = LaurentPoly(f, {k: r.leading_coeff * lead_inv})
         q = q + t
         r = r - t * bb
     return q.shift(sa - sb), r.shift(sa)
@@ -518,15 +450,16 @@ def exact_div(a: LaurentPoly, b: LaurentPoly):
 
 
 def unit_normalize(a: LaurentPoly) -> LaurentPoly:
-    """Strip the unit part: divide by (trailing coeff) * v^(low degree).
+    """Strip the unit part: divide by v^(low degree) and by the leading
+    coefficient.
 
-    The result is 0 or a monic-at-the-bottom polynomial with nonzero
-    constant term; it generates the same ideal of the Laurent ring.
+    The result is 0 or a monic polynomial with nonzero constant term; it
+    generates the same ideal of the Laurent ring.  poly_gcd and RatFunc's
+    canonical denominator rely on the monic top.
     """
     if a.is_zero:
         return a
     out = a.shift(-a.low_degree)
-    # normalize by the leading coefficient so poly_gcd output is canonical
     return out.scale(a.field.inv(out.leading_coeff))
 
 
@@ -540,7 +473,7 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 
 
 # ---------------------------------------------------------------------------
-# fraction field
+# reduced fractions
 
 
 class RatFunc:
@@ -565,7 +498,7 @@ class RatFunc:
             den = LaurentPoly.one(field)
         else:
             g = poly_gcd(num, den)
-            if not (g.is_constant and g.coeff(0) == field.one):
+            if not (g.is_constant and g.coeff(0) == 1):
                 num = exact_div(num, g)
                 den = exact_div(den, g)
             # push den's unit part (v-power and leading scalar) into num
@@ -573,7 +506,7 @@ class RatFunc:
             num = num.shift(-k)
             den = den.shift(-k)
             lead = den.leading_coeff
-            if lead != field.one:
+            if lead != 1:
                 num = num.scale(field.inv(lead))
                 den = den.scale(field.inv(lead))
         object.__setattr__(self, "num", num)
@@ -583,96 +516,5 @@ class RatFunc:
         raise AttributeError("RatFunc is immutable")
 
     @property
-    def field(self):
-        return self.num.field
-
-    @property
-    def is_zero(self) -> bool:
-        return self.num.is_zero
-
-    @property
     def is_laurent(self) -> bool:
-        return self.den == LaurentPoly.one(self.field)
-
-    def as_laurent(self) -> LaurentPoly:
-        if not self.is_laurent:
-            raise ValueError("denominator %s is not a unit" % self.den.display())
-        return self.num
-
-    def _coerce_other(self, other):
-        if isinstance(other, RatFunc):
-            if other.field != self.field:
-                raise TypeError("mixed coefficient fields")
-            return other
-        if isinstance(other, LaurentPoly):
-            return RatFunc(other)
-        if isinstance(other, (int, Fraction)):
-            return RatFunc(LaurentPoly.const(self.field, other))
-        return None
-
-    def __add__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.den + other.num * self.den,
-                       self.den * other.den)
-
-    __radd__ = __add__
-
-    def __neg__(self):
-        return RatFunc(-self.num, self.den)
-
-    def __sub__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
-
-    def __mul__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        return RatFunc(self.num * other.num, self.den * other.den)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        if other.is_zero:
-            raise ZeroDivisionError("division by the zero rational function")
-        return RatFunc(self.num * other.den, self.den * other.num)
-
-    def __rtruediv__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        return other / self
-
-    def __eq__(self, other):
-        if isinstance(other, (int, Fraction, LaurentPoly)):
-            other = self._coerce_other(other)
-        if not isinstance(other, RatFunc):
-            return NotImplemented
-        return self.num == other.num and self.den == other.den
-
-    def __hash__(self):
-        return hash((self.num, self.den))
-
-    def __bool__(self):
-        return not self.is_zero
-
-    def display(self) -> str:
-        if self.is_laurent:
-            return self.num.display()
-        return "(%s) / (%s)" % (self.num.display(), self.den.display())
-
-    def __repr__(self):
-        return "RatFunc(%s)" % self.display()
+        return self.den == 1

@@ -238,7 +238,7 @@ class PolyMat:
 
 def e_poly(field, p: int) -> LaurentPoly:
     """E(v) = v + p; over F_p this is just v."""
-    return LaurentPoly(field, {1: field.one, 0: field.coerce(p)})
+    return LaurentPoly(field, {1: 1, 0: p})
 
 
 # the symplectic form: antidiagonal (1, 1, -1, -1)
@@ -363,11 +363,8 @@ def _unit_inverse(u: LaurentPoly, n: int) -> LaurentPoly:
     w0 = f.inv(c[0])
     w = [w0]
     for k in range(1, n):
-        acc = f.zero
-        for j in range(1, k + 1):
-            if j in c:
-                acc = f.add(acc, f.mul(c[j], w[k - j]))
-        w.append(f.neg(f.mul(w0, acc)))
+        acc = sum(c[j] * w[k - j] for j in range(1, k + 1) if j in c)
+        w.append(f.coerce(-w0 * acc))
     return LaurentPoly(f, enumerate(w))
 
 
@@ -420,15 +417,14 @@ def _taylor_shift(a: LaurentPoly, s) -> LaurentPoly:
     """a(v + s) for a polynomial a without negative exponents."""
     if a.is_zero:
         return a
-    f = a.field
     n = a.degree
-    c = [f.zero] * (n + 1)
+    c = [0] * (n + 1)
     for e, x in a.coeffs:
         c[e] = x
     for i in range(n):
         for k in range(n - 1, i - 1, -1):
-            c[k] = f.add(c[k], f.mul(s, c[k + 1]))
-    return LaurentPoly(f, enumerate(c))
+            c[k] += s * c[k + 1]
+    return LaurentPoly(a.field, enumerate(c))
 
 
 def _minus_p(field, p: int):
@@ -563,8 +559,7 @@ class MonodromyParams:
 
     def diag_values(self) -> tuple:
         a1, a2, a3 = self.a
-        f = self.field
-        return (a1, a2, f.sub(a3, a2), f.sub(a3, a1))
+        return (a1, a2, self.field.coerce(a3 - a2), self.field.coerce(a3 - a1))
 
     def diag_matrix(self) -> PolyMat:
         zero = LaurentPoly.zero(self.field)
@@ -597,13 +592,12 @@ class MonodromyParams:
         the matrix of w (the character-exponent realization crosses the
         two generators relative to the coweight coordinates)."""
         d, e, f = self.a
-        fld = self.field
         for ch in reversed(w.word):
             if ch == "1":
-                e = fld.sub(f, e)
+                e = self.field.coerce(f - e)
             else:
                 d, e = e, d
-        return MonodromyParams(fld, (d, e, f), self.p)
+        return MonodromyParams(self.field, (d, e, f), self.p)
 
 
 @dataclass(frozen=True)
@@ -657,7 +651,7 @@ def monodromy_defect(A: PolyMat, params: MonodromyParams):
                 continue
             if e.low_degree < 0:
                 return MonodromyDefect(3, (i, j), "pole at v = 0")
-            if i > j and not field.is_zero(e.constant_term):
+            if i > j and e.constant_term:
                 return MonodromyDefect(
                     3, (i, j), "reduction mod v is not upper triangular")
     return None
@@ -702,9 +696,7 @@ class RegColOneParams:
             raise ValueError("unknown parameters: %s" % ", ".join(extra))
         coerced = {n: field.coerce(vals[n]) for n in names}
         params = RegColOneParams(field, **coerced)
-        f = field
-        den = f.sub(f.sub(f.add(params.e, params.a0), params.a3), f.one)
-        if f.is_zero(den):
+        if not field.coerce(params.e + params.a0 - params.a3 - 1):
             raise ValueError("denominator e + a0 - a3 - 1 vanishes")
         return params
 
@@ -713,16 +705,13 @@ class RegColOneParams:
                    a0=1, a1=2, a2=3, a3=1, e=5) -> "RegColOneParams":
         """Symplectic member of the family: c33'' is pinned by the
         similitude condition c00*(c33'' + p*c33' + p^2*c33) = p^3."""
-        f = field
-        c00 = f.coerce(c00)
-        if f.is_zero(c00):
+        c00 = field.coerce(c00)
+        if not c00:
             raise ValueError("c00 must be invertible")
-        c33 = f.coerce(c33)
-        c33p = f.coerce(c33p)
-        pc = f.coerce(p)
-        c33pp = f.sub(f.sub(f.div(f.mul(pc, f.mul(pc, pc)), c00),
-                            f.mul(c33, f.mul(pc, pc))),
-                      f.mul(c33p, pc))
+        c33 = field.coerce(c33)
+        c33p = field.coerce(c33p)
+        pc = field.coerce(p)
+        c33pp = Fraction(pc ** 3, c00) - c33 * pc * pc - c33p * pc
         return RegColOneParams.make(
             field, c00=c00, c21=c21, c13=c13, c31=c31, c31p=c31p,
             c33=c33, c33p=c33p, c33pp=c33pp, a0=a0, a1=a1, a2=a2, a3=a3, e=e)
@@ -734,60 +723,42 @@ class RegColOneParams:
 
         ``a`` is the monodromy parameter triple (a1, a2, a3); the opaque
         display parameters are derived from it."""
-        f = field
-        a1m, a2m, a3m = (f.coerce(x) for x in a)
-        c00 = f.coerce(c00)
-        c21 = f.coerce(c21)
-        c13 = f.coerce(c13)
-        c31 = f.coerce(c31)
-        pc = f.coerce(p)
-        if f.is_zero(c00):
+        a1m, a2m, a3m = (field.coerce(x) for x in a)
+        c00 = field.coerce(c00)
+        c21 = field.coerce(c21)
+        c13 = field.coerce(c13)
+        c31 = field.coerce(c31)
+        pc = field.coerce(p)
+        if not c00:
             raise ValueError("c00 must be invertible")
-        big_x = f.sub(a3m, f.add(a1m, a1m))
-        big_y = f.sub(a3m, f.add(a2m, a2m))
-        for d in (f.sub(a1m, a2m), big_x, f.sub(big_x, f.one), f.add(big_x, f.one)):
-            if f.is_zero(d):
+        big_x = a3m - 2 * a1m
+        big_y = a3m - 2 * a2m
+        for d in (a1m - a2m, big_x, big_x - 1, big_x + 1):
+            if not field.coerce(d):
                 raise ValueError("denominator vanishing: parameters not generic enough")
-        # c33 from the solved relation c00*[(Y-1) c13 c31 + (X+1) c33] = p (X-1)
-        c33 = f.div(
-            f.sub(f.div(f.mul(pc, f.sub(big_x, f.one)), c00),
-                  f.mul(f.sub(big_y, f.one), f.mul(c13, c31))),
-            f.add(big_x, f.one))
+        # c33 from the solved relation c00*[(Y-1) c13 c31 + (X+1) c33] = p (X-1);
+        # every denominator is a unit, so the rational values reduce mod q
+        c33 = Fraction(Fraction(pc * (big_x - 1), c00) - (big_y - 1) * c13 * c31, big_x + 1)
         # the three eliminated variables
-        c31p = f.neg(f.div(
-            f.mul(pc, f.add(f.mul(f.mul(c13, c21),
-                                  f.sub(f.add(a1m, a2m), a3m)), c31)),
-            f.sub(a1m, a2m)))
-        two = f.coerce(2)
-        c33p = f.div(
-            f.sub(f.sub(f.mul(f.mul(two, pc), c33),
-                        f.mul(f.mul(c13, c31p), big_y)),
-                  f.mul(f.mul(pc, f.mul(c13, c31)),
-                        f.add(f.neg(big_y), two))),
-            big_x)
-        c33pp = f.sub(f.sub(f.div(f.mul(pc, f.mul(pc, pc)), c00),
-                            f.mul(c33, f.mul(pc, pc))),
-                      f.mul(c33p, pc))
+        c31p = -Fraction(pc * (c13 * c21 * (a1m + a2m - a3m) + c31), a1m - a2m)
+        c33p = Fraction(2 * pc * c33 - c13 * c31p * big_y - pc * c13 * c31 * (2 - big_y), big_x)
+        c33pp = Fraction(pc ** 3, c00) - c33 * pc * pc - c33p * pc
         # display parameters via the dictionary fixed by the derivation
-        a0 = f.add(f.sub(a3m, a1m), f.one)
-        a1 = f.sub(a3m, a2m)
-        a2 = f.add(a2m, f.one)
-        a3 = a1m
-        e = f.neg(f.one)
         return RegColOneParams.make(
             field, c00=c00, c21=c21, c13=c13, c31=c31, c31p=c31p,
-            c33=c33, c33p=c33p, c33pp=c33pp, a0=a0, a1=a1, a2=a2, a3=a3, e=e)
+            c33=c33, c33p=c33p, c33pp=c33pp, a0=a3m - a1m + 1, a1=a3m - a2m,
+            a2=a2m + 1, a3=a1m, e=-1)
 
 
 def monodromy_params_of(params: RegColOneParams, p: int) -> MonodromyParams:
     """Invert the display dictionary back to the monodromy triple."""
     f = params.field
     a1m = params.a3
-    a2m = f.sub(params.a2, f.one)
-    a3m = f.sub(f.add(params.a1, params.a2), f.one)
-    if params.e != f.neg(f.one):
+    a2m = f.coerce(params.a2 - 1)
+    a3m = f.coerce(params.a1 + params.a2 - 1)
+    if params.e != f.coerce(-1):
         raise ValueError("parameters are not in the image of the display dictionary")
-    if params.a0 != f.sub(f.add(params.a1, params.a2), params.a3):
+    if params.a0 != f.coerce(params.a1 + params.a2 - params.a3):
         raise ValueError("parameters are not in the image of the display dictionary")
     return MonodromyParams(f, (a1m, a2m, a3m), p)
 
@@ -809,16 +780,13 @@ def build_regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
     rows = [
         [ct(c00),
          ct(c00) * (ct(c31p) + ct(c31) * ep),
-         ct(f.mul(c00, c13)),
-         ct(f.sub(f.add(f.mul(c00, c33p), f.mul(pc, f.mul(c00, c33))),
-                  f.mul(pc, pc)))
-         + ct(f.sub(f.mul(c00, c33), pc)) * ep - ep * ep],
-        [ct(f.zero), ep * ep, ct(f.zero), ct(c13) * ep * ep],
-        [ct(f.zero),
+         ct(c00 * c13),
+         ct(c00 * c33p + pc * c00 * c33 - pc * pc) + ct(c00 * c33 - pc) * ep - ep * ep],
+        [ct(0), ep * ep, ct(0), ct(c13) * ep * ep],
+        [ct(0),
          ct(c21) * vp * ep,
          ep,
-         -(ct(c31p) + ct(f.mul(pc, f.mul(c13, c21)))) * ep
-         + ct(f.sub(f.mul(c13, c21), c31)) * ep * ep],
+         -(ct(c31p) + ct(pc * c13 * c21)) * ep + ct(c13 * c21 - c31) * ep * ep],
         [vp,
          ct(c31p) * vp + ct(c31) * vp * ep,
          ct(c13) * vp,
@@ -830,27 +798,25 @@ def build_regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
 def regcolone_relation_holds(params: RegColOneParams, p: int) -> bool:
     """The solved relation from the proof, in the display parameters:
     c00*[(e+a1-a2+1)/(e+a0-a3-1) c13 c31 + (a0-a3-1-e)/(e+a0-a3-1) c33] = p."""
-    f = params.field
-    y = regcolone_coordinates(params, p)["y"]
-    return f.mul(params.c00, y) == f.coerce(p)
+    return regcolone_coordinates(params, p)["xy"] == params.field.coerce(p)
 
 
 def regcolone_coordinates(params: RegColOneParams, p: int) -> dict:
     """Free coordinates of the solved family: three affine coordinates
     and the X_p pair (x, y) with x*y = p."""
     f = params.field
-    den = f.sub(f.sub(f.add(params.e, params.a0), params.a3), f.one)
-    num1 = f.add(f.sub(f.add(params.e, params.a1), params.a2), f.one)
-    num2 = f.sub(f.sub(f.sub(params.a0, params.a3), f.one), params.e)
-    y = f.add(f.div(f.mul(num1, f.mul(params.c13, params.c31)), den),
-              f.div(f.mul(num2, params.c33), den))
+    den = params.e + params.a0 - params.a3 - 1
+    num1 = params.e + params.a1 - params.a2 + 1
+    num2 = params.a0 - params.a3 - 1 - params.e
+    # inv raises the field's own error for parameters built without make
+    y = f.coerce((num1 * params.c13 * params.c31 + num2 * params.c33) * f.inv(den))
     return {
         "z1": params.c21,
         "z2": params.c13,
         "z3": params.c31,
         "x": params.c00,
         "y": y,
-        "xy": f.mul(params.c00, y),
+        "xy": f.coerce(params.c00 * y),
     }
 
 
@@ -940,9 +906,8 @@ def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
     t1 = rng.randrange(1, q)
     t2 = rng.randrange(1, q)
     t3 = rng.randrange(1, q)
-    t4 = field.div(field.mul(t2, t3), t1)
     zero = LaurentPoly.zero(field)
-    diag = [field.coerce(x) for x in (t1, t2, t3, t4)]
+    diag = [field.coerce(x) for x in (t1, t2, t3, Fraction(t2 * t3, t1))]
     cols = [[LaurentPoly.const(field, diag[i]) if i == j else zero for i in range(4)]
             for j in range(4)]
     for lower in (False, True, False):

@@ -556,9 +556,9 @@ def root_multiplicity(a: LaurentPoly, r) -> int:
         raise ValueError("zero polynomial has roots of infinite multiplicity")
     f = a.field
     r = f.coerce(r)
-    if f.is_zero(r):
+    if not r:
         raise ValueError("use low_degree for the valuation at v=0")
-    lin = LaurentPoly(f, {1: f.one, 0: f.neg(r)})
+    lin = LaurentPoly(f, {1: 1, 0: -r})
     mult = 0
     cur = a.shift(-a.low_degree)
     while True:
@@ -609,7 +609,7 @@ def _series_div(num, piv, prec):
         k = rem.low_degree
         if k - m >= prec:
             break
-        t = LaurentPoly(field, {k - m: field.div(rem.trailing_coeff, lead)})
+        t = LaurentPoly(field, {k - m: rem.trailing_coeff * field.inv(lead)})
         q = q + t
         rem = (rem - t * piv).truncate(prec + m)
     return q
@@ -686,7 +686,7 @@ def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
     (transposed when lower) of every nonzero random coefficient."""
     q = field.char
     t1, t2, t3 = rng.randrange(1, q), rng.randrange(1, q), rng.randrange(1, q)
-    diag = (t1, t2, t3, field.div(field.mul(t2, t3), t1))
+    diag = (t1, t2, t3, field.coerce(Fraction(t2 * t3, t1)))
     out = PolyMat(field, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
     for lower in (False, True, False):
         for spots in ROOT_SPOTS:

@@ -456,7 +456,7 @@ def test_criterion_10_local_model():
         }
         for key in ("c33", "c33p", "c33pp", "c31p"):
             vals = dict(base)
-            vals[key] = field.add(vals[key], field.one)
+            vals[key] = vals[key] + 1
             bumped = RegColOneParams.make(field, **vals)
             assert monodromy_defect(build_regcolone_matrix(bumped, p), mp) is not None
             # only c33 enters the displayed relation

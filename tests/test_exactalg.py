@@ -25,11 +25,11 @@ def test_rational_field_ops():
     assert QQ.char == 0
     a = QQ.coerce("2/3")
     b = QQ.coerce(5)
-    assert QQ.add(a, b) == Fraction(17, 3)
-    assert QQ.mul(a, QQ.inv(a)) == QQ.one
-    assert QQ.is_zero(QQ.sub(b, b))
+    assert a + b == Fraction(17, 3)
+    assert a * QQ.inv(a) == 1
+    assert not b - b
     with pytest.raises(ZeroDivisionError):
-        QQ.div(a, QQ.zero)
+        QQ.inv(QQ.coerce(0))
 
 
 def test_prime_field_ops():
@@ -37,7 +37,7 @@ def test_prime_field_ops():
     assert F.char == 37
     assert F.coerce(40) == 3
     assert F.coerce(Fraction(1, 2)) == F.inv(2)
-    assert F.mul(F.coerce(19), 2) == 1
+    assert F.coerce(F.coerce(19) * 2) == 1
     with pytest.raises(ValueError):
         PrimeField(6)
     with pytest.raises(ZeroDivisionError):
@@ -80,8 +80,6 @@ def test_prime_field_scalars_are_reduced_on_the_way_in():
     x = v(F)
     assert (x + 1).scale(-2) == LaurentPoly(F, {0: 35, 1: 35})
     assert (x + 1).scale(-2).coeffs == ((0, 35), (1, 35))
-    assert (x ** 2 + x ** -1 + 3).evaluate(-1) == 3
-    assert (x ** 2 + 3).evaluate(-1) == 4
 
 
 def is_canonical(a: LaurentPoly, q: int) -> bool:
@@ -140,9 +138,6 @@ def test_canonical_form_survives_every_constructor_and_operation(q):
         random_expression(F, rng, 4, seen)
     assert len(seen) > 2000
     assert all(is_canonical(a, q) for a in seen)
-    # raw evaluation points outside [0, q), none of them 0 mod q
-    assert all(a.evaluate(rng.randrange(1, q) + q * rng.randrange(-2, 2)) in range(q)
-               for a in seen[:300])
 
 
 def random_poly(F, rng, n, low, gap=0.3):
@@ -193,11 +188,10 @@ def test_rational_product_matches_schoolbook():
         assert a * b == laurent_mul(a, b)
 
 
-def test_laurent_derivative_and_evaluate():
+def test_laurent_derivative():
     x = v()
     p = x ** 3 - 2 * x + 5
     assert p.derivative() == 3 * x ** 2 - 2
-    assert p.evaluate(QQ.coerce(2)) == Fraction(9)
     assert (x ** -1).derivative() == -(x ** -2)
 
 
@@ -269,7 +263,7 @@ def test_root_multiplicity():
     assert root_multiplicity(p, QQ.coerce(1)) == 1
     assert root_multiplicity(p, QQ.coerce(5)) == 0
     with pytest.raises(ValueError):
-        root_multiplicity(p, QQ.zero)
+        root_multiplicity(p, QQ.coerce(0))
 
 
 def test_e_valuation_char_zero():
@@ -293,21 +287,14 @@ def test_ratfunc_cancellation():
     x = v()
     r = RatFunc((x ** 2 - 1), (x - 1))
     assert r.is_laurent
-    assert r.as_laurent() == x + 1
+    assert r.num == x + 1
     s = RatFunc(x, x + 1)
     assert not s.is_laurent
-    assert s + RatFunc(LaurentPoly.one(QQ), x + 1) == RatFunc(LaurentPoly.one(QQ))
-
-
-def test_ratfunc_arithmetic():
-    x = v()
-    a = RatFunc(LaurentPoly.one(QQ), x + 1)
-    b = RatFunc(LaurentPoly.one(QQ), x + 2)
-    s = a * b / (a + b)
-    # 1/((x+1)+(x+2)) = 1/(2x+3)
-    assert s == RatFunc(LaurentPoly.one(QQ), 2 * x + 3)
-    assert a - a == RatFunc(LaurentPoly.zero(QQ))
-    # denominators with v-power units are units: 1/(v(v+1)) is not laurent,
-    # but v^2/v is
+    assert (s.num, s.den) == (x, x + 1)
+    assert RatFunc(LaurentPoly.zero(QQ), x + 1).den == LaurentPoly.one(QQ)
+    # the v-power and the leading scalar of the denominator are units and
+    # move into num: 1/(2v(v+1)) has den v + 1; v^2/v is laurent
+    t = RatFunc(LaurentPoly.one(QQ), 2 * x * (x + 1))
+    assert (t.num, t.den) == (LaurentPoly.const(QQ, Fraction(1, 2)) * x ** -1, x + 1)
     assert RatFunc(x ** 2, x).is_laurent
     assert not RatFunc(LaurentPoly.one(QQ), x * (x + 1)).is_laurent

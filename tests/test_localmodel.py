@@ -542,12 +542,35 @@ def test_monodromy_fails_clause_one_off_locus():
     sp = solved_params()
     bumped = RegColOneParams.make(
         QQ, c00=sp.c00, c21=sp.c21, c13=sp.c13, c31=sp.c31, c31p=sp.c31p,
-        c33=QQ.add(sp.c33, QQ.one), c33p=sp.c33p, c33pp=sp.c33pp,
+        c33=sp.c33 + 1, c33p=sp.c33p, c33pp=sp.c33pp,
         a0=sp.a0, a1=sp.a1, a2=sp.a2, a3=sp.a3, e=sp.e)
     d = monodromy_defect(build_regcolone_matrix(bumped, P),
                          monodromy_params_of(sp, P))
     assert d is not None and d.clause == 1
     assert "not a unit" in d.display()
+
+
+# the perturbation c33 -> c33 + 1 of the solved family at the default
+# arguments; over F_37 E(v) = v, so the denominator is a unit and the pole
+# shows at v = 0 instead
+OFF_LOCUS_MESSAGES = {
+    "QQ": "clause (i) at entry (0,0): denominator v^3 + 111*v^2 + 4107*v + 54760 "
+          "is not a unit",
+    "F37": "clause (iii) at entry (0,3): pole at v = 0",
+}
+
+
+@pytest.mark.parametrize("tag, field", [("QQ", QQ), ("F37", PrimeField(P))])
+def test_monodromy_defect_messages_on_and_off_the_solved_locus(tag, field):
+    sp = solved_params(field)
+    mp = monodromy_params_of(sp, P)
+    assert monodromy_defect(build_regcolone_matrix(sp, P), mp) is None
+    vals = {k: getattr(sp, k) for k in ("c00", "c21", "c13", "c31", "c31p", "c33",
+                                        "c33p", "c33pp", "a0", "a1", "a2", "a3", "e")}
+    vals["c33"] += 1
+    bumped = RegColOneParams.make(field, **vals)
+    d = monodromy_defect(build_regcolone_matrix(bumped, P), mp)
+    assert d.display() == OFF_LOCUS_MESSAGES[tag]
 
 
 def test_monodromy_fails_clause_two():
@@ -598,9 +621,9 @@ def test_monodromy_omega_equivariance():
         sim = sd.nu.a + sd.nu.b + 2 * sd.nu.c
         shifted = MonodromyParams.make(
             QQ,
-            QQ.add(base.a[0], QQ.coerce(t[0])),
-            QQ.add(base.a[1], QQ.coerce(t[1])),
-            QQ.add(base.a[2], QQ.coerce(sim)),
+            base.a[0] + t[0],
+            base.a[1] + t[1],
+            base.a[2] + sim,
             P)
         assert monodromy_defect(B, shifted) is None
 
@@ -619,7 +642,7 @@ def test_regcolone_solved_relation():
     sp = solved_params()
     assert regcolone_relation_holds(sp, P)
     coords = regcolone_coordinates(sp, P)
-    assert QQ.sub(coords["xy"], QQ.coerce(P)) == QQ.zero
+    assert coords["xy"] - P == 0
     assert coords["x"] == sp.c00
     assert set(coords) == {"z1", "z2", "z3", "x", "y", "xy"}
 
@@ -674,6 +697,56 @@ def test_regcolone_denominator_guard():
         RegColOneParams.make(
             QQ, c00=1, c21=1, c13=1, c31=1, c31p=1, c33=1, c33p=1, c33pp=1,
             a0=3, a1=0, a2=0, a3=1, e=-1)  # e + a0 - a3 - 1 = 0
+
+
+def _family_args(rng, q):
+    """Integer draws for the family constructors, zero mod q now and then."""
+    cs = [rng.randrange(-2 * q, 2 * q) for _ in range(7)]
+    opaque = [rng.randrange(-2 * q, 2 * q) for _ in range(5)]
+    a = tuple(rng.randrange(-3 * q, 3 * q) for _ in range(3))
+    return cs, opaque, a, rng.choice((q, 37, 41, rng.randrange(1, 3 * q)))
+
+
+def _call(fn, *args):
+    try:
+        return fn(*args), False
+    except (ValueError, ZeroDivisionError):
+        return None, True
+
+
+@pytest.mark.parametrize("q", (5, 37, 41))
+def test_prime_field_family_is_the_rational_family_reduced(q):
+    """Reducing Z_(q) -> F_q is a ring map, so whenever a family call over
+    F_q returns, it returns the rational call's result mapped by coerce;
+    and the rational call raises only where the F_q call raises."""
+    F = PrimeField(q)
+    rng = random.Random(1000 + q)
+    constructors = (
+        lambda field, cs, opaque, a, p: RegColOneParams.admissible(field, p, *cs, *opaque),
+        lambda field, cs, opaque, a, p: RegColOneParams.solved(field, p, *cs[:4], a),
+    )
+    names = ("c00", "c21", "c13", "c31", "c31p", "c33", "c33p", "c33pp",
+             "a0", "a1", "a2", "a3", "e")
+    returned = raised = 0
+    for _ in range(100):
+        cs, opaque, a, p = _family_args(rng, q)
+        for build in constructors:
+            got, f_raised = _call(build, F, cs, opaque, a, p)
+            want, q_raised = _call(build, QQ, cs, opaque, a, p)
+            assert f_raised or not q_raised
+            if f_raised:
+                raised += 1
+                continue
+            returned += 1
+            assert all(getattr(got, n) == F.coerce(getattr(want, n)) for n in names)
+            got_xy, want_xy = regcolone_coordinates(got, p), regcolone_coordinates(want, p)
+            assert got_xy == {k: F.coerce(x) for k, x in want_xy.items()}
+            got_m, want_m = build_regcolone_matrix(got, p), build_regcolone_matrix(want, p)
+            for got_row, want_row in zip(got_m.rows, want_m.rows):
+                for g, w in zip(got_row, want_row):
+                    reduced = ((e, F.coerce(c)) for e, c in w.coeffs)
+                    assert g.coeffs == tuple((e, c) for e, c in reduced if c)
+    assert returned >= 75 and raised >= 10
 
 
 # ---------------------------------------------------------------------------
