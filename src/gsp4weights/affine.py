@@ -353,12 +353,14 @@ def up_step_targets(a: Alcove, x_max: int, s_max: int) -> Iterator[Alcove]:
 
 
 def upper_arrow_leq_alcove(a: Alcove, b: Alcove) -> bool:
-    """Decide a arrow-below b exactly.
+    """Decide a arrow-below b exactly, depth-first over `up_step_targets`.
 
-    Each arrow step moves the barycenter by a positive multiple of a
-    positive root, so x and x+y never decrease while 2x+y strictly
-    increases; the search space pruned by the target's x and x+y values
-    is finite and complete.
+    Each step moves the barycenter by a positive multiple of a positive
+    root, so x and x+y never decrease: every chain from a to b stays in
+    the finite rectangle a.x <= x <= b.x, a.x+a.y <= x+y <= b.x+b.y, and
+    False comes only after every alcove reachable there was visited.
+    Depth-first follows one chain toward b's corner before the others;
+    breadth-first would first visit every alcove fewer steps from a than b.
     """
     if a == b:
         return True
@@ -366,17 +368,14 @@ def upper_arrow_leq_alcove(a: Alcove, b: Alcove) -> bool:
     if a.x > x_max or a.x + a.y > s_max:
         return False
     seen = {a}
-    frontier = [a]
-    while frontier:
-        nxt = []
-        for c in frontier:
-            for q in up_step_targets(c, x_max, s_max):
-                if q == b:
-                    return True
-                if q not in seen:
-                    seen.add(q)
-                    nxt.append(q)
-        frontier = nxt
+    stack = [a]
+    while stack:
+        for q in up_step_targets(stack.pop(), x_max, s_max):
+            if q == b:
+                return True
+            if q not in seen:
+                seen.add(q)
+                stack.append(q)
     return False
 
 
@@ -440,13 +439,13 @@ def box_down_set(b: Alcove, radius: int) -> frozenset[Alcove]:
     values in [-radius, radius] (radius in walls, not in Alcove units).
 
     The full arrow down-set is infinite; the box is the documented
-    truncation.  Within the box the answer is exact since chains between
-    box alcoves stay in the enclosing rectangle.
+    truncation.  It is exact: box alcoves have x, x+y >= -6 radius, and
+    arrow chains never lower either, so searching to that bound finds all.
     """
     r = 6 * radius
     if not all(abs(v) <= r for v in functional_values(b)):
         raise ValueError("target alcove outside the search box")
-    region = arrow_down_region(b, -r, -2 * r)
+    region = arrow_down_region(b, -r, -r)
     return frozenset(a for a in region if all(abs(v) <= r for v in functional_values(a)))
 
 

@@ -20,6 +20,7 @@ from gsp4weights.affine import (
     Alcove,
     ExtAffine,
     alcove_of,
+    arrow_down_region,
     box_down_set,
     bruhat_down_set,
     bruhat_leq,
@@ -260,6 +261,22 @@ def test_box_down_set_contains_nondominant():
         assert upper_arrow_leq_alcove(a, BASE_ALCOVE)
 
 
+def _box_top():
+    """The deep dominant alcove whose radius-12 box criterion 3 reads."""
+    return alcove_of(oracles.locate_point((Fraction(21, 2), Fraction(1, 4))))
+
+
+def test_box_down_set_matches_the_wider_search():
+    # box alcoves have x + y >= -6 radius and arrow chains never lower
+    # x + y, so a search to that bound finds what a wider search finds
+    for b, radius, size in ((_box_top(), 12, 1100), (BASE_ALCOVE, 4, 64)):
+        r = 6 * radius
+        wider = arrow_down_region(b, -r, -2 * r)
+        in_box = frozenset(a for a in wider if all(abs(v) <= r for v in functional_values(a)))
+        assert box_down_set(b, radius) == in_box
+        assert len(in_box) == size
+
+
 def test_diamond_against_search_oracle():
     for w in W_ALL:
         assert diamond(w) == oracles.diamond(w)
@@ -392,11 +409,28 @@ def test_locate_weight_against_folding_oracle():
 def test_arrow_order_against_barycenter_oracle():
     # a seeded sample of criterion 3's box, at small x so that the
     # oracle's rational searches stay shallow
-    top = alcove_of(oracles.locate_point((Fraction(21, 2), Fraction(1, 4))))
-    band = sorted(a for a in box_down_set(top, 12) if a.x <= 6 * 4)
+    band = sorted(a for a in box_down_set(_box_top(), 12) if a.x <= 6 * 4)
     sample = random.Random(12).sample(band, 20) + list(RESTRICTED_ALCOVES)
     for a, b in itertools.product(sample, repeat=2):
         expect = oracles.upper_arrow_leq(
             (Fraction(a.x, 6), Fraction(a.y, 6)), (Fraction(b.x, 6), Fraction(b.y, 6))
         )
         assert upper_arrow_leq_alcove(a, b) == expect
+
+
+def test_arrow_order_against_downward_search_on_far_pairs():
+    # a seeded sample of criterion 3's whole box, so that many pairs lie
+    # far apart and the upward search goes deep; the downward search
+    # bounded by the sample's least x and x+y is complete for every pair
+    box = sorted(box_down_set(_box_top(), 12))
+    sample = random.Random(5).sample(box, 64) + list(RESTRICTED_ALCOVES)
+    min_x = min(a.x for a in sample)
+    min_s = min(a.x + a.y for a in sample)
+    related = 0
+    for b in sample:
+        below = arrow_down_region(b, min_x, min_s)
+        for a in sample:
+            assert upper_arrow_leq_alcove(a, b) == (a in below)
+            related += a in below
+    # the sample is not trivially related or unrelated
+    assert len(sample) < related < len(sample) ** 2 // 2
