@@ -15,6 +15,7 @@ from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
+from typing import NamedTuple
 
 from .base import SIMPLES, weyl_mul
 from .config import RHOBAR_DEPTH, derived_depth_bound
@@ -42,15 +43,15 @@ from .weights import (
     predicted_weight_at,
     presentation_from_w_tilde,
     t_compose,
+    t_invert,
     type_from_target,
     w_question,
 )
 
 log = logging.getLogger(__name__)
 
-# Always empty: the one per-parameter memo is `_graph_of`, which keeps the
-# last parameter's graph.  perfbench's traced runs still report this dict's
-# size (adjacency.wq_cache.entries, always 0); it goes when that metric does.
+# Always empty (the one per-parameter memo is `_graph_of`); perfbench's traced
+# runs report its size as adjacency.wq_cache.entries, and it goes with that metric.
 _WQ_CACHE: dict = {}
 
 
@@ -140,10 +141,11 @@ def build_instance(
         )
 
     tau = type_from_target(rhobar, _conjugated_target(pair.w2, pair.w1, s))
-    g0 = _conjugated_target(pair.w2, pair.w2, s)
+    # w(tau) = w(rhobar) w1^(-1) s^(-1) w0^(-1) wh w2, so
+    # w(rhobar0) = w(tau) w2^(-1) wh^(-1) w0 s w2 = w(rhobar) w1^(-1) w2
+    # slot by slot: s cancels, and rhobar0 depends on the pair alone.
     rhobar0 = presentation_from_w_tilde(
-        "param", t_compose(tau.w_tilde(), g0), rhobar.p
-    )
+        "param", t_compose(rhobar.w_tilde(), t_compose(t_invert(pair.w1), pair.w2)), rhobar.p)
 
     # genericity margins scale with the input parameter's actual depth
     need = derived_depth_bound(rhobar.depth())
@@ -239,14 +241,21 @@ class WeightGraph:
         return "\n".join(lines) + "\n"
 
 
+class _GraphState(NamedTuple):
+    """One parameter's graph, the W? table it is built from, and its
+    instances keyed by (pair, s) in enumeration order."""
+
+    graph: WeightGraph
+    table: dict[APPair, SerreWeight]
+    instances: dict[tuple[APPair, tuple[int, int]], AdjacencyInstance]
+
+
 @lru_cache(maxsize=1)
-def _graph_of(
-    rhobar: TamePresentation,
-) -> tuple[WeightGraph, tuple[AdjacencyInstance, ...]]:
-    """rhobar's weight graph, built without checks, and its instances in
-    enumeration order.  Only the last parameter's graph is kept: callers
-    ask for one parameter's graph several times in a row (`build_graph`,
-    then `find_chain` per weight).  No check result is kept."""
+def _graph_of(rhobar: TamePresentation) -> _GraphState:
+    """rhobar's weight graph, built without checks, with its W? table and
+    instances.  Only the last parameter's state is kept: callers ask for
+    one parameter's graph several times in a row (`build_graph`, then
+    `find_chain` per weight).  No check result is kept."""
     if rhobar.depth() < RHOBAR_DEPTH:
         log.warning(
             "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",
@@ -254,17 +263,17 @@ def _graph_of(
         )
     table = w_question(rhobar)
     vertices = tuple(sorted(set(table.values()), key=lambda s: s.sort_key()))
-    instances = tuple(
-        build_instance(rhobar, pair, s, check=False)
+    instances = {
+        (pair, s): build_instance(rhobar, pair, s, check=False)
         for pair in enumerate_ap_prime(rhobar.f)
         for s in valid_simples(pair)
-    )
+    }
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
-    for inst in instances:
+    for inst in instances.values():
         edges.setdefault(inst.edge, []).append(inst)
-    obvious = frozenset(obvious_weights(rhobar, table).values())
+    obvious = frozenset(obvious_weights(rhobar).values())
     edge_view = MappingProxyType({e: tuple(v) for e, v in edges.items()})
-    return WeightGraph(vertices, edge_view, obvious), instances
+    return _GraphState(WeightGraph(vertices, edge_view, obvious), table, instances)
 
 
 def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
@@ -276,11 +285,11 @@ def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
     parameter and shared (see `_graph_of`); check=True runs the checks of
     every instance, in enumeration order, on every call.
     """
-    graph, instances = _graph_of(rhobar)
+    state = _graph_of(rhobar)
     if check:
-        for inst in instances:
+        for inst in state.instances.values():
             _check_instance(inst)
-    return graph
+    return state.graph
 
 
 @dataclass(frozen=True)
@@ -293,15 +302,16 @@ class ChainResult:
 
 
 def _steered_chain(
-    rhobar: TamePresentation, sigma: SerreWeight, back: dict[SerreWeight, APPair]
+    state: _GraphState, sigma: SerreWeight, back: dict[SerreWeight, APPair]
 ) -> tuple[AdjacencyInstance, ...]:
     """Steering: at the smallest embedding whose w2 component has positive
     length, pick s by the component's alcove (second alcove -> s_1, top
     alcove -> s_2 when allowed, else s_1; first alcove -> s_1).  Each step
-    keeps the other embeddings' alcoves fixed; `back` inverts F_rhobar."""
+    keeps the other embeddings' alcoves fixed; `back` inverts F_rhobar.
+    Each step's instance is read from `state`, then checked."""
     chain: list[AdjacencyInstance] = []
     cur = sigma
-    limit = 3 * rhobar.f
+    limit = 3 * sigma.f
     while True:
         pair = back[cur]
         target_j = None
@@ -318,7 +328,8 @@ def _steered_chain(
             s = (2, target_j) if (2, target_j) in valid_simples(pair) else (1, target_j)
         else:
             s = (1, target_j)
-        inst = build_instance(rhobar, pair, s)
+        inst = state.instances[pair, s]
+        _check_instance(inst)
         chain.append(inst)
         cur = inst.sigma2
         if len(chain) > limit:
@@ -330,14 +341,13 @@ def find_chain(rhobar: TamePresentation, sigma: SerreWeight) -> ChainResult:
     """Walks from sigma to the obvious weights, by BFS on rhobar's weight
     graph (shared with `build_graph`) and by the steering strategy.  sigma
     must be a predicted weight."""
-    table = w_question(rhobar)
-    if sigma not in frozenset(table.values()):
+    state = _graph_of(rhobar)
+    graph, obvious = state.graph, state.graph.obvious
+    if sigma not in frozenset(state.table.values()):
         raise ValueError("weight is not predicted for this parameter")
-    obvious = frozenset(obvious_weights(rhobar, table).values())
     if sigma in obvious:
         return ChainResult((), ())
 
-    graph, _ = _graph_of(rhobar)
     parent: dict[SerreWeight, tuple[SerreWeight, AdjacencyInstance]] = {}
     queue = deque([sigma])
     seen = {sigma}
@@ -364,5 +374,5 @@ def find_chain(rhobar: TamePresentation, sigma: SerreWeight) -> ChainResult:
         node = prev
     bfs.reverse()
 
-    back = predicted_pair_of_weight(rhobar, table)
-    return ChainResult(tuple(bfs), _steered_chain(rhobar, sigma, back))
+    back = predicted_pair_of_weight(rhobar, state.table)
+    return ChainResult(tuple(bfs), _steered_chain(state, sigma, back))

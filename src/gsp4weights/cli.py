@@ -77,14 +77,13 @@ common options: --fmt table|json|dot where written (selfcheck and
   --verify-regcolone), --f N (ap), --seed S (localmodel --verify-regcolone)
 """
 
-# The common flags each command reads
-_READS = {"selfcheck": ("p",), "adm": (), "ap": ("f",), "weights": ("p",), "graph": ("p",),
-          "cycles": ("p",), "localmodel": ("p", "seed"), "localmodel --shape": ()}
-# The output formats each command writes; localmodel's verify mode has its own
-_FORMATS = {"selfcheck": ("table",), "adm": ("table", "json"), "ap": ("table", "json"),
-            "weights": ("table", "json"), "graph": ("table", "json", "dot"),
-            "cycles": ("table", "json"), "localmodel": ("table", "json"),
-            "localmodel --verify-regcolone": ("table",)}
+# Per mode (see _mode_of): the common flags it reads and the formats it writes
+_MODES = {"selfcheck": (("p",), ("table",)), "adm": ((), ("table", "json")),
+          "ap": (("f",), ("table", "json")), "weights": (("p",), ("table", "json")),
+          "graph": (("p",), ("table", "json", "dot")), "cycles": (("p",), ("table", "json")),
+          "localmodel": (("p", "seed"), ("table", "json")),
+          "localmodel --shape": ((), ("table", "json")),
+          "localmodel --verify-regcolone": (("p", "seed"), ("table",))}
 
 
 @dataclass(frozen=True)
@@ -198,25 +197,19 @@ def load_matrix(path: str, field) -> PolyMat:
         raise ValueError("%s: %s" % (path, exc)) from None
 
 
-def _header(cfg: RunConfig, pres: TamePresentation | None = None, **extra) -> str:
-    """One comment line echoing the run parameters and the presentation's
-    depth.  f is the presentation's when there is one."""
-    f = cfg.f if pres is None else pres.f
-    bits = ["p=%d" % cfg.p, "f=%d" % f, "seed=%d" % cfg.seed]
-    if pres is not None:
-        bits.append("kind=%s" % pres.kind)
-        bits.append("depth=%d" % pres.depth())
-    for k in sorted(extra):
-        bits.append("%s=%s" % (k, extra[k]))
-    return "# " + " ".join(bits)
-
-
 def _json_meta(cfg: RunConfig, pres: TamePresentation | None = None) -> dict:
     meta = {"p": cfg.p, "f": cfg.f if pres is None else pres.f, "seed": cfg.seed}
     if pres is not None:
         meta["kind"] = pres.kind
         meta["depth"] = pres.depth()
     return meta
+
+
+def _header(cfg: RunConfig, pres: TamePresentation | None = None, **extra) -> str:
+    """One comment line: the run parameters of `_json_meta` (f is the
+    presentation's when there is one), then the extras in sorted order."""
+    items = list(_json_meta(cfg, pres).items()) + sorted(extra.items())
+    return "# " + " ".join("%s=%s" % kv for kv in items)
 
 
 # ---------------------------------------------------------------------------
@@ -396,6 +389,7 @@ def _cmd_graph(cfg: RunConfig, args) -> list[str]:
         for sigma in graph.vertices:
             res = find_chain(rhobar, sigma)
             chains.append((sigma, len(res.bfs), len(res.steered)))
+    components = len(graph.components())
     if cfg.fmt == "json":
         obj = {
             "schema": "gsp4weights/graph/1",
@@ -411,8 +405,8 @@ def _cmd_graph(cfg: RunConfig, args) -> list[str]:
             ],
             "obvious": [_weight_json(v) for v in sorted(graph.obvious,
                                                         key=lambda s: s.sort_key())],
-            "connected": graph.is_connected(),
-            "components": len(graph.components()),
+            "connected": components <= 1,
+            "components": components,
         }
         if args.chains:
             obj["chains"] = [
@@ -422,7 +416,7 @@ def _cmd_graph(cfg: RunConfig, args) -> list[str]:
         return [_dump(obj)]
     lines = [
         _header(cfg, rhobar, vertices=len(graph.vertices), edges=len(edges),
-                connected="yes" if graph.is_connected() else "no",
+                connected="yes" if components <= 1 else "no",
                 obvious=len(graph.obvious))
     ]
     for (a, b), wit in edges:
@@ -609,22 +603,14 @@ _RUNNERS = {
 }
 
 
-def _reject_unread_flags(command: str, args) -> None:
-    """A common flag given on the command line (not None) that the command
-    does not read is an input error."""
+def _mode_of(command: str, args) -> str:
+    """The command, named with its mode where the mode decides the common
+    flags read or the formats written; a key of _MODES."""
     if command == "localmodel" and args.shape:
-        command += " --shape"
-    for name in ("p", "f", "seed"):
-        if getattr(args, name) is not None and name not in _READS[command]:
-            raise ValueError("--%s is not read by %s" % (name, command))
-
-
-def _formats_of(command: str, args) -> tuple[str, tuple[str, ...]]:
-    """The command, named with its mode where the mode decides the output
-    formats, and the formats it writes."""
-    if command == "localmodel" and args.verify_regcolone and not args.shape:
-        command += " --verify-regcolone"
-    return command, _FORMATS[command]
+        return "localmodel --shape"
+    if command == "localmodel" and args.verify_regcolone:
+        return "localmodel --verify-regcolone"
+    return command
 
 
 def run(command: str, cfg: RunConfig, args) -> int:
@@ -633,12 +619,16 @@ def run(command: str, cfg: RunConfig, args) -> int:
         sys.stderr.write(USAGE)
         return 64
     try:
+        mode = _mode_of(command, args)
+        reads, formats = _MODES[mode]
+        for name in ("p", "f", "seed"):
+            # a common flag given on the command line (not None) must be read
+            if getattr(args, name) is not None and name not in reads:
+                raise ValueError("--%s is not read by %s" % (name, mode))
         cfg.validate()
-        mode, formats = _formats_of(command, args)
         if cfg.fmt not in formats:
             raise ValueError("--fmt %s is not available for %s; only for %s" % (
-                cfg.fmt, mode, ", ".join(c for c in COMMANDS if cfg.fmt in _FORMATS[c])))
-        _reject_unread_flags(command, args)
+                cfg.fmt, mode, ", ".join(c for c in COMMANDS if cfg.fmt in _MODES[c][1])))
         lines = _RUNNERS[command](cfg, args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)

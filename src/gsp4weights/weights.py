@@ -506,17 +506,14 @@ def intersect_w_jh(
     return wq.weights_within(keep) & jh.weights_within(keep)
 
 
-def obvious_weights(
-    rhobar: TamePresentation, table: dict[APPair, SerreWeight] | None = None
-) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:
-    """F_rhobar on the diagonal pairs (w_diamond, w_diamond), read from
-    `table` = w_question(rhobar) when the caller has built it already."""
-    table = w_question(rhobar) if table is None else table
-    out = {}
-    for ws in product(W_ALL, repeat=rhobar.f):
-        d = tuple(diamond(w) for w in ws)
-        out[ws] = table[APPair(d, d, "AP'")]
-    return out
+def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:
+    """F_rhobar on the diagonal pairs (w_diamond, w_diamond): 8^f of the
+    weights of w_question's kernel, which runs the same checks."""
+    kernel = _SlotKernel(rhobar, "param", WEIGHT_DEPTH)
+    index = _singles("param").index
+    diagonal = {w: index[diamond(w), diamond(w)] for w in W_ALL}
+    return {ws: kernel.weight(tuple(diagonal[w] for w in ws))
+            for ws in product(W_ALL, repeat=rhobar.f)}
 
 
 def outer_weight_at(

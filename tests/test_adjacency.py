@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from gsp4weights.base import W_ALL, W_S1, W_S2, weyl_mul
+from gsp4weights.base import W_ALL, W_E, W_S1, W_S2, Weight, weyl_mul
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -16,6 +16,8 @@ from gsp4weights.affine import (
     restricted_alcove_index,
 )
 from gsp4weights.weights import (
+    GenericityError,
+    TamePresentation,
     enumerate_ap_prime,
     intersect_w_jh,
     jh_set,
@@ -237,12 +239,14 @@ def test_find_chain_builds_the_weight_table_once(monkeypatch):
     rho = rho41()
     graph = build_graph(rho, check=False)
     sigma = next(s for s in graph.vertices if s not in graph.obvious)
-    builds = []
+    builds, instances = [], []
     table = weights._SlotKernel.table
     monkeypatch.setattr(weights._SlotKernel, "table",
                         lambda self: builds.append(self.flavor) or table(self))
-    find_chain(rho, sigma)
-    assert builds == ["AP'"]
+    monkeypatch.setattr(adjacency, "build_instance",
+                        lambda *args, **kw: instances.append(args))
+    assert find_chain(rho, sigma).steered
+    assert builds == [] and instances == []
 
 
 def fixture(name):
@@ -265,7 +269,7 @@ def test_shallow_parameter_warned_once_per_build(caplog):
 def test_memo_hit_reruns_every_check(monkeypatch):
     rho = rho41()
     build_graph(rho, check=False)
-    _, instances = _graph_of(rho)
+    instances = tuple(_graph_of(rho).instances.values())
     hits = _graph_of.cache_info().hits
     calls = []
     real = adjacency.intersect_w_jh
@@ -285,6 +289,29 @@ def test_failing_check_raises_after_unchecked_build(monkeypatch):
     with pytest.raises(AssertionError, match="expected two outer weights"):
         build_graph(rho, check=True)
     assert build_graph(rho, check=False).is_connected()
+
+
+def test_steered_steps_are_checked_on_the_shared_graph(monkeypatch):
+    rho = rho41()
+    graph = build_graph(rho, check=True)
+    sigma = next(s for s in graph.vertices if s not in graph.obvious)
+    monkeypatch.setattr(adjacency, "intersect_w_jh", lambda *args: frozenset())
+    with pytest.raises(AssertionError, match="expected two outer weights"):
+        find_chain(rho, sigma)
+
+
+def test_find_chain_refuses_every_weight_of_a_refused_parameter():
+    # W? exists at depth 4, but the derived types are too shallow for the
+    # graph; find_chain reads the graph, so even an obvious weight is refused
+    rho = TamePresentation("param", (W_E,), (Weight(12, 8, 0),), 37)
+    message = "^presentation is only 1-deep; need at least 3$"
+    with pytest.raises(GenericityError, match=message):
+        build_graph(rho, check=False)
+    obvious = frozenset(obvious_weights(rho).values())
+    for sigma in (min(obvious, key=lambda s: s.sort_key()),
+                  min(w_question_set(rho) - obvious, key=lambda s: s.sort_key())):
+        with pytest.raises(GenericityError, match=message):
+            find_chain(rho, sigma)
 
 
 @pytest.mark.parametrize("name", ["rb1.json", "rb41.json"])

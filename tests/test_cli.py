@@ -88,8 +88,8 @@ def test_adm_bad_lambda_exits_2(capsys):
 
 
 def test_bad_prime_exits_2(capsys):
-    code, out, err = capture(capsys, ["adm", "--p", "6"])
-    assert code == 2 and "prime" in err
+    code, out, err = capture(capsys, ["selfcheck", "--p", "6"])
+    assert code == 2 and out == "" and err == "error: p must be a prime >= 5 (got 6)\n"
 
 
 def test_ap_counts(capsys):
@@ -497,13 +497,24 @@ def test_ignored_flag_combinations_are_rejected(capsys, argv, message):
     (["localmodel", "--shape", fx("mat1.json"), "--q", "37", "--p", "41"],
      "--p is not read by localmodel --shape"),
     (["localmodel", "--verify-regcolone", "--draws", "1", "--f", "2"],
-     "--f is not read by localmodel"),
+     "--f is not read by localmodel --verify-regcolone"),
+    # rejected before its value is validated or the format checked
+    (["adm", "--p", "4"], "--p is not read by adm"),
+    (["selfcheck", "--f", "0"], "--f is not read by selfcheck"),
+    (["ap", "--seed", "1", "--fmt", "dot"], "--seed is not read by ap"),
 ))
 def test_unread_common_flags_are_rejected(capsys, argv, message):
     # the header used to echo these values although nothing read them
     code, out, err = capture(capsys, argv)
     assert code == 2 and out == ""
     assert err == "error: %s\n" % message
+
+
+def test_format_errors_name_the_mode(capsys):
+    code, out, err = capture(capsys, ["localmodel", "--shape", fx("mat1.json"), "--q", "37",
+                                      "--fmt", "dot"])
+    assert code == 2 and out == ""
+    assert err == "error: --fmt dot is not available for localmodel --shape; only for graph\n"
 
 
 def test_matching_format_flags_are_accepted(capsys):

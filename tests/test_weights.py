@@ -39,6 +39,7 @@ from gsp4weights.weights import (
     w_question,
     w_question_set,
 )
+from gsp4weights import adjacency
 from gsp4weights.adjacency import build_instance, valid_simples
 from gsp4weights.cli import load_presentation
 
@@ -364,6 +365,9 @@ def _instances(rho, count=None, rng=None):
 
 
 def _assert_intersection_matches(inst):
+    # rhobar0 is built from the pair alone; this is its defining property
+    assert compat_element(inst.rhobar0, inst.tau) == adjacency._conjugated_target(
+        inst.pair.w2, inst.pair.w2, inst.s)
     got = intersect_w_jh(inst.rhobar0, inst.tau)
     assert got == oracles.intersect_w_jh(inst.rhobar0, inst.tau)
     assert got == {inst.sigma1, inst.sigma2}
