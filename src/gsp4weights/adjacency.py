@@ -22,7 +22,9 @@ from .config import RHOBAR_DEPTH, derived_depth_bound
 from .affine import (
     HIGHEST_RESTRICTED,
     W0,
+    ExtAffine,
     alcove_of,
+    compose,
     compose_all,
     finite,
     in_omega,
@@ -35,6 +37,7 @@ from .weights import (
     SerreWeight,
     TamePresentation,
     TupleElt,
+    derived_type,
     enumerate_ap_prime,
     intersect_w_jh,
     obvious_weights,
@@ -42,9 +45,6 @@ from .weights import (
     predicted_pair_of_weight,
     predicted_weight_at,
     presentation_from_w_tilde,
-    t_compose,
-    t_invert,
-    type_from_target,
     w_question,
 )
 
@@ -111,6 +111,24 @@ def _conjugated_target(w2: TupleElt, w1: TupleElt, s: tuple[int, int]) -> TupleE
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
+def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple[ExtAffine, ExtAffine]]:
+    """Per AP' single (w1, w2) and letter i of s at the slot (None where s
+    acts at another embedding): g^(-1), for g the slot of
+    `_conjugated_target`, and w1^(-1) w2.  Slot by slot, w(tau) is
+    w(rhobar) g^(-1) and w(rhobar0) is w(rhobar) w1^(-1) w2."""
+    table = {}
+    for pair in enumerate_ap_prime(1):
+        (w1,), (w2,) = pair.w1, pair.w2
+        w1_inv_w2 = compose(invert(w1), w2)
+        for i in (1, 2):
+            # slot 0 has s_i, slot 1 has no letter
+            here, elsewhere = _conjugated_target((w2, w2), (w1, w1), (i, 0))
+            table[w1, w2, i] = (invert(here), w1_inv_w2)
+        table[w1, w2, None] = (invert(elsewhere), w1_inv_w2)
+    return table
+
+
 def build_instance(
     rhobar: TamePresentation,
     pair: APPair,
@@ -120,7 +138,8 @@ def build_instance(
     """Construct the adjacency witness for (rhobar, pair, s).
 
     Derives the type tau with compatibility element w2^(-1) wh^(-1) w0 s w1,
-    the companion parameter rhobar0 with element w2^(-1) wh^(-1) w0 s w2, and
+    the companion parameter rhobar0 with element w2^(-1) wh^(-1) w0 s w2
+    (their slots read from `_slot_targets`), and
     the two outer weights sigma1 = F_tau(w), sigma2 = F_tau(sw).  With
     check=True it verifies that these two weights exhaust the intersection
     of the predicted set of rhobar0 with the JH set of tau.
@@ -140,12 +159,17 @@ def build_instance(
             "length zero and differs from the w2 component" % (j, j)
         )
 
-    tau = type_from_target(rhobar, _conjugated_target(pair.w2, pair.w1, s))
     # w(tau) = w(rhobar) w1^(-1) s^(-1) w0^(-1) wh w2, so
     # w(rhobar0) = w(tau) w2^(-1) wh^(-1) w0 s w2 = w(rhobar) w1^(-1) w2
     # slot by slot: s cancels, and rhobar0 depends on the pair alone.
-    rhobar0 = presentation_from_w_tilde(
-        "param", t_compose(rhobar.w_tilde(), t_compose(t_invert(pair.w1), pair.w2)), rhobar.p)
+    targets = _slot_targets()
+    tau_wt, rhobar0_wt = [], []
+    for k, (x, w1, w2) in enumerate(zip(rhobar.w_tilde(), pair.w1, pair.w2)):
+        g_inv, w1_inv_w2 = targets[w1, w2, i if k == j else None]
+        tau_wt.append(compose(x, g_inv))
+        rhobar0_wt.append(compose(x, w1_inv_w2))
+    tau = derived_type(rhobar, tuple(tau_wt))
+    rhobar0 = presentation_from_w_tilde("param", tuple(rhobar0_wt), rhobar.p)
 
     # genericity margins scale with the input parameter's actual depth
     need = derived_depth_bound(rhobar.depth())
@@ -242,11 +266,13 @@ class WeightGraph:
 
 
 class _GraphState(NamedTuple):
-    """One parameter's graph, the W? table it is built from, and its
-    instances keyed by (pair, s) in enumeration order."""
+    """One parameter's graph, the W? table it is built from, the table's
+    inverse (keyed by the predicted weights), and its instances keyed by
+    (pair, s) in enumeration order."""
 
     graph: WeightGraph
     table: dict[APPair, SerreWeight]
+    back: dict[SerreWeight, APPair]
     instances: dict[tuple[APPair, tuple[int, int]], AdjacencyInstance]
 
 
@@ -273,7 +299,8 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
         edges.setdefault(inst.edge, []).append(inst)
     obvious = frozenset(obvious_weights(rhobar).values())
     edge_view = MappingProxyType({e: tuple(v) for e, v in edges.items()})
-    return _GraphState(WeightGraph(vertices, edge_view, obvious), table, instances)
+    return _GraphState(WeightGraph(vertices, edge_view, obvious), table,
+                       predicted_pair_of_weight(rhobar, table), instances)
 
 
 def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
@@ -301,19 +328,17 @@ class ChainResult:
     steered: tuple[AdjacencyInstance, ...]
 
 
-def _steered_chain(
-    state: _GraphState, sigma: SerreWeight, back: dict[SerreWeight, APPair]
-) -> tuple[AdjacencyInstance, ...]:
+def _steered_chain(state: _GraphState, sigma: SerreWeight) -> tuple[AdjacencyInstance, ...]:
     """Steering: at the smallest embedding whose w2 component has positive
     length, pick s by the component's alcove (second alcove -> s_1, top
     alcove -> s_2 when allowed, else s_1; first alcove -> s_1).  Each step
-    keeps the other embeddings' alcoves fixed; `back` inverts F_rhobar.
+    keeps the other embeddings' alcoves fixed; `state.back` inverts F_rhobar.
     Each step's instance is read from `state`, then checked."""
     chain: list[AdjacencyInstance] = []
     cur = sigma
     limit = 3 * sigma.f
     while True:
-        pair = back[cur]
+        pair = state.back[cur]
         target_j = None
         for j in range(pair.f):
             if not in_omega(pair.w2[j]):
@@ -343,7 +368,7 @@ def find_chain(rhobar: TamePresentation, sigma: SerreWeight) -> ChainResult:
     must be a predicted weight."""
     state = _graph_of(rhobar)
     graph, obvious = state.graph, state.graph.obvious
-    if sigma not in frozenset(state.table.values()):
+    if sigma not in state.back:
         raise ValueError("weight is not predicted for this parameter")
     if sigma in obvious:
         return ChainResult((), ())
@@ -374,5 +399,4 @@ def find_chain(rhobar: TamePresentation, sigma: SerreWeight) -> ChainResult:
         node = prev
     bfs.reverse()
 
-    back = predicted_pair_of_weight(rhobar, state.table)
-    return ChainResult(tuple(bfs), _steered_chain(state, sigma, back))
+    return ChainResult(tuple(bfs), _steered_chain(state, sigma))

@@ -178,27 +178,25 @@ def compat_element(rhobar: TamePresentation, tau: TamePresentation) -> TupleElt:
 
 def presentation_from_w_tilde(kind: str, wt: TupleElt, p: int) -> TamePresentation:
     """Recover (s, mu) from t_(mu+eta)*s; mu must sit inside the lowest alcove."""
-    s = []
-    mu = []
-    for x in wt:
-        m = x.nu - ETA
-        if lowest_alcove_depth(m, p) < 0:
-            raise ValueError("translation part is not in the lowest alcove: %r" % (x,))
-        s.append(x.w)
-        mu.append(m)
-    return TamePresentation(kind, tuple(s), tuple(mu), p)
+    pres = TamePresentation(kind, tuple(x.w for x in wt), tuple(x.nu - ETA for x in wt), p)
+    if pres.depth() < 0:  # some mu is outside the lowest alcove: name the first
+        x = next(x for x, m in zip(wt, pres.mu) if lowest_alcove_depth(m, p) < 0)
+        raise ValueError("translation part is not in the lowest alcove: %r" % (x,))
+    return pres
 
 
 def type_from_target(rhobar: TamePresentation, g: TupleElt) -> TamePresentation:
     """The tame type tau with w(rhobar, tau) = g, i.e. w(tau) = w(rhobar) g^(-1)."""
-    wt = t_compose(rhobar.w_tilde(), t_invert(g))
+    return derived_type(rhobar, t_compose(rhobar.w_tilde(), t_invert(g)))
+
+
+def derived_type(rhobar: TamePresentation, wt: TupleElt) -> TamePresentation:
+    """The tame type with w~(tau) = wt, derived from rhobar; warns when it is
+    shallower than a type derived from rhobar is held to."""
     tau = presentation_from_w_tilde("type", wt, rhobar.p)
     if tau.depth() < derived_depth_bound(rhobar.depth()):
-        log.warning(
-            "type depth %d below the expected bound for a %d-deep parameter",
-            tau.depth(),
-            rhobar.depth(),
-        )
+        log.warning("type depth %d below the expected bound for a %d-deep parameter",
+                    tau.depth(), rhobar.depth())
     return tau
 
 
@@ -341,42 +339,48 @@ def _singles(kind: str) -> _Singles:
 
 
 @lru_cache(maxsize=len(_ROLES) * len(W_ALL))
-def _offset_row(kind: str, s: FiniteWeyl) -> tuple[tuple[tuple[int, ...], ...],
-                                                   tuple[tuple[Part, ...], ...]]:
+def _offset_row(kind: str, s: FiniteWeyl) -> tuple[tuple, tuple, tuple]:
     """The table row of (kind, s): per pair k, the pairings of
     eta + s(nu') with the positive coroots (theta_k + eta pairs to these
-    plus the pairings of mu), and per distinct y and pair k the offset
-    w_y(eta + s(nu')) - eta as integers.  Each y is checked to be
-    restricted as its offsets are made."""
+    plus the pairings of mu); per distinct y, its character matrix
+    (row-major) and nu as integers; and per distinct y and pair k the
+    offset w_y(eta + s(nu')) - eta.  Each y is checked to be restricted
+    as its offsets are made."""
     ix = _ROLES[kind][3]
     sing = _singles(kind)
     shifted = [ETA + s.act(invert(pr[ix]).nu) for pr in sing.pairs]
     alcove = tuple(tuple(pairing(lam, cov) for cov in POSITIVE_COROOTS) for lam in shifted)
-    offsets = []
+    actions, offsets = [], []
     for y in sing.ys:
         if not is_restricted_element(y):
             raise ValueError("presentation element is not restricted")
+        columns = [y.w.act(e) for e in (Weight(1, 0, 0), Weight(0, 1, 0), Weight(0, 0, 1))]
+        actions.append(sum(zip(*columns), ()) + tuple(y.nu))
         offsets.append(tuple(tuple(y.w.act(lam) - ETA) for lam in shifted))
-    return alcove, tuple(offsets)
+    return alcove, tuple(actions), tuple(offsets)
 
 
-def _slot_parts(kind, s, mu, p, ks, cells) -> list[list[Part | None]]:
-    """y . theta_k at one slot with element s and translation mu: a list
-    per distinct y of one entry per pair, made for the pairs k in that y's
-    cells and None elsewhere.  The lowest-alcove test on theta_k runs for
-    every k in ks first; then each entry is three additions to
-    w_y(mu) + p nu_y, tested to be p-restricted."""
-    alcove, offsets = _offset_row(kind, s)
+def _slot_parts(kind, s, mu, p, ks, cells) -> list[dict[int, Part]]:
+    """y . theta_k at one slot with element s and translation mu: a dict
+    per distinct y, k -> part, holding the pairs k in that y's cells.  The
+    lowest-alcove test on theta_k runs for every k in ks first; then each
+    part is three additions to w_y(mu) + p nu_y, tested to be
+    p-restricted."""
+    alcove, actions, offsets = _offset_row(kind, s)
     m1, m2, m3, m4 = (pairing(mu, cov) for cov in POSITIVE_COROOTS)
     for k in ks:
         g1, g2, g3, g4 = alcove[k]
         if not (0 < m1 + g1 < p and 0 < m2 + g2 < p and 0 < m3 + g3 < p and 0 < m4 + g4 < p):
             raise GenericityError("omega - eta must lie inside the lowest alcove")
+    ma, mb, mc = mu
     out = []
-    for y, row, want in zip(_singles(kind).ys, offsets, cells):
-        entries: list[Part | None] = [None] * len(row)
+    for action, row, want in zip(actions, offsets, cells):
+        entries = {}
         if want:
-            ba, bb, bc = y.w.act(mu) + y.nu.scale(p)
+            x1, x2, x3, x4, x5, x6, x7, x8, x9, na, nb, nc = action
+            ba = x1 * ma + x2 * mb + x3 * mc + p * na
+            bb = x4 * ma + x5 * mb + x6 * mc + p * nb
+            bc = x7 * ma + x8 * mb + x9 * mc + p * nc
             for k in want:
                 oa, ob, oc = row[k]
                 a, b = ba + oa, bb + ob
@@ -406,11 +410,11 @@ def _weight_at(pres: TamePresentation, xs: TupleElt, ys: TupleElt) -> SerreWeigh
 class _SlotKernel:
     """The weight parts of F_pres on all tuples of per-embedding pairs.
 
-    parts[j][i][k] is part j when slot j holds single k and slot j - 1 holds
-    a single whose y is the i-th distinct one: (distinct y) x (singles)
-    entries per slot instead of f * singles^f.  At f = 1 slot j - 1 is
-    slot j, so only the entries whose i is k's own y are made (the others
-    are None).  Each entry is an (a, b, c) triple.  Three checks run: the
+    parts[j][i] is a dict k -> part j when slot j holds single k and slot
+    j - 1 holds a single whose y is the i-th distinct one: (distinct y) x
+    (singles) entries per slot instead of f * singles^f.  At f = 1 slot
+    j - 1 is slot j, so row i holds only the singles whose own y is the
+    i-th.  Each entry is an (a, b, c) triple.  Three checks run: the
     lowest-alcove test on each theta, per slot and single;
     `is_restricted_element` on each distinct y, once, when its table row
     is built; and `is_p_restricted` on every entry.  Of these only the
@@ -445,26 +449,6 @@ class _SlotKernel:
         pairs = _enumerate_pairs(self.singles, self.flavor, self.f)
         return {pair: self.weight(combo) for pair, combo in zip(pairs, combos)}
 
-    def labels(self, j: int) -> set[tuple[int, int]]:
-        """The (a, b) of every part at slot j."""
-        return {lam[:2] for row in self.parts[j] for lam in row if lam is not None}
-
-    def weights_within(self, keep: list[set[tuple[int, int]]]) -> frozenset[SerreWeight]:
-        """The weights of the tuples whose single at each slot j has some
-        part with its (a, b) in keep[j].  Part j of a tuple is one of the
-        parts of its slot-j single, so these include every tuple whose
-        parts all have their (a, b) in keep."""
-        live = [
-            [
-                k for k in range(len(self.singles))
-                if any(row[k] is not None and row[k][:2] in keep[j]
-                       for row in self.parts[j])
-            ]
-            for j in range(self.f)
-        ]
-        return frozenset(self.weight(combo) for combo in product(*live))
-
-
 def jh_factors(
     tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
 ) -> dict[APPair, SerreWeight]:
@@ -495,15 +479,45 @@ def w_question_set(
 def intersect_w_jh(
     rhobar: TamePresentation, tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
 ) -> frozenset[SerreWeight]:
-    """W?(rhobar) & JH(tau) slot by slot: a weight of both sets has the
-    same (a, b) in each part on both sides, so only the tuples that can
-    pass that test are made into weights and compared."""
+    """W?(rhobar) & JH(tau), joined slot by slot and chained around the slots.
+
+    Two weights are equal when their parts have the same (a, b) and their
+    central integers sum c_j p^(f-1-j) agree mod p^f - 1 (see
+    `normalize_central`).  Per slot, the two kernels' parts are joined on
+    (a, b) and grouped by their rows (i of W?, i of JH).  A chain takes
+    one match per slot; the next slot's rows are the y indices of the two
+    singles, and slot f - 1 leads back to slot 0's rows.  Only a chain
+    whose central integers agree becomes a weight."""
     wq = _SlotKernel(rhobar, "param", min_depth)
     jh = _SlotKernel(tau, "type", min_depth)
     if (rhobar.p, rhobar.f) != (tau.p, tau.f):
         return frozenset()
-    keep = [wq.labels(j) & jh.labels(j) for j in range(rhobar.f)]
-    return wq.weights_within(keep) & jh.weights_within(keep)
+    p, last = rhobar.p, rhobar.f - 1
+    modulus = p ** rhobar.f - 1
+    joins: list[dict[tuple[int, int], list]] = []
+    for j in range(rhobar.f):
+        index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+        for i, row in enumerate(wq.parts[j]):
+            for k, (a, b, c) in row.items():
+                index.setdefault((a, b), []).append((i, wq.y_slot[k], c))
+        groups: dict[tuple[int, int], list] = {}
+        for i2, row in enumerate(jh.parts[j]):
+            for k2, (a, b, c2) in row.items():
+                for i, y, c in index.get((a, b), ()):
+                    groups.setdefault((i, i2), []).append(((y, jh.y_slot[k2]), (a, b, c), c, c2))
+        joins.append(groups)
+    found = set()
+
+    def chain(j, rows, start, n, n2, parts):
+        for nxt, part, c, c2 in joins[j].get(rows, ()):
+            if j < last:
+                chain(j + 1, nxt, start, n * p + c, n2 * p + c2, parts + (part,))
+            elif nxt == start and (n * p + c - n2 * p - c2) % modulus == 0:
+                found.add(SerreWeight._trusted(p, parts + (part,)))
+
+    for start in joins[0]:
+        chain(0, start, start, 0, 0, ())
+    return frozenset(found)
 
 
 def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:

@@ -3,11 +3,13 @@ import random
 
 import pytest
 
-from gsp4weights.base import W_ALL, W_E, W_S1, W_S2, Weight, weyl_mul
+from gsp4weights.base import SIMPLES, W_ALL, W_E, W_S1, W_S2, Weight, weyl_mul
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
+    IDENTITY,
     W0,
     alcove_of,
+    compose,
     compose_all,
     diamond,
     finite,
@@ -252,6 +254,59 @@ def test_find_chain_builds_the_weight_table_once(monkeypatch):
 def fixture(name):
     return load_presentation(
         os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", name))
+
+
+def test_find_chain_reads_the_inverse_from_the_graph_state(monkeypatch):
+    rho = rho41()
+    graph = build_graph(rho)
+    starts = [s for s in graph.vertices if s not in graph.obvious][:4]
+    assert len(starts) == 4
+    calls = []
+    real = adjacency.predicted_pair_of_weight
+    monkeypatch.setattr(adjacency, "predicted_pair_of_weight",
+                        lambda *args: calls.append(args) or real(*args))
+    for sigma in starts:
+        assert find_chain(rho, sigma).steered
+    assert calls == []
+
+
+def test_slot_targets_are_conjugated_targets():
+    table = adjacency._slot_targets()
+    assert len(table) == 3 * len(enumerate_ap_prime(1))
+    for pair in enumerate_ap_prime(1):
+        (w1,), (w2,) = pair.w1, pair.w2
+        for letter in (None, 1, 2):
+            mid = () if letter is None else (finite(SIMPLES[letter]),)
+            g = compose_all(invert(w2), invert(HIGHEST_RESTRICTED), W0, *mid, w1)
+            if letter is not None:
+                assert (g,) == adjacency._conjugated_target((w2,), (w1,), (letter, 0))
+            g_inv, w1_inv_w2 = table[w1, w2, letter]
+            assert compose(g, g_inv) == IDENTITY
+            assert w1_inv_w2 == compose(invert(w1), w2)
+
+
+def test_build_instance_depth_guards_in_order(monkeypatch, caplog):
+    # for AP' targets a derived presentation loses at most 3 of rhobar's
+    # depth, so the guards only fire under a raised bound; the type is
+    # warned about and refused before the parameter is
+    rho = rho41()
+    inst = next(inst for pair in enumerate_ap_prime(1) for s in valid_simples(pair)
+                for inst in [build_instance(rho, pair, s, check=False)]
+                if inst.rhobar0.depth() < inst.tau.depth())
+    td, rd = inst.tau.depth(), inst.rhobar0.depth()
+    caplog.set_level("WARNING", logger="gsp4weights.weights")
+    for bound, message, warned in (
+        (td + 1, "derived type has depth %d < %d" % (td, td + 1), True),
+        (rd + 1, "derived parameter has depth %d < %d" % (rd, rd + 1), False),
+    ):
+        caplog.clear()
+        for module in (adjacency, weights):
+            monkeypatch.setattr(module, "derived_depth_bound", lambda d, bound=bound: bound)
+        with pytest.raises(GenericityError, match="^%s$" % message):
+            build_instance(rho, inst.pair, inst.s)
+        assert [r.getMessage() for r in caplog.records] == (
+            ["type depth %d below the expected bound for a %d-deep parameter"
+             % (td, rho.depth())] if warned else [])
 
 
 def test_shallow_parameter_warned_once_per_build(caplog):

@@ -257,6 +257,15 @@ def test_type_from_target_malformed():
         type_from_target(rho, (translation(Weight(30, 0, 0)),))
 
 
+def test_presentation_from_w_tilde_names_the_first_bad_slot():
+    good, bad, worse = (translation(Weight(a, 1, 0)) for a in (3, 40, 50))
+    assert presentation_from_w_tilde("type", (good, good), P).depth() == 0
+    for wt, named in (((good, bad), bad), ((worse, bad), worse)):
+        with pytest.raises(ValueError) as info:
+            presentation_from_w_tilde("type", wt, P)
+        assert str(info.value) == "translation part is not in the lowest alcove: %r" % (named,)
+
+
 def test_disjoint_presentations_empty_intersection():
     rho = rho_fixture()
     g = (translation(Weight(3, 0, 0)),)  # not admissible for eta
@@ -365,9 +374,12 @@ def _instances(rho, count=None, rng=None):
 
 
 def _assert_intersection_matches(inst):
-    # rhobar0 is built from the pair alone; this is its defining property
+    # tau and rhobar0 are assembled from per-slot constants; these are
+    # their defining properties
+    w1, w2 = inst.pair.w1, inst.pair.w2
+    assert inst.tau == type_from_target(inst.rhobar, adjacency._conjugated_target(w2, w1, inst.s))
     assert compat_element(inst.rhobar0, inst.tau) == adjacency._conjugated_target(
-        inst.pair.w2, inst.pair.w2, inst.s)
+        w2, w2, inst.s)
     got = intersect_w_jh(inst.rhobar0, inst.tau)
     assert got == oracles.intersect_w_jh(inst.rhobar0, inst.tau)
     assert got == {inst.sigma1, inst.sigma2}
@@ -413,6 +425,44 @@ def test_kernel_intersection_matches_oracle_on_random_targets():
             assert got == oracles.intersect_w_jh(rho, tau)
             sizes.add(len(got))
     assert len(sizes) > 3
+
+
+def test_join_matches_oracle_off_the_adjacency_locus():
+    # rhobar against its instances' tau rather than rhobar0: intersections
+    # of 2 to 32 weights, where several chains of slot matches survive
+    rng = random.Random(15)
+    sizes = set()
+    for f, seeds, count in ((1, (5, 6, 7), 12), (2, (3, 4), 8)):
+        for seed in seeds:
+            rho = rho_fixture(seed=seed, f=f)
+            for inst in _instances(rho, count, rng):
+                got = intersect_w_jh(rho, inst.tau)
+                assert got == oracles.intersect_w_jh(rho, inst.tau)
+                sizes.add(len(got))
+    assert min(sizes) == 2 and max(sizes) >= 24 and len(sizes) >= 6
+
+
+def _labels(table):
+    return [tuple(lam[:2] for lam in sigma.parts) for sigma in table.values()]
+
+
+@pytest.mark.parametrize("name", ("rb41.json", "rb_f2.json"))
+def test_join_compares_central_characters(name):
+    # adding (0, 0, 1) to mu_0 moves every central integer of JH(tau) by
+    # p^(f-1) and keeps every (a, b): the labels still join, the weights
+    # do not meet
+    rho = _fixture(name)
+    for inst in _instances(rho, 4, random.Random(8)):
+        tau = inst.tau
+        shifted = TamePresentation(
+            "type", tau.s, (tau.mu[0] + Weight(0, 0, 1),) + tau.mu[1:], tau.p)
+        assert _labels(jh_factors(shifted)) == _labels(jh_factors(tau))
+        got = intersect_w_jh(inst.rhobar0, shifted)
+        assert got == oracles.intersect_w_jh(inst.rhobar0, shifted) == frozenset()
+    # presentations over different fields share no weight
+    other_p = rho_fixture(p=41)
+    assert intersect_w_jh(other_p, _both_kinds(_fixture("rb1.json"))[1]) == frozenset()
+    assert intersect_w_jh(rho_fixture(), _both_kinds(_fixture("rb_f2.json"))[1]) == frozenset()
 
 
 def _error_of(fn, *args):
