@@ -17,8 +17,8 @@ from functools import cached_property, lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .base import SIMPLES, weyl_mul
-from .config import RHOBAR_DEPTH, derived_depth_bound
+from .base import SIMPLES, W_ALL, weyl_mul
+from .config import RHOBAR_DEPTH, WEIGHT_DEPTH, derived_depth_bound
 from .affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -26,6 +26,7 @@ from .affine import (
     alcove_of,
     compose,
     compose_all,
+    diamond,
     finite,
     in_omega,
     invert,
@@ -35,15 +36,15 @@ from .weights import (
     APPair,
     GenericityError,
     SerreWeight,
+    _singles,
+    _SlotKernel,
     TamePresentation,
     TupleElt,
     derived_type,
     enumerate_ap_prime,
     intersect_w_jh,
     obvious_weights,
-    outer_weight_at,
     predicted_pair_of_weight,
-    predicted_weight_at,
     presentation_from_w_tilde,
     w_question,
 )
@@ -112,20 +113,27 @@ def _conjugated_target(w2: TupleElt, w1: TupleElt, s: tuple[int, int]) -> TupleE
 
 
 @lru_cache(maxsize=None)
-def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple[ExtAffine, ExtAffine]]:
+def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
     """Per AP' single (w1, w2) and letter i of s at the slot (None where s
     acts at another embedding): g^(-1), for g the slot of
-    `_conjugated_target`, and w1^(-1) w2.  Slot by slot, w(tau) is
-    w(rhobar) g^(-1) and w(rhobar0) is w(rhobar) w1^(-1) w2."""
+    `_conjugated_target`; w1^(-1) w2; the index of (w1, w2) among the AP'
+    singles; and the indices among the AP singles of the outer singles
+    (wh diamond(v), diamond(v)) for v = w and v = s_i w, where w is the
+    finite part of w2 (v = w twice where there is no letter).  Slot by
+    slot, w(tau) is w(rhobar) g^(-1), w(rhobar0) is w(rhobar) w1^(-1) w2,
+    and sigma1, sigma2 are F_tau at the two outer index tuples."""
+    outer = _singles("type").index
+    k_outer = {w: outer[compose(HIGHEST_RESTRICTED, diamond(w)), diamond(w)] for w in W_ALL}
     table = {}
-    for pair in enumerate_ap_prime(1):
-        (w1,), (w2,) = pair.w1, pair.w2
+    for k, (w1, w2) in enumerate(_singles("param").pairs):
         w1_inv_w2 = compose(invert(w1), w2)
+        w = w2.w
         for i in (1, 2):
             # slot 0 has s_i, slot 1 has no letter
             here, elsewhere = _conjugated_target((w2, w2), (w1, w1), (i, 0))
-            table[w1, w2, i] = (invert(here), w1_inv_w2)
-        table[w1, w2, None] = (invert(elsewhere), w1_inv_w2)
+            table[w1, w2, i] = (invert(here), w1_inv_w2, k, k_outer[w],
+                                k_outer[weyl_mul(SIMPLES[i], w)])
+        table[w1, w2, None] = (invert(elsewhere), w1_inv_w2, k, k_outer[w], k_outer[w])
     return table
 
 
@@ -140,7 +148,8 @@ def build_instance(
     Derives the type tau with compatibility element w2^(-1) wh^(-1) w0 s w1,
     the companion parameter rhobar0 with element w2^(-1) wh^(-1) w0 s w2
     (their slots read from `_slot_targets`), and
-    the two outer weights sigma1 = F_tau(w), sigma2 = F_tau(sw).  With
+    the two outer weights sigma1 = F_tau(w), sigma2 = F_tau(sw), from one
+    kernel of tau over the two outer index tuples.  With
     check=True it verifies that these two weights exhaust the intersection
     of the predicted set of rhobar0 with the JH set of tau.
     """
@@ -150,6 +159,10 @@ def build_instance(
         raise ValueError("pair must come from AP'")
     if pair.f != rhobar.f:
         raise ValueError("pair and rhobar have different numbers of embeddings")
+    targets = _slot_targets()
+    if len(pair.w2) != rhobar.f or any(
+            (w1, w2, None) not in targets for w1, w2 in zip(pair.w1, pair.w2)):
+        raise ValueError("pair is not made of AP' pairs")
     i, j = s
     if i not in (1, 2) or not 0 <= j < pair.f:
         raise ValueError("s must be (i, j) with i in {1,2} and j an embedding")
@@ -162,12 +175,13 @@ def build_instance(
     # w(tau) = w(rhobar) w1^(-1) s^(-1) w0^(-1) wh w2, so
     # w(rhobar0) = w(tau) w2^(-1) wh^(-1) w0 s w2 = w(rhobar) w1^(-1) w2
     # slot by slot: s cancels, and rhobar0 depends on the pair alone.
-    targets = _slot_targets()
-    tau_wt, rhobar0_wt = [], []
+    tau_wt, rhobar0_wt, w_combo, sw_combo = [], [], [], []
     for k, (x, w1, w2) in enumerate(zip(rhobar.w_tilde(), pair.w1, pair.w2)):
-        g_inv, w1_inv_w2 = targets[w1, w2, i if k == j else None]
+        g_inv, w1_inv_w2, _, k_w, k_sw = targets[w1, w2, i if k == j else None]
         tau_wt.append(compose(x, g_inv))
         rhobar0_wt.append(compose(x, w1_inv_w2))
+        w_combo.append(k_w)
+        sw_combo.append(k_sw)
     tau = derived_type(rhobar, tuple(tau_wt))
     rhobar0 = presentation_from_w_tilde("param", tuple(rhobar0_wt), rhobar.p)
 
@@ -182,12 +196,8 @@ def build_instance(
             "derived parameter has depth %d < %d" % (rhobar0.depth(), need)
         )
 
-    w_tuple = tuple(x.w for x in pair.w2)
-    sw_tuple = tuple(
-        weyl_mul(SIMPLES[i], w) if k == j else w for k, w in enumerate(w_tuple)
-    )
-    sigma1 = outer_weight_at(tau, w_tuple)
-    sigma2 = outer_weight_at(tau, sw_tuple)
+    outer = _SlotKernel(tau, "type", WEIGHT_DEPTH, (w_combo, sw_combo))
+    sigma1, sigma2 = outer.weight(w_combo), outer.weight(sw_combo)
     inst = AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
     if check:
         _check_instance(inst)
@@ -204,7 +214,9 @@ def _check_instance(inst: AdjacencyInstance) -> None:
             "intersection is not the expected two outer weights: %s"
             % sorted(s.display() for s in got)
         )
-    if predicted_weight_at(inst.rhobar, inst.pair) != inst.sigma1:
+    targets = _slot_targets()
+    combo = tuple(targets[w1, w2, None][2] for w1, w2 in zip(inst.pair.w1, inst.pair.w2))
+    if _SlotKernel(inst.rhobar, "param", WEIGHT_DEPTH, (combo,)).weight(combo) != inst.sigma1:
         raise AssertionError("sigma1 does not match the weight of the pair")
 
 

@@ -300,10 +300,10 @@ def _require_depth(pres: TamePresentation, m: int) -> None:
         )
 
 
-# kind -> (wrong-kind error, per-embedding pairs, flavor, pair index of x)
+# kind -> (per-embedding pairs, flavor, pair index of x)
 _ROLES = {
-    "type": ("jh_factors expects a type presentation", _ap_pairs_single, "AP", 1),
-    "param": ("w_question expects a parameter presentation", _ap_prime_pairs_single, "AP'", 0),
+    "type": (_ap_pairs_single, "AP", 1),
+    "param": (_ap_prime_pairs_single, "AP'", 0),
 }
 
 
@@ -320,7 +320,7 @@ class _Singles(NamedTuple):
 
 @lru_cache(maxsize=len(_ROLES))
 def _singles(kind: str) -> _Singles:
-    _, singles_of, _, ix = _ROLES[kind]
+    singles_of, _, ix = _ROLES[kind]
     pairs = singles_of()
     ys: list[ExtAffine] = []
     for pr in pairs:
@@ -346,7 +346,7 @@ def _offset_row(kind: str, s: FiniteWeyl) -> tuple[tuple, tuple, tuple]:
     (row-major) and nu as integers; and per distinct y and pair k the
     offset w_y(eta + s(nu')) - eta.  Each y is checked to be restricted
     as its offsets are made."""
-    ix = _ROLES[kind][3]
+    ix = _ROLES[kind][2]
     sing = _singles(kind)
     shifted = [ETA + s.act(invert(pr[ix]).nu) for pr in sing.pairs]
     alcove = tuple(tuple(pairing(lam, cov) for cov in POSITIVE_COROOTS) for lam in shifted)
@@ -391,24 +391,10 @@ def _slot_parts(kind, s, mu, p, ks, cells) -> list[dict[int, Part]]:
     return out
 
 
-def _weight_at(pres: TamePresentation, xs: TupleElt, ys: TupleElt) -> SerreWeight:
-    """F_pres at one pair tuple (x from xs, y from ys), part by part."""
-    sing = _singles(pres.kind)
-    if len(xs) != pres.f or len(ys) != pres.f:
-        raise ValueError("pair tuple and presentation have different numbers of embeddings")
-    combo = [sing.index.get(pr) for pr in zip(xs, ys)]
-    if None in combo:
-        raise ValueError("pair tuple is not made of %s pairs" % _ROLES[pres.kind][2])
-    parts = []
-    for j in range(pres.f):
-        i, k = sing.y_slot[combo[j - 1]], combo[j]
-        cells = tuple((k,) if r == i else () for r in range(len(sing.ys)))
-        parts.append(_slot_parts(pres.kind, pres.s[j], pres.mu[j], pres.p, (k,), cells)[i][k])
-    return SerreWeight._trusted(pres.p, tuple(parts))
-
-
 class _SlotKernel:
-    """The weight parts of F_pres on all tuples of per-embedding pairs.
+    """The weight parts of F_pres on the tuples of per-embedding pairs:
+    on all of them, or, given `combos`, on those index tuples alone.  This
+    is the one maker of weight parts.
 
     parts[j][i] is a dict k -> part j when slot j holds single k and slot
     j - 1 holds a single whose y is the i-th distinct one: (distinct y) x
@@ -420,21 +406,33 @@ class _SlotKernel:
     is built; and `is_p_restricted` on every entry.  Of these only the
     first can fail (each y is restricted, and y . theta is then
     p-restricted), and the first failure raised here is the one that
-    evaluating the tuples one by one raises.
+    evaluating the tuples one by one raises.  With `combos` only the
+    entries they read are made, and the lowest-alcove test runs on their
+    singles alone.
     """
 
-    def __init__(self, pres: TamePresentation, kind: str, min_depth: int):
-        wrong_kind, _, self.flavor, _ = _ROLES[kind]
+    def __init__(self, pres: TamePresentation, kind: str, min_depth: int,
+                 combos: tuple[tuple[int, ...], ...] | None = None):
         if pres.kind != kind:
-            raise ValueError(wrong_kind)
+            raise ValueError(
+                "expected a %s presentation, got a %s presentation" % (kind, pres.kind))
         _require_depth(pres, min_depth)
+        self.flavor = _ROLES[kind][1]
         sing = _singles(kind)
         self.singles, self.y_slot = sing.pairs, sing.y_slot
         self.p, self.f = pres.p, pres.f
-        cells = sing.every if self.f > 1 else sing.own
-        ks = range(len(sing.pairs))
+        if combos is None:
+            ks = [range(len(sing.pairs))] * self.f
+            cells = [sing.every if self.f > 1 else sing.own] * self.f
+        else:
+            ks = list(zip(*combos))
+            cells = [[[] for _ in sing.ys] for _ in range(self.f)]
+            for combo in combos:
+                for j, k in enumerate(combo):
+                    cells[j][sing.y_slot[combo[j - 1]]].append(k)
         self.parts = [
-            _slot_parts(kind, s, mu, self.p, ks, cells) for s, mu in zip(pres.s, pres.mu)
+            _slot_parts(kind, s, mu, self.p, ks[j], cells[j])
+            for j, (s, mu) in enumerate(zip(pres.s, pres.mu))
         ]
 
     def weight(self, combo: tuple[int, ...]) -> SerreWeight:
@@ -528,29 +526,6 @@ def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], Se
     diagonal = {w: index[diamond(w), diamond(w)] for w in W_ALL}
     return {ws: kernel.weight(tuple(diagonal[w] for w in ws))
             for ws in product(W_ALL, repeat=rhobar.f)}
-
-
-def outer_weight_at(
-    tau: TamePresentation, ws: tuple[FiniteWeyl, ...], min_depth: int = WEIGHT_DEPTH
-) -> SerreWeight:
-    """F_tau at the single outer pair labeled by a finite Weyl tuple, without
-    building the whole JH table."""
-    if tau.kind != "type":
-        raise ValueError("outer_weight_at expects a type presentation")
-    _require_depth(tau, min_depth)
-    w1 = tuple(diamond(w) for w in ws)
-    w2 = tuple(compose(HIGHEST_RESTRICTED, d) for d in w1)
-    return _weight_at(tau, w2, w1)
-
-
-def predicted_weight_at(
-    rhobar: TamePresentation, pair: APPair, min_depth: int = WEIGHT_DEPTH
-) -> SerreWeight:
-    """F_rhobar at one AP' pair tuple, without building the whole table."""
-    if rhobar.kind != "param":
-        raise ValueError("predicted_weight_at expects a parameter presentation")
-    _require_depth(rhobar, min_depth)
-    return _weight_at(rhobar, pair.w1, pair.w2)
 
 
 def predicted_pair_of_weight(

@@ -25,6 +25,7 @@ from gsp4weights.affine import (
 )
 from gsp4weights.cycles import bm_sum, restricted_chain
 from gsp4weights.weights import (
+    APPair,
     GenericityError,
     SerreWeight,
     TamePresentation,
@@ -34,6 +35,13 @@ from gsp4weights.weights import (
     type_from_target,
     w_question_set,
 )
+
+
+def outer_pair(ws) -> APPair:
+    """The outer AP pair tuple of a finite Weyl tuple: (diamond(w), wh diamond(w))
+    at each slot."""
+    ds = tuple(diamond(w) for w in ws)
+    return APPair(ds, tuple(compose(HIGHEST_RESTRICTED, d) for d in ds), "AP")
 
 
 def random_deep_presentation(p, f, min_depth, rng, kind="type") -> TamePresentation:

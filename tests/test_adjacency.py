@@ -18,13 +18,14 @@ from gsp4weights.affine import (
     restricted_alcove_index,
 )
 from gsp4weights.weights import (
+    APPair,
     GenericityError,
     TamePresentation,
+    enumerate_ap,
     enumerate_ap_prime,
     intersect_w_jh,
     jh_set,
     obvious_weights,
-    outer_weight_at,
     predicted_pair_of_weight,
     w_question,
     w_question_set,
@@ -40,7 +41,8 @@ from gsp4weights.adjacency import (
     valid_simples,
 )
 
-from crosschecks import random_deep_presentation
+import oracles
+from crosschecks import outer_pair, random_deep_presentation
 
 
 def rho41(seed=7):
@@ -133,13 +135,54 @@ def test_inclusion_of_intersections():
             assert {inst.sigma1, inst.sigma2} <= big
 
 
+def _sampled_instances():
+    """(rhobar, its instances): all of rb1 and rb41, and seeded samples at
+    f = 2 and f = 3."""
+    for rho in (fixture("rb1.json"), fixture("rb41.json")):
+        yield rho, [build_instance(rho, pair, s, check=False)
+                    for pair in enumerate_ap_prime(1) for s in valid_simples(pair)]
+    rng = random.Random(2024)
+    for f, seeds, count in ((2, (3, 4), 6), (3, (1,), 2)):
+        for seed in seeds:
+            rho = random_deep_presentation(37, f, 8, random.Random(seed), kind="param")
+            pairs = enumerate_ap_prime(f)
+            draws = [rng.choice(pairs) for _ in range(count)]
+            yield rho, [build_instance(rho, pair, rng.choice(valid_simples(pair)), check=False)
+                        for pair in draws]
+
+
 def test_edge_endpoints_are_outer_weights():
-    rho = rho41()
-    for pair in enumerate_ap_prime(1)[::3]:
-        for s in valid_simples(pair):
-            inst = build_instance(rho, pair, s)
-            outs = {outer_weight_at(inst.tau, (w,)) for w in W_ALL}
-            assert inst.sigma1 in outs and inst.sigma2 in outs
+    # sigma1 and sigma2 are F_tau at the outer tuples of w and sw, and
+    # sigma1 is F_rhobar at the pair, read from the oracle's tables
+    count = 0
+    for rho, instances in _sampled_instances():
+        wq = oracles.w_question(rho)
+        for inst in instances:
+            i, j = inst.s
+            ws = tuple(x.w for x in inst.pair.w2)
+            sws = ws[:j] + (weyl_mul(SIMPLES[i], ws[j]),) + ws[j + 1:]
+            jh = oracles.jh_factors(inst.tau)
+            assert inst.sigma1 == jh[outer_pair(ws)]
+            assert inst.sigma2 == jh[outer_pair(sws)]
+            assert inst.sigma1 == wq[inst.pair]
+            count += 1
+    assert count == 2 * 34 + 2 * 6 + 2
+
+
+def fixture(name):
+    return load_presentation(
+        os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", name))
+
+
+def test_build_instance_refuses_pairs_not_made_of_ap_prime_pairs():
+    rho = fixture("rb1.json")
+    ap = enumerate_ap(1)[0]
+    app = next(pr for pr in enumerate_ap_prime(1) if pr.w1 != pr.w2)
+    for forged in (APPair(ap.w1, ap.w2, "AP'"),  # an AP pair
+                   APPair(app.w2, app.w1, "AP'"),  # an AP' pair, swapped
+                   APPair(app.w1, app.w2 * 2, "AP'")):  # w2 longer than w1
+        with pytest.raises(ValueError, match="^pair is not made of AP' pairs$"):
+            build_instance(rho, forged, (1, 0))
 
 
 def test_edge_symmetry_of_construction():
@@ -251,11 +294,6 @@ def test_find_chain_builds_the_weight_table_once(monkeypatch):
     assert builds == [] and instances == []
 
 
-def fixture(name):
-    return load_presentation(
-        os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", name))
-
-
 def test_find_chain_reads_the_inverse_from_the_graph_state(monkeypatch):
     rho = rho41()
     graph = build_graph(rho)
@@ -280,9 +318,15 @@ def test_slot_targets_are_conjugated_targets():
             g = compose_all(invert(w2), invert(HIGHEST_RESTRICTED), W0, *mid, w1)
             if letter is not None:
                 assert (g,) == adjacency._conjugated_target((w2,), (w1,), (letter, 0))
-            g_inv, w1_inv_w2 = table[w1, w2, letter]
+            g_inv, w1_inv_w2, k, k_w, k_sw = table[w1, w2, letter]
             assert compose(g, g_inv) == IDENTITY
             assert w1_inv_w2 == compose(invert(w1), w2)
+            assert enumerate_ap_prime(1)[k] == pair
+            # the outer AP singles of w and s_i w, for w the finite part of w2
+            w = w2.w
+            sw = w if letter is None else weyl_mul(SIMPLES[letter], w)
+            assert enumerate_ap(1)[k_w] == outer_pair((w,))
+            assert enumerate_ap(1)[k_sw] == outer_pair((sw,))
 
 
 def test_build_instance_depth_guards_in_order(monkeypatch, caplog):

@@ -21,9 +21,9 @@ from gsp4weights.admissible import adm_set, colength_one_split
 from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
+    jh_factors,
     jh_set,
     obvious_weights,
-    outer_weight_at,
     type_from_target,
     w_question_set,
 )
@@ -41,6 +41,7 @@ from gsp4weights.cycles import (
 
 from crosschecks import (
     obvious_bm_report,
+    outer_pair,
     random_deep_presentation,
     support_upper_bound,
     weight_class_arrow_leq,
@@ -197,8 +198,9 @@ def test_support_upper_bound_outer_weight():
     tau = random_deep_presentation(P, 1, 6, rng, kind="type")
     jh = jh_set(tau)
     bounds = {kappa: support_upper_bound(kappa) for kappa in jh}
+    table = jh_factors(tau)
     for w in W_ALL:
-        sigma = outer_weight_at(tau, (w,))
+        sigma = table[outer_pair((w,))]
         assert [kappa for kappa in jh if sigma in bounds[kappa]] == [sigma]
 
 
@@ -282,7 +284,7 @@ def test_bm_sum_defaults_and_validation():
 def test_bm_sum_nonzero_lambda_with_table():
     rng = random.Random(43)
     tau = random_deep_presentation(P, 1, 6, rng, kind="type")
-    sigma = outer_weight_at(tau, (W_E,))
+    sigma = jh_factors(tau)[outer_pair((W_E,))]
     res = bm_sum((Weight(1, 1, 0),), tau, {sigma: 2})
     assert res.assumptions == ()
     assert res.cycle == 2 * bm_cycle(sigma)

@@ -178,3 +178,29 @@ def test_module_level_caches_are_the_ones_the_benchmark_reads():
     found = {(m, attr) for m, attr, obj in _module_attrs()
              if attr.endswith("_CACHE") and isinstance(obj, dict)}
     assert found and found <= set(_run_caches())
+
+
+def _span_names():
+    """The span names the benchmark runner reads per op, by call count or
+    inclusive seconds."""
+    text = _read(os.path.join(PERFBENCH, "run.py"))
+    return set(re.findall(r'(?:per_op_calls|per_op_s|calls\.get)\("([\w.]+)"', text))
+
+
+def test_benchmark_span_names_resolve():
+    # a span is "module.function" or "module.Class.method"; a renamed
+    # function would leave its metric at zero rather than fail
+    names = _span_names()
+    assert "weights.intersect_w_jh" in names and "adjacency.build_instance" in names
+    missing = []
+    for name in sorted(names):
+        mod, *owners, attr = name.split(".")
+        owner = importlib.import_module("gsp4weights." + mod)
+        for cls in owners:
+            owner = getattr(owner, cls, None)
+        fn = getattr(owner, attr, None)
+        if (owners and not inspect.isclass(owner)) or not callable(fn) or inspect.isclass(fn):
+            missing.append(name)
+    # serre_weight_of_presentation left the package with the slot kernel;
+    # its dead metric goes with ROADMAP item 4
+    assert missing == ["weights.serre_weight_of_presentation"]

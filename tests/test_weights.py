@@ -29,9 +29,7 @@ from gsp4weights.weights import (
     jh_set,
     normalize_central,
     obvious_weights,
-    outer_weight_at,
     predicted_pair_of_weight,
-    predicted_weight_at,
     presentation_from_w_tilde,
     t_compose,
     t_invert,
@@ -39,12 +37,12 @@ from gsp4weights.weights import (
     w_question,
     w_question_set,
 )
-from gsp4weights import adjacency
+from gsp4weights import adjacency, weights
 from gsp4weights.adjacency import build_instance, valid_simples
 from gsp4weights.cli import load_presentation
 
 import oracles
-from crosschecks import random_deep_presentation, weight_class_arrow_leq
+from crosschecks import outer_pair, random_deep_presentation, weight_class_arrow_leq
 from oracles import LowestAlcovePresentation, serre_weight_of_presentation
 
 P = 37
@@ -159,11 +157,8 @@ def test_jh_injective_random_types():
 def test_jh_outer_weights_distinct():
     tau = tau_fixture()
     table = jh_factors(tau)
-    out = [outer_weight_at(tau, (w,)) for w in W_ALL]
+    out = [table[outer_pair((w,))] for w in W_ALL]
     assert len(set(out)) == 8
-    for w, sigma in zip(W_ALL, out):
-        d = diamond(w)
-        assert table[APPair((d,), (compose(HIGHEST_RESTRICTED, d),), "AP")] == sigma
 
 
 def test_jh_depth_guard():
@@ -344,6 +339,14 @@ def _fixture(name):
     return load_presentation(os.path.join(FIXTURES, name))
 
 
+def _kernel_at(pres, pair, min_depth=3):
+    """F_pres at one pair tuple: the slot kernel run on its one index tuple."""
+    index = weights._singles(pres.kind).index
+    xs, ys = (pair.w1, pair.w2) if pres.kind == "param" else (pair.w2, pair.w1)
+    combo = tuple(index[pr] for pr in zip(xs, ys))
+    return weights._SlotKernel(pres, pres.kind, min_depth, (combo,)).weight(combo)
+
+
 def _both_kinds(pres):
     return (TamePresentation("param", pres.s, pres.mu, pres.p),
             TamePresentation("type", pres.s, pres.mu, pres.p))
@@ -353,11 +356,13 @@ def _both_kinds(pres):
 def test_kernel_tables_match_oracle_on_fixtures(name):
     rho, tau = _both_kinds(_fixture(name))
     # same keys, values and order
-    wq = w_question(rho)
+    wq, jh = w_question(rho), jh_factors(tau)
     assert list(wq.items()) == list(oracles.w_question(rho).items())
-    assert list(jh_factors(tau).items()) == list(oracles.jh_factors(tau).items())
-    for pair, sigma in wq.items():
-        assert predicted_weight_at(rho, pair) == sigma
+    assert list(jh.items()) == list(oracles.jh_factors(tau).items())
+    # the kernel on one tuple reads the same weight as on all of them
+    for table, pres in ((wq, rho), (jh, tau)):
+        for pair, sigma in table.items():
+            assert _kernel_at(pres, pair) == sigma
 
 
 def _instances(rho, count=None, rng=None):
@@ -383,7 +388,7 @@ def _assert_intersection_matches(inst):
     got = intersect_w_jh(inst.rhobar0, inst.tau)
     assert got == oracles.intersect_w_jh(inst.rhobar0, inst.tau)
     assert got == {inst.sigma1, inst.sigma2}
-    assert predicted_weight_at(inst.rhobar, inst.pair) == inst.sigma1
+    assert w_question(inst.rhobar)[inst.pair] == inst.sigma1
 
 
 @pytest.mark.parametrize("name", ("rb1.json", "rb41.json"))
@@ -496,6 +501,15 @@ def test_kernel_errors_match_oracle():
     assert _error_of(jh_factors, rho)[0] is _error_of(oracles.jh_factors, rho)[0] is ValueError
 
 
+def test_wrong_kind_errors_name_both_kinds():
+    rho, tau = _both_kinds(_fixture("rb1.json"))
+    want_param = (ValueError, "expected a param presentation, got a type presentation")
+    want_type = (ValueError, "expected a type presentation, got a param presentation")
+    assert _error_of(obvious_weights, tau) == want_param
+    assert _error_of(w_question, tau) == want_param
+    assert _error_of(jh_factors, rho) == want_type
+
+
 # --- the offset table, exhaustively at small primes ------------------------
 #
 # At f = 1 every slot element s and every lowest-alcove mu (c in -1..1)
@@ -524,8 +538,9 @@ def _oracle_at(pres, xs, ys):
 
 @pytest.mark.parametrize("p", (11, 13))
 def test_offset_table_matches_oracle_exhaustively(p):
-    outer = [(w, APPair((diamond(w),), (compose(HIGHEST_RESTRICTED, diamond(w)),), "AP"))
-             for w in W_ALL]
+    # each tuple is also evaluated alone: the kernel on its one index
+    # tuple gives the table's weight, or the oracle's error
+    outer = [outer_pair((w,)) for w in W_ALL]
     raised = 0
     for s in W_ALL:
         for mu in _lowest_alcove_mus(p):
@@ -538,14 +553,14 @@ def test_offset_table_matches_oracle_exhaustively(p):
             raised += isinstance(wq, tuple) + isinstance(jh, tuple)
             wq_table = dict(wq) if isinstance(wq, list) else None
             for pair in enumerate_ap_prime(1):
-                got = _outcome(predicted_weight_at, rho, pair, 0)
+                got = _outcome(_kernel_at, rho, pair, 0)
                 if wq_table is not None:
                     assert got == wq_table[pair]
                 else:
                     assert got == _outcome(_oracle_at, rho, pair.w1, pair.w2)
             jh_table = dict(jh) if isinstance(jh, list) else None
-            for w, pair in outer:
-                got = _outcome(outer_weight_at, tau, (w,), 0)
+            for pair in outer:
+                got = _outcome(_kernel_at, tau, pair, 0)
                 if jh_table is not None:
                     assert got == jh_table[pair]
                 else:
