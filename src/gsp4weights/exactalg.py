@@ -3,10 +3,17 @@
 Two coefficient fields are supported: the rationals (characteristic 0,
 scalars are ``fractions.Fraction``) and the prime field F_q (scalars are
 ints in [0, q)).  Scalar arithmetic is Python operators; a field object
-only maps a value into the field (``coerce``) and inverts (``inv``).  On
-top of these we build Laurent polynomials in a single variable ``v``.
-Everything is exact; division by zero raises, it never produces a silent
-junk value.
+only maps a value into the field (``coerce``) and inverts (``inv``).  A
+field takes ints, Fractions and strings "a" or "a/b" of integers, the
+grammar of coefficient files; it refuses bools and anything else.
+
+On top of these we build Laurent polynomials in a single variable ``v``,
+stored as integer numerators over one positive denominator: over F_q the
+numerators are the reduced scalars and the denominator is 1, over the
+rationals the denominator has no factor in common with all numerators.
+So sums and products over either field are integer arithmetic, with one
+gcd over the rationals, and no Fraction is made per term.  Everything is
+exact; division by zero raises, it never produces a silent junk value.
 """
 
 from __future__ import annotations
@@ -14,6 +21,7 @@ from __future__ import annotations
 import json
 import re
 from fractions import Fraction
+from math import gcd, lcm
 
 
 # ---------------------------------------------------------------------------
@@ -31,19 +39,35 @@ def _is_prime(n: int) -> bool:
     return True
 
 
+# exponents as str(int) writes them; coefficient strings "a" or "a/b"
+_EXPONENT = re.compile(r"0|-?[1-9][0-9]*")
+_SCALAR_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+
+
+def _exact(x, field):
+    """x as an int or a Fraction: an int or a Fraction as it is, a string
+    "a" or "a/b" of integers read as one.  A string of any other form
+    raises ValueError, a bool or any other type TypeError, and b = 0
+    ZeroDivisionError."""
+    if isinstance(x, str):
+        m = _SCALAR_STR.fullmatch(x)
+        if m is None:
+            raise ValueError('%s is not an integer or "a/b"' % json.dumps(x))
+        return int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2]))
+    if isinstance(x, (int, Fraction)) and not isinstance(x, bool):
+        return x
+    raise TypeError("cannot coerce %r into %r" % (x, field))
+
+
 class RationalField:
     """The field of rational numbers; scalars are Fractions."""
 
     char = 0
 
     def coerce(self, x) -> Fraction:
-        if isinstance(x, Fraction):
+        if type(x) is Fraction:
             return x
-        if isinstance(x, int):
-            return Fraction(x)
-        if isinstance(x, str):
-            return Fraction(x)
-        raise TypeError("cannot coerce %r into the rationals" % (x,))
+        return Fraction(_exact(x, self))
 
     def inv(self, x) -> Fraction:
         if x == 0:
@@ -72,16 +96,14 @@ class PrimeField:
         self.char = q
 
     def coerce(self, x) -> int:
-        if isinstance(x, int):
-            return x % self.char
-        if isinstance(x, Fraction):
-            if x.denominator % self.char == 0:
-                raise ZeroDivisionError(
-                    "denominator of %s vanishes mod %d" % (x, self.char))
-            return (x.numerator * pow(x.denominator, -1, self.char)) % self.char
-        if isinstance(x, str):
-            return self.coerce(Fraction(x))
-        raise TypeError("cannot coerce %r into F_%d" % (x, self.char))
+        if type(x) is not int:
+            x = _exact(x, self)
+            if not isinstance(x, int):  # a Fraction
+                if x.denominator % self.char == 0:
+                    raise ZeroDivisionError(
+                        "denominator of %s vanishes mod %d" % (x, self.char))
+                return (x.numerator * pow(x.denominator, -1, self.char)) % self.char
+        return x % self.char
 
     def inv(self, x) -> int:
         if x % self.char == 0:
@@ -111,13 +133,19 @@ QQ = RationalField()
 class LaurentPoly:
     """Laurent polynomial in v with coefficients in a fixed field.
 
-    Canonical form: ``coeffs`` is a tuple of (exponent, scalar) pairs,
-    sorted by increasing exponent, with no zero scalars; over F_q every
-    scalar is an int in [1, q), as the sums and products rely on.  A
-    canonical scalar is never zero, so a zero test is its truth value.
+    Canonical form: the polynomial is the sum of (c / den) * v^e over the
+    (e, c) pairs of ``terms``, a tuple sorted by increasing exponent with
+    integer numerators c, none of them zero, over one denominator
+    ``den >= 1``.  Over F_q den is 1 and every numerator is an int in
+    [1, q), as the sums and products rely on; over the rationals den and
+    the numerators have gcd 1.  So equal polynomials have equal
+    (terms, den), and a zero test is the truth value of ``terms``.
+
+    ``coeffs`` is the value view: the (exponent, scalar) pairs, with
+    Fraction scalars over the rationals.
     """
 
-    __slots__ = ("field", "coeffs")
+    __slots__ = ("field", "terms", "den")
 
     def __init__(self, field, coeffs=()):
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
@@ -129,26 +157,48 @@ class LaurentPoly:
             if exp in acc:
                 val = coerce(acc[exp] + val)
             acc[exp] = val
+        terms, den = LaurentPoly._integer_form(field, sorted(t for t in acc.items() if t[1]))
         object.__setattr__(self, "field", field)
-        object.__setattr__(self, "coeffs", tuple(sorted((e, c) for e, c in acc.items() if c)))
+        object.__setattr__(self, "terms", terms)
+        object.__setattr__(self, "den", den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
 
     # -- constructors
 
-    @classmethod
-    def _canonical(cls, field, coeffs: tuple) -> "LaurentPoly":
-        """Trusted constructor: ``coeffs`` is already in canonical form
-        (sorted exponents, reduced nonzero scalars of the field)."""
-        out = object.__new__(cls)
-        object.__setattr__(out, "field", field)
-        object.__setattr__(out, "coeffs", coeffs)
+    @staticmethod
+    def _integer_form(field, pairs: list) -> tuple:
+        """(terms, den) of sorted (exponent, scalar) pairs with nonzero
+        scalars of the field: over the rationals den is the lcm of the
+        scalars' denominators, which leaves no factor common to all the
+        numerators."""
+        if field.char:
+            return tuple(pairs), 1
+        den = lcm(*(c.denominator for _, c in pairs))
+        return tuple([(e, c.numerator * (den // c.denominator)) for e, c in pairs]), den
+
+    @staticmethod
+    def _canonical(field, terms: tuple, den: int = 1) -> "LaurentPoly":
+        """Trusted constructor: ``terms`` are sorted, with nonzero integer
+        numerators reduced mod q over F_q, over any ``den >= 1`` (1 over
+        F_q).  The common factor of den and the numerators is divided out."""
+        if den != 1:
+            g = gcd(den, *(c for _, c in terms))
+            if g != 1:
+                den //= g
+                terms = tuple([(e, c // g) for e, c in terms])
+        out = _new(LaurentPoly)
+        _set_field(out, field)
+        _set_terms(out, terms)
+        _set_den(out, den)
         return out
 
     @staticmethod
     def const(field, x) -> "LaurentPoly":
-        return LaurentPoly(field, {0: x})
+        x = field.coerce(x)
+        terms = [(0, x)] if x else []
+        return LaurentPoly._canonical(field, *LaurentPoly._integer_form(field, terms))
 
     @staticmethod
     def zero(field) -> "LaurentPoly":
@@ -165,30 +215,41 @@ class LaurentPoly:
     # -- inspection
 
     @property
+    def coeffs(self) -> tuple:
+        if self.field.char:
+            return self.terms
+        den = self.den
+        return tuple((e, Fraction(c, den)) for e, c in self.terms)
+
+    @property
     def is_zero(self) -> bool:
-        return not self.coeffs
+        return not self.terms
 
     @property
     def low_degree(self):
         """v-adic valuation; None for the zero polynomial."""
-        return self.coeffs[0][0] if self.coeffs else None
+        return self.terms[0][0] if self.terms else None
 
     @property
     def degree(self):
-        return self.coeffs[-1][0] if self.coeffs else None
+        return self.terms[-1][0] if self.terms else None
 
     @property
     def is_monomial(self) -> bool:
-        return len(self.coeffs) == 1
+        return len(self.terms) == 1
 
     @property
     def is_constant(self) -> bool:
-        return not self.coeffs or (len(self.coeffs) == 1 and self.coeffs[0][0] == 0)
+        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
+
+    def _scalar(self, c):
+        """The field scalar of the numerator c."""
+        return c if self.field.char else Fraction(c, self.den)
 
     def coeff(self, exp: int):
-        for e, c in self.coeffs:
+        for e, c in self.terms:
             if e == exp:
-                return c
+                return self._scalar(c)
         return self.field.coerce(0)
 
     @property
@@ -197,21 +258,21 @@ class LaurentPoly:
 
     @property
     def leading_coeff(self):
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("zero polynomial has no leading coefficient")
-        return self.coeffs[-1][1]
+        return self._scalar(self.terms[-1][1])
 
     @property
     def trailing_coeff(self):
-        if not self.coeffs:
+        if not self.terms:
             raise ValueError("zero polynomial has no trailing coefficient")
-        return self.coeffs[0][1]
+        return self._scalar(self.terms[0][1])
 
     # -- arithmetic
 
     def _coerce_other(self, other):
         if isinstance(other, LaurentPoly):
-            if other.field != self.field:
+            if other.field is not self.field and other.field != self.field:
                 raise TypeError("mixed coefficient fields")
             return other
         if isinstance(other, (int, Fraction)):
@@ -226,8 +287,8 @@ class LaurentPoly:
     def __neg__(self):
         q = self.field.char
         if q:
-            return LaurentPoly._canonical(self.field, tuple((e, q - c) for e, c in self.coeffs))
-        return LaurentPoly._canonical(self.field, tuple((e, -c) for e, c in self.coeffs))
+            return LaurentPoly._canonical(self.field, tuple((e, q - c) for e, c in self.terms))
+        return LaurentPoly._canonical(self.field, tuple((e, -c) for e, c in self.terms), self.den)
 
     def __sub__(self, other):
         return self._merge(other, True)
@@ -238,15 +299,27 @@ class LaurentPoly:
 
     def _merge(self, other, negate: bool):
         """self + other, or self - other when negate, in one pass over the
-        two sorted term tuples, reducing mod q once per exponent."""
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
-        a = self.coeffs
+        two sorted term tuples, reducing mod q once per exponent; over the
+        rationals both sides are first brought to the lcm of their
+        denominators."""
+        if other.__class__ is not LaurentPoly or other.field is not self.field:
+            other = self._coerce_other(other)
+            if other is None:
+                return NotImplemented
+        a, b = self.terms, other.terms
         q = self.field.char
+        den = self.den
+        if den != other.den:
+            g = gcd(den, other.den)
+            sa, sb = other.den // g, den // g
+            den *= sa
+            if sa != 1:
+                a = [(e, c * sa) for e, c in a]
+            if sb != 1:
+                b = [(e, c * sb) for e, c in b]
         out = []
         i, n = 0, len(a)
-        for e, c in other.coeffs:
+        for e, c in b:
             while i < n and a[i][0] < e:
                 out.append(a[i])
                 i += 1
@@ -260,14 +333,15 @@ class LaurentPoly:
             if c:
                 out.append((e, c))
         out += a[i:]
-        return LaurentPoly._canonical(self.field, tuple(out))
+        return LaurentPoly._canonical(self.field, tuple(out), den)
 
     def __mul__(self, other):
-        other = self._coerce_other(other)
-        if other is None:
-            return NotImplemented
+        if other.__class__ is not LaurentPoly or other.field is not self.field:
+            other = self._coerce_other(other)
+            if other is None:
+                return NotImplemented
         f = self.field
-        a, b = self.coeffs, other.coeffs
+        a, b = self.terms, other.terms
         if len(a) < len(b):
             a, b = b, a
         if not b:
@@ -276,17 +350,19 @@ class LaurentPoly:
         if len(b) == 1:  # a monomial factor: a shift and a scale
             (e0, c0), = b
             if q:
-                return LaurentPoly._canonical(f, tuple((e + e0, c * c0 % q) for e, c in a))
-            return LaurentPoly._canonical(f, tuple((e + e0, c * c0) for e, c in a))
-        if q:
-            return LaurentPoly._canonical(f, _kronecker_mul(a, b, q))
-        acc = {}
-        for e1, c1 in a:
-            for e2, c2 in b:
-                e = e1 + e2
-                t = c1 * c2
-                acc[e] = acc[e] + t if e in acc else t
-        return LaurentPoly._canonical(f, tuple(sorted((e, c) for e, c in acc.items() if c)))
+                terms = tuple([(e + e0, c * c0 % q) for e, c in a])
+            else:
+                terms = tuple([(e + e0, c * c0) for e, c in a])
+        elif q:
+            terms = _kronecker_mul(a, b, q)
+        else:  # the schoolbook sum, one slot per exponent of the span
+            la, lb = a[0][0], b[0][0]
+            acc = [0] * (a[-1][0] - la + b[-1][0] - lb + 1)
+            for e1, c1 in a:
+                for e2, c2 in b:
+                    acc[e1 + e2 - la - lb] += c1 * c2
+            terms = tuple([(la + lb + k, c) for k, c in enumerate(acc) if c])
+        return LaurentPoly._canonical(f, terms, self.den * other.den)
 
     __rmul__ = __mul__
 
@@ -308,37 +384,47 @@ class LaurentPoly:
     def scale(self, x) -> "LaurentPoly":
         f = self.field
         x = f.coerce(x)
-        return LaurentPoly(f, tuple((e, c * x) for e, c in self.coeffs))
+        if not x:
+            return LaurentPoly._canonical(f, ())
+        q = f.char
+        if q:
+            return LaurentPoly._canonical(f, tuple((e, c * x % q) for e, c in self.terms))
+        return LaurentPoly._canonical(
+            f, tuple((e, c * x.numerator) for e, c in self.terms), self.den * x.denominator)
 
     def shift(self, k: int) -> "LaurentPoly":
         """Multiply by v^k."""
-        return LaurentPoly._canonical(self.field, tuple((e + k, c) for e, c in self.coeffs))
+        return LaurentPoly._canonical(
+            self.field, tuple([(e + k, c) for e, c in self.terms]), self.den)
 
     def derivative(self) -> "LaurentPoly":
-        return LaurentPoly(self.field, tuple((e - 1, c * e) for e, c in self.coeffs if e != 0))
+        q = self.field.char
+        terms = ((e - 1, c * e % q if q else c * e) for e, c in self.terms)
+        return LaurentPoly._canonical(self.field, tuple(t for t in terms if t[1]), self.den)
 
     def truncate(self, n: int) -> "LaurentPoly":
         """Drop all terms of exponent >= n."""
         return LaurentPoly._canonical(
-            self.field, tuple((e, c) for e, c in self.coeffs if e < n))
+            self.field, tuple([t for t in self.terms if t[0] < n]), self.den)
 
     # -- comparison and display
 
     def __eq__(self, other):
-        if isinstance(other, (int, Fraction)):
-            other = LaurentPoly.const(self.field, other)
         if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self.field == other.field and self.coeffs == other.coeffs
+            if not isinstance(other, (int, Fraction)):
+                return NotImplemented
+            other = LaurentPoly.const(self.field, other)
+        return (self.field == other.field and self.terms == other.terms
+                and self.den == other.den)
 
     def __hash__(self):
-        return hash((self.field, self.coeffs))
+        return hash((self.field, self.terms, self.den))
 
     def __bool__(self):
-        return bool(self.coeffs)
+        return bool(self.terms)
 
     def display(self) -> str:
-        if not self.coeffs:
+        if not self.terms:
             return "0"
         f = self.field
         parts = []
@@ -373,18 +459,19 @@ class LaurentPoly:
         for e, c in obj.items():
             if not (isinstance(e, str) and _EXPONENT.fullmatch(e)):
                 raise ValueError("exponent %s is not an integer" % json.dumps(e))
-            m = _SCALAR_STR.fullmatch(c) if isinstance(c, str) else None
-            if m:
-                c = int(m[1]) if m[2] is None else Fraction(int(m[1]), int(m[2]))
-            elif not isinstance(c, int) or isinstance(c, bool):
-                raise ValueError('coefficient %s is not an integer or "a/b"' % json.dumps(c))
-            terms[int(e)] = field.coerce(c)
-        return LaurentPoly._canonical(field, tuple(sorted(t for t in terms.items() if t[1])))
+            try:
+                terms[int(e)] = field.coerce(c)
+            except (TypeError, ValueError):
+                raise ValueError('coefficient %s is not an integer or "a/b"'
+                                 % json.dumps(c)) from None
+        return LaurentPoly._canonical(field, *LaurentPoly._integer_form(
+            field, sorted(t for t in terms.items() if t[1])))
 
 
-# exponents as str(int) writes them; coefficient strings "a" or "a/b"
-_EXPONENT = re.compile(r"0|-?[1-9][0-9]*")
-_SCALAR_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# the trusted constructor sets the slots directly, past __setattr__
+_new = object.__new__
+_set_field, _set_terms, _set_den = (LaurentPoly.__dict__[name].__set__
+                                    for name in LaurentPoly.__slots__)
 
 
 def _kronecker_mul(a: tuple, b: tuple, q: int) -> tuple:

@@ -5,8 +5,8 @@ patterns, Iwahori shape decomposition, the algebraic monodromy
 condition, the regular colength-one universal family, and the torus
 fixed-point set constructors.  Characteristic-0 computations run over
 exact rationals with the prime p an ordinary scalar and E(v) = v + p;
-special-fiber computations run over F_q, where E(v) = v.  No floating
-point anywhere.
+special-fiber computations run over F_q, and the E-adic ones only over
+F_p, where E(v) = v.  No floating point anywhere.
 """
 
 from __future__ import annotations
@@ -237,7 +237,9 @@ class PolyMat:
 
 
 def e_poly(field, p: int) -> LaurentPoly:
-    """E(v) = v + p; over F_p this is just v."""
+    """E(v) = v + p over the rationals; over F_p this is just v.  Any
+    other prime field raises ValueError: there v + p is not v."""
+    _check_p(field, p)
     return LaurentPoly(field, {1: 1, 0: p})
 
 
@@ -316,8 +318,11 @@ def symplectic_similitude(A: PolyMat, p: int | None = None) -> SimilitudeResult:
     reported and unit_form is set (over F_q any E-power is a v-power, so
     unit_form there just means c is a monomial).  A singular matrix
     raises ValueError; when the form check holds, det(A)^2 = c^4 decides
-    singularity without the determinant.
+    singularity without the determinant.  Over a prime field a given p
+    must be its characteristic, else ValueError.
     """
+    if p is not None:
+        _check_p(A.field, p)
     c, failed = _form_scalar(A)
     if c is None:
         if A.det().is_zero:
@@ -335,7 +340,7 @@ def symplectic_similitude(A: PolyMat, p: int | None = None) -> SimilitudeResult:
     elif p is not None:
         # v = u - p makes E = u: c is scalar * v^a * E^b exactly when its
         # v-free part becomes a monomial in u
-        at_e = _taylor_shift(stripped, _minus_p(field, p))
+        at_e = _taylor_shift(stripped, _minus_p(p))
         e_ord = at_e.low_degree
         unit = at_e.is_monomial
     else:
@@ -357,15 +362,30 @@ def symplectic_similitude(A: PolyMat, p: int | None = None) -> SimilitudeResult:
 
 def _unit_inverse(u: LaurentPoly, n: int) -> LaurentPoly:
     """1/u mod v^n for u with nonzero constant term and no negative
-    exponents."""
+    exponents.
+
+    Over the rationals u = N / D with N = sum_j N_j v^j integral, so
+    1/u = D / N, and 1/N mod v^n = sum_k W_k v^k / N0^(k+1) with W_0 = 1
+    and W_k = -sum_j N_j W_(k-j) N0^(j-1): integer numerators over N0^n."""
     f = u.field
-    c = dict(u.coeffs)
-    w0 = f.inv(c[0])
-    w = [w0]
+    c = dict(u.terms)
+    q = f.char
+    if q:
+        w0 = f.inv(c[0])
+        w = [w0]
+        for k in range(1, n):
+            acc = sum(c[j] * w[k - j] for j in range(1, k + 1) if j in c)
+            w.append(-w0 * acc % q)
+        return LaurentPoly._canonical(f, tuple((k, x) for k, x in enumerate(w) if x))
+    powers = [1]
+    for _ in range(n):
+        powers.append(powers[-1] * c[0])
+    w = [1]
     for k in range(1, n):
-        acc = sum(c[j] * w[k - j] for j in range(1, k + 1) if j in c)
-        w.append(f.coerce(-w0 * acc))
-    return LaurentPoly(f, enumerate(w))
+        w.append(-sum(c[j] * w[k - j] * powers[j - 1] for j in range(1, k + 1) if j in c))
+    scale = u.den if powers[n] > 0 else -u.den
+    return LaurentPoly._canonical(f, tuple((k, scale * x * powers[n - 1 - k])
+                                        for k, x in enumerate(w) if x), abs(powers[n]))
 
 
 def _local_pivots(rows, prec: int) -> list[tuple[int, int, int]]:
@@ -413,30 +433,41 @@ def _local_pivots(rows, prec: int) -> list[tuple[int, int, int]]:
     return pivots
 
 
-def _taylor_shift(a: LaurentPoly, s) -> LaurentPoly:
-    """a(v + s) for a polynomial a without negative exponents."""
+def _taylor_shift(a: LaurentPoly, s: int) -> LaurentPoly:
+    """a(v + s) over the rationals, for a polynomial a without negative
+    exponents and an integer s.  The shift is unimodular on the integer
+    numerators, so they keep gcd 1 with the denominator."""
     if a.is_zero:
         return a
     n = a.degree
     c = [0] * (n + 1)
-    for e, x in a.coeffs:
+    for e, x in a.terms:
         c[e] = x
     for i in range(n):
         for k in range(n - 1, i - 1, -1):
             c[k] += s * c[k + 1]
-    return LaurentPoly(a.field, enumerate(c))
+    return LaurentPoly._canonical(a.field, tuple((k, x) for k, x in enumerate(c) if x), a.den)
 
 
-def _minus_p(field, p: int):
-    """-p as a scalar of the rationals, where E(v) = v + p has its root."""
+def _check_p(field, p: int) -> None:
+    """E(v) = v + p is the uniformizer over the rationals and over F_p,
+    where it is v; over F_q with q != p it is v + (p mod q), which the
+    E-adic computations here do not read."""
+    if field.char not in (0, p):
+        raise ValueError("E(v) = v + %d needs characteristic 0 or %d, not %r"
+                         % (p, p, field))
+
+
+def _minus_p(p: int) -> int:
+    """-p, the root of E(v) = v + p over the rationals."""
     if p == 0:
         raise ValueError("E(v) = v + p needs p != 0 over the rationals")
-    return field.coerce(-p)
+    return -p
 
 
 def _nonnegative_shift(A: PolyMat) -> int:
     """The least k >= 0 with v^k * A free of negative exponents."""
-    lows = [e.low_degree for row in A.rows for e in row if e.coeffs]
+    lows = [e.low_degree for row in A.rows for e in row if e]
     return -min(min(lows, default=0), 0)
 
 
@@ -453,13 +484,15 @@ def e_divisor_pattern(A: PolyMat, p: int) -> tuple[int, int, int, int]:
     val(det) + 1.  Negative v-powers are cleared first: over the
     rationals v is a unit at E, over F_q the shift is subtracted again.
     Over the rationals v = u - p turns the E-adic valuation into the
-    u-adic one.
+    u-adic one.  Over a prime field p must be its characteristic, else
+    ValueError.
     """
     field = A.field
+    _check_p(field, p)
     k = _nonnegative_shift(A)
     rows = [[e.shift(k) for e in row] for row in A.rows]
     if field.char == 0:
-        s = _minus_p(field, p)
+        s = _minus_p(p)
         rows = [[_taylor_shift(e, s) for e in row] for row in rows]
         k = 0  # v^k is a unit at E over the rationals
     det = _det(rows)
@@ -765,10 +798,11 @@ def monodromy_params_of(params: RegColOneParams, p: int) -> MonodromyParams:
 
 def build_regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
     """The displayed universal matrix of the regular colength-one locus,
-    with E(v) = v + p."""
+    with E(v) = v + p.  Over F_q with q != p it is the reduction mod q of
+    the rational matrix, whose v + p the E-adic functions refuse to read."""
     f = params.field
     pc = f.coerce(p)
-    ep = e_poly(f, p)
+    ep = LaurentPoly(f, {1: 1, 0: p})
     vp = LaurentPoly.v_power(f, 1)
     c = LaurentPoly.const
 

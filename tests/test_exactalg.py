@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction
 
@@ -30,6 +31,29 @@ def test_rational_field_ops():
     assert not b - b
     with pytest.raises(ZeroDivisionError):
         QQ.inv(QQ.coerce(0))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+@pytest.mark.parametrize("x, error", [
+    ("1.5", ValueError), (" 2 ", ValueError), ("1e2", ValueError), ("+3", ValueError),
+    ("2/", ValueError), ("1/-2", ValueError), ("", ValueError),
+    (True, TypeError), (False, TypeError), (1.5, TypeError), (None, TypeError),
+], ids=["decimal", "spaces", "exponent", "plus", "no_denominator", "signed_denominator",
+        "empty", "true", "false", "float", "none"])
+def test_coerce_reads_only_ints_fractions_and_coefficient_strings(field, x, error):
+    with pytest.raises(error):
+        field.coerce(x)
+    with pytest.raises(error):
+        LaurentPoly(field, {0: x})
+
+
+def test_coerce_reads_the_coefficient_grammar():
+    assert QQ.coerce("-6/4") == Fraction(-3, 2) and QQ.coerce("07") == 7
+    assert PrimeField(5).coerce("3/2") == 4 and PrimeField(5).coerce("-1") == 4
+    with pytest.raises(ZeroDivisionError):
+        QQ.coerce("1/0")
+    with pytest.raises(ZeroDivisionError):
+        PrimeField(5).coerce("1/5")
 
 
 def test_prime_field_ops():
@@ -138,6 +162,125 @@ def test_canonical_form_survives_every_constructor_and_operation(q):
         random_expression(F, rng, 4, seen)
     assert len(seen) > 2000
     assert all(is_canonical(a, q) for a in seen)
+
+
+def is_canonical_qq(a: LaurentPoly) -> bool:
+    """Strictly increasing exponents, nonzero int numerators, and an int
+    denominator den >= 1 with gcd(den, numerators) = 1."""
+    exps = [e for e, _ in a.terms]
+    return (all(x < y for x, y in zip(exps, exps[1:]))
+            and all(type(c) is int and c for _, c in a.terms)
+            and type(a.den) is int and a.den >= 1
+            and math.gcd(a.den, *(c for _, c in a.terms)) == 1)
+
+
+def random_ratio(rng):
+    return Fraction(rng.randrange(-30, 31), rng.randrange(1, 13))
+
+
+def random_leaf_qq(rng):
+    """A rational polynomial from one of the public constructors, with
+    denominators 1 to 12, negative exponents and repeated exponents."""
+    kind = rng.randrange(6)
+    if kind == 0:
+        return LaurentPoly(QQ, [(rng.randrange(-4, 9), random_ratio(rng))
+                                for _ in range(rng.randrange(8))])
+    if kind == 1:
+        return LaurentPoly.const(QQ, rng.choice((random_ratio(rng), rng.randrange(-30, 31))))
+    if kind == 2:
+        return LaurentPoly.v_power(QQ, rng.randrange(-4, 5))
+    if kind == 3:
+        return rng.choice((LaurentPoly.zero(QQ), LaurentPoly.one(QQ)))
+    cells = {}
+    for e in range(rng.randrange(-3, 2), rng.randrange(2, 9)):
+        x, k = random_ratio(rng), rng.randrange(1, 4)  # k: unreduced strings
+        a, b = x.numerator * k, x.denominator * k
+        cells[str(e)] = x.numerator if kind == 4 else "%d/%d" % (a, b)
+    return LaurentPoly.from_coeff_json(QQ, cells)
+
+
+def model(a: LaurentPoly) -> dict:
+    return dict(a.coeffs)
+
+
+def model_mul(x: dict, y: dict) -> dict:
+    out = {}
+    for e1, c1 in x.items():
+        for e2, c2 in y.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return out
+
+
+def model_add(x: dict, y: dict, sign=1) -> dict:
+    out = dict(x)
+    for e, c in y.items():
+        out[e] = out.get(e, 0) + sign * c
+    return out
+
+
+def random_expression_qq(rng, depth, seen):
+    """A seeded random expression tree over QQ.  Each inner node applies
+    every operation to its two subtrees, checks each result against the
+    dict-of-Fraction model of the operands' coeffs, and keeps one result
+    at random; all of them are appended to `seen`."""
+    if depth == 0 or rng.random() < 0.2:
+        seen.append(random_leaf_qq(rng))
+        return seen[-1]
+    a = random_expression_qq(rng, depth - 1, seen)
+    b = random_expression_qq(rng, depth - 1, seen)
+    ma, mb = model(a), model(b)
+    k = rng.choice((random_ratio(rng), rng.randrange(-30, 31)))
+    n, s, t = rng.randrange(4), rng.randrange(-3, 4), rng.randrange(-2, 6)
+    mpow = {0: 1}
+    for _ in range(n):
+        mpow = model_mul(mpow, ma)
+    cases = (
+        (a + b, model_add(ma, mb)),
+        (a - b, model_add(ma, mb, -1)),
+        (a * b, model_mul(ma, mb)),
+        (-a, {e: -c for e, c in ma.items()}),
+        (a ** n, mpow),
+        (a.scale(k), {e: c * k for e, c in ma.items()}),
+        (a.shift(s), {e + s: c for e, c in ma.items()}),
+        (a.derivative(), {e - 1: c * e for e, c in ma.items()}),
+        (a.truncate(t), {e: c for e, c in ma.items() if e < t}),
+        (k + a, model_add({0: k}, ma)),
+        (a + k, model_add(ma, {0: k})),
+        (k - a, model_add({0: k}, ma, -1)),
+        (a - k, model_add(ma, {0: k}, -1)),
+        (k * a, {e: k * c for e, c in ma.items()}),
+        (a * k, {e: c * k for e, c in ma.items()}),
+    )
+    for got, want in cases:
+        assert got.coeffs == tuple(sorted((e, Fraction(c)) for e, c in want.items() if c))
+        seen.append(got)
+    return rng.choice(cases)[0]
+
+
+def test_rational_canonical_form_survives_every_constructor_and_operation():
+    rng = random.Random(0)
+    seen = []
+    for _ in range(40):
+        random_expression_qq(rng, 4, seen)
+    assert len(seen) > 2000
+    assert all(is_canonical_qq(a) for a in seen)
+    assert sum(a.den > 1 for a in seen) > len(seen) // 4
+    assert any(e < 0 for a in seen for e, _ in a.terms)
+    # polynomials equal in value are equal and hash alike, however built
+    by_value = {}
+    for a in seen:
+        by_value.setdefault(a.coeffs, []).append(a)
+    assert sum(len(group) > 1 for group in by_value.values()) > 50
+    for group in by_value.values():
+        assert all(a == group[0] and hash(a) == hash(group[0]) for a in group)
+    x = v()
+    half = LaurentPoly.const(QQ, Fraction(1, 2))
+    for a, b in [((x * half) * 2, x),
+                 (x.scale(Fraction(1, 3)) + x.scale(Fraction(2, 3)), x),
+                 (LaurentPoly(QQ, {1: Fraction(2, 4)}),
+                  LaurentPoly.from_coeff_json(QQ, {"1": "1/2"})),
+                 ((x + half) - x, half), (half - half, LaurentPoly.zero(QQ))]:
+        assert a == b and hash(a) == hash(b) and (a.terms, a.den) == (b.terms, b.den)
 
 
 def random_poly(F, rng, n, low, gap=0.3):

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -231,6 +232,45 @@ def test_similitude_singular_raises():
     zero = LaurentPoly.zero(QQ)
     with pytest.raises(ValueError):
         symplectic_similitude(PolyMat(QQ, [[zero] * 4] * 4), P)
+
+
+def test_similitude_and_divisors_refuse_a_field_of_another_characteristic():
+    # over F_5, v + 37 is v + 2, not the v that the E-adic functions read
+    # as E there, so they refuse p = 37 rather than answer for another E
+    draw = (3, 5, 2, 7, 1, 4, 6)
+    F = PrimeField(P)
+    mat = build_regcolone_matrix(RegColOneParams.admissible(F, P, *draw), P)
+    assert symplectic_similitude(mat, P).unit_form
+    assert e_divisor_pattern(mat, P) == (3, 2, 1, 0)
+    F5 = PrimeField(5)
+    mat5 = build_regcolone_matrix(RegColOneParams.admissible(F5, P, *draw), P)
+    with pytest.raises(ValueError):
+        e_poly(F5, P)
+    with pytest.raises(ValueError):
+        e_divisor_pattern(mat5, P)
+    with pytest.raises(ValueError):
+        symplectic_similitude(mat5, P)
+    assert symplectic_similitude(mat5).ok  # no p, no E-adic reading
+    assert e_poly(F5, 5) == LaurentPoly.v_power(F5, 1)
+
+
+@pytest.mark.parametrize("n0", [-37, Fraction(6, 5), 2, Fraction(-3, 4), 1, -1])
+def test_unit_inverse_matches_series_division(n0):
+    rng = random.Random(str(n0))
+    one = LaurentPoly.one(QQ)
+    for prec in range(1, 7):
+        for _ in range(8):
+            u = LaurentPoly(QQ, {k: Fraction(rng.randrange(-40, 41), rng.randrange(1, 13))
+                                 for k in range(1, rng.randrange(1, 8))})
+            u = u + LaurentPoly.const(QQ, n0)
+            inv = localmodel._unit_inverse(u, prec)
+            assert inv == oracles._series_div(one, u, prec)
+            assert (inv * u).truncate(prec) == one
+    F = PrimeField(P)
+    for prec in range(1, 7):
+        u = LaurentPoly(F, {k: rng.randrange(P) for k in range(1, 6)}) + (F.coerce(n0) or 1)
+        assert localmodel._unit_inverse(u, prec) == oracles._series_div(
+            LaurentPoly.one(F), u, prec)
 
 
 # ---------------------------------------------------------------------------
