@@ -278,22 +278,22 @@ class WeightGraph:
 
 
 class _GraphState(NamedTuple):
-    """One parameter's graph, the W? table it is built from, the table's
-    inverse (keyed by the predicted weights), and its instances keyed by
-    (pair, s) in enumeration order."""
+    """One parameter's graph, the inverse of the W? table it is built from
+    (keyed by the predicted weights), and its instances keyed by (pair, s)
+    in enumeration order."""
 
     graph: WeightGraph
-    table: dict[APPair, SerreWeight]
     back: dict[SerreWeight, APPair]
     instances: dict[tuple[APPair, tuple[int, int]], AdjacencyInstance]
 
 
 @lru_cache(maxsize=1)
 def _graph_of(rhobar: TamePresentation) -> _GraphState:
-    """rhobar's weight graph, built without checks, with its W? table and
-    instances.  Only the last parameter's state is kept: callers ask for
-    one parameter's graph several times in a row (`build_graph`, then
-    `find_chain` per weight).  No check result is kept."""
+    """rhobar's weight graph, built without checks, with the inverse of its
+    W? table and its instances.  Only the last parameter's state is kept:
+    callers ask for one parameter's graph several times in a row
+    (`build_graph`, then `find_chain` per weight).  No check result is
+    kept."""
     if rhobar.depth() < RHOBAR_DEPTH:
         log.warning(
             "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",
@@ -311,7 +311,7 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
         edges.setdefault(inst.edge, []).append(inst)
     obvious = frozenset(obvious_weights(rhobar).values())
     edge_view = MappingProxyType({e: tuple(v) for e, v in edges.items()})
-    return _GraphState(WeightGraph(vertices, edge_view, obvious), table,
+    return _GraphState(WeightGraph(vertices, edge_view, obvious),
                        predicted_pair_of_weight(rhobar, table), instances)
 
 

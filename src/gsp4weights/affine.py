@@ -206,7 +206,8 @@ def omega_part(x: ExtAffine) -> ExtAffine:
 
 
 def in_omega(x: ExtAffine) -> bool:
-    return length(x) == 0
+    """Length zero: all Shi coordinates 0, so x fixes the base alcove."""
+    return alcove_of(x) == BASE_ALCOVE
 
 
 # --- Bruhat order -------------------------------------------------------
@@ -452,31 +453,27 @@ def box_down_set(b: Alcove, radius: int) -> frozenset[Alcove]:
 # --- locating alcoves and weights ---------------------------------------
 
 
-def locate_weight(lam: Weight, p: int) -> ExtAffine:
-    """u in the affine Weyl group with (lam+eta)/p inside u(base alcove).
-
-    Folds the integer vector lam + eta into the base alcove by the simple
-    reflections, whose walls x = y, y = 0 and x + y = 1 sit at x = y,
-    y = 0 and x + y = p in these units.
-    """
+def weight_alcove(lam: Weight, p: int) -> Alcove:
+    """The alcove holding (lam+eta)/p, by arithmetic on X, Y, the first two
+    coordinates of lam + eta.  The walls at multiples of p cut each p-square
+    [a, a+1] x [b, b+1] (in units of p) by its two diagonals into four
+    alcoves: bottom, right, top and left (Jantzen, Representations of
+    Algebraic Groups, II.6)."""
     mu = lam + ETA
     x, y = mu.a, mu.b
-    g = IDENTITY
-    for _ in range(100000):
-        if x < y:
-            x, y = y, x
-            g = compose(S1, g)
-        elif y < 0:
-            y = -y
-            g = compose(S2, g)
-        elif x + y > p:
-            x, y = p - y, p - x
-            g = compose(S0, g)
-        elif x == y or y == 0 or x + y == p:
-            raise ValueError("weight %r lies on a wall for p=%d" % (tuple(lam), p))
-        else:
-            return invert(g)
-    raise AssertionError("folding did not terminate")
+    if (x - y) % p == 0 or y % p == 0 or (x + y) % p == 0 or x % p == 0:
+        raise ValueError("weight %r lies on a wall for p=%d" % (tuple(lam), p))
+    a, b = x // p, y // p
+    above = x - y < (a - b) * p
+    beyond = x + y > (a + b + 1) * p
+    if above:
+        return Alcove(6 * a + 3, 6 * b + 5) if beyond else Alcove(6 * a + 1, 6 * b + 3)
+    return Alcove(6 * a + 5, 6 * b + 3) if beyond else Alcove(6 * a + 3, 6 * b + 1)
+
+
+def locate_weight(lam: Weight, p: int) -> ExtAffine:
+    """u in the affine Weyl group with (lam+eta)/p inside u(base alcove)."""
+    return elem_of_alcove(weight_alcove(lam, p))
 
 
 def elem_of_alcove(a: Alcove) -> ExtAffine:
@@ -541,22 +538,21 @@ def orbit_weight(lam: Weight, p: int, target: ExtAffine) -> Weight:
     u = locate_weight(lam, p)
     move = compose(target, invert(u))
     res = p_dot(move, lam, p)
-    assert alcove_of(locate_weight(res, p)) == alcove_of(target)
+    assert weight_alcove(res, p) == alcove_of(target)
     return res
 
 
 def weight_alcove_index(lam: Weight, p: int) -> int | None:
     """Index of the restricted alcove containing (lam+eta)/p, if any."""
-    return restricted_alcove_index(alcove_of(locate_weight(lam, p)))
+    return restricted_alcove_index(weight_alcove(lam, p))
 
 
 def weight_arrow_leq(kappa: Weight, lam: Weight, p: int) -> bool:
     """kappa arrow-below lam in the p-dilated linkage order."""
-    u = locate_weight(kappa, p)
-    v = locate_weight(lam, p)
-    if p_dot(compose(v, invert(u)), kappa, p) != lam:
+    a, b = weight_alcove(kappa, p), weight_alcove(lam, p)
+    if p_dot(compose(elem_of_alcove(b), invert(elem_of_alcove(a))), kappa, p) != lam:
         return False
-    return upper_arrow_leq_alcove(alcove_of(u), alcove_of(v))
+    return upper_arrow_leq_alcove(a, b)
 
 
 def _selfcheck() -> None:

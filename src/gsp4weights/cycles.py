@@ -135,33 +135,20 @@ class GrothendieckClass(FormalSum):
 
 
 def _lowest_companion(lam: Weight, p: int) -> Weight:
-    """The unique restricted bottom-alcove orbit point arrow-below a
-    second-alcove weight."""
-    candidates = []
-    for alc in RESTRICTED_ALCOVES:
-        kappa = orbit_weight(lam, p, elem_of_alcove(alc))
-        if (
-            weight_alcove_index(kappa, p) == 0
-            and is_p_restricted(kappa, p)
-            and weight_arrow_leq(kappa, lam, p)
-        ):
-            candidates.append(kappa)
-    if len(candidates) != 1:
-        raise AssertionError(
-            "expected a unique bottom-alcove companion, found %d" % len(candidates)
-        )
-    return candidates[0]
+    """The restricted bottom-alcove orbit point of a second-alcove weight,
+    which lies arrow-below it."""
+    kappa = orbit_weight(lam, p, elem_of_alcove(RESTRICTED_ALCOVES[0]))
+    if not (is_p_restricted(kappa, p) and weight_arrow_leq(kappa, lam, p)):
+        raise AssertionError("expected a unique bottom-alcove companion, found 0")
+    return kappa
 
 
-def bm_cycle(sigma: SerreWeight, p: int | None = None) -> Cycle:
+def bm_cycle(sigma: SerreWeight) -> Cycle:
     """The cycle attached to a 3-deep weight: one term per choice of
     embedding data, where a second-alcove embedding may be replaced by its
     unique bottom-alcove companion.  All coefficients are 1 and the support
     has size 2^(number of second-alcove embeddings)."""
-    if p is None:
-        p = sigma.p
-    if p != sigma.p:
-        raise ValueError("p does not match the weight")
+    p = sigma.p
     if sigma.depth() < WEIGHT_DEPTH:
         raise GenericityError("cycle formula needs a %d-deep weight" % WEIGHT_DEPTH)
     options = []

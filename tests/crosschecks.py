@@ -1,8 +1,8 @@
 """Cross-checks and a sampler built from the library's own maps.
 
 Unlike `oracles.py`, these call the library: they relate its weight maps,
-cycle sums and arrow order to each other rather than to an independent
-definition.
+cycle sums, arrow order and weight graphs to each other rather than to an
+independent definition.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from gsp4weights.affine import (
     p_dot,
     upper_arrow_leq_alcove,
 )
+from gsp4weights.adjacency import _graph_of
 from gsp4weights.cycles import bm_sum, restricted_chain
 from gsp4weights.weights import (
     APPair,
@@ -133,3 +134,24 @@ def obvious_bm_report(rhobar: TamePresentation, ws) -> ObviousConsistencyReport:
     if not expected <= restricted:
         raise AssertionError("the obvious weight is missing from the cycle sum")
     return ObviousConsistencyReport(expected, restricted)
+
+
+def slot_product_map(rhobars) -> dict:
+    """The per-slot product rule of the weight graph, measured on these
+    parameters and not proven: for each adjacency instance (pair, (i, j)),
+    the AP' pair tuple whose F_rhobar is sigma2 differs from pair only at
+    slot j, and that slot's AP' single (w1, w2) changes by one map
+    (w1, w2, i) -> (w1', w2') shared by every slot, instance and parameter.
+    Returns the map; raises AssertionError on an instance breaking the rule."""
+    rule: dict = {}
+    for rho in rhobars:
+        state = _graph_of(rho)
+        for (pair, (i, j)), inst in state.instances.items():
+            new = state.back[inst.sigma2]
+            old_slots = tuple(zip(pair.w1, pair.w2))
+            new_slots = tuple(zip(new.w1, new.w2))
+            if new_slots[:j] + new_slots[j + 1:] != old_slots[:j] + old_slots[j + 1:]:
+                raise AssertionError("%s changes a slot other than %d" % (inst.display(), j))
+            if rule.setdefault(old_slots[j] + (i,), new_slots[j]) != new_slots[j]:
+                raise AssertionError("%s leaves the per-slot map" % inst.display())
+    return rule

@@ -23,6 +23,10 @@ the table tests check.
   must give the same tables, the same intersections and the same errors.
   The alcove shift maps the JH set of a parameter's reduction onto its
   predicted set.
+- The bottom-alcove companion of a second-alcove weight is searched for
+  among its orbit points in all four restricted alcoves, with alcoves and
+  the arrow order read off folded barycenters; the library takes the one
+  orbit point in the bottom alcove.
 - A Laurent product is the schoolbook sum over every pair of terms; the
   library multiplies over F_q by Kronecker substitution.  Determinants
   and adjugates are cofactor expansions, and the similitude form
@@ -400,6 +404,50 @@ class LowestAlcovePresentation:
 def p_dot(x: ExtAffine, lam: Weight, p: int) -> Weight:
     """(t_nu w) . lam = w(lam + eta) + p*nu - eta, w acting through its word."""
     return word_act(x.w.word, lam + ETA) + x.nu.scale(p) - ETA
+
+
+def restricted_elements() -> tuple[ExtAffine, ...]:
+    """The affine Weyl group elements of the four restricted alcoves: the
+    closure of the identity under right multiplication by S0, S1 and S2
+    that stays restricted."""
+    found = [IDENTITY]
+    for x in found:
+        for s in AFFINE_SIMPLES:
+            y = compose(x, s)
+            if is_restricted(y) and y not in found:
+                found.append(y)
+    assert len(found) == 4
+    return tuple(found)
+
+
+def weight_arrow_leq(kappa: Weight, lam: Weight, p: int) -> bool:
+    """kappa arrow-below lam: linked by their folded elements, with
+    arrow-related barycenters."""
+    u, v = locate_weight(kappa, p), locate_weight(lam, p)
+    if p_dot(compose(v, invert(u)), kappa, p) != lam:
+        return False
+    return upper_arrow_leq(barycenter(u), barycenter(v))
+
+
+def lowest_companion(lam: Weight, p: int) -> Weight:
+    """The restricted bottom-alcove orbit point arrow-below lam, by search:
+    of lam's orbit points in the four restricted alcoves, exactly one may
+    lie in the bottom alcove, be p-restricted and be arrow-below lam."""
+    u = locate_weight(lam, p)
+    candidates = []
+    for t in restricted_elements():
+        kappa = p_dot(compose(t, invert(u)), lam, p)
+        if (
+            barycenter(locate_weight(kappa, p)) == BASE
+            and all(0 <= pairing(kappa, cov) < p for cov in POSITIVE_COROOTS[:2])
+            and weight_arrow_leq(kappa, lam, p)
+        ):
+            candidates.append(kappa)
+    if len(candidates) != 1:
+        raise AssertionError(
+            "expected a unique bottom-alcove companion, found %d" % len(candidates)
+        )
+    return candidates[0]
 
 
 def serre_weight_of_presentation(pres: LowestAlcovePresentation, p: int) -> SerreWeight:

@@ -42,7 +42,7 @@ from gsp4weights.adjacency import (
 )
 
 import oracles
-from crosschecks import outer_pair, random_deep_presentation
+from crosschecks import outer_pair, random_deep_presentation, slot_product_map
 
 
 def rho41(seed=7):
@@ -532,3 +532,13 @@ def test_full_f2_graph_with_checks():
     assert len(g.obvious) == 64
     assert g.is_connected()
     _assert_adjacency_matches_edge_scan(g)
+
+
+def test_per_slot_product_rule():
+    # every instance of rb1, rb41 and rb_f2 (34 + 34 + 1360) moves one slot
+    # of its pair, by one 34-entry map on (AP' single, letter of s)
+    rule = slot_product_map(fixture(name) for name in ("rb1.json", "rb41.json", "rb_f2.json"))
+    assert len(rule) == 34
+    singles = {(pr.w1[0], pr.w2[0]) for pr in enumerate_ap_prime(1)}
+    assert {key[:2] for key in rule} == singles
+    assert set(rule.values()) <= singles

@@ -35,6 +35,7 @@ from gsp4weights.affine import (
     elem_of_alcove,
     finite,
     functional_values,
+    in_omega,
     invert,
     is_dominant_element,
     is_restricted_element,
@@ -47,10 +48,12 @@ from gsp4weights.affine import (
     p_dot,
     reflect_alcove,
     restricted_alcove_index,
+    shi_coordinates,
     star,
     translation,
     upper_arrow_leq,
     upper_arrow_leq_alcove,
+    weight_alcove,
     weight_alcove_index,
     weight_arrow_leq,
 )
@@ -391,19 +394,58 @@ def test_integer_alcoves_against_barycenter_oracle():
 
 def test_locate_weight_against_folding_oracle():
     # weights p-dot-moved from the lowest 7-alcove into every grid
-    # element's alcove, and one on the wall x = y
+    # element's alcove, one on the wall x = y, and a seeded sample with
+    # coordinates in [-300, 300], walls included
     p = 7
     thetas = (Weight(0, 0, 0), Weight(2, 1, 1), Weight(1, 2, 0))
+    cases = [(p_dot(x, theta, p), p) for x in _grid() for theta in thetas]
+    rng = random.Random(18)
+    cases += [(Weight(rng.randint(-300, 300), rng.randint(-300, 300), rng.randint(-3, 3)), q)
+              for q in (5, 7, 11, 37, 41) for _ in range(200)]
+    walls = 0
+    for lam, q in cases:
+        try:
+            expect = oracles.locate_weight(lam, q)
+        except ValueError:
+            walls += 1
+            with pytest.raises(ValueError, match="lies on a wall for p=%d$" % q):
+                locate_weight(lam, q)
+            continue
+        assert locate_weight(lam, q) == expect
+        assert weight_alcove(lam, q) == alcove_of(expect)
+    assert 200 < walls < len(cases) // 2
+
+
+def test_weight_alcove_of_far_weights():
+    # far beyond the folding oracle's reach: the Shi coordinates of the
+    # alcove are the floors of the functionals of lam + eta over p
+    rng = random.Random(19)
+    far = [(Weight(700002, 1, 0), 5), (Weight(123456789, -987654, 0), 41)]
+    far += [(Weight(rng.randint(-10**9, 10**9), rng.randint(-10**9, 10**9), 0),
+             rng.choice((5, 7, 11, 37, 41, 101))) for _ in range(2000)]
+    far += [(Weight(k * p - 2, rng.randint(-10**9, 10**9), 0), p)  # X on a wall
+            for k, p in ((10**7, 7), (-10**7, 11), (3 * 10**6, 41))]
+    walls = 0
+    for lam, p in far:
+        mu = lam + ETA
+        x, y = mu.a, mu.b
+        on_wall = any(v % p == 0 for v in (x - y, y, x + y, x))
+        if on_wall:
+            walls += 1
+            with pytest.raises(ValueError, match="lies on a wall for p=%d$" % p):
+                weight_alcove(lam, p)
+            continue
+        a = weight_alcove(lam, p)
+        assert shi_coordinates(a) == ((x - y) // p, y // p, (x + y) // p, x // p)
+        u = locate_weight(lam, p)
+        assert alcove_of(u) == a and omega_class(u) == 0
+        assert weight_alcove(p_dot(invert(u), lam, p), p) == BASE_ALCOVE
+    assert 3 <= walls < len(far) // 2
+
+
+def test_in_omega_is_length_zero():
     for x in _grid():
-        for theta in thetas:
-            lam = p_dot(x, theta, p)
-            try:
-                expect = oracles.locate_weight(lam, p)
-            except ValueError:
-                with pytest.raises(ValueError):
-                    locate_weight(lam, p)
-                continue
-            assert locate_weight(lam, p) == expect
+        assert in_omega(x) == (length(x) == 0)
 
 
 def test_arrow_order_against_barycenter_oracle():

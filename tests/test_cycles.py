@@ -31,6 +31,7 @@ from gsp4weights.cycles import (
     BMSumResult,
     Cycle,
     GrothendieckClass,
+    _lowest_companion,
     bm_cycle,
     bm_sum,
     classify_embedding_shape,
@@ -39,6 +40,7 @@ from gsp4weights.cycles import (
     weyl_class,
 )
 
+import oracles
 from crosschecks import (
     obvious_bm_report,
     outer_pair,
@@ -129,8 +131,23 @@ def test_bm_cycle_rejects_shallow():
     assert shallow.depth() < 3
     with pytest.raises(GenericityError):
         bm_cycle(shallow)
-    with pytest.raises(ValueError):
-        bm_cycle(sw(Weight(20, 10, 0)), p=41)
+
+
+def test_lowest_companion_against_four_alcove_search():
+    # every p-restricted weight in the second restricted alcove
+    count = 0
+    for p in (11, 13, 37):
+        for b in range(p):
+            for a in range(b, b + p):
+                lam = Weight(a, b, 0)
+                try:
+                    if weight_alcove_index(lam, p) != 2:
+                        continue
+                except ValueError:
+                    continue
+                assert _lowest_companion(lam, p) == oracles.lowest_companion(lam, p)
+                count += 1
+    assert count == 356
 
 
 def test_restricted_chain_and_weyl_class():
