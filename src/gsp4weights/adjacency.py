@@ -39,7 +39,6 @@ from .weights import (
     _singles,
     _SlotKernel,
     TamePresentation,
-    TupleElt,
     derived_type,
     enumerate_ap_prime,
     intersect_w_jh,
@@ -99,41 +98,29 @@ class AdjacencyInstance:
         )
 
 
-def _conjugated_target(w2: TupleElt, w1: TupleElt, s: tuple[int, int]) -> TupleElt:
-    """Componentwise w2_j^(-1) wh^(-1) w0 s_j w1_j, with s inserted only at
-    its own embedding."""
-    i, j = s
-    out = []
-    for k in range(len(w2)):
-        mid = (finite(SIMPLES[i]),) if k == j else ()
-        out.append(
-            compose_all(invert(w2[k]), invert(HIGHEST_RESTRICTED), W0, *mid, w1[k])
-        )
-    return tuple(out)
-
-
 @lru_cache(maxsize=None)
 def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
     """Per AP' single (w1, w2) and letter i of s at the slot (None where s
-    acts at another embedding): g^(-1), for g the slot of
-    `_conjugated_target`; w1^(-1) w2; the index of (w1, w2) among the AP'
-    singles; and the indices among the AP singles of the outer singles
-    (wh diamond(v), diamond(v)) for v = w and v = s_i w, where w is the
-    finite part of w2 (v = w twice where there is no letter).  Slot by
-    slot, w(tau) is w(rhobar) g^(-1), w(rhobar0) is w(rhobar) w1^(-1) w2,
-    and sigma1, sigma2 are F_tau at the two outer index tuples."""
+    acts at another embedding): g^(-1) for g = w2^(-1) wh^(-1) w0 s_i w1
+    (no s_i where there is no letter); w1^(-1) w2; the index of (w1, w2)
+    among the AP' singles; and the indices among the AP singles of the
+    outer singles (wh diamond(v), diamond(v)) for v = w and v = s_i w,
+    where w is the finite part of w2 (v = w twice where there is no
+    letter).  Slot by slot, w(tau) is w(rhobar) g^(-1), w(rhobar0) is
+    w(rhobar) w1^(-1) w2, and sigma1, sigma2 are F_tau at the two outer
+    index tuples."""
     outer = _singles("type").index
     k_outer = {w: outer[compose(HIGHEST_RESTRICTED, diamond(w)), diamond(w)] for w in W_ALL}
+    hw_inv = invert(HIGHEST_RESTRICTED)
     table = {}
     for k, (w1, w2) in enumerate(_singles("param").pairs):
         w1_inv_w2 = compose(invert(w1), w2)
         w = w2.w
-        for i in (1, 2):
-            # slot 0 has s_i, slot 1 has no letter
-            here, elsewhere = _conjugated_target((w2, w2), (w1, w1), (i, 0))
-            table[w1, w2, i] = (invert(here), w1_inv_w2, k, k_outer[w],
-                                k_outer[weyl_mul(SIMPLES[i], w)])
-        table[w1, w2, None] = (invert(elsewhere), w1_inv_w2, k, k_outer[w], k_outer[w])
+        for i in (1, 2, None):
+            mid = () if i is None else (finite(SIMPLES[i]),)
+            v = w if i is None else weyl_mul(SIMPLES[i], w)
+            g = compose_all(invert(w2), hw_inv, W0, *mid, w1)
+            table[w1, w2, i] = (invert(g), w1_inv_w2, k, k_outer[w], k_outer[v])
     return table
 
 
@@ -312,7 +299,7 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
     obvious = frozenset(obvious_weights(rhobar).values())
     edge_view = MappingProxyType({e: tuple(v) for e, v in edges.items()})
     return _GraphState(WeightGraph(vertices, edge_view, obvious),
-                       predicted_pair_of_weight(rhobar, table), instances)
+                       predicted_pair_of_weight(table), instances)
 
 
 def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:

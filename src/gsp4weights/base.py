@@ -41,7 +41,6 @@ class Coweight(NamedTuple):
         return Coweight(-self.d, -self.e, -self.f)
 
 
-ZERO = Weight(0, 0, 0)
 ETA = Weight(2, 1, 0)
 
 # Simple roots first, then the other positive roots: alpha1, alpha2,

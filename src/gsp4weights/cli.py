@@ -184,12 +184,20 @@ def load_presentation(path: str, expect_p: int | None = None,
 
 def load_matrix(path: str, field) -> PolyMat:
     """Read a 4x4 polynomial matrix in PolyMat.to_json_obj's format,
-    optionally wrapped in an object with a schema tag."""
+    optionally wrapped in an object with a schema tag; a wrapper's p, when
+    present, must be a JSON integer equal to the field's characteristic."""
     with open(path) as fh:
         obj = json.load(fh)
     if isinstance(obj, dict):
         if obj.get("schema") != "gsp4weights/matrix/1":
             raise ValueError("%s: not a gsp4weights/matrix/1 fixture" % path)
+        if "p" in obj:
+            p = obj["p"]
+            if not _is_json_int(p):
+                raise ValueError("%s: p must be an integer, got %s" % (path, json.dumps(p)))
+            if p != field.char:
+                raise ValueError("%s: fixture has p=%d but is read over F_%d"
+                                 % (path, p, field.char))
         obj = obj.get("rows")
     try:
         return PolyMat.from_json_obj(field, obj)
@@ -454,7 +462,7 @@ def _cmd_cycles(cfg: RunConfig, args) -> list[str]:
             lines.append(s.display())
         return lines
     if args.bm:
-        res = bm_sum(None, tau)
+        res = bm_sum(tau)
         if cfg.fmt == "json":
             obj = {
                 "schema": "gsp4weights/cycles/1",

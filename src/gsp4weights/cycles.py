@@ -45,26 +45,24 @@ from .weights import (
 
 log = logging.getLogger(__name__)
 
-ZERO = Weight(0, 0, 0)
-
 
 # --- formal sums ------------------------------------------------------------
 
 
 class FormalSum:
-    """Finitely supported integer combination of Serre weights."""
+    """Finitely supported integer combination of Serre weights, from a
+    mapping weight -> coefficient (none for the zero sum)."""
 
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
         data: dict[SerreWeight, int] = {}
-        if coeffs is not None:
-            items = coeffs.items() if hasattr(coeffs, "items") else coeffs
-            for sigma, n in items:
-                if not isinstance(sigma, SerreWeight):
-                    raise TypeError("keys must be Serre weights")
-                data[sigma] = data.get(sigma, 0) + int(n)
-        self._coeffs = {k: v for k, v in data.items() if v != 0}
+        for sigma, n in (coeffs or {}).items():
+            if not isinstance(sigma, SerreWeight):
+                raise TypeError("keys must be Serre weights")
+            if n := int(n):
+                data[sigma] = n
+        self._coeffs = data
 
     def coeff(self, sigma: SerreWeight) -> int:
         return self._coeffs.get(sigma, 0)
@@ -183,14 +181,10 @@ def restricted_chain(lam: Weight, p: int) -> tuple[Weight, ...]:
     return tuple(pts)
 
 
-def weyl_class(lam, p: int) -> GrothendieckClass:
+def weyl_class(lam: Weight, p: int) -> GrothendieckClass:
     """Class of the reduced Weyl module of highest weight lam (one
     embedding): irreducible in the bottom alcove, two factors above, the
     second being the predecessor along the restricted alcove chain."""
-    if not isinstance(lam, Weight):
-        if len(lam) != 1:
-            raise ValueError("Weyl-module classes are computed for one embedding")
-        lam = lam[0]
     if not is_p_restricted(lam, p):
         raise ValueError("weight must be p-restricted")
     chain = restricted_chain(lam, p)
@@ -279,41 +273,15 @@ class BMSumResult:
     assumptions: tuple[str, ...]
 
 
-def bm_sum(lam, tau: TamePresentation, n_table=None) -> BMSumResult:
-    """Sum of per-weight cycles against a multiplicity table.
-
-    For lam = 0 (or None) the default table is multiplicity one on the JH
-    set of the type; this is an assumption recorded in the result, not a
-    computed fact.  Tables for nonzero lam must be supplied by the caller.
-    """
+def bm_sum(tau: TamePresentation) -> BMSumResult:
+    """Sum of the per-weight cycles over the JH set of the type, each with
+    multiplicity one; that multiplicity is an assumption recorded in the
+    result, not a computed fact."""
     if tau.kind != "type":
         raise ValueError("bm_sum expects a type presentation")
-    zero_lam = lam is None or all(m == ZERO for m in lam)
-    if lam is not None and len(lam) != tau.f:
-        raise ValueError("lambda must have one weight per embedding")
-    assumptions: tuple[str, ...] = ()
-    if n_table is None:
-        if not zero_lam:
-            raise ValueError("a multiplicity table is required for nonzero lambda")
-        n_table = {sigma: 1 for sigma in jh_set(tau)}
-        assumptions = (
-            "default multiplicity one on the JH set (assumed, not computed)",
-        )
-    else:
-        allowed = jh_set(tau) if zero_lam else None
-        for sigma, n in n_table.items():
-            if not isinstance(sigma, SerreWeight) or sigma.p != tau.p:
-                raise ValueError("table keys must be Serre weights for the same p")
-            if int(n) < 0:
-                raise ValueError("negative multiplicity for %s" % sigma.display())
-            if allowed is not None and int(n) > 0 and sigma not in allowed:
-                raise ValueError(
-                    "multiplicities must be supported on the JH set for lambda = 0"
-                )
     total = Cycle()
-    for sigma in sorted(n_table, key=lambda s: s.sort_key()):
-        n = int(n_table[sigma])
-        if n:
-            total = total + n * bm_cycle(sigma)
-    return BMSumResult(total, assumptions)
-
+    for sigma in jh_set(tau):
+        total = total + bm_cycle(sigma)
+    return BMSumResult(
+        total, ("default multiplicity one on the JH set (assumed, not computed)",)
+    )

@@ -311,18 +311,17 @@ def _form_scalar(A: PolyMat):
     return c, None
 
 
-def symplectic_similitude(A: PolyMat, p: int | None = None) -> SimilitudeResult:
+def symplectic_similitude(A: PolyMat, p: int) -> SimilitudeResult:
     """Check transpose(A) * J * A == c * J and report the similitude c.
 
     When c factors exactly as scalar * v^a * E(v)^b the orders a, b are
     reported and unit_form is set (over F_q any E-power is a v-power, so
     unit_form there just means c is a monomial).  A singular matrix
     raises ValueError; when the form check holds, det(A)^2 = c^4 decides
-    singularity without the determinant.  Over a prime field a given p
-    must be its characteristic, else ValueError.
+    singularity without the determinant.  Over a prime field p must be
+    its characteristic, else ValueError.
     """
-    if p is not None:
-        _check_p(A.field, p)
+    _check_p(A.field, p)
     c, failed = _form_scalar(A)
     if c is None:
         if A.det().is_zero:
@@ -332,19 +331,16 @@ def symplectic_similitude(A: PolyMat, p: int | None = None) -> SimilitudeResult:
         raise ValueError("matrix is singular")
     field = A.field
     v_ord = c.low_degree
-    e_ord = None
     stripped = c.shift(-v_ord)
     if field.char != 0:
         e_ord = v_ord
         unit = stripped.is_constant
-    elif p is not None:
+    else:
         # v = u - p makes E = u: c is scalar * v^a * E^b exactly when its
         # v-free part becomes a monomial in u
         at_e = _taylor_shift(stripped, _minus_p(p))
         e_ord = at_e.low_degree
         unit = at_e.is_monomial
-    else:
-        unit = stripped.is_constant
     return SimilitudeResult(True, c, None, v_ord, e_ord, unit)
 
 
@@ -858,59 +854,35 @@ def regcolone_coordinates(params: RegColOneParams, p: int) -> dict:
 # torus fixed-point sets
 
 
-@lru_cache(maxsize=1)
-def _ap_prime_slot_pairs() -> frozenset:
-    from .weights import enumerate_ap_prime
+def fixed_point_set_T(w1: ExtAffine, w2: ExtAffine) -> frozenset:
+    """Torus fixed points {star(w2^-1 wh^-1 w) : w Bruhat-below w0 w1}
+    for one embedding's AP' position (w1, w2)."""
+    from .weights import _singles
 
-    return frozenset((pr.w1[0], pr.w2[0]) for pr in enumerate_ap_prime(1))
-
-
-def _as_slots(x):
-    if isinstance(x, ExtAffine):
-        return (x,), True
-    return tuple(x), False
-
-
-def fixed_point_set_T(w1, w2):
-    """Torus fixed points {star(w2^-1 wh^-1 w) : w Bruhat-below w0 w1},
-    per embedding.  Accepts bare elements or f-tuples."""
-    slots1, bare1 = _as_slots(w1)
-    slots2, bare2 = _as_slots(w2)
-    if len(slots1) != len(slots2) or bare1 != bare2:
-        raise ValueError("malformed pair: mismatched embeddings")
-    valid = _ap_prime_slot_pairs()
-    out = []
-    for j, (a, b) in enumerate(zip(slots1, slots2)):
-        if (a, b) not in valid:
-            raise ValueError("malformed pair at embedding %d: not an AP' position" % j)
-        interval = bruhat_lower_interval(compose(W0, a))
-        out.append(frozenset(
-            star(compose_all(invert(b), invert(HIGHEST_RESTRICTED), wt))
-            for wt in interval))
-    return out[0] if bare1 else tuple(out)
+    if (w1, w2) not in _singles("param").index:
+        raise ValueError("malformed pair: not an AP' position")
+    return frozenset(
+        star(compose_all(invert(w2), invert(HIGHEST_RESTRICTED), wt))
+        for wt in bruhat_lower_interval(compose(W0, w1)))
 
 
-def fixed_point_set_colone(w1, s: int):
+def fixed_point_set_colone(w1: ExtAffine, s: int) -> frozenset:
     """Colength-one fixed points {star(w1^-1 wh^-1 s w0 w) : w arrow-below
     w1 in the dominant range}; for s = s2 the length-zero w are excluded."""
     if s not in SIMPLES:
         raise ValueError("s must be 1 or 2")
-    slots, bare = _as_slots(w1)
+    if not is_restricted_element(w1):
+        raise ValueError("w1 must be restricted")
     sw = finite(SIMPLES[s])
-    out = []
-    for j, a in enumerate(slots):
-        if not is_restricted_element(a):
-            raise ValueError("w1 must be restricted at embedding %d" % j)
-        omega = omega_part(a)
-        found = set()
-        for alc in dominant_down_set(alcove_of(a)):
-            wt = compose(elem_of_alcove(alc), omega)
-            if s == 2 and in_omega(wt):
-                continue
-            found.add(star(compose_all(
-                invert(a), invert(HIGHEST_RESTRICTED), sw, W0, wt)))
-        out.append(frozenset(found))
-    return out[0] if bare else tuple(out)
+    omega = omega_part(w1)
+    found = set()
+    for alc in dominant_down_set(alcove_of(w1)):
+        wt = compose(elem_of_alcove(alc), omega)
+        if s == 2 and in_omega(wt):
+            continue
+        found.add(star(compose_all(
+            invert(w1), invert(HIGHEST_RESTRICTED), sw, W0, wt)))
+    return frozenset(found)
 
 
 # ---------------------------------------------------------------------------

@@ -529,15 +529,13 @@ def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], Se
 
 
 def predicted_pair_of_weight(
-    rhobar: TamePresentation, table: dict[APPair, SerreWeight] | None = None
+    table: dict[APPair, SerreWeight]
 ) -> dict[SerreWeight, APPair]:
-    """Inverse of F_rhobar, from `table` = w_question(rhobar) when given;
-    raises if the forward map is not injective."""
-    table = w_question(rhobar) if table is None else table
+    """Inverse of F_rhobar from its table w_question(rhobar); raises if
+    the forward map is not injective."""
     inv: dict[SerreWeight, APPair] = {}
     for pair, sigma in table.items():
         if sigma in inv:
             raise AssertionError("F_rhobar failed to be injective")
         inv[sigma] = pair
     return inv
-

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product
 
-from gsp4weights.base import W_ALL, Weight, lowest_alcove_depth, max_presentation_depth
+from gsp4weights.base import SIMPLES, W_ALL, Weight, lowest_alcove_depth, max_presentation_depth
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -18,6 +18,7 @@ from gsp4weights.affine import (
     compose,
     compose_all,
     diamond,
+    finite,
     invert,
     locate_weight,
     p_dot,
@@ -30,6 +31,7 @@ from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
     TamePresentation,
+    TupleElt,
     intersect_w_jh,
     is_p_restricted,
     normalize_central,
@@ -43,6 +45,18 @@ def outer_pair(ws) -> APPair:
     at each slot."""
     ds = tuple(diamond(w) for w in ws)
     return APPair(ds, tuple(compose(HIGHEST_RESTRICTED, d) for d in ds), "AP")
+
+
+def conjugated_target(w2: TupleElt, w1: TupleElt, s: tuple[int, int]) -> TupleElt:
+    """Componentwise w2_j^(-1) wh^(-1) w0 s_j w1_j, with s inserted only at
+    its own embedding: the compatibility element that an adjacency instance
+    (pair, s) targets, built slot by slot from the definition."""
+    i, j = s
+    return tuple(
+        compose_all(invert(w2[k]), invert(HIGHEST_RESTRICTED), W0,
+                    *((finite(SIMPLES[i]),) if k == j else ()), w1[k])
+        for k in range(len(w2))
+    )
 
 
 def random_deep_presentation(p, f, min_depth, rng, kind="type") -> TamePresentation:
@@ -129,7 +143,7 @@ def obvious_bm_report(rhobar: TamePresentation, ws) -> ObviousConsistencyReport:
     expected = intersect_w_jh(rhobar, tau)
     if len(expected) != 1:
         raise AssertionError("obvious type must meet the predicted set once")
-    res = bm_sum(None, tau)
+    res = bm_sum(tau)
     restricted = frozenset(res.cycle.support()) & w_question_set(rhobar)
     if not expected <= restricted:
         raise AssertionError("the obvious weight is missing from the cycle sum")

@@ -416,7 +416,7 @@ def test_criterion_09_bm_cycles():
         rep = colength_one_components(rho, tau)
         if any(weight_alcove_index(sig.parts[0], 41) == 2 for sig in rep.weights):
             continue
-        restricted = frozenset(bm_sum(None, tau).cycle.support()) & wq41
+        restricted = frozenset(bm_sum(tau).cycle.support()) & wq41
         assert rep.weights <= restricted
         found += 1
     assert found

@@ -42,7 +42,7 @@ from gsp4weights.adjacency import (
 )
 
 import oracles
-from crosschecks import outer_pair, random_deep_presentation, slot_product_map
+from crosschecks import conjugated_target, outer_pair, random_deep_presentation, slot_product_map
 
 
 def rho41(seed=7):
@@ -317,7 +317,7 @@ def test_slot_targets_are_conjugated_targets():
             mid = () if letter is None else (finite(SIMPLES[letter]),)
             g = compose_all(invert(w2), invert(HIGHEST_RESTRICTED), W0, *mid, w1)
             if letter is not None:
-                assert (g,) == adjacency._conjugated_target((w2,), (w1,), (letter, 0))
+                assert (g,) == conjugated_target((w2,), (w1,), (letter, 0))
             g_inv, w1_inv_w2, k, k_w, k_sw = table[w1, w2, letter]
             assert compose(g, g_inv) == IDENTITY
             assert w1_inv_w2 == compose(invert(w1), w2)
@@ -444,8 +444,8 @@ def test_graph_edges_are_read_only():
 def test_steering_single_step_from_second_alcove():
     # w2 in the second restricted alcove: one s_1 step lands in Omega
     rho = rho41()
-    back = predicted_pair_of_weight(rho)
     wq = w_question(rho)
+    back = predicted_pair_of_weight(wq)
     for pair, sigma in wq.items():
         if restricted_alcove_index(alcove_of(pair.w2[0])) != 2:
             continue

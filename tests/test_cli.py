@@ -312,6 +312,27 @@ def test_load_matrix_reads_integer_and_fraction_coefficients(tmp_path):
     assert load_matrix(str(ints), F) == load_matrix(str(strs), F)
 
 
+@pytest.mark.parametrize("p, why", [
+    (37, "fixture has p=37 but is read over F_41"),
+    ("37", 'p must be an integer, got "37"'),
+    (True, "p must be an integer, got true"),
+], ids=["mismatched", "string", "bool"])
+def test_localmodel_shape_checks_the_declared_p(capsys, tmp_path, p, why):
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"schema": "gsp4weights/matrix/1", "p": p,
+                                "rows": _identity_rows({"coeffs": {"0": "1"}})}))
+    code, out, err = capture(capsys, ["localmodel", "--shape", str(path), "--q", "41"])
+    assert (code, out, err) == (2, "", "error: %s: %s\n" % (path, why))
+
+
+def test_localmodel_shape_reads_a_matching_p(capsys, tmp_path):
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"schema": "gsp4weights/matrix/1", "p": 41,
+                                "rows": _identity_rows({"coeffs": {"0": "1"}})}))
+    code, out, err = capture(capsys, ["localmodel", "--shape", str(path), "--q", "41"])
+    assert code == 0 and err == "" and "shape: e" in out
+
+
 @pytest.mark.parametrize("draws", ["0", "-3"])
 def test_localmodel_rejects_fewer_than_one_draw(capsys, draws):
     code, out, err = capture(

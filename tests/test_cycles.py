@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -27,6 +28,7 @@ from gsp4weights.weights import (
     type_from_target,
     w_question_set,
 )
+from gsp4weights.cli import load_presentation
 from gsp4weights.cycles import (
     BMSumResult,
     Cycle,
@@ -162,15 +164,12 @@ def test_restricted_chain_and_weyl_class():
     assert cls == GrothendieckClass({sw(chain[2]): 1, sw(chain[1]): 1})
 
     lam3 = deep_weight_in_alcove(3, seed=3)
-    cls3 = weyl_class((lam3,), P)
+    cls3 = weyl_class(lam3, P)
     chain3 = restricted_chain(lam3, P)
     assert cls3.coeff(sw(chain3[3])) == 1 and cls3.coeff(sw(chain3[2])) == 1
 
 
 def test_weyl_class_input_validation():
-    lam = deep_weight_in_alcove(1, seed=4)
-    with pytest.raises(ValueError, match="one embedding"):
-        weyl_class((lam, lam), P)
     with pytest.raises(ValueError, match="restricted"):
         weyl_class(Weight(P + 3, 1, 0), P)
 
@@ -277,34 +276,20 @@ def test_colength_one_rejects_other_shapes():
 
 
 def test_bm_sum_defaults_and_validation():
-    rng = random.Random(41)
-    tau = random_deep_presentation(P, 1, 6, rng, kind="type")
-    res = bm_sum(None, tau)
-    assert isinstance(res, BMSumResult)
-    assert res.assumptions and "assumed" in res.assumptions[0]
-    assert res.cycle.is_effective()
-    jh = jh_set(tau)
-    for sigma in jh:
-        assert res.cycle.coeff(sigma) >= 1
-    assert bm_sum(None, tau, {}).cycle == Cycle()
-    some = next(iter(jh))
-    with pytest.raises(ValueError, match="negative"):
-        bm_sum(None, tau, {some: -1})
-    with pytest.raises(ValueError, match="multiplicity table"):
-        bm_sum((Weight(1, 0, 0),), tau)
-    stray = sw(deep_weight_in_alcove(0, seed=8))
-    if stray not in jh:
-        with pytest.raises(ValueError, match="supported on the JH set"):
-            bm_sum(None, tau, {stray: 1})
-
-
-def test_bm_sum_nonzero_lambda_with_table():
-    rng = random.Random(43)
-    tau = random_deep_presentation(P, 1, 6, rng, kind="type")
-    sigma = jh_factors(tau)[outer_pair((W_E,))]
-    res = bm_sum((Weight(1, 1, 0),), tau, {sigma: 2})
-    assert res.assumptions == ()
-    assert res.cycle == 2 * bm_cycle(sigma)
+    seeded = random_deep_presentation(P, 1, 6, random.Random(41), kind="type")
+    tau1 = load_presentation(
+        os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "tau1.json"))
+    for tau in (seeded, tau1):
+        res = bm_sum(tau)
+        assert isinstance(res, BMSumResult)
+        assert res.assumptions and "assumed" in res.assumptions[0]
+        want: dict = {}
+        for sigma in jh_set(tau):
+            for kappa, n in bm_cycle(sigma).items():
+                want[kappa] = want.get(kappa, 0) + n
+        assert res.cycle == Cycle(want)
+    with pytest.raises(ValueError, match="type presentation"):
+        bm_sum(random_deep_presentation(P, 1, 6, random.Random(41), kind="param"))
 
 
 def test_obvious_bm_reports():
@@ -346,7 +331,7 @@ def test_bm_matches_colength_one_when_low():
                 weight_alcove_index(sig.parts[0], 41) == 2 for sig in rep.weights
             ):
                 continue
-            res = bm_sum(None, tau)
+            res = bm_sum(tau)
             restricted = frozenset(res.cycle.support()) & w_question_set(rho)
             extra = restricted - rep.weights
             # surplus can only come from second-alcove companions elsewhere

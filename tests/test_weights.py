@@ -37,12 +37,17 @@ from gsp4weights.weights import (
     w_question,
     w_question_set,
 )
-from gsp4weights import adjacency, weights
+from gsp4weights import weights
 from gsp4weights.adjacency import build_instance, valid_simples
 from gsp4weights.cli import load_presentation
 
 import oracles
-from crosschecks import outer_pair, random_deep_presentation, weight_class_arrow_leq
+from crosschecks import (
+    conjugated_target,
+    outer_pair,
+    random_deep_presentation,
+    weight_class_arrow_leq,
+)
 from oracles import LowestAlcovePresentation, serre_weight_of_presentation
 
 P = 37
@@ -178,7 +183,7 @@ def test_wq_injective_and_sizes():
     obv = obvious_weights(rho)
     assert len(set(obv.values())) == 8
     assert set(obv.values()) <= set(table.values())
-    inv = predicted_pair_of_weight(rho)
+    inv = predicted_pair_of_weight(table)
     assert len(inv) == 20
 
 
@@ -382,8 +387,8 @@ def _assert_intersection_matches(inst):
     # tau and rhobar0 are assembled from per-slot constants; these are
     # their defining properties
     w1, w2 = inst.pair.w1, inst.pair.w2
-    assert inst.tau == type_from_target(inst.rhobar, adjacency._conjugated_target(w2, w1, inst.s))
-    assert compat_element(inst.rhobar0, inst.tau) == adjacency._conjugated_target(
+    assert inst.tau == type_from_target(inst.rhobar, conjugated_target(w2, w1, inst.s))
+    assert compat_element(inst.rhobar0, inst.tau) == conjugated_target(
         w2, w2, inst.s)
     got = intersect_w_jh(inst.rhobar0, inst.tau)
     assert got == oracles.intersect_w_jh(inst.rhobar0, inst.tau)
