@@ -38,6 +38,7 @@ from .weights import (
     SerreWeight,
     _singles,
     _SlotKernel,
+    _SlotTable,
     TamePresentation,
     derived_type,
     enumerate_ap_prime,
@@ -138,7 +139,8 @@ def build_instance(
     the two outer weights sigma1 = F_tau(w), sigma2 = F_tau(sw), from one
     kernel of tau over the two outer index tuples.  With
     check=True it verifies that these two weights exhaust the intersection
-    of the predicted set of rhobar0 with the JH set of tau.
+    of the predicted set of rhobar0 with the JH set of tau, on a slot
+    table of its own.
     """
     if rhobar.kind != "param":
         raise ValueError("rhobar must be a mod-p parameter presentation")
@@ -187,15 +189,16 @@ def build_instance(
     sigma1, sigma2 = outer.weight(w_combo), outer.weight(sw_combo)
     inst = AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
     if check:
-        _check_instance(inst)
+        _check_instance(inst, _SlotTable())
     return inst
 
 
-def _check_instance(inst: AdjacencyInstance) -> None:
+def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
     """Raise AssertionError unless sigma1 and sigma2 are distinct and exhaust
     the intersection of the predicted set of rhobar0 with the JH set of tau,
-    and sigma1 is F_rhobar at the pair."""
-    got = intersect_w_jh(inst.rhobar0, inst.tau)
+    and sigma1 is F_rhobar at the pair.  The slot entries are read from the
+    caller's `table`; the guards, the chain and both comparisons run here."""
+    got = intersect_w_jh(inst.rhobar0, inst.tau, WEIGHT_DEPTH, table)
     if got != frozenset((inst.sigma1, inst.sigma2)) or inst.sigma1 == inst.sigma2:
         raise AssertionError(
             "intersection is not the expected two outer weights: %s"
@@ -203,7 +206,7 @@ def _check_instance(inst: AdjacencyInstance) -> None:
         )
     targets = _slot_targets()
     combo = tuple(targets[w1, w2, None][2] for w1, w2 in zip(inst.pair.w1, inst.pair.w2))
-    if _SlotKernel(inst.rhobar, "param", WEIGHT_DEPTH, (combo,)).weight(combo) != inst.sigma1:
+    if table.weight(inst.rhobar, "param", WEIGHT_DEPTH, combo) != inst.sigma1:
         raise AssertionError("sigma1 does not match the weight of the pair")
 
 
@@ -309,12 +312,14 @@ def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
     Iteration over pairs and reflections is in fixed sorted order, so the
     result is reproducible byte for byte.  The graph is built once per
     parameter and shared (see `_graph_of`); check=True runs the checks of
-    every instance, in enumeration order, on every call.
+    every instance, in enumeration order, on every call, over one slot
+    table made for the call.
     """
     state = _graph_of(rhobar)
     if check:
+        table = _SlotTable()
         for inst in state.instances.values():
-            _check_instance(inst)
+            _check_instance(inst, table)
     return state.graph
 
 
@@ -332,7 +337,9 @@ def _steered_chain(state: _GraphState, sigma: SerreWeight) -> tuple[AdjacencyIns
     length, pick s by the component's alcove (second alcove -> s_1, top
     alcove -> s_2 when allowed, else s_1; first alcove -> s_1).  Each step
     keeps the other embeddings' alcoves fixed; `state.back` inverts F_rhobar.
-    Each step's instance is read from `state`, then checked."""
+    Each step's instance is read from `state`, then checked over one slot
+    table made for the call."""
+    table = _SlotTable()
     chain: list[AdjacencyInstance] = []
     cur = sigma
     limit = 3 * sigma.f
@@ -353,7 +360,7 @@ def _steered_chain(state: _GraphState, sigma: SerreWeight) -> tuple[AdjacencyIns
         else:
             s = (1, target_j)
         inst = state.instances[pair, s]
-        _check_instance(inst)
+        _check_instance(inst, table)
         chain.append(inst)
         cur = inst.sigma2
         if len(chain) > limit:

@@ -10,6 +10,7 @@ into the output.
 import argparse
 import json
 import random
+import re
 import shlex
 import sys
 from dataclasses import dataclass
@@ -100,6 +101,9 @@ class RunConfig:
             raise ValueError("p must be a prime >= 5 (got %r)" % (self.p,))
         if self.f < 1:
             raise ValueError("f must be a positive integer")
+        if self.seed < 0:
+            # random.Random seeds with |seed|, so -s would rerun the draws of s
+            raise ValueError("seed must be a non-negative integer (got %d)" % self.seed)
         if self.fmt not in ("json", "table", "dot"):
             raise ValueError("format must be one of json, table, dot")
 
@@ -120,15 +124,27 @@ def _dump(obj) -> str:
     return json.dumps(obj, sort_keys=True, indent=2)
 
 
-def _parse_triple(text: str) -> Weight:
-    parts = text.split(",")
+# An integer on the command line: int() alone would also take underscores
+# ("3_7"), non-ASCII digits and surrounding whitespace.
+_INT = re.compile(r"-?[0-9]+")
+
+
+def _int_arg(text: str) -> int:
+    """argparse type of the integer flags; argparse names the flag."""
+    if not _INT.fullmatch(text):
+        raise argparse.ArgumentTypeError("expected an integer, got %r" % text)
+    return int(text)
+
+
+def _parse_lambda(text: str) -> Weight:
+    """--lambda a,b,c: three integers, each with optional whitespace around
+    it."""
+    parts = [q.strip() for q in text.split(",")]
     if len(parts) != 3:
-        raise ValueError("expected three comma-separated integers, got %r" % text)
-    try:
-        a, b, c = (int(q.strip()) for q in parts)
-    except ValueError:
-        raise ValueError("expected integers in %r" % text) from None
-    return Weight(a, b, c)
+        raise ValueError("--lambda expects three comma-separated integers, got %r" % text)
+    if not all(_INT.fullmatch(q) for q in parts):
+        raise ValueError("--lambda expects integers, got %r" % text)
+    return Weight(*map(int, parts))
 
 
 def _is_json_int(value) -> bool:
@@ -271,7 +287,7 @@ def _cmd_selfcheck(cfg: RunConfig, args) -> list[str]:
 
 
 def _cmd_adm(cfg: RunConfig, args) -> list[str]:
-    lam = _parse_triple(args.lam)
+    lam = _parse_lambda(args.lam)
     if args.dual:
         elems = sorted(adm_dual_set(lam), key=elem_sort_key)
         lens = {x: dual_length(x) for x in elems}
@@ -651,9 +667,9 @@ def run(command: str, cfg: RunConfig, args) -> int:
 def _build_parser(command: str) -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="gsp4weights %s" % command, add_help=True)
     # None marks a flag not given; RunConfig holds the defaults
-    ap.add_argument("--p", type=int, default=None)
-    ap.add_argument("--f", type=int, default=None)
-    ap.add_argument("--seed", type=int, default=None)
+    ap.add_argument("--p", type=_int_arg, default=None)
+    ap.add_argument("--f", type=_int_arg, default=None)
+    ap.add_argument("--seed", type=_int_arg, default=None)
     ap.add_argument("--fmt", default=None, choices=("json", "table", "dot"))
     ap.add_argument("--json", action="store_true", help="shorthand for --fmt json")
     ap.add_argument("--table", action="store_true", help="shorthand for --fmt table")
@@ -677,9 +693,9 @@ def _build_parser(command: str) -> argparse.ArgumentParser:
     elif command == "localmodel":
         ap.add_argument("--verify-regcolone", dest="verify_regcolone",
                         action="store_true")
-        ap.add_argument("--draws", type=int, default=None)
+        ap.add_argument("--draws", type=_int_arg, default=None)
         ap.add_argument("--shape", default=None)
-        ap.add_argument("--q", type=int, default=None)
+        ap.add_argument("--q", type=_int_arg, default=None)
     return ap
 
 

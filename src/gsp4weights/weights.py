@@ -391,6 +391,20 @@ def _slot_parts(kind, s, mu, p, ks, cells) -> list[dict[int, Part]]:
     return out
 
 
+def _guard(pres: TamePresentation, kind: str, min_depth: int) -> None:
+    """The checks a kernel of `pres` runs before any part: its kind, then
+    its depth."""
+    if pres.kind != kind:
+        raise ValueError(
+            "expected a %s presentation, got a %s presentation" % (kind, pres.kind))
+    _require_depth(pres, min_depth)
+
+
+def _full_cells(sing: _Singles, f: int) -> tuple[tuple[int, ...], ...]:
+    """The cells of one slot of a kernel over all pair tuples."""
+    return sing.every if f > 1 else sing.own
+
+
 class _SlotKernel:
     """The weight parts of F_pres on the tuples of per-embedding pairs:
     on all of them, or, given `combos`, on those index tuples alone.  This
@@ -413,17 +427,14 @@ class _SlotKernel:
 
     def __init__(self, pres: TamePresentation, kind: str, min_depth: int,
                  combos: tuple[tuple[int, ...], ...] | None = None):
-        if pres.kind != kind:
-            raise ValueError(
-                "expected a %s presentation, got a %s presentation" % (kind, pres.kind))
-        _require_depth(pres, min_depth)
+        _guard(pres, kind, min_depth)
         self.flavor = _ROLES[kind][1]
         sing = _singles(kind)
         self.singles, self.y_slot = sing.pairs, sing.y_slot
         self.p, self.f = pres.p, pres.f
         if combos is None:
             ks = [range(len(sing.pairs))] * self.f
-            cells = [sing.every if self.f > 1 else sing.own] * self.f
+            cells = [_full_cells(sing, self.f)] * self.f
         else:
             ks = list(zip(*combos))
             cells = [[[] for _ in sing.ys] for _ in range(self.f)]
@@ -474,36 +485,102 @@ def w_question_set(
     return frozenset(w_question(rhobar, min_depth).values())
 
 
+def _slot_join(wq_slot: list[dict[int, Part]], jh_slot: list[dict[int, Part]]) -> dict:
+    """One slot's (a, b) join: the W? parts against the JH parts, grouped
+    by their rows (i of W?, i of JH).  Each match carries the y indices of
+    its two singles (the next slot's rows), the part and the two central
+    characters."""
+    wq_y, jh_y = _singles("param").y_slot, _singles("type").y_slot
+    index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
+    for i, row in enumerate(wq_slot):
+        for k, (a, b, c) in row.items():
+            index.setdefault((a, b), []).append((i, wq_y[k], c))
+    groups: dict[tuple[int, int], list] = {}
+    for i2, row in enumerate(jh_slot):
+        for k2, (a, b, c2) in row.items():
+            for i, y, c in index.get((a, b), ()):
+                groups.setdefault((i, i2), []).append(((y, jh_y[k2]), (a, b, c), c, c2))
+    return groups
+
+
+class _SlotTable:
+    """Slot entries shared by the adjacency checks of one call, and by
+    nothing else: the caller makes the table and drops it on return.
+
+    A full kernel's slot depends on (kind, s, mu, p) and, through its
+    cells, on f; a slot's join on its two kernel slots; and one part on
+    (kind, s, mu, p), its row i and its single k.  Each is made on first
+    use under that key and then read.  An entry is stored only after its
+    lowest-alcove test passed, so a failing test runs, and raises, on
+    every use.  The guards of `_guard` run on every use too."""
+
+    def __init__(self):
+        self._parts: dict[tuple, list[dict[int, Part]]] = {}  # by (kind, s, mu, p, f)
+        self._joins: dict[tuple[tuple, tuple], dict] = {}
+        self._singles: dict[tuple, Part] = {}
+
+    def slots(self, pres: TamePresentation, kind: str, min_depth: int) -> list[tuple]:
+        """The keys of the slots of a kernel of `pres` over all pair
+        tuples, each slot made as `_SlotKernel` makes it."""
+        _guard(pres, kind, min_depth)
+        sing = _singles(kind)
+        ks, cells = range(len(sing.pairs)), _full_cells(sing, pres.f)
+        keys = [(kind, s, mu, pres.p, pres.f) for s, mu in zip(pres.s, pres.mu)]
+        for key in keys:
+            if key not in self._parts:
+                self._parts[key] = _slot_parts(kind, key[1], key[2], pres.p, ks, cells)
+        return keys
+
+    def join(self, wq: tuple, jh: tuple) -> dict:
+        """The join of W? slot `wq` with JH slot `jh`, given by their keys."""
+        groups = self._joins.get((wq, jh))
+        if groups is None:
+            groups = self._joins[wq, jh] = _slot_join(self._parts[wq], self._parts[jh])
+        return groups
+
+    def weight(self, pres: TamePresentation, kind: str, min_depth: int,
+               combo: tuple[int, ...]) -> SerreWeight:
+        """F_pres at one index tuple, as `_SlotKernel` over `(combo,)` makes
+        it: the lowest-alcove test runs on combo's singles alone, and no
+        full slot is made."""
+        _guard(pres, kind, min_depth)
+        sing = _singles(kind)
+        parts = []
+        for j, (s, mu) in enumerate(zip(pres.s, pres.mu)):
+            i, k = sing.y_slot[combo[j - 1]], combo[j]
+            key = (kind, s, mu, pres.p, i, k)
+            part = self._singles.get(key)
+            if part is None:
+                cells = [()] * len(sing.ys)
+                cells[i] = (k,)
+                part = self._singles[key] = _slot_parts(kind, s, mu, pres.p, (k,), cells)[i][k]
+            parts.append(part)
+        return SerreWeight._trusted(pres.p, tuple(parts))
+
+
 def intersect_w_jh(
-    rhobar: TamePresentation, tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
+    rhobar: TamePresentation, tau: TamePresentation, min_depth: int = WEIGHT_DEPTH,
+    table: _SlotTable | None = None,
 ) -> frozenset[SerreWeight]:
     """W?(rhobar) & JH(tau), joined slot by slot and chained around the slots.
 
     Two weights are equal when their parts have the same (a, b) and their
     central integers sum c_j p^(f-1-j) agree mod p^f - 1 (see
     `normalize_central`).  Per slot, the two kernels' parts are joined on
-    (a, b) and grouped by their rows (i of W?, i of JH).  A chain takes
-    one match per slot; the next slot's rows are the y indices of the two
-    singles, and slot f - 1 leads back to slot 0's rows.  Only a chain
-    whose central integers agree becomes a weight."""
-    wq = _SlotKernel(rhobar, "param", min_depth)
-    jh = _SlotKernel(tau, "type", min_depth)
+    (a, b) (`_slot_join`).  A chain takes one match per slot; the next
+    slot's rows are the y indices of the two singles, and slot f - 1 leads
+    back to slot 0's rows.  Only a chain whose central integers agree
+    becomes a weight.  The slots and joins are read from `table`, a fresh
+    one unless the caller shares its own across checks."""
+    if table is None:
+        table = _SlotTable()
+    wq = table.slots(rhobar, "param", min_depth)
+    jh = table.slots(tau, "type", min_depth)
     if (rhobar.p, rhobar.f) != (tau.p, tau.f):
         return frozenset()
     p, last = rhobar.p, rhobar.f - 1
     modulus = p ** rhobar.f - 1
-    joins: list[dict[tuple[int, int], list]] = []
-    for j in range(rhobar.f):
-        index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
-        for i, row in enumerate(wq.parts[j]):
-            for k, (a, b, c) in row.items():
-                index.setdefault((a, b), []).append((i, wq.y_slot[k], c))
-        groups: dict[tuple[int, int], list] = {}
-        for i2, row in enumerate(jh.parts[j]):
-            for k2, (a, b, c2) in row.items():
-                for i, y, c in index.get((a, b), ()):
-                    groups.setdefault((i, i2), []).append(((y, jh.y_slot[k2]), (a, b, c), c, c2))
-        joins.append(groups)
+    joins = [table.join(a, b) for a, b in zip(wq, jh)]
     found = set()
 
     def chain(j, rows, start, n, n2, parts):

@@ -1,5 +1,6 @@
 import os
 import random
+from functools import cache
 
 import pytest
 
@@ -17,6 +18,7 @@ from gsp4weights.affine import (
     invert,
     restricted_alcove_index,
 )
+from gsp4weights.config import WEIGHT_DEPTH
 from gsp4weights.weights import (
     APPair,
     GenericityError,
@@ -376,8 +378,30 @@ def test_memo_hit_reruns_every_check(monkeypatch):
                         lambda *args: calls.append(args) or real(*args))
     build_graph(rho, check=True)
     assert _graph_of.cache_info().hits == hits + 1
-    assert calls == [(inst.rhobar0, inst.tau) for inst in instances]
+    assert [args[:2] for args in calls] == [(inst.rhobar0, inst.tau) for inst in instances]
     assert len(calls) == 34
+    # every check of one call reads one slot table, and the next call a new one
+    table = calls[0][3]
+    assert all(args[3] is table for args in calls)
+    calls.clear()
+    build_graph(rho, check=True)
+    assert len(calls) == 34 and all(args[3] is not table for args in calls)
+
+
+@pytest.mark.parametrize("name, joins", [("rb41.json", 23), ("rb_f2.json", 86)])
+def test_checked_build_joins_each_slot_pair_once(monkeypatch, name, joins):
+    # one join per distinct (W? slot, JH slot) pair of the call: 23 for the
+    # 34 instances at f = 1, 86 for the 2720 slot checks of rb_f2's 1360;
+    # a second call makes them all again
+    rho = fixture(name)
+    build_graph(rho, check=False)
+    made = []
+    real = weights._slot_join
+    monkeypatch.setattr(weights, "_slot_join", lambda *args: made.append(1) or real(*args))
+    for _ in range(2):
+        made.clear()
+        build_graph(rho, check=True)
+        assert len(made) == joins
 
 
 def test_failing_check_raises_after_unchecked_build(monkeypatch):
@@ -542,3 +566,70 @@ def test_per_slot_product_rule():
     singles = {(pr.w1[0], pr.w2[0]) for pr in enumerate_ap_prime(1)}
     assert {key[:2] for key in rule} == singles
     assert set(rule.values()) <= singles
+
+
+def _through_one_table(instances, expected):
+    """Each instance's intersection, read through one slot table shared by
+    all of them, equals `expected` of it, computed without a table; and
+    F_rhobar at its pair, read from the same table, is its sigma1."""
+    table = weights._SlotTable()
+    index = weights._singles("param").index
+    for inst in instances:
+        got = intersect_w_jh(inst.rhobar0, inst.tau, WEIGHT_DEPTH, table)
+        assert got == expected(inst) == {inst.sigma1, inst.sigma2}
+        combo = tuple(index[pr] for pr in zip(inst.pair.w1, inst.pair.w2))
+        assert table.weight(inst.rhobar, "param", WEIGHT_DEPTH, combo) == inst.sigma1
+
+
+@pytest.mark.parametrize("name", ["rb1.json", "rb41.json"])
+def test_shared_slot_table_matches_the_oracle_at_f1(name):
+    rho = fixture(name)
+    instances = [build_instance(rho, pair, s, check=False)
+                 for pair in enumerate_ap_prime(1) for s in valid_simples(pair)]
+    assert len(instances) == 34
+    _through_one_table(instances, lambda inst: oracles.intersect_w_jh(inst.rhobar0, inst.tau))
+
+
+def test_shared_slot_table_matches_fresh_sets_on_every_f2_instance():
+    instances = list(_graph_of(fixture("rb_f2.json")).instances.values())
+    assert len(instances) == 1360
+    wq, jh = cache(w_question_set), cache(jh_set)
+    _through_one_table(instances, lambda inst: wq(inst.rhobar0) & jh(inst.tau))
+
+
+def test_shared_slot_table_matches_fresh_sets_on_an_f3_sample():
+    # three pairs with every reflection each: the instances of one pair
+    # share rhobar0, and their taus share all slots but s's own
+    rho = random_deep_presentation(37, 3, 8, random.Random(1), kind="param")
+    rng = random.Random(31)
+    instances = [build_instance(rho, pair, s, check=False)
+                 for pair in rng.sample(enumerate_ap_prime(3), 3) for s in valid_simples(pair)]
+    assert len(instances) >= 9
+    wq = cache(w_question_set)
+    _through_one_table(instances, lambda inst: wq(inst.rhobar0) & jh_set(inst.tau))
+
+
+def test_checked_build_fails_where_its_first_failing_instance_does(monkeypatch):
+    # with the depth policy lowered to 0, a 3-deep parameter's graph builds
+    # unchecked, and the full kernel of a later instance fails its
+    # lowest-alcove test; checked one by one or over one table, the same
+    # instance raises the same error
+    monkeypatch.setattr(adjacency, "WEIGHT_DEPTH", 0)
+    monkeypatch.setattr(adjacency, "derived_depth_bound", lambda d: 0)
+    rho = TamePresentation("param", (W_S1,), (Weight(6, 3, 0),), 37)
+    instances = list(_graph_of(rho).instances.values())
+    for n, inst in enumerate(instances):
+        try:
+            adjacency._check_instance(inst, weights._SlotTable())
+        except GenericityError as exc:
+            first, message = n, str(exc)
+            break
+    assert first > 0 and message == "omega - eta must lie inside the lowest alcove"
+    checked = []
+    real = adjacency._check_instance
+    monkeypatch.setattr(adjacency, "_check_instance",
+                        lambda inst, table: checked.append(inst) or real(inst, table))
+    with pytest.raises(GenericityError, match="^%s$" % message):
+        build_graph(rho, check=True)
+    assert checked == instances[:first + 1]
+    _graph_of.cache_clear()

@@ -87,6 +87,44 @@ def test_adm_bad_lambda_exits_2(capsys):
     assert code == 2  # not dominant
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (["selfcheck", "--p", "3_7"], "--p"),
+    (["selfcheck", "--p", " 37"], "--p"),
+    (["selfcheck", "--p", "+37"], "--p"),
+    (["ap", "--f", "\u0662"], "--f"),
+    (["ap", "--f", "1.0"], "--f"),
+    (["localmodel", "--verify-regcolone", "--seed", "0x5"], "--seed"),
+    (["localmodel", "--verify-regcolone", "--draws", "1_0"], "--draws"),
+    (["localmodel", "--shape", fx("mat1.json"), "--q", "\uff13\uff17"], "--q"),
+    (["adm", "--lambda", "1_0,0,0"], "--lambda"),
+    (["adm", "--lambda", "2,1,\u0660"], "--lambda"),
+    (["adm", "--lambda", "2,1"], "--lambda"),
+])
+def test_integer_flags_take_ascii_integers_only(capsys, argv, flag):
+    # int() would read "3_7" as 37 and Arabic-Indic or full-width digits
+    # as their values
+    code, out, err = capture(capsys, argv)
+    assert code == 2 and out == ""
+    assert flag in err.splitlines()[-1]
+
+
+def test_lambda_items_keep_surrounding_whitespace(capsys):
+    code, spaced, _ = capture(capsys, ["adm", "--lambda", " 2 , 1,0 "])
+    assert code == 0
+    code, plain, _ = capture(capsys, ["adm", "--lambda", "2,1,0"])
+    assert code == 0 and spaced == plain
+
+
+def test_negative_seed_exits_2(capsys):
+    # random.Random(-5) draws what random.Random(5) draws
+    code, out, err = capture(
+        capsys, ["localmodel", "--verify-regcolone", "--seed", "-5", "--draws", "1"])
+    assert code == 2 and out == ""
+    assert err == "error: seed must be a non-negative integer (got -5)\n"
+    with pytest.raises(ValueError):
+        RunConfig(seed=-1).validate()
+
+
 def test_bad_prime_exits_2(capsys):
     code, out, err = capture(capsys, ["selfcheck", "--p", "6"])
     assert code == 2 and out == "" and err == "error: p must be a prime >= 5 (got 6)\n"

@@ -557,8 +557,14 @@ def test_offset_table_matches_oracle_exhaustively(p):
             assert jh == _outcome(lambda: list(oracles.jh_factors(tau, 0).items()))
             raised += isinstance(wq, tuple) + isinstance(jh, tuple)
             wq_table = dict(wq) if isinstance(wq, list) else None
+            # the sigma1 check's read through one slot table per rho gives
+            # the same weight or error, on the first use and on the next
+            table, index = weights._SlotTable(), weights._singles("param").index
             for pair in enumerate_ap_prime(1):
                 got = _outcome(_kernel_at, rho, pair, 0)
+                combo = (index[pair.w1[0], pair.w2[0]],)
+                for _ in range(2):
+                    assert _outcome(table.weight, rho, "param", 0, combo) == got
                 if wq_table is not None:
                     assert got == wq_table[pair]
                 else:
