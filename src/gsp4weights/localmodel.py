@@ -14,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import lcm
 
 from .base import SIMPLES, FiniteWeyl, W_ALL, W_E, Weight, std_character
 from .affine import (
@@ -62,6 +63,12 @@ __all__ = [
 
 # ---------------------------------------------------------------------------
 # 4x4 matrices of Laurent polynomials
+#
+# The determinant, the adjugate and the similitude form are sums of
+# products of entries, so they run on the entries evaluated at v = 2^w
+# (Kronecker substitution of the whole expression: Schoenhage 1982;
+# Harvey, J. Symb. Comp. 2009).  Each entry is packed once, the minor
+# formulas below run on Python ints, and each result is read back once.
 
 
 # the column pairs of a 2x2 minor, in row-major order of the pair
@@ -94,6 +101,71 @@ def _adjugate(rows):
             cof = x[c1] * m[c2, c3] - x[c2] * m[c1, c3] + x[c3] * m[c1, c2]
             out[j][i] = -cof if (i + j) % 2 else cof
     return out
+
+
+class _Packed:
+    """The 16 entries of a 4x4 Laurent matrix evaluated at v = 2^w, for a
+    sum of `terms` products of `deg` entries each.
+
+    Exponents count from the matrix-wide low degree; numerators are
+    brought to the matrix's common denominator D (1 over F_q).  A result
+    coefficient then sums at most terms * span^(deg - 1) products of deg
+    numerators, so w = bit_length(terms * span^(deg - 1) * top^deg) + 1
+    holds it as a balanced slot, in (-2^(w-1), 2^(w-1)), with span the
+    slots of an entry and top the largest numerator."""
+
+    __slots__ = ("field", "rows", "w", "low", "slots", "den", "bias")
+
+    def __init__(self, rows, terms: int, deg: int):
+        field = rows[0][0].field
+        entries = [e for row in rows for e in row if e.terms]
+        low = min((e.terms[0][0] for e in entries), default=0)
+        span = max((e.terms[-1][0] for e in entries), default=low) - low + 1
+        if field.char:
+            den, top = 1, field.char - 1
+        else:
+            den = lcm(*(e.den for e in entries))
+            top = max((abs(c) * (den // e.den) for e in entries for _, c in e.terms), default=0)
+        w = (terms * span ** (deg - 1) * top ** deg).bit_length() + 1
+        packed = []
+        for row in rows:
+            out = []
+            for e in row:
+                x, scale = 0, den // e.den
+                for k, c in e.terms:
+                    x += c * scale << (k - low) * w
+                out.append(x)
+            packed.append(out)
+        slots = deg * (span - 1) + 1
+        self.field, self.rows, self.w = field, packed, w
+        self.low, self.slots, self.den = deg * low, slots, den ** deg
+        # 2^(w-1) in every slot of a result
+        self.bias = ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)
+
+    def poly(self, z: int) -> LaurentPoly:
+        """The Laurent polynomial whose value at v = 2^w is z, a result of
+        the sum the packing was sized for."""
+        field, w = self.field, self.w
+        q = field.char
+        half, mask = 1 << (w - 1), (1 << w) - 1
+        z += self.bias
+        out = []
+        for e in range(self.low, self.low + self.slots):
+            c = (z & mask) - half
+            if q:
+                c %= q
+            if c:
+                out.append((e, c))
+            z >>= w
+        assert z == 0, "a packed result overflowed its width bound"
+        return LaurentPoly._canonical(field, tuple(out), self.den)
+
+
+def _determinant(rows) -> LaurentPoly:
+    """det of a 4x4 Laurent matrix: `_det` on the packed entries, 24
+    products of 4 entries each."""
+    packed = _Packed(rows, 24, 4)
+    return packed.poly(_det(packed.rows))
 
 
 class PolyMat:
@@ -182,10 +254,12 @@ class PolyMat:
         return hash((self.field, self.rows))
 
     def det(self) -> LaurentPoly:
-        return _det(self.rows)
+        return _determinant(self.rows)
 
     def adjugate(self) -> "PolyMat":
-        return PolyMat(self.field, _adjugate(self.rows))
+        packed = _Packed(self.rows, 6, 3)
+        return PolyMat(self.field, [[packed.poly(x) for x in row]
+                                    for row in _adjugate(packed.rows)])
 
     def derivative(self) -> "PolyMat":
         return PolyMat(self.field, [[e.derivative() for e in row] for row in self.rows])
@@ -300,14 +374,21 @@ def _form_scalar(A: PolyMat):
 
     transpose(A) * J * A is alternating, so its six entries above the
     diagonal decide the comparison, and a failure above the diagonal
-    precedes its mirror image."""
-    m03, m12 = _minors(A.rows[0], A.rows[3]), _minors(A.rows[1], A.rows[2])
-    entry = {ij: m03[ij] + m12[ij] for ij in _PAIRS}
-    c = entry[0, 3]
-    zero = LaurentPoly.zero(A.field)
+    precedes its mirror image.  The entries are compared packed, and read
+    back only where the packed values differ: over F_q they may differ
+    by multiples of q."""
+    packed = _Packed(A.rows, 4, 2)
+    rows = packed.rows
+    m03, m12 = _minors(rows[0], rows[3]), _minors(rows[1], rows[2])
+    x03 = m03[0, 3] + m12[0, 3]
+    c = packed.poly(x03)
     for ij in _PAIRS:
-        if entry[ij] != (c if ij in ((0, 3), (1, 2)) else zero):
-            return None, ij
+        x = m03[ij] + m12[ij]
+        diagonal = ij in ((0, 3), (1, 2))
+        if x != (x03 if diagonal else 0):
+            got = packed.poly(x)
+            if (got != c) if diagonal else got:
+                return None, ij
     return c, None
 
 
@@ -491,7 +572,7 @@ def e_divisor_pattern(A: PolyMat, p: int) -> tuple[int, int, int, int]:
         s = _minus_p(p)
         rows = [[_taylor_shift(e, s) for e in row] for row in rows]
         k = 0  # v^k is a unit at E over the rationals
-    det = _det(rows)
+    det = _determinant(rows)
     if det.is_zero:
         raise ValueError("matrix is singular")
     prec = det.low_degree + 1
@@ -795,32 +876,43 @@ def monodromy_params_of(params: RegColOneParams, p: int) -> MonodromyParams:
 def build_regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
     """The displayed universal matrix of the regular colength-one locus,
     with E(v) = v + p.  Over F_q with q != p it is the reduction mod q of
-    the rational matrix, whose v + p the E-adic functions refuse to read."""
+    the rational matrix, whose v + p the E-adic functions refuse to read.
+
+    Each entry is written by its v-coefficients, with E expanded: the
+    c's are brought to one denominator d, so every coefficient is an
+    integer numerator over 1, d or d^2."""
     f = params.field
-    pc = f.coerce(p)
-    ep = LaurentPoly(f, {1: 1, 0: p})
-    vp = LaurentPoly.v_power(f, 1)
-    c = LaurentPoly.const
+    q = f.char
+    cs = (params.c00, params.c21, params.c13, params.c31,
+          params.c31p, params.c33, params.c33p, params.c33pp)
+    d = lcm(*(x.denominator for x in cs))
+    c00, c21, c13, c31, c31p, c33, c33p, c33pp = (x.numerator * (d // x.denominator)
+                                                  for x in cs)
+    d2 = d * d
 
-    def ct(x):
-        return c(f, x)
+    def entry(den, *coeffs):
+        terms = []
+        for k, c in enumerate(coeffs):
+            if q:
+                c %= q
+            if c:
+                terms.append((k, c))
+        return LaurentPoly._canonical(f, tuple(terms), den)
 
-    c00, c21, c13, c31 = params.c00, params.c21, params.c13, params.c31
-    c31p, c33, c33p, c33pp = params.c31p, params.c33, params.c33p, params.c33pp
+    zero = entry(1)
+    # (c31' + p c13 c21) E and (c13 c21 - c31) E^2 of entry (2, 3), over d^2
+    a, b = c31p * d + p * c13 * c21, c13 * c21 - c31 * d
     rows = [
-        [ct(c00),
-         ct(c00) * (ct(c31p) + ct(c31) * ep),
-         ct(c00 * c13),
-         ct(c00 * c33p + pc * c00 * c33 - pc * pc) + ct(c00 * c33 - pc) * ep - ep * ep],
-        [ct(0), ep * ep, ct(0), ct(c13) * ep * ep],
-        [ct(0),
-         ct(c21) * vp * ep,
-         ep,
-         -(ct(c31p) + ct(pc * c13 * c21)) * ep + ct(c13 * c21 - c31) * ep * ep],
-        [vp,
-         ct(c31p) * vp + ct(c31) * vp * ep,
-         ct(c13) * vp,
-         ct(c33pp) + ct(c33p) * ep + ct(c33) * ep * ep],
+        [entry(d, c00),
+         entry(d2, c00 * (c31p + p * c31), c00 * c31),
+         entry(d2, c00 * c13),
+         entry(d2, c00 * c33p + 2 * p * c00 * c33 - 3 * p * p * d2, c00 * c33 - 3 * p * d2, -d2)],
+        [zero, entry(1, p * p, 2 * p, 1), zero, entry(d, c13 * p * p, 2 * p * c13, c13)],
+        [zero, entry(d, 0, p * c21, c21), entry(1, p, 1), entry(d2, b * p * p - a * p, 2 * b * p - a, b)],
+        [entry(1, 0, 1),
+         entry(d, 0, c31p + p * c31, c31),
+         entry(d, 0, c13),
+         entry(d, c33pp + p * c33p + p * p * c33, c33p + 2 * p * c33, c33)],
     ]
     return PolyMat(f, rows)
 

@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 from .base import (
     ETA,
@@ -452,11 +452,14 @@ class _SlotKernel:
             self.p, tuple(parts[j][y_slot[combo[j - 1]]][combo[j]] for j in range(self.f))
         )
 
+    def weights(self) -> Iterator[SerreWeight]:
+        """F_pres on every index tuple, in the enumeration order of the
+        pair tuples (slot 0 varying slowest); no pair tuple is made."""
+        return map(self.weight, product(range(len(self.singles)), repeat=self.f))
+
     def table(self) -> dict[APPair, SerreWeight]:
         """F_pres on every pair tuple, in enumeration order."""
-        combos = product(range(len(self.singles)), repeat=self.f)
-        pairs = _enumerate_pairs(self.singles, self.flavor, self.f)
-        return {pair: self.weight(combo) for pair, combo in zip(pairs, combos)}
+        return dict(zip(_enumerate_pairs(self.singles, self.flavor, self.f), self.weights()))
 
 def jh_factors(
     tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
@@ -476,13 +479,13 @@ def w_question(
 def jh_set(
     tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
 ) -> frozenset[SerreWeight]:
-    return frozenset(jh_factors(tau, min_depth).values())
+    return frozenset(_SlotKernel(tau, "type", min_depth).weights())
 
 
 def w_question_set(
     rhobar: TamePresentation, min_depth: int = WEIGHT_DEPTH
 ) -> frozenset[SerreWeight]:
-    return frozenset(w_question(rhobar, min_depth).values())
+    return frozenset(_SlotKernel(rhobar, "param", min_depth).weights())
 
 
 def _slot_join(wq_slot: list[dict[int, Part]], jh_slot: list[dict[int, Part]]) -> dict:

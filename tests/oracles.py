@@ -31,7 +31,10 @@ the table tests check.
   library multiplies over F_q by Kronecker substitution.  Determinants
   and adjugates are cofactor expansions, and the similitude form
   transpose(A) * J * A is a full matrix product; the library reads all
-  three off 2 x 2 minors.
+  three off 2 x 2 minors of the entries packed into integers.
+- The regular colength-one family matrix is built from constant
+  polynomials, E(v) = v + p and their products and sums; the library
+  writes each entry's coefficients in closed form.
 - E(v)-elementary divisors come from the determinantal divisors: the
   minimum E-valuation of the k x k minors, over all 69 minors of a 4 x 4
   matrix.  Iwahori shapes come from valuation-pivot elimination at the
@@ -69,7 +72,7 @@ from gsp4weights.affine import (
     translation,
 )
 from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, divmod_poly
-from gsp4weights.localmodel import PolyMat, j_matrix, weyl_matrix
+from gsp4weights.localmodel import PolyMat, RegColOneParams, j_matrix, weyl_matrix
 from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
@@ -596,6 +599,38 @@ def similitude_form(A: PolyMat):
             if S.entry(i, j) != c * J.entry(i, j):
                 return None, (i, j)
     return c, None
+
+
+def regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
+    """The displayed universal matrix of the regular colength-one locus,
+    each entry a polynomial expression in E = v + p with constant
+    coefficients made from the parameters."""
+    f = params.field
+    pc = f.coerce(p)
+    ep = LaurentPoly(f, {1: 1, 0: p})
+    vp = LaurentPoly.v_power(f, 1)
+
+    def ct(x):
+        return LaurentPoly.const(f, x)
+
+    c00, c21, c13, c31 = params.c00, params.c21, params.c13, params.c31
+    c31p, c33, c33p, c33pp = params.c31p, params.c33, params.c33p, params.c33pp
+    rows = [
+        [ct(c00),
+         ct(c00) * (ct(c31p) + ct(c31) * ep),
+         ct(c00 * c13),
+         ct(c00 * c33p + pc * c00 * c33 - pc * pc) + ct(c00 * c33 - pc) * ep - ep * ep],
+        [ct(0), ep * ep, ct(0), ct(c13) * ep * ep],
+        [ct(0),
+         ct(c21) * vp * ep,
+         ep,
+         -(ct(c31p) + ct(pc * c13 * c21)) * ep + ct(c13 * c21 - c31) * ep * ep],
+        [vp,
+         ct(c31p) * vp + ct(c31) * vp * ep,
+         ct(c13) * vp,
+         ct(c33pp) + ct(c33p) * ep + ct(c33) * ep * ep],
+    ]
+    return PolyMat(f, rows)
 
 
 def root_multiplicity(a: LaurentPoly, r) -> int:

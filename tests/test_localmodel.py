@@ -204,6 +204,110 @@ def test_minor_kernel_matches_cofactor_oracles(field):
     assert {None, (0, 1), (1, 2), (1, 3), (2, 3)} <= failed_at
 
 
+# the packed evaluation: the same minor formulas on the polynomial entries,
+# and the cofactor and full-product oracles
+
+
+def assert_packed_kernel_matches(A):
+    rows = A.rows
+    det = A.det()
+    assert det == localmodel._det(rows) == oracles.minor_det([list(r) for r in rows])
+    adj = A.adjugate()
+    assert adj == PolyMat(A.field, localmodel._adjugate(rows)) == oracles.cofactor_adjugate(A)
+    form = localmodel._form_scalar(A)
+    assert form == oracles.similitude_form(A)
+    if form[1] is None:
+        m03, m12 = localmodel._minors(rows[0], rows[3]), localmodel._minors(rows[1], rows[2])
+        assert form[0] == m03[0, 3] + m12[0, 3]
+    return det, form
+
+
+FIELDS = (QQ, PrimeField(2), PrimeField(5), PrimeField(P))
+FIELD_IDS = ("QQ", "F2", "F5", "F37")
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_packed_kernel_on_the_zero_matrix_and_single_entries(field):
+    zero = LaurentPoly.zero(field)
+    det, form = assert_packed_kernel_matches(PolyMat(field, [[zero] * 4] * 4))
+    assert det.is_zero and form == (zero, None)
+    entry = LaurentPoly(field, {-2: 3, 7: 1})
+    for i in range(4):
+        for j in range(4):
+            A = PolyMat(field, [[entry if (r, c) == (i, j) else zero for c in range(4)]
+                                for r in range(4)])
+            # every 2 x 2 minor has a zero factor in each product
+            assert assert_packed_kernel_matches(A) == (zero, (zero, None))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
+def test_packed_kernel_on_sparse_entries_from_v_minus_40_to_v_40(field):
+    rng = random.Random(140 + field.char)
+    q = field.char or 1000
+    for n in range(12):
+        cells = [[LaurentPoly(field, {rng.randrange(-40, 41): rng.randrange(-q, q)
+                                      for _ in range(rng.randrange(3))})
+                  for _ in range(4)] for _ in range(4)]
+        cells[n % 4][0] = LaurentPoly(field, {-40: 1, 40: -1})
+        assert_packed_kernel_matches(PolyMat(field, cells))
+
+
+@pytest.mark.parametrize("q", (2, 5, 37))
+def test_packed_kernel_with_every_coefficient_q_minus_1(q):
+    # the width bound's worst case over F_q: every numerator is q - 1
+    F = PrimeField(q)
+    rng = random.Random(240 + q)
+    span = range(-3, 7)
+    full = LaurentPoly(F, {k: q - 1 for k in span})
+    assert_packed_kernel_matches(PolyMat(F, [[full] * 4] * 4))
+    for _ in range(8):
+        cells = [[LaurentPoly(F, {k: q - 1 for k in span if rng.random() < 0.7})
+                  for _ in range(4)] for _ in range(4)]
+        cells[rng.randrange(4)][rng.randrange(4)] = full
+        assert_packed_kernel_matches(PolyMat(F, cells))
+
+
+def test_packed_kernel_on_huge_numerators_over_distinct_denominators():
+    rng = random.Random(300)
+    big = 10 ** 30
+    for n in range(6):
+        dens = rng.sample(range(2, 200), 16)
+        cells = [[LaurentPoly(QQ, {k: Fraction(rng.choice((big, -big)) + rng.randrange(-99, 100),
+                                               dens[4 * i + j])
+                                   for k in range(-1 - n % 2, 2 + n % 3)})
+                  for j in range(4)] for i in range(4)]
+        assert_packed_kernel_matches(PolyMat(QQ, cells))
+        # a similitude with the same entry sizes: the form passes
+        sim = PolyMat(QQ, cells).rows[0][0] * monomial_matrix(star(translation(ETA)), QQ)
+        assert localmodel._form_scalar(sim)[1] is None
+        assert_packed_kernel_matches(sim)
+
+
+def test_packed_kernel_on_adm_monomials_and_iwahori_sandwiches():
+    elems = sorted(adm_dual_set(ETA), key=elem_sort_key)
+    assert len(elems) == 63
+    for field in (QQ, PrimeField(5), PrimeField(P)):
+        for z in elems:
+            det, form = assert_packed_kernel_matches(monomial_matrix(z, field))
+            assert det.is_monomial and form[1] is None
+    for q in (5, P):
+        F = PrimeField(q)
+        rng = random.Random(q)
+        for i in range(12):
+            A = (random_iwahori(F, rng) * monomial_matrix(rng.choice(elems), F)
+                 * random_iwahori(F, rng) * LaurentPoly.v_power(F, -(i % 3)))
+            det, form = assert_packed_kernel_matches(A)
+            assert form[1] is None and det.low_degree == 2 * form[0].low_degree
+
+
+def test_packed_result_beyond_its_slots_fails_loudly():
+    A = monomial_matrix(star(translation(ETA)), PrimeField(5))
+    packed = localmodel._Packed(A.rows, 24, 4)
+    assert packed.poly(localmodel._det(packed.rows)) == A.det()
+    with pytest.raises(AssertionError, match="width bound"):
+        packed.poly(1 << packed.w * packed.slots)
+
+
 # ---------------------------------------------------------------------------
 # similitude checks
 
@@ -736,6 +840,30 @@ def test_regcolone_denominator_guard():
         RegColOneParams.make(
             QQ, c00=1, c21=1, c13=1, c31=1, c31p=1, c33=1, c33p=1, c33pp=1,
             a0=3, a1=0, a2=0, a3=1, e=-1)  # e + a0 - a3 - 1 = 0
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P), PrimeField(5)], ids=["QQ", "F37", "F5"])
+def test_family_matrix_in_closed_form_matches_the_product_oracle(field):
+    # p = 37 throughout: over F_5 the matrix is the reduction of the rational one
+    rng = random.Random(500 + field.char)
+    built = {"admissible": 0, "solved": 0, "make": 0}
+    for _ in range(150):
+        cs = [rng.randrange(-2 * P, 2 * P) for _ in range(7)]
+        a = tuple(rng.randrange(-3 * P, 3 * P) for _ in range(3))
+        fracs = {n: Fraction(rng.randrange(-99, 100), rng.randrange(1, 30))
+                 for n in ("c00", "c21", "c13", "c31", "c31p", "c33", "c33p", "c33pp")}
+        builders = {
+            "admissible": lambda: RegColOneParams.admissible(field, P, *cs),
+            "solved": lambda: RegColOneParams.solved(field, P, *cs[:4], a),
+            "make": lambda: RegColOneParams.make(field, a0=1, a1=2, a2=3, a3=1, e=5, **fracs),
+        }
+        for name, build in builders.items():
+            params, raised = _call(build)
+            if raised:
+                continue
+            built[name] += 1
+            assert build_regcolone_matrix(params, P) == oracles.regcolone_matrix(params, P)
+    assert min(built.values()) >= 30, built
 
 
 def _family_args(rng, q):
