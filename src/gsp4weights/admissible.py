@@ -24,6 +24,7 @@ from .affine import (
     S1,
     S2,
     W0,
+    alcove_length,
     alcove_of,
     bruhat_down_set,
     bruhat_leq,
@@ -42,7 +43,8 @@ from .affine import (
 
 
 def elem_sort_key(x: ExtAffine):
-    return (length(x), tuple(x.nu), x.w.word)
+    # the length as `length` computes it, without its argument cache
+    return (alcove_length(alcove_of(x)), tuple(x.nu), x.w.word)
 
 
 def translation_generators(lam: Weight) -> tuple[ExtAffine, ...]:

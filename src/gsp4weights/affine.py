@@ -13,9 +13,8 @@ Alcoves corresponding to an affine Weyl group, J. London Math. Soc.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .base import (
     ETA,
@@ -71,8 +70,8 @@ def shi_coordinates(a: Alcove) -> tuple[int, int, int, int]:
 
 def alcove_length(a: Alcove) -> int:
     """Number of root hyperplanes between the base alcove and a."""
-    k0, k1, k2, k3 = shi_coordinates(a)
-    return abs(k0) + abs(k1) + abs(k2) + abs(k3)
+    x, y = a  # the sum of the |Shi coordinates|, inline
+    return abs((x - y) // 6) + abs(y // 6) + abs((x + y) // 6) + abs(x // 6)
 
 
 def reflect_alcove(a: Alcove, i: int, m: int) -> Alcove:
@@ -84,12 +83,32 @@ def reflect_alcove(a: Alcove, i: int, m: int) -> Alcove:
     return Alcove(a.x + k * va, a.y + k * vb)
 
 
-@dataclass(frozen=True)
 class ExtAffine:
-    """t_nu * w, acting as x -> nu + w(x)."""
+    """t_nu * w, acting as x -> nu + w(x).  Immutable; equal elements hash
+    as the pair (nu, w), but an element is never equal to that pair."""
 
-    nu: Weight
-    w: FiniteWeyl
+    __slots__ = ("nu", "w")
+
+    def __init__(self, nu: Weight, w: FiniteWeyl):
+        _set_nu(self, nu)
+        _set_w(self, w)
+
+    def __setattr__(self, name, value):
+        raise AttributeError("ExtAffine is immutable")
+
+    def __eq__(self, other):
+        # the Weyl parts are interned, so identity is equality
+        if type(other) is not ExtAffine:
+            return NotImplemented
+        return self.w is other.w and self.nu == other.nu
+
+    def __hash__(self):
+        # hash(w) is w.index, so this is hash((nu, w)) without calling it
+        return hash((self.nu, self.w.index))
+
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, past __setattr__
+        return ExtAffine, (self.nu, self.w)
 
     def __repr__(self):
         return "E[%s]" % (self.display(),)
@@ -101,6 +120,10 @@ class ExtAffine:
         if self.w is W_E:
             return t
         return t + "*" + self.w.display()
+
+
+# the constructor sets the slots directly, past __setattr__
+_set_nu, _set_w = (ExtAffine.__dict__[name].__set__ for name in ExtAffine.__slots__)
 
 
 IDENTITY = ExtAffine(Weight(0, 0, 0), W_E)
@@ -254,16 +277,21 @@ def bruhat_down_set(
     frontier = list(seen)
     while frontier:
         nxt = []
-        for a in frontier:
-            x, y = a
+        for x, y in frontier:
             vals = (x - y, y, x + y, x)
             for i, (va, vb) in dirs:
                 t = vals[i]
-                k = t // 6
-                # the reflection in the wall 6m moves a by 6m - t times the
-                # root; plain tuples, equal to Alcoves, are cheaper to make
-                for m in range(1, k + 1) if k > 0 else range(k + 1, 1):
-                    d = 6 * m - t
+                # the reflection in the wall 6m moves a by d = 6m - t times
+                # the root, and the walls between a and the base alcove
+                # (0 < t < 6) are 6 apart in d: d < 0 for t > 6, 0 < d <= -t
+                # for t < 0; plain tuples, equal to Alcoves, are cheaper
+                if t > 6:
+                    ds = range(6 - t, 0, 6)
+                elif t < 0:
+                    ds = range(-t % 6, 1 - t, 6)
+                else:
+                    continue
+                for d in ds:
                     q = (x + d * va, y + d * vb)
                     if q not in seen:
                         seen.add(q)
@@ -282,23 +310,40 @@ def bruhat_leq(x: ExtAffine, y: ExtAffine) -> bool:
 
 
 def _bruhat_leq_coset(a: Alcove, b: Alcove) -> bool:
-    """Bruhat order on the alcoves of one coset, by the descent recursion:
-    for s shortening b, a <= b iff min(a, sa) <= sb.  Left multiplication
-    by S0, S1, S2 reflects an alcove in the walls x + y = 6, x = y, y = 0."""
-    if a == b:
-        return True
-    if alcove_length(a) >= alcove_length(b):
-        return False
+    """Bruhat order on the alcoves of one coset, by the lifting property
+    (Bjorner-Brenti, Combinatorics of Coxeter Groups, 2.2): for s
+    shortening b, a <= b iff min(a, sa) <= sb.  Left multiplication by S0,
+    S1, S2 reflects an alcove in the walls x + y = 6, x = y, y = 0, and
+    shortens it iff the wall separates it from the base alcove (3, 1).
+    Each step lowers b's length by 1, so the loop ends once a is no
+    shorter than b; only the queried pair is cached."""
+    la, lb = alcove_length(a), alcove_length(b)
+    if la >= lb:
+        return a == b
     key = (a, b)
     cached = _BRUHAT_CACHE.get(key)
     if cached is not None:
         return cached
-    x, y = b
-    i, m = (2, 1) if x + y > 6 else (0, 0) if x < y else (1, 0)
-    sa = reflect_alcove(a, i, m)
-    low = sa if alcove_length(sa) < alcove_length(a) else a
-    res = _bruhat_leq_coset(low, reflect_alcove(b, i, m))
-    _BRUHAT_CACHE[key] = res
+    ax, ay = a
+    bx, by = b
+    while la < lb:
+        if bx + by > 6:
+            bx, by = 6 - by, 6 - bx
+            if ax + ay > 6:
+                ax, ay = 6 - ay, 6 - ax
+                la -= 1
+        elif bx < by:
+            bx, by = by, bx
+            if ax < ay:
+                ax, ay = ay, ax
+                la -= 1
+        else:
+            by = -by
+            if ay < 0:
+                ay = -ay
+                la -= 1
+        lb -= 1
+    res = _BRUHAT_CACHE[key] = ax == bx and ay == by
     return res
 
 
@@ -337,46 +382,43 @@ def coset_ball(delta: ExtAffine, max_len: int) -> frozenset[ExtAffine]:
 # --- upper arrow order --------------------------------------------------
 
 
-def up_step_targets(a: Alcove, x_max: int, s_max: int) -> Iterator[Alcove]:
-    """Single arrow steps from a, pruned by x <= x_max and x + y <= s_max
-    (bounds in the units of Alcove.x)."""
-    x, y = a
-    for t, (va, vb) in zip(functional_values(a), _ROOT_VECS):
-        # the reflection in the wall 6m above t moves a by k = 6m - t
-        # times the root: k = 6 - t % 6, then 6 more per wall
-        k = 6 - t % 6
-        while True:
-            qx, qy = x + k * va, y + k * vb
-            if qx > x_max or qx + qy > s_max:
-                break
-            yield Alcove(qx, qy)
-            k += 6
-
-
 def upper_arrow_leq_alcove(a: Alcove, b: Alcove) -> bool:
-    """Decide a arrow-below b exactly, depth-first over `up_step_targets`.
+    """Decide a arrow-below b exactly, depth-first over single arrow steps.
 
-    Each step moves the barycenter by a positive multiple of a positive
-    root, so x and x+y never decrease: every chain from a to b stays in
-    the finite rectangle a.x <= x <= b.x, a.x+a.y <= x+y <= b.x+b.y, and
-    False comes only after every alcove reachable there was visited.
-    Depth-first follows one chain toward b's corner before the others;
-    breadth-first would first visit every alcove fewer steps from a than b.
+    A step reflects an alcove in a wall above it along one of the four
+    positive roots, moving it by k = 6m - t > 0 times the root, where t is
+    the functional value and 6m the wall: k = 6 - t % 6, then 6 more per
+    wall.  Each step moves the barycenter by a positive multiple of a
+    positive root, so x and x+y never decrease: every chain from a to b
+    stays in the finite rectangle a.x <= x <= b.x, a.x+a.y <= x+y <=
+    b.x+b.y, and False comes only after every alcove reachable there was
+    visited.  Depth-first follows one chain toward b's corner before the
+    others; breadth-first would first visit every alcove fewer steps from
+    a than b.
     """
     if a == b:
         return True
-    x_max, s_max = b.x, b.x + b.y
-    if a.x > x_max or a.x + a.y > s_max:
+    ex, ey = b
+    s_max = ex + ey
+    x, y = a
+    if x > ex or x + y > s_max:
         return False
-    seen = {a}
-    stack = [a]
+    # plain tuples, equal to Alcoves, are cheaper to make
+    seen = {(x, y)}
+    stack = [(x, y)]
     while stack:
-        for q in up_step_targets(stack.pop(), x_max, s_max):
-            if q == b:
-                return True
-            if q not in seen:
-                seen.add(q)
-                stack.append(q)
+        x, y = stack.pop()
+        for t, va, vb in ((x - y, 1, -1), (y, 0, 2), (x + y, 1, 1), (x, 2, 0)):
+            k = 6 - t % 6
+            qx, qy = x + k * va, y + k * vb
+            while qx <= ex and qx + qy <= s_max:
+                if qx == ex and qy == ey:
+                    return True
+                if (qx, qy) not in seen:
+                    seen.add((qx, qy))
+                    stack.append((qx, qy))
+                qx += 6 * va
+                qy += 6 * vb
     return False
 
 

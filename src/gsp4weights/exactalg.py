@@ -42,6 +42,10 @@ def _is_prime(n: int) -> bool:
 # exponents as str(int) writes them; coefficient strings "a" or "a/b"
 _EXPONENT = re.compile(r"0|-?[1-9][0-9]*")
 _SCALAR_STR = re.compile(r"(-?[0-9]+)(?:/([0-9]+))?")
+# a whole cell's exponents, and its coefficients when all are integer
+# strings, each joined by commas
+_EXPONENT_LIST = re.compile(r"(?:0|-?[1-9][0-9]*)(?:,(?:0|-?[1-9][0-9]*))*")
+_INTEGER_LIST = re.compile(r"-?[0-9]+(?:,-?[0-9]+)*")
 
 
 def _exact(x, field):
@@ -455,6 +459,20 @@ class LaurentPoly:
         writes it; a coefficient is a JSON integer or a string "a" or "a/b"
         of integers.  Anything else raises ValueError; a denominator that
         is 0 or vanishes in the field raises ZeroDivisionError."""
+        try:
+            es, cs = ",".join(obj), ",".join(obj.values())
+        except TypeError:  # a JSON integer coefficient, or a non-string key
+            es = cs = ""
+        n = len(obj) - 1
+        # one comma too many means a key or a coefficient holding one
+        if (es.count(",") == n == cs.count(",")
+                and _EXPONENT_LIST.fullmatch(es) and _INTEGER_LIST.fullmatch(cs)):
+            q = field.char
+            pairs = zip(map(int, es.split(",")), map(int, cs.split(",")))
+            if q:
+                pairs = ((e, c % q) for e, c in pairs)
+            # integers over 1 are already the integer form over QQ
+            return LaurentPoly._canonical(field, tuple(sorted(t for t in pairs if t[1])))
         terms = {}
         for e, c in obj.items():
             if not (isinstance(e, str) and _EXPONENT.fullmatch(e)):

@@ -12,10 +12,10 @@
   lattice of shifts p*e_k - e_(k-1 mod f); the library reads the class
   off as one integer mod p^f - 1.
 
-Nothing here reads the library's action matrices or integer alcoves:
-finite parts act through their words.  The folding oracle composes the
-affine simple reflections with the library's `compose`, whose products
-the table tests check.
+Apart from the two integer-alcove references, nothing here reads the
+library's action matrices or integer alcoves: finite parts act through
+their words.  The folding oracle composes the affine simple reflections
+with the library's `compose`, whose products the table tests check.
 - F_tau and F_rhobar evaluate every pair tuple in full through
   `serre_weight_of_presentation`, the definition of the weight of one
   lowest alcove presentation, with the p-dot action through words and
@@ -23,6 +23,12 @@ the table tests check.
   must give the same tables, the same intersections and the same errors.
   The alcove shift maps the JH set of a parameter's reduction onto its
   predicted set.
+- Single arrow steps and the Bruhat descent recursion are also kept on
+  integer alcoves (barycenters scaled by 6), written with this file's
+  reflection formula and wall counts: the library's arrow search inlines
+  the steps, and it runs the descent as a loop with one cache entry per
+  query, where the recursion here makes one call per step and caches
+  nothing.
 - The bottom-alcove companion of a second-alcove weight is searched for
   among its orbit points in all four restricted alcoves, with alcoves and
   the arrow order read off folded barycenters; the library takes the one
@@ -271,6 +277,63 @@ def upper_arrow_leq(a, b) -> bool:
                     m += 1
         frontier = nxt
     return False
+
+
+# --- integer alcoves: arrow steps and the Bruhat descent ----------------
+#
+# An integer alcove is a barycenter scaled by 6, so the wall
+# <., alpha^vee> = m is the functional value 6m and `_reflect` moves an
+# integer alcove to an integer alcove when given 6m.
+
+
+def up_step_targets(a, x_max: int, s_max: int):
+    """Single arrow steps from the integer alcove a, each in a wall above
+    a, pruned by x <= x_max and x + y <= s_max."""
+    for i, t in enumerate(functionals(a)):
+        m = 6 * (t // 6 + 1)
+        while True:
+            q = _reflect(a, i, m)
+            if q[0] > x_max or q[0] + q[1] > s_max:
+                break
+            yield q
+            m += 6
+
+
+def alcove_length(a) -> int:
+    """Walls between the base alcove and the integer alcove a: per root
+    direction, the multiples of 6 strictly between their functional
+    values, the base's (2, 1, 4, 3) all lying in (0, 6)."""
+    return sum([abs(t // 6) for t in functionals(a)])
+
+
+# (root index, scaled wall) of the walls of S0, S1, S2: x + y = 6, x = y, y = 0
+_SIMPLE_WALLS = ((2, 6), (0, 0), (1, 0))
+
+
+def bruhat_leq_descent(a, b) -> bool:
+    """Bruhat order on the integer alcoves of one coset by the descent
+    recursion, one call per step: for a simple reflection s shortening b,
+    a <= b iff min(a, sa) <= sb (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 2.2)."""
+    return _descent(a, b, alcove_length(a), alcove_length(b))
+
+
+def _descent(a, b, la: int, lb: int) -> bool:
+    if a == b:
+        return True
+    if la >= lb:
+        return False
+    for i, m in _SIMPLE_WALLS:
+        sb = _reflect(b, i, m)
+        if alcove_length(sb) < lb:
+            break
+    else:
+        raise AssertionError("positive length but no descent: %r" % (b,))
+    sa = _reflect(a, i, m)
+    lsa = alcove_length(sa)
+    if lsa < la:
+        return _descent(sa, sb, lsa, lb - 1)
+    return _descent(a, sb, la, lb - 1)
 
 
 # --- Bruhat intervals by subword products ---------------------------------

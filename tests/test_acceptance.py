@@ -49,7 +49,6 @@ from gsp4weights.affine import (
     restricted_alcove_index,
     star,
     translation,
-    up_step_targets,
     upper_arrow_leq,
     upper_arrow_leq_alcove,
     weight_alcove_index,
@@ -107,7 +106,7 @@ from gsp4weights.localmodel import (
 )
 
 from crosschecks import random_deep_presentation
-from oracles import levi_affine_simples, locate_point
+from oracles import levi_affine_simples, locate_point, up_step_targets
 
 
 def _report(n, detail, t0, budget):
@@ -188,9 +187,9 @@ def test_criterion_03_alcove_order():
         assert upper_arrow_leq_alcove(a, a)
         # every arrow step weakly raises x and x+y and strictly raises
         # 2x+y, so no distinct cycle can close up: antisymmetry
-        for q in up_step_targets(a, 6 * 12, 6 * 24):
-            assert q.x >= a.x and q.x + q.y >= a.x + a.y
-            assert 2 * q.x + q.y > 2 * a.x + a.y
+        for qx, qy in up_step_targets(a, 6 * 12, 6 * 24):
+            assert qx >= a.x and qx + qy >= a.x + a.y
+            assert 2 * qx + qy > 2 * a.x + a.y
     # exhaustive antisymmetry and transitivity on a seeded subset; kept to
     # small coordinates so each comparison search stays shallow
     rng = random.Random(3)

@@ -1,3 +1,5 @@
+import copy
+import hashlib
 import itertools
 import random
 from fractions import Fraction
@@ -19,6 +21,7 @@ from gsp4weights.affine import (
     W0,
     Alcove,
     ExtAffine,
+    _BRUHAT_CACHE,
     alcove_of,
     arrow_down_region,
     box_down_set,
@@ -208,6 +211,60 @@ def test_bruhat_leq_against_oracle_on_adm_pairs():
         for _ in range(100):
             x, y = rng.choice(elems), rng.choice(elems)
             assert bruhat_leq(x, y) == bruhat_leq_oracle(x, y), (x, y)
+
+
+def _oracle_alcove(x):
+    bx, by = oracles.barycenter(x)
+    return (int(6 * bx), int(6 * by))
+
+
+def test_bruhat_loop_against_descent_recursion_on_every_adm_pair():
+    lams = [Weight(a, b, 0) for a in range(5) for b in range(a + 1)]
+    for lam in lams + [Weight(3, 1, 1), Weight(3, 1, -1)]:
+        elems = sorted(adm_set(lam).elements, key=elem_sort_key)
+        alcoves = [_oracle_alcove(x) for x in elems]
+        for x, a in zip(elems, alcoves):
+            for y, b in zip(elems, alcoves):
+                n = len(_BRUHAT_CACHE)
+                assert bruhat_leq(x, y) == oracles.bruhat_leq_descent(a, b), (lam, x, y)
+                # the loop caches the queried pair only
+                assert len(_BRUHAT_CACHE) <= n + 1
+
+
+def test_ext_affine_hashes_as_its_pair_and_equals_no_tuple():
+    rng = random.Random(13)
+    elems = list(_grid()) + [random_element(rng, span=40) for _ in range(200)]
+    for x in elems:
+        pair = (x.nu, x.w)
+        assert hash(x) == hash(pair)
+        assert x != pair and pair != x and not x == pair
+        twin = ExtAffine(Weight(*x.nu), x.w)
+        assert twin == x and twin is not x and hash(twin) == hash(x)
+        assert copy.copy(x) == x
+    assert len(set(elems)) == len({(x.nu, x.w) for x in elems})
+    with pytest.raises(AttributeError):
+        elems[0].nu = Weight(0, 0, 0)
+
+
+# sha256 of the repr of adm_set(lam).sorted_elements() over the grid of
+# test_adm_set_against_subword_oracle_on_grid, as the frozen-dataclass
+# ExtAffine with the lru-cached length in its sort key gave it
+_GRID_SORTED_SHA256 = "7cb517d70e9f422024e772a3e9eedbbf3334e5990acdd4280647b26e95c5b84e"
+
+
+def test_adm_sorted_elements_keep_their_order():
+    digest = hashlib.sha256()
+    for a in range(1, 7):
+        for b in range(a + 1):
+            for c in range(-3, 4):
+                adm = adm_set(Weight(a, b, c))
+                got = adm.sorted_elements()
+                digest.update(repr(got).encode())
+                if c == 0:
+                    want = sorted(adm.elements,
+                                  key=lambda x: (oracles.length(x), tuple(x.nu), x.w.word))
+                    assert got == want
+    assert digest.hexdigest() == _GRID_SORTED_SHA256
 
 
 def test_restricted_alcove_chain():

@@ -371,11 +371,36 @@ def test_from_coeff_json_reads_integers_and_fraction_strings():
     ({"x": 1}, 'exponent "x" is not an integer'),
     ({"01": 1}, 'exponent "01" is not an integer'),
     ({0: 1}, "exponent 0 is not an integer"),
+    # all-string cells, read whole when every term is an integer
+    ({"1,2": "3"}, 'exponent "1,2" is not an integer'),
+    ({"0": "1", "1": "2,3"}, 'coefficient "2,3" is not an integer or "a/b"'),
+    ({"0": "1", "-0": "2"}, 'exponent "-0" is not an integer'),
+    ({"0": "1_0"}, 'coefficient "1_0" is not an integer or "a/b"'),
+    ({"0": " 1"}, 'coefficient " 1" is not an integer or "a/b"'),
+    ({"0": "1", "": "2"}, 'exponent "" is not an integer'),
+    ({",": "1"}, 'exponent "," is not an integer'),
 ])
 def test_from_coeff_json_rejects_noncanonical_cells(blob, why):
     with pytest.raises(ValueError) as exc:
         LaurentPoly.from_coeff_json(QQ, blob)
     assert str(exc.value) == why
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(2), PrimeField(5), PrimeField(37)],
+                         ids=["QQ", "F2", "F5", "F37"])
+def test_from_coeff_json_string_cells_match_integer_cells(field):
+    # an all-string integer cell is read whole; the same cell with JSON
+    # integer coefficients is read term by term
+    rng = random.Random(14)
+    for _ in range(200):
+        exps = rng.sample(range(-12, 13), rng.randint(1, 8))
+        coeffs = [rng.choice((0, 1, -1, 36, 37, -74, 10 ** 20, rng.randint(-99, 99)))
+                  for _ in exps]
+        as_int = dict(zip(map(str, exps), coeffs))
+        as_str = {e: rng.choice(("%d", "%03d")) % c for e, c in as_int.items()}
+        got = LaurentPoly.from_coeff_json(field, as_str)
+        assert got == LaurentPoly.from_coeff_json(field, as_int)
+        assert (got.terms, got.den) == (LaurentPoly(field, {int(e): c for e, c in as_int.items()}).terms, 1)
 
 
 def test_divmod_and_exact_div():
