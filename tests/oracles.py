@@ -12,7 +12,7 @@
   lattice of shifts p*e_k - e_(k-1 mod f); the library reads the class
   off as one integer mod p^f - 1.
 
-Apart from the two integer-alcove references, nothing here reads the
+Apart from the integer-alcove references, nothing here reads the
 library's action matrices or integer alcoves: finite parts act through
 their words.  The folding oracle composes the affine simple reflections
 with the library's `compose`, whose products the table tests check.
@@ -28,7 +28,10 @@ with the library's `compose`, whose products the table tests check.
   reflection formula and wall counts: the library's arrow search inlines
   the steps, and it runs the descent as a loop with one cache entry per
   query, where the recursion here makes one call per step and caches
-  nothing.
+  nothing.  The Bruhat down-set closure is kept here on integer alcoves
+  too, stepping through every separating wall; the library steps only
+  through the two outermost walls of each root direction, which are
+  the only ones a cover can reflect in.
 - The bottom-alcove companion of a second-alcove weight is searched for
   among its orbit points in all four restricted alcoves, with alcoves and
   the arrow order read off folded barycenters; the library takes the one
@@ -334,6 +337,41 @@ def _descent(a, b, la: int, lb: int) -> bool:
     if lsa < la:
         return _descent(sa, sb, lsa, lb - 1)
     return _descent(a, sb, la, lb - 1)
+
+
+def every_wall_down_set(alcoves, roots=range(4)) -> frozenset:
+    """Integer alcoves Bruhat-below some given one, closed under the
+    reflections in every wall of the given root directions that separates
+    an alcove from the base alcove: a reflection shortens an element it
+    multiplies on the left iff its wall does, and chains of such steps
+    reach exactly the elements below (Humphreys, Reflection Groups and
+    Coxeter Groups, 5.9)."""
+    dirs = [(i, _ROOT_VECS[i]) for i in roots]
+    seen = set(alcoves)
+    frontier = list(seen)
+    while frontier:
+        nxt = []
+        for x, y in frontier:
+            vals = (x - y, y, x + y, x)
+            for i, (va, vb) in dirs:
+                t = vals[i]
+                # the reflection in the wall 6m moves a by d = 6m - t times
+                # the root, and the walls between a and the base alcove
+                # (0 < t < 6) are 6 apart in d: d < 0 for t > 6, 0 < d <= -t
+                # for t < 0
+                if t > 6:
+                    ds = range(6 - t, 0, 6)
+                elif t < 0:
+                    ds = range(-t % 6, 1 - t, 6)
+                else:
+                    continue
+                for d in ds:
+                    q = (x + d * va, y + d * vb)
+                    if q not in seen:
+                        seen.add(q)
+                        nxt.append(q)
+        frontier = nxt
+    return frozenset(seen)
 
 
 # --- Bruhat intervals by subword products ---------------------------------

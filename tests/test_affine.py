@@ -7,7 +7,17 @@ from fractions import Fraction
 import pytest
 
 from gsp4weights.base import ETA, W_ALL, W_LONG, Weight, weyl_from_word
-from gsp4weights.admissible import adm_set, elem_sort_key
+from gsp4weights.admissible import (
+    LEVI_G,
+    LEVI_M1,
+    LEVI_M2,
+    LEVI_T,
+    adm_set,
+    elem_sort_key,
+    levi_adm_set,
+    levi_finite_weyl,
+    translation_generators,
+)
 from gsp4weights.affine import (
     AFFINE_SIMPLES,
     BASE_ALCOVE,
@@ -202,6 +212,118 @@ def test_bruhat_down_set_against_subword_oracle():
     assert bruhat_down_set(gens) == want
     with pytest.raises(AssertionError):
         bruhat_down_set((IDENTITY, translation(Weight(0, 0, 1))))
+
+
+def test_bruhat_down_set_of_no_generators_is_empty():
+    assert bruhat_down_set(()) == frozenset()
+    assert bruhat_down_set([], (0,)) == frozenset()
+
+
+def test_middle_separating_walls_are_never_covers():
+    # every alcove t_(i,j,0) w(A_0) with |i|, |j| <= 12: a separating wall
+    # shortens, by at least 3 when it is a middle wall (one with a
+    # separating wall of its direction on each side), so every cover (a
+    # drop of 1) reflects in one of the two outermost walls
+    middle = covers = 0
+    for i, j in itertools.product(range(-12, 13), repeat=2):
+        for w in W_ALL:
+            a = _oracle_alcove(ExtAffine(Weight(i, j, 0), w))
+            n = oracles.alcove_length(a)
+            for k, t in enumerate(oracles.functionals(a)):
+                # the separating walls of direction k, from the base out
+                walls = range(6, t, 6) if t > 6 else range(0, t, -6)
+                for pos, m in enumerate(walls):
+                    drop = n - oracles.alcove_length(oracles._reflect(a, k, m))
+                    outermost = pos in (0, len(walls) - 1)
+                    assert drop >= 1, (a, k, m)
+                    assert outermost or drop >= 3, (a, k, m)
+                    assert drop != 1 or outermost, (a, k, m)
+                    middle += not outermost
+                    covers += drop == 1
+    assert middle > 0 and covers > 0
+
+
+def _assert_every_wall_down_set(got, gens, roots=range(4)):
+    """got is one element, in the generators' Omega-class, per alcove of
+    the every-wall closure of the generators' alcoves."""
+    want = oracles.every_wall_down_set({alcove_of(g) for g in gens}, roots)
+    assert {omega_class(x) for x in got} == {omega_class(g) for g in gens}
+    assert len(got) == len(want) and {alcove_of(x) for x in got} == want
+
+
+def test_adm_set_against_every_wall_closure():
+    rng = random.Random(23)
+    lams = [Weight(a, b, 0) for a in range(16) for b in range(a + 1)]
+    for _ in range(4):
+        a = rng.randint(16, 40)
+        lams.append(Weight(a, rng.randint(0, a), rng.randint(-1, 1)))
+    for lam in lams:
+        _assert_every_wall_down_set(adm_set(lam).elements, translation_generators(lam))
+
+
+def test_levi_adm_set_against_every_wall_closure():
+    for levi in (LEVI_T, LEVI_M1, LEVI_M2, LEVI_G):
+        roots = oracles.LEVI_ROOTS[levi]
+        for a in range(10):
+            for b in range(a + 1):
+                lam = Weight(a, b, 0)
+                gens = [translation(w.act(lam)) for w in levi_finite_weyl(levi)]
+                _assert_every_wall_down_set(levi_adm_set(lam, levi), gens, roots)
+
+
+def _short_elements(seed):
+    """200 seeded elements of length <= 14 from each of two cosets."""
+    rng = random.Random(seed)
+    delta1 = compose(translation(Weight(1, 0, 0)), finite(weyl_from_word("121")))
+    out = []
+    for delta in (IDENTITY, delta1):
+        ball = sorted(coset_ball(delta, 14), key=lambda e: (length(e), str(e)))
+        out += rng.sample(ball, 200)
+    return out
+
+
+def test_bruhat_lower_interval_against_every_wall_closure():
+    for y in _short_elements(29):
+        _assert_every_wall_down_set(bruhat_lower_interval(y), (y,))
+
+
+def _one_sided_down_set(a, nearest):
+    """The every-wall closure of the alcove a cut to one separating wall
+    per direction: the one nearest the alcove, or the one nearest the base
+    alcove."""
+    seen = {a}
+    frontier = [a]
+    while frontier:
+        nxt = []
+        for b in frontier:
+            for k, t in enumerate(oracles.functionals(b)):
+                if t > 6:
+                    m = 6 * (t // 6) if nearest else 6
+                elif t < 0:
+                    m = 6 * (t // 6 + 1) if nearest else 0
+                else:
+                    continue
+                q = oracles._reflect(b, k, m)
+                if q not in seen:
+                    seen.add(q)
+                    nxt.append(q)
+        frontier = nxt
+    return seen
+
+
+def test_one_sided_closures_miss_elements_of_intervals():
+    # the negative control of the comparison above: a closure through only
+    # one of the two outermost walls of each direction loses elements
+    ys = _short_elements(29)
+    for nearest in (True, False):
+        missed = 0
+        for y in ys:
+            a = alcove_of(y)
+            full = oracles.every_wall_down_set({a})
+            part = _one_sided_down_set(a, nearest)
+            assert part <= full
+            missed += part != full
+        assert missed > len(ys) // 2, (nearest, missed)
 
 
 def test_bruhat_leq_against_oracle_on_adm_pairs():
