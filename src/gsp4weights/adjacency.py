@@ -37,7 +37,6 @@ from .weights import (
     GenericityError,
     SerreWeight,
     _singles,
-    _SlotKernel,
     _SlotTable,
     TamePresentation,
     derived_type,
@@ -135,12 +134,11 @@ def build_instance(
 
     Derives the type tau with compatibility element w2^(-1) wh^(-1) w0 s w1,
     the companion parameter rhobar0 with element w2^(-1) wh^(-1) w0 s w2
-    (their slots read from `_slot_targets`), and
-    the two outer weights sigma1 = F_tau(w), sigma2 = F_tau(sw), from one
-    kernel of tau over the two outer index tuples.  With
-    check=True it verifies that these two weights exhaust the intersection
-    of the predicted set of rhobar0 with the JH set of tau, on a slot
-    table of its own.
+    (their slots read from `_slot_targets`), and the two outer weights
+    sigma1 = F_tau(w), sigma2 = F_tau(sw) at the two outer index tuples,
+    read through one slot table made for the call.  With check=True it
+    verifies on that same table that these two weights exhaust the
+    intersection of the predicted set of rhobar0 with the JH set of tau.
     """
     if rhobar.kind != "param":
         raise ValueError("rhobar must be a mod-p parameter presentation")
@@ -185,11 +183,12 @@ def build_instance(
             "derived parameter has depth %d < %d" % (rhobar0.depth(), need)
         )
 
-    outer = _SlotKernel(tau, "type", WEIGHT_DEPTH, (w_combo, sw_combo))
-    sigma1, sigma2 = outer.weight(w_combo), outer.weight(sw_combo)
+    table = _SlotTable()
+    sigma1 = table.weight(tau, "type", WEIGHT_DEPTH, tuple(w_combo))
+    sigma2 = table.weight(tau, "type", WEIGHT_DEPTH, tuple(sw_combo))
     inst = AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
     if check:
-        _check_instance(inst, _SlotTable())
+        _check_instance(inst, table)
     return inst
 
 

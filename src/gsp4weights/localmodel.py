@@ -445,21 +445,22 @@ def _unit_inverse(u: LaurentPoly, n: int) -> LaurentPoly:
     1/u = D / N, and 1/N mod v^n = sum_k W_k v^k / N0^(k+1) with W_0 = 1
     and W_k = -sum_j N_j W_(k-j) N0^(j-1): integer numerators over N0^n."""
     f = u.field
-    c = dict(u.terms)
+    c0 = u.terms[0][1]
+    rest = u.terms[1:]  # the terms of positive exponent, in increasing order
     q = f.char
     if q:
-        w0 = f.inv(c[0])
+        w0 = f.inv(c0)
         w = [w0]
         for k in range(1, n):
-            acc = sum(c[j] * w[k - j] for j in range(1, k + 1) if j in c)
+            acc = sum(cj * w[k - j] for j, cj in rest if j <= k)
             w.append(-w0 * acc % q)
         return LaurentPoly._canonical(f, tuple((k, x) for k, x in enumerate(w) if x))
     powers = [1]
     for _ in range(n):
-        powers.append(powers[-1] * c[0])
+        powers.append(powers[-1] * c0)
     w = [1]
     for k in range(1, n):
-        w.append(-sum(c[j] * w[k - j] * powers[j - 1] for j in range(1, k + 1) if j in c))
+        w.append(-sum(cj * w[k - j] * powers[j - 1] for j, cj in rest if j <= k))
     scale = u.den if powers[n] > 0 else -u.den
     return LaurentPoly._canonical(f, tuple((k, scale * x * powers[n - 1 - k])
                                         for k, x in enumerate(w) if x), abs(powers[n]))

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import lru_cache, partial
 from itertools import product
 from typing import Iterator, NamedTuple
 
@@ -296,15 +296,12 @@ def _require_depth(pres: TamePresentation, m: int) -> None:
     d = pres.depth()
     if d < m:
         raise GenericityError(
-            "presentation is only %d-deep; need at least %d" % (d, m)
+            "presentation %s is only %d-deep; need at least %d" % (pres.display(), d, m)
         )
 
 
-# kind -> (per-embedding pairs, flavor, pair index of x)
-_ROLES = {
-    "type": (_ap_pairs_single, "AP", 1),
-    "param": (_ap_prime_pairs_single, "AP'", 0),
-}
+# kind -> (per-embedding pairs, pair index of x)
+_ROLES = {"type": (_ap_pairs_single, 1), "param": (_ap_prime_pairs_single, 0)}
 
 
 class _Singles(NamedTuple):
@@ -320,7 +317,7 @@ class _Singles(NamedTuple):
 
 @lru_cache(maxsize=len(_ROLES))
 def _singles(kind: str) -> _Singles:
-    singles_of, _, ix = _ROLES[kind]
+    singles_of, ix = _ROLES[kind]
     pairs = singles_of()
     ys: list[ExtAffine] = []
     for pr in pairs:
@@ -346,7 +343,7 @@ def _offset_row(kind: str, s: FiniteWeyl) -> tuple[tuple, tuple, tuple]:
     (row-major) and nu as integers; and per distinct y and pair k the
     offset w_y(eta + s(nu')) - eta.  Each y is checked to be restricted
     as its offsets are made."""
-    ix = _ROLES[kind][2]
+    ix = _ROLES[kind][1]
     sing = _singles(kind)
     shifted = [ETA + s.act(invert(pr[ix]).nu) for pr in sing.pairs]
     alcove = tuple(tuple(pairing(lam, cov) for cov in POSITIVE_COROOTS) for lam in shifted)
@@ -400,94 +397,6 @@ def _guard(pres: TamePresentation, kind: str, min_depth: int) -> None:
     _require_depth(pres, min_depth)
 
 
-def _full_cells(sing: _Singles, f: int) -> tuple[tuple[int, ...], ...]:
-    """The cells of one slot of a kernel over all pair tuples."""
-    return sing.every if f > 1 else sing.own
-
-
-class _SlotKernel:
-    """The weight parts of F_pres on the tuples of per-embedding pairs:
-    on all of them, or, given `combos`, on those index tuples alone.  This
-    is the one maker of weight parts.
-
-    parts[j][i] is a dict k -> part j when slot j holds single k and slot
-    j - 1 holds a single whose y is the i-th distinct one: (distinct y) x
-    (singles) entries per slot instead of f * singles^f.  At f = 1 slot
-    j - 1 is slot j, so row i holds only the singles whose own y is the
-    i-th.  Each entry is an (a, b, c) triple.  Three checks run: the
-    lowest-alcove test on each theta, per slot and single;
-    `is_restricted_element` on each distinct y, once, when its table row
-    is built; and `is_p_restricted` on every entry.  Of these only the
-    first can fail (each y is restricted, and y . theta is then
-    p-restricted), and the first failure raised here is the one that
-    evaluating the tuples one by one raises.  With `combos` only the
-    entries they read are made, and the lowest-alcove test runs on their
-    singles alone.
-    """
-
-    def __init__(self, pres: TamePresentation, kind: str, min_depth: int,
-                 combos: tuple[tuple[int, ...], ...] | None = None):
-        _guard(pres, kind, min_depth)
-        self.flavor = _ROLES[kind][1]
-        sing = _singles(kind)
-        self.singles, self.y_slot = sing.pairs, sing.y_slot
-        self.p, self.f = pres.p, pres.f
-        if combos is None:
-            ks = [range(len(sing.pairs))] * self.f
-            cells = [_full_cells(sing, self.f)] * self.f
-        else:
-            ks = list(zip(*combos))
-            cells = [[[] for _ in sing.ys] for _ in range(self.f)]
-            for combo in combos:
-                for j, k in enumerate(combo):
-                    cells[j][sing.y_slot[combo[j - 1]]].append(k)
-        self.parts = [
-            _slot_parts(kind, s, mu, self.p, ks[j], cells[j])
-            for j, (s, mu) in enumerate(zip(pres.s, pres.mu))
-        ]
-
-    def weight(self, combo: tuple[int, ...]) -> SerreWeight:
-        parts, y_slot = self.parts, self.y_slot
-        return SerreWeight._trusted(
-            self.p, tuple(parts[j][y_slot[combo[j - 1]]][combo[j]] for j in range(self.f))
-        )
-
-    def weights(self) -> Iterator[SerreWeight]:
-        """F_pres on every index tuple, in the enumeration order of the
-        pair tuples (slot 0 varying slowest); no pair tuple is made."""
-        return map(self.weight, product(range(len(self.singles)), repeat=self.f))
-
-    def table(self) -> dict[APPair, SerreWeight]:
-        """F_pres on every pair tuple, in enumeration order."""
-        return dict(zip(_enumerate_pairs(self.singles, self.flavor, self.f), self.weights()))
-
-def jh_factors(
-    tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
-) -> dict[APPair, SerreWeight]:
-    """F_tau over AP pairs; the image is the predicted JH set of the
-    reduction of the type."""
-    return _SlotKernel(tau, "type", min_depth).table()
-
-
-def w_question(
-    rhobar: TamePresentation, min_depth: int = WEIGHT_DEPTH
-) -> dict[APPair, SerreWeight]:
-    """F_rhobar over AP' pairs; the image is the predicted weight set."""
-    return _SlotKernel(rhobar, "param", min_depth).table()
-
-
-def jh_set(
-    tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
-) -> frozenset[SerreWeight]:
-    return frozenset(_SlotKernel(tau, "type", min_depth).weights())
-
-
-def w_question_set(
-    rhobar: TamePresentation, min_depth: int = WEIGHT_DEPTH
-) -> frozenset[SerreWeight]:
-    return frozenset(_SlotKernel(rhobar, "param", min_depth).weights())
-
-
 def _slot_join(wq_slot: list[dict[int, Part]], jh_slot: list[dict[int, Part]]) -> dict:
     """One slot's (a, b) join: the W? parts against the JH parts, grouped
     by their rows (i of W?, i of JH).  Each match carries the y indices of
@@ -506,16 +415,36 @@ def _slot_join(wq_slot: list[dict[int, Part]], jh_slot: list[dict[int, Part]]) -
     return groups
 
 
-class _SlotTable:
-    """Slot entries shared by the adjacency checks of one call, and by
-    nothing else: the caller makes the table and drops it on return.
+def _read_weight(p: int, slots: list[list[dict[int, Part]]], y_slot: tuple[int, ...],
+                 combo: tuple[int, ...]) -> SerreWeight:
+    """The weight at index tuple `combo`, read from full slots: part j is
+    slot j's entry for single combo[j] in the row of combo[j - 1]'s y."""
+    return SerreWeight._trusted(
+        p, tuple([slots[j][y_slot[combo[j - 1]]][k] for j, k in enumerate(combo)]))
 
-    A full kernel's slot depends on (kind, s, mu, p) and, through its
-    cells, on f; a slot's join on its two kernel slots; and one part on
-    (kind, s, mu, p), its row i and its single k.  Each is made on first
-    use under that key and then read.  An entry is stored only after its
-    lowest-alcove test passed, so a failing test runs, and raises, on
-    every use.  The guards of `_guard` run on every use too."""
+
+class _SlotTable:
+    """The one maker of weight parts.  Each weight map makes a table for
+    its call, and the adjacency checks of one call share one; no table
+    outlives the call that made it.
+
+    Row i of full slot j is a dict k -> part j, for slot j holding single
+    k and slot j - 1 a single whose y is the i-th distinct one: (distinct
+    y) x (singles) entries per slot instead of f * singles^f.  At f = 1
+    slot j - 1 is slot j, so row i holds only the singles whose own y is
+    the i-th.  A full slot depends on (kind, s_j, mu_j, p, f), a join on
+    its two full slots, and one part alone on (kind, s_j, mu_j, p), its
+    row and its single; each is made on first use under that key and then
+    read.
+
+    Three checks run: the lowest-alcove test on each theta, per slot and
+    single; `is_restricted_element` on each distinct y, once, when its
+    table row is built; and `is_p_restricted` on every part.  Of these
+    only the first can fail (each y is restricted, and y . theta is then
+    p-restricted), and the first failure raised here is the one that
+    evaluating the tuples one by one raises.  An entry is stored only
+    after its lowest-alcove test passed, so a failing test runs, and
+    raises, on every use.  The guards of `_guard` run on every use too."""
 
     def __init__(self):
         self._parts: dict[tuple, list[dict[int, Part]]] = {}  # by (kind, s, mu, p, f)
@@ -523,16 +452,25 @@ class _SlotTable:
         self._singles: dict[tuple, Part] = {}
 
     def slots(self, pres: TamePresentation, kind: str, min_depth: int) -> list[tuple]:
-        """The keys of the slots of a kernel of `pres` over all pair
-        tuples, each slot made as `_SlotKernel` makes it."""
+        """The keys of the full slots of `pres`, each made on first use."""
         _guard(pres, kind, min_depth)
         sing = _singles(kind)
-        ks, cells = range(len(sing.pairs)), _full_cells(sing, pres.f)
+        ks, cells = range(len(sing.pairs)), sing.every if pres.f > 1 else sing.own
         keys = [(kind, s, mu, pres.p, pres.f) for s, mu in zip(pres.s, pres.mu)]
         for key in keys:
             if key not in self._parts:
                 self._parts[key] = _slot_parts(kind, key[1], key[2], pres.p, ks, cells)
         return keys
+
+    def weights(self, pres: TamePresentation, kind: str,
+                min_depth: int) -> Iterator[SerreWeight]:
+        """F_pres on every index tuple, read from the full slots in the
+        enumeration order of the pair tuples (slot 0 varying slowest); no
+        pair tuple is made."""
+        y_slot = _singles(kind).y_slot
+        slots = [self._parts[key] for key in self.slots(pres, kind, min_depth)]
+        return map(partial(_read_weight, pres.p, slots, y_slot),
+                   product(range(len(y_slot)), repeat=pres.f))
 
     def join(self, wq: tuple, jh: tuple) -> dict:
         """The join of W? slot `wq` with JH slot `jh`, given by their keys."""
@@ -543,9 +481,9 @@ class _SlotTable:
 
     def weight(self, pres: TamePresentation, kind: str, min_depth: int,
                combo: tuple[int, ...]) -> SerreWeight:
-        """F_pres at one index tuple, as `_SlotKernel` over `(combo,)` makes
-        it: the lowest-alcove test runs on combo's singles alone, and no
-        full slot is made."""
+        """F_pres at one index tuple, the weight `weights` reads there: the
+        lowest-alcove test runs on combo's singles alone, and no full slot
+        is made."""
         _guard(pres, kind, min_depth)
         sing = _singles(kind)
         parts = []
@@ -559,6 +497,34 @@ class _SlotTable:
                 part = self._singles[key] = _slot_parts(kind, s, mu, pres.p, (k,), cells)[i][k]
             parts.append(part)
         return SerreWeight._trusted(pres.p, tuple(parts))
+
+
+def jh_factors(
+    tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
+) -> dict[APPair, SerreWeight]:
+    """F_tau over AP pairs; the image is the predicted JH set of the
+    reduction of the type."""
+    return dict(zip(enumerate_ap(tau.f), _SlotTable().weights(tau, "type", min_depth)))
+
+
+def w_question(
+    rhobar: TamePresentation, min_depth: int = WEIGHT_DEPTH
+) -> dict[APPair, SerreWeight]:
+    """F_rhobar over AP' pairs; the image is the predicted weight set."""
+    return dict(zip(enumerate_ap_prime(rhobar.f),
+                    _SlotTable().weights(rhobar, "param", min_depth)))
+
+
+def jh_set(
+    tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
+) -> frozenset[SerreWeight]:
+    return frozenset(_SlotTable().weights(tau, "type", min_depth))
+
+
+def w_question_set(
+    rhobar: TamePresentation, min_depth: int = WEIGHT_DEPTH
+) -> frozenset[SerreWeight]:
+    return frozenset(_SlotTable().weights(rhobar, "param", min_depth))
 
 
 def intersect_w_jh(
@@ -600,11 +566,13 @@ def intersect_w_jh(
 
 def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:
     """F_rhobar on the diagonal pairs (w_diamond, w_diamond): 8^f of the
-    weights of w_question's kernel, which runs the same checks."""
-    kernel = _SlotKernel(rhobar, "param", WEIGHT_DEPTH)
-    index = _singles("param").index
-    diagonal = {w: index[diamond(w), diamond(w)] for w in W_ALL}
-    return {ws: kernel.weight(tuple(diagonal[w] for w in ws))
+    weights of w_question, read from the same full slots after the same
+    checks."""
+    table = _SlotTable()
+    slots = [table._parts[key] for key in table.slots(rhobar, "param", WEIGHT_DEPTH)]
+    sing = _singles("param")
+    diagonal = {w: sing.index[diamond(w), diamond(w)] for w in W_ALL}
+    return {ws: _read_weight(rhobar.p, slots, sing.y_slot, tuple(diagonal[w] for w in ws))
             for ws in product(W_ALL, repeat=rhobar.f)}
 
 

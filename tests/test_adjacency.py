@@ -287,13 +287,17 @@ def test_find_chain_builds_the_weight_table_once(monkeypatch):
     graph = build_graph(rho, check=False)
     sigma = next(s for s in graph.vertices if s not in graph.obvious)
     builds, instances = [], []
-    table = weights._SlotKernel.table
-    monkeypatch.setattr(weights._SlotKernel, "table",
-                        lambda self: builds.append(self.flavor) or table(self))
+    made = weights._SlotTable.weights
+    monkeypatch.setattr(weights._SlotTable, "weights",
+                        lambda self, pres, kind, depth: builds.append(kind) or made(
+                            self, pres, kind, depth))
     monkeypatch.setattr(adjacency, "build_instance",
                         lambda *args, **kw: instances.append(args))
     assert find_chain(rho, sigma).steered
     assert builds == [] and instances == []
+    # the patch sees a table that is built
+    assert weights.w_question(rho)
+    assert builds == ["param"]
 
 
 def test_find_chain_reads_the_inverse_from_the_graph_state(monkeypatch):
@@ -427,7 +431,7 @@ def test_find_chain_refuses_every_weight_of_a_refused_parameter():
     # W? exists at depth 4, but the derived types are too shallow for the
     # graph; find_chain reads the graph, so even an obvious weight is refused
     rho = TamePresentation("param", (W_E,), (Weight(12, 8, 0),), 37)
-    message = "^presentation is only 1-deep; need at least 3$"
+    message = r"^presentation type\[s=s2 mu=10,9,-1\] is only 1-deep; need at least 3$"
     with pytest.raises(GenericityError, match=message):
         build_graph(rho, check=False)
     obvious = frozenset(obvious_weights(rho).values())

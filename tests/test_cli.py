@@ -198,6 +198,18 @@ def test_graph_json_connected(capsys):
     assert len(obj["vertices"]) == 20
 
 
+def test_graph_names_the_too_shallow_derived_type(tmp_path, capsys):
+    # a 3-deep parameter: the graph's first derived type is only 2-deep, and
+    # the error names that type, not the parameter
+    path = tmp_path / "rb.json"
+    path.write_text(json.dumps({"schema": "gsp4weights/presentation/1", "kind": "param",
+                                "p": 37, "s": ["12"], "mu": [[6, 3, 0]]}))
+    code, out, err = capture(capsys, ["graph", "--rhobar", str(path)])
+    assert code == 2 and out == ""
+    assert err.endswith(
+        "error: presentation type[s=s1s2s1 mu=8,2,-2] is only 2-deep; need at least 3\n")
+
+
 def test_dot_format_rejected_elsewhere(capsys):
     code, out, err = capture(capsys, ["adm", "--fmt", "dot"])
     assert code == 2 and "graph" in err

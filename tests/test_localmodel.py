@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -34,6 +35,7 @@ from gsp4weights.affine import (
     translation,
 )
 from gsp4weights.admissible import adm_dual_set, elem_sort_key
+from gsp4weights.cli import load_matrix
 from gsp4weights.weights import enumerate_ap_prime
 from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField
 from gsp4weights.localmodel import (
@@ -449,6 +451,23 @@ def test_shape_central_shift():
     # negative exponents exercise the normalization path
     lowered = LaurentPoly.v_power(F, -1) * M
     assert shape_of(lowered) == compose(translation(Weight(0, 0, -1)), z)
+
+
+def test_central_shift_by_a_large_power_of_v():
+    # v^E is central, so shape(v^E A) = t(0,0,E) shape(A), and over F_p
+    # each E-divisor of v^E A is E plus that of A.  At E = 10^4 the unit
+    # inverses run to precision above 4E, so one quadratic in its
+    # precision shows here.
+    E = 10 ** 4
+    F = PrimeField(P)
+    mat1 = load_matrix(os.path.join(os.path.dirname(__file__), "..", "fixtures", "mat1.json"), F)
+    elems = sorted(adm_dual_set(ETA), key=elem_sort_key)
+    mats = [mat1] + [monomial_matrix(z, F) for z in elems[::21]]
+    for A in mats:
+        shifted = LaurentPoly.v_power(F, E) * A
+        assert shape_of(shifted) == compose(translation(Weight(0, 0, E)), shape_of(A))
+        assert e_divisor_pattern(shifted, P) == tuple(d + E for d in e_divisor_pattern(A, P))
+    assert shape_of(LaurentPoly.v_power(F, E) * mat1).display() == "t(1,0,10001)*s2s1s2"
 
 
 def test_shape_errors():

@@ -225,3 +225,16 @@ def test_traced_class_methods_resolve():
     # library; their tracer entries go with the next benchmark change
     assert missing == ["exactalg.LaurentPoly.evaluate"] + ["exactalg.RatFunc.%s" % m for m in (
         "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__")]
+
+
+def test_only_the_slot_table_makes_weight_parts():
+    # one maker of weight parts: every call of _slot_parts is inside
+    # class _SlotTable
+    tree = _parse(os.path.join(PACKAGE, "weights.py"))
+    inside = {id(node) for cls in tree.body
+              if isinstance(cls, ast.ClassDef) and cls.name == "_SlotTable"
+              for node in ast.walk(cls)}
+    calls = [node for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_slot_parts"]
+    assert calls
+    assert [node.lineno for node in calls if id(node) not in inside] == []

@@ -345,11 +345,12 @@ def _fixture(name):
 
 
 def _kernel_at(pres, pair, min_depth=3):
-    """F_pres at one pair tuple: the slot kernel run on its one index tuple."""
+    """F_pres at one pair tuple: a fresh slot table read at its one index
+    tuple, with no full slot made."""
     index = weights._singles(pres.kind).index
     xs, ys = (pair.w1, pair.w2) if pres.kind == "param" else (pair.w2, pair.w1)
     combo = tuple(index[pr] for pr in zip(xs, ys))
-    return weights._SlotKernel(pres, pres.kind, min_depth, (combo,)).weight(combo)
+    return weights._SlotTable().weight(pres, pres.kind, min_depth, combo)
 
 
 def _both_kinds(pres):
