@@ -18,7 +18,7 @@ from types import MappingProxyType
 from typing import NamedTuple
 
 from .base import SIMPLES, W_ALL, weyl_mul
-from .config import RHOBAR_DEPTH, WEIGHT_DEPTH, derived_depth_bound
+from .config import RHOBAR_DEPTH, derived_depth_bound
 from .affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -184,8 +184,8 @@ def build_instance(
         )
 
     table = _SlotTable()
-    sigma1 = table.weight(tau, "type", WEIGHT_DEPTH, tuple(w_combo))
-    sigma2 = table.weight(tau, "type", WEIGHT_DEPTH, tuple(sw_combo))
+    sigma1 = table.weight(tau, "type", tuple(w_combo))
+    sigma2 = table.weight(tau, "type", tuple(sw_combo))
     inst = AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
     if check:
         _check_instance(inst, table)
@@ -197,7 +197,7 @@ def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
     the intersection of the predicted set of rhobar0 with the JH set of tau,
     and sigma1 is F_rhobar at the pair.  The slot entries are read from the
     caller's `table`; the guards, the chain and both comparisons run here."""
-    got = intersect_w_jh(inst.rhobar0, inst.tau, WEIGHT_DEPTH, table)
+    got = intersect_w_jh(inst.rhobar0, inst.tau, table)
     if got != frozenset((inst.sigma1, inst.sigma2)) or inst.sigma1 == inst.sigma2:
         raise AssertionError(
             "intersection is not the expected two outer weights: %s"
@@ -205,7 +205,7 @@ def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
         )
     targets = _slot_targets()
     combo = tuple(targets[w1, w2, None][2] for w1, w2 in zip(inst.pair.w1, inst.pair.w2))
-    if table.weight(inst.rhobar, "param", WEIGHT_DEPTH, combo) != inst.sigma1:
+    if table.weight(inst.rhobar, "param", combo) != inst.sigma1:
         raise AssertionError("sigma1 does not match the weight of the pair")
 
 

@@ -490,21 +490,6 @@ def dominant_down_set(b: Alcove) -> frozenset[Alcove]:
     return frozenset(a for a in region if is_dominant_alcove(a))
 
 
-def box_down_set(b: Alcove, radius: int) -> frozenset[Alcove]:
-    """Alcoves arrow-below b whose barycenter has all four functional
-    values in [-radius, radius] (radius in walls, not in Alcove units).
-
-    The full arrow down-set is infinite; the box is the documented
-    truncation.  It is exact: box alcoves have x, x+y >= -6 radius, and
-    arrow chains never lower either, so searching to that bound finds all.
-    """
-    r = 6 * radius
-    if not all(abs(v) <= r for v in functional_values(b)):
-        raise ValueError("target alcove outside the search box")
-    region = arrow_down_region(b, -r, -r)
-    return frozenset(a for a in region if all(abs(v) <= r for v in functional_values(a)))
-
-
 # --- locating alcoves and weights ---------------------------------------
 
 

@@ -231,15 +231,6 @@ def lowest_alcove_depth(lam: Weight, p: int) -> int:
     return best - 1
 
 
-def max_presentation_depth(p: int) -> int:
-    """Largest m so that some m-deep p-restricted weight exists.
-
-    The four pairing values v satisfy v3 = v1 + 2*v2, which forces
-    3*(m+1) <= v3 <= p - m - 1, i.e. m <= (p - 4) / 4.
-    """
-    return (p - 4) // 4
-
-
 def _selfcheck() -> None:
     for i in range(4):
         assert pairing(POSITIVE_ROOTS[i], POSITIVE_COROOTS[i]) == 2

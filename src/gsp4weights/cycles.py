@@ -73,9 +73,6 @@ class FormalSum:
     def items(self) -> tuple[tuple[SerreWeight, int], ...]:
         return tuple((s, self._coeffs[s]) for s in self.support())
 
-    def is_effective(self) -> bool:
-        return all(v >= 0 for v in self._coeffs.values())
-
     def __bool__(self) -> bool:
         return bool(self._coeffs)
 

@@ -266,12 +266,6 @@ class LaurentPoly:
             raise ValueError("zero polynomial has no leading coefficient")
         return self._scalar(self.terms[-1][1])
 
-    @property
-    def trailing_coeff(self):
-        if not self.terms:
-            raise ValueError("zero polynomial has no trailing coefficient")
-        return self._scalar(self.terms[0][1])
-
     # -- arithmetic
 
     def _coerce_other(self, other):

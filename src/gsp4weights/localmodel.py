@@ -57,7 +57,6 @@ __all__ = [
     "regcolone_coordinates",
     "fixed_point_set_T",
     "fixed_point_set_colone",
-    "random_iwahori",
 ]
 
 
@@ -543,10 +542,10 @@ def _minus_p(p: int) -> int:
     return -p
 
 
-def _nonnegative_shift(A: PolyMat) -> int:
-    """The least k >= 0 with v^k * A free of negative exponents."""
-    lows = [e.low_degree for row in A.rows for e in row if e]
-    return -min(min(lows, default=0), 0)
+def _least_valuation(A: PolyMat) -> int:
+    """The least exponent of any entry of A, of either sign: v^-k * A is
+    integral with a unit entry for this k."""
+    return min([e.low_degree for row in A.rows for e in row if e], default=0)
 
 
 # ---------------------------------------------------------------------------
@@ -559,16 +558,16 @@ def e_divisor_pattern(A: PolyMat, p: int) -> tuple[int, int, int, int]:
     E-adic means order of vanishing at v = -p over the rationals and
     plain v-adic valuation over F_q.  The exponents are the pivot
     valuations of the local elimination kernel at the E-adic precision
-    val(det) + 1.  Negative v-powers are cleared first: over the
-    rationals v is a unit at E, over F_q the shift is subtracted again.
+    val(det) + 1.  The least valuation k of the entries is divided out
+    first: over the rationals v is a unit at E, over F_q k is added back.
     Over the rationals v = u - p turns the E-adic valuation into the
     u-adic one.  Over a prime field p must be its characteristic, else
     ValueError.
     """
     field = A.field
     _check_p(field, p)
-    k = _nonnegative_shift(A)
-    rows = [[e.shift(k) for e in row] for row in A.rows]
+    k = _least_valuation(A)
+    rows = [[e.shift(-k) for e in row] for row in A.rows]
     if field.char == 0:
         s = _minus_p(p)
         rows = [[_taylor_shift(e, s) for e in row] for row in rows]
@@ -578,7 +577,7 @@ def e_divisor_pattern(A: PolyMat, p: int) -> tuple[int, int, int, int]:
         raise ValueError("matrix is singular")
     prec = det.low_degree + 1
     pivots = _local_pivots([[e.truncate(prec) for e in row] for row in rows], prec)
-    return tuple(sorted((m - k for _, _, m in pivots), reverse=True))
+    return tuple(sorted((m + k for _, _, m in pivots), reverse=True))
 
 
 def dominance_leq(mu, lam) -> bool:
@@ -616,8 +615,8 @@ def shape_of(A: PolyMat) -> ExtAffine:
 
     A must be a symplectic similitude, transpose(A) * J * A = c * J, else
     ValueError.  Then val(det A) = 2 * val(c), and the local elimination
-    kernel runs at precision val(det) + 1 on A scaled by the central
-    v-power that clears its negative exponents; its pivots form a
+    kernel runs at precision val(det) + 1 on v^-k * A, for k the least
+    valuation of the entries (a central v-power); its pivots form a
     monomial pattern, asserted to lie in the GSp4 torus normalizer.
     """
     field = A.field
@@ -630,9 +629,9 @@ def shape_of(A: PolyMat) -> ExtAffine:
     if c.is_zero:
         raise ValueError("matrix is singular")
     # a global v-power is a central translation which we restore at the end
-    shift = _nonnegative_shift(A)
-    prec = 2 * c.low_degree + 4 * shift + 1
-    work = [[e.shift(shift).truncate(prec) for e in row] for row in A.rows]
+    k = _least_valuation(A)
+    prec = 2 * c.low_degree - 4 * k + 1
+    work = [[e.shift(-k).truncate(prec) for e in row] for row in A.rows]
     pivots = {r: (col, m) for r, col, m in _local_pivots(work, prec)}
     support = frozenset((r, pivots[r][0]) for r in pivots)
     w = _weyl_patterns().get(support)
@@ -645,9 +644,9 @@ def shape_of(A: PolyMat) -> ExtAffine:
     assert t[0] == aa + bb + cc, \
         "shape elimination produced incompatible monomial exponents"
     z = compose(translation(Weight(aa, bb, cc)), finite(w))
-    if shift:
-        # undo the global v^shift normalization: a central translation
-        z = compose(translation(Weight(0, 0, -shift)), z)
+    if k:
+        # undo the global v^-k normalization: a central translation
+        z = compose(translation(Weight(0, 0, k)), z)
     return z
 
 
@@ -976,53 +975,6 @@ def fixed_point_set_colone(w1: ExtAffine, s: int) -> frozenset:
         found.add(star(compose_all(
             invert(w1), invert(HIGHEST_RESTRICTED), sw, W0, wt)))
     return frozenset(found)
-
-
-# ---------------------------------------------------------------------------
-# random Iwahori elements (symplectic)
-
-
-# positive root groups: positions and signs making t(x) J x = J
-_ROOT_POSITIONS = (
-    (((0, 1), 1), ((2, 3), -1)),   # alpha1
-    (((1, 2), 1),),                # alpha2
-    (((0, 2), 1), ((1, 3), 1)),    # alpha1+alpha2
-    (((0, 3), 1),),                # 2*alpha1+alpha2
-)
-
-
-def _random_poly(field, rng, min_exp: int, max_exp: int) -> LaurentPoly:
-    q = field.char
-    return LaurentPoly(field, {e: rng.randrange(q) for e in range(min_exp, max_exp + 1)})
-
-
-def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
-    """Random element of the symplectic Iwahori over F_q: integral
-    entries, upper triangular mod v."""
-    if not isinstance(field, PrimeField):
-        raise ValueError("Iwahori sampling runs over a prime field")
-    q = field.char
-    t1 = rng.randrange(1, q)
-    t2 = rng.randrange(1, q)
-    t3 = rng.randrange(1, q)
-    zero = LaurentPoly.zero(field)
-    diag = [field.coerce(x) for x in (t1, t2, t3, Fraction(t2 * t3, t1))]
-    cols = [[LaurentPoly.const(field, diag[i]) if i == j else zero for i in range(4)]
-            for j in range(4)]
-    for lower in (False, True, False):
-        for spots in _ROOT_POSITIONS:
-            coeff = _random_poly(field, rng, 1 if lower else 0, max_deg)
-            if coeff.is_zero:
-                continue
-            # times the root-group factor 1 + sum of sign * coeff * E_ij (E_ji
-            # when lower): column j gains sign * coeff times column i.  No
-            # spot's j is another spot's i, so the spots apply one by one.
-            for (i, j), sign in spots:
-                if lower:
-                    i, j = j, i
-                c = coeff if sign == 1 else -coeff
-                cols[j] = [a if b.is_zero else a + b * c for a, b in zip(cols[j], cols[i])]
-    return PolyMat(field, list(zip(*cols)))
 
 
 def _selfcheck() -> None:

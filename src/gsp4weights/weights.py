@@ -292,14 +292,6 @@ def enumerate_ap_prime(f: int) -> tuple[APPair, ...]:
 Part = tuple[int, int, int]
 
 
-def _require_depth(pres: TamePresentation, m: int) -> None:
-    d = pres.depth()
-    if d < m:
-        raise GenericityError(
-            "presentation %s is only %d-deep; need at least %d" % (pres.display(), d, m)
-        )
-
-
 # kind -> (per-embedding pairs, pair index of x)
 _ROLES = {"type": (_ap_pairs_single, 1), "param": (_ap_prime_pairs_single, 0)}
 
@@ -388,13 +380,15 @@ def _slot_parts(kind, s, mu, p, ks, cells) -> list[dict[int, Part]]:
     return out
 
 
-def _guard(pres: TamePresentation, kind: str, min_depth: int) -> None:
+def _guard(pres: TamePresentation, kind: str) -> None:
     """The checks a kernel of `pres` runs before any part: its kind, then
-    its depth."""
+    its depth against WEIGHT_DEPTH, the one threshold of the weight maps."""
     if pres.kind != kind:
         raise ValueError(
             "expected a %s presentation, got a %s presentation" % (kind, pres.kind))
-    _require_depth(pres, min_depth)
+    if pres.depth() < WEIGHT_DEPTH:
+        raise GenericityError("presentation %s is only %d-deep; need at least %d"
+                              % (pres.display(), pres.depth(), WEIGHT_DEPTH))
 
 
 def _slot_join(wq_slot: list[dict[int, Part]], jh_slot: list[dict[int, Part]]) -> dict:
@@ -451,9 +445,9 @@ class _SlotTable:
         self._joins: dict[tuple[tuple, tuple], dict] = {}
         self._singles: dict[tuple, Part] = {}
 
-    def slots(self, pres: TamePresentation, kind: str, min_depth: int) -> list[tuple]:
+    def slots(self, pres: TamePresentation, kind: str) -> list[tuple]:
         """The keys of the full slots of `pres`, each made on first use."""
-        _guard(pres, kind, min_depth)
+        _guard(pres, kind)
         sing = _singles(kind)
         ks, cells = range(len(sing.pairs)), sing.every if pres.f > 1 else sing.own
         keys = [(kind, s, mu, pres.p, pres.f) for s, mu in zip(pres.s, pres.mu)]
@@ -462,13 +456,12 @@ class _SlotTable:
                 self._parts[key] = _slot_parts(kind, key[1], key[2], pres.p, ks, cells)
         return keys
 
-    def weights(self, pres: TamePresentation, kind: str,
-                min_depth: int) -> Iterator[SerreWeight]:
+    def weights(self, pres: TamePresentation, kind: str) -> Iterator[SerreWeight]:
         """F_pres on every index tuple, read from the full slots in the
         enumeration order of the pair tuples (slot 0 varying slowest); no
         pair tuple is made."""
         y_slot = _singles(kind).y_slot
-        slots = [self._parts[key] for key in self.slots(pres, kind, min_depth)]
+        slots = [self._parts[key] for key in self.slots(pres, kind)]
         return map(partial(_read_weight, pres.p, slots, y_slot),
                    product(range(len(y_slot)), repeat=pres.f))
 
@@ -479,12 +472,12 @@ class _SlotTable:
             groups = self._joins[wq, jh] = _slot_join(self._parts[wq], self._parts[jh])
         return groups
 
-    def weight(self, pres: TamePresentation, kind: str, min_depth: int,
+    def weight(self, pres: TamePresentation, kind: str,
                combo: tuple[int, ...]) -> SerreWeight:
         """F_pres at one index tuple, the weight `weights` reads there: the
         lowest-alcove test runs on combo's singles alone, and no full slot
         is made."""
-        _guard(pres, kind, min_depth)
+        _guard(pres, kind)
         sing = _singles(kind)
         parts = []
         for j, (s, mu) in enumerate(zip(pres.s, pres.mu)):
@@ -499,37 +492,27 @@ class _SlotTable:
         return SerreWeight._trusted(pres.p, tuple(parts))
 
 
-def jh_factors(
-    tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
-) -> dict[APPair, SerreWeight]:
+def jh_factors(tau: TamePresentation) -> dict[APPair, SerreWeight]:
     """F_tau over AP pairs; the image is the predicted JH set of the
     reduction of the type."""
-    return dict(zip(enumerate_ap(tau.f), _SlotTable().weights(tau, "type", min_depth)))
+    return dict(zip(enumerate_ap(tau.f), _SlotTable().weights(tau, "type")))
 
 
-def w_question(
-    rhobar: TamePresentation, min_depth: int = WEIGHT_DEPTH
-) -> dict[APPair, SerreWeight]:
+def w_question(rhobar: TamePresentation) -> dict[APPair, SerreWeight]:
     """F_rhobar over AP' pairs; the image is the predicted weight set."""
-    return dict(zip(enumerate_ap_prime(rhobar.f),
-                    _SlotTable().weights(rhobar, "param", min_depth)))
+    return dict(zip(enumerate_ap_prime(rhobar.f), _SlotTable().weights(rhobar, "param")))
 
 
-def jh_set(
-    tau: TamePresentation, min_depth: int = WEIGHT_DEPTH
-) -> frozenset[SerreWeight]:
-    return frozenset(_SlotTable().weights(tau, "type", min_depth))
+def jh_set(tau: TamePresentation) -> frozenset[SerreWeight]:
+    return frozenset(_SlotTable().weights(tau, "type"))
 
 
-def w_question_set(
-    rhobar: TamePresentation, min_depth: int = WEIGHT_DEPTH
-) -> frozenset[SerreWeight]:
-    return frozenset(_SlotTable().weights(rhobar, "param", min_depth))
+def w_question_set(rhobar: TamePresentation) -> frozenset[SerreWeight]:
+    return frozenset(_SlotTable().weights(rhobar, "param"))
 
 
 def intersect_w_jh(
-    rhobar: TamePresentation, tau: TamePresentation, min_depth: int = WEIGHT_DEPTH,
-    table: _SlotTable | None = None,
+    rhobar: TamePresentation, tau: TamePresentation, table: _SlotTable | None = None,
 ) -> frozenset[SerreWeight]:
     """W?(rhobar) & JH(tau), joined slot by slot and chained around the slots.
 
@@ -543,8 +526,8 @@ def intersect_w_jh(
     one unless the caller shares its own across checks."""
     if table is None:
         table = _SlotTable()
-    wq = table.slots(rhobar, "param", min_depth)
-    jh = table.slots(tau, "type", min_depth)
+    wq = table.slots(rhobar, "param")
+    jh = table.slots(tau, "type")
     if (rhobar.p, rhobar.f) != (tau.p, tau.f):
         return frozenset()
     p, last = rhobar.p, rhobar.f - 1
@@ -569,7 +552,7 @@ def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], Se
     weights of w_question, read from the same full slots after the same
     checks."""
     table = _SlotTable()
-    slots = [table._parts[key] for key in table.slots(rhobar, "param", WEIGHT_DEPTH)]
+    slots = [table._parts[key] for key in table.slots(rhobar, "param")]
     sing = _singles("param")
     diagonal = {w: sing.index[diamond(w), diamond(w)] for w in W_ALL}
     return {ws: _read_weight(rhobar.p, slots, sing.y_slot, tuple(diagonal[w] for w in ws))

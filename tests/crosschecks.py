@@ -1,16 +1,19 @@
-"""Cross-checks and a sampler built from the library's own maps.
+"""Cross-checks and samplers built from the library's own maps.
 
 Unlike `oracles.py`, these call the library: they relate its weight maps,
 cycle sums, arrow order and weight graphs to each other rather than to an
-independent definition.
+independent definition.  The samplers draw deep presentations and
+symplectic Iwahori elements; `oracles.random_iwahori` builds the same
+matrices from the same draws by full products.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 from itertools import product
 
-from gsp4weights.base import SIMPLES, W_ALL, Weight, lowest_alcove_depth, max_presentation_depth
+from gsp4weights.base import SIMPLES, W_ALL, Weight, lowest_alcove_depth
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -26,6 +29,8 @@ from gsp4weights.affine import (
 )
 from gsp4weights.adjacency import _graph_of
 from gsp4weights.cycles import bm_sum, restricted_chain
+from gsp4weights.exactalg import LaurentPoly, PrimeField
+from gsp4weights.localmodel import PolyMat
 from gsp4weights.weights import (
     APPair,
     GenericityError,
@@ -59,6 +64,15 @@ def conjugated_target(w2: TupleElt, w1: TupleElt, s: tuple[int, int]) -> TupleEl
     )
 
 
+def max_presentation_depth(p: int) -> int:
+    """Largest m so that some m-deep p-restricted weight exists.
+
+    The four pairing values v satisfy v3 = v1 + 2*v2, which forces
+    3*(m+1) <= v3 <= p - m - 1, i.e. m <= (p - 4) / 4.
+    """
+    return (p - 4) // 4
+
+
 def random_deep_presentation(p, f, min_depth, rng, kind="type") -> TamePresentation:
     """Seeded sampler for presentations of at least the given depth.
 
@@ -82,6 +96,51 @@ def random_deep_presentation(p, f, min_depth, rng, kind="type") -> TamePresentat
         assert lowest_alcove_depth(cand, p) >= m
         mu.append(cand)
     return TamePresentation(kind, s, tuple(mu), p)
+
+
+# --- random Iwahori elements (symplectic) ----------------------------------
+
+# positive root groups: positions and signs making t(x) J x = J
+_ROOT_POSITIONS = (
+    (((0, 1), 1), ((2, 3), -1)),   # alpha1
+    (((1, 2), 1),),                # alpha2
+    (((0, 2), 1), ((1, 3), 1)),    # alpha1+alpha2
+    (((0, 3), 1),),                # 2*alpha1+alpha2
+)
+
+
+def _random_poly(field, rng, min_exp: int, max_exp: int) -> LaurentPoly:
+    q = field.char
+    return LaurentPoly(field, {e: rng.randrange(q) for e in range(min_exp, max_exp + 1)})
+
+
+def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
+    """Random element of the symplectic Iwahori over F_q: integral
+    entries, upper triangular mod v."""
+    if not isinstance(field, PrimeField):
+        raise ValueError("Iwahori sampling runs over a prime field")
+    q = field.char
+    t1 = rng.randrange(1, q)
+    t2 = rng.randrange(1, q)
+    t3 = rng.randrange(1, q)
+    zero = LaurentPoly.zero(field)
+    diag = [field.coerce(x) for x in (t1, t2, t3, Fraction(t2 * t3, t1))]
+    cols = [[LaurentPoly.const(field, diag[i]) if i == j else zero for i in range(4)]
+            for j in range(4)]
+    for lower in (False, True, False):
+        for spots in _ROOT_POSITIONS:
+            coeff = _random_poly(field, rng, 1 if lower else 0, max_deg)
+            if coeff.is_zero:
+                continue
+            # times the root-group factor 1 + sum of sign * coeff * E_ij (E_ji
+            # when lower): column j gains sign * coeff times column i.  No
+            # spot's j is another spot's i, so the spots apply one by one.
+            for (i, j), sign in spots:
+                if lower:
+                    i, j = j, i
+                c = coeff if sign == 1 else -coeff
+                cols[j] = [a if b.is_zero else a + b * c for a, b in zip(cols[j], cols[i])]
+    return PolyMat(field, list(zip(*cols)))
 
 
 def weight_class_arrow_leq(sigma: SerreWeight, sigma0: SerreWeight) -> bool:

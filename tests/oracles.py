@@ -31,7 +31,9 @@ with the library's `compose`, whose products the table tests check.
   nothing.  The Bruhat down-set closure is kept here on integer alcoves
   too, stepping through every separating wall; the library steps only
   through the two outermost walls of each root direction, which are
-  the only ones a cover can reflect in.
+  the only ones a cover can reflect in.  The truncated down-set
+  `box_down_set` is read off the library's downward search
+  `arrow_down_region`, which the tests check against a wider search.
 - The bottom-alcove companion of a second-alcove weight is searched for
   among its orbit points in all four restricted alcoves, with alcoves and
   the arrow order read off folded barycenters; the library takes the one
@@ -51,9 +53,9 @@ with the library's `compose`, whose products the table tests check.
   division.  The library's local elimination kernel, which works at
   precision val(det) + 1, must give the same patterns and shapes.
 - A random Iwahori element is the product of the diagonal torus part with
-  one 4 x 4 root-group matrix per nonzero draw; the library's sampler,
-  which applies each factor as column operations, must give the same
-  matrix from the same draws.
+  one 4 x 4 root-group matrix per nonzero draw; the sampler in
+  `crosschecks.py`, which applies each factor as column operations, must
+  give the same matrix from the same draws.
 
 Checks that are built from the library's own maps live in
 `crosschecks.py`, so that everything here stays a definition.
@@ -75,6 +77,7 @@ from gsp4weights.affine import (
     S1,
     S2,
     ExtAffine,
+    arrow_down_region,
     compose,
     finite,
     invert,
@@ -300,6 +303,22 @@ def up_step_targets(a, x_max: int, s_max: int):
                 break
             yield q
             m += 6
+
+
+def box_down_set(b, radius: int) -> frozenset:
+    """Integer alcoves arrow-below b whose barycenter has all four
+    functional values in [-radius, radius] (radius in walls, not in
+    Alcove units).
+
+    The full arrow down-set is infinite; the box is its truncation.  It is
+    exact: box alcoves have x, x+y >= -6 radius, and arrow chains never
+    lower either, so the library's downward search to that bound finds all.
+    """
+    r = 6 * radius
+    if not all(abs(v) <= r for v in functionals(b)):
+        raise ValueError("target alcove outside the search box")
+    region = arrow_down_region(b, -r, -r)
+    return frozenset(a for a in region if all(abs(v) <= r for v in functionals(a)))
 
 
 def alcove_length(a) -> int:
@@ -786,14 +805,14 @@ def _series_div(num, piv, prec):
     """num / piv as a truncated Laurent series mod v^prec."""
     field = num.field
     m = piv.low_degree
-    lead = piv.trailing_coeff
+    lead = piv.coeff(m)
     q = LaurentPoly.zero(field)
     rem = num
     while not rem.is_zero:
         k = rem.low_degree
         if k - m >= prec:
             break
-        t = LaurentPoly(field, {k - m: rem.trailing_coeff * field.inv(lead)})
+        t = LaurentPoly(field, {k - m: rem.coeff(k) * field.inv(lead)})
         q = q + t
         rem = (rem - t * piv).truncate(prec + m)
     return q

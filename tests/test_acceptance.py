@@ -18,7 +18,6 @@ from gsp4weights.base import (
     W_E,
     W_S1,
     Weight,
-    max_presentation_depth,
     pairing,
     std_character,
     weyl_inv,
@@ -30,7 +29,6 @@ from gsp4weights.affine import (
     RESTRICTED_ALCOVES,
     W0,
     alcove_of,
-    box_down_set,
     bruhat_leq,
     bruhat_leq_oracle,
     bruhat_lower_interval,
@@ -99,14 +97,13 @@ from gsp4weights.localmodel import (
     monodromy_defect,
     monodromy_params_of,
     monomial_matrix,
-    random_iwahori,
     regcolone_relation_holds,
     shape_of,
     symplectic_similitude,
 )
 
-from crosschecks import random_deep_presentation
-from oracles import levi_affine_simples, locate_point, up_step_targets
+from crosschecks import max_presentation_depth, random_deep_presentation, random_iwahori
+from oracles import box_down_set, levi_affine_simples, locate_point, up_step_targets
 
 
 def _report(n, detail, t0, budget):

@@ -18,7 +18,6 @@ from gsp4weights.affine import (
     invert,
     restricted_alcove_index,
 )
-from gsp4weights.config import WEIGHT_DEPTH
 from gsp4weights.weights import (
     APPair,
     GenericityError,
@@ -289,8 +288,7 @@ def test_find_chain_builds_the_weight_table_once(monkeypatch):
     builds, instances = [], []
     made = weights._SlotTable.weights
     monkeypatch.setattr(weights._SlotTable, "weights",
-                        lambda self, pres, kind, depth: builds.append(kind) or made(
-                            self, pres, kind, depth))
+                        lambda self, pres, kind: builds.append(kind) or made(self, pres, kind))
     monkeypatch.setattr(adjacency, "build_instance",
                         lambda *args, **kw: instances.append(args))
     assert find_chain(rho, sigma).steered
@@ -385,11 +383,11 @@ def test_memo_hit_reruns_every_check(monkeypatch):
     assert [args[:2] for args in calls] == [(inst.rhobar0, inst.tau) for inst in instances]
     assert len(calls) == 34
     # every check of one call reads one slot table, and the next call a new one
-    table = calls[0][3]
-    assert all(args[3] is table for args in calls)
+    table = calls[0][2]
+    assert all(args[2] is table for args in calls)
     calls.clear()
     build_graph(rho, check=True)
-    assert len(calls) == 34 and all(args[3] is not table for args in calls)
+    assert len(calls) == 34 and all(args[2] is not table for args in calls)
 
 
 @pytest.mark.parametrize("name, joins", [("rb41.json", 23), ("rb_f2.json", 86)])
@@ -579,10 +577,10 @@ def _through_one_table(instances, expected):
     table = weights._SlotTable()
     index = weights._singles("param").index
     for inst in instances:
-        got = intersect_w_jh(inst.rhobar0, inst.tau, WEIGHT_DEPTH, table)
+        got = intersect_w_jh(inst.rhobar0, inst.tau, table)
         assert got == expected(inst) == {inst.sigma1, inst.sigma2}
         combo = tuple(index[pr] for pr in zip(inst.pair.w1, inst.pair.w2))
-        assert table.weight(inst.rhobar, "param", WEIGHT_DEPTH, combo) == inst.sigma1
+        assert table.weight(inst.rhobar, "param", combo) == inst.sigma1
 
 
 @pytest.mark.parametrize("name", ["rb1.json", "rb41.json"])
@@ -618,7 +616,7 @@ def test_checked_build_fails_where_its_first_failing_instance_does(monkeypatch):
     # unchecked, and the full kernel of a later instance fails its
     # lowest-alcove test; checked one by one or over one table, the same
     # instance raises the same error
-    monkeypatch.setattr(adjacency, "WEIGHT_DEPTH", 0)
+    monkeypatch.setattr(weights, "WEIGHT_DEPTH", 0)
     monkeypatch.setattr(adjacency, "derived_depth_bound", lambda d: 0)
     rho = TamePresentation("param", (W_S1,), (Weight(6, 3, 0),), 37)
     instances = list(_graph_of(rho).instances.values())

@@ -34,7 +34,6 @@ from gsp4weights.affine import (
     _BRUHAT_CACHE,
     alcove_of,
     arrow_down_region,
-    box_down_set,
     bruhat_down_set,
     bruhat_leq,
     bruhat_leq_oracle,
@@ -72,6 +71,7 @@ from gsp4weights.affine import (
 )
 
 import oracles
+from oracles import box_down_set
 
 
 def random_element(rng, span=3):

@@ -16,7 +16,6 @@ from gsp4weights.base import (
     Coweight,
     Weight,
     depth,
-    max_presentation_depth,
     pairing,
     std_character,
     weyl_from_word,
@@ -34,6 +33,7 @@ from oracles import (
     word_act_coweight,
     word_images,
 )
+from crosschecks import max_presentation_depth
 
 
 def test_pairing_table():

@@ -1,15 +1,23 @@
 """The genericity policy of config.py, checked at the edge of each threshold."""
 
+import os
+
 import pytest
 
+from gsp4weights import weights
+from gsp4weights.adjacency import build_instance, valid_simples
 from gsp4weights.base import W_E, Weight
+from gsp4weights.cli import load_presentation
 from gsp4weights.config import WEIGHT_DEPTH, derived_depth_bound
 from gsp4weights.cycles import bm_cycle
 from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
     TamePresentation,
+    enumerate_ap_prime,
+    intersect_w_jh,
     jh_set,
+    obvious_weights,
     w_question_set,
 )
 
@@ -26,14 +34,44 @@ def test_derived_bound_lowers_tau_depth_by_the_shortfall():
 
 
 @pytest.mark.parametrize("kind,weights_of", (("type", jh_set), ("param", w_question_set)))
-def test_weight_maps_need_weight_depth(kind, weights_of):
+def test_weight_maps_need_weight_depth(kind, weights_of, monkeypatch):
     deep = TamePresentation(kind, (W_E,), (DEEP,), P)
     shallow = TamePresentation(kind, (W_E,), (SHALLOW,), P)
     assert (deep.depth(), shallow.depth()) == (WEIGHT_DEPTH, WEIGHT_DEPTH - 1)
     assert len(weights_of(deep)) == 20
     with pytest.raises(GenericityError, match="only 2-deep; need at least 3"):
         weights_of(shallow)
-    assert weights_of(shallow, min_depth=WEIGHT_DEPTH - 1)
+    monkeypatch.setattr(weights, "WEIGHT_DEPTH", WEIGHT_DEPTH - 1)
+    assert weights_of(shallow)
+
+
+def test_one_threshold_moves_every_weight_map_refusal(monkeypatch):
+    # the weight maps read one threshold, weights.WEIGHT_DEPTH: raised step
+    # by step, each map and a checked adjacency instance refuse exactly
+    # when a presentation they read falls below it
+    rho = load_presentation(os.path.join(os.path.dirname(__file__), "..", "fixtures", "rb1.json"))
+    inst = next(inst for pair in enumerate_ap_prime(1) for s in valid_simples(pair)
+                for inst in (build_instance(rho, pair, s),) if inst.tau.depth() == 5)
+    tau, rho0 = inst.tau, inst.rhobar0
+    assert (tau.depth(), rho0.depth(), rho.depth()) == (5, 8, 8)
+    reads = (
+        (lambda: jh_set(tau), (tau,)),
+        (lambda: w_question_set(rho0), (rho0,)),
+        (lambda: intersect_w_jh(rho0, tau), (rho0, tau)),
+        (lambda: obvious_weights(rho), (rho,)),
+        (lambda: build_instance(rho, inst.pair, inst.s, check=True), (tau, rho0, rho)),
+    )
+    refused = []
+    for t in range(WEIGHT_DEPTH, 10):
+        monkeypatch.setattr(weights, "WEIGHT_DEPTH", t)
+        for call, presentations in reads:
+            if min(pres.depth() for pres in presentations) < t:
+                with pytest.raises(GenericityError, match="deep; need at least %d$" % t):
+                    call()
+                refused.append(t)
+            else:
+                assert call()
+    assert refused == [6] * 3 + [7] * 3 + [8] * 3 + [9] * 5
 
 
 def test_cycle_formula_needs_weight_depth():

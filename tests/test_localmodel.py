@@ -52,13 +52,14 @@ from gsp4weights.localmodel import (
     monodromy_defect,
     monodromy_params_of,
     monomial_matrix,
-    random_iwahori,
     regcolone_coordinates,
     regcolone_relation_holds,
     shape_of,
     symplectic_similitude,
     weyl_matrix,
 )
+
+from crosschecks import random_iwahori
 
 P = 37
 A_GENERIC = (110, 66, 42)   # root values (7, 16, 23, 30) mod 37
@@ -453,21 +454,38 @@ def test_shape_central_shift():
     assert shape_of(lowered) == compose(translation(Weight(0, 0, -1)), z)
 
 
-def test_central_shift_by_a_large_power_of_v():
-    # v^E is central, so shape(v^E A) = t(0,0,E) shape(A), and over F_p
-    # each E-divisor of v^E A is E plus that of A.  At E = 10^4 the unit
-    # inverses run to precision above 4E, so one quadratic in its
-    # precision shows here.
-    E = 10 ** 4
+def test_central_shift_by_a_large_power_of_v(monkeypatch):
+    # v^E is central, so shape(v^E A) = t(0,0,E) shape(A); over F_p each
+    # E-divisor of v^E A is E plus that of A, and over Q, where v is a unit
+    # at E, the pattern stays.  The least valuation of the entries is
+    # divided out first, so the kernel runs at A's own precision for every
+    # E, dense units included.
+    precs = []
+    real = localmodel._local_pivots
+    monkeypatch.setattr(localmodel, "_local_pivots",
+                        lambda rows, prec: precs.append(prec) or real(rows, prec))
     F = PrimeField(P)
     mat1 = load_matrix(os.path.join(os.path.dirname(__file__), "..", "fixtures", "mat1.json"), F)
     elems = sorted(adm_dual_set(ETA), key=elem_sort_key)
-    mats = [mat1] + [monomial_matrix(z, F) for z in elems[::21]]
-    for A in mats:
+    rng = random.Random(24)
+    sandwich = random_iwahori(F, rng) * monomial_matrix(rng.choice(elems), F) * random_iwahori(F, rng)
+    family = family_draws(QQ, random.Random(24), 1)[0]
+    cases = ([(10 ** 4, A) for A in [mat1] + [monomial_matrix(z, F) for z in elems[::21]]]
+             + [(E, sandwich) for E in (1, 400)])
+    for E, A in cases:
+        del precs[:]
+        shape, pattern = shape_of(A), e_divisor_pattern(A, P)
+        unscaled = list(precs)
         shifted = LaurentPoly.v_power(F, E) * A
-        assert shape_of(shifted) == compose(translation(Weight(0, 0, E)), shape_of(A))
-        assert e_divisor_pattern(shifted, P) == tuple(d + E for d in e_divisor_pattern(A, P))
-    assert shape_of(LaurentPoly.v_power(F, E) * mat1).display() == "t(1,0,10001)*s2s1s2"
+        assert shape_of(shifted) == compose(translation(Weight(0, 0, E)), shape)
+        assert e_divisor_pattern(shifted, P) == tuple(d + E for d in pattern)
+        assert precs == unscaled * 2
+    assert shape_of(LaurentPoly.v_power(F, 10 ** 4) * mat1).display() == "t(1,0,10001)*s2s1s2"
+    del precs[:]
+    pattern = e_divisor_pattern(family, P)
+    for E in (1, 400):
+        assert e_divisor_pattern(LaurentPoly.v_power(QQ, E) * family, P) == pattern
+    assert precs == precs[:1] * 3
 
 
 def test_shape_errors():

@@ -6,7 +6,8 @@ renaming a module, function, class or cache the benchmark uses fails here
 rather than in a benchmark run.
 
 Every top-level function and class in src/ must be reachable from
-something the program runs; test-only helpers live under tests/.
+something the program runs, or be named in ACCEPTANCE_API; test-only
+helpers live under tests/.
 
 An unbounded cache keeps an entry per distinct argument for the life of
 the process, so only tables of no arguments may be cached whole.
@@ -90,16 +91,39 @@ def test_benchmark_names_exist():
         assert isinstance(obj, dict) or hasattr(obj, "cache_info"), (m, name)
 
 
-def unreachable_definitions():
-    """Top-level functions and classes of the package that nothing reaches.
+# (module, name) of the library's definitions that the acceptance gate
+# calls and neither the CLI nor the benchmark runs: the Levi sets, the
+# colength-one count, the cycle classes, the fixed-point sets, the Bruhat
+# interval and the weight maps it times on their own.
+ACCEPTANCE_API = (
+    ("admissible", "adm_levi_conjugate"),
+    ("admissible", "colength_one_split"),
+    ("admissible", "levi_adm_set"),
+    ("admissible", "levi_finite_weyl"),
+    ("admissible", "levi_minimal_rep"),
+    ("affine", "bruhat_lower_interval"),
+    ("cycles", "GrothendieckClass"),
+    ("cycles", "restricted_chain"),
+    ("cycles", "weyl_class"),
+    ("localmodel", "fixed_point_set_T"),
+    ("localmodel", "fixed_point_set_colone"),
+    ("weights", "jh_factors"),
+    ("weights", "type_from_target"),
+    ("weights", "w_question_set"),
+)
+
+
+def _reach(api):
+    """(defs, reached): the top-level functions and classes of the package,
+    and those reached from the roots and from `api`.
 
     The roots are `cli.main`, every module's top-level statements (with
     the decorators, defaults and bases of its definitions), the names
-    perfbench's worker imports, the caches its runner reads, the classes
-    its tracer wraps and the names the acceptance gate imports.  A reached
-    definition reaches every name and attribute in its body that resolves,
-    in its module, to a definition there or to a `from .x import y` alias,
-    function-local imports included.
+    perfbench's worker imports, the caches its runner reads and the
+    classes its tracer wraps.  A reached definition reaches every name and
+    attribute in its body that resolves, in its module, to a definition
+    there or to a `from .x import y` alias, function-local imports
+    included.
     """
     trees = {f[:-3]: _parse(os.path.join(PACKAGE, f))
              for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
@@ -133,19 +157,36 @@ def unreachable_definitions():
             else:
                 todo += refs(mod, [node])
     todo += _library_imports(_parse(os.path.join(PERFBENCH, "worker.py")))
-    todo += _run_caches() + _traced_classes()
-    todo += _library_imports(_parse(os.path.join(ROOT, "tests", "test_acceptance.py")))
+    todo += _run_caches() + _traced_classes() + list(api)
     reached = set()
     while todo:
         key = todo.pop()
         if key in defs and key not in reached:
             reached.add(key)
             todo += refs(key[0], defs[key].body)
+    return defs, reached
+
+
+def unreachable_definitions():
+    """Top-level functions and classes of the package that neither the
+    program nor ACCEPTANCE_API reaches."""
+    defs, reached = _reach(ACCEPTANCE_API)
     return sorted("%s.%s" % key for key in defs if key not in reached)
 
 
 def test_every_library_definition_is_reachable():
     assert unreachable_definitions() == []
+
+
+def test_acceptance_imports_only_reached_names():
+    # a library definition the acceptance gate imports is one the program
+    # reaches or one ACCEPTANCE_API names, so a helper that only tests use
+    # fails here; each ACCEPTANCE_API name is one the gate imports
+    defs, reached = _reach(())
+    imported = _library_imports(_parse(os.path.join(ROOT, "tests", "test_acceptance.py")))
+    assert set(ACCEPTANCE_API) <= set(imported)
+    assert [key for key in imported
+            if key in defs and key not in reached and key not in ACCEPTANCE_API] == []
 
 
 def _package_modules():

@@ -166,13 +166,14 @@ def test_jh_outer_weights_distinct():
     assert len(set(out)) == 8
 
 
-def test_jh_depth_guard():
+def test_jh_depth_guard(monkeypatch):
     shallow = TamePresentation("type", (W_E,), (Weight(1, 0, 0),), P)
     assert shallow.depth() < 3
     with pytest.raises(GenericityError):
         jh_factors(shallow)
-    # thresholds are data: an explicit lower bound is allowed
-    jh_factors(tau_fixture(), min_depth=1)
+    # thresholds are data: the policy's one threshold may be lowered
+    monkeypatch.setattr(weights, "WEIGHT_DEPTH", 1)
+    jh_factors(tau_fixture())
 
 
 def test_wq_injective_and_sizes():
@@ -344,13 +345,13 @@ def _fixture(name):
     return load_presentation(os.path.join(FIXTURES, name))
 
 
-def _kernel_at(pres, pair, min_depth=3):
+def _kernel_at(pres, pair):
     """F_pres at one pair tuple: a fresh slot table read at its one index
     tuple, with no full slot made."""
     index = weights._singles(pres.kind).index
     xs, ys = (pair.w1, pair.w2) if pres.kind == "param" else (pair.w2, pair.w1)
     combo = tuple(index[pr] for pr in zip(xs, ys))
-    return weights._SlotTable().weight(pres, pres.kind, min_depth, combo)
+    return weights._SlotTable().weight(pres, pres.kind, combo)
 
 
 def _both_kinds(pres):
@@ -482,7 +483,7 @@ def _error_of(fn, *args):
     return type(info.value), str(info.value)
 
 
-def test_kernel_errors_match_oracle():
+def test_kernel_errors_match_oracle(monkeypatch):
     # too shallow for the default depth: refused before any weight
     shallow = TamePresentation("param", (W_E, W_E), (Weight(1, 0, 0), Weight(16, 8, 0)), P)
     assert shallow.depth() < 3
@@ -492,16 +493,18 @@ def test_kernel_errors_match_oracle():
     assert edge.depth() == 0
     _, deep_tau = _both_kinds(_fixture("rb_f2.json"))
     for pres, depth in ((shallow, 3), (edge, 0)):
+        monkeypatch.setattr(weights, "WEIGHT_DEPTH", depth)
         rho, tau = _both_kinds(pres)
         for fast, slow, arg in ((w_question, oracles.w_question, rho),
                                 (jh_factors, oracles.jh_factors, tau)):
-            assert _error_of(fast, arg, depth)[0] is _error_of(slow, arg, depth)[0] is GenericityError
-        assert (_error_of(intersect_w_jh, rho, deep_tau, depth)[0]
+            assert _error_of(fast, arg)[0] is _error_of(slow, arg, depth)[0] is GenericityError
+        assert (_error_of(intersect_w_jh, rho, deep_tau)[0]
                 is _error_of(oracles.intersect_w_jh, rho, deep_tau, depth)[0])
     # the lowest-alcove failure reads the same on both sides
     rho, tau = _both_kinds(edge)
-    assert _error_of(w_question, rho, 0) == _error_of(oracles.w_question, rho, 0)
-    assert _error_of(jh_factors, tau, 0) == _error_of(oracles.jh_factors, tau, 0)
+    assert _error_of(w_question, rho) == _error_of(oracles.w_question, rho, 0)
+    assert _error_of(jh_factors, tau) == _error_of(oracles.jh_factors, tau, 0)
+    monkeypatch.undo()
     # the wrong kind of presentation
     assert _error_of(w_question, tau)[0] is _error_of(oracles.w_question, tau)[0] is ValueError
     assert _error_of(jh_factors, rho)[0] is _error_of(oracles.jh_factors, rho)[0] is ValueError
@@ -519,9 +522,9 @@ def test_wrong_kind_errors_name_both_kinds():
 # --- the offset table, exhaustively at small primes ------------------------
 #
 # At f = 1 every slot element s and every lowest-alcove mu (c in -1..1)
-# reaches the kernel, shallow ones included (min_depth = 0), so each row of
-# the per-(kind, s) offset table and each outcome of the lowest-alcove test
-# is compared with the brute-force oracle.
+# reaches the kernel, shallow ones included (WEIGHT_DEPTH lowered to 0), so
+# each row of the per-(kind, s) offset table and each outcome of the
+# lowest-alcove test is compared with the brute-force oracle.
 
 def _lowest_alcove_mus(p):
     return [Weight(a, b, c) for a in range(-2, p) for b in range(-1, p) for c in (-1, 0, 1)
@@ -543,18 +546,19 @@ def _oracle_at(pres, xs, ys):
 
 
 @pytest.mark.parametrize("p", (11, 13))
-def test_offset_table_matches_oracle_exhaustively(p):
+def test_offset_table_matches_oracle_exhaustively(p, monkeypatch):
     # each tuple is also evaluated alone: the kernel on its one index
     # tuple gives the table's weight, or the oracle's error
+    monkeypatch.setattr(weights, "WEIGHT_DEPTH", 0)
     outer = [outer_pair((w,)) for w in W_ALL]
     raised = 0
     for s in W_ALL:
         for mu in _lowest_alcove_mus(p):
             rho = TamePresentation("param", (s,), (mu,), p)
             tau = TamePresentation("type", (s,), (mu,), p)
-            wq = _outcome(lambda: list(w_question(rho, 0).items()))
+            wq = _outcome(lambda: list(w_question(rho).items()))
             assert wq == _outcome(lambda: list(oracles.w_question(rho, 0).items()))
-            jh = _outcome(lambda: list(jh_factors(tau, 0).items()))
+            jh = _outcome(lambda: list(jh_factors(tau).items()))
             assert jh == _outcome(lambda: list(oracles.jh_factors(tau, 0).items()))
             raised += isinstance(wq, tuple) + isinstance(jh, tuple)
             wq_table = dict(wq) if isinstance(wq, list) else None
@@ -562,17 +566,17 @@ def test_offset_table_matches_oracle_exhaustively(p):
             # the same weight or error, on the first use and on the next
             table, index = weights._SlotTable(), weights._singles("param").index
             for pair in enumerate_ap_prime(1):
-                got = _outcome(_kernel_at, rho, pair, 0)
+                got = _outcome(_kernel_at, rho, pair)
                 combo = (index[pair.w1[0], pair.w2[0]],)
                 for _ in range(2):
-                    assert _outcome(table.weight, rho, "param", 0, combo) == got
+                    assert _outcome(table.weight, rho, "param", combo) == got
                 if wq_table is not None:
                     assert got == wq_table[pair]
                 else:
                     assert got == _outcome(_oracle_at, rho, pair.w1, pair.w2)
             jh_table = dict(jh) if isinstance(jh, list) else None
             for pair in outer:
-                got = _outcome(_kernel_at, tau, pair, 0)
+                got = _outcome(_kernel_at, tau, pair)
                 if jh_table is not None:
                     assert got == jh_table[pair]
                 else:
