@@ -42,7 +42,6 @@ from .weights import (
     derived_type,
     enumerate_ap_prime,
     intersect_w_jh,
-    obvious_weights,
     predicted_pair_of_weight,
     presentation_from_w_tilde,
     w_question,
@@ -87,15 +86,6 @@ class AdjacencyInstance:
     def edge(self) -> tuple[SerreWeight, SerreWeight]:
         a, b = sorted((self.sigma1, self.sigma2), key=lambda s: s.sort_key())
         return (a, b)
-
-    def display(self) -> str:
-        return "s=(%d,%d) pair=%s : %s -- %s" % (
-            self.s[0],
-            self.s[1],
-            self.pair.display(),
-            self.sigma1.display(),
-            self.sigma2.display(),
-        )
 
 
 @lru_cache(maxsize=None)
@@ -249,9 +239,6 @@ class WeightGraph:
             comps.append(frozenset(comp))
         return tuple(comps)
 
-    def is_connected(self) -> bool:
-        return len(self.components()) <= 1
-
     def to_dot(self) -> str:
         ids = {v: "n%d" % k for k, v in enumerate(self.vertices)}
         lines = ["graph weights {"]
@@ -282,12 +269,7 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
     W? table and its instances.  Only the last parameter's state is kept:
     callers ask for one parameter's graph several times in a row
     (`build_graph`, then `find_chain` per weight).  No check result is
-    kept."""
-    if rhobar.depth() < RHOBAR_DEPTH:
-        log.warning(
-            "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",
-            rhobar.display(), rhobar.p, rhobar.depth(), RHOBAR_DEPTH,
-        )
+    kept.  A shallow parameter is warned about once its graph is built."""
     table = w_question(rhobar)
     vertices = tuple(sorted(set(table.values()), key=lambda s: s.sort_key()))
     instances = {
@@ -298,10 +280,17 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
     for inst in instances.values():
         edges.setdefault(inst.edge, []).append(inst)
-    obvious = frozenset(obvious_weights(rhobar).values())
+    # the obvious weights are W?'s values at the diagonal pairs (w1 == w2)
+    obvious = frozenset(sigma for pair, sigma in table.items() if pair.w1 == pair.w2)
     edge_view = MappingProxyType({e: tuple(v) for e, v in edges.items()})
-    return _GraphState(WeightGraph(vertices, edge_view, obvious),
-                       predicted_pair_of_weight(table), instances)
+    state = _GraphState(WeightGraph(vertices, edge_view, obvious),
+                        predicted_pair_of_weight(table), instances)
+    if rhobar.depth() < RHOBAR_DEPTH:
+        log.warning(
+            "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",
+            rhobar.display(), rhobar.p, rhobar.depth(), RHOBAR_DEPTH,
+        )
+    return state
 
 
 def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:

@@ -18,7 +18,6 @@ from typing import NamedTuple, Sequence
 
 from .base import (
     ETA,
-    POSITIVE_COROOTS,
     POSITIVE_ROOTS,
     W_ALL,
     W_E,
@@ -43,19 +42,12 @@ class Alcove(NamedTuple):
 BASE_ALCOVE = Alcove(3, 1)
 DUAL_BASE_ALCOVE = Alcove(-3, -1)
 
-# Linear functionals attached to the positive coroots (f-component is 0
-# for all of them, so only the plane coordinates matter), and the plane
-# directions of the corresponding roots.
-_FUNCTIONALS = tuple((cov.d, cov.e) for cov in POSITIVE_COROOTS)
+# The plane directions of the positive roots.
 _ROOT_VECS = tuple((r.a, r.b) for r in POSITIVE_ROOTS)
 
 
-def functional(i: int, a: Alcove) -> int:
-    d, e = _FUNCTIONALS[i]
-    return d * a.x + e * a.y
-
-
 def functional_values(a: Alcove) -> tuple[int, int, int, int]:
+    """The pairings of a with the four positive coroots, in their order."""
     x, y = a
     return (x - y, y, x + y, x)
 
@@ -78,7 +70,7 @@ def reflect_alcove(a: Alcove, i: int, m: int) -> Alcove:
     """Affine reflection in the hyperplane <., alpha_i^vee> = m."""
     # s_{alpha,m}(pt) = pt - (<pt, alpha^vee> - m) * alpha_vec; scaled by
     # 6, the functional value is compared with the wall at 6m
-    k = 6 * m - functional(i, a)
+    k = 6 * m - functional_values(a)[i]
     va, vb = _ROOT_VECS[i]
     return Alcove(a.x + k * va, a.y + k * vb)
 

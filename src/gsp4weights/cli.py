@@ -63,7 +63,7 @@ USAGE = """usage: gsp4weights <command> [options]
 
 commands:
   selfcheck   run startup assertions and module smoke tests
-  adm         list an admissible set (--lambda a,b,c [--dual] [--table])
+  adm         list an admissible set (--lambda a,b,c [--dual])
   ap          list admissible pairs (--f N [--prime])
   weights     predicted weights of a parameter (--rhobar FILE [--obvious])
   graph       weight adjacency graph (--rhobar FILE [--dot FILE] [--chains])
@@ -73,9 +73,11 @@ commands:
               --shape FILE --q Q)
 
 common options: --fmt table|json|dot where written (selfcheck and
-  localmodel --verify-regcolone: table only; dot: graph only), and where
+  localmodel --verify-regcolone: table only; dot: graph only), with
+  --json and --table short for --fmt json and --fmt table; and where
   read: --p P (selfcheck, weights, graph, cycles, localmodel
-  --verify-regcolone), --f N (ap), --seed S (localmodel --verify-regcolone)
+  --verify-regcolone), --f N (ap), --seed S (localmodel --verify-regcolone);
+  -h/--help prints a command's options
 """
 
 # Per mode (see _mode_of): the common flags it reads and the formats it writes
@@ -199,9 +201,11 @@ def load_presentation(path: str, expect_p: int | None = None,
 
 
 def load_matrix(path: str, field) -> PolyMat:
-    """Read a 4x4 polynomial matrix in PolyMat.to_json_obj's format,
-    optionally wrapped in an object with a schema tag; a wrapper's p, when
-    present, must be a JSON integer equal to the field's characteristic."""
+    """Read a 4x4 polynomial matrix: four rows of four cells, each cell
+    {"coeffs": {exponent: scalar}} (see PolyMat.from_json_obj), optionally
+    wrapped in an object with a schema tag whose "rows" hold them; a
+    wrapper's p, when present, must be a JSON integer equal to the field's
+    characteristic."""
     with open(path) as fh:
         obj = json.load(fh)
     if isinstance(obj, dict):
@@ -402,12 +406,13 @@ def _cmd_graph(cfg: RunConfig, args) -> list[str]:
     graph = build_graph(rhobar)
     edges = sorted(graph.edges.items(),
                    key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
-    dot_text = graph.to_dot()
-    if args.dot:
-        with open(args.dot, "w") as fh:
-            fh.write(dot_text)
-    if cfg.fmt == "dot":
-        return [dot_text.rstrip("\n")]
+    if args.dot or cfg.fmt == "dot":
+        dot_text = graph.to_dot()
+        if args.dot:
+            with open(args.dot, "w") as fh:
+                fh.write(dot_text)
+        if cfg.fmt == "dot":
+            return [dot_text.rstrip("\n")]
     chains = []
     if args.chains:
         for sigma in graph.vertices:

@@ -232,10 +232,6 @@ class ColengthOneReport:
     cases: tuple[int, ...]
 
     @property
-    def j2(self) -> tuple[int, ...]:
-        return tuple(j for j, c in enumerate(self.cases) if c in (2, 3))
-
-    @property
     def count(self) -> int:
         return len(self.weights)
 

@@ -444,15 +444,13 @@ class LaurentPoly:
     def __repr__(self):
         return "LaurentPoly(%s)" % self.display()
 
-    def to_coeff_json(self) -> dict:
-        return {str(e): self.field.to_str(c) for e, c in self.coeffs}
-
     @staticmethod
     def from_coeff_json(field, obj: dict) -> "LaurentPoly":
-        """Inverse of to_coeff_json.  An exponent is an integer as str(int)
-        writes it; a coefficient is a JSON integer or a string "a" or "a/b"
-        of integers.  Anything else raises ValueError; a denominator that
-        is 0 or vanishes in the field raises ZeroDivisionError."""
+        """The polynomial of a JSON object {exponent: scalar}.  An exponent
+        is an integer as str(int) writes it; a coefficient is a JSON integer
+        or a string "a" or "a/b" of integers.  Anything else raises
+        ValueError; a denominator that is 0 or vanishes in the field raises
+        ZeroDivisionError."""
         try:
             es, cs = ",".join(obj), ",".join(obj.values())
         except TypeError:  # a JSON integer coefficient, or a non-string key

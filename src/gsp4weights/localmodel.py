@@ -263,25 +263,12 @@ class PolyMat:
     def derivative(self) -> "PolyMat":
         return PolyMat(self.field, [[e.derivative() for e in row] for row in self.rows])
 
-    def inverse_unit_det(self) -> "PolyMat":
-        """Inverse when det is a unit of the Laurent ring (a monomial)."""
-        d = self.det()
-        if d.is_zero:
-            raise ValueError("matrix is singular")
-        if not d.is_monomial:
-            raise ValueError("determinant %s is not a unit" % d.display())
-        exp, coef = d.coeffs[0]
-        dinv = LaurentPoly(self.field, {-exp: self.field.inv(coef)})
-        return self.adjugate() * dinv
-
-    def to_json_obj(self) -> list:
-        return [[{"coeffs": e.to_coeff_json()} for e in row] for row in self.rows]
-
     @staticmethod
     def from_json_obj(field, obj) -> "PolyMat":
-        """Inverse of to_json_obj: a 4x4 array of {"coeffs": ...} cells, each
-        read by LaurentPoly.from_coeff_json.  A malformed array raises
-        ValueError; a bad cell re-raises its error with the cell named."""
+        """The matrix of a 4x4 array (a list of four rows of four cells), each
+        cell an object {"coeffs": {exponent: scalar}} read by
+        LaurentPoly.from_coeff_json.  A malformed array raises ValueError; a
+        bad cell re-raises its error with the cell named."""
         if not (isinstance(obj, list) and len(obj) == 4
                 and all(isinstance(row, list) and len(row) == 4 for row in obj)):
             raise ValueError("the matrix is not a 4x4 array of cells")
@@ -676,38 +663,6 @@ class MonodromyParams:
         vals = [LaurentPoly.const(self.field, x) for x in self.diag_values()]
         return PolyMat(self.field, [[vals[i] if i == j else zero for j in range(4)]
                                     for i in range(4)])
-
-    def _int_values(self) -> tuple[int, int, int]:
-        out = []
-        for x in self.a:
-            if isinstance(x, Fraction):
-                if x.denominator != 1:
-                    raise ValueError("genericity needs integer parameter values")
-                out.append(x.numerator)
-            else:
-                out.append(int(x))
-        return tuple(out)
-
-    def is_generic(self, m: int) -> bool:
-        """m-genericity: every root pairing stays m away from pZ."""
-        a1, a2, a3 = self._int_values()
-        for val in (a1 - a2, 2 * a2 - a3, a1 + a2 - a3, 2 * a1 - a3):
-            r = val % self.p
-            if not (m < r < self.p - m):
-                return False
-        return True
-
-    def act(self, w: FiniteWeyl) -> "MonodromyParams":
-        """Weyl action on the parameter triple matching conjugation by
-        the matrix of w (the character-exponent realization crosses the
-        two generators relative to the coweight coordinates)."""
-        d, e, f = self.a
-        for ch in reversed(w.word):
-            if ch == "1":
-                e = self.field.coerce(f - e)
-            else:
-                d, e = e, d
-        return MonodromyParams(self.field, (d, e, f), self.p)
 
 
 @dataclass(frozen=True)

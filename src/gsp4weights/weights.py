@@ -108,13 +108,6 @@ class SerreWeight:
         cs = normalize_central(tuple([lam[2] for lam in parts]), p)
         return SerreWeight(p, tuple([Weight(lam[0], lam[1], c) for lam, c in zip(parts, cs)]))
 
-    def is_regular(self) -> bool:
-        return all(
-            pairing(lam, POSITIVE_COROOTS[i]) < self.p - 1
-            for lam in self.parts
-            for i in SIMPLE_INDICES
-        )
-
     def depth(self) -> int:
         return min(weight_depth(lam, self.p) for lam in self.parts)
 
@@ -381,11 +374,15 @@ def _slot_parts(kind, s, mu, p, ks, cells) -> list[dict[int, Part]]:
 
 
 def _guard(pres: TamePresentation, kind: str) -> None:
-    """The checks a kernel of `pres` runs before any part: its kind, then
-    its depth against WEIGHT_DEPTH, the one threshold of the weight maps."""
+    """The checks a kernel of `pres` runs before any part: its kind, that
+    each mu lies inside the lowest alcove, then its depth against
+    WEIGHT_DEPTH, the one threshold of the weight maps."""
     if pres.kind != kind:
         raise ValueError(
             "expected a %s presentation, got a %s presentation" % (kind, pres.kind))
+    if pres.depth() < 0:  # lowest_alcove_depth's value for a mu outside the alcove
+        raise GenericityError("presentation %s has a mu outside the lowest alcove for p=%d"
+                              % (pres.display(), pres.p))
     if pres.depth() < WEIGHT_DEPTH:
         raise GenericityError("presentation %s is only %d-deep; need at least %d"
                               % (pres.display(), pres.depth(), WEIGHT_DEPTH))

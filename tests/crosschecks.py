@@ -4,7 +4,9 @@ Unlike `oracles.py`, these call the library: they relate its weight maps,
 cycle sums, arrow order and weight graphs to each other rather than to an
 independent definition.  The samplers draw deep presentations and
 symplectic Iwahori elements; `oracles.random_iwahori` builds the same
-matrices from the same draws by full products.
+matrices from the same draws by full products.  The genericity test and
+the Weyl action on monodromy parameters read the library's parameter
+triples.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ from gsp4weights.affine import (
 from gsp4weights.adjacency import _graph_of
 from gsp4weights.cycles import bm_sum, restricted_chain
 from gsp4weights.exactalg import LaurentPoly, PrimeField
-from gsp4weights.localmodel import PolyMat
+from gsp4weights.localmodel import MonodromyParams, PolyMat
 from gsp4weights.weights import (
     APPair,
     GenericityError,
@@ -224,7 +226,47 @@ def slot_product_map(rhobars) -> dict:
             old_slots = tuple(zip(pair.w1, pair.w2))
             new_slots = tuple(zip(new.w1, new.w2))
             if new_slots[:j] + new_slots[j + 1:] != old_slots[:j] + old_slots[j + 1:]:
-                raise AssertionError("%s changes a slot other than %d" % (inst.display(), j))
+                raise AssertionError("s=(%d,%d) pair=%s changes a slot other than %d"
+                                     % (i, j, pair.display(), j))
             if rule.setdefault(old_slots[j] + (i,), new_slots[j]) != new_slots[j]:
-                raise AssertionError("%s leaves the per-slot map" % inst.display())
+                raise AssertionError("s=(%d,%d) pair=%s leaves the per-slot map"
+                                     % (i, j, pair.display()))
     return rule
+
+
+# --- monodromy parameters --------------------------------------------------
+
+
+def _int_values(mp: MonodromyParams) -> tuple[int, int, int]:
+    out = []
+    for x in mp.a:
+        if isinstance(x, Fraction):
+            if x.denominator != 1:
+                raise ValueError("genericity needs integer parameter values")
+            out.append(x.numerator)
+        else:
+            out.append(int(x))
+    return tuple(out)
+
+
+def is_generic(mp: MonodromyParams, m: int) -> bool:
+    """m-genericity: every root pairing stays m away from pZ."""
+    a1, a2, a3 = _int_values(mp)
+    for val in (a1 - a2, 2 * a2 - a3, a1 + a2 - a3, 2 * a1 - a3):
+        r = val % mp.p
+        if not (m < r < mp.p - m):
+            return False
+    return True
+
+
+def monodromy_act(mp: MonodromyParams, w) -> MonodromyParams:
+    """Weyl action on the parameter triple matching conjugation by the
+    matrix of w (the character-exponent realization crosses the two
+    generators relative to the coweight coordinates)."""
+    d, e, f = mp.a
+    for ch in reversed(w.word):
+        if ch == "1":
+            e = mp.field.coerce(f - e)
+        else:
+            d, e = e, d
+    return MonodromyParams(mp.field, (d, e, f), mp.p)

@@ -605,9 +605,15 @@ def presentation_of(sigma: SerreWeight) -> LowestAlcovePresentation:
     return pres
 
 
+def is_regular_weight(sigma: SerreWeight) -> bool:
+    """Every part pairs to less than p - 1 with both simple coroots."""
+    return all(pairing(lam, POSITIVE_COROOTS[i]) < sigma.p - 1
+               for lam in sigma.parts for i in (0, 1))
+
+
 def alcove_shift(sigma: SerreWeight) -> SerreWeight:
     """The bijection F(lam) -> F(highest_restricted . lam) on regular weights."""
-    if not sigma.is_regular():
+    if not is_regular_weight(sigma):
         raise ValueError("alcove shift is only defined for regular weights")
     return SerreWeight.make(sigma.p, tuple(p_dot(HIGHEST_RESTRICTED, lam, sigma.p)
                                            for lam in sigma.parts))
@@ -616,7 +622,7 @@ def alcove_shift(sigma: SerreWeight) -> SerreWeight:
 def alcove_shift_inv(sigma: SerreWeight) -> SerreWeight:
     out = SerreWeight.make(sigma.p, tuple(p_dot(invert(HIGHEST_RESTRICTED), lam, sigma.p)
                                           for lam in sigma.parts))
-    if not out.is_regular():
+    if not is_regular_weight(out):
         raise ValueError("inverse alcove shift left the regular range")
     return out
 

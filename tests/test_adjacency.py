@@ -186,6 +186,16 @@ def test_build_instance_refuses_pairs_not_made_of_ap_prime_pairs():
             build_instance(rho, forged, (1, 0))
 
 
+@pytest.mark.parametrize("name, count", (("rb1.json", 8), ("rb41.json", 8), ("rb_f2.json", 64)))
+def test_graph_reads_the_obvious_weights_off_its_w_question_table(name, count):
+    # the graph's obvious weights are W?'s values at its diagonal pairs,
+    # the set obvious_weights makes on a table of its own
+    rho = fixture(name)
+    obvious = _graph_of(rho).graph.obvious
+    assert len(obvious) == count
+    assert obvious == frozenset(obvious_weights(rho).values())
+
+
 def test_edge_symmetry_of_construction():
     # the conjugated target built from diamond(w) equals the one built from
     # diamond(sw); hence both pairs witness the same type and edge
@@ -225,7 +235,7 @@ def test_graph_connected_f1():
     for rho in (rho41(), rho37()):
         g = build_graph(rho)
         assert len(g.vertices) == 20
-        assert g.is_connected()
+        assert len(g.components()) == 1
 
 
 def test_obvious_subgraph_connected():
@@ -413,7 +423,7 @@ def test_failing_check_raises_after_unchecked_build(monkeypatch):
     monkeypatch.setattr(adjacency, "intersect_w_jh", lambda *args: frozenset())
     with pytest.raises(AssertionError, match="expected two outer weights"):
         build_graph(rho, check=True)
-    assert build_graph(rho, check=False).is_connected()
+    assert len(build_graph(rho, check=False).components()) == 1
 
 
 def test_steered_steps_are_checked_on_the_shared_graph(monkeypatch):
@@ -505,7 +515,7 @@ def test_graph_connected_f2():
     rho = random_deep_presentation(41, 2, 9, random.Random(11), kind="param")
     g = build_graph(rho, check=False)
     assert len(g.vertices) == 400
-    assert g.is_connected()
+    assert len(g.components()) == 1
     # spot-check a sample of instances with the full intersection assertion
     pairs = enumerate_ap_prime(2)
     rng = random.Random(5)
@@ -518,7 +528,7 @@ def test_graph_connected_f2_p37():
     rho = random_deep_presentation(37, 2, 8, random.Random(12), kind="param")
     g = build_graph(rho, check=False)
     assert len(g.vertices) == 400
-    assert g.is_connected()
+    assert len(g.components()) == 1
 
 
 def _assert_adjacency_matches_edge_scan(g):
@@ -556,7 +566,7 @@ def test_full_f2_graph_with_checks():
     assert len(g.vertices) == 400
     assert len(g.edges) == 920
     assert len(g.obvious) == 64
-    assert g.is_connected()
+    assert len(g.components()) == 1
     _assert_adjacency_matches_edge_scan(g)
 
 

@@ -6,7 +6,10 @@ import shlex
 import pytest
 
 from gsp4weights.cli import (
+    COMMANDS,
+    USAGE,
     RunConfig,
+    _build_parser,
     load_matrix,
     load_presentation,
     main,
@@ -51,6 +54,14 @@ def test_no_args_prints_usage(capsys):
     code, out, err = capture(capsys, [])
     assert code == 0
     assert "usage:" in out
+
+
+@pytest.mark.parametrize("command", COMMANDS)
+def test_usage_names_every_option(command):
+    options = [s for action in _build_parser(command)._actions for s in action.option_strings]
+    assert "--json" in options
+    assert [s for s in options
+            if not re.search(r"(?<![\w-])%s(?![\w-])" % re.escape(s), USAGE)] == []
 
 
 def test_selfcheck(capsys):
@@ -208,6 +219,45 @@ def test_graph_names_the_too_shallow_derived_type(tmp_path, capsys):
     assert code == 2 and out == ""
     assert err.endswith(
         "error: presentation type[s=s1s2s1 mu=8,2,-2] is only 2-deep; need at least 3\n")
+
+
+@pytest.mark.parametrize("argv, kind", (
+    (["weights", "--rhobar"], "param"),
+    (["weights", "--obvious", "--rhobar"], "param"),
+    (["graph", "--rhobar"], "param"),
+    (["cycles", "--tau"], "type"),
+    (["cycles", "--bm", "--tau"], "type"),
+))
+def test_mu_outside_the_lowest_alcove_is_refused_by_name(tmp_path, capsys, argv, kind):
+    path = _write_presentation(tmp_path, kind=kind, mu=[[60, 30, 0]])
+    code, out, err = capture(capsys, argv + [path])
+    assert code == 2 and out == ""
+    assert err == ("error: presentation %s[s=s1s2 mu=60,30,0] has a mu outside the lowest"
+                   " alcove for p=37\n" % kind)
+
+
+@pytest.mark.parametrize("mu", ([[60, 30, 0]], [[6, 3, 0]]), ids=("outside", "3-deep"))
+def test_refused_graph_is_not_warned_about(tmp_path, capsys, caplog, mu):
+    # the shallow-parameter warning follows a built graph, so a run that
+    # refuses the parameter or a derived type warns of nothing first
+    adjacency._graph_of.cache_clear()
+    caplog.set_level("WARNING", logger="gsp4weights.adjacency")
+    code, out, err = capture(capsys, ["graph", "--rhobar", _write_presentation(tmp_path, mu=mu)])
+    assert code == 2
+    assert [r for r in caplog.records if r.name == "gsp4weights.adjacency"] == []
+
+
+@pytest.mark.parametrize("flags, renders", (
+    ([], 0), (["--json"], 0), (["--chains"], 0), (["--fmt", "dot"], 1), (["--dot", None], 1),
+))
+def test_graph_renders_dot_only_when_asked(tmp_path, capsys, monkeypatch, flags, renders):
+    to_dot = adjacency.WeightGraph.to_dot
+    calls = []
+    monkeypatch.setattr(adjacency.WeightGraph, "to_dot",
+                        lambda graph: calls.append(graph) or to_dot(graph))
+    flags = [str(tmp_path / "g.dot") if f is None else f for f in flags]
+    code, out, err = capture(capsys, ["graph", "--rhobar", fx("rb1.json")] + flags)
+    assert code == 0 and len(calls) == renders
 
 
 def test_dot_format_rejected_elsewhere(capsys):

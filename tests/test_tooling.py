@@ -6,8 +6,9 @@ renaming a module, function, class or cache the benchmark uses fails here
 rather than in a benchmark run.
 
 Every top-level function and class in src/ must be reachable from
-something the program runs, or be named in ACCEPTANCE_API; test-only
-helpers live under tests/.
+something the program runs, or be named in ACCEPTANCE_API, and every
+method and property of a src/ class must be named by some code other
+than itself; test-only helpers live under tests/.
 
 An unbounded cache keeps an entry per distinct argument for the life of
 the process, so only tables of no arguments may be cached whole.
@@ -29,6 +30,12 @@ PACKAGE = os.path.join(ROOT, "src", "gsp4weights")
 def _parse(path):
     with open(path) as fh:
         return ast.parse(fh.read(), path)
+
+
+def _package_trees():
+    """Module name -> parsed source, for every module of the package."""
+    return {f[:-3]: _parse(os.path.join(PACKAGE, f))
+            for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
 
 
 def _read(path):
@@ -125,8 +132,7 @@ def _reach(api):
     there or to a `from .x import y` alias, function-local imports
     included.
     """
-    trees = {f[:-3]: _parse(os.path.join(PACKAGE, f))
-             for f in sorted(os.listdir(PACKAGE)) if f.endswith(".py")}
+    trees = _package_trees()
     defs, scope = {}, {}
     for mod, tree in trees.items():
         scope[mod] = {}
@@ -176,6 +182,39 @@ def unreachable_definitions():
 
 def test_every_library_definition_is_reachable():
     assert unreachable_definitions() == []
+
+
+def unnamed_methods():
+    """Methods and properties of the package's classes, dunders aside,
+    as "module.Class.name", whose name is read as an attribute nowhere in
+    src/ outside their own body and nowhere in perfbench's worker.
+
+    Names are matched, not resolved: a method that shares its name with
+    one in use (an `act` or a `display`) passes here."""
+    attrs: dict[str, list[int]] = {}
+    methods = []
+    for mod, tree in _package_trees().items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute):
+                attrs.setdefault(node.attr, []).append(id(node))
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                methods += [(mod, cls.name, node) for node in cls.body
+                            if isinstance(node, ast.FunctionDef)
+                            and not (node.name.startswith("__") and node.name.endswith("__"))]
+    worker = {node.attr for node in ast.walk(_parse(os.path.join(PERFBENCH, "worker.py")))
+              if isinstance(node, ast.Attribute)}
+    out = []
+    for mod, cls, node in methods:
+        inside = {id(sub) for sub in ast.walk(node)}
+        if node.name not in worker and all(a in inside for a in attrs.get(node.name, ())):
+            out.append("%s.%s.%s" % (mod, cls, node.name))
+    return sorted(out)
+
+
+def test_every_library_method_is_named_outside_itself():
+    # a method only tests call is deleted, or moved to tests/ as a function
+    assert unnamed_methods() == []
 
 
 def test_acceptance_imports_only_reached_names():
@@ -262,10 +301,12 @@ def test_traced_class_methods_resolve():
         for cls_name, methods in sorted(classes.items()):
             cls = getattr(module, cls_name)
             missing += ["%s.%s.%s" % (mod, cls_name, m) for m in methods if m not in cls.__dict__]
-    # LaurentPoly.evaluate and RatFunc's arithmetic were deleted from the
-    # library; their tracer entries go with the next benchmark change
+    # LaurentPoly.evaluate, RatFunc's arithmetic and PolyMat.inverse_unit_det
+    # were deleted from the library; their tracer entries go with the next
+    # benchmark change
     assert missing == ["exactalg.LaurentPoly.evaluate"] + ["exactalg.RatFunc.%s" % m for m in (
-        "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__")]
+        "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__")
+    ] + ["localmodel.PolyMat.inverse_unit_det"]
 
 
 def test_only_the_slot_table_makes_weight_parts():
