@@ -39,7 +39,6 @@ from .weights import (
     _singles,
     _SlotTable,
     TamePresentation,
-    derived_type,
     enumerate_ap_prime,
     intersect_w_jh,
     predicted_pair_of_weight,
@@ -159,7 +158,7 @@ def build_instance(
         rhobar0_wt.append(compose(x, w1_inv_w2))
         w_combo.append(k_w)
         sw_combo.append(k_sw)
-    tau = derived_type(rhobar, tuple(tau_wt))
+    tau = presentation_from_w_tilde("type", tuple(tau_wt), rhobar.p)
     rhobar0 = presentation_from_w_tilde("param", tuple(rhobar0_wt), rhobar.p)
 
     # genericity margins scale with the input parameter's actual depth

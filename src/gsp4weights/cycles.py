@@ -242,12 +242,12 @@ def colength_one_components(
     """Component count for a pair whose compatibility element is extremal
     or colength-one at every embedding: the intersection of the predicted
     set with the JH set has exactly 2^(#case-2/3 embeddings) weights."""
+    inter = intersect_w_jh(rhobar, tau)  # the weight maps' guards come first
     g = compat_element(rhobar, tau)
     cases = tuple(classify_embedding_shape(gj) for gj in g)
     if tau.depth() < TAU_DEPTH:
         log.warning("type depth %d below %d; count relies on deeper input",
                     tau.depth(), TAU_DEPTH)
-    inter = intersect_w_jh(rhobar, tau)
     expected = 2 ** sum(1 for c in cases if c in (2, 3))
     if len(inter) != expected:
         raise AssertionError(

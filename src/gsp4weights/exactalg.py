@@ -12,8 +12,13 @@ stored as integer numerators over one positive denominator: over F_q the
 numerators are the reduced scalars and the denominator is 1, over the
 rationals the denominator has no factor in common with all numerators.
 So sums and products over either field are integer arithmetic, with one
-gcd over the rationals, and no Fraction is made per term.  Everything is
-exact; division by zero raises, it never produces a silent junk value.
+gcd over the rationals, and no Fraction is made per term.  A product of
+two polynomials of more than one term each, over either field, is one
+integer product by Kronecker substitution (Schoenhage 1982; Harvey,
+J. Symb. Comp. 2009): ``_pack`` evaluates each factor at v = 2^w and
+``_unpack`` reads the product back slot by slot; the local model's 4x4
+matrix algebra runs on the same pair.  Everything is exact; division by
+zero raises, it never produces a silent junk value.
 """
 
 from __future__ import annotations
@@ -351,15 +356,12 @@ class LaurentPoly:
                 terms = tuple([(e + e0, c * c0 % q) for e, c in a])
             else:
                 terms = tuple([(e + e0, c * c0) for e, c in a])
-        elif q:
-            terms = _kronecker_mul(a, b, q)
-        else:  # the schoolbook sum, one slot per exponent of the span
+        else:  # Kronecker substitution: a product slot sums len(b) products
+            top = (q - 1) ** 2 if q else max(abs(c) for _, c in a) * max(abs(c) for _, c in b)
+            w = (len(b) * top).bit_length() + 1
             la, lb = a[0][0], b[0][0]
-            acc = [0] * (a[-1][0] - la + b[-1][0] - lb + 1)
-            for e1, c1 in a:
-                for e2, c2 in b:
-                    acc[e1 + e2 - la - lb] += c1 * c2
-            terms = tuple([(la + lb + k, c) for k, c in enumerate(acc) if c])
+            slots = a[-1][0] - la + b[-1][0] - lb + 1
+            terms = _unpack(_pack(a, la, w) * _pack(b, lb, w), la + lb, slots, w, q)
         return LaurentPoly._canonical(f, terms, self.den * other.den)
 
     __rmul__ = __mul__
@@ -484,29 +486,34 @@ _set_field, _set_terms, _set_den = (LaurentPoly.__dict__[name].__set__
                                     for name in LaurentPoly.__slots__)
 
 
-def _kronecker_mul(a: tuple, b: tuple, q: int) -> tuple:
-    """The terms of a * b over F_q by Kronecker substitution (Schoenhage
-    1982; Harvey, J. Symb. Comp. 2009).  The coefficients of the canonical
-    term tuples a, b, all in [0, q), are packed one per slot of w bits into
-    one integer each: a product slot sums at most min(len a, len b) terms
-    below q^2, so w bits hold it without carrying into the next slot."""
-    w = (min(len(a), len(b)) * (q - 1) ** 2).bit_length()
-    la, lb = a[0][0], b[0][0]
-    x = y = 0
-    for e, c in a:
-        x |= c << ((e - la) * w)
-    for e, c in b:
-        y |= c << ((e - lb) * w)
-    z = x * y
-    mask = (1 << w) - 1
+def _pack(terms, low: int, w: int, scale: int = 1) -> int:
+    """The value at v = 2^w of scale times the numerators of ``terms``,
+    with exponents counted from ``low``."""
+    x = 0
+    for e, c in terms:
+        x += c * scale << (e - low) * w
+    return x
+
+
+def _unpack(z: int, low: int, slots: int, w: int, q: int) -> tuple:
+    """The sorted (exponent, numerator) terms, from exponent ``low``, of
+    the polynomial with value z at v = 2^w and ``slots`` coefficients in
+    (-2^(w-1), 2^(w-1)), which the caller's w must ensure.  A slot of
+    2^(w-1) or more is negative and borrows one from the next; over F_q
+    (q > 0) each slot is reduced mod q, and zero slots are dropped."""
+    half, mask = 1 << (w - 1), (1 << w) - 1
     out = []
-    e = la + lb
-    while z:
-        c = (z & mask) % q
+    for e in range(low, low + slots):
+        c = z & mask
+        z >>= w
+        if c >= half:
+            c -= mask + 1
+            z += 1
+        if q:
+            c %= q
         if c:
             out.append((e, c))
-        z >>= w
-        e += 1
+    assert z == 0, "a packed result overflowed its width bound"
     return tuple(out)
 
 

@@ -35,7 +35,7 @@ from .affine import (
     star,
     translation,
 )
-from .exactalg import LaurentPoly, PrimeField, RatFunc
+from .exactalg import LaurentPoly, PrimeField, RatFunc, _pack, _unpack
 
 __all__ = [
     "PolyMat",
@@ -63,10 +63,10 @@ __all__ = [
 # ---------------------------------------------------------------------------
 # 4x4 matrices of Laurent polynomials
 #
-# The determinant, the adjugate and the similitude form are sums of
-# products of entries, so they run on the entries evaluated at v = 2^w
-# (Kronecker substitution of the whole expression: Schoenhage 1982;
-# Harvey, J. Symb. Comp. 2009).  Each entry is packed once, the minor
+# The product, the determinant, the adjugate and the similitude form are
+# sums of products of entries, so they run on the entries evaluated at
+# v = 2^w (Kronecker substitution of the whole expression, by
+# `exactalg._pack` and `_unpack`).  Each entry is packed once, the
 # formulas below run on Python ints, and each result is read back once.
 
 
@@ -103,17 +103,18 @@ def _adjugate(rows):
 
 
 class _Packed:
-    """The 16 entries of a 4x4 Laurent matrix evaluated at v = 2^w, for a
-    sum of `terms` products of `deg` entries each.
+    """The entries of a 4x4 Laurent matrix, or of a stack of them,
+    evaluated at v = 2^w by `exactalg._pack`, for a sum of `terms`
+    products of `deg` entries each.
 
-    Exponents count from the matrix-wide low degree; numerators are
-    brought to the matrix's common denominator D (1 over F_q).  A result
+    Exponents count from the low degree of all the entries; numerators
+    are brought to their common denominator D (1 over F_q).  A result
     coefficient then sums at most terms * span^(deg - 1) products of deg
     numerators, so w = bit_length(terms * span^(deg - 1) * top^deg) + 1
     holds it as a balanced slot, in (-2^(w-1), 2^(w-1)), with span the
     slots of an entry and top the largest numerator."""
 
-    __slots__ = ("field", "rows", "w", "low", "slots", "den", "bias")
+    __slots__ = ("field", "rows", "w", "low", "slots", "den")
 
     def __init__(self, rows, terms: int, deg: int):
         field = rows[0][0].field
@@ -126,38 +127,15 @@ class _Packed:
             den = lcm(*(e.den for e in entries))
             top = max((abs(c) * (den // e.den) for e in entries for _, c in e.terms), default=0)
         w = (terms * span ** (deg - 1) * top ** deg).bit_length() + 1
-        packed = []
-        for row in rows:
-            out = []
-            for e in row:
-                x, scale = 0, den // e.den
-                for k, c in e.terms:
-                    x += c * scale << (k - low) * w
-                out.append(x)
-            packed.append(out)
-        slots = deg * (span - 1) + 1
-        self.field, self.rows, self.w = field, packed, w
-        self.low, self.slots, self.den = deg * low, slots, den ** deg
-        # 2^(w-1) in every slot of a result
-        self.bias = ((1 << w * slots) - 1) // ((1 << w) - 1) << (w - 1)
+        self.field, self.w, self.den = field, w, den ** deg
+        self.rows = [[_pack(e.terms, low, w, den // e.den) for e in row] for row in rows]
+        self.low, self.slots = deg * low, deg * (span - 1) + 1
 
     def poly(self, z: int) -> LaurentPoly:
         """The Laurent polynomial whose value at v = 2^w is z, a result of
         the sum the packing was sized for."""
-        field, w = self.field, self.w
-        q = field.char
-        half, mask = 1 << (w - 1), (1 << w) - 1
-        z += self.bias
-        out = []
-        for e in range(self.low, self.low + self.slots):
-            c = (z & mask) - half
-            if q:
-                c %= q
-            if c:
-                out.append((e, c))
-            z >>= w
-        assert z == 0, "a packed result overflowed its width bound"
-        return LaurentPoly._canonical(field, tuple(out), self.den)
+        terms = _unpack(z, self.low, self.slots, self.w, self.field.char)
+        return LaurentPoly._canonical(self.field, terms, self.den)
 
 
 def _determinant(rows) -> LaurentPoly:
@@ -209,19 +187,11 @@ class PolyMat:
         if isinstance(other, PolyMat):
             if other.field != self.field:
                 raise TypeError("matrix field mismatch")
-            zero = LaurentPoly.zero(self.field)
-            rows = []
-            for left in self.rows:
-                row = []
-                for j in range(4):
-                    acc = zero
-                    for a, right in zip(left, other.rows):
-                        b = right[j]
-                        if not (a.is_zero or b.is_zero):
-                            acc = acc + a * b
-                    row.append(acc)
-                rows.append(row)
-            return PolyMat(self.field, rows)
+            # entry (i, j) is a sum of 4 products of 2 entries
+            packed = _Packed(self.rows + other.rows, 4, 2)
+            left, right = packed.rows[:4], packed.rows[4:]
+            return PolyMat(self.field, [[packed.poly(sum(a * b[j] for a, b in zip(row, right)))
+                                         for j in range(4)] for row in left])
         if isinstance(other, (LaurentPoly, int, Fraction)):
             c = self._coerce_entry(self.field, other)
             return PolyMat(self.field, [[e * c for e in row] for row in self.rows])

@@ -179,14 +179,9 @@ def presentation_from_w_tilde(kind: str, wt: TupleElt, p: int) -> TamePresentati
 
 
 def type_from_target(rhobar: TamePresentation, g: TupleElt) -> TamePresentation:
-    """The tame type tau with w(rhobar, tau) = g, i.e. w(tau) = w(rhobar) g^(-1)."""
-    return derived_type(rhobar, t_compose(rhobar.w_tilde(), t_invert(g)))
-
-
-def derived_type(rhobar: TamePresentation, wt: TupleElt) -> TamePresentation:
-    """The tame type with w~(tau) = wt, derived from rhobar; warns when it is
-    shallower than a type derived from rhobar is held to."""
-    tau = presentation_from_w_tilde("type", wt, rhobar.p)
+    """The tame type tau with w(rhobar, tau) = g, i.e. w(tau) = w(rhobar) g^(-1);
+    warns when it is shallower than a type derived from rhobar is held to."""
+    tau = presentation_from_w_tilde("type", t_compose(rhobar.w_tilde(), t_invert(g)), rhobar.p)
     if tau.depth() < derived_depth_bound(rhobar.depth()):
         log.warning("type depth %d below the expected bound for a %d-deep parameter",
                     tau.depth(), rhobar.depth())

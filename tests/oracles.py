@@ -38,11 +38,12 @@ with the library's `compose`, whose products the table tests check.
   among its orbit points in all four restricted alcoves, with alcoves and
   the arrow order read off folded barycenters; the library takes the one
   orbit point in the bottom alcove.
-- A Laurent product is the schoolbook sum over every pair of terms; the
-  library multiplies over F_q by Kronecker substitution.  Determinants
-  and adjugates are cofactor expansions, and the similitude form
-  transpose(A) * J * A is a full matrix product; the library reads all
-  three off 2 x 2 minors of the entries packed into integers.
+- A Laurent product is the schoolbook sum over every pair of terms, and
+  a matrix product sums those per entry; the library multiplies both, over
+  either field, by Kronecker substitution.  Determinants and adjugates are
+  cofactor expansions, and the similitude form transpose(A) * J * A is
+  two such matrix products; the library reads all three off 2 x 2 minors
+  of the entries packed into integers.
 - The regular colength-one family matrix is built from constant
   polynomials, E(v) = v + p and their products and sums; the library
   writes each entry's coefficients in closed form.
@@ -701,6 +702,14 @@ def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(a.field, [(e, c % q if q else c) for e, c in acc.items()])
 
 
+def matmul(A: PolyMat, B: PolyMat) -> PolyMat:
+    """Schoolbook product: entry (i, j) sums laurent_mul(A[i][k], B[k][j])
+    over k."""
+    return PolyMat(A.field, [[sum((laurent_mul(A.entry(i, k), B.entry(k, j)) for k in range(4)),
+                                  LaurentPoly.zero(A.field)) for j in range(4)]
+                             for i in range(4)])
+
+
 def cofactor_adjugate(A: PolyMat) -> PolyMat:
     """adj(A)[j][i] = (-1)^(i+j) times the determinant of A without row i
     and column j, each by cofactor expansion."""
@@ -718,7 +727,7 @@ def similitude_form(A: PolyMat):
     else (None, (i, j)) with the first entry in row-major order of all 16
     where they differ."""
     J = j_matrix(A.field)
-    S = A.transpose() * J * A
+    S = matmul(matmul(A.transpose(), J), A)
     c = S.entry(0, 3)
     for i in range(4):
         for j in range(4):
@@ -908,5 +917,5 @@ def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
                 if lower:
                     i, j = j, i
                 rows[i][j] = coeff if sign == 1 else -coeff
-            out = out * PolyMat(field, rows)
+            out = matmul(out, PolyMat(field, rows))
     return out

@@ -227,6 +227,7 @@ def test_graph_names_the_too_shallow_derived_type(tmp_path, capsys):
     (["graph", "--rhobar"], "param"),
     (["cycles", "--tau"], "type"),
     (["cycles", "--bm", "--tau"], "type"),
+    (["cycles", "--colength-one", "--tau", fx("tau1.json"), "--rhobar"], "param"),
 ))
 def test_mu_outside_the_lowest_alcove_is_refused_by_name(tmp_path, capsys, argv, kind):
     path = _write_presentation(tmp_path, kind=kind, mu=[[60, 30, 0]])

@@ -329,6 +329,26 @@ def test_rational_product_matches_schoolbook():
                                                                 rng.randrange(1, 6))
                                  for _ in range(rng.randrange(6))}) for _ in range(2))
         assert a * b == laurent_mul(a, b)
+    for m in (2 ** 64, 10 ** 40):
+        # numerators of both signs up to m over unequal denominators
+        for _ in range(20):
+            a, b = (LaurentPoly(QQ, {rng.randrange(-20, 20): Fraction(rng.randrange(-m, m + 1),
+                                                                      rng.randrange(1, 10 ** 6))
+                                     for _ in range(rng.randrange(2, 12))}) for _ in range(2))
+            assert a * b == laurent_mul(a, b)
+        # the widest slot sums of both signs: 40 slots of -m times 40 of -m or of m
+        for sign in (-1, 1):
+            a, b = LaurentPoly(QQ, {e: -m for e in range(40)}), LaurentPoly(
+                QQ, {e - 7: sign * m for e in range(40)})
+            assert a * b == laurent_mul(a, b)
+            assert (a * b).coeff(32) == -sign * 40 * m * m
+        # every slot between the ends cancels, through negative slots
+        a = LaurentPoly(QQ, {0: -m, 1: m})
+        b = LaurentPoly(QQ, {e: m for e in range(30)})
+        assert a * b == laurent_mul(a, b) == LaurentPoly(QQ, {0: -m * m, 30: m * m})
+    a, b = LaurentPoly(QQ, {0: Fraction(1, 6), 2: Fraction(-5, 4)}), LaurentPoly(
+        QQ, {-1: Fraction(3, 10), 1: Fraction(2, 9)})
+    assert a * b == laurent_mul(a, b) and (a * b).den == 1080
 
 
 def test_laurent_derivative():

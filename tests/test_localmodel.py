@@ -224,6 +224,8 @@ def assert_packed_kernel_matches(A):
     assert adj == PolyMat(A.field, localmodel._adjugate(rows)) == oracles.cofactor_adjugate(A)
     form = localmodel._form_scalar(A)
     assert form == oracles.similitude_form(A)
+    for B in (A, A.transpose()):
+        assert A * B == oracles.matmul(A, B)
     if form[1] is None:
         m03, m12 = localmodel._minors(rows[0], rows[3]), localmodel._minors(rows[1], rows[2])
         assert form[0] == m03[0, 3] + m12[0, 3]

@@ -10,6 +10,10 @@ something the program runs, or be named in ACCEPTANCE_API, and every
 method and property of a src/ class must be named by some code other
 than itself; test-only helpers live under tests/.
 
+A shift by a non-constant amount packs or unpacks polynomials evaluated
+at v = 2^w, so every one lies in exactalg's `_pack` or `_unpack`, the one
+Kronecker substitution behind every polynomial and matrix product.
+
 An unbounded cache keeps an entry per distinct argument for the life of
 the process, so only tables of no arguments may be cached whole.
 """
@@ -320,3 +324,25 @@ def test_only_the_slot_table_makes_weight_parts():
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_slot_parts"]
     assert calls
     assert [node.lineno for node in calls if id(node) not in inside] == []
+
+
+def test_only_the_kronecker_pair_shifts_by_a_variable_amount():
+    # one Kronecker substitution: every << or >> whose shift amount is not
+    # a constant is inside exactalg._pack or exactalg._unpack
+    trees = _package_trees()
+    inside = {id(node) for fn in trees["exactalg"].body
+              if isinstance(fn, ast.FunctionDef) and fn.name in ("_pack", "_unpack")
+              for node in ast.walk(fn)}
+    shifts = []
+    for name, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.BinOp):
+                op, amount = node.op, node.right
+            elif isinstance(node, ast.AugAssign):
+                op, amount = node.op, node.value
+            else:
+                continue
+            if isinstance(op, (ast.LShift, ast.RShift)) and not isinstance(amount, ast.Constant):
+                shifts.append((name, node))
+    assert shifts
+    assert [(name, node.lineno) for name, node in shifts if id(node) not in inside] == []
