@@ -20,21 +20,14 @@ from .base import (
 )
 from .affine import (
     ExtAffine,
-    HIGHEST_RESTRICTED,
-    S1,
-    S2,
-    W0,
     alcove_length,
     alcove_of,
     bruhat_down_set,
     bruhat_leq,
-    compose,
     compose_all,
     coset_ball,
-    diamond,
     finite,
     functional_values,
-    invert,
     length,
     omega_part,
     star,
@@ -143,22 +136,6 @@ def adm_levi_conjugate(lam: Weight, levi: frozenset[int], w: FiniteWeyl) -> froz
 
 
 # --- colength-one structure for eta --------------------------------------
-
-
-def irregular_family() -> frozenset[ExtAffine]:
-    """The irregular colength-one elements of Adm(eta):
-    (w_diamond)^(-1) * (highest restricted)^(-1) * w0 * s * w_diamond
-    over finite w and the simple s making the result irregular."""
-    out = set()
-    t_eta_side = compose(invert(HIGHEST_RESTRICTED), W0)  # = t_eta
-    adm = adm_set(ETA).elements
-    for w in W_ALL:
-        d = diamond(w)
-        for s in (S1, S2):
-            cand = compose_all(invert(d), t_eta_side, s, d)
-            if cand in adm and not is_regular_element(cand):
-                out.add(cand)
-    return frozenset(out)
 
 
 def colength_one_split(lam: Weight = ETA) -> tuple[list[ExtAffine], list[ExtAffine]]:

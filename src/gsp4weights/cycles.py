@@ -14,9 +14,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
 
-from .base import ETA, W_ALL, Weight
+from .base import ETA, Weight
 from .config import TAU_DEPTH, WEIGHT_DEPTH
-from .admissible import irregular_family
+from .admissible import adm_set, colength_one_split
 from .affine import (
     HIGHEST_RESTRICTED,
     RESTRICTED_ALCOVES,
@@ -28,7 +28,6 @@ from .affine import (
     invert,
     orbit_weight,
     restricted_alcove_index,
-    translation,
     weight_alcove_index,
     weight_arrow_leq,
 )
@@ -200,8 +199,8 @@ def weyl_class(lam: Weight, p: int) -> GrothendieckClass:
 
 @lru_cache(maxsize=None)
 def _case_tables() -> tuple[frozenset, frozenset, frozenset]:
-    case1 = frozenset(translation(w.act(ETA)) for w in W_ALL)
-    case2 = irregular_family()
+    case1 = frozenset(adm_set(ETA).of_colength(0))
+    case2 = frozenset(colength_one_split()[1])
     case3 = frozenset(
         compose_all(invert(pr.w2[0]), invert(HIGHEST_RESTRICTED), W0, pr.w1[0])
         for pr in enumerate_ap_prime(1)

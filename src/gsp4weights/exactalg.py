@@ -33,14 +33,36 @@ from math import gcd, lcm
 # coefficient fields
 
 
+# the first 13 primes: as Miller-Rabin bases they decide primality for
+# every n below _MR_BOUND (Sorenson and Webster, Math. Comp. 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+_MR_BOUND = 3317044064679887385961981
+
+
 def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin primality; n >= _MR_BOUND raises
+    ValueError."""
+    if n >= _MR_BOUND:
+        raise ValueError("primality is decided only below %d, not for %d" % (_MR_BOUND, n))
     if n < 2:
         return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
+    for b in _MR_BASES:
+        if n % b == 0:
+            return n == b
+    d, s = n - 1, 0  # n - 1 = d * 2^s with d odd
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in _MR_BASES:
+        x = pow(b, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
             return False
-        d += 1
     return True
 
 

@@ -390,36 +390,10 @@ def symplectic_similitude(A: PolyMat, p: int) -> SimilitudeResult:
 # v^d * adj(A) / det(A) is integral, so A + v^(d+1) * B = A * (1 + v * X)
 # with X = (v^d A^-1) * B integral, a right factor in the pro-unipotent
 # Iwahori, and no entry of valuation > d is ever a pivot (every pivot of
-# a square block is at most the valuation of its determinant).
-
-
-def _unit_inverse(u: LaurentPoly, n: int) -> LaurentPoly:
-    """1/u mod v^n for u with nonzero constant term and no negative
-    exponents.
-
-    Over the rationals u = N / D with N = sum_j N_j v^j integral, so
-    1/u = D / N, and 1/N mod v^n = sum_k W_k v^k / N0^(k+1) with W_0 = 1
-    and W_k = -sum_j N_j W_(k-j) N0^(j-1): integer numerators over N0^n."""
-    f = u.field
-    c0 = u.terms[0][1]
-    rest = u.terms[1:]  # the terms of positive exponent, in increasing order
-    q = f.char
-    if q:
-        w0 = f.inv(c0)
-        w = [w0]
-        for k in range(1, n):
-            acc = sum(cj * w[k - j] for j, cj in rest if j <= k)
-            w.append(-w0 * acc % q)
-        return LaurentPoly._canonical(f, tuple((k, x) for k, x in enumerate(w) if x))
-    powers = [1]
-    for _ in range(n):
-        powers.append(powers[-1] * c0)
-    w = [1]
-    for k in range(1, n):
-        w.append(-sum(cj * w[k - j] * powers[j - 1] for j, cj in rest if j <= k))
-    scale = u.den if powers[n] > 0 else -u.den
-    return LaurentPoly._canonical(f, tuple((k, scale * x * powers[n - 1 - k])
-                                        for k, x in enumerate(w) if x), abs(powers[n]))
+# a square block is at most the valuation of its determinant).  The
+# elimination is fraction-free (Bareiss, Math. Comp. 1968): a row is
+# scaled by the pivot's unit instead of divided by it, which a
+# diagonal matrix of units in the Iwahori allows and no valuation sees.
 
 
 def _local_pivots(rows, prec: int) -> list[tuple[int, int, int]]:
@@ -433,7 +407,9 @@ def _local_pivots(rows, prec: int) -> list[tuple[int, int, int]]:
     operation in the Iwahori (a higher row is added to a lower one only
     with a multiple divisible by v), and so the column operations that
     would clear the pivot's row, which change nothing else and are only
-    checked.
+    checked.  With the pivot u * v^m, u a unit, row i with entry e * v^m
+    in the pivot's column becomes u * row_i - e * pivot row: the row
+    scaled by a unit, then cleared, with no division in either field.
     """
     work = [list(r) for r in rows]
     rows_left = list(range(len(work)))
@@ -451,18 +427,17 @@ def _local_pivots(rows, prec: int) -> list[tuple[int, int, int]]:
             e = prow[j]
             assert e.is_zero or e.low_degree - m >= (1 if j < c else 0), \
                 "pivot rule produced a non-Iwahori column operation"
-        inv = _unit_inverse(prow[c].shift(-m), prec - m) if rows_left else None
+        u = prow[c].shift(-m)
         for i in rows_left:
             e = work[i][c]
             if e.is_zero:
                 continue
             assert e.low_degree - m >= (1 if i > r else 0), \
                 "pivot rule produced a non-Iwahori row operation"
-            q = (e.shift(-m) * inv).truncate(prec - m)
+            e = e.shift(-m)
             row = work[i]
             for j in cols_left:
-                if not prow[j].is_zero:
-                    row[j] = (row[j] - q * prow[j]).truncate(prec)
+                row[j] = (u * row[j] - e * prow[j]).truncate(prec)
         pivots.append((r, c, m))
     return pivots
 

@@ -38,6 +38,12 @@ with the library's `compose`, whose products the table tests check.
   among its orbit points in all four restricted alcoves, with alcoves and
   the arrow order read off folded barycenters; the library takes the one
   orbit point in the bottom alcove.
+- The irregular colength-one elements of Adm(eta) come from their
+  diamond-conjugation formula, with Adm by subword products and
+  regularity read off barycenters; the library splits the colength-one
+  part of its Adm(eta) by integer alcoves.
+- Primality is trial division; the library runs deterministic
+  Miller-Rabin.
 - A Laurent product is the schoolbook sum over every pair of terms, and
   a matrix product sums those per entry; the library multiplies both, over
   either field, by Kronecker substitution.  Determinants and adjugates are
@@ -77,6 +83,7 @@ from gsp4weights.affine import (
     S0,
     S1,
     S2,
+    W0,
     ExtAffine,
     arrow_down_region,
     compose,
@@ -466,6 +473,23 @@ def adm_set(lam: Weight) -> frozenset[ExtAffine]:
     return levi_adm_set(lam, LEVI_G)
 
 
+def irregular_family() -> frozenset[ExtAffine]:
+    """The irregular colength-one elements of Adm(eta) by their formula
+    (w_diamond)^(-1) * (highest restricted)^(-1) * w0 * s * w_diamond,
+    over finite w and the simple s making the result irregular: some
+    functional of its barycenter lies strictly between 0 and 1."""
+    t_eta = compose(invert(HIGHEST_RESTRICTED), W0)
+    adm = adm_set(ETA)
+    out = set()
+    for w in W_ALL:
+        d = diamond(w)
+        for s in (S1, S2):
+            cand = compose(invert(d), compose(t_eta, compose(s, d)))
+            if cand in adm and any(0 < v < 1 for v in functionals(barycenter(cand))):
+                out.add(cand)
+    return frozenset(out)
+
+
 # --- central characters by Hermite normal form ----------------------------
 
 
@@ -673,6 +697,20 @@ def w_question(rhobar, min_depth=3):
 def intersect_w_jh(rhobar, tau, min_depth=3):
     return (frozenset(w_question(rhobar, min_depth).values())
             & frozenset(jh_factors(tau, min_depth).values()))
+
+
+# --- primality by trial division
+
+
+def is_prime(n: int) -> bool:
+    if n < 2:
+        return False
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            return False
+        d += 1
+    return True
 
 
 # --- local models by determinantal divisors and full-precision elimination

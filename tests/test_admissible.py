@@ -25,7 +25,6 @@ from gsp4weights.admissible import (
     adm_set,
     adm_set_oracle,
     colength_one_split,
-    irregular_family,
     is_regular_element,
     levi_adm_set,
     levi_finite_weyl,
@@ -80,7 +79,7 @@ def test_colength_one_split():
     reg, irr = colength_one_split()
     assert len(reg) == 6
     assert len(irr) == 8
-    assert irregular_family() == frozenset(irr)
+    assert oracles.irregular_family() == frozenset(irr)
 
 
 def test_eta_times_simple_is_irregular_colength_one():
@@ -88,7 +87,7 @@ def test_eta_times_simple_is_irregular_colength_one():
     x = compose(translation(ETA), S1)
     assert adm.colength(x) == 1
     assert not is_regular_element(x)
-    assert x in irregular_family()
+    assert x in oracles.irregular_family()
 
 
 def test_bruhat_downward_closed():

@@ -141,6 +141,15 @@ def test_bad_prime_exits_2(capsys):
     assert code == 2 and out == "" and err == "error: p must be a prime >= 5 (got 6)\n"
 
 
+def test_selfcheck_at_a_61_bit_prime(capsys):
+    code, out, err = capture(capsys, ["selfcheck", "--p", "2305843009213693951"])
+    assert code == 0 and err == "" and "selfcheck passed" in out
+    code, out, err = capture(capsys, ["selfcheck", "--p", "3317044064679887385961981"])
+    assert code == 2 and out == "" and err == (
+        "error: primality is decided only below 3317044064679887385961981, "
+        "not for 3317044064679887385961981\n")
+
+
 def test_ap_counts(capsys):
     code, out, err = capture(capsys, ["ap", "--json"])
     obj = json.loads(out)

@@ -9,13 +9,14 @@ from gsp4weights.exactalg import (
     LaurentPoly,
     PrimeField,
     RatFunc,
+    _is_prime,
     divmod_poly,
     exact_div,
     poly_gcd,
     unit_normalize,
 )
 
-from oracles import e_valuation, laurent_mul, root_multiplicity
+from oracles import e_valuation, is_prime, laurent_mul, root_multiplicity
 
 
 def v(field=QQ):
@@ -66,6 +67,21 @@ def test_prime_field_ops():
         PrimeField(6)
     with pytest.raises(ZeroDivisionError):
         F.inv(0)
+
+
+def test_is_prime_matches_trial_division():
+    assert [n for n in range(-3, 10 ** 5) if _is_prime(n) != is_prime(n)] == []
+
+
+def test_is_prime_past_trial_division():
+    # strong pseudoprimes to many small bases; the last passes the first 12
+    for n in (3215031751, 3825123056546413051, 318665857834031151167461):
+        assert not _is_prime(n)
+    assert _is_prime(2 ** 61 - 1)
+    assert PrimeField(2 ** 61 - 1).coerce(-1) == 2 ** 61 - 2
+    # the least strong pseudoprime to the first 13 primes is refused
+    with pytest.raises(ValueError, match="3317044064679887385961981"):
+        _is_prime(3317044064679887385961981)
 
 
 def test_prime_field_distinct_from_rationals():

@@ -367,25 +367,6 @@ def test_similitude_and_divisors_refuse_a_field_of_another_characteristic():
     assert e_poly(F5, 5) == LaurentPoly.v_power(F5, 1)
 
 
-@pytest.mark.parametrize("n0", [-37, Fraction(6, 5), 2, Fraction(-3, 4), 1, -1])
-def test_unit_inverse_matches_series_division(n0):
-    rng = random.Random(str(n0))
-    one = LaurentPoly.one(QQ)
-    for prec in range(1, 7):
-        for _ in range(8):
-            u = LaurentPoly(QQ, {k: Fraction(rng.randrange(-40, 41), rng.randrange(1, 13))
-                                 for k in range(1, rng.randrange(1, 8))})
-            u = u + LaurentPoly.const(QQ, n0)
-            inv = localmodel._unit_inverse(u, prec)
-            assert inv == oracles._series_div(one, u, prec)
-            assert (inv * u).truncate(prec) == one
-    F = PrimeField(P)
-    for prec in range(1, 7):
-        u = LaurentPoly(F, {k: rng.randrange(P) for k in range(1, 6)}) + (F.coerce(n0) or 1)
-        assert localmodel._unit_inverse(u, prec) == oracles._series_div(
-            LaurentPoly.one(F), u, prec)
-
-
 # ---------------------------------------------------------------------------
 # elementary divisor patterns
 
@@ -550,15 +531,16 @@ def family_draws(field, rng, n):
     return out
 
 
-def unimodular(field, rng, lower):
-    """Unitriangular matrix with random integer polynomials off the diagonal."""
+def unimodular(field, rng, lower, coeff=lambda rng: rng.randrange(-3, 4), degree=2):
+    """Unitriangular matrix with random polynomials off the diagonal, of
+    the given degree with coefficients drawn by coeff."""
     one, zero = LaurentPoly.one(field), LaurentPoly.zero(field)
     rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
     for i in range(4):
         for j in range(4):
             if (i > j) if lower else (i < j):
                 rows[i][j] = LaurentPoly(
-                    field, {e: rng.randrange(-3, 4) for e in range(3)})
+                    field, {e: coeff(rng) for e in range(degree + 1)})
     return PolyMat(field, rows)
 
 
@@ -621,6 +603,32 @@ def test_kernel_on_unbalanced_divisors_matches_oracle(field):
             if field.char:
                 want = tuple(e - k for e in want)  # over F_q, v^-k is E^-k
             assert e_divisor_pattern(A, p) == oracles.e_divisor_pattern(A, p) == want
+
+
+DENSE = ((30, 10, 5, 1), (20, 0, 0, 0), (12, 6, 3, 0))
+
+
+def large_fraction(rng):
+    """Numerator up to 10^6 over a denominator up to 10^4 prime to P."""
+    d = rng.randrange(1, 10 ** 4)
+    return Fraction(rng.randrange(-10 ** 6, 10 ** 6 + 1), d + (d % P == 0))
+
+
+@pytest.mark.parametrize("field", [QQ, PrimeField(P)], ids=["QQ", "F37"])
+def test_kernel_on_dense_factors_at_high_precision(field):
+    # U * diag(E^e) * L with cubic factors whose coefficients have large,
+    # unequal denominators, at precision up to 47: the fraction-free row
+    # update must give the divisors without growing a unit's inverse
+    E = e_poly(field, P)
+    zero = LaurentPoly.zero(field)
+    rng = random.Random(29)
+    for exps in DENSE:
+        D = PolyMat(field, [[E ** exps[i] if i == j else zero for j in range(4)]
+                            for i in range(4)])
+        for _ in range(3):
+            A = (unimodular(field, rng, False, large_fraction, 3) * D
+                 * unimodular(field, rng, True, large_fraction, 3))
+            assert e_divisor_pattern(A, P) == exps
 
 
 def test_kernel_and_oracles_reject_singular_input():
