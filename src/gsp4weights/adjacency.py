@@ -131,8 +131,6 @@ def build_instance(
     """
     if rhobar.kind != "param":
         raise ValueError("rhobar must be a mod-p parameter presentation")
-    if pair.flavor != "AP'":
-        raise ValueError("pair must come from AP'")
     if pair.f != rhobar.f:
         raise ValueError("pair and rhobar have different numbers of embeddings")
     targets = _slot_targets()

@@ -84,7 +84,6 @@ common options: --fmt table|json|dot where written (selfcheck and
 _MODES = {"selfcheck": (("p",), ("table",)), "adm": ((), ("table", "json")),
           "ap": (("f",), ("table", "json")), "weights": (("p",), ("table", "json")),
           "graph": (("p",), ("table", "json", "dot")), "cycles": (("p",), ("table", "json")),
-          "localmodel": (("p", "seed"), ("table", "json")),
           "localmodel --shape": ((), ("table", "json")),
           "localmodel --verify-regcolone": (("p", "seed"), ("table",))}
 
@@ -120,6 +119,14 @@ def _elem_json(x) -> dict:
 
 def _weight_json(sigma: SerreWeight) -> dict:
     return {"p": sigma.p, "parts": [[l.a, l.b, l.c] for l in sigma.parts]}
+
+
+def _pair_json(pr) -> dict:
+    return {"w1": [_elem_json(x) for x in pr.w1], "w2": [_elem_json(x) for x in pr.w2]}
+
+
+def _cycle_json(cyc) -> list[dict]:
+    return [{"weight": _weight_json(s), "mult": n} for s, n in cyc.items()]
 
 
 def _dump(obj) -> str:
@@ -225,19 +232,21 @@ def load_matrix(path: str, field) -> PolyMat:
         raise ValueError("%s: %s" % (path, exc)) from None
 
 
-def _json_meta(cfg: RunConfig, pres: TamePresentation | None = None) -> dict:
+def _emit(cfg: RunConfig, schema: str, pres: TamePresentation | None, doc: dict, *,
+          header: dict, rows) -> list[str]:
+    """The one writer of a command's result, in the run's format.  JSON:
+    one document tagged gsp4weights/<schema>/1 whose "meta" holds the run
+    parameters (f is the presentation's when there is one, with its kind
+    and depth), beside the keys of `doc`.  Table: one comment line of those
+    parameters and then `header` in sorted order, followed by `rows`."""
     meta = {"p": cfg.p, "f": cfg.f if pres is None else pres.f, "seed": cfg.seed}
     if pres is not None:
         meta["kind"] = pres.kind
         meta["depth"] = pres.depth()
-    return meta
-
-
-def _header(cfg: RunConfig, pres: TamePresentation | None = None, **extra) -> str:
-    """One comment line: the run parameters of `_json_meta` (f is the
-    presentation's when there is one), then the extras in sorted order."""
-    items = list(_json_meta(cfg, pres).items()) + sorted(extra.items())
-    return "# " + " ".join("%s=%s" % kv for kv in items)
+    if cfg.fmt == "json":
+        return [_dump(dict(doc, schema="gsp4weights/%s/1" % schema, meta=meta))]
+    items = list(meta.items()) + sorted(header.items())
+    return ["# " + " ".join("%s=%s" % kv for kv in items)] + list(rows)
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +295,7 @@ def _cmd_selfcheck(cfg: RunConfig, args) -> list[str]:
     check("admissible set enumerations agree", adm_oracles)
     check("pair count matches the regular admissibles", ap_count)
     check("local model matrices and shapes", local_matrices)
-    lines.append("selfcheck passed (%d checks)" % 6)
+    lines.append("selfcheck passed (%d checks)" % len(lines))
     return lines
 
 
@@ -299,55 +308,32 @@ def _cmd_adm(cfg: RunConfig, args) -> list[str]:
         elems = adm_set(lam).sorted_elements()
         lens = {x: length(x) for x in elems}
     max_len = max(lens.values()) if elems else 0
-    if cfg.fmt == "json":
-        obj = {
-            "schema": "gsp4weights/adm/1",
-            "meta": _json_meta(cfg),
-            "lambda": [lam.a, lam.b, lam.c],
-            "dual": bool(args.dual),
-            "count": len(elems),
-            "elements": [
-                dict(_elem_json(x), length=lens[x], colength=max_len - lens[x],
-                     regular=is_regular_element(x))
-                for x in elems
-            ],
-        }
-        return [_dump(obj)]
-    lines = [_header(cfg, count=len(elems),
-                     dual="yes" if args.dual else "no",
-                     lam="%d,%d,%d" % (lam.a, lam.b, lam.c))]
-    for x in elems:
-        lines.append(
-            "len=%d colen=%d regular=%s %s"
-            % (lens[x], max_len - lens[x],
-               "yes" if is_regular_element(x) else "no", x.display())
-        )
-    return lines
+    return _emit(cfg, "adm", None, {
+        "lambda": [lam.a, lam.b, lam.c],
+        "dual": bool(args.dual),
+        "count": len(elems),
+        "elements": [
+            dict(_elem_json(x), length=lens[x], colength=max_len - lens[x],
+                 regular=is_regular_element(x))
+            for x in elems
+        ],
+    }, header={"count": len(elems), "dual": "yes" if args.dual else "no",
+               "lam": "%d,%d,%d" % (lam.a, lam.b, lam.c)},
+        rows=("len=%d colen=%d regular=%s %s"
+              % (lens[x], max_len - lens[x],
+                 "yes" if is_regular_element(x) else "no", x.display())
+              for x in elems))
 
 
 def _cmd_ap(cfg: RunConfig, args) -> list[str]:
     pairs = enumerate_ap_prime(cfg.f) if args.prime else enumerate_ap(cfg.f)
-    pairs = sorted(pairs, key=lambda pr: pr.sort_key())
     flavor = "AP'" if args.prime else "AP"
-    if cfg.fmt == "json":
-        obj = {
-            "schema": "gsp4weights/ap/1",
-            "meta": _json_meta(cfg),
-            "flavor": flavor,
-            "count": len(pairs),
-            "pairs": [
-                {
-                    "w1": [_elem_json(x) for x in pr.w1],
-                    "w2": [_elem_json(x) for x in pr.w2],
-                }
-                for pr in pairs
-            ],
-        }
-        return [_dump(obj)]
-    lines = [_header(cfg, count=len(pairs), flavor=flavor)]
-    for pr in pairs:
-        lines.append(pr.display())
-    return lines
+    return _emit(cfg, "ap", None, {
+        "flavor": flavor,
+        "count": len(pairs),
+        "pairs": [_pair_json(pr) for pr in pairs],
+    }, header={"count": len(pairs), "flavor": flavor},
+        rows=(pr.display() for pr in pairs))
 
 
 def _cmd_weights(cfg: RunConfig, args) -> list[str]:
@@ -357,46 +343,26 @@ def _cmd_weights(cfg: RunConfig, args) -> list[str]:
         rows = sorted(
             ((tuple(w.word for w in key), sigma) for key, sigma in table.items())
         )
-        if cfg.fmt == "json":
-            obj = {
-                "schema": "gsp4weights/weights/1",
-                "meta": _json_meta(cfg, rhobar),
-                "obvious": True,
-                "count": len(rows),
-                "weights": [
-                    {"w": list(key), "weight": _weight_json(sigma)}
-                    for key, sigma in rows
-                ],
-            }
-            return [_dump(obj)]
-        lines = [_header(cfg, rhobar, count=len(rows), obvious="yes")]
-        for key, sigma in rows:
-            lines.append("w=(%s) %s" % (",".join(k or "e" for k in key), sigma.display()))
-        return lines
-    wq = w_question(rhobar)
-    rows = sorted(wq.items(), key=lambda kv: kv[0].sort_key())
-    if cfg.fmt == "json":
-        obj = {
-            "schema": "gsp4weights/weights/1",
-            "meta": _json_meta(cfg, rhobar),
-            "obvious": False,
+        return _emit(cfg, "weights", rhobar, {
+            "obvious": True,
             "count": len(rows),
             "weights": [
-                {
-                    "pair": {
-                        "w1": [_elem_json(x) for x in pr.w1],
-                        "w2": [_elem_json(x) for x in pr.w2],
-                    },
-                    "weight": _weight_json(sigma),
-                }
-                for pr, sigma in rows
+                {"w": list(key), "weight": _weight_json(sigma)}
+                for key, sigma in rows
             ],
-        }
-        return [_dump(obj)]
-    lines = [_header(cfg, rhobar, count=len(rows))]
-    for pr, sigma in rows:
-        lines.append("%s  %s" % (pr.display(), sigma.display()))
-    return lines
+        }, header={"count": len(rows), "obvious": "yes"},
+            rows=("w=(%s) %s" % (",".join(k or "e" for k in key), sigma.display())
+                  for key, sigma in rows))
+    rows = w_question(rhobar).items()
+    return _emit(cfg, "weights", rhobar, {
+        "obvious": False,
+        "count": len(rows),
+        "weights": [
+            {"pair": _pair_json(pr), "weight": _weight_json(sigma)}
+            for pr, sigma in rows
+        ],
+    }, header={"count": len(rows)},
+        rows=("%s  %s" % (pr.display(), sigma.display()) for pr, sigma in rows))
 
 
 def _cmd_graph(cfg: RunConfig, args) -> list[str]:
@@ -419,40 +385,35 @@ def _cmd_graph(cfg: RunConfig, args) -> list[str]:
             res = find_chain(rhobar, sigma)
             chains.append((sigma, len(res.bfs), len(res.steered)))
     components = len(graph.components())
-    if cfg.fmt == "json":
-        obj = {
-            "schema": "gsp4weights/graph/1",
-            "meta": _json_meta(cfg, rhobar),
-            "vertices": [_weight_json(v) for v in graph.vertices],
-            "edges": [
-                {
-                    "a": _weight_json(a),
-                    "b": _weight_json(b),
-                    "witnesses": len(wit),
-                }
-                for (a, b), wit in edges
-            ],
-            "obvious": [_weight_json(v) for v in sorted(graph.obvious,
-                                                        key=lambda s: s.sort_key())],
-            "connected": components <= 1,
-            "components": components,
-        }
-        if args.chains:
-            obj["chains"] = [
-                {"weight": _weight_json(s), "bfs": nb, "steered": ns}
-                for s, nb, ns in chains
-            ]
-        return [_dump(obj)]
-    lines = [
-        _header(cfg, rhobar, vertices=len(graph.vertices), edges=len(edges),
-                connected="yes" if components <= 1 else "no",
-                obvious=len(graph.obvious))
-    ]
-    for (a, b), wit in edges:
-        lines.append("%s -- %s  witnesses=%d" % (a.display(), b.display(), len(wit)))
-    for sigma, nb, ns in chains:
-        lines.append("chain %s  bfs=%d steered=%d" % (sigma.display(), nb, ns))
-    return lines
+    doc = {
+        "vertices": [_weight_json(v) for v in graph.vertices],
+        "edges": [
+            {
+                "a": _weight_json(a),
+                "b": _weight_json(b),
+                "witnesses": len(wit),
+            }
+            for (a, b), wit in edges
+        ],
+        "obvious": [_weight_json(v) for v in sorted(graph.obvious,
+                                                    key=lambda s: s.sort_key())],
+        "connected": components <= 1,
+        "components": components,
+    }
+    if args.chains:
+        doc["chains"] = [
+            {"weight": _weight_json(s), "bfs": nb, "steered": ns}
+            for s, nb, ns in chains
+        ]
+    rows = ["%s -- %s  witnesses=%d" % (a.display(), b.display(), len(wit))
+            for (a, b), wit in edges]
+    rows += ["chain %s  bfs=%d steered=%d" % (sigma.display(), nb, ns)
+             for sigma, nb, ns in chains]
+    return _emit(cfg, "graph", rhobar, doc,
+                 header={"vertices": len(graph.vertices), "edges": len(edges),
+                         "connected": "yes" if components <= 1 else "no",
+                         "obvious": len(graph.obvious)},
+                 rows=rows)
 
 
 def _cmd_cycles(cfg: RunConfig, args) -> list[str]:
@@ -467,65 +428,36 @@ def _cmd_cycles(cfg: RunConfig, args) -> list[str]:
         rhobar = load_presentation(args.rhobar, expect_p=cfg.p, expect_kind="param")
         report = colength_one_components(rhobar, tau)
         weights = sorted(report.weights, key=lambda s: s.sort_key())
-        if cfg.fmt == "json":
-            obj = {
-                "schema": "gsp4weights/cycles/1",
-                "meta": _json_meta(cfg, tau),
-                "mode": "colength-one",
-                "cases": list(report.cases),
-                "count": report.count,
-                "weights": [_weight_json(s) for s in weights],
-            }
-            return [_dump(obj)]
-        lines = [_header(cfg, tau, cases=",".join(map(str, report.cases)),
-                         count=report.count)]
-        for s in weights:
-            lines.append(s.display())
-        return lines
+        return _emit(cfg, "cycles", tau, {
+            "mode": "colength-one",
+            "cases": list(report.cases),
+            "count": report.count,
+            "weights": [_weight_json(s) for s in weights],
+        }, header={"cases": ",".join(map(str, report.cases)), "count": report.count},
+            rows=(s.display() for s in weights))
     if args.bm:
         res = bm_sum(tau)
-        if cfg.fmt == "json":
-            obj = {
-                "schema": "gsp4weights/cycles/1",
-                "meta": _json_meta(cfg, tau),
-                "mode": "bm-sum",
-                "assumptions": list(res.assumptions),
-                "cycle": [
-                    {"weight": _weight_json(s), "mult": n}
-                    for s, n in res.cycle.items()
-                ],
-            }
-            return [_dump(obj)]
-        lines = [_header(cfg, tau, mode="bm-sum")]
-        for note in res.assumptions:
-            lines.append("note: %s" % note)
-        lines.append(res.cycle.display())
-        return lines
+        return _emit(cfg, "cycles", tau, {
+            "mode": "bm-sum",
+            "assumptions": list(res.assumptions),
+            "cycle": _cycle_json(res.cycle),
+        }, header={"mode": "bm-sum"},
+            rows=["note: %s" % note for note in res.assumptions] + [res.cycle.display()])
     sigmas = sorted(jh_set(tau), key=lambda s: s.sort_key())
     rows = [(sigma, bm_cycle(sigma)) for sigma in sigmas]
-    if cfg.fmt == "json":
-        obj = {
-            "schema": "gsp4weights/cycles/1",
-            "meta": _json_meta(cfg, tau),
-            "mode": "per-weight",
-            "cycles": [
-                {
-                    "weight": _weight_json(sigma),
-                    "support": len(cyc.support()),
-                    "cycle": [
-                        {"weight": _weight_json(s), "mult": n}
-                        for s, n in cyc.items()
-                    ],
-                }
-                for sigma, cyc in rows
-            ],
-        }
-        return [_dump(obj)]
-    lines = [_header(cfg, tau, mode="per-weight", count=len(rows))]
-    for sigma, cyc in rows:
-        lines.append("%s support=%d  %s" % (sigma.display(), len(cyc.support()),
-                                            cyc.display()))
-    return lines
+    return _emit(cfg, "cycles", tau, {
+        "mode": "per-weight",
+        "cycles": [
+            {
+                "weight": _weight_json(sigma),
+                "support": len(cyc.support()),
+                "cycle": _cycle_json(cyc),
+            }
+            for sigma, cyc in rows
+        ],
+    }, header={"mode": "per-weight", "count": len(rows)},
+        rows=("%s support=%d  %s" % (sigma.display(), len(cyc.support()), cyc.display())
+              for sigma, cyc in rows))
 
 
 def _generic_triple(p: int) -> tuple[int, int, int]:
@@ -536,8 +468,6 @@ def _generic_triple(p: int) -> tuple[int, int, int]:
 
 
 def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
-    if args.shape and args.verify_regcolone:
-        raise ValueError("--shape and --verify-regcolone are separate modes; give one")
     if args.shape:
         if args.draws is not None:
             raise ValueError("--draws is only read by --verify-regcolone")
@@ -551,22 +481,13 @@ def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
             z = shape_of(mat)
         except ValueError as exc:
             raise ValueError("%s: %s" % (args.shape, exc)) from None
-        if cfg.fmt == "json":
-            obj = {
-                "schema": "gsp4weights/localmodel/1",
-                "meta": _json_meta(cfg),
-                "mode": "shape",
-                "q": args.q,
-                "shape": _elem_json(z),
-                "dual_length": dual_length(z),
-            }
-            return [_dump(obj)]
-        return [
-            _header(cfg, mode="shape", q=args.q),
-            "shape: %s  dual_length=%d" % (z.display(), dual_length(z)),
-        ]
-    if not args.verify_regcolone:
-        raise ValueError("localmodel needs --verify-regcolone or --shape FILE")
+        return _emit(cfg, "localmodel", None, {
+            "mode": "shape",
+            "q": args.q,
+            "shape": _elem_json(z),
+            "dual_length": dual_length(z),
+        }, header={"mode": "shape", "q": args.q},
+            rows=["shape: %s  dual_length=%d" % (z.display(), dual_length(z))])
     if args.q is not None:
         raise ValueError("--q is only read by --shape")
 
@@ -575,7 +496,7 @@ def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
         raise ValueError("--draws must be at least 1, got %d" % draws)
     p = cfg.p
     rng = random.Random(cfg.seed)
-    lines = [_header(cfg, mode="verify-regcolone", draws=draws)]
+    lines = []
     for field, tag in ((QQ, "QQ"), (PrimeField(p), "F_%d" % p)):
         done = 0
         attempts = 0
@@ -590,7 +511,8 @@ def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
                 continue
             mat = build_regcolone_matrix(pr, p)
             res = symplectic_similitude(mat, p)
-            assert res.ok, "similitude failed over %s on draw %r" % (tag, vals)
+            assert res.ok and res.e_order == 3 and res.unit_form, (
+                "similitude failed over %s on draw %r" % (tag, vals))
             pat = e_divisor_pattern(mat, p)
             assert sum(pat) == 6 and dominance_leq(pat, (3, 2, 1, 0)), (
                 "divisor pattern %r out of range over %s" % (pat, tag))
@@ -618,7 +540,8 @@ def _cmd_localmodel(cfg: RunConfig, args) -> list[str]:
     assert bad is not None, "perturbed parameters still pass monodromy"
     lines.append("monodromy under unit perturbation: fails %s" %
                  bad.display().split(":")[0])
-    return lines
+    return _emit(cfg, "localmodel", None, {},
+                 header={"mode": "verify-regcolone", "draws": draws}, rows=lines)
 
 
 _RUNNERS = {
@@ -635,11 +558,15 @@ _RUNNERS = {
 def _mode_of(command: str, args) -> str:
     """The command, named with its mode where the mode decides the common
     flags read or the formats written; a key of _MODES."""
-    if command == "localmodel" and args.shape:
+    if command != "localmodel":
+        return command
+    if args.shape and args.verify_regcolone:
+        raise ValueError("--shape and --verify-regcolone are separate modes; give one")
+    if args.shape:
         return "localmodel --shape"
-    if command == "localmodel" and args.verify_regcolone:
+    if args.verify_regcolone:
         return "localmodel --verify-regcolone"
-    return command
+    raise ValueError("localmodel needs --verify-regcolone or --shape FILE")
 
 
 def run(command: str, cfg: RunConfig, args) -> int:
@@ -657,7 +584,7 @@ def run(command: str, cfg: RunConfig, args) -> int:
         cfg.validate()
         if cfg.fmt not in formats:
             raise ValueError("--fmt %s is not available for %s; only for %s" % (
-                cfg.fmt, mode, ", ".join(c for c in COMMANDS if cfg.fmt in _MODES[c][1])))
+                cfg.fmt, mode, ", ".join(m for m, (_, fmts) in _MODES.items() if cfg.fmt in fmts)))
         lines = _RUNNERS[command](cfg, args)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         sys.stderr.write("error: %s\n" % exc)

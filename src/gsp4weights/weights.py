@@ -195,14 +195,10 @@ def type_from_target(rhobar: TamePresentation, g: TupleElt) -> TamePresentation:
 class APPair:
     w1: TupleElt
     w2: TupleElt
-    flavor: str  # "AP" or "AP'"
 
     @property
     def f(self) -> int:
         return len(self.w1)
-
-    def sort_key(self):
-        return tuple(elem_sort_key(a) + elem_sort_key(b) for a, b in zip(self.w1, self.w2))
 
     def display(self) -> str:
         return " | ".join(
@@ -243,20 +239,21 @@ def _ap_prime_pairs_single() -> tuple[tuple[ExtAffine, ExtAffine], ...]:
     return tuple(sorted(pairs, key=lambda pr: elem_sort_key(pr[0]) + elem_sort_key(pr[1])))
 
 
-def _enumerate_pairs(singles, flavor: str, f: int) -> tuple[APPair, ...]:
-    """All f-tuples of per-embedding pairs, slot 0 varying slowest."""
+def _enumerate_pairs(singles, f: int) -> tuple[APPair, ...]:
+    """All f-tuples of per-embedding pairs, slot 0 varying slowest: sorted
+    by the slots' keys, since the singles are sorted."""
     return tuple(
-        APPair(tuple(pr[0] for pr in combo), tuple(pr[1] for pr in combo), flavor)
+        APPair(tuple(pr[0] for pr in combo), tuple(pr[1] for pr in combo))
         for combo in product(singles, repeat=f)
     )
 
 
 def enumerate_ap(f: int) -> tuple[APPair, ...]:
-    return _enumerate_pairs(_ap_pairs_single(), "AP", f)
+    return _enumerate_pairs(_ap_pairs_single(), f)
 
 
 def enumerate_ap_prime(f: int) -> tuple[APPair, ...]:
-    return _enumerate_pairs(_ap_prime_pairs_single(), "AP'", f)
+    return _enumerate_pairs(_ap_prime_pairs_single(), f)
 
 
 # --- the two weight bijections ---------------------------------------------

@@ -51,7 +51,7 @@ def outer_pair(ws) -> APPair:
     """The outer AP pair tuple of a finite Weyl tuple: (diamond(w), wh diamond(w))
     at each slot."""
     ds = tuple(diamond(w) for w in ws)
-    return APPair(ds, tuple(compose(HIGHEST_RESTRICTED, d) for d in ds), "AP")
+    return APPair(ds, tuple(compose(HIGHEST_RESTRICTED, d) for d in ds))
 
 
 def conjugated_target(w2: TupleElt, w1: TupleElt, s: tuple[int, int]) -> TupleElt:

@@ -179,9 +179,9 @@ def test_build_instance_refuses_pairs_not_made_of_ap_prime_pairs():
     rho = fixture("rb1.json")
     ap = enumerate_ap(1)[0]
     app = next(pr for pr in enumerate_ap_prime(1) if pr.w1 != pr.w2)
-    for forged in (APPair(ap.w1, ap.w2, "AP'"),  # an AP pair
-                   APPair(app.w2, app.w1, "AP'"),  # an AP' pair, swapped
-                   APPair(app.w1, app.w2 * 2, "AP'")):  # w2 longer than w1
+    for forged in (APPair(ap.w1, ap.w2),  # an AP pair
+                   APPair(app.w2, app.w1),  # an AP' pair, swapped
+                   APPair(app.w1, app.w2 * 2)):  # w2 longer than w1
         with pytest.raises(ValueError, match="^pair is not made of AP' pairs$"):
             build_instance(rho, forged, (1, 0))
 

@@ -280,7 +280,7 @@ def test_selfcheck_has_no_json_output(capsys, flags):
     code, out, err = capture(capsys, ["selfcheck"] + flags)
     assert code == 2 and out == ""
     assert err == "error: --fmt json is not available for selfcheck; only for adm, ap, " \
-        "weights, graph, cycles, localmodel\n"
+        "weights, graph, cycles, localmodel --shape\n"
 
 
 @pytest.mark.parametrize("flags", (["--json"], ["--fmt", "json"]))
@@ -288,7 +288,7 @@ def test_localmodel_verify_has_no_json_output(capsys, flags):
     code, out, err = capture(capsys, ["localmodel", "--verify-regcolone", "--draws", "1"] + flags)
     assert code == 2 and out == ""
     assert err == "error: --fmt json is not available for localmodel --verify-regcolone; " \
-        "only for adm, ap, weights, graph, cycles, localmodel\n"
+        "only for adm, ap, weights, graph, cycles, localmodel --shape\n"
 
 
 def test_cycles_per_weight_supports(capsys):
@@ -607,6 +607,10 @@ def test_removed_flags_are_rejected(capsys, flag):
     (["adm", "--fmt", "table", "--json"], "--fmt table contradicts --json"),
     (["graph", "--rhobar", fx("rb1.json"), "--fmt", "dot", "--table"],
      "--fmt dot contradicts --table"),
+    # the mode is settled before the common flags are checked against it
+    (["localmodel", "--verify-regcolone", "--shape", fx("mat1.json"), "--q", "37", "--p", "41"],
+     "--shape and --verify-regcolone are separate modes; give one"),
+    (["localmodel", "--f", "2"], "localmodel needs --verify-regcolone or --shape FILE"),
 ))
 def test_ignored_flag_combinations_are_rejected(capsys, argv, message):
     code, out, err = capture(capsys, argv)

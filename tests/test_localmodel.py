@@ -856,6 +856,26 @@ def test_regcolone_admissible_similitude():
             assert dominance_leq(pat, (3, 2, 1, 0))
 
 
+@pytest.mark.parametrize("p", (5, 7, 11, 37, 41))
+def test_family_similitude_is_e_cubed(p):
+    # the colength-one family's similitude factor is E(v)^3: over QQ it
+    # is (v + p)^3, of v-order 0; over F_p it is v^3
+    rng = random.Random(700 + p)
+    for field in (QQ, PrimeField(p)):
+        done = 0
+        while done < 60:
+            try:
+                pr = RegColOneParams.admissible(
+                    field, p, *(rng.randrange(1, p) for _ in range(7)))
+            except ValueError:
+                continue
+            res = symplectic_similitude(build_regcolone_matrix(pr, p), p)
+            assert res.ok and res.unit_form
+            assert res.scalar == e_poly(field, p) ** 3
+            assert (res.v_order, res.e_order) == ((0 if field is QQ else 3), 3)
+            done += 1
+
+
 def test_regcolone_generic_raw_params_fail_similitude():
     rng = random.Random(8)
     hits = 0

@@ -352,3 +352,29 @@ def test_only_the_kronecker_pair_shifts_by_a_variable_amount():
                 shifts.append((name, node))
     assert shifts
     assert [(name, node.lineno) for name, node in shifts if id(node) not in inside] == []
+
+
+def _compares_fmt_with(node, names):
+    """Whether `node` compares cfg.fmt with one of the string constants
+    `names`, alone or in a tuple, list or set literal."""
+    operands = [node.left] + node.comparators
+    if not any(isinstance(o, ast.Attribute) and o.attr == "fmt"
+               and getattr(o.value, "id", None) == "cfg" for o in operands):
+        return False
+    consts = [c for o in operands
+              for c in (o.elts if isinstance(o, (ast.Tuple, ast.List, ast.Set)) else [o])]
+    return any(isinstance(c, ast.Constant) and c.value in names for c in consts)
+
+
+def test_only_emit_chooses_json_or_table():
+    # one writer: every comparison of cfg.fmt with "json" or "table" is
+    # inside cli._emit; graph's tests for "dot" and run's check of the
+    # mode's formats name neither
+    tree = _parse(os.path.join(PACKAGE, "cli.py"))
+    inside = {id(node) for fn in tree.body
+              if isinstance(fn, ast.FunctionDef) and fn.name == "_emit"
+              for node in ast.walk(fn)}
+    picks = [node for node in ast.walk(tree)
+             if isinstance(node, ast.Compare) and _compares_fmt_with(node, ("json", "table"))]
+    assert picks
+    assert [node.lineno for node in picks if id(node) not in inside] == []

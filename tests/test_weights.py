@@ -15,7 +15,7 @@ from gsp4weights.affine import (
     invert,
     translation,
 )
-from gsp4weights.admissible import adm_set, is_regular_element
+from gsp4weights.admissible import adm_set, elem_sort_key, is_regular_element
 from gsp4weights.weights import (
     APPair,
     GenericityError,
@@ -151,6 +151,19 @@ def test_ap_contains_outer_and_obvious_pairs():
         assert (d, d) in app1
 
 
+@pytest.mark.parametrize("f", (1, 2, 3))
+def test_pair_enumerations_are_disjoint_and_sorted(f):
+    # no AP single is an AP' single, so a pair's slots tell its kind; and
+    # each enumeration comes out in the order the ap and weights outputs
+    # list it, slot by slot by the keys of w1_j and w2_j
+    singles = [{(pr.w1[0], pr.w2[0]) for pr in enum(1)}
+               for enum in (enumerate_ap, enumerate_ap_prime)]
+    assert not singles[0] & singles[1]
+    for pairs in (enumerate_ap(f), enumerate_ap_prime(f)):
+        assert list(pairs) == sorted(pairs, key=lambda pr: tuple(
+            elem_sort_key(a) + elem_sort_key(b) for a, b in zip(pr.w1, pr.w2)))
+
+
 def test_jh_injective_random_types():
     rng = random.Random(21)
     for _ in range(10):
@@ -221,7 +234,7 @@ def test_jh_f2_product_structure():
     table2 = jh_factors(tau)
     assert len(set(table2.values())) == 400
     for pair1, sig1 in table1.items():
-        pair2 = APPair(pair1.w1 + pair1.w1, pair1.w2 + pair1.w2, "AP")
+        pair2 = APPair(pair1.w1 + pair1.w1, pair1.w2 + pair1.w2)
         lam = sig1.parts[0]
         assert table2[pair2] == SerreWeight.make(P, (lam, lam))
 
