@@ -10,7 +10,6 @@ walks any weight to an obvious one in at most three steps per embedding.
 from __future__ import annotations
 
 import logging
-from collections import deque
 from collections.abc import Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -41,7 +40,6 @@ from .weights import (
     TamePresentation,
     enumerate_ap_prime,
     intersect_w_jh,
-    predicted_pair_of_weight,
     presentation_from_w_tilde,
     w_question,
 )
@@ -81,10 +79,10 @@ class AdjacencyInstance:
     sigma1: SerreWeight
     sigma2: SerreWeight
 
-    @property
-    def edge(self) -> tuple[SerreWeight, SerreWeight]:
-        a, b = sorted((self.sigma1, self.sigma2), key=lambda s: s.sort_key())
-        return (a, b)
+
+def _edge(a: SerreWeight, b: SerreWeight) -> tuple[SerreWeight, SerreWeight]:
+    """The key of the edge between a and b: its endpoints in sort_key order."""
+    return (a, b) if a.sort_key() <= b.sort_key() else (b, a)
 
 
 @lru_cache(maxsize=None)
@@ -200,7 +198,7 @@ def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
 class WeightGraph:
     """Simple graph on the predicted weights of a parameter.  Every caller
     asking for the same parameter's graph gets the same object, so `edges`
-    is a read-only view."""
+    is a read-only view.  Its keys are in (a, b) sort_key order."""
 
     vertices: tuple[SerreWeight, ...]
     edges: Mapping[tuple[SerreWeight, SerreWeight], tuple[AdjacencyInstance, ...]]
@@ -218,22 +216,26 @@ class WeightGraph:
     def neighbors(self, sigma: SerreWeight) -> tuple[SerreWeight, ...]:
         return self._adjacent.get(sigma, ())
 
+    def _walk(self, start: SerreWeight):
+        """Breadth-first from start: yields each weight reached, in order,
+        with the weight it came from (None for start).  A weight's
+        neighbours are asked for only when the walk is resumed after it."""
+        came_from = {start: None}
+        queue = [start]
+        for cur in queue:  # the queue grows while it is read
+            yield cur, came_from[cur]
+            for nb in self.neighbors(cur):
+                if nb not in came_from:
+                    came_from[nb] = cur
+                    queue.append(nb)
+
     def components(self) -> tuple[frozenset[SerreWeight], ...]:
         seen: set[SerreWeight] = set()
         comps = []
         for v in self.vertices:
-            if v in seen:
-                continue
-            comp = {v}
-            queue = deque([v])
-            while queue:
-                cur = queue.popleft()
-                for nb in self.neighbors(cur):
-                    if nb not in comp:
-                        comp.add(nb)
-                        queue.append(nb)
-            seen |= comp
-            comps.append(frozenset(comp))
+            if v not in seen:
+                comps.append(frozenset(w for w, _ in self._walk(v)))
+                seen |= comps[-1]
         return tuple(comps)
 
     def to_dot(self) -> str:
@@ -242,9 +244,7 @@ class WeightGraph:
         for v in self.vertices:
             style = ' style="filled" fillcolor="lightgray"' if v in self.obvious else ""
             lines.append('  %s [label="%s"%s];' % (ids[v], v.display(), style))
-        for (a, b), wit in sorted(
-            self.edges.items(), key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key())
-        ):
+        for (a, b), wit in self.edges.items():
             lines.append('  %s -- %s [label="%d"];' % (ids[a], ids[b], len(wit)))
         lines.append("}")
         return "\n".join(lines) + "\n"
@@ -268,7 +268,10 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
     (`build_graph`, then `find_chain` per weight).  No check result is
     kept.  A shallow parameter is warned about once its graph is built."""
     table = w_question(rhobar)
-    vertices = tuple(sorted(set(table.values()), key=lambda s: s.sort_key()))
+    back = {sigma: pair for pair, sigma in table.items()}
+    if len(back) != len(table):
+        raise AssertionError("F_rhobar failed to be injective")
+    vertices = tuple(sorted(back, key=SerreWeight.sort_key))
     instances = {
         (pair, s): build_instance(rhobar, pair, s, check=False)
         for pair in enumerate_ap_prime(rhobar.f)
@@ -276,12 +279,12 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
     }
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
     for inst in instances.values():
-        edges.setdefault(inst.edge, []).append(inst)
+        edges.setdefault(_edge(inst.sigma1, inst.sigma2), []).append(inst)
     # the obvious weights are W?'s values at the diagonal pairs (w1 == w2)
-    obvious = frozenset(sigma for pair, sigma in table.items() if pair.w1 == pair.w2)
-    edge_view = MappingProxyType({e: tuple(v) for e, v in edges.items()})
-    state = _GraphState(WeightGraph(vertices, edge_view, obvious),
-                        predicted_pair_of_weight(table), instances)
+    obvious = frozenset(sigma for sigma, pair in back.items() if pair.w1 == pair.w2)
+    edge_view = MappingProxyType({e: tuple(edges[e]) for e in sorted(
+        edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))})
+    state = _GraphState(WeightGraph(vertices, edge_view, obvious), back, instances)
     if rhobar.depth() < RHOBAR_DEPTH:
         log.warning(
             "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",
@@ -330,20 +333,11 @@ def _steered_chain(state: _GraphState, sigma: SerreWeight) -> tuple[AdjacencyIns
     limit = 3 * sigma.f
     while True:
         pair = state.back[cur]
-        target_j = None
-        for j in range(pair.f):
-            if not in_omega(pair.w2[j]):
-                target_j = j
-                break
+        target_j = next((j for j in range(pair.f) if not in_omega(pair.w2[j])), None)
         if target_j is None:
             break
-        idx = restricted_alcove_index(alcove_of(pair.w2[target_j]))
-        if idx == 2:
-            s = (1, target_j)
-        elif idx == 3:
-            s = (2, target_j) if (2, target_j) in valid_simples(pair) else (1, target_j)
-        else:
-            s = (1, target_j)
+        top = restricted_alcove_index(alcove_of(pair.w2[target_j])) == 3
+        s = (2, target_j) if top and (2, target_j) in valid_simples(pair) else (1, target_j)
         inst = state.instances[pair, s]
         _check_instance(inst, table)
         chain.append(inst)
@@ -364,30 +358,17 @@ def find_chain(rhobar: TamePresentation, sigma: SerreWeight) -> ChainResult:
     if sigma in obvious:
         return ChainResult((), ())
 
-    parent: dict[SerreWeight, tuple[SerreWeight, AdjacencyInstance]] = {}
-    queue = deque([sigma])
-    seen = {sigma}
-    goal = None
-    while queue:
-        cur = queue.popleft()
-        if cur in obvious:
-            goal = cur
+    parent: dict[SerreWeight, SerreWeight | None] = {}
+    for node, prev in graph._walk(sigma):
+        parent[node] = prev
+        if node in obvious:
             break
-        for nb in graph.neighbors(cur):
-            if nb in seen:
-                continue
-            seen.add(nb)
-            edge = tuple(sorted((cur, nb), key=lambda s: s.sort_key()))
-            parent[nb] = (cur, graph.edges[edge][0])
-            queue.append(nb)
-    if goal is None:
+    else:
         raise AssertionError("no path to an obvious weight")
     bfs: list[AdjacencyInstance] = []
-    node = goal
     while node != sigma:
-        prev, inst = parent[node]
-        bfs.append(inst)
-        node = prev
+        bfs.append(graph.edges[_edge(parent[node], node)][0])
+        node = parent[node]
     bfs.reverse()
 
     return ChainResult(tuple(bfs), _steered_chain(state, sigma))

@@ -370,8 +370,7 @@ def _cmd_graph(cfg: RunConfig, args) -> list[str]:
         raise ValueError("--chains has no dot output; use --fmt table or json")
     rhobar = load_presentation(args.rhobar, expect_p=cfg.p, expect_kind="param")
     graph = build_graph(rhobar)
-    edges = sorted(graph.edges.items(),
-                   key=lambda kv: (kv[0][0].sort_key(), kv[0][1].sort_key()))
+    edges = graph.edges.items()
     if args.dot or cfg.fmt == "dot":
         dot_text = graph.to_dot()
         if args.dot:

@@ -144,7 +144,8 @@ def bm_cycle(sigma: SerreWeight) -> Cycle:
     has size 2^(number of second-alcove embeddings)."""
     p = sigma.p
     if sigma.depth() < WEIGHT_DEPTH:
-        raise GenericityError("cycle formula needs a %d-deep weight" % WEIGHT_DEPTH)
+        raise GenericityError("cycle formula needs a %d-deep weight; %s is %d-deep"
+                              % (WEIGHT_DEPTH, sigma.display(), sigma.depth()))
     options = []
     doubled = 0
     for lam in sigma.parts:

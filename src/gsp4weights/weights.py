@@ -546,16 +546,3 @@ def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], Se
     diagonal = {w: sing.index[diamond(w), diamond(w)] for w in W_ALL}
     return {ws: _read_weight(rhobar.p, slots, sing.y_slot, tuple(diagonal[w] for w in ws))
             for ws in product(W_ALL, repeat=rhobar.f)}
-
-
-def predicted_pair_of_weight(
-    table: dict[APPair, SerreWeight]
-) -> dict[SerreWeight, APPair]:
-    """Inverse of F_rhobar from its table w_question(rhobar); raises if
-    the forward map is not injective."""
-    inv: dict[SerreWeight, APPair] = {}
-    for pair, sigma in table.items():
-        if sigma in inv:
-            raise AssertionError("F_rhobar failed to be injective")
-        inv[sigma] = pair
-    return inv

@@ -76,7 +76,7 @@ from fractions import Fraction
 
 from dataclasses import dataclass
 
-from gsp4weights.base import ETA, POSITIVE_COROOTS, W_ALL, Coweight, Weight, pairing
+from gsp4weights.base import ETA, POSITIVE_COROOTS, W_ALL, W_LONG, Coweight, Weight, pairing
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     IDENTITY,
@@ -660,6 +660,14 @@ def param_of_reduction(rhobar: TamePresentation) -> TamePresentation:
 def predicted_set_via_shift(rhobar: TamePresentation) -> frozenset[SerreWeight]:
     """The predicted set as the alcove shift of the JH set of the reduction."""
     return frozenset(alcove_shift(s) for s in jh_factors(param_of_reduction(rhobar)).values())
+
+
+def herzig_r(sigma: SerreWeight, w=W_LONG, shift: int = 1) -> SerreWeight:
+    """Herzig's operator R on a Serre weight, part by part:
+    R(lam) = w0 . (lam - p eta) = w0 (lam - p eta + eta) - eta.  `w` and
+    `shift` replace w0 and the -p eta shift, for negative controls."""
+    return SerreWeight.make(sigma.p, tuple(w.act(lam - ETA.scale(shift * sigma.p) + ETA) - ETA
+                                           for lam in sigma.parts))
 
 
 # --- the weight maps by brute force ---------------------------------------

@@ -27,7 +27,6 @@ from gsp4weights.weights import (
     intersect_w_jh,
     jh_set,
     obvious_weights,
-    predicted_pair_of_weight,
     w_question,
     w_question_set,
 )
@@ -314,8 +313,8 @@ def test_find_chain_reads_the_inverse_from_the_graph_state(monkeypatch):
     starts = [s for s in graph.vertices if s not in graph.obvious][:4]
     assert len(starts) == 4
     calls = []
-    real = adjacency.predicted_pair_of_weight
-    monkeypatch.setattr(adjacency, "predicted_pair_of_weight",
+    real = adjacency.w_question
+    monkeypatch.setattr(adjacency, "w_question",
                         lambda *args: calls.append(args) or real(*args))
     for sigma in starts:
         assert find_chain(rho, sigma).steered
@@ -478,14 +477,43 @@ def test_graph_edges_are_read_only():
 def test_steering_single_step_from_second_alcove():
     # w2 in the second restricted alcove: one s_1 step lands in Omega
     rho = rho41()
-    wq = w_question(rho)
-    back = predicted_pair_of_weight(wq)
-    for pair, sigma in wq.items():
+    back = _graph_of(rho).back
+    for pair, sigma in w_question(rho).items():
         if restricted_alcove_index(alcove_of(pair.w2[0])) != 2:
             continue
         inst = build_instance(rho, pair, (1, 0))
         nxt = back[inst.sigma2]
         assert in_omega(nxt.w2[0])
+
+
+def _distances_to_obvious(graph):
+    """Edge distance from every vertex to the nearest obvious weight: one
+    breadth-first walk from all obvious weights at once over the edge list."""
+    adj = {v: [] for v in graph.vertices}
+    for a, b in graph.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    dist = dict.fromkeys(graph.obvious, 0)
+    frontier = list(graph.obvious)
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for nb in adj[v]:
+                if nb not in dist:
+                    dist[nb] = dist[v] + 1
+                    nxt.append(nb)
+        frontier = nxt
+    return dist
+
+
+@pytest.mark.parametrize("name, sample", (("rb1.json", None), ("rb41.json", None),
+                                          ("rb_f2.json", 40)))
+def test_bfs_chains_are_shortest_paths(name, sample):
+    rho = fixture(name)
+    graph = build_graph(rho, check=False)
+    dist = _distances_to_obvious(graph)
+    starts = graph.vertices if sample is None else random.Random(3).sample(graph.vertices, sample)
+    assert [s for s in starts if len(find_chain(rho, s).bfs) != dist[s]] == []
 
 
 def test_steered_chains_short_and_correct():

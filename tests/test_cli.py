@@ -246,6 +246,16 @@ def test_mu_outside_the_lowest_alcove_is_refused_by_name(tmp_path, capsys, argv,
                    " alcove for p=37\n" % kind)
 
 
+@pytest.mark.parametrize("flags", ([], ["--bm"]))
+def test_cycle_formula_refusal_names_the_shallow_weight(tmp_path, capsys, flags):
+    # a 5-deep type passes the weight maps' guards, but one of its JH
+    # weights is only 2-deep
+    path = _write_presentation(tmp_path, kind="type", s=["121"], mu=[[13, 8, 2]])
+    code, out, err = capture(capsys, ["cycles", *flags, "--tau", path])
+    assert (code, out) == (2, "")
+    assert err == "error: cycle formula needs a 3-deep weight; F(11,9,4) is 2-deep\n"
+
+
 @pytest.mark.parametrize("mu", ([[60, 30, 0]], [[6, 3, 0]]), ids=("outside", "3-deep"))
 def test_refused_graph_is_not_warned_about(tmp_path, capsys, caplog, mu):
     # the shallow-parameter warning follows a built graph, so a run that

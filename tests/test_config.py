@@ -1,6 +1,7 @@
 """The genericity policy of config.py, checked at the edge of each threshold."""
 
 import os
+import re
 
 import pytest
 
@@ -79,5 +80,6 @@ def test_cycle_formula_needs_weight_depth():
     shallow = SerreWeight.make(P, (SHALLOW,))
     assert (deep.depth(), shallow.depth()) == (WEIGHT_DEPTH, WEIGHT_DEPTH - 1)
     assert bm_cycle(deep).support()
-    with pytest.raises(GenericityError, match="^cycle formula needs a 3-deep weight$"):
+    with pytest.raises(GenericityError, match="^cycle formula needs a 3-deep weight; %s is 2-deep$"
+                       % re.escape(shallow.display())):
         bm_cycle(shallow)

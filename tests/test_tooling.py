@@ -72,9 +72,9 @@ def _traced_classes():
     raise AssertionError("perfbench/tracing.py defines no CLASS_METHODS")
 
 
-def _load_worker():
+def _load_perfbench(name):
     spec = importlib.util.spec_from_file_location(
-        "perfbench_worker", os.path.join(PERFBENCH, "worker.py"))
+        "perfbench_" + name, os.path.join(PERFBENCH, name + ".py"))
     mod = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(mod)
     return mod
@@ -82,7 +82,7 @@ def _load_worker():
 
 def test_benchmark_imports_every_module_it_names(monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))
-    worker = _load_worker()
+    worker = _load_perfbench("worker")
     mods = worker.import_library(ROOT)
     assert [m.__name__ for m in mods] == ["gsp4weights." + m for m in worker.MODULES]
 
@@ -91,6 +91,22 @@ def test_benchmark_unit_tests_pass():
     proc = subprocess.run([sys.executable, "-m", "unittest", "discover", "-s", "perfbench"],
                           cwd=ROOT, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
+
+
+def test_every_benchmark_workload_runs_once(tmp_path):
+    # the worker's own call forms, keyword arguments included: the warm-up
+    # op and the first timed op of each workload, each checked as a
+    # benchmark run checks it
+    gen, worker = _load_perfbench("gen"), _load_perfbench("worker")
+    assert sorted(worker.WORKLOADS) == sorted(gen.WORKLOADS)
+    for name, (prepare, op, check) in worker.WORKLOADS.items():
+        out_dir = tmp_path / name
+        out_dir.mkdir()
+        manifest = gen.generate(name, 0, 1, str(out_dir))
+        ctx = {"dir": str(out_dir)}
+        prepare(ctx)
+        for inp in (manifest["warmup"], manifest["ops"][0]):
+            check(ctx, inp, op(ctx, inp))
 
 
 def test_benchmark_names_exist():

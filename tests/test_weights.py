@@ -29,7 +29,6 @@ from gsp4weights.weights import (
     jh_set,
     normalize_central,
     obvious_weights,
-    predicted_pair_of_weight,
     presentation_from_w_tilde,
     t_compose,
     t_invert,
@@ -197,14 +196,44 @@ def test_wq_injective_and_sizes():
     obv = obvious_weights(rho)
     assert len(set(obv.values())) == 8
     assert set(obv.values()) <= set(table.values())
-    inv = predicted_pair_of_weight(table)
-    assert len(inv) == 20
 
 
 def test_wq_cross_check_alcove_shift():
     for seed in (5, 17, 23):
         rho = rho_fixture(seed=seed)
         assert oracles.predicted_set_via_shift(rho) == w_question_set(rho)
+
+
+def _herzig_identity_holds(rho, r=oracles.herzig_r):
+    jh = jh_set(oracles.param_of_reduction(rho))
+    return w_question_set(rho) == {r(s) for s in jh}
+
+
+def _herzig_grid():
+    """246 seeded parameters: f = 1, 2, 3 at depths 4, 6, 9 over seven primes."""
+    rng = random.Random(7)
+    for f, count, depth in ((1, 200, 4), (2, 40, 6), (3, 6, 9)):
+        for _ in range(count):
+            p = rng.choice((37, 41, 43, 53, 61, 67, 101))
+            yield random_deep_presentation(p, f, depth, rng, kind="param")
+
+
+def test_w_question_is_herzig_r_of_the_reduction_jh_set():
+    # W?(rhobar) = R(JH(tau_rhobar)), with tau_rhobar the type of the same
+    # data (Herzig, Duke 2009, sec. 6; Gee-Herzig-Savitt, JEMS 2018)
+    rhos = [_fixture(name) for name in ("rb1.json", "rb41.json", "rb_f2.json")]
+    rhos += _herzig_grid()
+    assert len(rhos) == 3 + 246
+    assert [rho for rho in rhos if not _herzig_identity_holds(rho)] == []
+
+
+@pytest.mark.parametrize("control", ({"shift": 0}, {"w": W_E}), ids=("no-p-eta", "w0-is-e"))
+def test_herzig_r_negative_controls(control):
+    # without the -p eta shift, or with e for w0, some part leaves the
+    # p-restricted range, so R of the JH set is not even a set of weights
+    rho = _fixture("rb1.json")
+    with pytest.raises(ValueError, match="is not p-restricted$"):
+        _herzig_identity_holds(rho, lambda s: oracles.herzig_r(s, **control))
 
 
 def test_alcove_shift_bijection():
