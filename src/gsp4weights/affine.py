@@ -40,7 +40,6 @@ class Alcove(NamedTuple):
 
 
 BASE_ALCOVE = Alcove(3, 1)
-DUAL_BASE_ALCOVE = Alcove(-3, -1)
 
 # The plane directions of the positive roots.
 _ROOT_VECS = tuple((r.a, r.b) for r in POSITIVE_ROOTS)
@@ -98,10 +97,6 @@ class ExtAffine:
         # hash(w) is w.index, so this is hash((nu, w)) without calling it
         return hash((self.nu, self.w.index))
 
-    def __reduce__(self):
-        # copy and pickle rebuild through __init__, past __setattr__
-        return ExtAffine, (self.nu, self.w)
-
     def __repr__(self):
         return "E[%s]" % (self.display(),)
 
@@ -156,7 +151,7 @@ def _base_image(w: FiniteWeyl) -> tuple[int, int]:
     return img.a, img.b
 
 
-# w(BASE_ALCOVE) by the index of w; w(DUAL_BASE_ALCOVE) is its negative
+# w(BASE_ALCOVE) by the index of w
 _BASE_IMAGES = tuple(_base_image(w) for w in W_ALL)
 
 
@@ -585,13 +580,3 @@ def weight_arrow_leq(kappa: Weight, lam: Weight, p: int) -> bool:
     if p_dot(compose(elem_of_alcove(b), invert(elem_of_alcove(a))), kappa, p) != lam:
         return False
     return upper_arrow_leq_alcove(a, b)
-
-
-def _selfcheck() -> None:
-    assert length(translation(ETA)) == 7
-    assert alcove_of(HIGHEST_RESTRICTED) == RESTRICTED_ALCOVES[3]
-    assert compose(invert(HIGHEST_RESTRICTED), W0) == translation(ETA)
-    assert omega_class(translation(ETA)) == 3
-
-
-_selfcheck()

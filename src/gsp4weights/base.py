@@ -34,12 +34,6 @@ class Coweight(NamedTuple):
     e: int
     f: int
 
-    def __add__(self, other):  # type: ignore[override]
-        return Coweight(self.d + other.d, self.e + other.e, self.f + other.f)
-
-    def __neg__(self):
-        return Coweight(-self.d, -self.e, -self.f)
-
 
 ETA = Weight(2, 1, 0)
 
@@ -57,7 +51,6 @@ POSITIVE_COROOTS = (
     Coweight(1, 1, 0),
     Coweight(1, 0, 0),
 )
-ALPHA1, ALPHA2, ALPHA12, ALPHA112 = POSITIVE_ROOTS
 SIMPLE_INDICES = (0, 1)
 
 
@@ -229,30 +222,3 @@ def lowest_alcove_depth(lam: Weight, p: int) -> int:
             return -1
         best = min(best, v, p - v)
     return best - 1
-
-
-def _selfcheck() -> None:
-    for i in range(4):
-        assert pairing(POSITIVE_ROOTS[i], POSITIVE_COROOTS[i]) == 2
-    assert pairing(ALPHA1, POSITIVE_COROOTS[1]) == -1
-    assert pairing(ALPHA2, POSITIVE_COROOTS[0]) == -2
-    assert tuple(pairing(ETA, cov) for cov in POSITIVE_COROOTS) == (1, 1, 3, 2)
-    assert std_character(ETA) == (3, 2, 1, 0)
-    assert W_LONG.act(Weight(1, 2, 3)) == Weight(-1, -2, 6)
-    # reflection formula s_alpha(lam) = lam - <lam, coroot> alpha
-    for i in range(4):
-        s = REFLECTIONS[i]
-        for lam in (ETA, Weight(1, 2, 3), Weight(-1, 4, 2)):
-            expect = lam - POSITIVE_ROOTS[i].scale(pairing(lam, POSITIVE_COROOTS[i]))
-            assert s.act(lam) == expect
-    # the coweight action is the adjoint one
-    basis_w = (Weight(1, 0, 0), Weight(0, 1, 0), Weight(0, 0, 1))
-    basis_c = (Coweight(1, 0, 0), Coweight(0, 1, 0), Coweight(0, 0, 1))
-    for w in W_ALL:
-        wi = weyl_inv(w)
-        for lam in basis_w:
-            for cov in basis_c:
-                assert pairing(w.act(lam), cov) == pairing(lam, wi.act_coweight(cov))
-
-
-_selfcheck()

@@ -62,7 +62,7 @@ COMMANDS = ("adm", "ap", "weights", "graph", "cycles", "localmodel", "selfcheck"
 USAGE = """usage: gsp4weights <command> [options]
 
 commands:
-  selfcheck   run startup assertions and module smoke tests
+  selfcheck   run the module smoke tests
   adm         list an admissible set (--lambda a,b,c [--dual])
   ap          list admissible pairs (--f N [--prime])
   weights     predicted weights of a parameter (--rhobar FILE [--obvious])

@@ -81,32 +81,16 @@ class FormalSum:
     def __hash__(self):
         return hash((type(self).__name__, tuple(self.items())))
 
-    def _same_kind(self, other):
+    def __add__(self, other):
         if type(self) is not type(other):
             raise TypeError(
                 "cannot combine %s with %s"
                 % (type(self).__name__, type(other).__name__)
             )
-
-    def __add__(self, other):
-        self._same_kind(other)
         out = dict(self._coeffs)
         for k, v in other._coeffs.items():
             out[k] = out.get(k, 0) + v
         return type(self)(out)
-
-    def __sub__(self, other):
-        self._same_kind(other)
-        out = dict(self._coeffs)
-        for k, v in other._coeffs.items():
-            out[k] = out.get(k, 0) - v
-        return type(self)(out)
-
-    def __rmul__(self, n: int):
-        return type(self)({k: n * v for k, v in self._coeffs.items()})
-
-    def __neg__(self):
-        return -1 * self
 
     def display(self) -> str:
         if not self._coeffs:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import lcm
 
-from .base import SIMPLES, FiniteWeyl, W_ALL, W_E, Weight, std_character
+from .base import SIMPLES, FiniteWeyl, W_ALL, Weight, std_character
 from .affine import (
     HIGHEST_RESTRICTED,
     W0,
@@ -35,29 +35,7 @@ from .affine import (
     star,
     translation,
 )
-from .exactalg import LaurentPoly, PrimeField, RatFunc, _pack, _unpack
-
-__all__ = [
-    "PolyMat",
-    "MonodromyParams",
-    "MonodromyDefect",
-    "RegColOneParams",
-    "SimilitudeResult",
-    "e_poly",
-    "j_matrix",
-    "weyl_matrix",
-    "monomial_matrix",
-    "symplectic_similitude",
-    "e_divisor_pattern",
-    "dominance_leq",
-    "shape_of",
-    "monodromy_defect",
-    "build_regcolone_matrix",
-    "regcolone_relation_holds",
-    "regcolone_coordinates",
-    "fixed_point_set_T",
-    "fixed_point_set_colone",
-]
+from .exactalg import QQ, LaurentPoly, PrimeField, RatFunc, _pack, _unpack
 
 
 # ---------------------------------------------------------------------------
@@ -530,8 +508,6 @@ def dominance_leq(mu, lam) -> bool:
 
 @lru_cache(maxsize=1)
 def _weyl_patterns() -> dict:
-    from .exactalg import QQ
-
     out = {}
     for w in W_ALL:
         m = weyl_matrix(w, QQ)
@@ -875,19 +851,3 @@ def fixed_point_set_colone(w1: ExtAffine, s: int) -> frozenset:
         found.add(star(compose_all(
             invert(w1), invert(HIGHEST_RESTRICTED), sw, W0, wt)))
     return frozenset(found)
-
-
-def _selfcheck() -> None:
-    from .exactalg import QQ
-
-    jq = j_matrix(QQ)
-    for w in W_ALL:
-        m = weyl_matrix(w, QQ)
-        assert m.transpose() * jq * m == jq, "Weyl matrix breaks the form"
-    z = compose(translation(Weight(2, 1, 0)), finite(W_E))
-    assert monomial_matrix(z, QQ).det().low_degree == 6
-    ep = e_poly(PrimeField(5), 5)
-    assert ep == LaurentPoly.v_power(PrimeField(5), 1)
-
-
-_selfcheck()

@@ -22,7 +22,8 @@ with the library's `compose`, whose products the table tests check.
   restrictedness read off barycenters; the library's slot-wise kernel
   must give the same tables, the same intersections and the same errors.
   The alcove shift maps the JH set of a parameter's reduction onto its
-  predicted set.
+  predicted set, and Herzig's R does too, pair by pair through the
+  measured table PHI.
 - Single arrow steps and the Bruhat descent recursion are also kept on
   integer alcoves (barycenters scaled by 6), written with this file's
   reflection formula and wall counts: the library's arrow search inlines
@@ -94,6 +95,7 @@ from gsp4weights.affine import (
 from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, divmod_poly
 from gsp4weights.localmodel import PolyMat, RegColOneParams, j_matrix, weyl_matrix
 from gsp4weights.weights import (
+    APPair,
     GenericityError,
     SerreWeight,
     TamePresentation,
@@ -668,6 +670,51 @@ def herzig_r(sigma: SerreWeight, w=W_LONG, shift: int = 1) -> SerreWeight:
     `shift` replace w0 and the -p eta shift, for negative controls."""
     return SerreWeight.make(sigma.p, tuple(w.act(lam - ETA.scale(shift * sigma.p) + ETA) - ETA
                                            for lam in sigma.parts))
+
+
+# Herzig's R pair by pair: one fixed bijection phi from the 20 per-embedding
+# AP pairs (x, y) onto the 20 AP' pairs, with R(JH(tau_rhobar)[P]) equal
+# to W?(rhobar)[phi(P)].  It is a measured table, not a derived one; an
+# element t_nu * w is written (nu, word of w).
+PHI = {
+    (((0, 0, 0), ""), ((1, 0, -2), "121")): (((1, 0, 1), "121"), ((2, 1, 0), "1212")),
+    (((0, 0, 0), ""), ((1, 0, -2), "12")): (((1, 0, 1), "12"), ((2, 1, 0), "1212")),
+    (((0, 0, 0), ""), ((1, 0, -2), "1")): (((1, 0, 1), "1"), ((2, 1, 0), "1212")),
+    (((0, 0, 0), ""), ((2, 1, -3), "1212")): (((2, 1, 0), "1212"), ((2, 1, 0), "1212")),
+    (((1, 0, 0), "121"), ((0, 0, -1), "")): (((0, 0, 1), ""), ((1, 1, 0), "2")),
+    (((1, 0, 0), "121"), ((1, 1, -2), "212")): (((1, 1, 0), "212"), ((1, 1, 0), "2")),
+    (((1, 0, 0), "121"), ((1, 1, -2), "21")): (((1, 1, 0), "21"), ((1, 1, 0), "2")),
+    (((1, 0, 0), "121"), ((1, 1, -2), "2")): (((1, 1, 0), "2"), ((1, 1, 0), "2")),
+    (((1, 0, 0), "12"), ((0, 0, -1), "")): (((0, 0, 1), ""), ((1, 1, 0), "21")),
+    (((1, 0, 0), "12"), ((1, 1, -2), "212")): (((1, 1, 0), "212"), ((1, 1, 0), "21")),
+    (((1, 0, 0), "12"), ((1, 1, -2), "21")): (((1, 1, 0), "21"), ((1, 1, 0), "21")),
+    (((1, 1, 0), "212"), ((1, 0, -1), "121")): (((1, 0, 0), "121"), ((1, 0, 0), "1")),
+    (((1, 1, 0), "212"), ((1, 0, -1), "12")): (((1, 0, 0), "12"), ((1, 0, 0), "1")),
+    (((1, 1, 0), "212"), ((1, 0, -1), "1")): (((1, 0, 0), "1"), ((1, 0, 0), "1")),
+    (((1, 0, 0), "1"), ((0, 0, -1), "")): (((0, 0, 1), ""), ((1, 1, 0), "212")),
+    (((1, 0, 0), "1"), ((1, 1, -2), "212")): (((1, 1, 0), "212"), ((1, 1, 0), "212")),
+    (((1, 1, 0), "21"), ((1, 0, -1), "121")): (((1, 0, 0), "121"), ((1, 0, 0), "12")),
+    (((1, 1, 0), "21"), ((1, 0, -1), "12")): (((1, 0, 0), "12"), ((1, 0, 0), "12")),
+    (((1, 1, 0), "2"), ((1, 0, -1), "121")): (((1, 0, 0), "121"), ((1, 0, 0), "121")),
+    (((2, 1, 0), "1212"), ((0, 0, 0), "")): (((0, 0, 0), ""), ((0, 0, 0), "")),
+}
+
+
+def phi_map(table=PHI):
+    """phi on pair tuples of any f, slot by slot, read off a table shaped
+    like PHI (a negative control passes a corrupted one)."""
+    by_word = {w.word: w for w in W_ALL}
+
+    def elem(nu, word):
+        return ExtAffine(Weight(*nu), by_word[word])
+
+    single = {(elem(*x), elem(*y)): (elem(*u), elem(*v)) for (x, y), (u, v) in table.items()}
+
+    def phi(pair: APPair) -> APPair:
+        images = [single[xy] for xy in zip(pair.w1, pair.w2)]
+        return APPair(tuple(u for u, _ in images), tuple(v for _, v in images))
+
+    return phi
 
 
 # --- the weight maps by brute force ---------------------------------------

@@ -66,6 +66,16 @@ def test_adm_eta_counts():
     assert all(omega_class(x) == 3 for x in adm.elements)
 
 
+def test_adm_size_polynomial():
+    # |Adm(a, b, c)| = 8a^2 + 16ab - 8b^2 + 4a - 2b + 1, measured on this
+    # grid, not proven
+    for a in range(13):
+        for b in range(a + 1):
+            want = 8 * a * a + 16 * a * b - 8 * b * b + 4 * a - 2 * b + 1
+            for c in (-1, 0, 1):
+                assert len(adm_set(Weight(a, b, c)).elements) == want, (a, b, c)
+
+
 def test_colength_zero_is_translations():
     adm = adm_set(ETA)
     translations = frozenset(translation(w.act(ETA)) for w in W_ALL)

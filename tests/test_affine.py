@@ -1,4 +1,3 @@
-import copy
 import hashlib
 import itertools
 import random
@@ -21,7 +20,6 @@ from gsp4weights.admissible import (
 from gsp4weights.affine import (
     AFFINE_SIMPLES,
     BASE_ALCOVE,
-    DUAL_BASE_ALCOVE,
     HIGHEST_RESTRICTED,
     IDENTITY,
     RESTRICTED_ALCOVES,
@@ -362,7 +360,6 @@ def test_ext_affine_hashes_as_its_pair_and_equals_no_tuple():
         assert x != pair and pair != x and not x == pair
         twin = ExtAffine(Weight(*x.nu), x.w)
         assert twin == x and twin is not x and hash(twin) == hash(x)
-        assert copy.copy(x) == x
     assert len(set(elems)) == len({(x.nu, x.w) for x in elems})
     with pytest.raises(AttributeError):
         elems[0].nu = Weight(0, 0, 0)
@@ -542,7 +539,7 @@ def test_normalize_c():
 def test_functional_values_of_base():
     # barycenter values 1/3, 1/6, 2/3, 1/2, scaled by 6
     assert functional_values(BASE_ALCOVE) == (2, 1, 4, 3)
-    assert functional_values(DUAL_BASE_ALCOVE) == (-2, -1, -4, -3)
+    assert functional_values(Alcove(-3, -1)) == (-2, -1, -4, -3)
 
 
 def test_reflect_alcove_is_involution():

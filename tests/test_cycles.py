@@ -72,11 +72,8 @@ def test_formal_sum_arithmetic():
     x = Cycle({a: 1, b: 2})
     y = Cycle({b: 1})
     assert (x + y).coeff(b) == 3
-    assert (x - y).coeff(b) == 1
-    assert (3 * y).coeff(b) == 3
-    assert (-y).coeff(b) == -1
-    assert (x - x) == Cycle() and not bool(x - x)
     assert Cycle({a: 0}) == Cycle()
+    assert not bool(Cycle())
     assert x.support() == tuple(sorted((a, b), key=lambda s: s.sort_key()))
 
 

@@ -6,9 +6,12 @@ renaming a module, function, class or cache the benchmark uses fails here
 rather than in a benchmark run.
 
 Every top-level function and class in src/ must be reachable from
-something the program runs, or be named in ACCEPTANCE_API, and every
-method and property of a src/ class must be named by some code other
-than itself; test-only helpers live under tests/.
+something the program runs, or be named in ACCEPTANCE_API; every method
+and property of a src/ class must be named by some code other than
+itself, or be one of the ACCEPTANCE_METHODS the acceptance gate calls;
+every name assigned at module level must be read; and importing a module
+runs no statement but definitions.  Test-only helpers and self-checks
+live under tests/.
 
 A shift by a non-constant amount packs or unpacks polynomials evaluated
 at v = 2^w, so every one lies in exactalg's `_pack` or `_unpack`, the one
@@ -126,15 +129,18 @@ def test_benchmark_names_exist():
 
 
 # (module, name) of the library's definitions that the acceptance gate
-# calls and neither the CLI nor the benchmark runs: the Levi sets, the
-# colength-one count, the cycle classes, the fixed-point sets, the Bruhat
-# interval and the weight maps it times on their own.
+# calls or reads and neither the CLI nor the benchmark runs: the Levi
+# labels and sets, the reflections, the colength-one count, the cycle
+# classes, the fixed-point sets, the Bruhat interval and the weight maps
+# it times on their own.
 ACCEPTANCE_API = (
+    ("admissible", "LEVI_LABELS"),
     ("admissible", "adm_levi_conjugate"),
     ("admissible", "levi_adm_set"),
     ("admissible", "levi_finite_weyl"),
     ("admissible", "levi_minimal_rep"),
     ("affine", "bruhat_lower_interval"),
+    ("base", "REFLECTIONS"),
     ("cycles", "GrothendieckClass"),
     ("cycles", "restricted_chain"),
     ("cycles", "weyl_class"),
@@ -238,9 +244,72 @@ def unnamed_methods():
     return sorted(out)
 
 
+# (module, class, method) of the methods that only the acceptance gate
+# calls: criterion 1 checks the pairing against the coweight action.
+ACCEPTANCE_METHODS = (("base", "FiniteWeyl", "act_coweight"),)
+
+
 def test_every_library_method_is_named_outside_itself():
-    # a method only tests call is deleted, or moved to tests/ as a function
-    assert unnamed_methods() == []
+    # a method only tests call is deleted, or moved to tests/ as a function;
+    # each allowed one is a method the acceptance gate calls
+    assert unnamed_methods() == sorted("%s.%s.%s" % key for key in ACCEPTANCE_METHODS)
+    gate = _parse(os.path.join(ROOT, "tests", "test_acceptance.py"))
+    called = {node.func.attr for node in ast.walk(gate)
+              if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
+    assert [key for key in ACCEPTANCE_METHODS if key[2] not in called] == []
+
+
+def _assigned(node):
+    """The names a module-level statement assigns."""
+    targets = (node.targets if isinstance(node, ast.Assign)
+               else [node.target] if isinstance(node, (ast.AnnAssign, ast.AugAssign)) else [])
+    return [sub.id for t in targets for sub in ast.walk(t) if isinstance(sub, ast.Name)]
+
+
+def unread_module_names():
+    """Names assigned at module level in src/, as "module.name", that
+    nothing reads, dunders other than `__all__` aside.
+
+    A name is read where it is loaded in its module outside its own
+    assignment, or where another module imports it with `from .module
+    import name` and loads it; a cache the benchmark runner reads and a
+    name in ACCEPTANCE_API count as read."""
+    assigned, read = set(), set(_run_caches()) | set(ACCEPTANCE_API)
+    for mod, tree in _package_trees().items():
+        scope, inside = {}, {}
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level == 1:
+                scope.update({a.asname or a.name: (node.module, a.name) for a in node.names})
+        for node in tree.body:
+            for name in _assigned(node):
+                if name == "__all__" or not (name.startswith("__") and name.endswith("__")):
+                    assigned.add((mod, name))
+                    scope[name] = (mod, name)
+                    inside[name] = {id(sub) for sub in ast.walk(node)}
+        for node in ast.walk(tree):
+            if (isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load) and node.id in scope
+                    and id(node) not in inside.get(node.id, ())):
+                read.add(scope[node.id])
+    return sorted("%s.%s" % key for key in assigned - read)
+
+
+def test_every_module_name_is_read():
+    # a constant, alias or __all__ that only tests or nothing read is deleted
+    assert unread_module_names() == []
+
+
+def test_import_runs_only_definitions():
+    # importing a module defines names and checks no facts: the only
+    # top-level expression statement is the module docstring, and a
+    # self-check is a test under tests/
+    found = []
+    for mod, tree in _package_trees().items():
+        for i, node in enumerate(tree.body):
+            docstring = i == 0 and isinstance(getattr(node, "value", None), ast.Constant) \
+                and isinstance(node.value.value, str)
+            if isinstance(node, ast.Expr) and not docstring:
+                found.append("%s.py:%d" % (mod, node.lineno))
+    assert found == []
 
 
 def test_acceptance_imports_only_reached_names():

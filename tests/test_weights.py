@@ -236,6 +236,39 @@ def test_herzig_r_negative_controls(control):
         _herzig_identity_holds(rho, lambda s: oracles.herzig_r(s, **control))
 
 
+def _phi_holds(rho, phi):
+    wq = w_question(rho)
+    return all(wq[phi(pair)] == oracles.herzig_r(sigma)
+               for pair, sigma in jh_factors(oracles.param_of_reduction(rho)).items())
+
+
+def test_phi_is_a_bijection_of_ap_onto_ap_prime():
+    images = {oracles.phi_map()(pair) for pair in enumerate_ap(1)}
+    assert len(images) == 20 and images == set(enumerate_ap_prime(1))
+
+
+@pytest.mark.parametrize("f, seed, primes, count, fixtures", (
+    (1, 3, (41, 53, 61, 37, 43, 67, 101), 40, ("rb1.json", "rb41.json")),
+    (2, 7, (37, 41, 53, 61, 67, 101), 4, ("rb_f2.json",)),
+), ids=("f1", "f2"))
+def test_phi_carries_r_pair_by_pair(f, seed, primes, count, fixtures):
+    # W?(rhobar)[phi(P)] = R(JH(tau_rhobar)[P]) for every AP pair P, with
+    # phi applied slot by slot at f = 2: 282 parameters at f = 1, 25 at f = 2
+    rng = random.Random(seed)
+    rhos = [_fixture(name) for name in fixtures]
+    rhos += [random_deep_presentation(p, f, 6, rng, kind="param")
+             for p in primes for _ in range(count)]
+    phi = oracles.phi_map()
+    assert [rho for rho in rhos if not _phi_holds(rho, phi)] == []
+
+
+def test_phi_with_two_entries_swapped_fails():
+    keys = list(oracles.PHI)
+    table = dict(oracles.PHI)
+    table[keys[0]], table[keys[1]] = table[keys[1]], table[keys[0]]
+    assert not _phi_holds(_fixture("rb1.json"), oracles.phi_map(table))
+
+
 def test_alcove_shift_bijection():
     rho = rho_fixture()
     sigmas = [s for s in w_question_set(rho) if oracles.is_regular_weight(s)]
