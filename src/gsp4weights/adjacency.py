@@ -10,7 +10,7 @@ walks any weight to an obvious one in at most three steps per embedding.
 from __future__ import annotations
 
 import logging
-from collections.abc import Mapping
+from collections.abc import Callable, Mapping
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from types import MappingProxyType
@@ -52,18 +52,11 @@ _WQ_CACHE: dict = {}
 
 
 def valid_simples(pair: APPair) -> tuple[tuple[int, int], ...]:
-    """All simple-reflection labels (i, j) allowed for this AP' pair.
-
-    s_{2,j} is excluded when the j-th w1 component has length zero but
-    differs from the j-th w2 component.
-    """
-    out = []
-    for i in (1, 2):
-        for j in range(pair.f):
-            if i == 2 and in_omega(pair.w1[j]) and pair.w1[j] != pair.w2[j]:
-                continue
-            out.append((i, j))
-    return tuple(out)
+    """All simple-reflection labels (i, j) allowed for this AP' pair: those
+    whose letter i has a `_slot_targets` row at the j-th single."""
+    targets = _slot_targets()
+    return tuple((i, j) for i in (1, 2) for j, single in enumerate(zip(pair.w1, pair.w2))
+                 if single + (i,) in targets)
 
 
 @dataclass(frozen=True)
@@ -95,7 +88,8 @@ def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
     where w is the finite part of w2 (v = w twice where there is no
     letter).  Slot by slot, w(tau) is w(rhobar) g^(-1), w(rhobar0) is
     w(rhobar) w1^(-1) w2, and sigma1, sigma2 are F_tau at the two outer
-    index tuples."""
+    index tuples.  A single has a row for letter 2 only where s_2 is
+    allowed at it: not where w1 has length zero and differs from w2."""
     outer = _singles("type").index
     k_outer = {w: outer[compose(HIGHEST_RESTRICTED, diamond(w)), diamond(w)] for w in W_ALL}
     hw_inv = invert(HIGHEST_RESTRICTED)
@@ -104,11 +98,61 @@ def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
         w1_inv_w2 = compose(invert(w1), w2)
         w = w2.w
         for i in (1, 2, None):
+            if i == 2 and in_omega(w1) and w1 != w2:
+                continue
             mid = () if i is None else (finite(SIMPLES[i]),)
             v = w if i is None else weyl_mul(SIMPLES[i], w)
             g = compose_all(invert(w2), hw_inv, W0, *mid, w1)
             table[w1, w2, i] = (invert(g), w1_inv_w2, k, k_outer[w], k_outer[v])
     return table
+
+
+def _deriver(rhobar: TamePresentation,
+             table: _SlotTable) -> Callable[[APPair, tuple[int, int]], AdjacencyInstance]:
+    """The maker of rhobar's instances for one call: derive(pair, s), for
+    a pair made of AP' singles and an allowed s.  Its memo lives as long as
+    the maker: rhobar.w_tilde() is made once, each slot of it is composed
+    with each `_slot_targets` row once, each distinct tau and rhobar0 is
+    presented once, and sigma1 and sigma2 are read through `table`.  An
+    instance fails as it fails alone: tau and rhobar0 are presented, then
+    the depth guards refuse tau and then rhobar0, then the two weights
+    are read."""
+    targets = _slot_targets()
+    x = rhobar.w_tilde()
+    need = derived_depth_bound(rhobar.depth())  # margins scale with rhobar's depth
+    slots: dict = {}
+    made: dict[tuple, TamePresentation] = {}
+
+    def present(kind: str, wt: tuple) -> TamePresentation:
+        pres = made.get((kind, wt))
+        if pres is None:
+            pres = made[kind, wt] = presentation_from_w_tilde(kind, wt, rhobar.p)
+        return pres
+
+    def derive(pair: APPair, s: tuple[int, int]) -> AdjacencyInstance:
+        # w(tau) = w(rhobar) w1^(-1) s^(-1) w0^(-1) wh w2, so
+        # w(rhobar0) = w(tau) w2^(-1) wh^(-1) w0 s w2 = w(rhobar) w1^(-1) w2
+        # slot by slot: s cancels, and rhobar0 depends on the pair alone.
+        i, j = s
+        rows = []
+        for k, (w1, w2) in enumerate(zip(pair.w1, pair.w2)):
+            key = (k, w1, w2, i if k == j else None)
+            row = slots.get(key)
+            if row is None:
+                g_inv, w1_inv_w2, _, k_w, k_sw = targets[key[1:]]
+                row = slots[key] = (compose(x[k], g_inv), compose(x[k], w1_inv_w2), k_w, k_sw)
+            rows.append(row)
+        tau_wt, rhobar0_wt, w_combo, sw_combo = zip(*rows)
+        tau, rhobar0 = present("type", tau_wt), present("param", rhobar0_wt)
+        if tau.depth() < need:
+            raise GenericityError("derived type has depth %d < %d" % (tau.depth(), need))
+        if rhobar0.depth() < need:
+            raise GenericityError("derived parameter has depth %d < %d" % (rhobar0.depth(), need))
+        return AdjacencyInstance(rhobar, pair, s, tau, rhobar0,
+                                 table.weight(tau, "type", w_combo),
+                                 table.weight(tau, "type", sw_combo))
+
+    return derive
 
 
 def build_instance(
@@ -123,9 +167,10 @@ def build_instance(
     the companion parameter rhobar0 with element w2^(-1) wh^(-1) w0 s w2
     (their slots read from `_slot_targets`), and the two outer weights
     sigma1 = F_tau(w), sigma2 = F_tau(sw) at the two outer index tuples,
-    read through one slot table made for the call.  With check=True it
-    verifies on that same table that these two weights exhaust the
-    intersection of the predicted set of rhobar0 with the JH set of tau.
+    by the derivation `_graph_of` uses (`_deriver`), made for the call
+    with one slot table.  With check=True it verifies on that same table
+    that these two weights exhaust the intersection of the predicted set
+    of rhobar0 with the JH set of tau.
     """
     if rhobar.kind != "param":
         raise ValueError("rhobar must be a mod-p parameter presentation")
@@ -143,35 +188,8 @@ def build_instance(
             "s_{2,%d} is forbidden: the w1 component at embedding %d has "
             "length zero and differs from the w2 component" % (j, j)
         )
-
-    # w(tau) = w(rhobar) w1^(-1) s^(-1) w0^(-1) wh w2, so
-    # w(rhobar0) = w(tau) w2^(-1) wh^(-1) w0 s w2 = w(rhobar) w1^(-1) w2
-    # slot by slot: s cancels, and rhobar0 depends on the pair alone.
-    tau_wt, rhobar0_wt, w_combo, sw_combo = [], [], [], []
-    for k, (x, w1, w2) in enumerate(zip(rhobar.w_tilde(), pair.w1, pair.w2)):
-        g_inv, w1_inv_w2, _, k_w, k_sw = targets[w1, w2, i if k == j else None]
-        tau_wt.append(compose(x, g_inv))
-        rhobar0_wt.append(compose(x, w1_inv_w2))
-        w_combo.append(k_w)
-        sw_combo.append(k_sw)
-    tau = presentation_from_w_tilde("type", tuple(tau_wt), rhobar.p)
-    rhobar0 = presentation_from_w_tilde("param", tuple(rhobar0_wt), rhobar.p)
-
-    # genericity margins scale with the input parameter's actual depth
-    need = derived_depth_bound(rhobar.depth())
-    if tau.depth() < need:
-        raise GenericityError(
-            "derived type has depth %d < %d" % (tau.depth(), need)
-        )
-    if rhobar0.depth() < need:
-        raise GenericityError(
-            "derived parameter has depth %d < %d" % (rhobar0.depth(), need)
-        )
-
     table = _SlotTable()
-    sigma1 = table.weight(tau, "type", tuple(w_combo))
-    sigma2 = table.weight(tau, "type", tuple(sw_combo))
-    inst = AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
+    inst = _deriver(rhobar, table)(pair, s)
     if check:
         _check_instance(inst, table)
     return inst
@@ -263,7 +281,8 @@ class _GraphState(NamedTuple):
 @lru_cache(maxsize=1)
 def _graph_of(rhobar: TamePresentation) -> _GraphState:
     """rhobar's weight graph, built without checks, with the inverse of its
-    W? table and its instances.  Only the last parameter's state is kept:
+    W? table and its instances, each derived by one `_deriver` with one
+    slot table for the build.  Only the last parameter's state is kept:
     callers ask for one parameter's graph several times in a row
     (`build_graph`, then `find_chain` per weight).  No check result is
     kept.  A shallow parameter is warned about once its graph is built."""
@@ -272,11 +291,9 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
     if len(back) != len(table):
         raise AssertionError("F_rhobar failed to be injective")
     vertices = tuple(sorted(back, key=SerreWeight.sort_key))
-    instances = {
-        (pair, s): build_instance(rhobar, pair, s, check=False)
-        for pair in enumerate_ap_prime(rhobar.f)
-        for s in valid_simples(pair)
-    }
+    derive = _deriver(rhobar, _SlotTable())
+    instances = {(pair, s): derive(pair, s)
+                 for pair in enumerate_ap_prime(rhobar.f) for s in valid_simples(pair)}
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
     for inst in instances.values():
         edges.setdefault(_edge(inst.sigma1, inst.sigma2), []).append(inst)

@@ -204,21 +204,19 @@ def dominant(lam: Weight) -> bool:
 
 def depth(lam: Weight, p: int) -> int:
     """Largest m with lam m-deep, or -1 if lam lies on a wall."""
-    best = p
-    for cov in POSITIVE_COROOTS:
-        r = pairing(lam + ETA, cov) % p
-        best = min(best, r, p - r)
-    return best - 1
+    # lam + eta pairs with the positive coroots to a - b, b, a + b and a;
+    # the nearest multiple of p is min(r, p - r) away from a residue r
+    a, b = lam.a + 2, lam.b + 1
+    rs = ((a - b) % p, b % p, (a + b) % p, a % p)
+    return min(min(rs), p - max(rs)) - 1
 
 
 def lowest_alcove_depth(lam: Weight, p: int) -> int:
     """Depth of lam inside the lowest alcove: the largest m with
     m < <lam + eta, coroot> < p - m for every positive coroot, or -1
     when lam is not inside the lowest alcove at all."""
-    best = p
-    for cov in POSITIVE_COROOTS:
-        v = pairing(lam + ETA, cov)
-        if not 0 < v < p:
-            return -1
-        best = min(best, v, p - v)
-    return best - 1
+    # the pairings are a - b, b, a + b and a; once a - b and b are
+    # positive, a + b is the largest of them
+    a, b = lam.a + 2, lam.b + 1
+    lo, hi = min(a - b, b), a + b
+    return min(lo, p - hi) - 1 if lo > 0 and hi < p else -1

@@ -252,6 +252,7 @@ def enumerate_ap(f: int) -> tuple[APPair, ...]:
     return _enumerate_pairs(_ap_pairs_single(), f)
 
 
+@lru_cache(maxsize=2)
 def enumerate_ap_prime(f: int) -> tuple[APPair, ...]:
     return _enumerate_pairs(_ap_prime_pairs_single(), f)
 
@@ -341,12 +342,12 @@ def _slot_parts(kind, s, mu, p, ks, cells) -> list[dict[int, Part]]:
     part is three additions to w_y(mu) + p nu_y, tested to be
     p-restricted."""
     alcove, actions, offsets = _offset_row(kind, s)
-    m1, m2, m3, m4 = (pairing(mu, cov) for cov in POSITIVE_COROOTS)
+    ma, mb, mc = mu
+    m1, m2, m3, m4 = ma - mb, mb, ma + mb, ma  # mu's pairings with POSITIVE_COROOTS
     for k in ks:
         g1, g2, g3, g4 = alcove[k]
         if not (0 < m1 + g1 < p and 0 < m2 + g2 < p and 0 < m3 + g3 < p and 0 < m4 + g4 < p):
             raise GenericityError("omega - eta must lie inside the lowest alcove")
-    ma, mb, mc = mu
     out = []
     for action, row, want in zip(actions, offsets, cells):
         entries = {}
@@ -380,16 +381,24 @@ def _guard(pres: TamePresentation, kind: str) -> None:
                               % (pres.display(), pres.depth(), WEIGHT_DEPTH))
 
 
-def _slot_join(wq_slot: list[dict[int, Part]], jh_slot: list[dict[int, Part]]) -> dict:
-    """One slot's (a, b) join: the W? parts against the JH parts, grouped
-    by their rows (i of W?, i of JH).  Each match carries the y indices of
-    its two singles (the next slot's rows), the part and the two central
-    characters."""
-    wq_y, jh_y = _singles("param").y_slot, _singles("type").y_slot
+def _slot_index(wq_slot: list[dict[int, Part]]) -> dict[tuple[int, int], list]:
+    """A W? slot's parts indexed by (a, b): each carries its row (i of W?),
+    the y index of its single (the next slot's row) and its central
+    character."""
+    wq_y = _singles("param").y_slot
     index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for i, row in enumerate(wq_slot):
         for k, (a, b, c) in row.items():
             index.setdefault((a, b), []).append((i, wq_y[k], c))
+    return index
+
+
+def _slot_join(index: dict[tuple[int, int], list], jh_slot: list[dict[int, Part]]) -> dict:
+    """One slot's (a, b) join: the W? parts of `index` (`_slot_index`)
+    against the JH parts, grouped by their rows (i of W?, i of JH).  Each
+    match carries the y indices of its two singles (the next slot's rows),
+    the part and the two central characters."""
+    jh_y = _singles("type").y_slot
     groups: dict[tuple[int, int], list] = {}
     for i2, row in enumerate(jh_slot):
         for k2, (a, b, c2) in row.items():
@@ -415,10 +424,11 @@ class _SlotTable:
     k and slot j - 1 a single whose y is the i-th distinct one: (distinct
     y) x (singles) entries per slot instead of f * singles^f.  At f = 1
     slot j - 1 is slot j, so row i holds only the singles whose own y is
-    the i-th.  A full slot depends on (kind, s_j, mu_j, p, f), a join on
-    its two full slots, and one part alone on (kind, s_j, mu_j, p), its
-    row and its single; each is made on first use under that key and then
-    read.
+    the i-th.  A full slot depends on (kind, s_j, mu_j, p, f), the (a, b)
+    index of a W? slot on that slot, a join on its two full slots, an
+    intersection on the W? and JH slots of its two presentations, and one
+    part alone on (kind, s_j, mu_j, p), its row and its single; each is
+    made on first use under that key and then read.
 
     Three checks run: the lowest-alcove test on each theta, per slot and
     single; `is_restricted_element` on each distinct y, once, when its
@@ -431,15 +441,17 @@ class _SlotTable:
 
     def __init__(self):
         self._parts: dict[tuple, list[dict[int, Part]]] = {}  # by (kind, s, mu, p, f)
+        self._indexes: dict[tuple, dict] = {}  # by W? slot key
         self._joins: dict[tuple[tuple, tuple], dict] = {}
+        self._meets: dict[tuple[tuple, tuple], frozenset] = {}  # by (W? keys, JH keys)
         self._singles: dict[tuple, Part] = {}
 
-    def slots(self, pres: TamePresentation, kind: str) -> list[tuple]:
+    def slots(self, pres: TamePresentation, kind: str) -> tuple[tuple, ...]:
         """The keys of the full slots of `pres`, each made on first use."""
         _guard(pres, kind)
         sing = _singles(kind)
         ks, cells = range(len(sing.pairs)), sing.every if pres.f > 1 else sing.own
-        keys = [(kind, s, mu, pres.p, pres.f) for s, mu in zip(pres.s, pres.mu)]
+        keys = tuple((kind, s, mu, pres.p, pres.f) for s, mu in zip(pres.s, pres.mu))
         for key in keys:
             if key not in self._parts:
                 self._parts[key] = _slot_parts(kind, key[1], key[2], pres.p, ks, cells)
@@ -458,7 +470,10 @@ class _SlotTable:
         """The join of W? slot `wq` with JH slot `jh`, given by their keys."""
         groups = self._joins.get((wq, jh))
         if groups is None:
-            groups = self._joins[wq, jh] = _slot_join(self._parts[wq], self._parts[jh])
+            index = self._indexes.get(wq)
+            if index is None:
+                index = self._indexes[wq] = _slot_index(self._parts[wq])
+            groups = self._joins[wq, jh] = _slot_join(index, self._parts[jh])
         return groups
 
     def weight(self, pres: TamePresentation, kind: str,
@@ -511,14 +526,17 @@ def intersect_w_jh(
     (a, b) (`_slot_join`).  A chain takes one match per slot; the next
     slot's rows are the y indices of the two singles, and slot f - 1 leads
     back to slot 0's rows.  Only a chain whose central integers agree
-    becomes a weight.  The slots and joins are read from `table`, a fresh
-    one unless the caller shares its own across checks."""
+    becomes a weight.  The slots, joins and the result are read from
+    `table`, a fresh one unless the caller shares its own across checks;
+    the guards of both presentations run on every call."""
     if table is None:
         table = _SlotTable()
     wq = table.slots(rhobar, "param")
     jh = table.slots(tau, "type")
     if (rhobar.p, rhobar.f) != (tau.p, tau.f):
         return frozenset()
+    if (wq, jh) in table._meets:
+        return table._meets[wq, jh]
     p, last = rhobar.p, rhobar.f - 1
     modulus = p ** rhobar.f - 1
     joins = [table.join(a, b) for a, b in zip(wq, jh)]
@@ -533,7 +551,8 @@ def intersect_w_jh(
 
     for start in joins[0]:
         chain(0, start, start, 0, 0, ())
-    return frozenset(found)
+    met = table._meets[wq, jh] = frozenset(found)
+    return met
 
 
 def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:

@@ -322,11 +322,16 @@ def test_find_chain_reads_the_inverse_from_the_graph_state(monkeypatch):
 
 
 def test_slot_targets_are_conjugated_targets():
+    # every single has rows for no letter and s_1, and one for s_2 unless
+    # its w1 has length zero and differs from its w2 (6 of the 20)
     table = adjacency._slot_targets()
-    assert len(table) == 3 * len(enumerate_ap_prime(1))
+    assert len(table) == 3 * len(enumerate_ap_prime(1)) - 6
     for pair in enumerate_ap_prime(1):
         (w1,), (w2,) = pair.w1, pair.w2
         for letter in (None, 1, 2):
+            if letter == 2 and in_omega(w1) and w1 != w2:
+                assert (w1, w2, letter) not in table
+                continue
             mid = () if letter is None else (finite(SIMPLES[letter]),)
             g = compose_all(invert(w2), invert(HIGHEST_RESTRICTED), W0, *mid, w1)
             if letter is not None:
@@ -361,7 +366,26 @@ def test_build_instance_depth_guards_in_order(monkeypatch, caplog):
             monkeypatch.setattr(module, "derived_depth_bound", lambda d, bound=bound: bound)
         with pytest.raises(GenericityError, match="^%s$" % message):
             build_instance(rho, inst.pair, inst.s)
+        # a graph build is refused with the first refusal of its instances
+        # built one by one, in enumeration order
+        first = _first_refusal(rho)
+        _graph_of.cache_clear()
+        with pytest.raises(GenericityError) as refused:
+            build_graph(rho)
+        assert str(refused.value) == first
         assert caplog.records == []
+
+
+def _first_refusal(rho):
+    """The message of the first GenericityError of build_instance over
+    enumerate_ap_prime(f) x valid_simples, in enumeration order."""
+    for pair in enumerate_ap_prime(rho.f):
+        for s in valid_simples(pair):
+            try:
+                build_instance(rho, pair, s, check=False)
+            except GenericityError as exc:
+                return str(exc)
+    raise AssertionError("no instance is refused")
 
 
 def test_shallow_parameter_warned_once_per_build(caplog):
@@ -411,6 +435,34 @@ def test_checked_build_joins_each_slot_pair_once(monkeypatch, name, joins):
         made.clear()
         build_graph(rho, check=True)
         assert len(made) == joins
+
+
+@pytest.mark.parametrize("name, types, params, indexes, reads", [
+    ("rb41.json", 23, 10, 10, 23), ("rb_f2.json", 920, 100, 20, 1840)])
+def test_each_presentation_and_w_question_index_is_made_once_per_call(
+        monkeypatch, name, types, params, indexes, reads):
+    # a cold unchecked build presents each distinct tau and rhobar0 once
+    # (68 and 2720 presentations one instance at a time); a checked build
+    # indexes each distinct W? slot once, and reads the joins of each
+    # distinct (rhobar0, tau) once (34 and 2720 slot reads, one per check
+    # and slot)
+    rho = fixture(name)
+    made, index, joins = [], [], []
+    real = adjacency.presentation_from_w_tilde
+    monkeypatch.setattr(adjacency, "presentation_from_w_tilde",
+                        lambda kind, *args: made.append(kind) or real(kind, *args))
+    _graph_of.cache_clear()
+    build_graph(rho, check=False)
+    assert (made.count("type"), made.count("param")) == (types, params)
+    real_index, real_join = weights._slot_index, weights._SlotTable.join
+    monkeypatch.setattr(weights, "_slot_index", lambda *args: index.append(1) or real_index(*args))
+    monkeypatch.setattr(weights._SlotTable, "join",
+                        lambda *args: joins.append(1) or real_join(*args))
+    for _ in range(2):
+        index.clear()
+        joins.clear()
+        build_graph(rho, check=True)
+        assert (len(index), len(joins)) == (indexes, reads)
 
 
 def test_failing_check_raises_after_unchecked_build(monkeypatch):
@@ -535,6 +587,61 @@ def test_steered_chains_short_and_correct():
                 assert cur in obv
             if res.bfs:
                 assert res.bfs[0].sigma1 == sigma or res.bfs[0].sigma2 == sigma
+
+
+def _single_instances(rho, pairs):
+    """(pair, s) -> build_instance(rho, pair, s, check=False) for each pair
+    of `pairs` and each s allowed at it, in order: s_2 is allowed at a slot
+    unless its w1 has length zero and differs from its w2."""
+    return {(pair, (i, j)): build_instance(rho, pair, (i, j), check=False)
+            for pair in pairs for i in (1, 2) for j in range(pair.f)
+            if not (i == 2 and in_omega(pair.w1[j]) and pair.w1[j] != pair.w2[j])}
+
+
+@pytest.mark.parametrize("name", ["rb1.json", "rb41.json", "rb_f2.json"])
+def test_per_slot_build_equals_the_single_instance_path(name):
+    # _graph_of derives every instance of a build through one memo; alone,
+    # each instance gives the same, in the same order, and so the same graph
+    rho = fixture(name)
+    _graph_of.cache_clear()
+    state = _graph_of(rho)
+    alone = _single_instances(rho, enumerate_ap_prime(rho.f))
+    assert list(state.instances) == list(alone)
+    assert list(state.instances.values()) == list(alone.values())
+    edges = {}
+    for inst in alone.values():
+        edges.setdefault(frozenset((inst.sigma1, inst.sigma2)), []).append(inst)
+    graph = state.graph
+    assert {frozenset(e): list(w) for e, w in graph.edges.items()} == edges
+    assert graph.vertices == tuple(sorted(w_question_set(rho), key=lambda s: s.sort_key()))
+    assert graph.obvious == frozenset(obvious_weights(rho).values())
+
+
+def rho_f3():
+    return random_deep_presentation(37, 3, 8, random.Random(1), kind="param")
+
+
+def test_per_slot_build_equals_the_single_instance_path_on_an_f3_sample():
+    rho = rho_f3()
+    state = _graph_of(rho)
+    order = {pair: n for n, pair in enumerate(enumerate_ap_prime(3))}
+    pairs = sorted(random.Random(5).sample(enumerate_ap_prime(3), 40), key=order.get)
+    alone = _single_instances(rho, pairs)
+    chosen = set(pairs)
+    assert [key for key in state.instances if key[0] in chosen] == list(alone)
+    assert [state.instances[key] for key in alone] == list(alone.values())
+
+
+def test_f3_graph_unchecked():
+    # the f = 3 graph of one 8-deep parameter: one component, and every
+    # one of its instances obeys the per-slot product rule
+    rho = rho_f3()
+    graph = build_graph(rho, check=False)
+    instances = _graph_of(rho).instances
+    assert (len(graph.vertices), len(instances), len(graph.edges)) == (8000, 40800, 27600)
+    assert len(graph.components()) == 1
+    assert len(slot_product_map([rho])) == 34
+    _graph_of.cache_clear()
 
 
 def test_graph_connected_f2():

@@ -16,6 +16,7 @@ from gsp4weights.base import (
     Coweight,
     Weight,
     depth,
+    lowest_alcove_depth,
     pairing,
     std_character,
     weyl_from_word,
@@ -165,6 +166,18 @@ def test_depth_consistency():
         d = depth(lam, p)
         for m in range(0, 7):
             assert is_m_deep(lam, p, m) == (m <= d)
+
+
+def test_depths_are_the_coroot_pairings_of_lam_plus_eta():
+    # both depths are read off the four pairings <lam + eta, coroot>
+    for p in (11, 13, 37):
+        for a, b, c in itertools.product(range(-4, p + 2), range(-4, p + 2), (-1, 0, 2)):
+            lam = Weight(a, b, c)
+            vs = [pairing(lam + ETA, cov) for cov in POSITIVE_COROOTS]
+            assert depth(lam, p) == min(min(v % p, p - v % p) for v in vs) - 1
+            inside = all(0 < v < p for v in vs)
+            assert lowest_alcove_depth(lam, p) == (
+                min(min(v, p - v) for v in vs) - 1 if inside else -1)
 
 
 def test_generic_iff_shifted_deep():
