@@ -41,7 +41,6 @@ from .weights import (
     enumerate_ap_prime,
     intersect_w_jh,
     presentation_from_w_tilde,
-    w_question,
 )
 
 log = logging.getLogger(__name__)
@@ -82,19 +81,19 @@ def _edge(a: SerreWeight, b: SerreWeight) -> tuple[SerreWeight, SerreWeight]:
 def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
     """Per AP' single (w1, w2) and letter i of s at the slot (None where s
     acts at another embedding): g^(-1) for g = w2^(-1) wh^(-1) w0 s_i w1
-    (no s_i where there is no letter); w1^(-1) w2; the index of (w1, w2)
-    among the AP' singles; and the indices among the AP singles of the
-    outer singles (wh diamond(v), diamond(v)) for v = w and v = s_i w,
-    where w is the finite part of w2 (v = w twice where there is no
-    letter).  Slot by slot, w(tau) is w(rhobar) g^(-1), w(rhobar0) is
-    w(rhobar) w1^(-1) w2, and sigma1, sigma2 are F_tau at the two outer
-    index tuples.  A single has a row for letter 2 only where s_2 is
-    allowed at it: not where w1 has length zero and differs from w2."""
+    (no s_i where there is no letter); w1^(-1) w2; and the indices among
+    the AP singles of the outer singles (wh diamond(v), diamond(v)) for
+    v = w and v = s_i w, where w is the finite part of w2 (v = w twice
+    where there is no letter).  Slot by slot, w(tau) is w(rhobar) g^(-1),
+    w(rhobar0) is w(rhobar) w1^(-1) w2, and sigma1, sigma2 are F_tau at
+    the two outer index tuples.  A single has a row for letter 2 only
+    where s_2 is allowed at it: not where w1 has length zero and differs
+    from w2.  The index of (w1, w2) is `_singles("param").index`'s."""
     outer = _singles("type").index
     k_outer = {w: outer[compose(HIGHEST_RESTRICTED, diamond(w)), diamond(w)] for w in W_ALL}
     hw_inv = invert(HIGHEST_RESTRICTED)
     table = {}
-    for k, (w1, w2) in enumerate(_singles("param").pairs):
+    for w1, w2 in _singles("param").pairs:
         w1_inv_w2 = compose(invert(w1), w2)
         w = w2.w
         for i in (1, 2, None):
@@ -103,7 +102,7 @@ def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
             mid = () if i is None else (finite(SIMPLES[i]),)
             v = w if i is None else weyl_mul(SIMPLES[i], w)
             g = compose_all(invert(w2), hw_inv, W0, *mid, w1)
-            table[w1, w2, i] = (invert(g), w1_inv_w2, k, k_outer[w], k_outer[v])
+            table[w1, w2, i] = (invert(g), w1_inv_w2, k_outer[w], k_outer[v])
     return table
 
 
@@ -139,7 +138,7 @@ def _deriver(rhobar: TamePresentation,
             key = (k, w1, w2, i if k == j else None)
             row = slots.get(key)
             if row is None:
-                g_inv, w1_inv_w2, _, k_w, k_sw = targets[key[1:]]
+                g_inv, w1_inv_w2, k_w, k_sw = targets[key[1:]]
                 row = slots[key] = (compose(x[k], g_inv), compose(x[k], w1_inv_w2), k_w, k_sw)
             rows.append(row)
         tau_wt, rhobar0_wt, w_combo, sw_combo = zip(*rows)
@@ -176,9 +175,8 @@ def build_instance(
         raise ValueError("rhobar must be a mod-p parameter presentation")
     if pair.f != rhobar.f:
         raise ValueError("pair and rhobar have different numbers of embeddings")
-    targets = _slot_targets()
-    if len(pair.w2) != rhobar.f or any(
-            (w1, w2, None) not in targets for w1, w2 in zip(pair.w1, pair.w2)):
+    index = _singles("param").index
+    if len(pair.w2) != rhobar.f or any(single not in index for single in zip(pair.w1, pair.w2)):
         raise ValueError("pair is not made of AP' pairs")
     i, j = s
     if i not in (1, 2) or not 0 <= j < pair.f:
@@ -206,8 +204,8 @@ def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
             "intersection is not the expected two outer weights: %s"
             % sorted(s.display() for s in got)
         )
-    targets = _slot_targets()
-    combo = tuple(targets[w1, w2, None][2] for w1, w2 in zip(inst.pair.w1, inst.pair.w2))
+    index = _singles("param").index
+    combo = tuple(index[single] for single in zip(inst.pair.w1, inst.pair.w2))
     if table.weight(inst.rhobar, "param", combo) != inst.sigma1:
         raise AssertionError("sigma1 does not match the weight of the pair")
 
@@ -224,12 +222,13 @@ class WeightGraph:
 
     @cached_property
     def _adjacent(self) -> dict[SerreWeight, tuple[SerreWeight, ...]]:
-        """Each endpoint's neighbours in sort_key order, built once."""
-        nbs: dict[SerreWeight, set[SerreWeight]] = {}
+        """Each endpoint's neighbours in sort_key order, built once: read
+        in the order of the edges, which are sorted by (a, b) with a < b."""
+        nbs: dict[SerreWeight, list[SerreWeight]] = {}
         for a, b in self.edges:
-            nbs.setdefault(a, set()).add(b)
-            nbs.setdefault(b, set()).add(a)
-        return {v: tuple(sorted(vs, key=lambda s: s.sort_key())) for v, vs in nbs.items()}
+            nbs.setdefault(a, []).append(b)
+            nbs.setdefault(b, []).append(a)
+        return {v: tuple(vs) for v, vs in nbs.items()}
 
     def neighbors(self, sigma: SerreWeight) -> tuple[SerreWeight, ...]:
         return self._adjacent.get(sigma, ())
@@ -281,19 +280,20 @@ class _GraphState(NamedTuple):
 @lru_cache(maxsize=1)
 def _graph_of(rhobar: TamePresentation) -> _GraphState:
     """rhobar's weight graph, built without checks, with the inverse of its
-    W? table and its instances, each derived by one `_deriver` with one
-    slot table for the build.  Only the last parameter's state is kept:
+    W? table and its instances, all read through one slot table for the
+    build: W? from its full slots, the instances by one `_deriver`.
+    Only the last parameter's state is kept:
     callers ask for one parameter's graph several times in a row
     (`build_graph`, then `find_chain` per weight).  No check result is
     kept.  A shallow parameter is warned about once its graph is built."""
-    table = w_question(rhobar)
-    back = {sigma: pair for pair, sigma in table.items()}
-    if len(back) != len(table):
+    table = _SlotTable()
+    pairs = enumerate_ap_prime(rhobar.f)
+    back = dict(zip(table.weights(rhobar, "param"), pairs))
+    if len(back) != len(pairs):
         raise AssertionError("F_rhobar failed to be injective")
     vertices = tuple(sorted(back, key=SerreWeight.sort_key))
-    derive = _deriver(rhobar, _SlotTable())
-    instances = {(pair, s): derive(pair, s)
-                 for pair in enumerate_ap_prime(rhobar.f) for s in valid_simples(pair)}
+    derive = _deriver(rhobar, table)
+    instances = {(pair, s): derive(pair, s) for pair in pairs for s in valid_simples(pair)}
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
     for inst in instances.values():
         edges.setdefault(_edge(inst.sigma1, inst.sigma2), []).append(inst)

@@ -138,10 +138,9 @@ def adm_levi_conjugate(lam: Weight, levi: frozenset[int], w: FiniteWeyl) -> froz
 # --- colength-one structure for eta --------------------------------------
 
 
-def colength_one_split(lam: Weight = ETA) -> tuple[list[ExtAffine], list[ExtAffine]]:
-    """Colength-one elements of Adm(lam), split into (regular, irregular)."""
-    adm = adm_set(lam)
-    ones = adm.of_colength(1)
+def colength_one_split() -> tuple[list[ExtAffine], list[ExtAffine]]:
+    """Colength-one elements of Adm(eta), split into (regular, irregular)."""
+    ones = adm_set(ETA).of_colength(1)
     reg = [x for x in ones if is_regular_element(x)]
     irr = [x for x in ones if not is_regular_element(x)]
     return reg, irr

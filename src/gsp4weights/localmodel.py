@@ -36,6 +36,7 @@ from .affine import (
     translation,
 )
 from .exactalg import QQ, LaurentPoly, PrimeField, RatFunc, _pack, _unpack
+from .weights import _singles
 
 
 # ---------------------------------------------------------------------------
@@ -646,6 +647,8 @@ def monodromy_defect(A: PolyMat, params: MonodromyParams):
 # ---------------------------------------------------------------------------
 # the regular colength-one universal family
 
+ADMISSIBLE_DISPLAY = {"a0": 1, "a1": 2, "a2": 3, "a3": 1, "e": 5}
+
 
 @dataclass(frozen=True)
 class RegColOneParams:
@@ -687,10 +690,10 @@ class RegColOneParams:
         return params
 
     @staticmethod
-    def admissible(field, p: int, c00, c21, c13, c31, c31p, c33, c33p,
-                   a0=1, a1=2, a2=3, a3=1, e=5) -> "RegColOneParams":
+    def admissible(field, p: int, c00, c21, c13, c31, c31p, c33, c33p) -> "RegColOneParams":
         """Symplectic member of the family: c33'' is pinned by the
-        similitude condition c00*(c33'' + p*c33' + p^2*c33) = p^3."""
+        similitude condition c00*(c33'' + p*c33' + p^2*c33) = p^3, and the
+        display parameters are `ADMISSIBLE_DISPLAY`."""
         c00 = field.coerce(c00)
         if not c00:
             raise ValueError("c00 must be invertible")
@@ -700,7 +703,7 @@ class RegColOneParams:
         c33pp = Fraction(pc ** 3, c00) - c33 * pc * pc - c33p * pc
         return RegColOneParams.make(
             field, c00=c00, c21=c21, c13=c13, c31=c31, c31p=c31p,
-            c33=c33, c33p=c33p, c33pp=c33pp, a0=a0, a1=a1, a2=a2, a3=a3, e=e)
+            c33=c33, c33p=c33p, c33pp=c33pp, **ADMISSIBLE_DISPLAY)
 
     @staticmethod
     def solved(field, p: int, c00, c21, c13, c31, a) -> "RegColOneParams":
@@ -825,8 +828,6 @@ def regcolone_coordinates(params: RegColOneParams, p: int) -> dict:
 def fixed_point_set_T(w1: ExtAffine, w2: ExtAffine) -> frozenset:
     """Torus fixed points {star(w2^-1 wh^-1 w) : w Bruhat-below w0 w1}
     for one embedding's AP' position (w1, w2)."""
-    from .weights import _singles
-
     if (w1, w2) not in _singles("param").index:
         raise ValueError("malformed pair: not an AP' position")
     return frozenset(

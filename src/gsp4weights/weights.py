@@ -111,8 +111,8 @@ class SerreWeight:
     def depth(self) -> int:
         return min(weight_depth(lam, self.p) for lam in self.parts)
 
-    def sort_key(self):
-        return tuple(tuple(lam) for lam in self.parts)
+    def sort_key(self) -> tuple[Weight, ...]:
+        return self.parts
 
     def display(self) -> str:
         return "F(" + " | ".join("%d,%d,%d" % tuple(lam) for lam in self.parts) + ")"
@@ -206,7 +206,6 @@ class APPair:
         )
 
 
-@lru_cache(maxsize=None)
 def _ap_pairs_single() -> tuple[tuple[ExtAffine, ExtAffine], ...]:
     """Per-embedding AP pairs: w1 restricted (c = 0), w2 dominant,
     w1 arrow-below hw^(-1) w2, and w2^(-1) w0 w1 admissible for eta."""
@@ -224,7 +223,6 @@ def _ap_pairs_single() -> tuple[tuple[ExtAffine, ExtAffine], ...]:
     return tuple(sorted(set(pairs), key=lambda pr: elem_sort_key(pr[0]) + elem_sort_key(pr[1])))
 
 
-@lru_cache(maxsize=None)
 def _ap_prime_pairs_single() -> tuple[tuple[ExtAffine, ExtAffine], ...]:
     """Per-embedding AP' pairs: w2 restricted (c = 0), w1 dominant with
     w1 arrow-below w2.  Finite with no truncation (dominant down-sets)."""
@@ -249,12 +247,12 @@ def _enumerate_pairs(singles, f: int) -> tuple[APPair, ...]:
 
 
 def enumerate_ap(f: int) -> tuple[APPair, ...]:
-    return _enumerate_pairs(_ap_pairs_single(), f)
+    return _enumerate_pairs(_singles("type").pairs, f)
 
 
 @lru_cache(maxsize=2)
 def enumerate_ap_prime(f: int) -> tuple[APPair, ...]:
-    return _enumerate_pairs(_ap_prime_pairs_single(), f)
+    return _enumerate_pairs(_singles("param").pairs, f)
 
 
 # --- the two weight bijections ---------------------------------------------
@@ -278,7 +276,7 @@ def enumerate_ap_prime(f: int) -> tuple[APPair, ...]:
 Part = tuple[int, int, int]
 
 
-# kind -> (per-embedding pairs, pair index of x)
+# kind -> (maker of the per-embedding pairs, cached by `_singles`; pair index of x)
 _ROLES = {"type": (_ap_pairs_single, 1), "param": (_ap_prime_pairs_single, 0)}
 
 

@@ -218,7 +218,7 @@ def test_criterion_04_admissible_sets():
     for x in adm.elements:
         assert bruhat_lower_interval(x) <= adm.elements
     # colength-one classification partitions
-    reg, irr = colength_one_split(ETA)
+    reg, irr = colength_one_split()
     ones = adm.of_colength(1)
     assert sorted(reg + irr, key=elem_sort_key) == ones
     assert not (set(reg) & set(irr))

@@ -308,17 +308,21 @@ def test_find_chain_builds_the_weight_table_once(monkeypatch):
 
 
 def test_find_chain_reads_the_inverse_from_the_graph_state(monkeypatch):
+    # W? is read once per parameter, by the build: the chains that follow
+    # read the inverse the build kept
     rho = rho41()
+    _graph_of.cache_clear()
+    calls = []
+    made = weights._SlotTable.weights
+    monkeypatch.setattr(weights._SlotTable, "weights",
+                        lambda self, pres, kind: calls.append((pres, kind)) or made(self, pres, kind))
     graph = build_graph(rho)
+    assert calls == [(rho, "param")]
     starts = [s for s in graph.vertices if s not in graph.obvious][:4]
     assert len(starts) == 4
-    calls = []
-    real = adjacency.w_question
-    monkeypatch.setattr(adjacency, "w_question",
-                        lambda *args: calls.append(args) or real(*args))
     for sigma in starts:
         assert find_chain(rho, sigma).steered
-    assert calls == []
+    assert calls == [(rho, "param")]
 
 
 def test_slot_targets_are_conjugated_targets():
@@ -336,10 +340,10 @@ def test_slot_targets_are_conjugated_targets():
             g = compose_all(invert(w2), invert(HIGHEST_RESTRICTED), W0, *mid, w1)
             if letter is not None:
                 assert (g,) == conjugated_target((w2,), (w1,), (letter, 0))
-            g_inv, w1_inv_w2, k, k_w, k_sw = table[w1, w2, letter]
+            g_inv, w1_inv_w2, k_w, k_sw = table[w1, w2, letter]
             assert compose(g, g_inv) == IDENTITY
             assert w1_inv_w2 == compose(invert(w1), w2)
-            assert enumerate_ap_prime(1)[k] == pair
+            assert enumerate_ap_prime(1)[weights._singles("param").index[w1, w2]] == pair
             # the outer AP singles of w and s_i w, for w the finite part of w2
             w = w2.w
             sw = w if letter is None else weyl_mul(SIMPLES[letter], w)
@@ -665,6 +669,10 @@ def test_graph_connected_f2_p37():
 
 
 def _assert_adjacency_matches_edge_scan(g):
+    # `neighbors` lists partners in edge order, so the edges must be in
+    # (a, b) sort_key order with a before b
+    assert list(g.edges) == sorted(g.edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))
+    assert all(a.sort_key() < b.sort_key() for a, b in g.edges)
     for v in g.vertices:
         scan = {b for a, b in g.edges if a == v} | {a for a, b in g.edges if b == v}
         assert g.neighbors(v) == tuple(sorted(scan, key=lambda s: s.sort_key()))
@@ -689,7 +697,7 @@ def _assert_adjacency_matches_edge_scan(g):
 
 
 def test_neighbors_and_components_f1():
-    for rho in (rho41(), rho37()):
+    for rho in (rho41(), rho37(), fixture("rb1.json"), fixture("rb41.json")):
         _assert_adjacency_matches_edge_scan(build_graph(rho, check=False))
 
 

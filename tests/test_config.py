@@ -5,11 +5,19 @@ import re
 
 import pytest
 
-from gsp4weights import weights
+from gsp4weights import adjacency, weights
 from gsp4weights.adjacency import build_instance, valid_simples
-from gsp4weights.base import W_E, Weight
+from gsp4weights.base import (
+    ETA,
+    POSITIVE_COROOTS,
+    W_ALL,
+    W_E,
+    Weight,
+    lowest_alcove_depth,
+    pairing,
+)
 from gsp4weights.cli import load_presentation
-from gsp4weights.config import WEIGHT_DEPTH, derived_depth_bound
+from gsp4weights.config import RHOBAR_DEPTH, TAU_DEPTH, WEIGHT_DEPTH, derived_depth_bound
 from gsp4weights.cycles import bm_cycle
 from gsp4weights.weights import (
     GenericityError,
@@ -83,3 +91,60 @@ def test_cycle_formula_needs_weight_depth():
     with pytest.raises(GenericityError, match="^cycle formula needs a 3-deep weight; %s is 2-deep$"
                        % re.escape(shallow.display())):
         bm_cycle(shallow)
+
+
+# --- the margins the tables imply ------------------------------------------
+
+
+def _shift_margin(shifts):
+    """The largest |<s(nu), coroot>| over the shifts nu, every s in W and
+    every positive coroot."""
+    return max(abs(pairing(s.act(nu), cov))
+               for nu in shifts for s in W_ALL for cov in POSITIVE_COROOTS)
+
+
+def test_kernel_rows_stay_within_weight_depth_of_eta():
+    # an `_offset_row` alcove row pairs eta + s(nu') with the positive
+    # coroots, and the kernel tests 0 < <mu, coroot> + row < p: the row
+    # differs from eta's pairings by at most WEIGHT_DEPTH, so behind
+    # `_guard` (every mu WEIGHT_DEPTH-deep) the test cannot fail
+    eta = [pairing(ETA, cov) for cov in POSITIVE_COROOTS]
+    assert max(abs(g - e) for kind in ("type", "param") for s in W_ALL
+               for row in weights._offset_row(kind, s)[0]
+               for g, e in zip(row, eta)) == WEIGHT_DEPTH
+
+
+def _kernel_refuses(mu, p):
+    """Whether the kernel's lowest-alcove test refuses mu for some kind, s
+    and single."""
+    for kind in ("type", "param"):
+        sing = weights._singles(kind)
+        for s in W_ALL:
+            try:
+                weights._slot_parts(kind, s, mu, p, range(len(sing.pairs)), [()] * len(sing.ys))
+            except GenericityError:
+                return True
+    return False
+
+
+@pytest.mark.parametrize("p,sizes", ((11, (0, 0)), (13, (2, 0)), (17, (10, 2)), (37, (50, 132))))
+def test_the_kernel_margin_is_sharp(p, sizes):
+    # some (WEIGHT_DEPTH - 1)-deep mu fails the kernel's test, and no
+    # WEIGHT_DEPTH-deep one does; p = 11 has no 2-deep mu in its lowest
+    # alcove and p = 13 no 3-deep one
+    mus = [Weight(a, b, 0) for a in range(-2, p) for b in range(-1, p)]
+    shallow = [mu for mu in mus if lowest_alcove_depth(mu, p) == WEIGHT_DEPTH - 1]
+    deep = [mu for mu in mus if lowest_alcove_depth(mu, p) >= WEIGHT_DEPTH]
+    assert (len(shallow), len(deep)) == sizes
+    assert not any(_kernel_refuses(mu, p) for mu in deep)
+    assert any(_kernel_refuses(mu, p) for mu in shallow) == bool(shallow)
+
+
+def test_slot_targets_lose_at_most_the_depth_gap():
+    # at a slot, tau's mu is rhobar's plus s(nu) for nu the translation of
+    # the row's g^(-1), and rhobar0's is rhobar's plus s(nu) for w1^(-1) w2's;
+    # over every row and s the first pairs to at most RHOBAR_DEPTH -
+    # TAU_DEPTH with each positive coroot, reached, and the second to at most 2
+    rows = adjacency._slot_targets().values()
+    assert _shift_margin(g_inv.nu for g_inv, _, _, _ in rows) == RHOBAR_DEPTH - TAU_DEPTH
+    assert _shift_margin(w1_inv_w2.nu for _, w1_inv_w2, _, _ in rows) == 2

@@ -959,12 +959,20 @@ def test_prime_field_family_is_the_rational_family_reduced(q):
     and the rational call raises only where the F_q call raises."""
     F = PrimeField(q)
     rng = random.Random(1000 + q)
-    constructors = (
-        lambda field, cs, opaque, a, p: RegColOneParams.admissible(field, p, *cs, *opaque),
-        lambda field, cs, opaque, a, p: RegColOneParams.solved(field, p, *cs[:4], a),
-    )
     names = ("c00", "c21", "c13", "c31", "c31p", "c33", "c33p", "c33pp",
              "a0", "a1", "a2", "a3", "e")
+
+    def through_make(field, cs, opaque, a, p):
+        # an admissible draw's coordinates with random display values
+        adm = RegColOneParams.admissible(field, p, *cs)
+        return RegColOneParams.make(field, **{n: getattr(adm, n) for n in names[:8]},
+                                    **dict(zip(names[8:], opaque)))
+
+    constructors = (
+        lambda field, cs, opaque, a, p: RegColOneParams.admissible(field, p, *cs),
+        through_make,
+        lambda field, cs, opaque, a, p: RegColOneParams.solved(field, p, *cs[:4], a),
+    )
     returned = raised = 0
     for _ in range(100):
         cs, opaque, a, p = _family_args(rng, q)

@@ -9,8 +9,9 @@ Every top-level function and class in src/ must be reachable from
 something the program runs, or be named in ACCEPTANCE_API; every method
 and property of a src/ class must be named by some code other than
 itself, or be one of the ACCEPTANCE_METHODS the acceptance gate calls;
-every name assigned at module level must be read; and importing a module
-runs no statement but definitions.  Test-only helpers and self-checks
+every name assigned at module level must be read; importing a module
+runs no statement but definitions; and every import sits at the top of
+its module, none inside a function.  Test-only helpers and self-checks
 live under tests/.
 
 A shift by a non-constant amount packs or unpacks polynomials evaluated
@@ -161,8 +162,7 @@ def _reach(api):
     perfbench's worker imports, the caches its runner reads and the
     classes its tracer wraps.  A reached definition reaches every name and
     attribute in its body that resolves, in its module, to a definition
-    there or to a `from .x import y` alias, function-local imports
-    included.
+    there or to a `from .x import y` alias.
     """
     trees = _package_trees()
     defs, scope = {}, {}
@@ -309,6 +309,16 @@ def test_import_runs_only_definitions():
                 and isinstance(node.value.value, str)
             if isinstance(node, ast.Expr) and not docstring:
                 found.append("%s.py:%d" % (mod, node.lineno))
+    assert found == []
+
+
+def test_no_import_inside_a_function():
+    # a module's imports are read at its top, so the import graph is the
+    # one the module headers show
+    found = sorted({"%s.py:%d" % (mod, sub.lineno)
+                    for mod, tree in _package_trees().items() for node in ast.walk(tree)
+                    if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                    for sub in ast.walk(node) if isinstance(sub, (ast.Import, ast.ImportFrom))})
     assert found == []
 
 
