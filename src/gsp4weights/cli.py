@@ -164,8 +164,9 @@ def _is_json_int(value) -> bool:
 def load_presentation(path: str, expect_p: int | None = None,
                       expect_kind: str | None = None) -> TamePresentation:
     """Read a tame presentation fixture; presentations are always supplied
-    as files, never inferred from other inputs.  p and the mu entries must
-    be JSON integers and each s entry a word in the letters 1 and 2."""
+    as files, never inferred from other inputs.  p must be a prime >= 5,
+    p and the mu entries JSON integers and each s entry a word in the
+    letters 1 and 2."""
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or obj.get("schema") != "gsp4weights/presentation/1":
@@ -184,6 +185,8 @@ def load_presentation(path: str, expect_p: int | None = None,
             "%s: fixture has p=%d but the run is configured with p=%d"
             % (path, p, expect_p)
         )
+    if p < 5 or not _is_prime(p):
+        raise ValueError("%s: p must be a prime >= 5, got %d" % (path, p))
     if expect_kind is not None and kind != expect_kind:
         raise ValueError("%s: fixture has kind %s, expected %s"
                          % (path, json.dumps(kind), json.dumps(expect_kind)))

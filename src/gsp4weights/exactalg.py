@@ -309,18 +309,8 @@ class LaurentPoly:
 
     __radd__ = __add__
 
-    def __neg__(self):
-        q = self.field.char
-        if q:
-            return LaurentPoly._canonical(self.field, tuple((e, q - c) for e, c in self.terms))
-        return LaurentPoly._canonical(self.field, tuple((e, -c) for e, c in self.terms), self.den)
-
     def __sub__(self, other):
         return self._merge(other, True)
-
-    def __rsub__(self, other):
-        other = self._coerce_other(other)
-        return NotImplemented if other is None else other._merge(self, True)
 
     def _merge(self, other, negate: bool):
         """self + other, or self - other when negate, in one pass over the
@@ -387,21 +377,6 @@ class LaurentPoly:
         return LaurentPoly._canonical(f, terms, self.den * other.den)
 
     __rmul__ = __mul__
-
-    def __pow__(self, n: int):
-        if n < 0:
-            if not self.is_monomial:
-                raise ValueError("negative power of a non-monomial")
-            e, c = self.coeffs[0]
-            return LaurentPoly(self.field, {-e: self.field.inv(c)}) ** (-n)
-        out = LaurentPoly.one(self.field)
-        base = self
-        while n:
-            if n & 1:
-                out = out * base
-            base = base * base
-            n >>= 1
-        return out
 
     def scale(self, x) -> "LaurentPoly":
         f = self.field

@@ -187,12 +187,6 @@ class PolyMat:
         return PolyMat(self.field, [[a + b for a, b in zip(r1, r2)]
                                     for r1, r2 in zip(self.rows, other.rows)])
 
-    def __sub__(self, other):
-        if not isinstance(other, PolyMat) or other.field != self.field:
-            return NotImplemented
-        return PolyMat(self.field, [[a - b for a, b in zip(r1, r2)]
-                                    for r1, r2 in zip(self.rows, other.rows)])
-
     def __eq__(self, other):
         if not isinstance(other, PolyMat):
             return NotImplemented
@@ -235,14 +229,8 @@ class PolyMat:
                     raise type(exc)("%s: %s" % (where, exc)) from None
         return PolyMat(field, rows)
 
-    def display(self) -> str:
-        cells = [[e.display() for e in row] for row in self.rows]
-        width = max(len(c) for row in cells for c in row)
-        return "\n".join("[ " + " | ".join(c.rjust(width) for c in row) + " ]"
-                         for row in cells)
-
     def __repr__(self):
-        return "PolyMat over %r:\n%s" % (self.field, self.display())
+        return "PolyMat(%r, %r)" % (self.field, self.rows)
 
 
 def e_poly(field, p: int) -> LaurentPoly:
@@ -674,17 +662,10 @@ class RegColOneParams:
     e: object
 
     @staticmethod
-    def make(field, **vals) -> "RegColOneParams":
-        names = ("c00", "c21", "c13", "c31", "c31p", "c33", "c33p", "c33pp",
-                 "a0", "a1", "a2", "a3", "e")
-        missing = [n for n in names if n not in vals]
-        if missing:
-            raise ValueError("missing parameters: %s" % ", ".join(missing))
-        extra = [n for n in vals if n not in names]
-        if extra:
-            raise ValueError("unknown parameters: %s" % ", ".join(extra))
-        coerced = {n: field.coerce(vals[n]) for n in names}
-        params = RegColOneParams(field, **coerced)
+    def make(field, *, c00, c21, c13, c31, c31p, c33, c33p, c33pp,
+             a0, a1, a2, a3, e) -> "RegColOneParams":
+        params = RegColOneParams(field, *(field.coerce(x) for x in (
+            c00, c21, c13, c31, c31p, c33, c33p, c33pp, a0, a1, a2, a3, e)))
         if not field.coerce(params.e + params.a0 - params.a3 - 1):
             raise ValueError("denominator e + a0 - a3 - 1 vanishes")
         return params

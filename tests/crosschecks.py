@@ -140,7 +140,7 @@ def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
             for (i, j), sign in spots:
                 if lower:
                     i, j = j, i
-                c = coeff if sign == 1 else -coeff
+                c = coeff if sign == 1 else coeff.scale(-1)
                 cols[j] = [a if b.is_zero else a + b * c for a, b in zip(cols[j], cols[i])]
     return PolyMat(field, list(zip(*cols)))
 

@@ -779,7 +779,7 @@ def minor_det(rows):
     for j in range(len(rows)):
         term = rows[0][j] * minor_det([r[:j] + r[j + 1:] for r in rows[1:]])
         if j % 2:
-            term = -term
+            term = term.scale(-1)
         acc = term if acc is None else acc + term
     return acc
 
@@ -793,6 +793,18 @@ def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
             acc[e1 + e2] = acc.get(e1 + e2, 0) + c1 * c2
     q = a.field.char
     return LaurentPoly(a.field, [(e, c % q if q else c) for e, c in acc.items()])
+
+
+def laurent_pow(a: LaurentPoly, n: int) -> LaurentPoly:
+    """a^n by repeated products; for n < 0, a must be a monomial c*v^e
+    and a^n is the n-th power of its inverse c^-1 * v^-e."""
+    if n < 0:
+        (e, c), = a.coeffs
+        a, n = LaurentPoly(a.field, {-e: a.field.inv(c)}), -n
+    out = LaurentPoly.one(a.field)
+    for _ in range(n):
+        out = laurent_mul(out, a)
+    return out
 
 
 def matmul(A: PolyMat, B: PolyMat) -> PolyMat:
@@ -811,7 +823,7 @@ def cofactor_adjugate(A: PolyMat) -> PolyMat:
     for i in range(4):
         for j in range(4):
             cof = minor_det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i])
-            out[j][i] = -cof if (i + j) % 2 else cof
+            out[j][i] = cof.scale(-1) if (i + j) % 2 else cof
     return PolyMat(A.field, out)
 
 
@@ -852,7 +864,7 @@ def regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
         [ct(0),
          ct(c21) * vp * ep,
          ep,
-         -(ct(c31p) + ct(pc * c13 * c21)) * ep + ct(c13 * c21 - c31) * ep * ep],
+         (ct(c31p) + ct(pc * c13 * c21)).scale(-1) * ep + ct(c13 * c21 - c31) * ep * ep],
         [vp,
          ct(c31p) * vp + ct(c31) * vp * ep,
          ct(c13) * vp,
@@ -1009,6 +1021,6 @@ def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
             for (i, j), sign in spots:
                 if lower:
                     i, j = j, i
-                rows[i][j] = coeff if sign == 1 else -coeff
+                rows[i][j] = coeff if sign == 1 else coeff.scale(-1)
             out = matmul(out, PolyMat(field, rows))
     return out

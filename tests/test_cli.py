@@ -285,6 +285,11 @@ def test_dot_format_rejected_elsewhere(capsys):
     assert code == 2 and "graph" in err
 
 
+def test_json_and_table_together_exit_2(capsys):
+    code, out, err = capture(capsys, ["adm", "--json", "--table"])
+    assert (code, out, err) == (2, "", "error: pick one of --json / --table\n")
+
+
 @pytest.mark.parametrize("flags", (["--json"], ["--fmt", "json"]))
 def test_selfcheck_has_no_json_output(capsys, flags):
     code, out, err = capture(capsys, ["selfcheck"] + flags)
@@ -445,6 +450,19 @@ def test_localmodel_shape_checks_the_declared_p(capsys, tmp_path, p, why):
     assert (code, out, err) == (2, "", "error: %s: %s\n" % (path, why))
 
 
+def test_localmodel_shape_refuses_another_matrix_schema(capsys, tmp_path):
+    path = tmp_path / "mat.json"
+    path.write_text(json.dumps({"schema": "gsp4weights/matrix/2",
+                                "rows": _identity_rows({"coeffs": {"0": "1"}})}))
+    code, out, err = capture(capsys, ["localmodel", "--shape", str(path), "--q", "37"])
+    assert (code, out, err) == (2, "", "error: %s: not a gsp4weights/matrix/1 fixture\n" % path)
+
+
+def test_localmodel_shape_q_must_be_prime(capsys):
+    code, out, err = capture(capsys, ["localmodel", "--shape", fx("mat1.json"), "--q", "9"])
+    assert (code, out, err) == (2, "", "error: q must be prime\n")
+
+
 def test_localmodel_shape_reads_a_matching_p(capsys, tmp_path):
     path = tmp_path / "mat.json"
     path.write_text(json.dumps({"schema": "gsp4weights/matrix/1", "p": 41,
@@ -544,6 +562,32 @@ def test_presentation_values_are_not_coerced(capsys, tmp_path, fields):
         load_presentation(path)
     code, out, err = capture(capsys, ["weights", "--rhobar", path])
     assert code == 2 and err.startswith("error: %s: " % path)
+
+
+@pytest.mark.parametrize("p", [1, 2, 4, 39, -37])
+def test_presentation_p_must_be_a_prime_from_5(capsys, tmp_path, p):
+    path = _write_presentation(tmp_path, p=p)
+    with pytest.raises(ValueError) as exc:
+        load_presentation(path)
+    assert str(exc.value) == "%s: p must be a prime >= 5, got %d" % (path, p)
+    # the command line compares the fixture's p with the run's first
+    code, out, err = capture(capsys, ["weights", "--rhobar", path])
+    assert (code, out, err) == (
+        2, "", "error: %s: fixture has p=%d but the run is configured with p=37\n" % (path, p))
+
+
+def test_presentation_without_mu_is_malformed(capsys, tmp_path):
+    path = tmp_path / "pres.json"
+    path.write_text(json.dumps({"schema": "gsp4weights/presentation/1", "kind": "param",
+                                "p": 37, "s": ["12"]}))
+    code, out, err = capture(capsys, ["weights", "--rhobar", str(path)])
+    assert (code, out, err) == (2, "", "error: %s: malformed presentation fixture\n" % path)
+
+
+def test_presentation_s_and_mu_lengths_must_agree(capsys, tmp_path):
+    path = _write_presentation(tmp_path, s=["12", "1"])
+    code, out, err = capture(capsys, ["weights", "--rhobar", path])
+    assert (code, out, err) == (2, "", "error: %s: s and mu have different lengths\n" % path)
 
 
 def test_empty_presentation_is_user_error(capsys, tmp_path):

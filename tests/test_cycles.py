@@ -18,7 +18,7 @@ from gsp4weights.affine import (
     weight_alcove_index,
     weight_arrow_leq,
 )
-from gsp4weights.admissible import adm_set, colength_one_split
+from gsp4weights.admissible import adm_set, colength_one_split, elem_sort_key
 from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
@@ -29,10 +29,12 @@ from gsp4weights.weights import (
     w_question_set,
 )
 from gsp4weights.cli import load_presentation
+from gsp4weights.config import TAU_DEPTH
 from gsp4weights.cycles import (
     BMSumResult,
     Cycle,
     GrothendieckClass,
+    _case_tables,
     _lowest_companion,
     bm_cycle,
     bm_sum,
@@ -255,8 +257,6 @@ def test_colength_one_counts_f2_mixed():
     rho = random_deep_presentation(41, 2, 9, random.Random(13), kind="param")
     d0 = diamond(W_E)
     case1 = compose_all(invert(d0), invert(HIGHEST_RESTRICTED), W0, d0)
-    from gsp4weights.cycles import _case_tables
-
     case3 = sorted(_case_tables()[2], key=lambda x: (tuple(x.nu), x.w.word))[0]
     tau = type_from_target(rho, (case1, case3))
     rep = colength_one_components(rho, tau)
@@ -270,6 +270,26 @@ def test_colength_one_rejects_other_shapes():
     tau = type_from_target(rho, (deep,))
     with pytest.raises(ValueError, match="not a colength-one"):
         colength_one_components(rho, tau)
+
+
+def test_colength_one_warns_below_the_type_depth(caplog):
+    # a seeded search over colength-one and extremal targets: each count
+    # warns exactly when its type is shallower than TAU_DEPTH
+    targets = sorted({x for table in _case_tables() for x in table}, key=elem_sort_key)
+    rng = random.Random(0)
+    caplog.set_level("WARNING", logger="gsp4weights.cycles")
+    warned = quiet = 0
+    for _ in range(40):
+        rho = random_deep_presentation(41, 1, 6, rng, kind="param")
+        tau = type_from_target(rho, (rng.choice(targets),))
+        caplog.clear()
+        colength_one_components(rho, tau)
+        below = tau.depth() < TAU_DEPTH
+        assert [r.getMessage() for r in caplog.records] == [
+            "type depth %d below %d; count relies on deeper input"
+            % (tau.depth(), TAU_DEPTH)] * below
+        warned, quiet = warned + below, quiet + (not below)
+    assert warned and quiet
 
 
 def test_bm_sum_defaults_and_validation():

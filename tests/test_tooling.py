@@ -14,6 +14,10 @@ runs no statement but definitions; and every import sits at the top of
 its module, none inside a function.  Test-only helpers and self-checks
 live under tests/.
 
+A name match cannot see an arithmetic operator, so every one a src/
+class defines is traced instead: it must run on a golden CLI line or on
+a benchmark workload's warm-up op.
+
 A shift by a non-constant amount packs or unpacks polynomials evaluated
 at v = 2^w, so every one lies in exactalg's `_pack` or `_unpack`, the one
 Kronecker substitution behind every polynomial and matrix product.
@@ -30,6 +34,8 @@ import os
 import re
 import subprocess
 import sys
+
+import test_golden
 
 ROOT = os.path.join(os.path.dirname(os.path.abspath(__file__)), os.pardir)
 PERFBENCH = os.path.join(ROOT, "perfbench")
@@ -97,10 +103,10 @@ def test_benchmark_unit_tests_pass():
     assert proc.returncode == 0, proc.stderr
 
 
-def test_every_benchmark_workload_runs_once(tmp_path):
-    # the worker's own call forms, keyword arguments included: the warm-up
-    # op and the first timed op of each workload, each checked as a
-    # benchmark run checks it
+def _run_workloads(tmp_path, timed_ops):
+    """Prepare each benchmark workload, then run its warm-up op and its
+    first `timed_ops` timed ops in the worker's own call forms, keyword
+    arguments included, each checked as a benchmark run checks it."""
     gen, worker = _load_perfbench("gen"), _load_perfbench("worker")
     assert sorted(worker.WORKLOADS) == sorted(gen.WORKLOADS)
     for name, (prepare, op, check) in worker.WORKLOADS.items():
@@ -109,8 +115,12 @@ def test_every_benchmark_workload_runs_once(tmp_path):
         manifest = gen.generate(name, 0, 1, str(out_dir))
         ctx = {"dir": str(out_dir)}
         prepare(ctx)
-        for inp in (manifest["warmup"], manifest["ops"][0]):
+        for inp in [manifest["warmup"]] + manifest["ops"][:timed_ops]:
             check(ctx, inp, op(ctx, inp))
+
+
+def test_every_benchmark_workload_runs_once(tmp_path):
+    _run_workloads(tmp_path, 1)
 
 
 def test_benchmark_names_exist():
@@ -257,6 +267,51 @@ def test_every_library_method_is_named_outside_itself():
     called = {node.func.attr for node in ast.walk(gate)
               if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)}
     assert [key for key in ACCEPTANCE_METHODS if key[2] not in called] == []
+
+
+ARITHMETIC_OPERATORS = frozenset(
+    "__%s__" % op for name in ("add", "sub", "mul", "matmul", "truediv", "floordiv", "mod",
+                               "divmod", "pow", "lshift", "rshift", "and", "xor", "or")
+    for op in (name, "r" + name)) | {"__neg__", "__pos__", "__abs__", "__invert__"}
+
+
+def _class_operators():
+    """"module.Class.name" -> code object of every arithmetic operator a
+    class body in src/ defines with `def`; an alias such as
+    `__radd__ = __add__` shares the code of the operator it names."""
+    out = {}
+    for mod, tree in _package_trees().items():
+        module = importlib.import_module("gsp4weights." + mod)
+        for cls in tree.body:
+            if isinstance(cls, ast.ClassDef):
+                for node in cls.body:
+                    if isinstance(node, ast.FunctionDef) and node.name in ARITHMETIC_OPERATORS:
+                        code = vars(getattr(module, cls.name))[node.name].__code__
+                        out["%s.%s.%s" % (mod, cls.name, node.name)] = code
+    return out
+
+
+def test_every_operator_runs_on_a_program_path(tmp_path):
+    # an operator is a method no name search sees; one that only tests or
+    # nothing run is deleted.  The program paths are every golden CLI line
+    # and each benchmark workload's warm-up op, traced by code object.
+    operators = _class_operators()
+    assert "exactalg.LaurentPoly.__mul__" in operators
+    ran = set()
+
+    def profile(frame, event, arg):
+        if event == "call":
+            ran.add(frame.f_code)
+
+    previous = sys.getprofile()
+    sys.setprofile(profile)
+    try:
+        codes = [test_golden._stdout_of(argv)[0] for argv in test_golden.CASES.values()]
+        _run_workloads(tmp_path, 0)
+    finally:
+        sys.setprofile(previous)
+    assert set(codes) == {0}
+    assert sorted(name for name, code in operators.items() if code not in ran) == []
 
 
 def _assigned(node):
@@ -406,12 +461,14 @@ def test_traced_class_methods_resolve():
         for cls_name, methods in sorted(classes.items()):
             cls = getattr(module, cls_name)
             missing += ["%s.%s.%s" % (mod, cls_name, m) for m in methods if m not in cls.__dict__]
-    # LaurentPoly.evaluate, RatFunc's arithmetic and PolyMat.inverse_unit_det
-    # were deleted from the library; their tracer entries go with the next
+    # LaurentPoly's evaluate, negation, reflected subtraction and power,
+    # RatFunc's arithmetic, PolyMat's subtraction and inverse_unit_det were
+    # deleted from the library; their tracer entries go with the next
     # benchmark change
-    assert missing == ["exactalg.LaurentPoly.evaluate"] + ["exactalg.RatFunc.%s" % m for m in (
+    assert missing == ["exactalg.LaurentPoly.%s" % m for m in (
+        "__neg__", "__rsub__", "__pow__", "evaluate")] + ["exactalg.RatFunc.%s" % m for m in (
         "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__")
-    ] + ["localmodel.PolyMat.inverse_unit_det"]
+    ] + ["localmodel.PolyMat.%s" % m for m in ("__sub__", "inverse_unit_det")]
 
 
 def test_only_the_slot_table_makes_weight_parts():

@@ -37,6 +37,7 @@ from gsp4weights.weights import (
     w_question_set,
 )
 from gsp4weights import weights
+from gsp4weights.config import derived_depth_bound
 from gsp4weights.adjacency import build_instance, valid_simples
 from gsp4weights.cli import load_presentation
 
@@ -325,6 +326,29 @@ def test_type_from_target_depth_bound():
         g = (rng.choice(adm),)
         tau = type_from_target(rho, g)
         assert tau.depth() >= rho.depth() - 3
+
+
+def test_type_from_target_warns_below_the_derived_bound(caplog):
+    # Adm(eta) keeps a type within 3 of the parameter's depth, so a seeded
+    # search draws targets from the larger Adm(3, 1, 0); each draw warns
+    # exactly when the type is shallower than derived_depth_bound
+    rng = random.Random(0)
+    targets = sorted(adm_set(Weight(3, 1, 0)).elements, key=elem_sort_key)
+    caplog.set_level("WARNING", logger="gsp4weights.weights")
+    warned = quiet = 0
+    for _ in range(40):
+        rho = random_deep_presentation(41, 1, 6, rng, kind="param")
+        caplog.clear()
+        try:
+            tau = type_from_target(rho, (rng.choice(targets),))
+        except ValueError:  # the type's mu leaves the lowest alcove
+            continue
+        below = tau.depth() < derived_depth_bound(rho.depth())
+        assert [r.getMessage() for r in caplog.records] == [
+            "type depth %d below the expected bound for a %d-deep parameter"
+            % (tau.depth(), rho.depth())] * below
+        warned, quiet = warned + below, quiet + (not below)
+    assert warned and quiet
 
 
 def test_type_from_target_malformed():
