@@ -38,9 +38,9 @@ from .weights import (
     _singles,
     _SlotTable,
     TamePresentation,
-    enumerate_ap_prime,
     intersect_w_jh,
     presentation_from_w_tilde,
+    w_question,
 )
 
 log = logging.getLogger(__name__)
@@ -106,16 +106,15 @@ def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
     return table
 
 
-def _deriver(rhobar: TamePresentation,
-             table: _SlotTable) -> Callable[[APPair, tuple[int, int]], AdjacencyInstance]:
+def _deriver(rhobar: TamePresentation) -> Callable[[APPair, tuple[int, int]], AdjacencyInstance]:
     """The maker of rhobar's instances for one call: derive(pair, s), for
     a pair made of AP' singles and an allowed s.  Its memo lives as long as
     the maker: rhobar.w_tilde() is made once, each slot of it is composed
-    with each `_slot_targets` row once, each distinct tau and rhobar0 is
-    presented once, and sigma1 and sigma2 are read through `table`.  An
-    instance fails as it fails alone: tau and rhobar0 are presented, then
-    the depth guards refuse tau and then rhobar0, then the two weights
-    are read."""
+    with each `_slot_targets` row once, and each distinct tau and rhobar0
+    is presented once; sigma1 and sigma2 are read alone
+    (`_SlotTable.weight`), with no table.  An instance fails as it fails
+    alone: tau and rhobar0 are presented, then the depth guards refuse
+    tau and then rhobar0, then the two weights are read."""
     targets = _slot_targets()
     x = rhobar.w_tilde()
     need = derived_depth_bound(rhobar.depth())  # margins scale with rhobar's depth
@@ -148,8 +147,8 @@ def _deriver(rhobar: TamePresentation,
         if rhobar0.depth() < need:
             raise GenericityError("derived parameter has depth %d < %d" % (rhobar0.depth(), need))
         return AdjacencyInstance(rhobar, pair, s, tau, rhobar0,
-                                 table.weight(tau, "type", w_combo),
-                                 table.weight(tau, "type", sw_combo))
+                                 _SlotTable.weight(tau, "type", w_combo),
+                                 _SlotTable.weight(tau, "type", sw_combo))
 
     return derive
 
@@ -166,8 +165,8 @@ def build_instance(
     the companion parameter rhobar0 with element w2^(-1) wh^(-1) w0 s w2
     (their slots read from `_slot_targets`), and the two outer weights
     sigma1 = F_tau(w), sigma2 = F_tau(sw) at the two outer index tuples,
-    by the derivation `_graph_of` uses (`_deriver`), made for the call
-    with one slot table.  With check=True it verifies on that same table
+    by the derivation `_graph_of` uses (`_deriver`), made for the call.
+    With check=True it verifies, on one slot table made for the check,
     that these two weights exhaust the intersection of the predicted set
     of rhobar0 with the JH set of tau.
     """
@@ -186,18 +185,18 @@ def build_instance(
             "s_{2,%d} is forbidden: the w1 component at embedding %d has "
             "length zero and differs from the w2 component" % (j, j)
         )
-    table = _SlotTable()
-    inst = _deriver(rhobar, table)(pair, s)
+    inst = _deriver(rhobar)(pair, s)
     if check:
-        _check_instance(inst, table)
+        _check_instance(inst, _SlotTable())
     return inst
 
 
 def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
     """Raise AssertionError unless sigma1 and sigma2 are distinct and exhaust
     the intersection of the predicted set of rhobar0 with the JH set of tau,
-    and sigma1 is F_rhobar at the pair.  The slot entries are read from the
-    caller's `table`; the guards, the chain and both comparisons run here."""
+    and sigma1 is F_rhobar at the pair.  The intersection is read from the
+    caller's `table`, and F_rhobar at the pair is made alone; the guards,
+    the chain and both comparisons run here."""
     got = intersect_w_jh(inst.rhobar0, inst.tau, table)
     if got != frozenset((inst.sigma1, inst.sigma2)) or inst.sigma1 == inst.sigma2:
         raise AssertionError(
@@ -206,7 +205,7 @@ def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
         )
     index = _singles("param").index
     combo = tuple(index[single] for single in zip(inst.pair.w1, inst.pair.w2))
-    if table.weight(inst.rhobar, "param", combo) != inst.sigma1:
+    if _SlotTable.weight(inst.rhobar, "param", combo) != inst.sigma1:
         raise AssertionError("sigma1 does not match the weight of the pair")
 
 
@@ -280,20 +279,18 @@ class _GraphState(NamedTuple):
 @lru_cache(maxsize=1)
 def _graph_of(rhobar: TamePresentation) -> _GraphState:
     """rhobar's weight graph, built without checks, with the inverse of its
-    W? table and its instances, all read through one slot table for the
-    build: W? from its full slots, the instances by one `_deriver`.
+    W? table (`w_question`) and its instances, made by one `_deriver`.
     Only the last parameter's state is kept:
     callers ask for one parameter's graph several times in a row
     (`build_graph`, then `find_chain` per weight).  No check result is
     kept.  A shallow parameter is warned about once its graph is built."""
-    table = _SlotTable()
-    pairs = enumerate_ap_prime(rhobar.f)
-    back = dict(zip(table.weights(rhobar, "param"), pairs))
-    if len(back) != len(pairs):
+    wq = w_question(rhobar)
+    back = {sigma: pair for pair, sigma in wq.items()}
+    if len(back) != len(wq):
         raise AssertionError("F_rhobar failed to be injective")
     vertices = tuple(sorted(back, key=SerreWeight.sort_key))
-    derive = _deriver(rhobar, table)
-    instances = {(pair, s): derive(pair, s) for pair in pairs for s in valid_simples(pair)}
+    derive = _deriver(rhobar)
+    instances = {(pair, s): derive(pair, s) for pair in wq for s in valid_simples(pair)}
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
     for inst in instances.values():
         edges.setdefault(_edge(inst.sigma1, inst.sigma2), []).append(inst)

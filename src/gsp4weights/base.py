@@ -153,7 +153,6 @@ def _close_weyl_group() -> tuple[FiniteWeyl, ...]:
 
 
 W_ALL = _close_weyl_group()
-assert tuple(w.word for w in W_ALL) == ("", "1", "2", "12", "21", "121", "212", "1212")
 W_E, W_S1, W_S2 = W_ALL[0], W_ALL[1], W_ALL[2]
 # the simple reflections by their letter in Weyl words
 SIMPLES = {1: W_S1, 2: W_S2}

@@ -164,9 +164,9 @@ def _is_json_int(value) -> bool:
 def load_presentation(path: str, expect_p: int | None = None,
                       expect_kind: str | None = None) -> TamePresentation:
     """Read a tame presentation fixture; presentations are always supplied
-    as files, never inferred from other inputs.  p must be a prime >= 5,
-    p and the mu entries JSON integers and each s entry a word in the
-    letters 1 and 2."""
+    as files, never inferred from other inputs.  kind must be "type" or
+    "param", p a prime >= 5, p and the mu entries JSON integers and each
+    s entry a word in the letters 1 and 2."""
     with open(path) as fh:
         obj = json.load(fh)
     if not isinstance(obj, dict) or obj.get("schema") != "gsp4weights/presentation/1":
@@ -190,6 +190,8 @@ def load_presentation(path: str, expect_p: int | None = None,
     if expect_kind is not None and kind != expect_kind:
         raise ValueError("%s: fixture has kind %s, expected %s"
                          % (path, json.dumps(kind), json.dumps(expect_kind)))
+    if kind not in ("type", "param"):
+        raise ValueError('%s: kind must be "type" or "param", got %s' % (path, json.dumps(kind)))
     if not isinstance(words, list) or not isinstance(mus, list):
         raise ValueError("%s: s and mu must be lists" % path)
     if len(words) != len(mus):

@@ -9,16 +9,14 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field
-from functools import lru_cache, partial
+from functools import lru_cache
 from itertools import product
 from typing import Iterator, NamedTuple
 
 from .base import (
     ETA,
     POSITIVE_COROOTS,
-    SIMPLE_INDICES,
     W_ALL,
-    Coweight,
     FiniteWeyl,
     Weight,
     depth as weight_depth,
@@ -76,11 +74,9 @@ def normalize_central(cs: tuple[int, ...], p: int) -> tuple[int, ...]:
     return (0,) * (len(cs) - 1) + (n % (p ** len(cs) - 1),)
 
 
-# The simple coroots pair (a, b; c) to a - b and b.
-assert tuple(POSITIVE_COROOTS[i] for i in SIMPLE_INDICES) == (Coweight(1, -1, 0), Coweight(0, 1, 0))
-
-
 def is_p_restricted(lam: Weight, p: int) -> bool:
+    """0 <= <lam, alpha^vee> < p for both simple coroots, which pair
+    (a, b; c) to a - b and b."""
     return 0 <= lam.a - lam.b < p and 0 <= lam.b < p
 
 
@@ -287,7 +283,6 @@ class _Singles(NamedTuple):
     ys: tuple[ExtAffine, ...]  # the distinct y, in order of first use
     y_slot: tuple[int, ...]  # index into ys of pair k's y
     index: dict[tuple[ExtAffine, ExtAffine], int]  # (x, y) -> k
-    every: tuple[tuple[int, ...], ...]  # per y: all pairs
     own: tuple[tuple[int, ...], ...]  # per y: the pairs holding it
 
 
@@ -300,14 +295,12 @@ def _singles(kind: str) -> _Singles:
         if pr[1 - ix] not in ys:
             ys.append(pr[1 - ix])
     y_slot = tuple(ys.index(pr[1 - ix]) for pr in pairs)
-    ks = range(len(pairs))
     return _Singles(
         pairs,
         tuple(ys),
         y_slot,
         {(pr[ix], pr[1 - ix]): k for k, pr in enumerate(pairs)},
-        (tuple(ks),) * len(ys),
-        tuple(tuple(k for k in ks if y_slot[k] == i) for i in range(len(ys))),
+        tuple(tuple(k for k, j in enumerate(y_slot) if j == i) for i in range(len(ys))),
     )
 
 
@@ -405,14 +398,6 @@ def _slot_join(index: dict[tuple[int, int], list], jh_slot: list[dict[int, Part]
     return groups
 
 
-def _read_weight(p: int, slots: list[list[dict[int, Part]]], y_slot: tuple[int, ...],
-                 combo: tuple[int, ...]) -> SerreWeight:
-    """The weight at index tuple `combo`, read from full slots: part j is
-    slot j's entry for single combo[j] in the row of combo[j - 1]'s y."""
-    return SerreWeight._trusted(
-        p, tuple([slots[j][y_slot[combo[j - 1]]][k] for j, k in enumerate(combo)]))
-
-
 class _SlotTable:
     """The one maker of weight parts.  Each weight map makes a table for
     its call, and the adjacency checks of one call share one; no table
@@ -423,10 +408,11 @@ class _SlotTable:
     y) x (singles) entries per slot instead of f * singles^f.  At f = 1
     slot j - 1 is slot j, so row i holds only the singles whose own y is
     the i-th.  A full slot depends on (kind, s_j, mu_j, p, f), the (a, b)
-    index of a W? slot on that slot, a join on its two full slots, an
-    intersection on the W? and JH slots of its two presentations, and one
-    part alone on (kind, s_j, mu_j, p), its row and its single; each is
-    made on first use under that key and then read.
+    index of a W? slot on that slot, a join on its two full slots, and an
+    intersection on the W? and JH slots of its two presentations; each is
+    made on first use under that key and then read.  One weight alone
+    (`weight`) needs no table: its parts are made on every read and stored
+    nowhere.
 
     Three checks run: the lowest-alcove test on each theta, per slot and
     single; `is_restricted_element` on each distinct y, once, when its
@@ -442,13 +428,13 @@ class _SlotTable:
         self._indexes: dict[tuple, dict] = {}  # by W? slot key
         self._joins: dict[tuple[tuple, tuple], dict] = {}
         self._meets: dict[tuple[tuple, tuple], frozenset] = {}  # by (W? keys, JH keys)
-        self._singles: dict[tuple, Part] = {}
 
     def slots(self, pres: TamePresentation, kind: str) -> tuple[tuple, ...]:
         """The keys of the full slots of `pres`, each made on first use."""
         _guard(pres, kind)
         sing = _singles(kind)
-        ks, cells = range(len(sing.pairs)), sing.every if pres.f > 1 else sing.own
+        ks = range(len(sing.pairs))
+        cells = (ks,) * len(sing.ys) if pres.f > 1 else sing.own
         keys = tuple((kind, s, mu, pres.p, pres.f) for s, mu in zip(pres.s, pres.mu))
         for key in keys:
             if key not in self._parts:
@@ -457,12 +443,14 @@ class _SlotTable:
 
     def weights(self, pres: TamePresentation, kind: str) -> Iterator[SerreWeight]:
         """F_pres on every index tuple, read from the full slots in the
-        enumeration order of the pair tuples (slot 0 varying slowest); no
-        pair tuple is made."""
-        y_slot = _singles(kind).y_slot
+        enumeration order of the pair tuples (slot 0 varying slowest):
+        part j is slot j's entry for single k_j in the row of k_(j-1)'s
+        y.  No pair tuple is made."""
+        p, y_slot = pres.p, _singles(kind).y_slot
         slots = [self._parts[key] for key in self.slots(pres, kind)]
-        return map(partial(_read_weight, pres.p, slots, y_slot),
-                   product(range(len(y_slot)), repeat=pres.f))
+        return (SerreWeight._trusted(p, tuple([slots[j][y_slot[combo[j - 1]]][k]
+                                               for j, k in enumerate(combo)]))
+                for combo in product(range(len(y_slot)), repeat=pres.f))
 
     def join(self, wq: tuple, jh: tuple) -> dict:
         """The join of W? slot `wq` with JH slot `jh`, given by their keys."""
@@ -474,23 +462,19 @@ class _SlotTable:
             groups = self._joins[wq, jh] = _slot_join(index, self._parts[jh])
         return groups
 
-    def weight(self, pres: TamePresentation, kind: str,
-               combo: tuple[int, ...]) -> SerreWeight:
-        """F_pres at one index tuple, the weight `weights` reads there: the
-        lowest-alcove test runs on combo's singles alone, and no full slot
-        is made."""
+    @staticmethod
+    def weight(pres: TamePresentation, kind: str, combo: tuple[int, ...]) -> SerreWeight:
+        """F_pres at one index tuple, the weight `weights` reads there,
+        made on every call and stored nowhere: the lowest-alcove test runs
+        on combo's singles alone, and no full slot is made."""
         _guard(pres, kind)
         sing = _singles(kind)
         parts = []
         for j, (s, mu) in enumerate(zip(pres.s, pres.mu)):
             i, k = sing.y_slot[combo[j - 1]], combo[j]
-            key = (kind, s, mu, pres.p, i, k)
-            part = self._singles.get(key)
-            if part is None:
-                cells = [()] * len(sing.ys)
-                cells[i] = (k,)
-                part = self._singles[key] = _slot_parts(kind, s, mu, pres.p, (k,), cells)[i][k]
-            parts.append(part)
+            cells = [()] * len(sing.ys)
+            cells[i] = (k,)
+            parts.append(_slot_parts(kind, s, mu, pres.p, (k,), cells)[i][k])
         return SerreWeight._trusted(pres.p, tuple(parts))
 
 
@@ -554,12 +538,8 @@ def intersect_w_jh(
 
 
 def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:
-    """F_rhobar on the diagonal pairs (w_diamond, w_diamond): 8^f of the
-    weights of w_question, read from the same full slots after the same
-    checks."""
-    table = _SlotTable()
-    slots = [table._parts[key] for key in table.slots(rhobar, "param")]
-    sing = _singles("param")
-    diagonal = {w: sing.index[diamond(w), diamond(w)] for w in W_ALL}
-    return {ws: _read_weight(rhobar.p, slots, sing.y_slot, tuple(diagonal[w] for w in ws))
-            for ws in product(W_ALL, repeat=rhobar.f)}
+    """W?(rhobar) at the diagonal pairs (w1 == w2, each single
+    (diamond(w), diamond(w))), keyed by the finite parts w: 8^f of the
+    weights of w_question."""
+    return {tuple(x.w for x in pair.w1): sigma
+            for pair, sigma in w_question(rhobar).items() if pair.w1 == pair.w2}

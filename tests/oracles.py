@@ -700,6 +700,36 @@ PHI = {
 }
 
 
+# The witness map of the weight graph: an instance (pair, (i, j)) has
+# sigma2 at its pair's AP' index tuple with slot j replaced by T[k_j, i],
+# k_j the index of the pair's single at slot j in enumerate_ap_prime(1).
+# Measured, not proven, as PHI is.  OBVIOUS holds the indices of the
+# diagonal singles (w1 == w2), where the obvious weights sit.
+T = {
+    (0, 1): 14, (0, 2): 18,
+    (1, 1): 15,
+    (2, 1): 4,
+    (3, 1): 5,
+    (4, 1): 16, (4, 2): 19,
+    (5, 1): 17,
+    (6, 1): 0,
+    (7, 1): 1,
+    (8, 1): 18, (8, 2): 11,
+    (9, 1): 0, (9, 2): 12,
+    (10, 1): 1, (10, 2): 4,
+    (11, 1): 19, (11, 2): 8,
+    (12, 1): 4, (12, 2): 9,
+    (13, 1): 5, (13, 2): 0,
+    (14, 1): 0, (14, 2): 16,
+    (15, 1): 1, (15, 2): 4,
+    (16, 1): 4, (16, 2): 14,
+    (17, 1): 5, (17, 2): 0,
+    (18, 1): 8, (18, 2): 0,
+    (19, 1): 11, (19, 2): 4,
+}
+OBVIOUS = frozenset({0, 4, 8, 11, 14, 16, 18, 19})
+
+
 def phi_map(table=PHI):
     """phi on pair tuples of any f, slot by slot, read off a table shaped
     like PHI (a negative control passes a corrupted one)."""

@@ -1,5 +1,7 @@
 import os
 import random
+import sys
+from collections import Counter
 from functools import cache
 
 import pytest
@@ -711,27 +713,80 @@ def test_full_f2_graph_with_checks():
     _assert_adjacency_matches_edge_scan(g)
 
 
+def _check_witness_map(rho, table):
+    """The per-slot map of rho's instances (`slot_product_map` on rho
+    alone), on AP' indices, is `table`."""
+    index = weights._singles("param").index
+    measured = {(index[key[:2]], key[2]): index[new]
+                for key, new in slot_product_map([rho]).items()}
+    assert measured == table, rho.display()
+
+
 def test_per_slot_product_rule():
-    # every instance of rb1, rb41 and rb_f2 (34 + 34 + 1360) moves one slot
-    # of its pair, by one 34-entry map on (AP' single, letter of s)
-    rule = slot_product_map(fixture(name) for name in ("rb1.json", "rb41.json", "rb_f2.json"))
-    assert len(rule) == 34
-    singles = {(pr.w1[0], pr.w2[0]) for pr in enumerate_ap_prime(1)}
-    assert {key[:2] for key in rule} == singles
-    assert set(rule.values()) <= singles
+    # every instance of rb1, rb41 and rb_f2 (34 + 34 + 1360) and of 40
+    # seeded 9-deep parameters (8 per p) moves one slot of its pair, by
+    # the 34-entry map T on (AP' index, letter of s); the obvious weights
+    # sit at the diagonal indices OBVIOUS
+    rng = random.Random(5)
+    rhos = [fixture(name) for name in ("rb1.json", "rb41.json", "rb_f2.json")]
+    rhos += [random_deep_presentation(p, 1, 9, rng, "param")
+             for p in (53, 61, 67, 101, 131) for _ in range(8)]
+    for rho in rhos:
+        _check_witness_map(rho, oracles.T)
+    diagonal = {k for (w1, w2), k in weights._singles("param").index.items() if w1 == w2}
+    assert diagonal == oracles.OBVIOUS
+
+
+def test_witness_map_check_fails_on_T_with_two_entries_swapped():
+    swapped = dict(oracles.T)
+    swapped[0, 1], swapped[0, 2] = swapped[0, 2], swapped[0, 1]
+    with pytest.raises(AssertionError):
+        _check_witness_map(fixture("rb1.json"), swapped)
+
+
+def test_gamma_is_read_off_T():
+    # the f = 1 graph on AP' indices, from T alone: 20 vertices, 23 edges
+    edges = {frozenset((k, new)) for (k, _), new in oracles.T.items()}
+    assert len(edges) == 23 and all(len(e) == 2 for e in edges)
+    degrees = Counter(k for e in edges for k in e)
+    assert sorted(Counter(degrees.values()).items()) == [(1, 4), (2, 12), (3, 2), (6, 2)]
+
+
+def test_slot_tables_are_made_only_where_full_slots_are_read(monkeypatch):
+    # a cold unchecked build makes one table, in w_question; an unchecked
+    # instance reads its two weights alone and makes none, and a checked
+    # one makes one for its check
+    rho = rho41()
+    made = []
+    real = weights._SlotTable.__init__
+
+    def counted(self):
+        made.append(sys._getframe(1).f_code.co_name)
+        real(self)
+
+    monkeypatch.setattr(weights._SlotTable, "__init__", counted)
+    _graph_of.cache_clear()
+    build_graph(rho, check=False)
+    assert made == ["w_question"]
+    pair = next(pr for pr in enumerate_ap_prime(1) if pr.w1 != pr.w2)
+    made.clear()
+    build_instance(rho, pair, (1, 0), check=False)
+    assert made == []
+    build_instance(rho, pair, (1, 0), check=True)
+    assert made == ["build_instance"]
 
 
 def _through_one_table(instances, expected):
     """Each instance's intersection, read through one slot table shared by
     all of them, equals `expected` of it, computed without a table; and
-    F_rhobar at its pair, read from the same table, is its sigma1."""
+    F_rhobar at its pair, read alone, is its sigma1."""
     table = weights._SlotTable()
     index = weights._singles("param").index
     for inst in instances:
         got = intersect_w_jh(inst.rhobar0, inst.tau, table)
         assert got == expected(inst) == {inst.sigma1, inst.sigma2}
         combo = tuple(index[pr] for pr in zip(inst.pair.w1, inst.pair.w2))
-        assert table.weight(inst.rhobar, "param", combo) == inst.sigma1
+        assert weights._SlotTable.weight(inst.rhobar, "param", combo) == inst.sigma1
 
 
 @pytest.mark.parametrize("name", ["rb1.json", "rb41.json"])

@@ -47,6 +47,12 @@ def test_pairing_table():
     ]
 
 
+def test_word_order_of_w_all():
+    # W_E, W_S1, W_S2 and W_LONG are picked from W_ALL by position
+    assert tuple(w.word for w in W_ALL) == ("", "1", "2", "12", "21", "121", "212", "1212")
+    assert (W_E.word, W_S1.word, W_S2.word, W_LONG.word) == ("", "1", "2", "1212")
+
+
 def test_eta_pairings_and_std():
     assert [pairing(ETA, c) for c in POSITIVE_COROOTS] == [1, 1, 3, 2]
     assert std_character(ETA) == (3, 2, 1, 0)

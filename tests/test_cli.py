@@ -576,6 +576,18 @@ def test_presentation_p_must_be_a_prime_from_5(capsys, tmp_path, p):
         2, "", "error: %s: fixture has p=%d but the run is configured with p=37\n" % (path, p))
 
 
+@pytest.mark.parametrize("kind", ["typ", 5, None])
+def test_presentation_kind_must_be_type_or_param(capsys, tmp_path, kind):
+    path = _write_presentation(tmp_path, kind=kind)
+    with pytest.raises(ValueError) as exc:
+        load_presentation(path)
+    assert str(exc.value) == '%s: kind must be "type" or "param", got %s' % (path, json.dumps(kind))
+    # the command line compares the fixture's kind with the one it reads first
+    code, out, err = capture(capsys, ["weights", "--rhobar", path])
+    assert (code, out, err) == (
+        2, "", 'error: %s: fixture has kind %s, expected "param"\n' % (path, json.dumps(kind)))
+
+
 def test_presentation_without_mu_is_malformed(capsys, tmp_path):
     path = tmp_path / "pres.json"
     path.write_text(json.dumps({"schema": "gsp4weights/presentation/1", "kind": "param",

@@ -355,14 +355,15 @@ def test_every_module_name_is_read():
 
 def test_import_runs_only_definitions():
     # importing a module defines names and checks no facts: the only
-    # top-level expression statement is the module docstring, and a
-    # self-check is a test under tests/
+    # top-level expression statement is the module docstring, no
+    # statement at the top is an assert, and a self-check is a test
+    # under tests/
     found = []
     for mod, tree in _package_trees().items():
         for i, node in enumerate(tree.body):
             docstring = i == 0 and isinstance(getattr(node, "value", None), ast.Constant) \
                 and isinstance(node.value.value, str)
-            if isinstance(node, ast.Expr) and not docstring:
+            if isinstance(node, ast.Assert) or isinstance(node, ast.Expr) and not docstring:
                 found.append("%s.py:%d" % (mod, node.lineno))
     assert found == []
 

@@ -4,7 +4,18 @@ import random
 
 import pytest
 
-from gsp4weights.base import ETA, W_ALL, W_E, Weight, lowest_alcove_depth, weyl_inv
+from gsp4weights.base import (
+    ETA,
+    POSITIVE_COROOTS,
+    SIMPLE_INDICES,
+    W_ALL,
+    W_E,
+    Coweight,
+    Weight,
+    lowest_alcove_depth,
+    pairing,
+    weyl_inv,
+)
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     IDENTITY,
@@ -85,6 +96,15 @@ def test_normalize_central_against_hnf_oracle(p):
         for _ in range(200):
             cs = tuple(rng.randrange(-10 ** 12, 10 ** 12) for _ in range(f))
             assert normalize_central(cs, p) == oracles.normalize_central(cs, p), cs
+
+
+def test_p_restricted_is_read_off_the_simple_coroot_pairings():
+    # is_p_restricted reads the pairings with the simple coroots as a - b and b
+    simple = tuple(POSITIVE_COROOTS[i] for i in SIMPLE_INDICES)
+    assert simple == (Coweight(1, -1, 0), Coweight(0, 1, 0))
+    grid = itertools.product(range(-3, 12), range(-3, 9), (-2, 0, 5))
+    for lam, p in itertools.product(itertools.starmap(Weight, grid), (5, 7)):
+        assert weights.is_p_restricted(lam, p) == all(0 <= pairing(lam, c) < p for c in simple)
 
 
 def test_serre_weight_normal_form():
@@ -445,12 +465,12 @@ def _fixture(name):
 
 
 def _kernel_at(pres, pair):
-    """F_pres at one pair tuple: a fresh slot table read at its one index
-    tuple, with no full slot made."""
+    """F_pres at one pair tuple, read alone at its one index tuple: no
+    table and no full slot is made."""
     index = weights._singles(pres.kind).index
     xs, ys = (pair.w1, pair.w2) if pres.kind == "param" else (pair.w2, pair.w1)
     combo = tuple(index[pr] for pr in zip(xs, ys))
-    return weights._SlotTable().weight(pres, pres.kind, combo)
+    return weights._SlotTable.weight(pres, pres.kind, combo)
 
 
 def _both_kinds(pres):
@@ -661,14 +681,10 @@ def test_offset_table_matches_oracle_exhaustively(p, monkeypatch):
             assert jh == _outcome(lambda: list(oracles.jh_factors(tau, 0).items()))
             raised += isinstance(wq, tuple) + isinstance(jh, tuple)
             wq_table = dict(wq) if isinstance(wq, list) else None
-            # the sigma1 check's read through one slot table per rho gives
-            # the same weight or error, on the first use and on the next
-            table, index = weights._SlotTable(), weights._singles("param").index
+            # the sigma1 check's read, one weight alone, gives the table's
+            # weight or the oracle's error
             for pair in enumerate_ap_prime(1):
                 got = _outcome(_kernel_at, rho, pair)
-                combo = (index[pair.w1[0], pair.w2[0]],)
-                for _ in range(2):
-                    assert _outcome(table.weight, rho, "param", combo) == got
                 if wq_table is not None:
                     assert got == wq_table[pair]
                 else:
