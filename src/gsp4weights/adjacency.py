@@ -58,8 +58,7 @@ def valid_simples(pair: APPair) -> tuple[tuple[int, int], ...]:
                  if single + (i,) in targets)
 
 
-@dataclass(frozen=True)
-class AdjacencyInstance:
+class AdjacencyInstance(NamedTuple):
     """One witness of adjacency: the pair, the reflection, and the derived
     type, parameter and weight pair."""
 

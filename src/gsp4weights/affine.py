@@ -74,28 +74,12 @@ def reflect_alcove(a: Alcove, i: int, m: int) -> Alcove:
     return Alcove(a.x + k * va, a.y + k * vb)
 
 
-class ExtAffine:
-    """t_nu * w, acting as x -> nu + w(x).  Immutable; equal elements hash
-    as the pair (nu, w), but an element is never equal to that pair."""
+class ExtAffine(NamedTuple):
+    """t_nu * w, acting as x -> nu + w(x): the pair (nu, w), equal and
+    hashing as that pair."""
 
-    __slots__ = ("nu", "w")
-
-    def __init__(self, nu: Weight, w: FiniteWeyl):
-        _set_nu(self, nu)
-        _set_w(self, w)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ExtAffine is immutable")
-
-    def __eq__(self, other):
-        # the Weyl parts are interned, so identity is equality
-        if type(other) is not ExtAffine:
-            return NotImplemented
-        return self.w is other.w and self.nu == other.nu
-
-    def __hash__(self):
-        # hash(w) is w.index, so this is hash((nu, w)) without calling it
-        return hash((self.nu, self.w.index))
+    nu: Weight
+    w: FiniteWeyl
 
     def __repr__(self):
         return "E[%s]" % (self.display(),)
@@ -107,10 +91,6 @@ class ExtAffine:
         if self.w is W_E:
             return t
         return t + "*" + self.w.display()
-
-
-# the constructor sets the slots directly, past __setattr__
-_set_nu, _set_w = (ExtAffine.__dict__[name].__set__ for name in ExtAffine.__slots__)
 
 
 IDENTITY = ExtAffine(Weight(0, 0, 0), W_E)

@@ -185,8 +185,11 @@ def load_presentation(path: str, expect_p: int | None = None,
             "%s: fixture has p=%d but the run is configured with p=%d"
             % (path, p, expect_p)
         )
-    if p < 5 or not _is_prime(p):
-        raise ValueError("%s: p must be a prime >= 5, got %d" % (path, p))
+    try:  # _is_prime refuses a p too large to decide
+        if p < 5 or not _is_prime(p):
+            raise ValueError("p must be a prime >= 5, got %d" % p)
+    except ValueError as exc:
+        raise ValueError("%s: %s" % (path, exc)) from None
     if expect_kind is not None and kind != expect_kind:
         raise ValueError("%s: fixture has kind %s, expected %s"
                          % (path, json.dumps(kind), json.dumps(expect_kind)))

@@ -80,8 +80,7 @@ def is_p_restricted(lam: Weight, p: int) -> bool:
     return 0 <= lam.a - lam.b < p and 0 <= lam.b < p
 
 
-@dataclass(frozen=True)
-class SerreWeight:
+class SerreWeight(NamedTuple):
     p: int
     parts: tuple[Weight, ...]
 
@@ -187,8 +186,7 @@ def type_from_target(rhobar: TamePresentation, g: TupleElt) -> TamePresentation:
 # --- AP pairs --------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class APPair:
+class APPair(NamedTuple):
     w1: TupleElt
     w2: TupleElt
 

@@ -3,6 +3,7 @@ import random
 import sys
 from collections import Counter
 from functools import cache
+from typing import NamedTuple
 
 import pytest
 
@@ -11,6 +12,7 @@ from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     IDENTITY,
     W0,
+    ExtAffine,
     alcove_of,
     compose,
     compose_all,
@@ -23,6 +25,7 @@ from gsp4weights.affine import (
 from gsp4weights.weights import (
     APPair,
     GenericityError,
+    SerreWeight,
     TamePresentation,
     enumerate_ap,
     enumerate_ap_prime,
@@ -95,6 +98,26 @@ def test_instance_basic_shape():
     )
     got = compose_all(invert(inst.tau.w_tilde()[0]), rho.w_tilde()[0])
     assert got == g_tau
+
+
+def test_value_types_are_named_tuples_hashing_as_their_fields():
+    # a seeded sample of rb_f2's instances and of the pairs, weights and
+    # elements they hold: each is a NamedTuple, hashes as the plain tuple
+    # of its fields, and refuses assignment to a field
+    instances = random.Random(17).sample(
+        list(_graph_of(fixture("rb_f2.json")).instances.values()), 30)
+    samples = {
+        AdjacencyInstance: instances,
+        APPair: [inst.pair for inst in instances],
+        SerreWeight: [inst.sigma2 for inst in instances],
+        ExtAffine: [x for inst in instances for x in inst.pair.w1 + inst.pair.w2],
+    }
+    for cls, values in samples.items():
+        assert NamedTuple in cls.__orig_bases__
+        for value in values:
+            assert type(value) is cls and hash(value) == hash(tuple(value))
+            with pytest.raises(AttributeError):
+                setattr(value, cls._fields[0], value[0])
 
 
 def test_diagonal_pair_edges_are_obvious_weights():
@@ -638,6 +661,17 @@ def test_per_slot_build_equals_the_single_instance_path_on_an_f3_sample():
     assert [state.instances[key] for key in alone] == list(alone.values())
 
 
+def test_f3_graph_checked_on_a_seeded_tenth():
+    # a seeded tenth of the f = 3 graph's 40800 instances, each checked
+    # through one slot table shared by all of them
+    instances = list(_graph_of(rho_f3()).instances.values())
+    table = weights._SlotTable()
+    sample = random.Random(3).sample(instances, len(instances) // 10)
+    assert len(sample) == 4080
+    for inst in sample:
+        adjacency._check_instance(inst, table)
+
+
 def test_f3_graph_unchecked():
     # the f = 3 graph of one 8-deep parameter: one component, and every
     # one of its instances obeys the per-slot product rule
@@ -750,6 +784,67 @@ def test_gamma_is_read_off_T():
     assert len(edges) == 23 and all(len(e) == 2 for e in edges)
     degrees = Counter(k for e in edges for k in e)
     assert sorted(Counter(degrees.values()).items()) == [(1, 4), (2, 12), (3, 2), (6, 2)]
+
+
+@pytest.mark.parametrize("f", [3, 4, 5, 6])
+def test_witness_map_on_checked_instances_at_f(f):
+    # 40 seeded pairs of random AP' singles, each with an allowed s, on one
+    # 9-deep parameter: each checked instance's sigma1 is F_rhobar at the
+    # pair's index tuple k, and its sigma2 is F_rhobar at k with slot j
+    # moved to T[k_j, i]
+    rho = random_deep_presentation(131, f, 9, random.Random(f), "param")
+    singles = weights._singles("param").pairs
+    rng = random.Random(100 + f)
+    for _ in range(40):
+        k = tuple(rng.randrange(len(singles)) for _ in range(f))
+        pair = APPair(tuple(singles[n][0] for n in k), tuple(singles[n][1] for n in k))
+        i, j = s = rng.choice(valid_simples(pair))
+        inst = build_instance(rho, pair, s, check=True)
+        moved = k[:j] + (oracles.T[k[j], i],) + k[j + 1:]
+        assert inst.sigma1 == weights._SlotTable.weight(rho, "param", k)
+        assert inst.sigma2 == weights._SlotTable.weight(rho, "param", moved)
+
+
+def _distances(neighbors, sources):
+    """The breadth-first distance from `sources` of each vertex reached."""
+    dist = dict.fromkeys(sources, 0)
+    queue = list(dist)
+    for v in queue:  # the queue grows while it is read
+        for nb in neighbors(v):
+            if nb not in dist:
+                dist[nb] = dist[v] + 1
+                queue.append(nb)
+    return dist
+
+
+def _gamma_neighbors(k):
+    """k's neighbours in Gamma, the f = 1 graph on AP' indices read off T."""
+    return sorted({new for (old, _), new in oracles.T.items() if old == k}
+                  | {old for (old, _), new in oracles.T.items() if new == k})
+
+
+def test_gamma_distances_are_read_off_T():
+    # distances to OBVIOUS are 0, 1, 2, 3 for 8, 8, 2, 2 indices, and the
+    # farthest two indices are 9 apart
+    dist = _distances(_gamma_neighbors, oracles.OBVIOUS)
+    assert sorted(Counter(dist.values()).items()) == [(0, 8), (1, 8), (2, 2), (3, 2)]
+    assert {k for k, d in dist.items() if d == 3} == {3, 7}
+    assert max(max(_distances(_gamma_neighbors, [k]).values()) for k in range(20)) == 9
+
+
+@pytest.mark.parametrize("name", ["rb1.json", "rb41.json", "rb_f2.json"])
+def test_distance_to_an_obvious_weight_is_the_sum_over_slots(name):
+    # a weight's distance to the obvious weights is the sum over its slots
+    # of their AP' indices' distances to OBVIOUS in Gamma, so at most 3f
+    rho = fixture(name)
+    state = _graph_of(rho)
+    index = weights._singles("param").index
+    slot = _distances(_gamma_neighbors, oracles.OBVIOUS)
+    dist = _distances(state.graph.neighbors, state.graph.obvious)
+    assert len(dist) == len(state.graph.vertices)
+    for sigma, pair in state.back.items():
+        assert dist[sigma] == sum(slot[index[single]] for single in zip(pair.w1, pair.w2))
+    assert max(dist.values()) == 3 * rho.f
 
 
 def test_slot_tables_are_made_only_where_full_slots_are_read(monkeypatch):

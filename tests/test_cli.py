@@ -576,6 +576,19 @@ def test_presentation_p_must_be_a_prime_from_5(capsys, tmp_path, p):
         2, "", "error: %s: fixture has p=%d but the run is configured with p=37\n" % (path, p))
 
 
+def test_presentation_p_too_large_to_test_names_the_file(capsys, tmp_path):
+    p = 10**25 + 1
+    path = _write_presentation(tmp_path, p=p)
+    with pytest.raises(ValueError) as exc:
+        load_presentation(path)
+    assert str(exc.value) == "%s: primality is decided only below %d, not for %d" % (
+        path, 3317044064679887385961981, p)
+    # the command line compares the fixture's p with the run's first
+    code, out, err = capture(capsys, ["weights", "--rhobar", path])
+    assert (code, out, err) == (
+        2, "", "error: %s: fixture has p=%d but the run is configured with p=37\n" % (path, p))
+
+
 @pytest.mark.parametrize("kind", ["typ", 5, None])
 def test_presentation_kind_must_be_type_or_param(capsys, tmp_path, kind):
     path = _write_presentation(tmp_path, kind=kind)
