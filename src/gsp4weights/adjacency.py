@@ -105,15 +105,15 @@ def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
     return table
 
 
-def _deriver(rhobar: TamePresentation) -> Callable[[APPair, tuple[int, int]], AdjacencyInstance]:
-    """The maker of rhobar's instances for one call: derive(pair, s), for
-    a pair made of AP' singles and an allowed s.  Its memo lives as long as
+def _deriver(rhobar: TamePresentation) -> Callable[..., AdjacencyInstance]:
+    """The maker of rhobar's instances for one call: derive(pair, s,
+    sigma1), for a pair of AP' singles, an allowed s and the pair's
+    predicted weight, which the instance keeps.  Its memo lives as long as
     the maker: rhobar.w_tilde() is made once, each slot of it is composed
     with each `_slot_targets` row once, and each distinct tau and rhobar0
-    is presented once; sigma1 and sigma2 are read alone
-    (`_SlotTable.weight`), with no table.  An instance fails as it fails
-    alone: tau and rhobar0 are presented, then the depth guards refuse
-    tau and then rhobar0, then the two weights are read."""
+    is presented once.  An instance fails as it fails alone: the depth
+    guards refuse tau and then rhobar0, F_tau(w) (read alone, with
+    `_SlotTable.weight`) must be sigma1, then F_tau(sw) is read."""
     targets = _slot_targets()
     x = rhobar.w_tilde()
     need = derived_depth_bound(rhobar.depth())  # margins scale with rhobar's depth
@@ -126,7 +126,7 @@ def _deriver(rhobar: TamePresentation) -> Callable[[APPair, tuple[int, int]], Ad
             pres = made[kind, wt] = presentation_from_w_tilde(kind, wt, rhobar.p)
         return pres
 
-    def derive(pair: APPair, s: tuple[int, int]) -> AdjacencyInstance:
+    def derive(pair: APPair, s: tuple[int, int], sigma1: SerreWeight) -> AdjacencyInstance:
         # w(tau) = w(rhobar) w1^(-1) s^(-1) w0^(-1) wh w2, so
         # w(rhobar0) = w(tau) w2^(-1) wh^(-1) w0 s w2 = w(rhobar) w1^(-1) w2
         # slot by slot: s cancels, and rhobar0 depends on the pair alone.
@@ -145,8 +145,9 @@ def _deriver(rhobar: TamePresentation) -> Callable[[APPair, tuple[int, int]], Ad
             raise GenericityError("derived type has depth %d < %d" % (tau.depth(), need))
         if rhobar0.depth() < need:
             raise GenericityError("derived parameter has depth %d < %d" % (rhobar0.depth(), need))
-        return AdjacencyInstance(rhobar, pair, s, tau, rhobar0,
-                                 _SlotTable.weight(tau, "type", w_combo),
+        if _SlotTable.weight(tau, "type", w_combo) != sigma1:
+            raise AssertionError("sigma1 does not match the weight of the pair")
+        return AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1,
                                  _SlotTable.weight(tau, "type", sw_combo))
 
     return derive
@@ -160,21 +161,22 @@ def build_instance(
 ) -> AdjacencyInstance:
     """Construct the adjacency witness for (rhobar, pair, s).
 
-    Derives the type tau with compatibility element w2^(-1) wh^(-1) w0 s w1,
-    the companion parameter rhobar0 with element w2^(-1) wh^(-1) w0 s w2
-    (their slots read from `_slot_targets`), and the two outer weights
-    sigma1 = F_tau(w), sigma2 = F_tau(sw) at the two outer index tuples,
-    by the derivation `_graph_of` uses (`_deriver`), made for the call.
-    With check=True it verifies, on one slot table made for the check,
-    that these two weights exhaust the intersection of the predicted set
-    of rhobar0 with the JH set of tau.
+    Reads sigma1 = F_rhobar at the pair first, refusing a parameter as
+    `build_graph` does, then derives by `_graph_of`'s derivation
+    (`_deriver`, made for the call) the type tau with element
+    w2^(-1) wh^(-1) w0 s w1, the companion parameter rhobar0 with element
+    w2^(-1) wh^(-1) w0 s w2, and sigma2 = F_tau(sw).  With check=True it
+    verifies, on one slot table made for the check, that sigma1 and sigma2
+    exhaust the intersection of the predicted set of rhobar0 with the JH
+    set of tau.
     """
     if rhobar.kind != "param":
         raise ValueError("rhobar must be a mod-p parameter presentation")
     if pair.f != rhobar.f:
         raise ValueError("pair and rhobar have different numbers of embeddings")
     index = _singles("param").index
-    if len(pair.w2) != rhobar.f or any(single not in index for single in zip(pair.w1, pair.w2)):
+    combo = tuple(index.get(single) for single in zip(pair.w1, pair.w2))
+    if len(pair.w2) != rhobar.f or None in combo:
         raise ValueError("pair is not made of AP' pairs")
     i, j = s
     if i not in (1, 2) or not 0 <= j < pair.f:
@@ -184,7 +186,8 @@ def build_instance(
             "s_{2,%d} is forbidden: the w1 component at embedding %d has "
             "length zero and differs from the w2 component" % (j, j)
         )
-    inst = _deriver(rhobar)(pair, s)
+    sigma1 = _SlotTable.weight(rhobar, "param", combo)
+    inst = _deriver(rhobar)(pair, s, sigma1)
     if check:
         _check_instance(inst, _SlotTable())
     return inst
@@ -193,19 +196,14 @@ def build_instance(
 def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
     """Raise AssertionError unless sigma1 and sigma2 are distinct and exhaust
     the intersection of the predicted set of rhobar0 with the JH set of tau,
-    and sigma1 is F_rhobar at the pair.  The intersection is read from the
-    caller's `table`, and F_rhobar at the pair is made alone; the guards,
-    the chain and both comparisons run here."""
+    read from the caller's `table`: the adjacency condition alone, since
+    sigma1 was checked where the instance was made (`_deriver`)."""
     got = intersect_w_jh(inst.rhobar0, inst.tau, table)
     if got != frozenset((inst.sigma1, inst.sigma2)) or inst.sigma1 == inst.sigma2:
         raise AssertionError(
             "intersection is not the expected two outer weights: %s"
             % sorted(s.display() for s in got)
         )
-    index = _singles("param").index
-    combo = tuple(index[single] for single in zip(inst.pair.w1, inst.pair.w2))
-    if _SlotTable.weight(inst.rhobar, "param", combo) != inst.sigma1:
-        raise AssertionError("sigma1 does not match the weight of the pair")
 
 
 @dataclass(frozen=True)
@@ -277,8 +275,8 @@ class _GraphState(NamedTuple):
 
 @lru_cache(maxsize=1)
 def _graph_of(rhobar: TamePresentation) -> _GraphState:
-    """rhobar's weight graph, built without checks, with the inverse of its
-    W? table (`w_question`) and its instances, made by one `_deriver`.
+    """rhobar's weight graph (no intersection checked), the inverse of its
+    W? table (`w_question`), and its instances, made from W? by one `_deriver`.
     Only the last parameter's state is kept:
     callers ask for one parameter's graph several times in a row
     (`build_graph`, then `find_chain` per weight).  No check result is
@@ -289,7 +287,8 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
         raise AssertionError("F_rhobar failed to be injective")
     vertices = tuple(sorted(back, key=SerreWeight.sort_key))
     derive = _deriver(rhobar)
-    instances = {(pair, s): derive(pair, s) for pair in wq for s in valid_simples(pair)}
+    instances = {(pair, s): derive(pair, s, sigma)
+                 for pair, sigma in wq.items() for s in valid_simples(pair)}
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
     for inst in instances.values():
         edges.setdefault(_edge(inst.sigma1, inst.sigma2), []).append(inst)

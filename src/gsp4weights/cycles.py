@@ -55,13 +55,13 @@ class FormalSum:
     __slots__ = ("_coeffs",)
 
     def __init__(self, coeffs=None):
-        data: dict[SerreWeight, int] = {}
-        for sigma, n in (coeffs or {}).items():
+        coeffs = dict(coeffs or {})
+        for sigma, n in coeffs.items():
             if not isinstance(sigma, SerreWeight):
                 raise TypeError("keys must be Serre weights")
-            if n := int(n):
-                data[sigma] = n
-        self._coeffs = data
+            if type(n) is not int:  # exactly int: isinstance would take a bool
+                raise TypeError("coefficient %r of %s is not an int" % (n, sigma.display()))
+        self._coeffs: dict[SerreWeight, int] = {sigma: n for sigma, n in coeffs.items() if n}
 
     def coeff(self, sigma: SerreWeight) -> int:
         return self._coeffs.get(sigma, 0)

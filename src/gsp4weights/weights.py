@@ -409,8 +409,8 @@ class _SlotTable:
     index of a W? slot on that slot, a join on its two full slots, and an
     intersection on the W? and JH slots of its two presentations; each is
     made on first use under that key and then read.  One weight alone
-    (`weight`) needs no table: its parts are made on every read and stored
-    nowhere.
+    (`weight`, read only to make an adjacency instance) needs no table:
+    its parts are made on every read and stored nowhere.
 
     Three checks run: the lowest-alcove test on each theta, per slot and
     single; `is_restricted_element` on each distinct y, once, when its

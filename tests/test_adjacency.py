@@ -210,6 +210,64 @@ def test_build_instance_refuses_pairs_not_made_of_ap_prime_pairs():
             build_instance(rho, forged, (1, 0))
 
 
+@pytest.mark.parametrize("mu", [(60, 30, 0), (2, 1, 0), (4, 2, 0)])
+def test_build_instance_refuses_a_parameter_as_build_graph_does(mu):
+    # outside the lowest alcove, and 1- and 2-deep: each instance reads
+    # F_rhobar at its pair first, so it is refused by the weight maps'
+    # guard, which names the parameter, before anything is derived
+    rho = TamePresentation("param", (W_S1,), (Weight(*mu),), 37)
+    _graph_of.cache_clear()
+    with pytest.raises(GenericityError) as refused:
+        build_graph(rho)
+    assert "param[s=s1 mu=%d,%d,%d]" % mu in str(refused.value)
+    for pair in enumerate_ap_prime(1):
+        for s in valid_simples(pair):
+            with pytest.raises(GenericityError) as alone:
+                build_instance(rho, pair, s, check=False)
+            assert str(alone.value) == str(refused.value)
+
+
+def test_unchecked_build_compares_sigma1_with_the_weight_of_the_pair(monkeypatch):
+    # with one row's outer index k_w moved to another AP index, F_tau(w)
+    # is not the pair's predicted weight, and even an unchecked build fails
+    forged = dict(adjacency._slot_targets())
+    key = next(key for key in forged if key[2] == 1)
+    g_inv, w1_inv_w2, k_w, k_sw = forged[key]
+    forged[key] = (g_inv, w1_inv_w2, (k_w + 1) % 20, k_sw)
+    monkeypatch.setattr(adjacency, "_slot_targets", lambda: forged)
+    _graph_of.cache_clear()
+    try:
+        with pytest.raises(AssertionError, match="^sigma1 does not match the weight of the pair$"):
+            build_graph(rho41(), check=False)
+    finally:
+        _graph_of.cache_clear()
+
+
+def test_weights_read_alone_are_read_only_where_instances_are_made(monkeypatch):
+    # counted by kind: a cold unchecked build of rb41 reads F_tau at the two
+    # outer tuples of its 34 instances and takes sigma1 from W?; checks and
+    # steered steps read nothing alone; an instance alone reads sigma1 and
+    # its two tau weights, checked or not
+    rho = fixture("rb41.json")
+    reads = []
+    real = weights._SlotTable.weight
+    monkeypatch.setattr(weights._SlotTable, "weight", staticmethod(
+        lambda pres, kind, combo: reads.append(kind) or real(pres, kind, combo)))
+    _graph_of.cache_clear()
+    graph = build_graph(rho, check=False)
+    assert Counter(reads) == {"type": 68}
+    reads.clear()
+    build_graph(rho, check=True)
+    for sigma in graph.vertices:
+        find_chain(rho, sigma)
+    assert len(graph.vertices) == 20 and reads == []
+    pair = next(pr for pr in enumerate_ap_prime(1) if pr.w1 != pr.w2)
+    for check in (True, False):
+        reads.clear()
+        build_instance(rho, pair, (1, 0), check=check)
+        assert reads == ["param", "type", "type"]
+
+
 @pytest.mark.parametrize("name, count", (("rb1.json", 8), ("rb41.json", 8), ("rb_f2.json", 64)))
 def test_graph_reads_the_obvious_weights_off_its_w_question_table(name, count):
     # the graph's obvious weights are W?'s values at its diagonal pairs,
@@ -661,26 +719,17 @@ def test_per_slot_build_equals_the_single_instance_path_on_an_f3_sample():
     assert [state.instances[key] for key in alone] == list(alone.values())
 
 
-def test_f3_graph_checked_on_a_seeded_tenth():
-    # a seeded tenth of the f = 3 graph's 40800 instances, each checked
-    # through one slot table shared by all of them
-    instances = list(_graph_of(rho_f3()).instances.values())
-    table = weights._SlotTable()
-    sample = random.Random(3).sample(instances, len(instances) // 10)
-    assert len(sample) == 4080
-    for inst in sample:
-        adjacency._check_instance(inst, table)
-
-
-def test_f3_graph_unchecked():
-    # the f = 3 graph of one 8-deep parameter: one component, and every
-    # one of its instances obeys the per-slot product rule
+def test_f3_graph_unchecked_then_checked():
+    # the f = 3 graph of one 8-deep parameter: one component, every one of
+    # its instances obeys the per-slot product rule, and a checked build on
+    # the same memo runs the intersection check of all 40800
     rho = rho_f3()
     graph = build_graph(rho, check=False)
     instances = _graph_of(rho).instances
     assert (len(graph.vertices), len(instances), len(graph.edges)) == (8000, 40800, 27600)
     assert len(graph.components()) == 1
     assert len(slot_product_map([rho])) == 34
+    assert build_graph(rho, check=True) is graph
     _graph_of.cache_clear()
 
 

@@ -1,5 +1,6 @@
 import os
 import random
+import re
 
 import pytest
 
@@ -77,6 +78,14 @@ def test_formal_sum_arithmetic():
     assert Cycle({a: 0}) == Cycle()
     assert not bool(Cycle())
     assert x.support() == tuple(sorted((a, b), key=lambda s: s.sort_key()))
+
+
+@pytest.mark.parametrize("n", [True, 0.9, 2.5, "3"])
+def test_formal_sum_refuses_coefficients_that_are_not_ints(n):
+    a = sw(Weight(5, 3, 0))
+    with pytest.raises(TypeError, match=r"^coefficient %s of %s is not an int$"
+                       % (re.escape(repr(n)), re.escape(a.display()))):
+        Cycle({a: n})
 
 
 def test_formal_sum_kinds_do_not_mix():

@@ -485,6 +485,19 @@ def test_only_the_slot_table_makes_weight_parts():
     assert [node.lineno for node in calls if id(node) not in inside] == []
 
 
+def test_only_instance_makers_read_a_weight_alone():
+    # F at one index tuple is read only where an adjacency instance is
+    # made: inside adjacency._deriver, and in build_instance for sigma1
+    trees = _package_trees()
+    inside = {id(node) for fn in trees["adjacency"].body
+              if isinstance(fn, ast.FunctionDef) and fn.name in ("_deriver", "build_instance")
+              for node in ast.walk(fn)}
+    reads = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "weight"]
+    assert reads
+    assert [(name, node.lineno) for name, node in reads if id(node) not in inside] == []
+
+
 def test_only_the_kronecker_pair_shifts_by_a_variable_amount():
     # one Kronecker substitution: every << or >> whose shift amount is not
     # a constant is inside exactalg._pack or exactalg._unpack
