@@ -7,7 +7,9 @@ group, so the set carries a single length-zero part.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Callable
+from dataclasses import dataclass, field
+from functools import cached_property
 
 from .base import (
     ETA,
@@ -22,6 +24,7 @@ from .affine import (
     ExtAffine,
     alcove_length,
     alcove_of,
+    bruhat_down_alcoves,
     bruhat_down_set,
     bruhat_leq,
     compose_all,
@@ -36,7 +39,8 @@ from .affine import (
 
 
 def elem_sort_key(x: ExtAffine):
-    # the length as `length` computes it, without its argument cache
+    """The order of AdmissibleSet.sorted_elements where no alcove is at
+    hand: `length` as it computes it, without its argument cache."""
     return (alcove_length(alcove_of(x)), tuple(x.nu), x.w.word)
 
 
@@ -49,11 +53,19 @@ def translation_generators(lam: Weight) -> tuple[ExtAffine, ...]:
 
 @dataclass(frozen=True)
 class AdmissibleSet:
+    """Adm(lam), equal as lam and `elements`.  `order` lists the elements
+    by (length, nu, word); sorted_elements() calls it once, on first use."""
+
     lam: Weight
     elements: frozenset[ExtAffine]
+    order: Callable[[], list[ExtAffine]] = field(compare=False, repr=False)
+
+    @cached_property
+    def _sorted(self) -> tuple[ExtAffine, ...]:
+        return tuple(self.order())
 
     def sorted_elements(self) -> list[ExtAffine]:
-        return sorted(self.elements, key=elem_sort_key)
+        return list(self._sorted)
 
     def colength(self, x: ExtAffine) -> int:
         return length(translation(self.lam)) - length(x)
@@ -63,8 +75,11 @@ class AdmissibleSet:
 
 
 def adm_set(lam: Weight) -> AdmissibleSet:
-    """Union of the lower Bruhat intervals of the Weyl translates of lam."""
-    return AdmissibleSet(lam, bruhat_down_set(translation_generators(lam)))
+    """Union of the lower Bruhat intervals of the Weyl translates of lam,
+    ordered by the alcove the closure made each element at."""
+    down = bruhat_down_alcoves(translation_generators(lam))
+    return AdmissibleSet(lam, frozenset(down.values()), lambda: [
+        k[3] for k in sorted((alcove_length(a), z.nu, z.w.word, z) for a, z in down.items())])
 
 
 def adm_set_oracle(lam: Weight) -> AdmissibleSet:
@@ -73,8 +88,8 @@ def adm_set_oracle(lam: Weight) -> AdmissibleSet:
     gens = translation_generators(lam)
     max_len = max(length(g) for g in gens)
     ball = coset_ball(omega_part(gens[0]), max_len)
-    elems = {x for x in ball if any(bruhat_leq(x, g) for g in gens)}
-    return AdmissibleSet(lam, frozenset(elems))
+    elems = sorted((x for x in ball if any(bruhat_leq(x, g) for g in gens)), key=elem_sort_key)
+    return AdmissibleSet(lam, frozenset(elems), lambda: elems)
 
 
 def adm_dual_set(lam: Weight) -> frozenset[ExtAffine]:

@@ -225,34 +225,34 @@ def _element_at(a: Alcove, cls: int) -> ExtAffine:
     raise AssertionError("no element of class %d at %r" % (cls, a))
 
 
-def bruhat_down_set(
+def bruhat_down_alcoves(
     gens: Sequence[ExtAffine], roots: Sequence[int] = range(4)
-) -> frozenset[ExtAffine]:
-    """All elements Bruhat-below some generator, in the order of the
-    reflections of the given root directions (a Levi's coroot indices give
-    the Levi's order).  A reflection shortens an element it multiplies on
-    the left iff its wall separates the element's alcove from the base
-    alcove (Humphreys, Reflection Groups and Coxeter Groups, 5.9).  The
-    order is graded (Bjorner-Brenti, Combinatorics of Coxeter Groups,
-    2.2.6), so the down-set is the closure under covers, and each cover
-    reflects in an outermost separating wall of its direction: the one
-    nearest the alcove or the one nearest the base alcove.  A middle wall
-    H, with a separating wall of its direction on each side, lowers the
-    length by at least 3: the other walls separating r_H's alcove from the
-    base pair up as {W, r_H W}, each pair meets the walls separating x's
-    alcove, and H's two neighbours are one pair that both do.  Outermost
-    walls alone make about 7 candidate alcoves per alcove kept, where
-    every separating wall made about 20 (over Adm(a, b, 0), b <= a <= 11).
-    The generators' one Omega-class fixes the element of each alcove; no
-    generators have the empty down-set."""
+) -> dict[Alcove, ExtAffine]:
+    """Each element Bruhat-below some generator, keyed by its alcove, in the
+    order of the reflections of the given root directions (a Levi's coroot
+    indices give the Levi's order).  A reflection shortens an element it
+    multiplies on the left iff its wall separates the element's alcove from
+    the base alcove (Humphreys, Reflection Groups and Coxeter Groups,
+    5.9).  The order is graded (Bjorner-Brenti, Combinatorics of Coxeter
+    Groups, 2.2.6), so the down-set is the closure under covers, and each
+    cover reflects in an outermost separating wall of its direction: the one
+    nearest the alcove or the one nearest the base alcove.  A middle wall H,
+    with a separating wall of its direction on each side, lowers the length
+    by at least 3: the other walls separating r_H's alcove from the base
+    pair up as {W, r_H W}, each pair meets the walls separating x's alcove,
+    and H's two neighbours are one pair that both do.  Outermost walls alone
+    make about 7 candidate alcoves per alcove kept, where every separating
+    wall made about 20 (over Adm(a, b, 0), b <= a <= 11).  The generators'
+    one Omega-class fixes each alcove's element, made and checked where the
+    alcove is first reached.  No generators, no elements."""
     if not gens:
-        return frozenset()
+        return {}
     classes = {omega_class(g) for g in gens}
     assert len(classes) == 1, "generators in several Omega-classes: %r" % (gens,)
     (cls,) = classes
     dirs = [(i, _ROOT_VECS[i]) for i in roots]
-    seen = {alcove_of(g) for g in gens}
-    frontier = list(seen)
+    down = {alcove_of(g): g for g in gens}
+    frontier = list(down)
     while frontier:
         nxt = []
         for x, y in frontier:
@@ -273,13 +273,18 @@ def bruhat_down_set(
                     continue
                 for d in ds:
                     q = (x + d * va, y + d * vb)
-                    if q not in seen:
-                        seen.add(q)
+                    if q not in down:
+                        z = down[q] = _element_at(q, cls)
+                        # alcove_of(z) == q, inline: no call, no Alcove
+                        assert _BASE_IMAGES[z.w.index] == (q[0] - 6 * z.nu.a, q[1] - 6 * z.nu.b)
                         nxt.append(q)
         frontier = nxt
-    elems = {a: _element_at(a, cls) for a in seen}
-    assert all(alcove_of(z) == a for a, z in elems.items())
-    return frozenset(elems.values())
+    return down
+
+
+def bruhat_down_set(gens: Sequence[ExtAffine], roots: Sequence[int] = range(4)) -> frozenset:
+    """The elements of bruhat_down_alcoves, without their alcoves."""
+    return frozenset(bruhat_down_alcoves(gens, roots).values())
 
 
 def bruhat_leq(x: ExtAffine, y: ExtAffine) -> bool:

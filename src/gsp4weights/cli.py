@@ -311,26 +311,21 @@ def _cmd_adm(cfg: RunConfig, args) -> list[str]:
     lam = _parse_lambda(args.lam)
     if args.dual:
         elems = sorted(adm_dual_set(lam), key=elem_sort_key)
-        lens = {x: dual_length(x) for x in elems}
+        lens = [dual_length(x) for x in elems]
     else:
         elems = adm_set(lam).sorted_elements()
-        lens = {x: length(x) for x in elems}
-    max_len = max(lens.values()) if elems else 0
+        lens = [length(x) for x in elems]
+    max_len = max(lens, default=0)
+    recs = [(x, n, max_len - n, is_regular_element(x)) for x, n in zip(elems, lens)]
     return _emit(cfg, "adm", None, {
         "lambda": [lam.a, lam.b, lam.c],
         "dual": bool(args.dual),
         "count": len(elems),
-        "elements": [
-            dict(_elem_json(x), length=lens[x], colength=max_len - lens[x],
-                 regular=is_regular_element(x))
-            for x in elems
-        ],
+        "elements": [dict(_elem_json(x), length=n, colength=c, regular=r) for x, n, c, r in recs],
     }, header={"count": len(elems), "dual": "yes" if args.dual else "no",
                "lam": "%d,%d,%d" % (lam.a, lam.b, lam.c)},
-        rows=("len=%d colen=%d regular=%s %s"
-              % (lens[x], max_len - lens[x],
-                 "yes" if is_regular_element(x) else "no", x.display())
-              for x in elems))
+        rows=("len=%d colen=%d regular=%s %s" % (n, c, "yes" if r else "no", x.display())
+              for x, n, c, r in recs))
 
 
 def _cmd_ap(cfg: RunConfig, args) -> list[str]:

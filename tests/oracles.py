@@ -475,6 +475,42 @@ def adm_set(lam: Weight) -> frozenset[ExtAffine]:
     return levi_adm_set(lam, LEVI_G)
 
 
+# the vertices (0, 0), (1/2, 1/2) and (1, 0) of the base alcove, doubled
+BASE_VERTICES = ((0, 0), (1, 1), (2, 0))
+
+
+def perm_set(lam: Weight, vertices=BASE_VERTICES) -> frozenset[ExtAffine]:
+    """Perm(lam), the vertexwise test (Kottwitz-Rapoport, Manuscripta
+    Math. 2000): the x = t_nu w in t_lam's Omega-class, that is with nu -
+    lam in the root lattice {(m, 2n - m, -n)}, such that x(v) - v lies in
+    Conv(W lam), the octagon |x| <= a, |y| <= a, |x| + |y| <= a + b, for
+    every vertex v.  In doubled integer coordinates, with w acting through
+    its word; nu ranges over |nu_a|, |nu_b| <= a + 1, which holds every
+    solution for any one vertex, as |w(v)| <= 1.  Adm(lam) is inside; that
+    the two are equal is measured."""
+    a, b, c = lam
+
+    def inside(x, y):
+        return abs(x) <= 2 * a and abs(y) <= 2 * a and abs(x) + abs(y) <= 2 * (a + b)
+
+    moves = []  # per w, the doubled w(v) - v of each vertex
+    for w in W_ALL:
+        ia, ib = (word_act(w.word, e) for e in CHAR_BASIS[:2])
+        moves.append((w, [(vx * ia.a + vy * ib.a - vx, vx * ia.b + vy * ib.b - vy)
+                          for vx, vy in vertices]))
+    out = set()
+    for na in range(-a - 1, a + 2):
+        for nb in range(-a - 1, a + 2):
+            m = na - a + nb - b
+            if m % 2:
+                continue
+            nu = Weight(na, nb, c - m // 2)
+            for w, ds in moves:
+                if all(inside(2 * na + dx, 2 * nb + dy) for dx, dy in ds):
+                    out.add(ExtAffine(nu, w))
+    return frozenset(out)
+
+
 def irregular_family() -> frozenset[ExtAffine]:
     """The irregular colength-one elements of Adm(eta) by their formula
     (w_diamond)^(-1) * (highest restricted)^(-1) * w0 * s * w_diamond,

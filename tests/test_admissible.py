@@ -37,6 +37,7 @@ import oracles
 
 def test_adm_eta_against_oracle():
     assert adm_set(ETA).elements == adm_set_oracle(ETA).elements
+    assert adm_set(ETA).sorted_elements() == adm_set_oracle(ETA).sorted_elements()
 
 
 def test_adm_small_weights_against_oracle():
@@ -67,13 +68,25 @@ def test_adm_eta_counts():
 
 
 def test_adm_size_polynomial():
-    # |Adm(a, b, c)| = 8a^2 + 16ab - 8b^2 + 4a - 2b + 1, measured on this
-    # grid, not proven
-    for a in range(13):
-        for b in range(a + 1):
-            want = 8 * a * a + 16 * a * b - 8 * b * b + 4 * a - 2 * b + 1
-            for c in (-1, 0, 1):
-                assert len(adm_set(Weight(a, b, c)).elements) == want, (a, b, c)
+    # Adm(lam) = Perm(lam), the vertexwise test, and |Adm(a, b, c)| = 8a^2 +
+    # 16ab - 8b^2 + 4a - 2b + 1: both measured on this grid, not proven
+    lams = [Weight(a, b, c) for a in range(16) for b in range(a + 1) for c in (-1, 0, 1)]
+    for lam in lams + [Weight(40, 15, 0)]:
+        a, b, _ = lam
+        got = adm_set(lam).elements
+        assert got == oracles.perm_set(lam), lam
+        assert len(got) == 8 * a * a + 16 * a * b - 8 * b * b + 4 * a - 2 * b + 1, lam
+
+
+def test_perm_set_needs_every_vertex():
+    # the vertexwise test on any two of the base alcove's three vertices
+    # keeps elements outside Adm
+    for lam in (Weight(2, 1, 0), Weight(3, 1, 0), Weight(5, 3, 0)):
+        adm = adm_set(lam).elements
+        for drop in range(3):
+            vertices = oracles.BASE_VERTICES[:drop] + oracles.BASE_VERTICES[drop + 1:]
+            perm = oracles.perm_set(lam, vertices)
+            assert adm < perm, (lam, drop)
 
 
 def test_colength_zero_is_translations():

@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from gsp4weights import admissible, affine
 from gsp4weights.base import ETA, W_ALL, W_LONG, Weight, weyl_from_word
 from gsp4weights.admissible import (
     LEVI_G,
@@ -32,6 +33,7 @@ from gsp4weights.affine import (
     _BRUHAT_CACHE,
     alcove_of,
     arrow_down_region,
+    bruhat_down_alcoves,
     bruhat_down_set,
     bruhat_leq,
     bruhat_leq_oracle,
@@ -217,6 +219,25 @@ def test_bruhat_down_set_of_no_generators_is_empty():
     assert bruhat_down_set([], (0,)) == frozenset()
 
 
+def test_bruhat_closure_makes_and_checks_each_element_once(monkeypatch):
+    gens = translation_generators(Weight(6, 3, -1))
+    made = []
+    real = affine._element_at
+
+    def counted(a, cls):
+        made.append(a)
+        return real(a, cls)
+
+    monkeypatch.setattr(affine, "_element_at", counted)
+    down = bruhat_down_alcoves(gens)
+    assert all(alcove_of(z) == a for a, z in down.items())
+    assert sorted(made) == sorted(set(down) - {alcove_of(g) for g in gens})
+    # an element that does not map the base alcove to its alcove is refused
+    monkeypatch.setattr(affine, "_element_at", lambda a, cls: compose(S1, real(a, cls)))
+    with pytest.raises(AssertionError):
+        bruhat_down_alcoves(gens)
+
+
 def test_middle_separating_walls_are_never_covers():
     # every alcove t_(i,j,0) w(A_0) with |i|, |j| <= 12: a separating wall
     # shortens, by at least 3 when it is a middle wall (one with a
@@ -380,10 +401,34 @@ def test_adm_sorted_elements_keep_their_order():
                 got = adm.sorted_elements()
                 digest.update(repr(got).encode())
                 if c == 0:
-                    want = sorted(adm.elements,
-                                  key=lambda x: (oracles.length(x), tuple(x.nu), x.w.word))
-                    assert got == want
+                    assert got == _oracle_sorted(adm.elements)
     assert digest.hexdigest() == _GRID_SORTED_SHA256
+    for lam in (Weight(12, 5, 0), Weight(40, 15, 0)):
+        adm = adm_set(lam)
+        assert adm.sorted_elements() == _oracle_sorted(adm.elements), lam
+
+
+def _oracle_sorted(elems):
+    return sorted(elems, key=lambda x: (oracles.length(x), tuple(x.nu), x.w.word))
+
+
+def test_adm_sorted_elements_make_each_alcove_once(monkeypatch):
+    # the closure hands each element over with its alcove, and the sort
+    # reads that alcove: the alcove_of calls left are the generators',
+    # in translation_generators' sort and as the closure's seeds
+    calls = []
+    real = affine.alcove_of
+
+    def counted(x):
+        calls.append(x)
+        return real(x)
+
+    monkeypatch.setattr(affine, "alcove_of", counted)
+    monkeypatch.setattr(admissible, "alcove_of", counted)
+    for lam in (Weight(2, 1, 0), Weight(6, 3, -1), Weight(12, 5, 0)):
+        calls.clear()
+        got = adm_set(lam).sorted_elements()
+        assert len(calls) <= len(got), (lam, len(calls), len(got))
 
 
 def test_restricted_alcove_chain():

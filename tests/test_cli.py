@@ -15,7 +15,7 @@ from gsp4weights.cli import (
     main,
     run,
 )
-from gsp4weights import adjacency
+from gsp4weights import adjacency, cli
 from gsp4weights.exactalg import PrimeField
 from gsp4weights.weights import TamePresentation
 
@@ -89,6 +89,20 @@ def test_adm_json_schema(capsys):
     assert obj["schema"] == "gsp4weights/adm/1"
     assert obj["count"] == 63 == len(obj["elements"])
     assert {e["length"] for e in obj["elements"]} == set(range(8))
+
+
+@pytest.mark.parametrize("argv", [["--json"], ["--table"], ["--dual", "--json"],
+                                  ["--dual", "--table"]],
+                         ids=["json", "table", "dual-json", "dual-table"])
+def test_adm_makes_each_record_once(capsys, monkeypatch, argv):
+    # length, colength and regularity are computed once per element,
+    # and both formats read them
+    calls = []
+    real = cli.is_regular_element
+    monkeypatch.setattr(cli, "is_regular_element", lambda x: calls.append(x) or real(x))
+    code, out, err = capture(capsys, ["adm", "--lambda", "6,3,0"] + argv)
+    assert code == 0 and err == ""
+    assert len(calls) == len(set(calls)) == 8 * 36 + 16 * 18 - 8 * 9 + 4 * 6 - 2 * 3 + 1
 
 
 def test_adm_bad_lambda_exits_2(capsys):

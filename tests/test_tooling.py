@@ -24,6 +24,9 @@ Kronecker substitution behind every polynomial and matrix product.
 
 An unbounded cache keeps an entry per distinct argument for the life of
 the process, so only tables of no arguments may be cached whole.
+
+`admissible.elem_sort_key` makes an element's alcove again, so it is
+named only where no alcove is at hand.
 """
 
 import ast
@@ -496,6 +499,27 @@ def test_only_instance_makers_read_a_weight_alone():
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "weight"]
     assert reads
     assert [(name, node.lineno) for name, node in reads if id(node) not in inside] == []
+
+
+def test_elem_sort_key_only_where_no_alcove_is_at_hand():
+    # the (length, nu, word) order is read off the alcove in hand where
+    # there is one (adm_set's closure); elem_sort_key, which makes the
+    # alcove again, is named only in the functions below and on the
+    # --dual path of cli._cmd_adm
+    trees = _package_trees()
+    allowed = {("admissible", "translation_generators"), ("admissible", "adm_set_oracle"),
+               ("weights", "_ap_pairs_single"), ("weights", "_ap_prime_pairs_single")}
+    fns = {(name, fn.name): fn for name, tree in trees.items() for fn in tree.body
+           if isinstance(fn, ast.FunctionDef)}
+    (dual,) = [node for node in ast.walk(fns["cli", "_cmd_adm"]) if isinstance(node, ast.If)
+               and isinstance(node.test, ast.Attribute) and node.test.attr == "dual"]
+    inside = {id(node) for key in allowed for node in ast.walk(fns[key])}
+    inside |= {id(node) for stmt in dual.body for node in ast.walk(stmt)}
+    uses = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
+            if isinstance(node, ast.Name) and node.id == "elem_sort_key"
+            and isinstance(node.ctx, ast.Load)]
+    assert uses
+    assert [(name, node.lineno) for name, node in uses if id(node) not in inside] == []
 
 
 def test_only_the_kronecker_pair_shifts_by_a_variable_amount():
