@@ -12,7 +12,7 @@ from __future__ import annotations
 import logging
 from collections.abc import Callable, Mapping
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
@@ -206,28 +206,19 @@ def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
         )
 
 
-@dataclass(frozen=True)
-class WeightGraph:
-    """Simple graph on the predicted weights of a parameter.  Every caller
-    asking for the same parameter's graph gets the same object, so `edges`
-    is a read-only view.  Its keys are in (a, b) sort_key order."""
+class WeightGraph(NamedTuple):
+    """Simple graph on the predicted weights of a parameter, made whole by
+    `_graph_of`.  Callers asking for one parameter's graph share it, so
+    `edges` (keyed in (a, b) sort_key order) and `adjacent` (each endpoint's
+    partners, in sort_key order) are read-only views."""
 
     vertices: tuple[SerreWeight, ...]
     edges: Mapping[tuple[SerreWeight, SerreWeight], tuple[AdjacencyInstance, ...]]
     obvious: frozenset[SerreWeight]
-
-    @cached_property
-    def _adjacent(self) -> dict[SerreWeight, tuple[SerreWeight, ...]]:
-        """Each endpoint's neighbours in sort_key order, built once: read
-        in the order of the edges, which are sorted by (a, b) with a < b."""
-        nbs: dict[SerreWeight, list[SerreWeight]] = {}
-        for a, b in self.edges:
-            nbs.setdefault(a, []).append(b)
-            nbs.setdefault(b, []).append(a)
-        return {v: tuple(vs) for v, vs in nbs.items()}
+    adjacent: Mapping[SerreWeight, tuple[SerreWeight, ...]]
 
     def neighbors(self, sigma: SerreWeight) -> tuple[SerreWeight, ...]:
-        return self._adjacent.get(sigma, ())
+        return self.adjacent.get(sigma, ())
 
     def _walk(self, start: SerreWeight):
         """Breadth-first from start: yields each weight reached, in order,
@@ -294,9 +285,14 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
         edges.setdefault(_edge(inst.sigma1, inst.sigma2), []).append(inst)
     # the obvious weights are W?'s values at the diagonal pairs (w1 == w2)
     obvious = frozenset(sigma for sigma, pair in back.items() if pair.w1 == pair.w2)
-    edge_view = MappingProxyType({e: tuple(edges[e]) for e in sorted(
-        edges, key=lambda e: (e[0].sort_key(), e[1].sort_key()))})
-    state = _GraphState(WeightGraph(vertices, edge_view, obvious), back, instances)
+    edge_view, nbs = {}, {}
+    for a, b in sorted(edges, key=lambda e: (e[0].sort_key(), e[1].sort_key())):
+        edge_view[a, b] = tuple(edges[a, b])
+        nbs.setdefault(a, []).append(b)  # in edge order, so partners come in sort_key order
+        nbs.setdefault(b, []).append(a)
+    graph = WeightGraph(vertices, MappingProxyType(edge_view), obvious,
+                        MappingProxyType({v: tuple(vs) for v, vs in nbs.items()}))
+    state = _GraphState(graph, back, instances)
     if rhobar.depth() < RHOBAR_DEPTH:
         log.warning(
             "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",

@@ -7,9 +7,7 @@ group, so the set carries a single length-zero part.
 
 from __future__ import annotations
 
-from collections.abc import Callable
-from dataclasses import dataclass, field
-from functools import cached_property
+from typing import NamedTuple
 
 from .base import (
     ETA,
@@ -51,35 +49,35 @@ def translation_generators(lam: Weight) -> tuple[ExtAffine, ...]:
     return tuple(sorted(gens, key=elem_sort_key))
 
 
-@dataclass(frozen=True)
-class AdmissibleSet:
-    """Adm(lam), equal as lam and `elements`.  `order` lists the elements
-    by (length, nu, word); sorted_elements() calls it once, on first use."""
+class AdmissibleSet(NamedTuple):
+    """Adm(lam), made whole by its maker: `order` lists the elements by
+    (length, nu, word).  Both makers list them in that one order, so two
+    sets are equal as (lam, order) exactly when they are equal as (lam,
+    elements); `elements` makes the set only where it is read."""
 
     lam: Weight
-    elements: frozenset[ExtAffine]
-    order: Callable[[], list[ExtAffine]] = field(compare=False, repr=False)
+    order: tuple[ExtAffine, ...]
 
-    @cached_property
-    def _sorted(self) -> tuple[ExtAffine, ...]:
-        return tuple(self.order())
+    @property
+    def elements(self) -> frozenset[ExtAffine]:
+        return frozenset(self.order)
 
     def sorted_elements(self) -> list[ExtAffine]:
-        return list(self._sorted)
+        return list(self.order)
 
     def colength(self, x: ExtAffine) -> int:
         return length(translation(self.lam)) - length(x)
 
     def of_colength(self, k: int) -> list[ExtAffine]:
-        return [x for x in self.sorted_elements() if self.colength(x) == k]
+        return [x for x in self.order if self.colength(x) == k]
 
 
 def adm_set(lam: Weight) -> AdmissibleSet:
     """Union of the lower Bruhat intervals of the Weyl translates of lam,
     ordered by the alcove the closure made each element at."""
     down = bruhat_down_alcoves(translation_generators(lam))
-    return AdmissibleSet(lam, frozenset(down.values()), lambda: [
-        k[3] for k in sorted((alcove_length(a), z.nu, z.w.word, z) for a, z in down.items())])
+    return AdmissibleSet(lam, tuple(k[3] for k in sorted(
+        (alcove_length(a), z.nu, z.w.word, z) for a, z in down.items())))
 
 
 def adm_set_oracle(lam: Weight) -> AdmissibleSet:
@@ -88,12 +86,12 @@ def adm_set_oracle(lam: Weight) -> AdmissibleSet:
     gens = translation_generators(lam)
     max_len = max(length(g) for g in gens)
     ball = coset_ball(omega_part(gens[0]), max_len)
-    elems = sorted((x for x in ball if any(bruhat_leq(x, g) for g in gens)), key=elem_sort_key)
-    return AdmissibleSet(lam, frozenset(elems), lambda: elems)
+    return AdmissibleSet(lam, tuple(sorted(
+        (x for x in ball if any(bruhat_leq(x, g) for g in gens)), key=elem_sort_key)))
 
 
 def adm_dual_set(lam: Weight) -> frozenset[ExtAffine]:
-    return frozenset(star(x) for x in adm_set(lam).elements)
+    return frozenset(star(x) for x in adm_set(lam).order)
 
 
 def is_regular_element(x: ExtAffine) -> bool:

@@ -198,8 +198,8 @@ def _case_tables() -> tuple[frozenset, frozenset, frozenset]:
 
 def classify_embedding_shape(g) -> int:
     """1 for a translation of an extreme weight, 2 for the irregular
-    colength-one family, 3 for the regular colength-one family; raises if
-    the element is none of these."""
+    colength-one family, 3 for the regular colength-one family; raises
+    otherwise, naming a regular colength-one element of Adm(eta) as such."""
     case1, case2, case3 = _case_tables()
     if g in case1:
         return 1
@@ -207,6 +207,9 @@ def classify_embedding_shape(g) -> int:
         return 2
     if g in case3:
         return 3
+    if g in colength_one_split()[0]:
+        raise ValueError("regular colength-one element outside the classified family: %s"
+                         % g.display())
     raise ValueError("not a colength-one/extremal configuration: %s" % g.display())
 
 

@@ -204,7 +204,7 @@ def _ap_pairs_single() -> tuple[tuple[ExtAffine, ExtAffine], ...]:
     """Per-embedding AP pairs: w1 restricted (c = 0), w2 dominant,
     w1 arrow-below hw^(-1) w2, and w2^(-1) w0 w1 admissible for eta."""
     hw_inv = invert(HIGHEST_RESTRICTED)
-    adm = adm_set(ETA).elements
+    adm = adm_set(ETA).order
     pairs = []
     for w in W_ALL:
         w1 = diamond(w)

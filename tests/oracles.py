@@ -493,11 +493,7 @@ def perm_set(lam: Weight, vertices=BASE_VERTICES) -> frozenset[ExtAffine]:
     def inside(x, y):
         return abs(x) <= 2 * a and abs(y) <= 2 * a and abs(x) + abs(y) <= 2 * (a + b)
 
-    moves = []  # per w, the doubled w(v) - v of each vertex
-    for w in W_ALL:
-        ia, ib = (word_act(w.word, e) for e in CHAR_BASIS[:2])
-        moves.append((w, [(vx * ia.a + vy * ib.a - vx, vx * ia.b + vy * ib.b - vy)
-                          for vx, vy in vertices]))
+    moves = _vertex_moves(vertices)
     out = set()
     for na in range(-a - 1, a + 2):
         for nb in range(-a - 1, a + 2):
@@ -509,6 +505,41 @@ def perm_set(lam: Weight, vertices=BASE_VERTICES) -> frozenset[ExtAffine]:
                 if all(inside(2 * na + dx, 2 * nb + dy) for dx, dy in ds):
                     out.add(ExtAffine(nu, w))
     return frozenset(out)
+
+
+def _vertex_moves(vertices):
+    """Per finite w, the doubled w(v) - v of each vertex v."""
+    moves = []
+    for w in W_ALL:
+        ia, ib = (word_act(w.word, e) for e in CHAR_BASIS[:2])
+        moves.append((w, [(vx * ia.a + vy * ib.a - vx, vx * ia.b + vy * ib.b - vy)
+                          for vx, vy in vertices]))
+    return moves
+
+
+def perm_count(lam: Weight, vertices=BASE_VERTICES) -> int:
+    """|Perm(lam)| by `perm_set`'s vertexwise test, in O(a) steps: for each
+    w and nu_a, the nu_b passing at vertex v form the interval |2 nu_b +
+    dy| <= min(2a, 2(a + b) - |2 nu_a + dx|) (none once |2 nu_a + dx| >
+    2a), for (dx, dy) the doubled w(v) - v.  The intervals of the vertices
+    and |nu_b| <= a + 1 are intersected, and the nu_b in it whose parity
+    keeps nu - lam in the root lattice are counted, not listed."""
+    a, b, _ = lam
+    total = 0
+    for _, ds in _vertex_moves(vertices):
+        for na in range(-a - 1, a + 2):
+            lo, hi = -a - 1, a + 1
+            for dx, dy in ds:
+                x = abs(2 * na + dx)
+                if x > 2 * a:
+                    break
+                r = min(2 * a, 2 * (a + b) - x)
+                lo, hi = max(lo, -((r + dy) // 2)), min(hi, (r - dy) // 2)
+            else:
+                parity = (a + b - na) % 2  # nu_a - a + nu_b - b is even
+                if lo <= hi:
+                    total += (hi - parity) // 2 - (lo - 1 - parity) // 2
+    return total
 
 
 def irregular_family() -> frozenset[ExtAffine]:

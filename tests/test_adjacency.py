@@ -36,9 +36,11 @@ from gsp4weights.weights import (
     w_question_set,
 )
 from gsp4weights import adjacency, weights
+from gsp4weights.admissible import AdmissibleSet, adm_set, adm_set_oracle
 from gsp4weights.cli import load_presentation
 from gsp4weights.adjacency import (
     AdjacencyInstance,
+    WeightGraph,
     _graph_of,
     build_graph,
     build_instance,
@@ -118,6 +120,29 @@ def test_value_types_are_named_tuples_hashing_as_their_fields():
             assert type(value) is cls and hash(value) == hash(tuple(value))
             with pytest.raises(AttributeError):
                 setattr(value, cls._fields[0], value[0])
+
+
+def test_records_are_named_tuples_made_whole_by_their_maker():
+    # an admissible set is (lam, order), equal and hashing alike from
+    # either maker; a weight graph carries its adjacency from _graph_of,
+    # read-only, and stays unhashable as its mappings are
+    assert NamedTuple in AdmissibleSet.__orig_bases__
+    assert AdmissibleSet._fields == ("lam", "order")
+    for lam in (Weight(2, 1, 0), Weight(3, 1, 0), Weight(5, 3, 0)):
+        adm, oracle = adm_set(lam), adm_set_oracle(lam)
+        assert type(adm) is AdmissibleSet and hash(adm) == hash(tuple(adm))
+        assert adm == oracle and hash(adm) == hash(oracle)
+        assert adm.elements == frozenset(adm.order) and len(adm.order) == len(adm.elements)
+    assert NamedTuple in WeightGraph.__orig_bases__
+    for name in ("rb41.json", "rb_f2.json"):
+        graph = build_graph(fixture(name), check=False)
+        assert type(graph) is WeightGraph and graph.adjacent.keys() <= set(graph.vertices)
+        assert all(graph.neighbors(v) is vs for v, vs in graph.adjacent.items())
+        _assert_adjacency_matches_edge_scan(graph)
+        with pytest.raises(TypeError):
+            graph.adjacent[graph.vertices[0]] = ()
+        with pytest.raises(TypeError):
+            hash(graph)
 
 
 def test_diagonal_pair_edges_are_obvious_weights():

@@ -1,5 +1,6 @@
 import collections
 import itertools
+import random
 
 import pytest
 
@@ -73,9 +74,29 @@ def test_adm_size_polynomial():
     lams = [Weight(a, b, c) for a in range(16) for b in range(a + 1) for c in (-1, 0, 1)]
     for lam in lams + [Weight(40, 15, 0)]:
         a, b, _ = lam
-        got = adm_set(lam).elements
-        assert got == oracles.perm_set(lam), lam
-        assert len(got) == 8 * a * a + 16 * a * b - 8 * b * b + 4 * a - 2 * b + 1, lam
+        got, perm = adm_set(lam).elements, oracles.perm_set(lam)
+        assert got == perm, lam
+        assert oracles.perm_count(lam) == len(perm), lam
+        assert len(got) == _size(a, b), lam
+
+
+def _size(a, b):
+    return 8 * a * a + 16 * a * b - 8 * b * b + 4 * a - 2 * b + 1
+
+
+def test_perm_count_follows_the_size_polynomial_at_large_lambda():
+    # |Perm(lam)| counted by the vertexwise test in O(a) steps, far past
+    # the lambda perm_set can list: measured, not proven
+    rng = random.Random(5)
+    lams = [Weight(20000, 8000, 0)]
+    for _ in range(10):
+        a = rng.randint(1000, 5000)
+        lams.append(Weight(a, rng.randint(0, a), rng.choice((-1, 0, 1))))
+    for lam in lams:
+        assert oracles.perm_count(lam) == _size(lam.a, lam.b), lam
+    # negative control: any two of the three vertices count more than 63
+    two = [oracles.BASE_VERTICES[:k] + oracles.BASE_VERTICES[k + 1:] for k in range(3)]
+    assert [oracles.perm_count(ETA, vertices) for vertices in two] == [72, 70, 72]
 
 
 def test_perm_set_needs_every_vertex():

@@ -362,6 +362,17 @@ def test_type_fixture_as_rhobar_is_rejected(capsys, caplog, argv):
     assert caplog.records == []
 
 
+def test_cycles_colength_one_names_a_regular_element_outside_the_family(tmp_path, capsys):
+    # w(rb1, tau) = t(-1,0,2)*s2s1s2, regular of colength one in Adm(eta)
+    # but in none of the classified cases
+    path = _write_presentation(tmp_path, kind="type", s=["2"], mu=[[18, 8, -3]])
+    code, out, err = capture(
+        capsys, ["cycles", "--tau", path, "--colength-one", "--rhobar", fx("rb1.json")])
+    assert (code, out) == (2, "")
+    assert err == ("error: regular colength-one element outside the classified family: "
+                   "t(-1,0,2)*s2s1s2\n")
+
+
 def test_cycles_colength_one_needs_rhobar(capsys):
     code, out, err = capture(
         capsys, ["cycles", "--tau", fx("tau1.json"), "--colength-one"])

@@ -23,6 +23,7 @@ from gsp4weights.admissible import adm_set, colength_one_split, elem_sort_key
 from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
+    intersect_w_jh,
     jh_factors,
     jh_set,
     obvious_weights,
@@ -233,17 +234,36 @@ def test_classifier_cases():
     assert classify_embedding_shape(g1) == 1
     g2 = compose_all(invert(d), invert(HIGHEST_RESTRICTED), W0, finite(W_S1), d)
     assert classify_embedding_shape(g2) == 2
-    # regular colength-one elements outside the listed family are rejected
+    # regular colength-one elements outside the listed family are refused
+    # as such
     reg, _ = colength_one_split()
-    rejected = 0
+    rejected = []
     for x in reg:
         try:
             assert classify_embedding_shape(x) == 3
-        except ValueError:
-            rejected += 1
-    assert rejected == 4
+        except ValueError as exc:
+            assert str(exc) == (
+                "regular colength-one element outside the classified family: " + x.display())
+            rejected.append(x.display())
+    assert len(rejected) == 4
+    assert sorted(rejected) == ["t(-1,0,2)*s2s1s2", "t(-1,2,1)*s2", "t(1,2,0)*s2", "t(2,-1,1)*s1"]
     with pytest.raises(ValueError, match="not a colength-one"):
         classify_embedding_shape(translation(Weight(1, 1, -1)))
+
+
+def test_regular_colength_one_intersections_have_two_weights():
+    # measured, not proven: for every regular colength-one g of Adm(eta),
+    # the four outside the classified family as well as its two, the
+    # predicted set of rhobar meets the JH set of the type with w = g in
+    # exactly 2 weights, on rb1, rb41 and 32 seeded 9-deep parameters
+    reg, _ = colength_one_split()
+    rng = random.Random(2)
+    rhos = [load_presentation(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", name))
+            for name in ("rb1.json", "rb41.json")]
+    rhos += [random_deep_presentation(p, 1, 9, rng, "param")
+             for p in (61, 67, 101, 131) for _ in range(8)]
+    sizes = [len(intersect_w_jh(rho, type_from_target(rho, (g,)))) for rho in rhos for g in reg]
+    assert len(reg) == 6 and sizes == [2] * (6 * 34)
 
 
 def test_colength_one_counts_f1():

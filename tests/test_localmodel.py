@@ -34,7 +34,7 @@ from gsp4weights.affine import (
     star,
     translation,
 )
-from gsp4weights.admissible import adm_dual_set, elem_sort_key
+from gsp4weights.admissible import adm_dual_set, adm_set, elem_sort_key
 from gsp4weights.cli import load_matrix
 from gsp4weights.weights import enumerate_ap_prime
 from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField
@@ -429,6 +429,18 @@ def test_shape_sandwich():
             z = rng.choice(elems)
             M = random_iwahori(F, rng) * monomial_matrix(z, F) * random_iwahori(F, rng)
             assert shape_of(M) == z
+
+
+def test_shape_sandwich_at_a_larger_lambda():
+    # every element of Adm(6, 3, 0), 523 by the size polynomial, is the
+    # shape of its monomial matrix between two seeded Iwahori elements
+    F = PrimeField(P)
+    rng = random.Random(0)
+    elems = adm_set(Weight(6, 3, 0)).order
+    assert len(elems) == 523
+    for x in elems:
+        M = random_iwahori(F, rng) * monomial_matrix(x, F) * random_iwahori(F, rng)
+        assert shape_of(M) == x, x
 
 
 def test_shape_central_shift():

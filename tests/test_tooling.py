@@ -27,6 +27,9 @@ the process, so only tables of no arguments may be cached whole.
 
 `admissible.elem_sort_key` makes an element's alcove again, so it is
 named only where no alcove is at hand.
+
+A record is made whole by its one maker, so no definition is a
+`cached_property` filled in on first read.
 """
 
 import ast
@@ -520,6 +523,15 @@ def test_elem_sort_key_only_where_no_alcove_is_at_hand():
             and isinstance(node.ctx, ast.Load)]
     assert uses
     assert [(name, node.lineno) for name, node in uses if id(node) not in inside] == []
+
+
+def test_no_definition_is_a_cached_property():
+    found = sorted("%s.py:%d" % (mod, dec.lineno)
+                   for mod, tree in _package_trees().items() for node in ast.walk(tree)
+                   if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+                   for dec in node.decorator_list
+                   if getattr(dec, "id", getattr(dec, "attr", None)) == "cached_property")
+    assert found == []
 
 
 def test_only_the_kronecker_pair_shifts_by_a_variable_amount():
