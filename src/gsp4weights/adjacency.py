@@ -105,15 +105,15 @@ def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
     return table
 
 
-def _deriver(rhobar: TamePresentation) -> Callable[..., AdjacencyInstance]:
-    """The maker of rhobar's instances for one call: derive(pair, s,
-    sigma1), for a pair of AP' singles, an allowed s and the pair's
-    predicted weight, which the instance keeps.  Its memo lives as long as
-    the maker: rhobar.w_tilde() is made once, each slot of it is composed
-    with each `_slot_targets` row once, and each distinct tau and rhobar0
-    is presented once.  An instance fails as it fails alone: the depth
-    guards refuse tau and then rhobar0, F_tau(w) (read alone, with
-    `_SlotTable.weight`) must be sigma1, then F_tau(sw) is read."""
+def _deriver(rhobar: TamePresentation, table: _SlotTable) -> Callable[..., AdjacencyInstance]:
+    """The maker of rhobar's instances: derive(pair, s, sigma1), for a
+    pair of AP' singles, an allowed s and the pair's predicted weight,
+    which the instance keeps.  Its memo lives as long as the maker:
+    rhobar.w_tilde() is made once, each slot of it is composed with each
+    `_slot_targets` row once, and each distinct tau and rhobar0 is
+    presented once.  An instance fails as it fails alone: the depth guards
+    refuse tau and then rhobar0, then F_tau(w), which must be sigma1, and
+    F_tau(sw) are read off tau's full slots in `table`, the caller's."""
     targets = _slot_targets()
     x = rhobar.w_tilde()
     need = derived_depth_bound(rhobar.depth())  # margins scale with rhobar's depth
@@ -145,10 +145,10 @@ def _deriver(rhobar: TamePresentation) -> Callable[..., AdjacencyInstance]:
             raise GenericityError("derived type has depth %d < %d" % (tau.depth(), need))
         if rhobar0.depth() < need:
             raise GenericityError("derived parameter has depth %d < %d" % (rhobar0.depth(), need))
-        if _SlotTable.weight(tau, "type", w_combo) != sigma1:
+        at_w, sigma2 = table.read(tau, "type", w_combo, sw_combo)
+        if at_w != sigma1:
             raise AssertionError("sigma1 does not match the weight of the pair")
-        return AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1,
-                                 _SlotTable.weight(tau, "type", sw_combo))
+        return AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
 
     return derive
 
@@ -161,14 +161,14 @@ def build_instance(
 ) -> AdjacencyInstance:
     """Construct the adjacency witness for (rhobar, pair, s).
 
-    Reads sigma1 = F_rhobar at the pair first, refusing a parameter as
-    `build_graph` does, then derives by `_graph_of`'s derivation
+    Reads sigma1 = F_rhobar at the pair alone first, refusing a parameter
+    as `build_graph` does, then derives by `_graph_of`'s derivation
     (`_deriver`, made for the call) the type tau with element
     w2^(-1) wh^(-1) w0 s w1, the companion parameter rhobar0 with element
     w2^(-1) wh^(-1) w0 s w2, and sigma2 = F_tau(sw).  With check=True it
-    verifies, on one slot table made for the check, that sigma1 and sigma2
-    exhaust the intersection of the predicted set of rhobar0 with the JH
-    set of tau.
+    verifies that sigma1 and sigma2 exhaust the intersection of the
+    predicted set of rhobar0 with the JH set of tau.  The derivation and
+    the check read one slot table, made for the call.
     """
     if rhobar.kind != "param":
         raise ValueError("rhobar must be a mod-p parameter presentation")
@@ -187,18 +187,21 @@ def build_instance(
             "length zero and differs from the w2 component" % (j, j)
         )
     sigma1 = _SlotTable.weight(rhobar, "param", combo)
-    inst = _deriver(rhobar)(pair, s, sigma1)
+    table = _SlotTable()
+    inst = _deriver(rhobar, table)(pair, s, sigma1)
     if check:
-        _check_instance(inst, _SlotTable())
+        _check_instance(inst, table, {})
     return inst
 
 
-def _check_instance(inst: AdjacencyInstance, table: _SlotTable) -> None:
+def _check_instance(inst: AdjacencyInstance, table: _SlotTable, met: dict) -> None:
     """Raise AssertionError unless sigma1 and sigma2 are distinct and exhaust
-    the intersection of the predicted set of rhobar0 with the JH set of tau,
-    read from the caller's `table`: the adjacency condition alone, since
-    sigma1 was checked where the instance was made (`_deriver`)."""
-    got = intersect_w_jh(inst.rhobar0, inst.tau, table)
+    W?(rhobar0) & JH(tau), read from the caller's `table` and chained once
+    per call into its `met` by (rhobar0, tau): the adjacency condition
+    alone, since sigma1 was checked where the instance was made."""
+    got = met.get((inst.rhobar0, inst.tau))
+    if got is None:
+        got = met[inst.rhobar0, inst.tau] = intersect_w_jh(inst.rhobar0, inst.tau, table)
     if got != frozenset((inst.sigma1, inst.sigma2)) or inst.sigma1 == inst.sigma2:
         raise AssertionError(
             "intersection is not the expected two outer weights: %s"
@@ -256,28 +259,30 @@ class WeightGraph(NamedTuple):
 
 class _GraphState(NamedTuple):
     """One parameter's graph, the inverse of the W? table it is built from
-    (keyed by the predicted weights), and its instances keyed by (pair, s)
-    in enumeration order."""
+    (keyed by the predicted weights), its instances keyed by (pair, s) in
+    enumeration order, and the slot table they and their checks read."""
 
     graph: WeightGraph
     back: dict[SerreWeight, APPair]
     instances: dict[tuple[APPair, tuple[int, int]], AdjacencyInstance]
+    table: _SlotTable
 
 
 @lru_cache(maxsize=1)
 def _graph_of(rhobar: TamePresentation) -> _GraphState:
     """rhobar's weight graph (no intersection checked), the inverse of its
-    W? table (`w_question`), and its instances, made from W? by one `_deriver`.
-    Only the last parameter's state is kept:
-    callers ask for one parameter's graph several times in a row
-    (`build_graph`, then `find_chain` per weight).  No check result is
-    kept.  A shallow parameter is warned about once its graph is built."""
-    wq = w_question(rhobar)
+    W? table, its instances, made from W? by one `_deriver`, and the slot
+    table that W?, the instances and all their checks read.  Only the last
+    parameter's state is kept: callers ask for one parameter's graph
+    several times in a row (`build_graph`, then `find_chain` per weight).
+    No check result is kept; a shallow parameter is warned about once."""
+    table = _SlotTable()
+    wq = w_question(rhobar, table)
     back = {sigma: pair for pair, sigma in wq.items()}
     if len(back) != len(wq):
         raise AssertionError("F_rhobar failed to be injective")
     vertices = tuple(sorted(back, key=SerreWeight.sort_key))
-    derive = _deriver(rhobar)
+    derive = _deriver(rhobar, table)
     instances = {(pair, s): derive(pair, s, sigma)
                  for pair, sigma in wq.items() for s in valid_simples(pair)}
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}
@@ -292,7 +297,7 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
         nbs.setdefault(b, []).append(a)
     graph = WeightGraph(vertices, MappingProxyType(edge_view), obvious,
                         MappingProxyType({v: tuple(vs) for v, vs in nbs.items()}))
-    state = _GraphState(graph, back, instances)
+    state = _GraphState(graph, back, instances, table)
     if rhobar.depth() < RHOBAR_DEPTH:
         log.warning(
             "parameter %s at p=%d has depth %d below %d; proceeding with scaled margins",
@@ -308,14 +313,14 @@ def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
     Iteration over pairs and reflections is in fixed sorted order, so the
     result is reproducible byte for byte.  The graph is built once per
     parameter and shared (see `_graph_of`); check=True runs the checks of
-    every instance, in enumeration order, on every call, over one slot
-    table made for the call.
+    every instance, in enumeration order, on every call, over the state's
+    slot table.
     """
     state = _graph_of(rhobar)
     if check:
-        table = _SlotTable()
+        met: dict = {}
         for inst in state.instances.values():
-            _check_instance(inst, table)
+            _check_instance(inst, state.table, met)
     return state.graph
 
 
@@ -333,9 +338,9 @@ def _steered_chain(state: _GraphState, sigma: SerreWeight) -> tuple[AdjacencyIns
     length, pick s by the component's alcove (second alcove -> s_1, top
     alcove -> s_2 when allowed, else s_1; first alcove -> s_1).  Each step
     keeps the other embeddings' alcoves fixed; `state.back` inverts F_rhobar.
-    Each step's instance is read from `state`, then checked over one slot
-    table made for the call."""
-    table = _SlotTable()
+    Each step's instance is read from `state`, then checked over the
+    state's slot table."""
+    met: dict = {}
     chain: list[AdjacencyInstance] = []
     cur = sigma
     limit = 3 * sigma.f
@@ -347,7 +352,7 @@ def _steered_chain(state: _GraphState, sigma: SerreWeight) -> tuple[AdjacencyIns
         top = restricted_alcove_index(alcove_of(pair.w2[target_j])) == 3
         s = (2, target_j) if top and (2, target_j) in valid_simples(pair) else (1, target_j)
         inst = state.instances[pair, s]
-        _check_instance(inst, table)
+        _check_instance(inst, state.table, met)
         chain.append(inst)
         cur = inst.sigma2
         if len(chain) > limit:

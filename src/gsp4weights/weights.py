@@ -11,7 +11,7 @@ import logging
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
-from typing import Iterator, NamedTuple
+from typing import NamedTuple, Sequence
 
 from .base import (
     ETA,
@@ -64,16 +64,6 @@ def t_invert(x: TupleElt) -> TupleElt:
 # --- Serre weight normal form --------------------------------------------
 
 
-def normalize_central(cs: tuple[int, ...], p: int) -> tuple[int, ...]:
-    """Central characters modulo the shifts p*e_k - e_(k-1 mod f): as
-    e_k = p^(f-1-k) e_(f-1) and (p^f - 1) e_(f-1) = 0 modulo them, the class
-    of cs is n = sum c_k p^(f-1-k) mod p^f - 1, stored in the last slot."""
-    n = 0
-    for c in cs:
-        n = n * p + c
-    return (0,) * (len(cs) - 1) + (n % (p ** len(cs) - 1),)
-
-
 def is_p_restricted(lam: Weight, p: int) -> bool:
     """0 <= <lam, alpha^vee> < p for both simple coroots, which pair
     (a, b; c) to a - b and b."""
@@ -96,12 +86,18 @@ class SerreWeight(NamedTuple):
         return SerreWeight._trusted(p, parts)
 
     @staticmethod
-    def _trusted(p: int, parts: tuple[tuple[int, int, int], ...]) -> "SerreWeight":
+    def _trusted(p: int, parts: Sequence[tuple[int, int, int]]) -> "SerreWeight":
         """Trusted constructor: every part, a Weight or an (a, b, c) triple,
-        is already known to be p-restricted, so only the central characters
-        are normalised."""
-        cs = normalize_central(tuple([lam[2] for lam in parts]), p)
-        return SerreWeight(p, tuple([Weight(lam[0], lam[1], c) for lam, c in zip(parts, cs)]))
+        is already known to be p-restricted.  Central characters count
+        modulo the shifts p*e_k - e_(k-1 mod f), so their class n = sum
+        c_k p^(f-1-k) mod p^f - 1 is folded as the parts are read and kept
+        in the last slot."""
+        f = len(parts)
+        n, out = 0, []
+        for j, (a, b, c) in enumerate(parts, 1):
+            n = n * p + c
+            out.append(Weight(a, b, 0 if j < f else n % (p ** f - 1)))
+        return SerreWeight(p, tuple(out))
 
     def depth(self) -> int:
         return min(weight_depth(lam, self.p) for lam in self.parts)
@@ -398,34 +394,31 @@ def _slot_join(index: dict[tuple[int, int], list], jh_slot: list[dict[int, Part]
 
 class _SlotTable:
     """The one maker of weight parts.  Each weight map makes a table for
-    its call, and the adjacency checks of one call share one; no table
-    outlives the call that made it.
+    its call, `build_instance` one for its instance and check, and a
+    parameter's graph state keeps one for all its instances and checks.
 
     Row i of full slot j is a dict k -> part j, for slot j holding single
     k and slot j - 1 a single whose y is the i-th distinct one: (distinct
     y) x (singles) entries per slot instead of f * singles^f.  At f = 1
     slot j - 1 is slot j, so row i holds only the singles whose own y is
     the i-th.  A full slot depends on (kind, s_j, mu_j, p, f), the (a, b)
-    index of a W? slot on that slot, a join on its two full slots, and an
-    intersection on the W? and JH slots of its two presentations; each is
-    made on first use under that key and then read.  One weight alone
-    (`weight`, read only to make an adjacency instance) needs no table:
-    its parts are made on every read and stored nowhere.
+    index of a W? slot on that slot, and a join on its two full slots;
+    each is made on first use under that key and then read, so a table
+    holds no check result.  One weight alone (`weight`, the sigma1 of an
+    instance built alone) is made on every read and stored nowhere.
 
     Three checks run: the lowest-alcove test on each theta, per slot and
     single; `is_restricted_element` on each distinct y, once, when its
     table row is built; and `is_p_restricted` on every part.  Of these
     only the first can fail (each y is restricted, and y . theta is then
-    p-restricted), and the first failure raised here is the one that
-    evaluating the tuples one by one raises.  An entry is stored only
-    after its lowest-alcove test passed, so a failing test runs, and
-    raises, on every use.  The guards of `_guard` run on every use too."""
+    p-restricted).  An entry is stored only after its lowest-alcove test
+    passed, so a failing test runs, and raises, on every use.  The guards
+    of `_guard` run on every use too."""
 
     def __init__(self):
         self._parts: dict[tuple, list[dict[int, Part]]] = {}  # by (kind, s, mu, p, f)
         self._indexes: dict[tuple, dict] = {}  # by W? slot key
         self._joins: dict[tuple[tuple, tuple], dict] = {}
-        self._meets: dict[tuple[tuple, tuple], frozenset] = {}  # by (W? keys, JH keys)
 
     def slots(self, pres: TamePresentation, kind: str) -> tuple[tuple, ...]:
         """The keys of the full slots of `pres`, each made on first use."""
@@ -439,16 +432,18 @@ class _SlotTable:
                 self._parts[key] = _slot_parts(kind, key[1], key[2], pres.p, ks, cells)
         return keys
 
-    def weights(self, pres: TamePresentation, kind: str) -> Iterator[SerreWeight]:
-        """F_pres on every index tuple, read from the full slots in the
-        enumeration order of the pair tuples (slot 0 varying slowest):
-        part j is slot j's entry for single k_j in the row of k_(j-1)'s
-        y.  No pair tuple is made."""
+    def read(self, pres: TamePresentation, kind: str, *combos: tuple) -> list[SerreWeight]:
+        """F_pres at each index tuple of `combos`, read from the full slots:
+        part j is slot j's entry for single k_j in the row of k_(j-1)'s y."""
         p, y_slot = pres.p, _singles(kind).y_slot
         slots = [self._parts[key] for key in self.slots(pres, kind)]
-        return (SerreWeight._trusted(p, tuple([slots[j][y_slot[combo[j - 1]]][k]
-                                               for j, k in enumerate(combo)]))
-                for combo in product(range(len(y_slot)), repeat=pres.f))
+        return [SerreWeight._trusted(p, [slots[j][y_slot[combo[j - 1]]][k]
+                                         for j, k in enumerate(combo)])
+                for combo in combos]
+
+    def weights(self, pres: TamePresentation, kind: str) -> list[SerreWeight]:
+        """F_pres on every index tuple, slot 0 varying slowest."""
+        return self.read(pres, kind, *product(range(len(_singles(kind).y_slot)), repeat=pres.f))
 
     def join(self, wq: tuple, jh: tuple) -> dict:
         """The join of W? slot `wq` with JH slot `jh`, given by their keys."""
@@ -473,7 +468,7 @@ class _SlotTable:
             cells = [()] * len(sing.ys)
             cells[i] = (k,)
             parts.append(_slot_parts(kind, s, mu, pres.p, (k,), cells)[i][k])
-        return SerreWeight._trusted(pres.p, tuple(parts))
+        return SerreWeight._trusted(pres.p, parts)
 
 
 def jh_factors(tau: TamePresentation) -> dict[APPair, SerreWeight]:
@@ -482,9 +477,12 @@ def jh_factors(tau: TamePresentation) -> dict[APPair, SerreWeight]:
     return dict(zip(enumerate_ap(tau.f), _SlotTable().weights(tau, "type")))
 
 
-def w_question(rhobar: TamePresentation) -> dict[APPair, SerreWeight]:
-    """F_rhobar over AP' pairs; the image is the predicted weight set."""
-    return dict(zip(enumerate_ap_prime(rhobar.f), _SlotTable().weights(rhobar, "param")))
+def w_question(rhobar: TamePresentation,
+               table: _SlotTable | None = None) -> dict[APPair, SerreWeight]:
+    """F_rhobar over AP' pairs, read from `table`, a fresh one unless the
+    caller keeps its own; the image is the predicted weight set."""
+    table = _SlotTable() if table is None else table
+    return dict(zip(enumerate_ap_prime(rhobar.f), table.weights(rhobar, "param")))
 
 
 def jh_set(tau: TamePresentation) -> frozenset[SerreWeight]:
@@ -502,21 +500,19 @@ def intersect_w_jh(
 
     Two weights are equal when their parts have the same (a, b) and their
     central integers sum c_j p^(f-1-j) agree mod p^f - 1 (see
-    `normalize_central`).  Per slot, the two kernels' parts are joined on
+    `SerreWeight._trusted`).  Per slot, the two kernels' parts are joined on
     (a, b) (`_slot_join`).  A chain takes one match per slot; the next
     slot's rows are the y indices of the two singles, and slot f - 1 leads
     back to slot 0's rows.  Only a chain whose central integers agree
-    becomes a weight.  The slots, joins and the result are read from
-    `table`, a fresh one unless the caller shares its own across checks;
-    the guards of both presentations run on every call."""
+    becomes a weight.  The slots and joins are read from `table`, a fresh
+    one unless the caller shares its own; the guards of both presentations
+    run, and the chains are followed, on every call."""
     if table is None:
         table = _SlotTable()
     wq = table.slots(rhobar, "param")
     jh = table.slots(tau, "type")
     if (rhobar.p, rhobar.f) != (tau.p, tau.f):
         return frozenset()
-    if (wq, jh) in table._meets:
-        return table._meets[wq, jh]
     p, last = rhobar.p, rhobar.f - 1
     modulus = p ** rhobar.f - 1
     joins = [table.join(a, b) for a, b in zip(wq, jh)]
@@ -531,8 +527,7 @@ def intersect_w_jh(
 
     for start in joins[0]:
         chain(0, start, start, 0, 0, ())
-    met = table._meets[wq, jh] = frozenset(found)
-    return met
+    return frozenset(found)
 
 
 def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:

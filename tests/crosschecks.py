@@ -41,10 +41,11 @@ from gsp4weights.weights import (
     TupleElt,
     intersect_w_jh,
     is_p_restricted,
-    normalize_central,
     type_from_target,
     w_question_set,
 )
+
+from oracles import normalize_central
 
 
 def outer_pair(ws) -> APPair:

@@ -591,6 +591,17 @@ def _hnf_rows(rows: list[list[int]]) -> list[list[int]]:
 
 
 def normalize_central(cs: tuple[int, ...], p: int) -> tuple[int, ...]:
+    """Central characters modulo the shifts p*e_k - e_(k-1 mod f): as
+    e_k = p^(f-1-k) e_(f-1) and (p^f - 1) e_(f-1) = 0 modulo them, the class
+    of cs is n = sum c_k p^(f-1-k) mod p^f - 1, stored in the last slot.
+    The library folds the same n inside `SerreWeight._trusted`."""
+    n = 0
+    for c in cs:
+        n = n * p + c
+    return (0,) * (len(cs) - 1) + (n % (p ** len(cs) - 1),)
+
+
+def normalize_central_hnf(cs: tuple[int, ...], p: int) -> tuple[int, ...]:
     """cs reduced by the HNF basis of the lattice of central shifts
     identified to zero, spanned by p*e_k - e_(k-1 mod f)."""
     f = len(cs)

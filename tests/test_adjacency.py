@@ -269,20 +269,18 @@ def test_unchecked_build_compares_sigma1_with_the_weight_of_the_pair(monkeypatch
 
 
 def test_weights_read_alone_are_read_only_where_instances_are_made(monkeypatch):
-    # counted by kind: a cold unchecked build of rb41 reads F_tau at the two
-    # outer tuples of its 34 instances and takes sigma1 from W?; checks and
-    # steered steps read nothing alone; an instance alone reads sigma1 and
-    # its two tau weights, checked or not
+    # counted by kind: a cold build of rb41, checked or not, reads tau's
+    # weights off its full slots and takes sigma1 from W?, and its steered
+    # steps read nothing alone; an instance alone reads sigma1 alone and its
+    # two tau weights off a table of its own, checked or not
     rho = fixture("rb41.json")
     reads = []
     real = weights._SlotTable.weight
     monkeypatch.setattr(weights._SlotTable, "weight", staticmethod(
         lambda pres, kind, combo: reads.append(kind) or real(pres, kind, combo)))
-    _graph_of.cache_clear()
-    graph = build_graph(rho, check=False)
-    assert Counter(reads) == {"type": 68}
-    reads.clear()
-    build_graph(rho, check=True)
+    for check in (False, True):
+        _graph_of.cache_clear()
+        graph = build_graph(rho, check=check)
     for sigma in graph.vertices:
         find_chain(rho, sigma)
     assert len(graph.vertices) == 20 and reads == []
@@ -290,7 +288,7 @@ def test_weights_read_alone_are_read_only_where_instances_are_made(monkeypatch):
     for check in (True, False):
         reads.clear()
         build_instance(rho, pair, (1, 0), check=check)
-        assert reads == ["param", "type", "type"]
+        assert reads == ["param"]
 
 
 @pytest.mark.parametrize("name, count", (("rb1.json", 8), ("rb41.json", 8), ("rb_f2.json", 64)))
@@ -513,40 +511,86 @@ def test_shallow_parameter_warned_once_per_build(caplog):
 
 
 def test_memo_hit_reruns_every_check(monkeypatch):
+    # a checked call on the memo chains each of the 23 distinct (rhobar0,
+    # tau) of rb41's 34 instances once, in order, over the state's table,
+    # and every call chains them all again
     rho = rho41()
     build_graph(rho, check=False)
-    instances = tuple(_graph_of(rho).instances.values())
+    state = _graph_of(rho)
     hits = _graph_of.cache_info().hits
     calls = []
     real = adjacency.intersect_w_jh
     monkeypatch.setattr(adjacency, "intersect_w_jh",
                         lambda *args: calls.append(args) or real(*args))
-    build_graph(rho, check=True)
-    assert _graph_of.cache_info().hits == hits + 1
-    assert [args[:2] for args in calls] == [(inst.rhobar0, inst.tau) for inst in instances]
-    assert len(calls) == 34
-    # every check of one call reads one slot table, and the next call a new one
-    table = calls[0][2]
-    assert all(args[2] is table for args in calls)
-    calls.clear()
-    build_graph(rho, check=True)
-    assert len(calls) == 34 and all(args[2] is not table for args in calls)
+    distinct = list(dict.fromkeys((inst.rhobar0, inst.tau) for inst in state.instances.values()))
+    for _ in range(2):
+        calls.clear()
+        build_graph(rho, check=True)
+        assert [args[:2] for args in calls] == distinct and len(distinct) == 23
+        assert all(args[2] is state.table for args in calls)
+    assert _graph_of.cache_info().hits == hits + 2
+    # every instance is still compared: a later instance whose intersection
+    # was chained for an earlier one fails on its own weights
+    seen = set()
+    for key, inst in state.instances.items():
+        if (inst.rhobar0, inst.tau) in seen:
+            break
+        seen.add((inst.rhobar0, inst.tau))
+    monkeypatch.setitem(state.instances, key, inst._replace(sigma2=inst.sigma1))
+    with pytest.raises(AssertionError, match="expected two outer weights"):
+        build_graph(rho, check=True)
 
 
 @pytest.mark.parametrize("name, joins", [("rb41.json", 23), ("rb_f2.json", 86)])
 def test_checked_build_joins_each_slot_pair_once(monkeypatch, name, joins):
-    # one join per distinct (W? slot, JH slot) pair of the call: 23 for the
-    # 34 instances at f = 1, 86 for the 2720 slot checks of rb_f2's 1360;
-    # a second call makes them all again
+    # one join per distinct (W? slot, JH slot) pair of the parameter: 23 for
+    # the 34 instances at f = 1, 86 for the 2720 slot checks of rb_f2's
+    # 1360; the state's table keeps them, so a second checked call and the
+    # steered chains make none
     rho = fixture(name)
-    build_graph(rho, check=False)
     made = []
     real = weights._slot_join
     monkeypatch.setattr(weights, "_slot_join", lambda *args: made.append(1) or real(*args))
-    for _ in range(2):
-        made.clear()
-        build_graph(rho, check=True)
-        assert len(made) == joins
+    _graph_of.cache_clear()
+    graph = build_graph(rho, check=True)
+    assert len(made) == joins
+    made.clear()
+    build_graph(rho, check=True)
+    for sigma in graph.vertices[:20]:
+        find_chain(rho, sigma)
+    assert made == []
+
+
+def test_rb41_makes_each_weight_part_once_per_parameter(monkeypatch):
+    # a cold checked build of rb41 makes its 10 rhobar0 slots (one of them
+    # W?'s own), its 23 tau slots, 10 indexes and 23 joins, reads no single
+    # part, and chains its 23 distinct intersections; 20 chains after it and
+    # a second checked build make nothing and chain 18 and 23 again
+    rho = fixture("rb41.json")
+    made = Counter()
+    real_parts, real_index = weights._slot_parts, weights._slot_index
+    real_join, real_meet = weights._slot_join, adjacency.intersect_w_jh
+
+    def parts(kind, s, mu, p, ks, cells):
+        made["single" if len(ks) == 1 else "slot", kind] += 1
+        return real_parts(kind, s, mu, p, ks, cells)
+
+    monkeypatch.setattr(weights, "_slot_parts", parts)
+    monkeypatch.setattr(weights, "_slot_index", lambda *a: made.update(["index"]) or real_index(*a))
+    monkeypatch.setattr(weights, "_slot_join", lambda *a: made.update(["join"]) or real_join(*a))
+    monkeypatch.setattr(adjacency, "intersect_w_jh",
+                        lambda *a: made.update(["chain"]) or real_meet(*a))
+    _graph_of.cache_clear()
+    graph = build_graph(rho, check=True)
+    assert made == {("slot", "param"): 10, ("slot", "type"): 23, "index": 10, "join": 23,
+                    "chain": 23}
+    made.clear()
+    for sigma in graph.vertices:
+        find_chain(rho, sigma)
+    assert made == {"chain": 18}
+    made.clear()
+    build_graph(rho, check=True)
+    assert made == {"chain": 23}
 
 
 @pytest.mark.parametrize("name, types, params, indexes, reads", [
@@ -554,10 +598,10 @@ def test_checked_build_joins_each_slot_pair_once(monkeypatch, name, joins):
 def test_each_presentation_and_w_question_index_is_made_once_per_call(
         monkeypatch, name, types, params, indexes, reads):
     # a cold unchecked build presents each distinct tau and rhobar0 once
-    # (68 and 2720 presentations one instance at a time); a checked build
-    # indexes each distinct W? slot once, and reads the joins of each
-    # distinct (rhobar0, tau) once (34 and 2720 slot reads, one per check
-    # and slot)
+    # (68 and 2720 presentations one instance at a time); the first checked
+    # call indexes each distinct W? slot once, for the parameter, and every
+    # checked call reads the joins of each distinct (rhobar0, tau) once (34
+    # and 2720 slot reads, one per check and slot)
     rho = fixture(name)
     made, index, joins = [], [], []
     real = adjacency.presentation_from_w_tilde
@@ -570,11 +614,11 @@ def test_each_presentation_and_w_question_index_is_made_once_per_call(
     monkeypatch.setattr(weights, "_slot_index", lambda *args: index.append(1) or real_index(*args))
     monkeypatch.setattr(weights._SlotTable, "join",
                         lambda *args: joins.append(1) or real_join(*args))
-    for _ in range(2):
+    for made in (indexes, 0):
         index.clear()
         joins.clear()
         build_graph(rho, check=True)
-        assert (len(index), len(joins)) == (indexes, reads)
+        assert (len(index), len(joins)) == (made, reads)
 
 
 def test_failing_check_raises_after_unchecked_build(monkeypatch):
@@ -922,9 +966,9 @@ def test_distance_to_an_obvious_weight_is_the_sum_over_slots(name):
 
 
 def test_slot_tables_are_made_only_where_full_slots_are_read(monkeypatch):
-    # a cold unchecked build makes one table, in w_question; an unchecked
-    # instance reads its two weights alone and makes none, and a checked
-    # one makes one for its check
+    # a cold build makes the one table of the parameter's state, in
+    # _graph_of, and its checks and steered chains read it; an instance,
+    # checked or not, makes one in build_instance for its tau and its check
     rho = rho41()
     made = []
     real = weights._SlotTable.__init__
@@ -935,14 +979,16 @@ def test_slot_tables_are_made_only_where_full_slots_are_read(monkeypatch):
 
     monkeypatch.setattr(weights._SlotTable, "__init__", counted)
     _graph_of.cache_clear()
-    build_graph(rho, check=False)
-    assert made == ["w_question"]
+    graph = build_graph(rho, check=False)
+    build_graph(rho, check=True)
+    for sigma in graph.vertices:
+        find_chain(rho, sigma)
+    assert made == ["_graph_of"]
     pair = next(pr for pr in enumerate_ap_prime(1) if pr.w1 != pr.w2)
-    made.clear()
-    build_instance(rho, pair, (1, 0), check=False)
-    assert made == []
-    build_instance(rho, pair, (1, 0), check=True)
-    assert made == ["build_instance"]
+    for check in (False, True):
+        made.clear()
+        build_instance(rho, pair, (1, 0), check=check)
+        assert made == ["build_instance"]
 
 
 def _through_one_table(instances, expected):
@@ -987,26 +1033,72 @@ def test_shared_slot_table_matches_fresh_sets_on_an_f3_sample():
 
 
 def test_checked_build_fails_where_its_first_failing_instance_does(monkeypatch):
-    # with the depth policy lowered to 0, a 3-deep parameter's graph builds
-    # unchecked, and the full kernel of a later instance fails its
-    # lowest-alcove test; checked one by one or over one table, the same
-    # instance raises the same error
+    # with the depth policy lowered to 0, a later instance of a 3-deep
+    # parameter fails the lowest-alcove test of its tau's full slots where
+    # it is made; the unchecked build, the checked build and build_instance
+    # run one instance at a time all raise the same error at that instance
     monkeypatch.setattr(weights, "WEIGHT_DEPTH", 0)
     monkeypatch.setattr(adjacency, "derived_depth_bound", lambda d: 0)
     rho = TamePresentation("param", (W_S1,), (Weight(6, 3, 0),), 37)
-    instances = list(_graph_of(rho).instances.values())
-    for n, inst in enumerate(instances):
+    keys = [(pair, s) for pair in enumerate_ap_prime(1) for s in valid_simples(pair)]
+    for n, (pair, s) in enumerate(keys):
         try:
-            adjacency._check_instance(inst, weights._SlotTable())
+            build_instance(rho, pair, s, check=False)
         except GenericityError as exc:
             first, message = n, str(exc)
             break
     assert first > 0 and message == "omega - eta must lie inside the lowest alcove"
-    checked = []
-    real = adjacency._check_instance
-    monkeypatch.setattr(adjacency, "_check_instance",
-                        lambda inst, table: checked.append(inst) or real(inst, table))
     with pytest.raises(GenericityError, match="^%s$" % message):
-        build_graph(rho, check=True)
-    assert checked == instances[:first + 1]
+        build_instance(*(rho,) + keys[first])
+    made = []
+    real = adjacency._deriver
+
+    def deriver(rhobar, table):
+        derive = real(rhobar, table)
+        return lambda pair, s, sigma1: made.append((pair, s)) or derive(pair, s, sigma1)
+
+    monkeypatch.setattr(adjacency, "_deriver", deriver)
+    for check in (False, True):
+        made.clear()
+        _graph_of.cache_clear()
+        with pytest.raises(GenericityError, match="^%s$" % message):
+            build_graph(rho, check=check)
+        assert made == keys[:first + 1]
     _graph_of.cache_clear()
+
+
+def test_p37_sweep_builds_or_refuses_alike_checked_or_not():
+    # every f = 1 parameter at p = 37 with 0 <= a, b < 2p, c = 0, each s and
+    # mu in the lowest alcove: checked or not, its build gives the same
+    # refusal or builds; all of depth <= 4 and 112 of depth 5 are refused,
+    # and every graph built has one component and a steered chain of at
+    # most 3 steps from each of its vertices
+    built, refused, starts = Counter(), Counter(), 0
+    for s in W_ALL:
+        for a in range(74):
+            for b in range(74):
+                rho = TamePresentation("param", (s,), (Weight(a, b, 0),), 37)
+                if rho.depth() < 0:
+                    continue
+                outcomes = []
+                for check in (False, True):
+                    _graph_of.cache_clear()
+                    try:
+                        graph = build_graph(rho, check=check)
+                    except (GenericityError, AssertionError) as exc:
+                        outcomes.append((type(exc), str(exc)))
+                    else:
+                        outcomes.append(None)
+                assert outcomes[0] == outcomes[1], rho.display()
+                if outcomes[0] is not None:
+                    refused[rho.depth()] += 1
+                    continue
+                built[rho.depth()] += 1
+                assert len(graph.components()) == 1, rho.display()
+                for sigma in graph.vertices:
+                    assert len(find_chain(rho, sigma).steered) <= 3, rho.display()
+                    starts += 1
+    _graph_of.cache_clear()
+    assert refused == {0: 528, 1: 464, 2: 400, 3: 336, 4: 272, 5: 112}
+    assert built == {5: 96, 6: 144, 7: 80, 8: 16}
+    assert starts == 20 * 336

@@ -492,11 +492,12 @@ def test_only_the_slot_table_makes_weight_parts():
 
 
 def test_only_instance_makers_read_a_weight_alone():
-    # F at one index tuple is read only where an adjacency instance is
-    # made: inside adjacency._deriver, and in build_instance for sigma1
+    # F at one index tuple is read alone only for the sigma1 of an instance
+    # built alone, in adjacency.build_instance: a derived tau's weights are
+    # read off its full slots
     trees = _package_trees()
     inside = {id(node) for fn in trees["adjacency"].body
-              if isinstance(fn, ast.FunctionDef) and fn.name in ("_deriver", "build_instance")
+              if isinstance(fn, ast.FunctionDef) and fn.name == "build_instance"
               for node in ast.walk(fn)}
     reads = [(name, node) for name, tree in trees.items() for node in ast.walk(tree)
              if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "weight"]

@@ -38,7 +38,6 @@ from gsp4weights.weights import (
     intersect_w_jh,
     jh_factors,
     jh_set,
-    normalize_central,
     obvious_weights,
     presentation_from_w_tilde,
     t_compose,
@@ -59,7 +58,7 @@ from crosschecks import (
     random_deep_presentation,
     weight_class_arrow_leq,
 )
-from oracles import LowestAlcovePresentation, serre_weight_of_presentation
+from oracles import LowestAlcovePresentation, normalize_central, serre_weight_of_presentation
 
 P = 37
 
@@ -92,10 +91,30 @@ def test_normalize_central_against_hnf_oracle(p):
     rng = random.Random(p)
     for f in range(1, 5):
         for cs in itertools.product(grid, repeat=f):
-            assert normalize_central(cs, p) == oracles.normalize_central(cs, p), cs
+            assert normalize_central(cs, p) == oracles.normalize_central_hnf(cs, p), cs
         for _ in range(200):
             cs = tuple(rng.randrange(-10 ** 12, 10 ** 12) for _ in range(f))
-            assert normalize_central(cs, p) == oracles.normalize_central(cs, p), cs
+            assert normalize_central(cs, p) == oracles.normalize_central_hnf(cs, p), cs
+
+
+@pytest.mark.parametrize("p", [5, 37, 131])
+def test_trusted_weights_fold_the_central_integer_as_the_oracle_does(p):
+    # seeded parts of both signs of c, given as Weights and as plain
+    # triples: the weight keeps each (a, b) and the oracle's central tuple
+    rng = random.Random(p)
+    for f in range(1, 5):
+        signs = set()
+        for _ in range(300):
+            parts = [(rng.randrange(p), rng.randrange(p), rng.randrange(-3 * p ** f, 3 * p ** f))
+                     for _ in range(f)]
+            cs = normalize_central(tuple(c for _, _, c in parts), p)
+            want = SerreWeight(p, tuple(Weight(a, b, c) for (a, b, _), c in zip(parts, cs)))
+            for given in (parts, tuple(Weight(*lam) for lam in parts)):
+                got = SerreWeight._trusted(p, given)
+                assert got == want and type(got.parts) is tuple
+                assert all(type(lam) is Weight for lam in got.parts)
+            signs |= {c < 0 for _, _, c in parts}
+        assert signs == {False, True}
 
 
 def test_p_restricted_is_read_off_the_simple_coroot_pairings():
