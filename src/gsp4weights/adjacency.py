@@ -10,8 +10,7 @@ walks any weight to an obvious one in at most three steps per embedding.
 from __future__ import annotations
 
 import logging
-from collections.abc import Callable, Mapping
-from dataclasses import dataclass
+from collections.abc import Callable, Iterable, Mapping
 from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
@@ -190,23 +189,26 @@ def build_instance(
     table = _SlotTable()
     inst = _deriver(rhobar, table)(pair, s, sigma1)
     if check:
-        _check_instance(inst, table, {})
+        _check((inst,), table)
     return inst
 
 
-def _check_instance(inst: AdjacencyInstance, table: _SlotTable, met: dict) -> None:
-    """Raise AssertionError unless sigma1 and sigma2 are distinct and exhaust
-    W?(rhobar0) & JH(tau), read from the caller's `table` and chained once
-    per call into its `met` by (rhobar0, tau): the adjacency condition
-    alone, since sigma1 was checked where the instance was made."""
-    got = met.get((inst.rhobar0, inst.tau))
-    if got is None:
-        got = met[inst.rhobar0, inst.tau] = intersect_w_jh(inst.rhobar0, inst.tau, table)
-    if got != frozenset((inst.sigma1, inst.sigma2)) or inst.sigma1 == inst.sigma2:
-        raise AssertionError(
-            "intersection is not the expected two outer weights: %s"
-            % sorted(s.display() for s in got)
-        )
+def _check(instances: Iterable[AdjacencyInstance], table: _SlotTable) -> None:
+    """Raise AssertionError at the first of `instances` whose sigma1 and
+    sigma2 are not distinct or do not exhaust W?(rhobar0) & JH(tau), read
+    from the caller's `table` and chained once per (rhobar0, tau) in the
+    call: the adjacency condition alone, since sigma1 was checked where
+    the instance was made."""
+    met: dict = {}
+    for inst in instances:
+        got = met.get((inst.rhobar0, inst.tau))
+        if got is None:
+            got = met[inst.rhobar0, inst.tau] = intersect_w_jh(inst.rhobar0, inst.tau, table)
+        if got != frozenset((inst.sigma1, inst.sigma2)) or inst.sigma1 == inst.sigma2:
+            raise AssertionError(
+                "intersection is not the expected two outer weights: %s"
+                % sorted(s.display() for s in got)
+            )
 
 
 class WeightGraph(NamedTuple):
@@ -318,14 +320,11 @@ def build_graph(rhobar: TamePresentation, check: bool = True) -> WeightGraph:
     """
     state = _graph_of(rhobar)
     if check:
-        met: dict = {}
-        for inst in state.instances.values():
-            _check_instance(inst, state.table, met)
+        _check(state.instances.values(), state.table)
     return state.graph
 
 
-@dataclass(frozen=True)
-class ChainResult:
+class ChainResult(NamedTuple):
     """Two walks from a weight to an obvious weight: shortest-path and the
     deterministic steered strategy."""
 
@@ -340,7 +339,6 @@ def _steered_chain(state: _GraphState, sigma: SerreWeight) -> tuple[AdjacencyIns
     keeps the other embeddings' alcoves fixed; `state.back` inverts F_rhobar.
     Each step's instance is read from `state`, then checked over the
     state's slot table."""
-    met: dict = {}
     chain: list[AdjacencyInstance] = []
     cur = sigma
     limit = 3 * sigma.f
@@ -352,7 +350,7 @@ def _steered_chain(state: _GraphState, sigma: SerreWeight) -> tuple[AdjacencyIns
         top = restricted_alcove_index(alcove_of(pair.w2[target_j])) == 3
         s = (2, target_j) if top and (2, target_j) in valid_simples(pair) else (1, target_j)
         inst = state.instances[pair, s]
-        _check_instance(inst, state.table, met)
+        _check((inst,), state.table)
         chain.append(inst)
         cur = inst.sigma2
         if len(chain) > limit:

@@ -13,7 +13,7 @@ import random
 import re
 import shlex
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .base import ETA, Weight, pairing, weyl_from_word, POSITIVE_COROOTS
 from .affine import (
@@ -88,8 +88,7 @@ _MODES = {"selfcheck": (("p",), ("table",)), "adm": ((), ("table", "json")),
           "localmodel --verify-regcolone": (("p", "seed"), ("table",))}
 
 
-@dataclass(frozen=True)
-class RunConfig:
+class RunConfig(NamedTuple):
     """Shared run parameters; commands read what they need."""
 
     p: int = 37
@@ -212,7 +211,7 @@ def load_presentation(path: str, expect_p: int | None = None,
     for m in mus:
         if not (isinstance(m, list) and len(m) == 3 and all(_is_json_int(v) for v in m)):
             raise ValueError("%s: mu entry %s is not three integers" % (path, json.dumps(m)))
-    return TamePresentation(kind, tuple(s), tuple(Weight(*m) for m in mus), p)
+    return TamePresentation.make(kind, tuple(s), tuple(Weight(*m) for m in mus), p)
 
 
 def load_matrix(path: str, field) -> PolyMat:

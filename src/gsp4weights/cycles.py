@@ -10,9 +10,9 @@ and colength-one configurations.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product
+from typing import NamedTuple
 
 from .base import ETA, Weight
 from .config import TAU_DEPTH, WEIGHT_DEPTH
@@ -213,8 +213,7 @@ def classify_embedding_shape(g) -> int:
     raise ValueError("not a colength-one/extremal configuration: %s" % g.display())
 
 
-@dataclass(frozen=True)
-class ColengthOneReport:
+class ColengthOneReport(NamedTuple):
     weights: frozenset[SerreWeight]
     cases: tuple[int, ...]
 
@@ -247,8 +246,7 @@ def colength_one_components(
 # --- multiplicity sums ------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class BMSumResult:
+class BMSumResult(NamedTuple):
     cycle: Cycle
     assumptions: tuple[str, ...]
 

@@ -183,7 +183,8 @@ class LaurentPoly:
         coerce = field.coerce
         acc = {}
         for exp, val in items:
-            exp = int(exp)
+            if type(exp) is not int:  # no float, bool or str read as an int
+                raise TypeError("exponent %r is not an int" % (exp,))
             val = coerce(val)
             if exp in acc:
                 val = coerce(acc[exp] + val)

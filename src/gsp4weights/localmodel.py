@@ -11,10 +11,10 @@ F_p, where E(v) = v.  No floating point anywhere.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
+from typing import NamedTuple
 
 from .base import SIMPLES, FiniteWeyl, W_ALL, Weight, std_character
 from .affine import (
@@ -281,8 +281,7 @@ def monomial_matrix(z: ExtAffine, field) -> PolyMat:
 # symplectic similitude
 
 
-@dataclass(frozen=True)
-class SimilitudeResult:
+class SimilitudeResult(NamedTuple):
     ok: bool
     scalar: LaurentPoly | None
     failed_entry: tuple[int, int] | None
@@ -551,8 +550,7 @@ def shape_of(A: PolyMat) -> ExtAffine:
 # the algebraic monodromy condition
 
 
-@dataclass(frozen=True)
-class MonodromyParams:
+class MonodromyParams(NamedTuple):
     """The parameter triple of the monodromy operator, with the prime."""
 
     field: object
@@ -575,8 +573,7 @@ class MonodromyParams:
                                     for i in range(4)])
 
 
-@dataclass(frozen=True)
-class MonodromyDefect:
+class MonodromyDefect(NamedTuple):
     clause: int
     entry: tuple[int, int] | None
     detail: str
@@ -638,8 +635,7 @@ def monodromy_defect(A: PolyMat, params: MonodromyParams):
 ADMISSIBLE_DISPLAY = {"a0": 1, "a1": 2, "a2": 3, "a3": 1, "e": 5}
 
 
-@dataclass(frozen=True)
-class RegColOneParams:
+class RegColOneParams(NamedTuple):
     """Scalar parameters of the regular colength-one universal matrix.
 
     The c's are the matrix coordinates; a0..a3 and e are the opaque

@@ -8,7 +8,6 @@ and parameters enter purely through presentations t_(mu+eta) * s.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import product
 from typing import NamedTuple, Sequence
@@ -112,27 +111,26 @@ class SerreWeight(NamedTuple):
 # --- presentations --------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class TamePresentation:
+class TamePresentation(NamedTuple):
     """A tame inertial type (over the coefficient field) or tame inertial
-    parameter (mod p), given by its presentation data."""
+    parameter (mod p), given by its presentation data, made whole by `make`."""
 
     kind: str  # "type" or "param"
     s: tuple[FiniteWeyl, ...]
     mu: tuple[Weight, ...]
     p: int
-    # computed once, in __post_init__; not part of the presentation's identity
-    _depth: int = field(init=False, repr=False, compare=False)
+    mu_depth: int  # the least lowest_alcove_depth of the mu, a function of (mu, p)
 
-    def __post_init__(self):
-        if self.kind not in ("type", "param"):
+    @staticmethod
+    def make(kind: str, s: tuple[FiniteWeyl, ...], mu: tuple[Weight, ...],
+             p: int) -> "TamePresentation":
+        if kind not in ("type", "param"):
             raise ValueError("kind must be 'type' or 'param'")
-        if len(self.s) != len(self.mu):
+        if len(s) != len(mu):
             raise ValueError("mismatched tuple lengths")
-        if not self.s:
+        if not s:
             raise ValueError("a presentation needs at least one embedding")
-        object.__setattr__(
-            self, "_depth", min(lowest_alcove_depth(mu, self.p) for mu in self.mu))
+        return TamePresentation(kind, s, mu, p, min(lowest_alcove_depth(m, p) for m in mu))
 
     @property
     def f(self) -> int:
@@ -145,7 +143,7 @@ class TamePresentation:
         )
 
     def depth(self) -> int:
-        return self._depth
+        return self.mu_depth
 
     def display(self) -> str:
         ss = ",".join(w.display() for w in self.s)
@@ -162,7 +160,7 @@ def compat_element(rhobar: TamePresentation, tau: TamePresentation) -> TupleElt:
 
 def presentation_from_w_tilde(kind: str, wt: TupleElt, p: int) -> TamePresentation:
     """Recover (s, mu) from t_(mu+eta)*s; mu must sit inside the lowest alcove."""
-    pres = TamePresentation(kind, tuple(x.w for x in wt), tuple(x.nu - ETA for x in wt), p)
+    pres = TamePresentation.make(kind, tuple(x.w for x in wt), tuple(x.nu - ETA for x in wt), p)
     if pres.depth() < 0:  # some mu is outside the lowest alcove: name the first
         x = next(x for x, m in zip(wt, pres.mu) if lowest_alcove_depth(m, p) < 0)
         raise ValueError("translation part is not in the lowest alcove: %r" % (x,))
@@ -382,13 +380,13 @@ def _slot_join(index: dict[tuple[int, int], list], jh_slot: list[dict[int, Part]
     """One slot's (a, b) join: the W? parts of `index` (`_slot_index`)
     against the JH parts, grouped by their rows (i of W?, i of JH).  Each
     match carries the y indices of its two singles (the next slot's rows),
-    the part and the two central characters."""
+    the W? part and its central character less the JH part's."""
     jh_y = _singles("type").y_slot
     groups: dict[tuple[int, int], list] = {}
     for i2, row in enumerate(jh_slot):
         for k2, (a, b, c2) in row.items():
             for i, y, c in index.get((a, b), ()):
-                groups.setdefault((i, i2), []).append(((y, jh_y[k2]), (a, b, c), c, c2))
+                groups.setdefault((i, i2), []).append(((y, jh_y[k2]), (a, b, c), c - c2))
     return groups
 
 
@@ -518,15 +516,15 @@ def intersect_w_jh(
     joins = [table.join(a, b) for a, b in zip(wq, jh)]
     found = set()
 
-    def chain(j, rows, start, n, n2, parts):
-        for nxt, part, c, c2 in joins[j].get(rows, ()):
+    def chain(j, rows, start, d, parts):
+        for nxt, part, dc in joins[j].get(rows, ()):
             if j < last:
-                chain(j + 1, nxt, start, n * p + c, n2 * p + c2, parts + (part,))
-            elif nxt == start and (n * p + c - n2 * p - c2) % modulus == 0:
+                chain(j + 1, nxt, start, d * p + dc, parts + (part,))
+            elif nxt == start and (d * p + dc) % modulus == 0:
                 found.add(SerreWeight._trusted(p, parts + (part,)))
 
     for start in joins[0]:
-        chain(0, start, start, 0, 0, ())
+        chain(0, start, start, 0, ())
     return frozenset(found)
 
 

@@ -98,7 +98,7 @@ def random_deep_presentation(p, f, min_depth, rng, kind="type") -> TamePresentat
         cand = Weight(x - 2, y - 1, rng.randrange(-2, 3))
         assert lowest_alcove_depth(cand, p) >= m
         mu.append(cand)
-    return TamePresentation(kind, s, tuple(mu), p)
+    return TamePresentation.make(kind, s, tuple(mu), p)
 
 
 # --- random Iwahori elements (symplectic) ----------------------------------

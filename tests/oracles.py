@@ -734,7 +734,7 @@ def alcove_shift_inv(sigma: SerreWeight) -> SerreWeight:
 
 def param_of_reduction(rhobar: TamePresentation) -> TamePresentation:
     """The type presentation with the same data as a parameter."""
-    return TamePresentation("type", rhobar.s, rhobar.mu, rhobar.p)
+    return TamePresentation.make("type", rhobar.s, rhobar.mu, rhobar.p)
 
 
 def predicted_set_via_shift(rhobar: TamePresentation) -> frozenset[SerreWeight]:

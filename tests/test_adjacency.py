@@ -7,7 +7,7 @@ from typing import NamedTuple
 
 import pytest
 
-from gsp4weights.base import SIMPLES, W_ALL, W_E, W_S1, W_S2, Weight, weyl_mul
+from gsp4weights.base import SIMPLES, W_ALL, W_E, W_S1, W_S2, Weight, lowest_alcove_depth, weyl_mul
 from gsp4weights.affine import (
     HIGHEST_RESTRICTED,
     IDENTITY,
@@ -27,20 +27,46 @@ from gsp4weights.weights import (
     GenericityError,
     SerreWeight,
     TamePresentation,
+    compat_element,
     enumerate_ap,
     enumerate_ap_prime,
     intersect_w_jh,
     jh_set,
     obvious_weights,
+    presentation_from_w_tilde,
+    t_compose,
+    t_invert,
+    type_from_target,
     w_question,
     w_question_set,
 )
 from gsp4weights import adjacency, weights
-from gsp4weights.admissible import AdmissibleSet, adm_set, adm_set_oracle
-from gsp4weights.cli import load_presentation
+from gsp4weights.admissible import AdmissibleSet, adm_set, adm_set_oracle, colength_one_split
+from gsp4weights.cli import RunConfig, load_presentation
+from gsp4weights.cycles import (
+    BMSumResult,
+    ColengthOneReport,
+    bm_sum,
+    classify_embedding_shape,
+    colength_one_components,
+)
+from gsp4weights.exactalg import QQ, PrimeField
+from gsp4weights.localmodel import (
+    MonodromyDefect,
+    MonodromyParams,
+    PolyMat,
+    RegColOneParams,
+    SimilitudeResult,
+    build_regcolone_matrix,
+    monodromy_defect,
+    monodromy_params_of,
+    symplectic_similitude,
+)
 from gsp4weights.adjacency import (
     AdjacencyInstance,
+    ChainResult,
     WeightGraph,
+    _edge,
     _graph_of,
     build_graph,
     build_instance,
@@ -103,17 +129,36 @@ def test_instance_basic_shape():
 
 
 def test_value_types_are_named_tuples_hashing_as_their_fields():
-    # a seeded sample of rb_f2's instances and of the pairs, weights and
-    # elements they hold: each is a NamedTuple, hashes as the plain tuple
-    # of its fields, and refuses assignment to a field
-    instances = random.Random(17).sample(
-        list(_graph_of(fixture("rb_f2.json")).instances.values()), 30)
+    # a seeded sample of rb_f2's instances and of the pairs, weights,
+    # elements and presentations they hold, and of every other record of
+    # the package: each is a NamedTuple, hashes as the plain tuple of its
+    # fields (a presentation's include its mu_depth), and refuses
+    # assignment to a field
+    rho = fixture("rb_f2.json")
+    instances = random.Random(17).sample(list(_graph_of(rho).instances.values()), 30)
+    solved = RegColOneParams.solved(QQ, 37, c00=3, c21=5, c13=2, c31=7, a=(110, 66, 42))
+    drawn = RegColOneParams.admissible(PrimeField(37), 37, 5, 4, 9, 11, 2, 3, 6)
+    off = build_regcolone_matrix(RegColOneParams.admissible(QQ, 37, 5, 4, 9, 11, 2, 3, 6), 37)
     samples = {
         AdjacencyInstance: instances,
         APPair: [inst.pair for inst in instances],
         SerreWeight: [inst.sigma2 for inst in instances],
         ExtAffine: [x for inst in instances for x in inst.pair.w1 + inst.pair.w2],
+        TamePresentation: [rho] + [inst.tau for inst in instances[:5]],
+        ChainResult: [find_chain(rho, inst.sigma1) for inst in instances[:5]],
+        ColengthOneReport: [colength_one_components(inst.rhobar0, inst.tau)
+                            for inst in instances[:3]],
+        BMSumResult: [bm_sum(inst.tau) for inst in instances[:2]],
+        RunConfig: [RunConfig(), RunConfig(p=41, f=2, seed=3, fmt="json")],
+        RegColOneParams: [solved, drawn],
+        SimilitudeResult: [symplectic_similitude(build_regcolone_matrix(solved, 37), 37),
+                           symplectic_similitude(PolyMat.identity(QQ), 37)],
+        MonodromyParams: [monodromy_params_of(solved, 37), MonodromyParams.make(QQ, 1, 2, 3, 37)],
+        MonodromyDefect: [monodromy_defect(off, monodromy_params_of(solved, 37))],
     }
+    assert all(len(values) > 0 for values in samples.values())
+    for pres in samples[TamePresentation]:
+        assert pres.mu_depth == min(lowest_alcove_depth(mu, pres.p) for mu in pres.mu)
     for cls, values in samples.items():
         assert NamedTuple in cls.__orig_bases__
         for value in values:
@@ -240,7 +285,7 @@ def test_build_instance_refuses_a_parameter_as_build_graph_does(mu):
     # outside the lowest alcove, and 1- and 2-deep: each instance reads
     # F_rhobar at its pair first, so it is refused by the weight maps'
     # guard, which names the parameter, before anything is derived
-    rho = TamePresentation("param", (W_S1,), (Weight(*mu),), 37)
+    rho = TamePresentation.make("param", (W_S1,), (Weight(*mu),), 37)
     _graph_of.cache_clear()
     with pytest.raises(GenericityError) as refused:
         build_graph(rho)
@@ -643,7 +688,7 @@ def test_steered_steps_are_checked_on_the_shared_graph(monkeypatch):
 def test_find_chain_refuses_every_weight_of_a_refused_parameter():
     # W? exists at depth 4, but the derived types are too shallow for the
     # graph; find_chain reads the graph, so even an obvious weight is refused
-    rho = TamePresentation("param", (W_E,), (Weight(12, 8, 0),), 37)
+    rho = TamePresentation.make("param", (W_E,), (Weight(12, 8, 0),), 37)
     message = r"^presentation type\[s=s2 mu=10,9,-1\] is only 1-deep; need at least 3$"
     with pytest.raises(GenericityError, match=message):
         build_graph(rho, check=False)
@@ -923,6 +968,84 @@ def test_witness_map_on_checked_instances_at_f(f):
         assert inst.sigma2 == weights._SlotTable.weight(rho, "param", moved)
 
 
+def _shape(inst):
+    """The classifier's case at each slot of w(rhobar0, tau)."""
+    return tuple(classify_embedding_shape(g) for g in compat_element(inst.rhobar0, inst.tau))
+
+
+def _step(f, j):
+    """Case 2 (the irregular colength-one family) at slot j, case 1 (a
+    translation of an extreme weight) at every other slot."""
+    return tuple(2 if k == j else 1 for k in range(f))
+
+
+@pytest.mark.parametrize("name, count", [("rb1.json", 34), ("rb41.json", 34),
+                                         ("rb_f2.json", 1360)])
+def test_every_edge_is_an_irregular_colength_one_step(name, count):
+    # measured: every instance of the graph is case 2 at the slot of s and
+    # case 1 elsewhere.  w(rhobar0, tau) depends on (pair, s) alone, so at
+    # f = 1 every parameter's 34 instances meet all eight case-2 elements,
+    # with the multiplicities below
+    rho = fixture(name)
+    instances = list(_graph_of(rho).instances.values())
+    assert len(instances) == count
+    assert [inst for inst in instances if _shape(inst) != _step(rho.f, inst.s[1])] == []
+    if rho.f == 1:
+        counts = Counter(compat_element(inst.rhobar0, inst.tau) for inst in instances)
+        assert {g for (g,) in counts} == set(colength_one_split()[1])
+        assert sorted(counts.values(), reverse=True) == [6, 6, 4, 4, 4, 4, 4, 2]
+
+
+@pytest.mark.parametrize("f", [3, 4])
+def test_checked_instances_at_f_are_irregular_colength_one_steps(f):
+    # 100 seeded checked instances on one 9-deep parameter, with pairs of
+    # random AP' singles and an allowed s each
+    rho = random_deep_presentation(131, f, 9, random.Random(10 + f), "param")
+    singles = weights._singles("param").pairs
+    rng = random.Random(100 + f)
+    for _ in range(100):
+        k = tuple(rng.randrange(len(singles)) for _ in range(f))
+        pair = APPair(tuple(singles[n][0] for n in k), tuple(singles[n][1] for n in k))
+        s = rng.choice(valid_simples(pair))
+        assert _shape(build_instance(rho, pair, s, check=True)) == _step(f, s[1])
+
+
+# Per f = 1 fixture, for each of the six AP' singles whose w1 has length
+# zero and differs from w2, in enumeration order: whether the weight that
+# meets sigma1 in W?(rhobar0) & JH(tau) for s_2 lies in W?(rhobar).
+FORBIDDEN_SECOND_IS_PREDICTED = (True, True, False, True, True, False)
+
+
+@pytest.mark.parametrize("name", ["rb1.json", "rb41.json"])
+def test_forbidden_letters_meet_in_two_weights_on_no_edge(name):
+    # valid_simples forbids s_2 at these singles.  Built anyway, tau is
+    # case 2 against rhobar0, and W?(rhobar0) & JH(tau) is sigma1 and one
+    # more weight, never joined to sigma1 by an edge: so the intersection
+    # condition alone does not explain the rule, and a change to
+    # valid_simples shows here.  No check reads the classifier.
+    rho = fixture(name)
+    state, wq = _graph_of(rho), w_question(rho)
+    seconds = []
+    for pair in enumerate_ap_prime(1):
+        (w1,), (w2,) = pair
+        if not (in_omega(w1) and w1 != w2):
+            continue
+        assert (2, 0) not in valid_simples(pair)
+        tau = type_from_target(rho, conjugated_target(pair.w2, pair.w1, (2, 0)))
+        rhobar0 = presentation_from_w_tilde(
+            "param", t_compose(rho.w_tilde(), t_compose(t_invert(pair.w1), pair.w2)), rho.p)
+        assert classify_embedding_shape(compat_element(rhobar0, tau)[0]) == 2
+        sigma1 = wq[pair]
+        meet = intersect_w_jh(rhobar0, tau)
+        assert len(meet) == 2 and sigma1 in meet
+        (second,) = meet - {sigma1}
+        assert _edge(sigma1, second) not in state.graph.edges
+        seconds.append(second in state.back)
+    assert tuple(seconds) == FORBIDDEN_SECOND_IS_PREDICTED
+    assert [mod.__name__ for mod in (adjacency, weights)
+            if "classify_embedding_shape" in vars(mod)] == []
+
+
 def _distances(neighbors, sources):
     """The breadth-first distance from `sources` of each vertex reached."""
     dist = dict.fromkeys(sources, 0)
@@ -1039,7 +1162,7 @@ def test_checked_build_fails_where_its_first_failing_instance_does(monkeypatch):
     # run one instance at a time all raise the same error at that instance
     monkeypatch.setattr(weights, "WEIGHT_DEPTH", 0)
     monkeypatch.setattr(adjacency, "derived_depth_bound", lambda d: 0)
-    rho = TamePresentation("param", (W_S1,), (Weight(6, 3, 0),), 37)
+    rho = TamePresentation.make("param", (W_S1,), (Weight(6, 3, 0),), 37)
     keys = [(pair, s) for pair in enumerate_ap_prime(1) for s in valid_simples(pair)]
     for n, (pair, s) in enumerate(keys):
         try:
@@ -1077,7 +1200,7 @@ def test_p37_sweep_builds_or_refuses_alike_checked_or_not():
     for s in W_ALL:
         for a in range(74):
             for b in range(74):
-                rho = TamePresentation("param", (s,), (Weight(a, b, 0),), 37)
+                rho = TamePresentation.make("param", (s,), (Weight(a, b, 0),), 37)
                 if rho.depth() < 0:
                     continue
                 outcomes = []

@@ -44,8 +44,8 @@ def test_derived_bound_lowers_tau_depth_by_the_shortfall():
 
 @pytest.mark.parametrize("kind,weights_of", (("type", jh_set), ("param", w_question_set)))
 def test_weight_maps_need_weight_depth(kind, weights_of, monkeypatch):
-    deep = TamePresentation(kind, (W_E,), (DEEP,), P)
-    shallow = TamePresentation(kind, (W_E,), (SHALLOW,), P)
+    deep = TamePresentation.make(kind, (W_E,), (DEEP,), P)
+    shallow = TamePresentation.make(kind, (W_E,), (SHALLOW,), P)
     assert (deep.depth(), shallow.depth()) == (WEIGHT_DEPTH, WEIGHT_DEPTH - 1)
     assert len(weights_of(deep)) == 20
     with pytest.raises(GenericityError, match="only 2-deep; need at least 3"):

@@ -48,6 +48,17 @@ def test_coerce_reads_only_ints_fractions_and_coefficient_strings(field, x, erro
         LaurentPoly(field, {0: x})
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(5)], ids=["QQ", "F5"])
+@pytest.mark.parametrize("exp", [2.7, True, "2"], ids=["float", "bool", "str"])
+def test_exponents_are_ints_and_nothing_read_as_one(field, exp):
+    # an exponent of any other type is refused by name, not read as v^int(exp)
+    with pytest.raises(TypeError, match="^exponent %s is not an int$" % repr(exp)):
+        LaurentPoly(field, {exp: 1})
+    with pytest.raises(TypeError, match="^exponent %s is not an int$" % repr(exp)):
+        LaurentPoly(field, [(0, 1), (exp, 3)])
+    assert LaurentPoly(field, {2: 1, -1: 3}).coeffs == ((-1, 3), (2, 1))
+
+
 def test_coerce_reads_the_coefficient_grammar():
     assert QQ.coerce("-6/4") == Fraction(-3, 2) and QQ.coerce("07") == 7
     assert PrimeField(5).coerce("3/2") == 4 and PrimeField(5).coerce("-1") == 4

@@ -28,8 +28,9 @@ the process, so only tables of no arguments may be cached whole.
 `admissible.elem_sort_key` makes an element's alcove again, so it is
 named only where no alcove is at hand.
 
-A record is made whole by its one maker, so no definition is a
-`cached_property` filled in on first read.
+A record is a NamedTuple made whole by its one maker, so no definition
+is a `cached_property` filled in on first read, no module imports
+`dataclasses`, and a presentation is made only by `TamePresentation.make`.
 """
 
 import ast
@@ -533,6 +534,36 @@ def test_no_definition_is_a_cached_property():
                    for dec in node.decorator_list
                    if getattr(dec, "id", getattr(dec, "attr", None)) == "cached_property")
     assert found == []
+
+
+def test_records_are_named_tuples_made_by_their_one_maker():
+    # one record idiom: no module imports dataclasses, not even through a
+    # module it imports, and TamePresentation( is called only inside
+    # TamePresentation.make, which adds the depth its fields carry
+    trees = _package_trees()
+    found = sorted("%s.py:%d" % (mod, node.lineno)
+                   for mod, tree in trees.items() for node in ast.walk(tree)
+                   if isinstance(node, ast.Import)
+                   and any(a.name.split(".")[0] == "dataclasses" for a in node.names)
+                   or isinstance(node, ast.ImportFrom)
+                   and (node.module or "").split(".")[0] == "dataclasses")
+    assert found == []
+    (make,) = [node for cls in trees["weights"].body
+               if isinstance(cls, ast.ClassDef) and cls.name == "TamePresentation"
+               for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "make"]
+    inside = {id(node) for node in ast.walk(make)}
+    calls = [(mod, node) for mod, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and "TamePresentation" in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls
+    assert [(mod, node.lineno) for mod, node in calls if id(node) not in inside] == []
+    modules = sorted(mod for mod in trees if mod != "__init__")
+    assert len(modules) == 10
+    code = "import sys; sys.path.insert(0, %r); %s; print('dataclasses' in sys.modules)" % (
+        os.path.join(ROOT, "src"), "; ".join("import gsp4weights." + m for m in modules))
+    out = subprocess.run([sys.executable, "-s", "-S", "-c", code],
+                         capture_output=True, text=True, check=True)
+    assert out.stdout == "False\n"
 
 
 def test_only_the_kronecker_pair_shifts_by_a_variable_amount():

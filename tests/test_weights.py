@@ -219,13 +219,29 @@ def test_jh_outer_weights_distinct():
 
 
 def test_jh_depth_guard(monkeypatch):
-    shallow = TamePresentation("type", (W_E,), (Weight(1, 0, 0),), P)
+    shallow = TamePresentation.make("type", (W_E,), (Weight(1, 0, 0),), P)
     assert shallow.depth() < 3
     with pytest.raises(GenericityError):
         jh_factors(shallow)
     # thresholds are data: the policy's one threshold may be lowered
     monkeypatch.setattr(weights, "WEIGHT_DEPTH", 1)
     jh_factors(tau_fixture())
+
+
+def test_make_refuses_what_no_presentation_is():
+    # the one maker refuses, in this order, an unknown kind, s and mu of
+    # different lengths, and no embedding; what it makes carries the
+    # depth of its mu and equals the plain tuple of its fields
+    with pytest.raises(ValueError, match="^kind must be 'type' or 'param'$"):
+        TamePresentation.make("typ", (), (Weight(12, 8, 0),), P)
+    with pytest.raises(ValueError, match="^mismatched tuple lengths$"):
+        TamePresentation.make("type", (), (Weight(12, 8, 0),), P)
+    with pytest.raises(ValueError, match="^a presentation needs at least one embedding$"):
+        TamePresentation.make("param", (), (), P)
+    mu = (Weight(12, 8, 0), Weight(1, 0, 0))
+    pres = TamePresentation.make("param", (W_E, W_E), mu, P)
+    assert pres.depth() == pres.mu_depth == lowest_alcove_depth(Weight(1, 0, 0), P)
+    assert pres == ("param", (W_E, W_E), mu, P, pres.mu_depth)
 
 
 def test_wq_injective_and_sizes():
@@ -331,7 +347,7 @@ def test_jh_f2_product_structure():
     # components, but each diagonal product pair reproduces the f=1 value
     # in both slots
     tau1 = tau_fixture(seed=61)
-    tau = TamePresentation("type", tau1.s + tau1.s, tau1.mu + tau1.mu, P)
+    tau = TamePresentation.make("type", tau1.s + tau1.s, tau1.mu + tau1.mu, P)
     table1 = jh_factors(tau1)
     table2 = jh_factors(tau)
     assert len(set(table2.values())) == 400
@@ -447,7 +463,7 @@ def test_covering_uparrow_sampled():
         mu_new = omega0 - ETA - s_new.act(kappa)
         if lowest_alcove_depth(mu_new, P) < 3:
             continue
-        tau2 = TamePresentation("type", (s_new,), (mu_new,), P)
+        tau2 = TamePresentation.make("type", (s_new,), (mu_new,), P)
         jh2 = jh_set(tau2)
         if sigma0 not in jh2:
             continue
@@ -493,8 +509,8 @@ def _kernel_at(pres, pair):
 
 
 def _both_kinds(pres):
-    return (TamePresentation("param", pres.s, pres.mu, pres.p),
-            TamePresentation("type", pres.s, pres.mu, pres.p))
+    return (TamePresentation.make("param", pres.s, pres.mu, pres.p),
+            TamePresentation.make("type", pres.s, pres.mu, pres.p))
 
 
 @pytest.mark.parametrize("name", PRESENTATION_FIXTURES)
@@ -600,15 +616,20 @@ def _labels(table):
 def test_join_compares_central_characters(name):
     # adding (0, 0, 1) to mu_0 moves every central integer of JH(tau) by
     # p^(f-1) and keeps every (a, b): the labels still join, the weights
-    # do not meet
+    # do not meet.  Adding (0, 0, p - 1) to every mu_j moves them by
+    # p^f - 1, which is no move: the weights still meet
     rho = _fixture(name)
     for inst in _instances(rho, 4, random.Random(8)):
         tau = inst.tau
-        shifted = TamePresentation(
+        shifted = TamePresentation.make(
             "type", tau.s, (tau.mu[0] + Weight(0, 0, 1),) + tau.mu[1:], tau.p)
         assert _labels(jh_factors(shifted)) == _labels(jh_factors(tau))
         got = intersect_w_jh(inst.rhobar0, shifted)
         assert got == oracles.intersect_w_jh(inst.rhobar0, shifted) == frozenset()
+        wrapped = TamePresentation.make(
+            "type", tau.s, tuple(mu + Weight(0, 0, tau.p - 1) for mu in tau.mu), tau.p)
+        assert jh_set(wrapped) == jh_set(tau)
+        assert intersect_w_jh(inst.rhobar0, wrapped) == {inst.sigma1, inst.sigma2}
     # presentations over different fields share no weight
     other_p = rho_fixture(p=41)
     assert intersect_w_jh(other_p, _both_kinds(_fixture("rb1.json"))[1]) == frozenset()
@@ -623,11 +644,11 @@ def _error_of(fn, *args):
 
 def test_kernel_errors_match_oracle(monkeypatch):
     # too shallow for the default depth: refused before any weight
-    shallow = TamePresentation("param", (W_E, W_E), (Weight(1, 0, 0), Weight(16, 8, 0)), P)
+    shallow = TamePresentation.make("param", (W_E, W_E), (Weight(1, 0, 0), Weight(16, 8, 0)), P)
     assert shallow.depth() < 3
     # allowed at depth 0, but thetas leave the lowest alcove: refused by
     # the lowest-alcove check of a weight part
-    edge = TamePresentation("param", (W_E, W_E), (Weight(16, 8, 0), Weight(1, 0, 0)), P)
+    edge = TamePresentation.make("param", (W_E, W_E), (Weight(16, 8, 0), Weight(1, 0, 0)), P)
     assert edge.depth() == 0
     _, deep_tau = _both_kinds(_fixture("rb_f2.json"))
     for pres, depth in ((shallow, 3), (edge, 0)):
@@ -692,8 +713,8 @@ def test_offset_table_matches_oracle_exhaustively(p, monkeypatch):
     raised = 0
     for s in W_ALL:
         for mu in _lowest_alcove_mus(p):
-            rho = TamePresentation("param", (s,), (mu,), p)
-            tau = TamePresentation("type", (s,), (mu,), p)
+            rho = TamePresentation.make("param", (s,), (mu,), p)
+            tau = TamePresentation.make("type", (s,), (mu,), p)
             wq = _outcome(lambda: list(w_question(rho).items()))
             assert wq == _outcome(lambda: list(oracles.w_question(rho, 0).items()))
             jh = _outcome(lambda: list(jh_factors(tau).items()))
