@@ -65,15 +65,6 @@ def alcove_length(a: Alcove) -> int:
     return abs((x - y) // 6) + abs(y // 6) + abs((x + y) // 6) + abs(x // 6)
 
 
-def reflect_alcove(a: Alcove, i: int, m: int) -> Alcove:
-    """Affine reflection in the hyperplane <., alpha_i^vee> = m."""
-    # s_{alpha,m}(pt) = pt - (<pt, alpha^vee> - m) * alpha_vec; scaled by
-    # 6, the functional value is compared with the wall at 6m
-    k = 6 * m - functional_values(a)[i]
-    va, vb = _ROOT_VECS[i]
-    return Alcove(a.x + k * va, a.y + k * vb)
-
-
 class ExtAffine(NamedTuple):
     """t_nu * w, acting as x -> nu + w(x): the pair (nu, w), equal and
     hashing as that pair."""
@@ -499,18 +490,10 @@ def is_restricted_alcove(a: Alcove) -> bool:
     return 0 < x - y < 6 and 0 < y < 6
 
 
-def _build_restricted_chain() -> tuple[Alcove, Alcove, Alcove, Alcove]:
-    a0 = BASE_ALCOVE
-    a1 = reflect_alcove(a0, 2, 1)
-    a2 = reflect_alcove(a1, 3, 1)
-    a3 = reflect_alcove(a2, 2, 2)
-    chain = (a0, a1, a2, a3)
-    assert all(is_restricted_alcove(a) for a in chain)
-    assert len(set(chain)) == 4
-    return chain
-
-
-RESTRICTED_ALCOVES = _build_restricted_chain()
+# the four restricted alcoves from the base alcove up: each is the one
+# before reflected in the wall <., alpha_i^vee> = m, for (i, m) = (2, 1),
+# (3, 1), (2, 2) in the order of POSITIVE_ROOTS (the tests derive them)
+RESTRICTED_ALCOVES = (Alcove(3, 1), Alcove(5, 3), Alcove(7, 3), Alcove(9, 5))
 
 
 def restricted_alcove_index(a: Alcove) -> int | None:

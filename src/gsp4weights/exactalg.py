@@ -27,6 +27,7 @@ import json
 import re
 from fractions import Fraction
 from math import gcd, lcm
+from typing import NamedTuple
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +191,9 @@ class LaurentPoly:
                 val = coerce(acc[exp] + val)
             acc[exp] = val
         terms, den = LaurentPoly._integer_form(field, sorted(t for t in acc.items() if t[1]))
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "terms", terms)
-        object.__setattr__(self, "den", den)
+        _set_field(self, field)
+        _set_terms(self, terms)
+        _set_den(self, den)
 
     def __setattr__(self, name, value):
         raise AttributeError("LaurentPoly is immutable")
@@ -478,7 +479,7 @@ class LaurentPoly:
             field, sorted(t for t in terms.items() if t[1])))
 
 
-# the trusted constructor sets the slots directly, past __setattr__
+# __init__ and the trusted constructor set the slots directly, past __setattr__
 _new = object.__new__
 _set_field, _set_terms, _set_den = (LaurentPoly.__dict__[name].__set__
                                     for name in LaurentPoly.__slots__)
@@ -578,20 +579,20 @@ def poly_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
 # reduced fractions
 
 
-class RatFunc:
-    """Rational function num/den in v, kept in lowest terms.
+class RatFunc(NamedTuple):
+    """Rational function num/den in v, in lowest terms as `make` builds it.
 
     Canonical form: den is monic with nonzero constant term (all unit
     factors, scalars and powers of v, are pushed into num).  The
     denominator is a unit of the Laurent ring exactly when den == 1.
     """
 
-    __slots__ = ("num", "den")
+    num: LaurentPoly
+    den: LaurentPoly
 
-    def __init__(self, num: LaurentPoly, den=None):
+    @staticmethod
+    def make(num: LaurentPoly, den: LaurentPoly) -> "RatFunc":
         field = num.field
-        if den is None:
-            den = LaurentPoly.one(field)
         if den.field != field:
             raise TypeError("mixed coefficient fields")
         if den.is_zero:
@@ -611,11 +612,7 @@ class RatFunc:
             if lead != 1:
                 num = num.scale(field.inv(lead))
                 den = den.scale(field.inv(lead))
-        object.__setattr__(self, "num", num)
-        object.__setattr__(self, "den", den)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("RatFunc is immutable")
+        return RatFunc(num, den)
 
     @property
     def is_laurent(self) -> bool:

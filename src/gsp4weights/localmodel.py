@@ -124,17 +124,22 @@ def _determinant(rows) -> LaurentPoly:
     return packed.poly(_det(packed.rows))
 
 
-class PolyMat:
-    """4x4 matrix of Laurent polynomials over a fixed field."""
+class PolyMat(NamedTuple):
+    """4x4 matrix of Laurent polynomials over a fixed field: four tuple
+    rows of four entries over `field`.  `make` builds one from outside
+    entries; every matrix computed here is built whole from its rows."""
 
-    __slots__ = ("field", "rows")
+    field: object
+    rows: tuple[tuple[LaurentPoly, ...], ...]
 
-    def __init__(self, field, rows):
-        rows = tuple(tuple(self._coerce_entry(field, x) for x in row) for row in rows)
+    @staticmethod
+    def make(field, rows) -> "PolyMat":
+        """The matrix of a 4x4 array of Laurent polynomials over `field`,
+        ints and Fractions."""
+        rows = tuple(tuple(PolyMat._coerce_entry(field, x) for x in row) for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("PolyMat needs a 4x4 entry array")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
+        return PolyMat(field, rows)
 
     @staticmethod
     def _coerce_entry(field, x) -> LaurentPoly:
@@ -146,18 +151,12 @@ class PolyMat:
             return LaurentPoly.const(field, x)
         raise TypeError("cannot use %r as a matrix entry" % (x,))
 
-    def __setattr__(self, name, value):
-        raise AttributeError("PolyMat is immutable")
-
     @staticmethod
     def identity(field) -> "PolyMat":
         one = LaurentPoly.one(field)
         zero = LaurentPoly.zero(field)
-        return PolyMat(field, [[one if i == j else zero for j in range(4)]
-                               for i in range(4)])
-
-    def entry(self, i: int, j: int) -> LaurentPoly:
-        return self.rows[i][j]
+        return PolyMat(field, tuple(tuple(one if i == j else zero for j in range(4))
+                                    for i in range(4)))
 
     def transpose(self) -> "PolyMat":
         return PolyMat(self.field, tuple(zip(*self.rows)))
@@ -169,11 +168,12 @@ class PolyMat:
             # entry (i, j) is a sum of 4 products of 2 entries
             packed = _Packed(self.rows + other.rows, 4, 2)
             left, right = packed.rows[:4], packed.rows[4:]
-            return PolyMat(self.field, [[packed.poly(sum(a * b[j] for a, b in zip(row, right)))
-                                         for j in range(4)] for row in left])
+            return PolyMat(self.field, tuple(
+                tuple(packed.poly(sum(a * b[j] for a, b in zip(row, right))) for j in range(4))
+                for row in left))
         if isinstance(other, (LaurentPoly, int, Fraction)):
             c = self._coerce_entry(self.field, other)
-            return PolyMat(self.field, [[e * c for e in row] for row in self.rows])
+            return PolyMat(self.field, tuple(tuple(e * c for e in row) for row in self.rows))
         return NotImplemented
 
     def __rmul__(self, other):
@@ -184,27 +184,20 @@ class PolyMat:
     def __add__(self, other):
         if not isinstance(other, PolyMat) or other.field != self.field:
             return NotImplemented
-        return PolyMat(self.field, [[a + b for a, b in zip(r1, r2)]
-                                    for r1, r2 in zip(self.rows, other.rows)])
-
-    def __eq__(self, other):
-        if not isinstance(other, PolyMat):
-            return NotImplemented
-        return self.field == other.field and self.rows == other.rows
-
-    def __hash__(self):
-        return hash((self.field, self.rows))
+        return PolyMat(self.field, tuple(tuple(a + b for a, b in zip(r1, r2))
+                                         for r1, r2 in zip(self.rows, other.rows)))
 
     def det(self) -> LaurentPoly:
         return _determinant(self.rows)
 
     def adjugate(self) -> "PolyMat":
         packed = _Packed(self.rows, 6, 3)
-        return PolyMat(self.field, [[packed.poly(x) for x in row]
-                                    for row in _adjugate(packed.rows)])
+        return PolyMat(self.field, tuple(tuple(packed.poly(x) for x in row)
+                                         for row in _adjugate(packed.rows)))
 
     def derivative(self) -> "PolyMat":
-        return PolyMat(self.field, [[e.derivative() for e in row] for row in self.rows])
+        return PolyMat(self.field, tuple(tuple(e.derivative() for e in row)
+                                         for row in self.rows))
 
     @staticmethod
     def from_json_obj(field, obj) -> "PolyMat":
@@ -217,20 +210,18 @@ class PolyMat:
             raise ValueError("the matrix is not a 4x4 array of cells")
         rows = []
         for i, row in enumerate(obj):
-            rows.append([])
+            entries = []
             for j, cell in enumerate(row):
                 where = "cell (%d, %d)" % (i, j)
                 coeffs = cell.get("coeffs") if isinstance(cell, dict) else None
                 if not isinstance(coeffs, dict):
                     raise ValueError('%s is not {"coeffs": {exponent: scalar}}' % where)
                 try:
-                    rows[i].append(LaurentPoly.from_coeff_json(field, coeffs))
+                    entries.append(LaurentPoly.from_coeff_json(field, coeffs))
                 except (ValueError, ZeroDivisionError) as exc:
                     raise type(exc)("%s: %s" % (where, exc)) from None
-        return PolyMat(field, rows)
-
-    def __repr__(self):
-        return "PolyMat(%r, %r)" % (self.field, self.rows)
+            rows.append(tuple(entries))
+        return PolyMat(field, tuple(rows))
 
 
 def e_poly(field, p: int) -> LaurentPoly:
@@ -240,15 +231,14 @@ def e_poly(field, p: int) -> LaurentPoly:
     return LaurentPoly(field, {1: 1, 0: p})
 
 
-# the symplectic form: antidiagonal (1, 1, -1, -1)
-_J_SUPPORT = ((0, 3, 1), (1, 2, 1), (2, 1, -1), (3, 0, -1))
+# the symplectic form: antidiagonal (1, 1, -1, -1), by row
+_J_SIGNS = (1, 1, -1, -1)
 
 
 def j_matrix(field) -> PolyMat:
-    rows = [[LaurentPoly.zero(field)] * 4 for _ in range(4)]
-    for i, j, s in _J_SUPPORT:
-        rows[i][j] = LaurentPoly.const(field, s)
-    return PolyMat(field, rows)
+    zero = LaurentPoly.zero(field)
+    return PolyMat(field, tuple(tuple(LaurentPoly.const(field, s) if j == 3 - i else zero
+                                      for j in range(4)) for i, s in enumerate(_J_SIGNS)))
 
 
 # Weyl generators acting on the character-exponent coordinates: s1 is
@@ -264,7 +254,7 @@ _GEN_ROWS = {
 def weyl_matrix(w: FiniteWeyl, field) -> PolyMat:
     out = PolyMat.identity(field)
     for ch in w.word:
-        out = out * PolyMat(field, _GEN_ROWS[ch])
+        out = out * PolyMat.make(field, _GEN_ROWS[ch])
     return out
 
 
@@ -273,8 +263,7 @@ def monomial_matrix(z: ExtAffine, field) -> PolyMat:
     diag(v^(std exponents of nu)) times the Weyl matrix of w."""
     exps = std_character(z.nu)
     wm = weyl_matrix(z.w, field)
-    rows = [[wm.rows[i][j].shift(exps[i]) for j in range(4)] for i in range(4)]
-    return PolyMat(field, rows)
+    return PolyMat(field, tuple(tuple(e.shift(k) for e in row) for row, k in zip(wm.rows, exps)))
 
 
 # ---------------------------------------------------------------------------
@@ -341,7 +330,7 @@ def symplectic_similitude(A: PolyMat, p: int) -> SimilitudeResult:
     else:
         # v = u - p makes E = u: c is scalar * v^a * E^b exactly when its
         # v-free part becomes a monomial in u
-        at_e = _taylor_shift(stripped, _minus_p(p))
+        at_e = _taylor_shift(stripped, -p)
         e_ord = at_e.low_degree
         unit = at_e.is_monomial
     return SimilitudeResult(True, c, None, v_ord, e_ord, unit)
@@ -425,19 +414,15 @@ def _taylor_shift(a: LaurentPoly, s: int) -> LaurentPoly:
 
 
 def _check_p(field, p: int) -> None:
-    """E(v) = v + p is the uniformizer over the rationals and over F_p,
-    where it is v; over F_q with q != p it is v + (p mod q), which the
-    E-adic computations here do not read."""
+    """E(v) = v + p is the uniformizer over the rationals, with root
+    -p != 0, and over F_p, where it is v; over F_q with q != p it is
+    v + (p mod q), which the E-adic computations here do not read.  Each
+    of them runs this first, so a refused p is refused before any work."""
     if field.char not in (0, p):
         raise ValueError("E(v) = v + %d needs characteristic 0 or %d, not %r"
                          % (p, p, field))
-
-
-def _minus_p(p: int) -> int:
-    """-p, the root of E(v) = v + p over the rationals."""
     if p == 0:
         raise ValueError("E(v) = v + p needs p != 0 over the rationals")
-    return -p
 
 
 def _least_valuation(A: PolyMat) -> int:
@@ -467,8 +452,7 @@ def e_divisor_pattern(A: PolyMat, p: int) -> tuple[int, int, int, int]:
     k = _least_valuation(A)
     rows = [[e.shift(-k) for e in row] for row in A.rows]
     if field.char == 0:
-        s = _minus_p(p)
-        rows = [[_taylor_shift(e, s) for e in row] for row in rows]
+        rows = [[_taylor_shift(e, -p) for e in row] for row in rows]
         k = 0  # v^k is a unit at E over the rationals
     det = _determinant(rows)
     if det.is_zero:
@@ -569,8 +553,8 @@ class MonodromyParams(NamedTuple):
     def diag_matrix(self) -> PolyMat:
         zero = LaurentPoly.zero(self.field)
         vals = [LaurentPoly.const(self.field, x) for x in self.diag_values()]
-        return PolyMat(self.field, [[vals[i] if i == j else zero for j in range(4)]
-                                    for i in range(4)])
+        return PolyMat(self.field, tuple(tuple(vals[i] if i == j else zero for j in range(4))
+                                         for i in range(4)))
 
 
 class MonodromyDefect(NamedTuple):
@@ -600,17 +584,17 @@ def monodromy_defect(A: PolyMat, params: MonodromyParams):
     vpoly = LaurentPoly.v_power(field, 1)
     num = (vpoly * A.derivative() + A * params.diag_matrix()) * A.adjugate()
     ep = e_poly(field, params.p)
-    x = [[RatFunc(ep * num.rows[i][j], det) for j in range(4)] for i in range(4)]
+    x = [[RatFunc.make(ep * e, det) for e in row] for row in num.rows]
     for i in range(4):
         for j in range(4):
             if not x[i][j].is_laurent:
                 return MonodromyDefect(
                     1, (i, j),
                     "denominator %s is not a unit" % x[i][j].den.display())
-    xm = PolyMat(field, [[e.num for e in row] for row in x])
+    xm = PolyMat(field, tuple(tuple(e.num for e in row) for row in x))
     jm = j_matrix(field)
     s = xm.transpose() * jm + jm * xm
-    scalar = s.entry(0, 3)
+    scalar = s.rows[0][3]
     for i in range(4):
         for j in range(4):
             if s.rows[i][j] != scalar * jm.rows[i][j]:
@@ -758,18 +742,18 @@ def build_regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
     zero = entry(1)
     # (c31' + p c13 c21) E and (c13 c21 - c31) E^2 of entry (2, 3), over d^2
     a, b = c31p * d + p * c13 * c21, c13 * c21 - c31 * d
-    rows = [
-        [entry(d, c00),
+    rows = (
+        (entry(d, c00),
          entry(d2, c00 * (c31p + p * c31), c00 * c31),
          entry(d2, c00 * c13),
-         entry(d2, c00 * c33p + 2 * p * c00 * c33 - 3 * p * p * d2, c00 * c33 - 3 * p * d2, -d2)],
-        [zero, entry(1, p * p, 2 * p, 1), zero, entry(d, c13 * p * p, 2 * p * c13, c13)],
-        [zero, entry(d, 0, p * c21, c21), entry(1, p, 1), entry(d2, b * p * p - a * p, 2 * b * p - a, b)],
-        [entry(1, 0, 1),
+         entry(d2, c00 * c33p + 2 * p * c00 * c33 - 3 * p * p * d2, c00 * c33 - 3 * p * d2, -d2)),
+        (zero, entry(1, p * p, 2 * p, 1), zero, entry(d, c13 * p * p, 2 * p * c13, c13)),
+        (zero, entry(d, 0, p * c21, c21), entry(1, p, 1), entry(d2, b * p * p - a * p, 2 * b * p - a, b)),
+        (entry(1, 0, 1),
          entry(d, 0, c31p + p * c31, c31),
          entry(d, 0, c13),
-         entry(d, c33pp + p * c33p + p * p * c33, c33p + 2 * p * c33, c33)],
-    ]
+         entry(d, c33pp + p * c33p + p * p * c33, c33p + 2 * p * c33, c33)),
+    )
     return PolyMat(f, rows)
 
 

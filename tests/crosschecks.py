@@ -143,7 +143,7 @@ def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
                     i, j = j, i
                 c = coeff if sign == 1 else coeff.scale(-1)
                 cols[j] = [a if b.is_zero else a + b * c for a, b in zip(cols[j], cols[i])]
-    return PolyMat(field, list(zip(*cols)))
+    return PolyMat.make(field, list(zip(*cols)))
 
 
 def weight_class_arrow_leq(sigma: SerreWeight, sigma0: SerreWeight) -> bool:

@@ -918,9 +918,9 @@ def laurent_pow(a: LaurentPoly, n: int) -> LaurentPoly:
 def matmul(A: PolyMat, B: PolyMat) -> PolyMat:
     """Schoolbook product: entry (i, j) sums laurent_mul(A[i][k], B[k][j])
     over k."""
-    return PolyMat(A.field, [[sum((laurent_mul(A.entry(i, k), B.entry(k, j)) for k in range(4)),
-                                  LaurentPoly.zero(A.field)) for j in range(4)]
-                             for i in range(4)])
+    return PolyMat.make(A.field, [[sum((laurent_mul(A.rows[i][k], B.rows[k][j]) for k in range(4)),
+                                       LaurentPoly.zero(A.field)) for j in range(4)]
+                                  for i in range(4)])
 
 
 def cofactor_adjugate(A: PolyMat) -> PolyMat:
@@ -932,7 +932,7 @@ def cofactor_adjugate(A: PolyMat) -> PolyMat:
         for j in range(4):
             cof = minor_det([r[:j] + r[j + 1:] for k, r in enumerate(rows) if k != i])
             out[j][i] = cof.scale(-1) if (i + j) % 2 else cof
-    return PolyMat(A.field, out)
+    return PolyMat.make(A.field, out)
 
 
 def similitude_form(A: PolyMat):
@@ -941,10 +941,10 @@ def similitude_form(A: PolyMat):
     where they differ."""
     J = j_matrix(A.field)
     S = matmul(matmul(A.transpose(), J), A)
-    c = S.entry(0, 3)
+    c = S.rows[0][3]
     for i in range(4):
         for j in range(4):
-            if S.entry(i, j) != c * J.entry(i, j):
+            if S.rows[i][j] != c * J.rows[i][j]:
                 return None, (i, j)
     return c, None
 
@@ -978,7 +978,7 @@ def regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
          ct(c13) * vp,
          ct(c33pp) + ct(c33p) * ep + ct(c33) * ep * ep],
     ]
-    return PolyMat(f, rows)
+    return PolyMat.make(f, rows)
 
 
 def root_multiplicity(a: LaurentPoly, r) -> int:
@@ -1118,7 +1118,7 @@ def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
     q = field.char
     t1, t2, t3 = rng.randrange(1, q), rng.randrange(1, q), rng.randrange(1, q)
     diag = (t1, t2, t3, field.coerce(Fraction(t2 * t3, t1)))
-    out = PolyMat(field, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
+    out = PolyMat.make(field, [[diag[i] if i == j else 0 for j in range(4)] for i in range(4)])
     for lower in (False, True, False):
         for spots in ROOT_SPOTS:
             low = 1 if lower else 0
@@ -1130,5 +1130,5 @@ def random_iwahori(field: PrimeField, rng, max_deg: int = 2) -> PolyMat:
                 if lower:
                     i, j = j, i
                 rows[i][j] = coeff if sign == 1 else coeff.scale(-1)
-            out = matmul(out, PolyMat(field, rows))
+            out = matmul(out, PolyMat.make(field, rows))
     return out

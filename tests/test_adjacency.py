@@ -42,7 +42,7 @@ from gsp4weights.weights import (
 )
 from gsp4weights import adjacency, weights
 from gsp4weights.admissible import AdmissibleSet, adm_set, adm_set_oracle, colength_one_split
-from gsp4weights.cli import RunConfig, load_presentation
+from gsp4weights.cli import RunConfig, load_matrix, load_presentation
 from gsp4weights.cycles import (
     BMSumResult,
     ColengthOneReport,
@@ -50,7 +50,7 @@ from gsp4weights.cycles import (
     classify_embedding_shape,
     colength_one_components,
 )
-from gsp4weights.exactalg import QQ, PrimeField
+from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, RatFunc
 from gsp4weights.localmodel import (
     MonodromyDefect,
     MonodromyParams,
@@ -58,8 +58,10 @@ from gsp4weights.localmodel import (
     RegColOneParams,
     SimilitudeResult,
     build_regcolone_matrix,
+    j_matrix,
     monodromy_defect,
     monodromy_params_of,
+    monomial_matrix,
     symplectic_similitude,
 )
 from gsp4weights.adjacency import (
@@ -133,12 +135,17 @@ def test_value_types_are_named_tuples_hashing_as_their_fields():
     # elements and presentations they hold, and of every other record of
     # the package: each is a NamedTuple, hashes as the plain tuple of its
     # fields (a presentation's include its mu_depth), and refuses
-    # assignment to a field
+    # assignment to a field.  Every matrix has four tuple rows of four
+    # Laurent polynomials over its own field, whichever way it was made
     rho = fixture("rb_f2.json")
     instances = random.Random(17).sample(list(_graph_of(rho).instances.values()), 30)
     solved = RegColOneParams.solved(QQ, 37, c00=3, c21=5, c13=2, c31=7, a=(110, 66, 42))
     drawn = RegColOneParams.admissible(PrimeField(37), 37, 5, 4, 9, 11, 2, 3, 6)
     off = build_regcolone_matrix(RegColOneParams.admissible(QQ, 37, 5, 4, 9, 11, 2, 3, 6), 37)
+    mat1 = load_matrix(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "mat1.json"),
+                       PrimeField(37))
+    family = build_regcolone_matrix(drawn, 37)
+    v = LaurentPoly.v_power(QQ, 1)
     samples = {
         AdjacencyInstance: instances,
         APPair: [inst.pair for inst in instances],
@@ -155,7 +162,19 @@ def test_value_types_are_named_tuples_hashing_as_their_fields():
                            symplectic_similitude(PolyMat.identity(QQ), 37)],
         MonodromyParams: [monodromy_params_of(solved, 37), MonodromyParams.make(QQ, 1, 2, 3, 37)],
         MonodromyDefect: [monodromy_defect(off, monodromy_params_of(solved, 37))],
+        PolyMat: [mat1, PolyMat.identity(QQ), mat1 * family, off.adjugate(), family,
+                  off.transpose() + off.derivative(), v * off, j_matrix(PrimeField(37)),
+                  monomial_matrix(instances[0].pair.w1[0], QQ),
+                  MonodromyParams.make(QQ, 1, 2, 3, 37).diag_matrix(),
+                  PolyMat.make(QQ, [[1, 0, 0, v]] * 4)],
+        RatFunc: [RatFunc.make(v * v - 1, v - 1), RatFunc.make(v, 2 * v * (v + 1)),
+                  RatFunc.make(off.det(), off.rows[0][0])],
     }
+    for mat in samples[PolyMat]:
+        assert type(mat.rows) is tuple and len(mat.rows) == 4
+        for row in mat.rows:
+            assert type(row) is tuple and len(row) == 4
+            assert all(type(e) is LaurentPoly and e.field == mat.field for e in row)
     assert all(len(values) > 0 for values in samples.values())
     for pres in samples[TamePresentation]:
         assert pres.mu_depth == min(lowest_alcove_depth(mu, pres.p) for mu in pres.mu)
@@ -1008,6 +1027,36 @@ def test_checked_instances_at_f_are_irregular_colength_one_steps(f):
         pair = APPair(tuple(singles[n][0] for n in k), tuple(singles[n][1] for n in k))
         s = rng.choice(valid_simples(pair))
         assert _shape(build_instance(rho, pair, s, check=True)) == _step(f, s[1])
+
+
+@pytest.mark.parametrize("name", ["rb1.json", "rb41.json", "rb_f2.json"])
+def test_sigma1_is_the_obvious_weight_of_rhobar0_at_w2(name):
+    # measured: slot by slot w(rhobar0) = w(rhobar) w1^(-1) w2, so the
+    # pair (w1, w2) for rhobar reads the weight that (w2, w2) reads for
+    # rhobar0, and F_rhobar(w1, w2) = F_rhobar0(w2, w2).  No library path
+    # reads sigma1 this way: W?(rhobar) is its one source
+    rho = fixture(name)
+    obvious = {}
+    for inst in _graph_of(rho).instances.values():
+        if inst.rhobar0 not in obvious:
+            obvious[inst.rhobar0] = obvious_weights(inst.rhobar0)
+        assert obvious[inst.rhobar0][tuple(x.w for x in inst.pair.w2)] == inst.sigma1
+
+
+@pytest.mark.parametrize("f", [3, 4])
+def test_sigma1_is_the_obvious_weight_of_rhobar0_at_w2_at_f(f):
+    # the same on 60 unchecked instances of the parameter and pairs of
+    # test_checked_instances_at_f_are_irregular_colength_one_steps, read
+    # at the diagonal index tuple of w2 alone
+    rho = random_deep_presentation(131, f, 9, random.Random(10 + f), "param")
+    singles = weights._singles("param")
+    rng = random.Random(100 + f)
+    for _ in range(60):
+        k = tuple(rng.randrange(len(singles.pairs)) for _ in range(f))
+        pair = APPair(tuple(singles.pairs[n][0] for n in k), tuple(singles.pairs[n][1] for n in k))
+        inst = build_instance(rho, pair, rng.choice(valid_simples(pair)), check=False)
+        diagonal = tuple(singles.index[w2, w2] for w2 in pair.w2)
+        assert weights._SlotTable.weight(inst.rhobar0, "param", diagonal) == inst.sigma1
 
 
 # Per f = 1 fixture, for each of the six AP' singles whose w1 has length

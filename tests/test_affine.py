@@ -50,6 +50,7 @@ from gsp4weights.affine import (
     in_omega,
     invert,
     is_dominant_element,
+    is_restricted_alcove,
     is_restricted_element,
     length,
     locate_weight,
@@ -58,7 +59,6 @@ from gsp4weights.affine import (
     omega_split,
     orbit_weight,
     p_dot,
-    reflect_alcove,
     restricted_alcove_index,
     shi_coordinates,
     star,
@@ -443,6 +443,14 @@ def test_restricted_alcove_chain():
         assert upper_arrow_leq_alcove(lo, hi)
         assert not upper_arrow_leq_alcove(hi, lo)
     assert upper_arrow_leq_alcove(a0, a3)
+    # the chain from the base barycenter: reflect in the wall of root 2 at
+    # m = 1, of root 3 at m = 1, of root 2 at m = 2, and scale by 6
+    pt, chain = oracles.BASE, [BASE_ALCOVE]
+    for i, m in ((2, 1), (3, 1), (2, 2)):
+        pt = oracles._reflect(pt, i, m)
+        chain.append(Alcove(6 * pt[0], 6 * pt[1]))
+    assert tuple(chain) == RESTRICTED_ALCOVES
+    assert all(is_restricted_alcove(a) for a in chain) and len(set(chain)) == 4
 
 
 def test_arrow_is_partial_order_sample():
@@ -585,16 +593,6 @@ def test_functional_values_of_base():
     # barycenter values 1/3, 1/6, 2/3, 1/2, scaled by 6
     assert functional_values(BASE_ALCOVE) == (2, 1, 4, 3)
     assert functional_values(Alcove(-3, -1)) == (-2, -1, -4, -3)
-
-
-def test_reflect_alcove_is_involution():
-    rng = random.Random(10)
-    for _ in range(30):
-        x = random_element(rng)
-        a = alcove_of(x)
-        for i in range(4):
-            for m in (-1, 0, 1, 2):
-                assert reflect_alcove(reflect_alcove(a, i, m), i, m) == a
 
 
 def _grid():

@@ -72,8 +72,8 @@ def unit_inverse(A):
 
 def diag_mat(field, exps):
     zero = LaurentPoly.zero(field)
-    return PolyMat(field, [[LaurentPoly.v_power(field, exps[i]) if i == j
-                            else zero for j in range(4)] for i in range(4)])
+    return PolyMat.make(field, [[LaurentPoly.v_power(field, exps[i]) if i == j
+                                 else zero for j in range(4)] for i in range(4)])
 
 
 def solved_params(field=QQ, c00=3, c21=5, c13=2, c31=7, a=A_GENERIC):
@@ -129,7 +129,7 @@ def test_monomial_matrix_multiplicative():
         q = lhs * unit_inverse(rhs)
         for i in range(4):
             for j in range(4):
-                e = q.entry(i, j)
+                e = q.rows[i][j]
                 if i == j:
                     assert e == LaurentPoly.one(QQ) or e == LaurentPoly.const(QQ, -1)
                 else:
@@ -176,21 +176,21 @@ def minor_kernel_cases(field, rng):
         rows = [list(r) for r in A.rows]
         i, j = rng.randrange(4), rng.randrange(4)
         rows[i][j] = rows[i][j] + LaurentPoly.v_power(field, rng.randrange(-1, 3))
-        perturbed.append(PolyMat(field, rows))
+        perturbed.append(PolyMat.make(field, rows))
     zero, v = LaurentPoly.zero(field), LaurentPoly.v_power(field, 1)
     for k in (1, 2):
         # column 3 plus v times column k: the form first fails at (3 - k, 3)
-        perturbed.append(PolyMat(field, [r[:3] + (r[3] + r[k] * v,) for r in sims[k].rows]))
-    randoms = [PolyMat(field, [[random_entry(field, rng) for _ in range(4)] for _ in range(4)])
+        perturbed.append(PolyMat.make(field, [r[:3] + (r[3] + r[k] * v,) for r in sims[k].rows]))
+    randoms = [PolyMat.make(field, [[random_entry(field, rng) for _ in range(4)] for _ in range(4)])
                for _ in range(10)]
-    singular = [PolyMat(field, [[zero] * 4] * 4),
-                PolyMat(field, [[v if (i, j) in ((0, 3), (1, 2)) else zero for j in range(4)]
-                                for i in range(4)])]
+    singular = [PolyMat.make(field, [[zero] * 4] * 4),
+                PolyMat.make(field, [[v if (i, j) in ((0, 3), (1, 2)) else zero for j in range(4)]
+                                     for i in range(4)])]
     for A in sims[:3] + randoms[:3]:
         rows = [list(r) for r in A.rows]
         rows[3] = [a * v + b.scale(2) for a, b in zip(rows[1], rows[0])]
-        singular.append(PolyMat(field, rows))
-        singular.append(PolyMat(field, [r[:2] + (zero,) + r[3:] for r in A.rows]))
+        singular.append(PolyMat.make(field, rows))
+        singular.append(PolyMat.make(field, [r[:2] + (zero,) + r[3:] for r in A.rows]))
     return sims + perturbed + randoms + singular
 
 
@@ -240,13 +240,13 @@ FIELD_IDS = ("QQ", "F2", "F5", "F37")
 @pytest.mark.parametrize("field", FIELDS, ids=FIELD_IDS)
 def test_packed_kernel_on_the_zero_matrix_and_single_entries(field):
     zero = LaurentPoly.zero(field)
-    det, form = assert_packed_kernel_matches(PolyMat(field, [[zero] * 4] * 4))
+    det, form = assert_packed_kernel_matches(PolyMat.make(field, [[zero] * 4] * 4))
     assert det.is_zero and form == (zero, None)
     entry = LaurentPoly(field, {-2: 3, 7: 1})
     for i in range(4):
         for j in range(4):
-            A = PolyMat(field, [[entry if (r, c) == (i, j) else zero for c in range(4)]
-                                for r in range(4)])
+            A = PolyMat.make(field, [[entry if (r, c) == (i, j) else zero for c in range(4)]
+                                     for r in range(4)])
             # every 2 x 2 minor has a zero factor in each product
             assert assert_packed_kernel_matches(A) == (zero, (zero, None))
 
@@ -260,7 +260,7 @@ def test_packed_kernel_on_sparse_entries_from_v_minus_40_to_v_40(field):
                                       for _ in range(rng.randrange(3))})
                   for _ in range(4)] for _ in range(4)]
         cells[n % 4][0] = LaurentPoly(field, {-40: 1, 40: -1})
-        assert_packed_kernel_matches(PolyMat(field, cells))
+        assert_packed_kernel_matches(PolyMat.make(field, cells))
 
 
 @pytest.mark.parametrize("q", (2, 5, 37))
@@ -270,12 +270,12 @@ def test_packed_kernel_with_every_coefficient_q_minus_1(q):
     rng = random.Random(240 + q)
     span = range(-3, 7)
     full = LaurentPoly(F, {k: q - 1 for k in span})
-    assert_packed_kernel_matches(PolyMat(F, [[full] * 4] * 4))
+    assert_packed_kernel_matches(PolyMat.make(F, [[full] * 4] * 4))
     for _ in range(8):
         cells = [[LaurentPoly(F, {k: q - 1 for k in span if rng.random() < 0.7})
                   for _ in range(4)] for _ in range(4)]
         cells[rng.randrange(4)][rng.randrange(4)] = full
-        assert_packed_kernel_matches(PolyMat(F, cells))
+        assert_packed_kernel_matches(PolyMat.make(F, cells))
 
 
 def test_packed_kernel_on_huge_numerators_over_distinct_denominators():
@@ -287,9 +287,9 @@ def test_packed_kernel_on_huge_numerators_over_distinct_denominators():
                                                dens[4 * i + j])
                                    for k in range(-1 - n % 2, 2 + n % 3)})
                   for j in range(4)] for i in range(4)]
-        assert_packed_kernel_matches(PolyMat(QQ, cells))
+        assert_packed_kernel_matches(PolyMat.make(QQ, cells))
         # a similitude with the same entry sizes: the form passes
-        sim = PolyMat(QQ, cells).rows[0][0] * monomial_matrix(star(translation(ETA)), QQ)
+        sim = PolyMat.make(QQ, cells).rows[0][0] * monomial_matrix(star(translation(ETA)), QQ)
         assert localmodel._form_scalar(sim)[1] is None
         assert_packed_kernel_matches(sim)
 
@@ -329,7 +329,7 @@ def test_similitude_identity_and_failure():
     zero = LaurentPoly.zero(QQ)
     rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
     rows[0][1] = one  # unbalanced root direction breaks the form
-    res = symplectic_similitude(PolyMat(QQ, rows), P)
+    res = symplectic_similitude(PolyMat.make(QQ, rows), P)
     assert not res.ok and res.failed_entry is not None
 
 
@@ -346,7 +346,7 @@ def test_similitude_of_iwahori_elements():
 def test_similitude_singular_raises():
     zero = LaurentPoly.zero(QQ)
     with pytest.raises(ValueError):
-        symplectic_similitude(PolyMat(QQ, [[zero] * 4] * 4), P)
+        symplectic_similitude(PolyMat.make(QQ, [[zero] * 4] * 4), P)
 
 
 def test_similitude_and_divisors_refuse_a_field_of_another_characteristic():
@@ -368,6 +368,43 @@ def test_similitude_and_divisors_refuse_a_field_of_another_characteristic():
     assert e_poly(F5, 5) == LaurentPoly.v_power(F5, 1)
 
 
+def test_e_adic_functions_refuse_p_zero_before_any_work():
+    # over the rationals E(v) = v + 0 has the root 0, where v is not a
+    # unit: all three refuse p = 0 with one message, first, so a singular
+    # matrix that fails the form check is refused for its p and not for
+    # its determinant
+    zero, one = LaurentPoly.zero(QQ), LaurentPoly.one(QQ)
+    singular = PolyMat.make(QQ, [[one if i == j < 3 else zero for j in range(4)]
+                                 for i in range(4)])
+    message = r"E\(v\) = v \+ p needs p != 0 over the rationals"
+    with pytest.raises(ValueError, match=message):
+        e_poly(QQ, 0)
+    for fn in (symplectic_similitude, e_divisor_pattern):
+        for A in (singular, PolyMat.identity(QQ)):
+            with pytest.raises(ValueError, match=message):
+                fn(A, 0)
+        with pytest.raises(ValueError, match="matrix is singular"):
+            fn(singular, P)
+    with pytest.raises(ValueError, match="characteristic 0 or 0"):
+        e_poly(PrimeField(5), 0)
+
+
+def test_make_refuses_what_no_matrix_is():
+    F5 = PrimeField(5)
+    one = LaurentPoly.one(QQ)
+    with pytest.raises(ValueError, match="PolyMat needs a 4x4 entry array"):
+        PolyMat.make(QQ, [[one] * 4] * 3)
+    with pytest.raises(ValueError, match="PolyMat needs a 4x4 entry array"):
+        PolyMat.make(QQ, [[one] * 4] * 3 + [[one] * 5])
+    with pytest.raises(TypeError, match="entry field mismatch"):
+        PolyMat.make(F5, [[one] * 4] * 4)
+    with pytest.raises(TypeError, match="as a matrix entry"):
+        PolyMat.make(QQ, [[one] * 3 + [1.5]] * 4)
+    # ints and Fractions are constants of the field
+    assert PolyMat.make(F5, [[Fraction(1, 2) if i == j else 0 for j in range(4)]
+                             for i in range(4)]) == 3 * PolyMat.identity(F5)
+
+
 # ---------------------------------------------------------------------------
 # elementary divisor patterns
 
@@ -378,7 +415,7 @@ def test_e_divisor_diag_examples():
     rows = [[zero] * 4 for _ in range(4)]
     for i, k in enumerate((3, 2, 1, 0)):
         rows[i][i] = oracles.laurent_pow(E, k)
-    assert e_divisor_pattern(PolyMat(QQ, rows), P) == (3, 2, 1, 0)
+    assert e_divisor_pattern(PolyMat.make(QQ, rows), P) == (3, 2, 1, 0)
     assert e_divisor_pattern(PolyMat.identity(QQ), P) == (0, 0, 0, 0)
 
 
@@ -494,7 +531,7 @@ def test_shape_errors():
     F = PrimeField(5)
     zero = LaurentPoly.zero(F)
     with pytest.raises(ValueError):
-        shape_of(PolyMat(F, [[zero] * 4] * 4))
+        shape_of(PolyMat.make(F, [[zero] * 4] * 4))
 
 
 def test_shape_rejects_non_similitudes():
@@ -553,7 +590,7 @@ def unimodular(field, rng, lower, coeff=lambda rng: rng.randrange(-3, 4), degree
             if (i > j) if lower else (i < j):
                 rows[i][j] = LaurentPoly(
                     field, {e: coeff(rng) for e in range(degree + 1)})
-    return PolyMat(field, rows)
+    return PolyMat.make(field, rows)
 
 
 def test_kernel_on_adm_monomials_matches_oracles():
@@ -606,8 +643,8 @@ def test_kernel_on_unbalanced_divisors_matches_oracle(field):
     zero = LaurentPoly.zero(field)
     rng = random.Random(13)
     for exps in UNBALANCED:
-        D = PolyMat(field, [[oracles.laurent_pow(E, exps[i]) if i == j else zero for j in range(4)]
-                            for i in range(4)])
+        D = PolyMat.make(field, [[oracles.laurent_pow(E, exps[i]) if i == j else zero for j in range(4)]
+                                 for i in range(4)])
         for k in (0, 2):
             A = (unimodular(field, rng, False) * D * unimodular(field, rng, True)
                  * LaurentPoly.v_power(field, -k))
@@ -635,8 +672,8 @@ def test_kernel_on_dense_factors_at_high_precision(field):
     zero = LaurentPoly.zero(field)
     rng = random.Random(29)
     for exps in DENSE:
-        D = PolyMat(field, [[oracles.laurent_pow(E, exps[i]) if i == j else zero for j in range(4)]
-                            for i in range(4)])
+        D = PolyMat.make(field, [[oracles.laurent_pow(E, exps[i]) if i == j else zero for j in range(4)]
+                                 for i in range(4)])
         for _ in range(3):
             A = (unimodular(field, rng, False, large_fraction, 3) * D
                  * unimodular(field, rng, True, large_fraction, 3))
@@ -650,10 +687,10 @@ def test_kernel_and_oracles_reject_singular_input():
     rank3 = [list(r) for r in random_iwahori(F, random.Random(4)).rows]
     rank3[3] = [e * v for e in rank3[1]]
     cases = [
-        PolyMat(F, [[zero] * 4] * 4),
-        PolyMat(F, [[v if (i, j) in ((0, 3), (1, 2)) else zero for j in range(4)]
-                    for i in range(4)]),  # form check holds with c = 0
-        PolyMat(F, rank3),
+        PolyMat.make(F, [[zero] * 4] * 4),
+        PolyMat.make(F, [[v if (i, j) in ((0, 3), (1, 2)) else zero for j in range(4)]
+                         for i in range(4)]),  # form check holds with c = 0
+        PolyMat.make(F, rank3),
     ]
     for A in cases:
         with pytest.raises(ValueError):
@@ -668,7 +705,7 @@ def test_kernel_and_oracles_reject_singular_input():
     q_rows[2] = q_rows[0]
     for divisors in (e_divisor_pattern, oracles.e_divisor_pattern):
         with pytest.raises(ValueError):
-            divisors(PolyMat(QQ, q_rows), P)
+            divisors(PolyMat.make(QQ, q_rows), P)
 
 
 def sympy_pattern(sympy, A, p):
@@ -700,8 +737,8 @@ def test_kernel_divisors_match_sympy_smith_form():
     E = e_poly(QQ, P)
     zero = LaurentPoly.zero(QQ)
     for exps in UNBALANCED:
-        D = PolyMat(QQ, [[oracles.laurent_pow(E, exps[i]) if i == j else zero for j in range(4)]
-                         for i in range(4)])
+        D = PolyMat.make(QQ, [[oracles.laurent_pow(E, exps[i]) if i == j else zero for j in range(4)]
+                              for i in range(4)])
         cases.append(unimodular(QQ, rng, False) * D * unimodular(QQ, rng, True)
                      * LaurentPoly.v_power(QQ, -1))
     for A in cases:
@@ -794,14 +831,14 @@ def test_monodromy_fails_clause_three():
     rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
     rows[0][1] = vm1
     rows[2][3] = vm1.scale(-1)
-    d = monodromy_defect(PolyMat(QQ, rows),
+    d = monodromy_defect(PolyMat.make(QQ, rows),
                          MonodromyParams.make(QQ, *A_GENERIC, P))
     assert d is not None and d.clause == 3
 
     rows2 = [[one if i == j else zero for j in range(4)] for i in range(4)]
     rows2[1][0] = one
     rows2[3][2] = LaurentPoly.const(QQ, -1)
-    d2 = monodromy_defect(PolyMat(QQ, rows2),
+    d2 = monodromy_defect(PolyMat.make(QQ, rows2),
                           MonodromyParams.make(QQ, *A_GENERIC, P))
     assert d2 is not None and d2.clause == 3
 
@@ -1087,7 +1124,7 @@ def test_random_iwahori_structure():
         assert det.is_monomial  # unit of the Laurent ring
         for i in range(4):
             for j in range(4):
-                e = M.entry(i, j)
+                e = M.rows[i][j]
                 assert e.is_zero or e.low_degree >= 0
                 if i > j and not e.is_zero:
                     assert e.low_degree >= 1  # lower part vanishes mod v

@@ -30,7 +30,10 @@ named only where no alcove is at hand.
 
 A record is a NamedTuple made whole by its one maker, so no definition
 is a `cached_property` filled in on first read, no module imports
-`dataclasses`, and a presentation is made only by `TamePresentation.make`.
+`dataclasses`, a presentation is made only by `TamePresentation.make` and
+a rational function only by `RatFunc.make`.  Only `LaurentPoly` keeps
+slots behind a raising `__setattr__`, and nothing in src/ calls
+`object.__setattr__`.
 """
 
 import ast
@@ -471,12 +474,14 @@ def test_traced_class_methods_resolve():
             missing += ["%s.%s.%s" % (mod, cls_name, m) for m in methods if m not in cls.__dict__]
     # LaurentPoly's evaluate, negation, reflected subtraction and power,
     # RatFunc's arithmetic, PolyMat's subtraction and inverse_unit_det were
-    # deleted from the library; their tracer entries go with the next
-    # benchmark change
+    # deleted from the library, and RatFunc and PolyMat became NamedTuples
+    # made by `make`, with no __init__ (no per-layer metric reads either);
+    # their tracer entries go with the next benchmark change
     assert missing == ["exactalg.LaurentPoly.%s" % m for m in (
         "__neg__", "__rsub__", "__pow__", "evaluate")] + ["exactalg.RatFunc.%s" % m for m in (
-        "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__")
-    ] + ["localmodel.PolyMat.%s" % m for m in ("__sub__", "inverse_unit_det")]
+        "__init__", "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__truediv__",
+        "__rtruediv__")] + ["localmodel.PolyMat.%s" % m for m in (
+        "__init__", "__sub__", "inverse_unit_det")]
 
 
 def test_only_the_slot_table_makes_weight_parts():
@@ -536,6 +541,20 @@ def test_no_definition_is_a_cached_property():
     assert found == []
 
 
+def _calls_outside_make(trees, home, cls_name):
+    """(module, line) of each src/ call of `cls_name(` outside the `make`
+    of the class, defined in module `home`; some call must exist."""
+    (make,) = [node for cls in trees[home].body
+               if isinstance(cls, ast.ClassDef) and cls.name == cls_name
+               for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "make"]
+    inside = {id(node) for node in ast.walk(make)}
+    calls = [(mod, node) for mod, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Call) and cls_name in (
+                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    assert calls
+    return [(mod, node.lineno) for mod, node in calls if id(node) not in inside]
+
+
 def test_records_are_named_tuples_made_by_their_one_maker():
     # one record idiom: no module imports dataclasses, not even through a
     # module it imports, and TamePresentation( is called only inside
@@ -548,15 +567,7 @@ def test_records_are_named_tuples_made_by_their_one_maker():
                    or isinstance(node, ast.ImportFrom)
                    and (node.module or "").split(".")[0] == "dataclasses")
     assert found == []
-    (make,) = [node for cls in trees["weights"].body
-               if isinstance(cls, ast.ClassDef) and cls.name == "TamePresentation"
-               for node in cls.body if isinstance(node, ast.FunctionDef) and node.name == "make"]
-    inside = {id(node) for node in ast.walk(make)}
-    calls = [(mod, node) for mod, tree in trees.items() for node in ast.walk(tree)
-             if isinstance(node, ast.Call) and "TamePresentation" in (
-                 getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    assert calls
-    assert [(mod, node.lineno) for mod, node in calls if id(node) not in inside] == []
+    assert _calls_outside_make(trees, "weights", "TamePresentation") == []
     modules = sorted(mod for mod in trees if mod != "__init__")
     assert len(modules) == 10
     code = "import sys; sys.path.insert(0, %r); %s; print('dataclasses' in sys.modules)" % (
@@ -564,6 +575,25 @@ def test_records_are_named_tuples_made_by_their_one_maker():
     out = subprocess.run([sys.executable, "-s", "-S", "-c", code],
                          capture_output=True, text=True, check=True)
     assert out.stdout == "False\n"
+
+
+def test_only_laurent_polys_hand_roll_immutability():
+    # every other record is a NamedTuple: no src/ module calls
+    # object.__setattr__, only LaurentPoly defines __setattr__ (its slots
+    # are set through their descriptors), and RatFunc( is called only
+    # inside RatFunc.make, which reduces the fraction
+    trees = _package_trees()
+    setattr_calls = sorted(
+        "%s.py:%d" % (mod, node.lineno) for mod, tree in trees.items() for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__setattr__" and getattr(node.func.value, "id", None) == "object")
+    assert setattr_calls == []
+    defines = sorted("%s.%s" % (mod, cls.name) for mod, tree in trees.items()
+                     for cls in ast.walk(tree) if isinstance(cls, ast.ClassDef)
+                     for node in cls.body if isinstance(node, ast.FunctionDef)
+                     and node.name == "__setattr__")
+    assert defines == ["exactalg.LaurentPoly"]
+    assert _calls_outside_make(trees, "exactalg", "RatFunc") == []
 
 
 def test_only_the_kronecker_pair_shifts_by_a_variable_amount():
