@@ -257,8 +257,9 @@ def enumerate_ap_prime(f: int) -> tuple[APPair, ...]:
 #
 #     y . theta_j = w_y(mu_j) + p nu_y + [w_y(eta + s_j(nu')) - eta].
 #
-# The bracket depends on the kind, s_j and the pair only, not on p or mu_j,
-# so it is read from a table with one row per (kind, s), built on first use.
+# The bracket depends on the kind, s_j, y and the pair's x only, not on p
+# or mu_j, so it is read from a table with one row per (kind, s), built on
+# first use, and the parts are keyed by theta (distinct x), not by pair.
 # Inside the kernel a part is a plain (a, b, c) triple of integers.
 
 Part = tuple[int, int, int]
@@ -269,44 +270,58 @@ _ROLES = {"type": (_ap_pairs_single, 1), "param": (_ap_prime_pairs_single, 0)}
 
 
 class _Singles(NamedTuple):
-    """The per-embedding pairs of one kind, indexed by k."""
+    """The per-embedding pairs of one kind, indexed by k.  Part y . theta
+    depends on a pair only through its x, so pairs sharing x share theta,
+    and the kernel keys its parts by theta index t: 12 per kind."""
 
     pairs: tuple[tuple[ExtAffine, ExtAffine], ...]
     ys: tuple[ExtAffine, ...]  # the distinct y, in order of first use
     y_slot: tuple[int, ...]  # index into ys of pair k's y
+    x_slot: tuple[int, ...]  # theta index of pair k: its x among the distinct x
+    members: tuple[tuple[int, ...], ...]  # per theta: the pairs holding its x
     index: dict[tuple[ExtAffine, ExtAffine], int]  # (x, y) -> k
-    own: tuple[tuple[int, ...], ...]  # per y: the pairs holding it
+    own: tuple[tuple[int, ...], ...]  # per y: the thetas of the pairs holding it
 
 
 @lru_cache(maxsize=len(_ROLES))
 def _singles(kind: str) -> _Singles:
     singles_of, ix = _ROLES[kind]
     pairs = singles_of()
-    ys: list[ExtAffine] = []
-    for pr in pairs:
-        if pr[1 - ix] not in ys:
-            ys.append(pr[1 - ix])
+    ys = tuple(dict.fromkeys(pr[1 - ix] for pr in pairs))
+    xs = tuple(dict.fromkeys(pr[ix] for pr in pairs))
     y_slot = tuple(ys.index(pr[1 - ix]) for pr in pairs)
+    x_slot = tuple(xs.index(pr[ix]) for pr in pairs)
     return _Singles(
         pairs,
-        tuple(ys),
+        ys,
         y_slot,
+        x_slot,
+        tuple(tuple(k for k, t in enumerate(x_slot) if t == i) for i in range(len(xs))),
         {(pr[ix], pr[1 - ix]): k for k, pr in enumerate(pairs)},
-        tuple(tuple(k for k, j in enumerate(y_slot) if j == i) for i in range(len(ys))),
+        tuple(tuple(x_slot[k] for k, j in enumerate(y_slot) if j == i) for i in range(len(ys))),
     )
+
+
+@lru_cache(maxsize=None)
+def _next_rows() -> tuple[tuple[tuple[tuple[int, int], ...], ...], ...]:
+    """Per W? theta t and JH theta t2, the rows (y, y') a match of their
+    parts leads to: the y indices of each pair of their singles."""
+    wq, jh = _singles("param"), _singles("type")
+    return tuple(tuple(tuple((wq.y_slot[k], jh.y_slot[k2]) for k in ks for k2 in ks2)
+                       for ks2 in jh.members) for ks in wq.members)
 
 
 @lru_cache(maxsize=len(_ROLES) * len(W_ALL))
 def _offset_row(kind: str, s: FiniteWeyl) -> tuple[tuple, tuple, tuple]:
-    """The table row of (kind, s): per pair k, the pairings of
-    eta + s(nu') with the positive coroots (theta_k + eta pairs to these
+    """The table row of (kind, s): per theta t, the pairings of
+    eta + s(nu') with the positive coroots (theta_t + eta pairs to these
     plus the pairings of mu); per distinct y, its character matrix
-    (row-major) and nu as integers; and per distinct y and pair k the
+    (row-major) and nu as integers; and per distinct y and theta t the
     offset w_y(eta + s(nu')) - eta.  Each y is checked to be restricted
     as its offsets are made."""
     ix = _ROLES[kind][1]
     sing = _singles(kind)
-    shifted = [ETA + s.act(invert(pr[ix]).nu) for pr in sing.pairs]
+    shifted = [ETA + s.act(invert(sing.pairs[ks[0]][ix]).nu) for ks in sing.members]
     alcove = tuple(tuple(pairing(lam, cov) for cov in POSITIVE_COROOTS) for lam in shifted)
     actions, offsets = [], []
     for y in sing.ys:
@@ -318,17 +333,17 @@ def _offset_row(kind: str, s: FiniteWeyl) -> tuple[tuple, tuple, tuple]:
     return alcove, tuple(actions), tuple(offsets)
 
 
-def _slot_parts(kind, s, mu, p, ks, cells) -> list[dict[int, Part]]:
-    """y . theta_k at one slot with element s and translation mu: a dict
-    per distinct y, k -> part, holding the pairs k in that y's cells.  The
-    lowest-alcove test on theta_k runs for every k in ks first; then each
+def _slot_parts(kind, s, mu, p, ts, cells) -> list[dict[int, Part]]:
+    """y . theta_t at one slot with element s and translation mu: a dict
+    per distinct y, t -> part, holding the thetas t in that y's cells.  The
+    lowest-alcove test on theta_t runs for every t in ts first; then each
     part is three additions to w_y(mu) + p nu_y, tested to be
     p-restricted."""
     alcove, actions, offsets = _offset_row(kind, s)
     ma, mb, mc = mu
     m1, m2, m3, m4 = ma - mb, mb, ma + mb, ma  # mu's pairings with POSITIVE_COROOTS
-    for k in ks:
-        g1, g2, g3, g4 = alcove[k]
+    for t in ts:
+        g1, g2, g3, g4 = alcove[t]
         if not (0 < m1 + g1 < p and 0 < m2 + g2 < p and 0 < m3 + g3 < p and 0 < m4 + g4 < p):
             raise GenericityError("omega - eta must lie inside the lowest alcove")
     out = []
@@ -339,12 +354,12 @@ def _slot_parts(kind, s, mu, p, ks, cells) -> list[dict[int, Part]]:
             ba = x1 * ma + x2 * mb + x3 * mc + p * na
             bb = x4 * ma + x5 * mb + x6 * mc + p * nb
             bc = x7 * ma + x8 * mb + x9 * mc + p * nc
-            for k in want:
-                oa, ob, oc = row[k]
+            for t in want:
+                oa, ob, oc = row[t]
                 a, b = ba + oa, bb + ob
                 if not (0 <= a - b < p and 0 <= b < p):  # is_p_restricted, inlined
                     raise ValueError("presentation out of range")
-                entries[k] = (a, b, bc + oc)
+                entries[t] = (a, b, bc + oc)
         out.append(entries)
     return out
 
@@ -366,27 +381,25 @@ def _guard(pres: TamePresentation, kind: str) -> None:
 
 def _slot_index(wq_slot: list[dict[int, Part]]) -> dict[tuple[int, int], list]:
     """A W? slot's parts indexed by (a, b): each carries its row (i of W?),
-    the y index of its single (the next slot's row) and its central
-    character."""
-    wq_y = _singles("param").y_slot
+    its theta index and its central character."""
     index: dict[tuple[int, int], list[tuple[int, int, int]]] = {}
     for i, row in enumerate(wq_slot):
-        for k, (a, b, c) in row.items():
-            index.setdefault((a, b), []).append((i, wq_y[k], c))
+        for t, (a, b, c) in row.items():
+            index.setdefault((a, b), []).append((i, t, c))
     return index
 
 
 def _slot_join(index: dict[tuple[int, int], list], jh_slot: list[dict[int, Part]]) -> dict:
     """One slot's (a, b) join: the W? parts of `index` (`_slot_index`)
     against the JH parts, grouped by their rows (i of W?, i of JH).  Each
-    match carries the y indices of its two singles (the next slot's rows),
+    match carries the next slot's rows of its theta pair (`_next_rows`),
     the W? part and its central character less the JH part's."""
-    jh_y = _singles("type").y_slot
+    nexts = _next_rows()
     groups: dict[tuple[int, int], list] = {}
     for i2, row in enumerate(jh_slot):
-        for k2, (a, b, c2) in row.items():
-            for i, y, c in index.get((a, b), ()):
-                groups.setdefault((i, i2), []).append(((y, jh_y[k2]), (a, b, c), c - c2))
+        for t2, (a, b, c2) in row.items():
+            for i, t, c in index.get((a, b), ()):
+                groups.setdefault((i, i2), []).append((nexts[t][t2], (a, b, c), c - c2))
     return groups
 
 
@@ -395,23 +408,24 @@ class _SlotTable:
     its call, `build_instance` one for its instance and check, and a
     parameter's graph state keeps one for all its instances and checks.
 
-    Row i of full slot j is a dict k -> part j, for slot j holding single
-    k and slot j - 1 a single whose y is the i-th distinct one: (distinct
-    y) x (singles) entries per slot instead of f * singles^f.  At f = 1
-    slot j - 1 is slot j, so row i holds only the singles whose own y is
-    the i-th.  A full slot depends on (kind, s_j, mu_j, p, f), the (a, b)
-    index of a W? slot on that slot, and a join on its two full slots;
-    each is made on first use under that key and then read, so a table
-    holds no check result.  One weight alone (`weight`, the sigma1 of an
-    instance built alone) is made on every read and stored nowhere.
+    Row i of full slot j is a dict t -> part j, for slot j holding a
+    single of theta t and slot j - 1 a single whose y is the i-th distinct
+    one: (distinct y) x (distinct theta) entries per slot, 8 x 12, instead
+    of f * singles^f.  At f = 1 slot j - 1 is slot j, so row i holds only
+    the thetas of the singles whose own y is the i-th.  A full slot
+    depends on (kind, s_j, mu_j, p, f), the (a, b) index of a W? slot on
+    that slot, and a join on its two full slots; each is made on first use
+    under that key and then read, so a table holds no check result.  One
+    weight alone (`weight`, the sigma1 of an instance built alone) is made
+    on every read and stored nowhere.
 
-    Three checks run: the lowest-alcove test on each theta, per slot and
-    single; `is_restricted_element` on each distinct y, once, when its
-    table row is built; and `is_p_restricted` on every part.  Of these
-    only the first can fail (each y is restricted, and y . theta is then
-    p-restricted).  An entry is stored only after its lowest-alcove test
-    passed, so a failing test runs, and raises, on every use.  The guards
-    of `_guard` run on every use too."""
+    Three checks run: the lowest-alcove test on each theta, per slot, and
+    so on every single's theta; `is_restricted_element` on each distinct
+    y, once, when its table row is built; and `is_p_restricted` on every
+    part.  Of these only the first can fail (each y is restricted, and
+    y . theta is then p-restricted).  An entry is stored only after its
+    lowest-alcove test passed, so a failing test runs, and raises, on
+    every use.  The guards of `_guard` run on every use too."""
 
     def __init__(self):
         self._parts: dict[tuple, list[dict[int, Part]]] = {}  # by (kind, s, mu, p, f)
@@ -422,20 +436,21 @@ class _SlotTable:
         """The keys of the full slots of `pres`, each made on first use."""
         _guard(pres, kind)
         sing = _singles(kind)
-        ks = range(len(sing.pairs))
-        cells = (ks,) * len(sing.ys) if pres.f > 1 else sing.own
+        ts = range(len(sing.members))
+        cells = (ts,) * len(sing.ys) if pres.f > 1 else sing.own
         keys = tuple((kind, s, mu, pres.p, pres.f) for s, mu in zip(pres.s, pres.mu))
         for key in keys:
             if key not in self._parts:
-                self._parts[key] = _slot_parts(kind, key[1], key[2], pres.p, ks, cells)
+                self._parts[key] = _slot_parts(kind, key[1], key[2], pres.p, ts, cells)
         return keys
 
     def read(self, pres: TamePresentation, kind: str, *combos: tuple) -> list[SerreWeight]:
         """F_pres at each index tuple of `combos`, read from the full slots:
-        part j is slot j's entry for single k_j in the row of k_(j-1)'s y."""
-        p, y_slot = pres.p, _singles(kind).y_slot
+        part j is slot j's entry for k_j's theta in the row of k_(j-1)'s y."""
+        p, sing = pres.p, _singles(kind)
+        y_slot, x_slot = sing.y_slot, sing.x_slot
         slots = [self._parts[key] for key in self.slots(pres, kind)]
-        return [SerreWeight._trusted(p, [slots[j][y_slot[combo[j - 1]]][k]
+        return [SerreWeight._trusted(p, [slots[j][y_slot[combo[j - 1]]][x_slot[k]]
                                          for j, k in enumerate(combo)])
                 for combo in combos]
 
@@ -457,15 +472,15 @@ class _SlotTable:
     def weight(pres: TamePresentation, kind: str, combo: tuple[int, ...]) -> SerreWeight:
         """F_pres at one index tuple, the weight `weights` reads there,
         made on every call and stored nowhere: the lowest-alcove test runs
-        on combo's singles alone, and no full slot is made."""
+        on the thetas of combo's singles alone, and no full slot is made."""
         _guard(pres, kind)
         sing = _singles(kind)
         parts = []
         for j, (s, mu) in enumerate(zip(pres.s, pres.mu)):
-            i, k = sing.y_slot[combo[j - 1]], combo[j]
+            i, t = sing.y_slot[combo[j - 1]], sing.x_slot[combo[j]]
             cells = [()] * len(sing.ys)
-            cells[i] = (k,)
-            parts.append(_slot_parts(kind, s, mu, pres.p, (k,), cells)[i][k])
+            cells[i] = (t,)
+            parts.append(_slot_parts(kind, s, mu, pres.p, (t,), cells)[i][t])
         return SerreWeight._trusted(pres.p, parts)
 
 
@@ -491,6 +506,19 @@ def w_question_set(rhobar: TamePresentation) -> frozenset[SerreWeight]:
     return frozenset(_SlotTable().weights(rhobar, "param"))
 
 
+def _chain(joins: list, j: int, rows: tuple, start: tuple, d: int, parts: tuple,
+           p: int, modulus: int, found: set) -> None:
+    """Follow the matches of slot j's join in `rows` (see `intersect_w_jh`),
+    adding to `found` each complete chain that closes on `start`."""
+    for nxts, part, dc in joins[j].get(rows, ()):
+        if j + 1 < len(joins):
+            d_next, parts_next = d * p + dc, parts + (part,)
+            for nxt in nxts:
+                _chain(joins, j + 1, nxt, start, d_next, parts_next, p, modulus, found)
+        elif start in nxts and (d * p + dc) % modulus == 0:
+            found.add(SerreWeight._trusted(p, parts + (part,)))
+
+
 def intersect_w_jh(
     rhobar: TamePresentation, tau: TamePresentation, table: _SlotTable | None = None,
 ) -> frozenset[SerreWeight]:
@@ -499,32 +527,24 @@ def intersect_w_jh(
     Two weights are equal when their parts have the same (a, b) and their
     central integers sum c_j p^(f-1-j) agree mod p^f - 1 (see
     `SerreWeight._trusted`).  Per slot, the two kernels' parts are joined on
-    (a, b) (`_slot_join`).  A chain takes one match per slot; the next
-    slot's rows are the y indices of the two singles, and slot f - 1 leads
-    back to slot 0's rows.  Only a chain whose central integers agree
-    becomes a weight.  The slots and joins are read from `table`, a fresh
-    one unless the caller shares its own; the guards of both presentations
-    run, and the chains are followed, on every call."""
+    (a, b) (`_slot_join`).  A chain takes one match per slot and one of its
+    next rows, the y indices of a pair of singles of the match's two
+    thetas; slot f - 1 closes when slot 0's rows are among its next rows.
+    Only a chain whose central integers agree becomes a weight.  The slots
+    and joins are read from `table`, a fresh one unless the caller shares
+    its own; the guards of both presentations run, and the chains are
+    followed, on every call."""
     if table is None:
         table = _SlotTable()
     wq = table.slots(rhobar, "param")
     jh = table.slots(tau, "type")
     if (rhobar.p, rhobar.f) != (tau.p, tau.f):
         return frozenset()
-    p, last = rhobar.p, rhobar.f - 1
-    modulus = p ** rhobar.f - 1
+    p, modulus = rhobar.p, rhobar.p ** rhobar.f - 1
     joins = [table.join(a, b) for a, b in zip(wq, jh)]
-    found = set()
-
-    def chain(j, rows, start, d, parts):
-        for nxt, part, dc in joins[j].get(rows, ()):
-            if j < last:
-                chain(j + 1, nxt, start, d * p + dc, parts + (part,))
-            elif nxt == start and (d * p + dc) % modulus == 0:
-                found.add(SerreWeight._trusted(p, parts + (part,)))
-
+    found: set[SerreWeight] = set()
     for start in joins[0]:
-        chain(0, start, start, 0, ())
+        _chain(joins, 0, start, start, 0, (), p, modulus, found)
     return frozenset(found)
 
 

@@ -1,3 +1,4 @@
+import gc
 import os
 import random
 import sys
@@ -46,6 +47,7 @@ from gsp4weights.cli import RunConfig, load_matrix, load_presentation
 from gsp4weights.cycles import (
     BMSumResult,
     ColengthOneReport,
+    bm_cycle,
     bm_sum,
     classify_embedding_shape,
     colength_one_components,
@@ -657,6 +659,10 @@ def test_rb41_makes_each_weight_part_once_per_parameter(monkeypatch):
     assert made == {"chain": 23}
 
 
+# full slots, parts, index entries and join entries of a cold checked build
+COLD_CHECKED_SIZES = {"rb41.json": (33, 660, 200, 76), "rb_f2.json": (106, 10176, 1920, 4888)}
+
+
 @pytest.mark.parametrize("name, types, params, indexes, reads", [
     ("rb41.json", 23, 10, 10, 23), ("rb_f2.json", 920, 100, 20, 1840)])
 def test_each_presentation_and_w_question_index_is_made_once_per_call(
@@ -683,6 +689,50 @@ def test_each_presentation_and_w_question_index_is_made_once_per_call(
         joins.clear()
         build_graph(rho, check=True)
         assert (len(index), len(joins)) == (made, reads)
+    # a cold checked build keys its parts by theta: a full slot holds one
+    # part per (y, theta), 8 x 12, at f = 2, and at f = 1, where each row's
+    # thetas are distinct, one per single
+    count = Counter()
+
+    def entries(key, real):
+        def counted(*args):
+            out = real(*args)
+            count["slots"] += key == "parts"
+            count[key] += sum(map(len, out.values() if isinstance(out, dict) else out))
+            return out
+        return counted
+
+    monkeypatch.setattr(adjacency, "presentation_from_w_tilde", real)
+    monkeypatch.setattr(weights, "_slot_parts", entries("parts", weights._slot_parts))
+    monkeypatch.setattr(weights, "_slot_index", entries("index", real_index))
+    monkeypatch.setattr(weights, "_slot_join", entries("join", weights._slot_join))
+    _graph_of.cache_clear()
+    build_graph(rho, check=True)
+    assert (count["slots"], count["parts"], count["index"], count["join"]) == \
+        COLD_CHECKED_SIZES[name]
+
+
+def test_weight_checks_leave_no_cyclic_garbage():
+    # with the collector off, a graph's checks, chains and cycle formula
+    # and a checked f = 2 instance free all they make by reference
+    # counting: no recursive closure, which would be a cycle on every call
+    rho, rho2 = fixture("rb41.json"), fixture("rb_f2.json")
+    pair = enumerate_ap_prime(2)[5]
+    _graph_of.cache_clear()
+    gc.collect()
+    gc.disable()
+    try:
+        graph = build_graph(rho, check=True)
+        for sigma in graph.vertices:
+            find_chain(rho, sigma)
+        tau = next(iter(graph.edges.values()))[0].tau
+        for sigma in jh_set(tau):
+            if sigma.depth() >= 3:
+                bm_cycle(sigma)
+        build_instance(rho2, pair, valid_simples(pair)[0], check=True)
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_failing_check_raises_after_unchecked_build(monkeypatch):

@@ -116,12 +116,14 @@ def test_kernel_rows_stay_within_weight_depth_of_eta():
 
 def _kernel_refuses(mu, p):
     """Whether the kernel's lowest-alcove test refuses mu for some kind, s
-    and single."""
+    and single: the test runs on every theta, and the thetas' members
+    partition the singles."""
     for kind in ("type", "param"):
         sing = weights._singles(kind)
+        assert sorted(sum(sing.members, ())) == list(range(len(sing.pairs)))
         for s in W_ALL:
             try:
-                weights._slot_parts(kind, s, mu, p, range(len(sing.pairs)), [()] * len(sing.ys))
+                weights._slot_parts(kind, s, mu, p, range(len(sing.members)), [()] * len(sing.ys))
             except GenericityError:
                 return True
     return False

@@ -34,6 +34,11 @@ is a `cached_property` filled in on first read, no module imports
 a rational function only by `RatFunc.make`.  Only `LaurentPoly` keeps
 slots behind a raising `__setattr__`, and nothing in src/ calls
 `object.__setattr__`.
+
+A nested function that names itself holds its own closure cell, a
+reference cycle left for the collector on every call of the function
+around it, so no src/ function defines a nested function that refers to
+its own name: recursion lives in module-level functions.
 """
 
 import ast
@@ -495,6 +500,25 @@ def test_only_the_slot_table_makes_weight_parts():
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_slot_parts"]
     assert calls
     assert [node.lineno for node in calls if id(node) not in inside] == []
+
+
+def _self_naming_nested_functions(trees):
+    """module.outer.inner of every nested function that names itself."""
+    funcs = (ast.FunctionDef, ast.AsyncFunctionDef)
+    return sorted({"%s.%s.%s" % (name, outer.name, inner.name)
+                   for name, tree in trees.items() for outer in ast.walk(tree)
+                   if isinstance(outer, funcs)
+                   for inner in ast.walk(outer) if inner is not outer and isinstance(inner, funcs)
+                   and any(isinstance(node, ast.Name) and node.id == inner.name
+                           for node in ast.walk(inner))})
+
+
+def test_no_nested_function_refers_to_itself():
+    # a recursive closure is a reference cycle on every call: the chain of
+    # intersect_w_jh is a module-level function taking its state
+    assert _self_naming_nested_functions(_package_trees()) == []
+    recursive = ast.parse("def f():\n    def g(n):\n        return g(n - 1) if n else 0\n")
+    assert _self_naming_nested_functions({"m": recursive}) == ["m.f.g"]
 
 
 def test_only_instance_makers_read_a_weight_alone():

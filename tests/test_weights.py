@@ -513,6 +513,26 @@ def _both_kinds(pres):
             TamePresentation.make("type", pres.s, pres.mu, pres.p))
 
 
+def test_kernel_keys_parts_by_the_distinct_x_of_each_kind():
+    # a part y . theta depends on a single only through its x (w2 for a
+    # type, w1 for a parameter), so the 20 singles of a kind fall into 12
+    # theta classes; at f = 1 a row holds the thetas of its y's own
+    # singles, all distinct, and a theta pair leads to distinct next rows
+    for kind, ix in (("type", 1), ("param", 0)):
+        sing = weights._singles(kind)
+        assert (len(sing.pairs), len(sing.members)) == (20, 12)
+        assert sorted(sum(sing.members, ())) == list(range(20))
+        assert len({sing.pairs[ks[0]][ix] for ks in sing.members}) == 12
+        for k, pr in enumerate(sing.pairs):
+            assert k in sing.members[sing.x_slot[k]]
+            assert {sing.pairs[m][ix] for m in sing.members[sing.x_slot[k]]} == {pr[ix]}
+        for i, ts in enumerate(sing.own):
+            assert len(set(ts)) == len(ts)
+            assert set(ts) == {sing.x_slot[k] for k in range(20) if sing.y_slot[k] == i}
+    for row in weights._next_rows():
+        assert len(row) == 12 and all(len(set(nexts)) == len(nexts) > 0 for nexts in row)
+
+
 @pytest.mark.parametrize("name", PRESENTATION_FIXTURES)
 def test_kernel_tables_match_oracle_on_fixtures(name):
     rho, tau = _both_kinds(_fixture(name))
