@@ -241,10 +241,6 @@ class LaurentPoly:
     def one(field) -> "LaurentPoly":
         return LaurentPoly.const(field, 1)
 
-    @staticmethod
-    def v_power(field, k: int) -> "LaurentPoly":
-        return LaurentPoly(field, {k: 1})
-
     # -- inspection
 
     @property

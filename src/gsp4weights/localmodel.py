@@ -151,41 +151,20 @@ class PolyMat(NamedTuple):
             return LaurentPoly.const(field, x)
         raise TypeError("cannot use %r as a matrix entry" % (x,))
 
-    @staticmethod
-    def identity(field) -> "PolyMat":
-        one = LaurentPoly.one(field)
-        zero = LaurentPoly.zero(field)
-        return PolyMat(field, tuple(tuple(one if i == j else zero for j in range(4))
-                                    for i in range(4)))
-
     def transpose(self) -> "PolyMat":
         return PolyMat(self.field, tuple(zip(*self.rows)))
 
     def __mul__(self, other):
-        if isinstance(other, PolyMat):
-            if other.field != self.field:
-                raise TypeError("matrix field mismatch")
-            # entry (i, j) is a sum of 4 products of 2 entries
-            packed = _Packed(self.rows + other.rows, 4, 2)
-            left, right = packed.rows[:4], packed.rows[4:]
-            return PolyMat(self.field, tuple(
-                tuple(packed.poly(sum(a * b[j] for a, b in zip(row, right))) for j in range(4))
-                for row in left))
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            c = self._coerce_entry(self.field, other)
-            return PolyMat(self.field, tuple(tuple(e * c for e in row) for row in self.rows))
-        return NotImplemented
-
-    def __rmul__(self, other):
-        if isinstance(other, (LaurentPoly, int, Fraction)):
-            return self * other
-        return NotImplemented
-
-    def __add__(self, other):
-        if not isinstance(other, PolyMat) or other.field != self.field:
+        if not isinstance(other, PolyMat):
             return NotImplemented
-        return PolyMat(self.field, tuple(tuple(a + b for a, b in zip(r1, r2))
-                                         for r1, r2 in zip(self.rows, other.rows)))
+        if other.field != self.field:
+            raise TypeError("matrix field mismatch")
+        # entry (i, j) is a sum of 4 products of 2 entries
+        packed = _Packed(self.rows + other.rows, 4, 2)
+        left, right = packed.rows[:4], packed.rows[4:]
+        return PolyMat(self.field, tuple(
+            tuple(packed.poly(sum(a * b[j] for a, b in zip(row, right))) for j in range(4))
+            for row in left))
 
     def det(self) -> LaurentPoly:
         return _determinant(self.rows)
@@ -194,10 +173,6 @@ class PolyMat(NamedTuple):
         packed = _Packed(self.rows, 6, 3)
         return PolyMat(self.field, tuple(tuple(packed.poly(x) for x in row)
                                          for row in _adjugate(packed.rows)))
-
-    def derivative(self) -> "PolyMat":
-        return PolyMat(self.field, tuple(tuple(e.derivative() for e in row)
-                                         for row in self.rows))
 
     @staticmethod
     def from_json_obj(field, obj) -> "PolyMat":
@@ -252,10 +227,13 @@ _GEN_ROWS = {
 
 
 def weyl_matrix(w: FiniteWeyl, field) -> PolyMat:
-    out = PolyMat.identity(field)
+    """The signed permutation matrix of w: the product of its word's
+    generator rows, taken on integers."""
+    rows = tuple(tuple(int(i == j) for j in range(4)) for i in range(4))
     for ch in w.word:
-        out = out * PolyMat.make(field, _GEN_ROWS[ch])
-    return out
+        cols = tuple(zip(*_GEN_ROWS[ch]))
+        rows = tuple(tuple(sum(a * b for a, b in zip(row, col)) for col in cols) for row in rows)
+    return PolyMat.make(field, rows)
 
 
 def monomial_matrix(z: ExtAffine, field) -> PolyMat:
@@ -550,12 +528,6 @@ class MonodromyParams(NamedTuple):
         a1, a2, a3 = self.a
         return (a1, a2, self.field.coerce(a3 - a2), self.field.coerce(a3 - a1))
 
-    def diag_matrix(self) -> PolyMat:
-        zero = LaurentPoly.zero(self.field)
-        vals = [LaurentPoly.const(self.field, x) for x in self.diag_values()]
-        return PolyMat(self.field, tuple(tuple(vals[i] if i == j else zero for j in range(4))
-                                         for i in range(4)))
-
 
 class MonodromyDefect(NamedTuple):
     clause: int
@@ -574,16 +546,23 @@ def monodromy_defect(A: PolyMat, params: MonodromyParams):
     after clearing the single allowed pole: X = (v+p)*M has
     (i) unit denominators only, (ii) transpose(X)*J + J*X scalar * J,
     (iii) reduction mod v upper triangular (the Borel reading).
+
+    Entry (i, j) of v*dA/dv + A*Diag is A_ij with each v^k term scaled by
+    k + d_j, for d_j the j-th diagonal value.  J is antisymmetric, so
+    transpose(X)*J + J*X = S - transpose(S) for S = transpose(X)*J.
+    Over a prime field p must be its characteristic, else ValueError.
     """
     if A.field != params.field:
         raise TypeError("matrix and parameters live over different fields")
     field = A.field
+    ep = e_poly(field, params.p)
     det = A.det()
     if det.is_zero:
         raise ValueError("matrix is singular")
-    vpoly = LaurentPoly.v_power(field, 1)
-    num = (vpoly * A.derivative() + A * params.diag_matrix()) * A.adjugate()
-    ep = e_poly(field, params.p)
+    d = params.diag_values()
+    twisted = PolyMat(field, tuple(tuple(e.derivative().shift(1) + e.scale(d[j])
+                                         for j, e in enumerate(row)) for row in A.rows))
+    num = twisted * A.adjugate()
     x = [[RatFunc.make(ep * e, det) for e in row] for row in num.rows]
     for i in range(4):
         for j in range(4):
@@ -593,11 +572,11 @@ def monodromy_defect(A: PolyMat, params: MonodromyParams):
                     "denominator %s is not a unit" % x[i][j].den.display())
     xm = PolyMat(field, tuple(tuple(e.num for e in row) for row in x))
     jm = j_matrix(field)
-    s = xm.transpose() * jm + jm * xm
-    scalar = s.rows[0][3]
+    s = (xm.transpose() * jm).rows
+    scalar = s[0][3] - s[3][0]
     for i in range(4):
         for j in range(4):
-            if s.rows[i][j] != scalar * jm.rows[i][j]:
+            if s[i][j] - s[j][i] != scalar * jm.rows[i][j]:
                 return MonodromyDefect(
                     2, (i, j), "X^t J + J X is not a multiple of J")
     for i in range(4):

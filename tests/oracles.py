@@ -54,6 +54,12 @@ with the library's `compose`, whose products the table tests check.
 - The regular colength-one family matrix is built from constant
   polynomials, E(v) = v + p and their products and sums; the library
   writes each entry's coefficients in closed form.
+- The monodromy condition is read by matrix algebra: v * dA/dv + A * Diag
+  by a scalar multiple, a product with the diagonal matrix and a sum,
+  then a product with the cofactor adjugate, and X^t J + J X by two
+  products and a sum.  The library scales each entry's v^k term by
+  k + d_j, takes one product with the adjugate, and reads X^t J + J X as
+  S - S^t for S = X^t J.
 - E(v)-elementary divisors come from the determinantal divisors: the
   minimum E-valuation of the k x k minors, over all 69 minors of a 4 x 4
   matrix.  Iwahori shapes come from valuation-pivot elimination at the
@@ -92,8 +98,15 @@ from gsp4weights.affine import (
     invert,
     translation,
 )
-from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, divmod_poly
-from gsp4weights.localmodel import PolyMat, RegColOneParams, j_matrix, weyl_matrix
+from gsp4weights.exactalg import QQ, LaurentPoly, PrimeField, RatFunc, divmod_poly
+from gsp4weights.localmodel import (
+    MonodromyDefect,
+    PolyMat,
+    RegColOneParams,
+    e_poly,
+    j_matrix,
+    weyl_matrix,
+)
 from gsp4weights.weights import (
     APPair,
     GenericityError,
@@ -892,6 +905,30 @@ def minor_det(rows):
     return acc
 
 
+def v_power(field, k: int) -> LaurentPoly:
+    return LaurentPoly(field, {k: 1})
+
+
+def diagonal(field, values) -> PolyMat:
+    """The diagonal matrix of four Laurent polynomials or scalars."""
+    return PolyMat.make(field, [[values[i] if i == j else 0 for j in range(4)] for i in range(4)])
+
+
+def identity(field) -> PolyMat:
+    return diagonal(field, (1, 1, 1, 1))
+
+
+def mat_scale(A: PolyMat, c) -> PolyMat:
+    """A * c, entry by entry, for a Laurent polynomial or scalar c."""
+    c = c if isinstance(c, LaurentPoly) else LaurentPoly.const(A.field, c)
+    return PolyMat.make(A.field, [[laurent_mul(c, e) for e in row] for row in A.rows])
+
+
+def mat_add(A: PolyMat, B: PolyMat) -> PolyMat:
+    return PolyMat.make(A.field, [[a + b for a, b in zip(ra, rb)]
+                                  for ra, rb in zip(A.rows, B.rows)])
+
+
 def laurent_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     """Schoolbook product: every pair of terms, accumulated per exponent
     with the scalars' own operators and reduced mod q once per exponent."""
@@ -917,8 +954,9 @@ def laurent_pow(a: LaurentPoly, n: int) -> LaurentPoly:
 
 def matmul(A: PolyMat, B: PolyMat) -> PolyMat:
     """Schoolbook product: entry (i, j) sums laurent_mul(A[i][k], B[k][j])
-    over k."""
-    return PolyMat.make(A.field, [[sum((laurent_mul(A.rows[i][k], B.rows[k][j]) for k in range(4)),
+    over the k where neither factor is zero."""
+    return PolyMat.make(A.field, [[sum((laurent_mul(A.rows[i][k], B.rows[k][j]) for k in range(4)
+                                        if A.rows[i][k] and B.rows[k][j]),
                                        LaurentPoly.zero(A.field)) for j in range(4)]
                                   for i in range(4)])
 
@@ -949,6 +987,49 @@ def similitude_form(A: PolyMat):
     return c, None
 
 
+def monodromy_defect_oracle(A: PolyMat, params):
+    """The algebraic monodromy condition by matrix algebra: X = (v + p) *
+    (v * dA/dv + A * Diag) * adj(A) / det(A), with Diag the diagonal matrix
+    of the parameters' values, and transpose(X) * J + J * X by two
+    products and a sum; the clauses, their order and their messages are
+    the library's."""
+    if A.field != params.field:
+        raise TypeError("matrix and parameters live over different fields")
+    field = A.field
+    ep = e_poly(field, params.p)
+    det = minor_det(A.rows)
+    if det.is_zero:
+        raise ValueError("matrix is singular")
+    deriv = PolyMat.make(field, [[e.derivative() for e in row] for row in A.rows])
+    twisted = mat_add(mat_scale(deriv, v_power(field, 1)),
+                      matmul(A, diagonal(field, params.diag_values())))
+    num = matmul(twisted, cofactor_adjugate(A))
+    x = [[RatFunc.make(laurent_mul(ep, e), det) for e in row] for row in num.rows]
+    for i in range(4):
+        for j in range(4):
+            if not x[i][j].is_laurent:
+                return MonodromyDefect(
+                    1, (i, j), "denominator %s is not a unit" % x[i][j].den.display())
+    xm = PolyMat.make(field, [[e.num for e in row] for row in x])
+    J = j_matrix(field)
+    S = mat_add(matmul(xm.transpose(), J), matmul(J, xm))
+    scalar = S.rows[0][3]
+    for i in range(4):
+        for j in range(4):
+            if S.rows[i][j] != laurent_mul(scalar, J.rows[i][j]):
+                return MonodromyDefect(2, (i, j), "X^t J + J X is not a multiple of J")
+    for i in range(4):
+        for j in range(4):
+            e = xm.rows[i][j]
+            if e.is_zero:
+                continue
+            if e.low_degree < 0:
+                return MonodromyDefect(3, (i, j), "pole at v = 0")
+            if i > j and e.constant_term:
+                return MonodromyDefect(3, (i, j), "reduction mod v is not upper triangular")
+    return None
+
+
 def regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
     """The displayed universal matrix of the regular colength-one locus,
     each entry a polynomial expression in E = v + p with constant
@@ -956,7 +1037,7 @@ def regcolone_matrix(params: RegColOneParams, p: int) -> PolyMat:
     f = params.field
     pc = f.coerce(p)
     ep = LaurentPoly(f, {1: 1, 0: p})
-    vp = LaurentPoly.v_power(f, 1)
+    vp = v_power(f, 1)
 
     def ct(x):
         return LaurentPoly.const(f, x)

@@ -147,7 +147,7 @@ def test_value_types_are_named_tuples_hashing_as_their_fields():
     mat1 = load_matrix(os.path.join(os.path.dirname(__file__), os.pardir, "fixtures", "mat1.json"),
                        PrimeField(37))
     family = build_regcolone_matrix(drawn, 37)
-    v = LaurentPoly.v_power(QQ, 1)
+    v = oracles.v_power(QQ, 1)
     samples = {
         AdjacencyInstance: instances,
         APPair: [inst.pair for inst in instances],
@@ -161,13 +161,13 @@ def test_value_types_are_named_tuples_hashing_as_their_fields():
         RunConfig: [RunConfig(), RunConfig(p=41, f=2, seed=3, fmt="json")],
         RegColOneParams: [solved, drawn],
         SimilitudeResult: [symplectic_similitude(build_regcolone_matrix(solved, 37), 37),
-                           symplectic_similitude(PolyMat.identity(QQ), 37)],
+                           symplectic_similitude(oracles.identity(QQ), 37)],
         MonodromyParams: [monodromy_params_of(solved, 37), MonodromyParams.make(QQ, 1, 2, 3, 37)],
         MonodromyDefect: [monodromy_defect(off, monodromy_params_of(solved, 37))],
-        PolyMat: [mat1, PolyMat.identity(QQ), mat1 * family, off.adjugate(), family,
-                  off.transpose() + off.derivative(), v * off, j_matrix(PrimeField(37)),
-                  monomial_matrix(instances[0].pair.w1[0], QQ),
-                  MonodromyParams.make(QQ, 1, 2, 3, 37).diag_matrix(),
+        PolyMat: [mat1, oracles.identity(QQ), mat1 * family, off.adjugate(), family,
+                  oracles.mat_add(off.transpose(), off), oracles.mat_scale(off, v),
+                  j_matrix(PrimeField(37)), monomial_matrix(instances[0].pair.w1[0], QQ),
+                  oracles.diagonal(QQ, MonodromyParams.make(QQ, 1, 2, 3, 37).diag_values()),
                   PolyMat.make(QQ, [[1, 0, 0, v]] * 4)],
         RatFunc: [RatFunc.make(v * v - 1, v - 1), RatFunc.make(v, 2 * v * (v + 1)),
                   RatFunc.make(off.det(), off.rows[0][0])],
@@ -1324,3 +1324,30 @@ def test_p37_sweep_builds_or_refuses_alike_checked_or_not():
     assert refused == {0: 528, 1: 464, 2: 400, 3: 336, 4: 272, 5: 112}
     assert built == {5: 96, 6: 144, 7: 80, 8: 16}
     assert starts == 20 * 336
+
+
+def test_p37_shipped_guard_sweep_refuses_by_genericity_and_chains_to_obvious_weights():
+    # the same grid with the shipped guards: each parameter is refused
+    # with a GenericityError or builds a checked graph of one component,
+    # and both walks from every vertex end at an obvious weight; no
+    # AssertionError is caught
+    grid = [TamePresentation.make("param", (s,), (Weight(a, b, 0),), 37)
+            for s in W_ALL for a in range(74) for b in range(74)
+            if lowest_alcove_depth(Weight(a, b, 0), 37) >= 0]
+    assert len(grid) == 2448
+    refused, built = Counter(), Counter()
+    for rho in grid:
+        _graph_of.cache_clear()
+        try:
+            graph = build_graph(rho, check=True)
+        except GenericityError:
+            refused[rho.depth()] += 1
+            continue
+        built[rho.depth()] += 1
+        assert len(graph.components()) == 1, rho.display()
+        for sigma in graph.vertices:
+            for walk in find_chain(rho, sigma):
+                assert (walk[-1].sigma2 if walk else sigma) in graph.obvious, rho.display()
+    _graph_of.cache_clear()
+    assert refused == {0: 528, 1: 464, 2: 400, 3: 336, 4: 272, 5: 112}
+    assert built == {5: 96, 6: 144, 7: 80, 8: 16}

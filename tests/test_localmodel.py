@@ -1,5 +1,6 @@
 import os
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -67,12 +68,12 @@ A_GENERIC = (110, 66, 42)   # root values (7, 16, 23, 30) mod 37
 
 def unit_inverse(A):
     """The inverse of a matrix whose determinant is a monomial."""
-    return A.adjugate() * oracles.laurent_pow(A.det(), -1)
+    return oracles.mat_scale(A.adjugate(), oracles.laurent_pow(A.det(), -1))
 
 
 def diag_mat(field, exps):
     zero = LaurentPoly.zero(field)
-    return PolyMat.make(field, [[LaurentPoly.v_power(field, exps[i]) if i == j
+    return PolyMat.make(field, [[oracles.v_power(field, exps[i]) if i == j
                                  else zero for j in range(4)] for i in range(4)])
 
 
@@ -114,7 +115,7 @@ def test_weyl_matrix_conjugates_torus_characters():
 def test_monomial_matrix_of_translation():
     M = monomial_matrix(translation(ETA), QQ)
     assert M == diag_mat(QQ, std_character(ETA))
-    assert M.det() == LaurentPoly.v_power(QQ, 6)
+    assert M.det() == oracles.v_power(QQ, 6)
 
 
 def test_monomial_matrix_multiplicative():
@@ -166,8 +167,8 @@ def minor_kernel_cases(field, rng):
     random matrices, and singular ones."""
     if field.char:
         elems = sorted(adm_dual_set(ETA), key=elem_sort_key)
-        sims = [random_iwahori(field, rng) * monomial_matrix(rng.choice(elems), field)
-                * random_iwahori(field, rng) * LaurentPoly.v_power(field, -rng.randrange(3))
+        sims = [oracles.mat_scale(random_iwahori(field, rng) * monomial_matrix(rng.choice(elems), field)
+                                  * random_iwahori(field, rng), oracles.v_power(field, -rng.randrange(3)))
                 for _ in range(10)]
     else:
         sims = family_draws(field, rng, 10)
@@ -175,9 +176,9 @@ def minor_kernel_cases(field, rng):
     for A in sims:
         rows = [list(r) for r in A.rows]
         i, j = rng.randrange(4), rng.randrange(4)
-        rows[i][j] = rows[i][j] + LaurentPoly.v_power(field, rng.randrange(-1, 3))
+        rows[i][j] = rows[i][j] + oracles.v_power(field, rng.randrange(-1, 3))
         perturbed.append(PolyMat.make(field, rows))
-    zero, v = LaurentPoly.zero(field), LaurentPoly.v_power(field, 1)
+    zero, v = LaurentPoly.zero(field), oracles.v_power(field, 1)
     for k in (1, 2):
         # column 3 plus v times column k: the form first fails at (3 - k, 3)
         perturbed.append(PolyMat.make(field, [r[:3] + (r[3] + r[k] * v,) for r in sims[k].rows]))
@@ -289,7 +290,7 @@ def test_packed_kernel_on_huge_numerators_over_distinct_denominators():
                   for j in range(4)] for i in range(4)]
         assert_packed_kernel_matches(PolyMat.make(QQ, cells))
         # a similitude with the same entry sizes: the form passes
-        sim = PolyMat.make(QQ, cells).rows[0][0] * monomial_matrix(star(translation(ETA)), QQ)
+        sim = oracles.mat_scale(monomial_matrix(star(translation(ETA)), QQ), cells[0][0])
         assert localmodel._form_scalar(sim)[1] is None
         assert_packed_kernel_matches(sim)
 
@@ -305,8 +306,8 @@ def test_packed_kernel_on_adm_monomials_and_iwahori_sandwiches():
         F = PrimeField(q)
         rng = random.Random(q)
         for i in range(12):
-            A = (random_iwahori(F, rng) * monomial_matrix(rng.choice(elems), F)
-                 * random_iwahori(F, rng) * LaurentPoly.v_power(F, -(i % 3)))
+            A = oracles.mat_scale(random_iwahori(F, rng) * monomial_matrix(rng.choice(elems), F)
+                                  * random_iwahori(F, rng), oracles.v_power(F, -(i % 3)))
             det, form = assert_packed_kernel_matches(A)
             assert form[1] is None and det.low_degree == 2 * form[0].low_degree
 
@@ -324,7 +325,7 @@ def test_packed_result_beyond_its_slots_fails_loudly():
 
 
 def test_similitude_identity_and_failure():
-    assert symplectic_similitude(PolyMat.identity(QQ), P).ok
+    assert symplectic_similitude(oracles.identity(QQ), P).ok
     one = LaurentPoly.one(QQ)
     zero = LaurentPoly.zero(QQ)
     rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
@@ -365,7 +366,7 @@ def test_similitude_and_divisors_refuse_a_field_of_another_characteristic():
         e_divisor_pattern(mat5, P)
     with pytest.raises(ValueError):
         symplectic_similitude(mat5, P)
-    assert e_poly(F5, 5) == LaurentPoly.v_power(F5, 1)
+    assert e_poly(F5, 5) == oracles.v_power(F5, 1)
 
 
 def test_e_adic_functions_refuse_p_zero_before_any_work():
@@ -380,13 +381,26 @@ def test_e_adic_functions_refuse_p_zero_before_any_work():
     with pytest.raises(ValueError, match=message):
         e_poly(QQ, 0)
     for fn in (symplectic_similitude, e_divisor_pattern):
-        for A in (singular, PolyMat.identity(QQ)):
+        for A in (singular, oracles.identity(QQ)):
             with pytest.raises(ValueError, match=message):
                 fn(A, 0)
         with pytest.raises(ValueError, match="matrix is singular"):
             fn(singular, P)
     with pytest.raises(ValueError, match="characteristic 0 or 0"):
         e_poly(PrimeField(5), 0)
+
+
+@pytest.mark.parametrize("fn", [symplectic_similitude, e_divisor_pattern, monodromy_defect])
+@pytest.mark.parametrize("field, p, message", [
+    (QQ, 0, r"E\(v\) = v \+ p needs p != 0 over the rationals"),
+    (PrimeField(5), P, r"E\(v\) = v \+ 37 needs characteristic 0 or 37, not GF\(5\)"),
+], ids=["QQ-p0", "F5-p37"])
+def test_e_adic_matrix_functions_refuse_a_bad_p_before_the_determinant(fn, field, p, message):
+    # the zero matrix is singular, but each function checks p first
+    zero = PolyMat.make(field, [[0] * 4] * 4)
+    arg = MonodromyParams.make(field, 1, 2, 3, p) if fn is monodromy_defect else p
+    with pytest.raises(ValueError, match=message):
+        fn(zero, arg)
 
 
 def test_make_refuses_what_no_matrix_is():
@@ -402,7 +416,7 @@ def test_make_refuses_what_no_matrix_is():
         PolyMat.make(QQ, [[one] * 3 + [1.5]] * 4)
     # ints and Fractions are constants of the field
     assert PolyMat.make(F5, [[Fraction(1, 2) if i == j else 0 for j in range(4)]
-                             for i in range(4)]) == 3 * PolyMat.identity(F5)
+                             for i in range(4)]) == oracles.mat_scale(oracles.identity(F5), 3)
 
 
 # ---------------------------------------------------------------------------
@@ -416,7 +430,7 @@ def test_e_divisor_diag_examples():
     for i, k in enumerate((3, 2, 1, 0)):
         rows[i][i] = oracles.laurent_pow(E, k)
     assert e_divisor_pattern(PolyMat.make(QQ, rows), P) == (3, 2, 1, 0)
-    assert e_divisor_pattern(PolyMat.identity(QQ), P) == (0, 0, 0, 0)
+    assert e_divisor_pattern(oracles.identity(QQ), P) == (0, 0, 0, 0)
 
 
 def test_e_divisor_of_monomials():
@@ -484,10 +498,10 @@ def test_shape_central_shift():
     F = PrimeField(5)
     z = star(translation(ETA))
     M = monomial_matrix(z, F)
-    shifted = LaurentPoly.v_power(F, 2) * M
+    shifted = oracles.mat_scale(M, oracles.v_power(F, 2))
     assert shape_of(shifted) == compose(translation(Weight(0, 0, 2)), z)
     # negative exponents exercise the normalization path
-    lowered = LaurentPoly.v_power(F, -1) * M
+    lowered = oracles.mat_scale(M, oracles.v_power(F, -1))
     assert shape_of(lowered) == compose(translation(Weight(0, 0, -1)), z)
 
 
@@ -513,21 +527,21 @@ def test_central_shift_by_a_large_power_of_v(monkeypatch):
         del precs[:]
         shape, pattern = shape_of(A), e_divisor_pattern(A, P)
         unscaled = list(precs)
-        shifted = LaurentPoly.v_power(F, E) * A
+        shifted = oracles.mat_scale(A, oracles.v_power(F, E))
         assert shape_of(shifted) == compose(translation(Weight(0, 0, E)), shape)
         assert e_divisor_pattern(shifted, P) == tuple(d + E for d in pattern)
         assert precs == unscaled * 2
-    assert shape_of(LaurentPoly.v_power(F, 10 ** 4) * mat1).display() == "t(1,0,10001)*s2s1s2"
+    assert shape_of(oracles.mat_scale(mat1, oracles.v_power(F, 10 ** 4))).display() == "t(1,0,10001)*s2s1s2"
     del precs[:]
     pattern = e_divisor_pattern(family, P)
     for E in (1, 400):
-        assert e_divisor_pattern(LaurentPoly.v_power(QQ, E) * family, P) == pattern
+        assert e_divisor_pattern(oracles.mat_scale(family, oracles.v_power(QQ, E)), P) == pattern
     assert precs == precs[:1] * 3
 
 
 def test_shape_errors():
     with pytest.raises(ValueError):
-        shape_of(PolyMat.identity(QQ))  # needs the special fiber
+        shape_of(oracles.identity(QQ))  # needs the special fiber
     F = PrimeField(5)
     zero = LaurentPoly.zero(F)
     with pytest.raises(ValueError):
@@ -619,7 +633,7 @@ def test_kernel_on_iwahori_sandwiches_matches_oracles(q):
         z = rng.choice(elems)
         M = random_iwahori(F, rng) * monomial_matrix(z, F) * random_iwahori(F, rng)
         for k in (0, 1 + i % 3):
-            A = M * LaurentPoly.v_power(F, -k)
+            A = oracles.mat_scale(M, oracles.v_power(F, -k))
             expect = compose(translation(Weight(0, 0, -k)), z)
             assert shape_of(A) == oracles.shape_of(A) == expect
             assert e_divisor_pattern(A, q) == oracles.e_divisor_pattern(A, q)
@@ -646,8 +660,8 @@ def test_kernel_on_unbalanced_divisors_matches_oracle(field):
         D = PolyMat.make(field, [[oracles.laurent_pow(E, exps[i]) if i == j else zero for j in range(4)]
                                  for i in range(4)])
         for k in (0, 2):
-            A = (unimodular(field, rng, False) * D * unimodular(field, rng, True)
-                 * LaurentPoly.v_power(field, -k))
+            A = oracles.mat_scale(unimodular(field, rng, False) * D * unimodular(field, rng, True),
+                                  oracles.v_power(field, -k))
             want = tuple(sorted(exps, reverse=True))
             if field.char:
                 want = tuple(e - k for e in want)  # over F_q, v^-k is E^-k
@@ -683,7 +697,7 @@ def test_kernel_on_dense_factors_at_high_precision(field):
 def test_kernel_and_oracles_reject_singular_input():
     F = PrimeField(5)
     zero = LaurentPoly.zero(F)
-    v = LaurentPoly.v_power(F, 1)
+    v = oracles.v_power(F, 1)
     rank3 = [list(r) for r in random_iwahori(F, random.Random(4)).rows]
     rank3[3] = [e * v for e in rank3[1]]
     cases = [
@@ -739,8 +753,8 @@ def test_kernel_divisors_match_sympy_smith_form():
     for exps in UNBALANCED:
         D = PolyMat.make(QQ, [[oracles.laurent_pow(E, exps[i]) if i == j else zero for j in range(4)]
                               for i in range(4)])
-        cases.append(unimodular(QQ, rng, False) * D * unimodular(QQ, rng, True)
-                     * LaurentPoly.v_power(QQ, -1))
+        cases.append(oracles.mat_scale(unimodular(QQ, rng, False) * D * unimodular(QQ, rng, True),
+                                       oracles.v_power(QQ, -1)))
     for A in cases:
         assert e_divisor_pattern(A, P) == sympy_pattern(sympy, A, P)
 
@@ -761,8 +775,8 @@ def test_monodromy_act_matches_matrix_conjugation():
     mp = MonodromyParams.make(QQ, *A_GENERIC, P)
     for w in W_ALL:
         U = weyl_matrix(w, QQ)
-        lhs = U * mp.diag_matrix() * unit_inverse(U)
-        assert lhs == monodromy_act(mp, w).diag_matrix()
+        lhs = U * oracles.diagonal(QQ, mp.diag_values()) * unit_inverse(U)
+        assert lhs == oracles.diagonal(QQ, monodromy_act(mp, w).diag_values())
     assert monodromy_act(mp, W_E) == mp
     assert monodromy_act(monodromy_act(mp, W_S1), W_S1) == mp
 
@@ -817,30 +831,74 @@ def test_monodromy_defect_messages_on_and_off_the_solved_locus(tag, field):
     assert d.display() == OFF_LOCUS_MESSAGES[tag]
 
 
-def test_monodromy_fails_clause_two():
+def clause_two_example():
     # v*diag breaks the similitude balance of the candidate operator
-    A = diag_mat(QQ, (1, 0, 0, 0))
-    d = monodromy_defect(A, MonodromyParams.make(QQ, 0, 0, 0, P))
+    return diag_mat(QQ, (1, 0, 0, 0)), MonodromyParams.make(QQ, 0, 0, 0, P)
+
+
+def clause_three_examples():
+    one = LaurentPoly.one(QQ)
+    zero = LaurentPoly.zero(QQ)
+    vm1 = oracles.v_power(QQ, -1)
+    rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
+    rows[0][1] = vm1
+    rows[2][3] = vm1.scale(-1)
+    rows2 = [[one if i == j else zero for j in range(4)] for i in range(4)]
+    rows2[1][0] = one
+    rows2[3][2] = LaurentPoly.const(QQ, -1)
+    mp = MonodromyParams.make(QQ, *A_GENERIC, P)
+    return [(PolyMat.make(QQ, rows), mp), (PolyMat.make(QQ, rows2), mp)]
+
+
+def test_monodromy_fails_clause_two():
+    d = monodromy_defect(*clause_two_example())
     assert d is not None and d.clause == 2
 
 
 def test_monodromy_fails_clause_three():
-    one = LaurentPoly.one(QQ)
-    zero = LaurentPoly.zero(QQ)
-    vm1 = LaurentPoly.v_power(QQ, -1)
-    rows = [[one if i == j else zero for j in range(4)] for i in range(4)]
-    rows[0][1] = vm1
-    rows[2][3] = vm1.scale(-1)
-    d = monodromy_defect(PolyMat.make(QQ, rows),
-                         MonodromyParams.make(QQ, *A_GENERIC, P))
-    assert d is not None and d.clause == 3
+    for A, mp in clause_three_examples():
+        d = monodromy_defect(A, mp)
+        assert d is not None and d.clause == 3
 
-    rows2 = [[one if i == j else zero for j in range(4)] for i in range(4)]
-    rows2[1][0] = one
-    rows2[3][2] = LaurentPoly.const(QQ, -1)
-    d2 = monodromy_defect(PolyMat.make(QQ, rows2),
-                          MonodromyParams.make(QQ, *A_GENERIC, P))
-    assert d2 is not None and d2.clause == 3
+
+def monodromy_grid():
+    """(matrix, parameters) cases: at p = 37 and 41, over Q and F_p, 10
+    seeded solved-family matrices and each one's 8 single-coordinate +1
+    perturbations, then the 63 monomial matrices of Adm(eta) over Q."""
+    cases = []
+    for p in (37, 41):
+        for field in (QQ, PrimeField(p)):
+            rng = random.Random(p * 100 + field.char)
+            solved = []
+            while len(solved) < 10:
+                cs = [rng.randrange(1, p) for _ in range(4)]
+                a = tuple(rng.randrange(3 * p) for _ in range(3))
+                try:
+                    solved.append(RegColOneParams.solved(field, p, *cs, a=a))
+                except ValueError:
+                    continue
+            for sp in solved:
+                mp = monodromy_params_of(sp, p)
+                cases.append((build_regcolone_matrix(sp, p), mp))
+                vals = sp._asdict()
+                del vals["field"]
+                for name in ("c00", "c21", "c13", "c31", "c31p", "c33", "c33p", "c33pp"):
+                    bumped = RegColOneParams.make(field, **dict(vals, **{name: vals[name] + 1}))
+                    cases.append((build_regcolone_matrix(bumped, p), mp))
+    mp = MonodromyParams.make(QQ, *A_GENERIC, P)
+    cases += [(monomial_matrix(z, QQ), mp) for z in sorted(adm_dual_set(ETA), key=elem_sort_key)]
+    return cases
+
+
+def test_monodromy_defect_matches_the_matrix_algebra_oracle():
+    cases = monodromy_grid() + [clause_two_example()] + clause_three_examples()
+    assert len(cases) == 423 + 3
+    seen = Counter()
+    for A, mp in cases:
+        got = monodromy_defect(A, mp)
+        assert got == oracles.monodromy_defect_oracle(A, mp), (A, mp)
+        seen[None if got is None else got.clause] += 1
+    assert set(seen) == {None, 1, 2, 3}, seen
 
 
 def test_monodromy_omega_equivariance():
@@ -873,7 +931,7 @@ def test_monodromy_omega_equivariance():
 
 
 def test_monodromy_field_mismatch():
-    A = PolyMat.identity(PrimeField(5))
+    A = oracles.identity(PrimeField(5))
     with pytest.raises(TypeError):
         monodromy_defect(A, MonodromyParams.make(QQ, 1, 2, 3, P))
 

@@ -478,15 +478,16 @@ def test_traced_class_methods_resolve():
             cls = getattr(module, cls_name)
             missing += ["%s.%s.%s" % (mod, cls_name, m) for m in methods if m not in cls.__dict__]
     # LaurentPoly's evaluate, negation, reflected subtraction and power,
-    # RatFunc's arithmetic, PolyMat's subtraction and inverse_unit_det were
-    # deleted from the library, and RatFunc and PolyMat became NamedTuples
-    # made by `make`, with no __init__ (no per-layer metric reads either);
-    # their tracer entries go with the next benchmark change
+    # RatFunc's arithmetic, PolyMat's scalar product, sum, subtraction,
+    # derivative and inverse_unit_det were deleted from the library, and
+    # RatFunc and PolyMat became NamedTuples made by `make`, with no
+    # __init__ (no per-layer metric reads either); their tracer entries go
+    # with the next benchmark change
     assert missing == ["exactalg.LaurentPoly.%s" % m for m in (
         "__neg__", "__rsub__", "__pow__", "evaluate")] + ["exactalg.RatFunc.%s" % m for m in (
         "__init__", "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__truediv__",
         "__rtruediv__")] + ["localmodel.PolyMat.%s" % m for m in (
-        "__init__", "__sub__", "inverse_unit_det")]
+        "__init__", "__rmul__", "__add__", "__sub__", "derivative", "inverse_unit_det")]
 
 
 def test_only_the_slot_table_makes_weight_parts():
