@@ -15,7 +15,7 @@ from functools import lru_cache
 from types import MappingProxyType
 from typing import NamedTuple
 
-from .base import SIMPLES, W_ALL, weyl_mul
+from .base import SIMPLES, W_ALL, FiniteWeyl, Weight, lowest_alcove_depth, weyl_mul
 from .config import RHOBAR_DEPTH, derived_depth_bound
 from .affine import (
     HIGHEST_RESTRICTED,
@@ -37,7 +37,6 @@ from .weights import (
     _singles,
     _SlotTable,
     TamePresentation,
-    intersect_w_jh,
     presentation_from_w_tilde,
     w_question,
 )
@@ -49,25 +48,40 @@ log = logging.getLogger(__name__)
 _WQ_CACHE: dict = {}
 
 
+@lru_cache(maxsize=8)
+def _labels(f: int) -> tuple[tuple[int, int], ...]:
+    """Every label (i, j) at f embeddings, made once for instances to share."""
+    return tuple((i, j) for i in (1, 2) for j in range(f))
+
+
 def valid_simples(pair: APPair) -> tuple[tuple[int, int], ...]:
     """All simple-reflection labels (i, j) allowed for this AP' pair: those
     whose letter i has a `_slot_targets` row at the j-th single."""
     targets = _slot_targets()
-    return tuple((i, j) for i in (1, 2) for j, single in enumerate(zip(pair.w1, pair.w2))
-                 if single + (i,) in targets)
+    singles = tuple(zip(pair.w1, pair.w2))
+    return tuple(s for s in _labels(pair.f) if singles[s[1]] + (s[0],) in targets)
 
 
 class AdjacencyInstance(NamedTuple):
-    """One witness of adjacency: the pair, the reflection, and the derived
-    type, parameter and weight pair."""
+    """One witness of adjacency: the pair, the reflection, the derived
+    type and parameter, each given slot by slot as (s, mu), and the weight
+    pair.  `tau` and `rhobar0` are their presentations, made when read."""
 
     rhobar: TamePresentation
     pair: APPair
     s: tuple[int, int]
-    tau: TamePresentation
-    rhobar0: TamePresentation
+    tau_slots: tuple[tuple[FiniteWeyl, Weight], ...]
+    rhobar0_slots: tuple[tuple[FiniteWeyl, Weight], ...]
     sigma1: SerreWeight
     sigma2: SerreWeight
+    tau = property(lambda self: _presented("type", self.tau_slots, self.rhobar.p))
+    rhobar0 = property(lambda self: _presented("param", self.rhobar0_slots, self.rhobar.p))
+
+
+def _presented(kind: str, slots: tuple, p: int) -> TamePresentation:
+    """The presentation of (s, mu) `slots`, refused as `presentation_from_w_tilde` refuses."""
+    pres = TamePresentation.make(kind, *zip(*slots), p)
+    return presentation_from_w_tilde(kind, pres.w_tilde(), p) if pres.depth() < 0 else pres
 
 
 def _edge(a: SerreWeight, b: SerreWeight) -> tuple[SerreWeight, SerreWeight]:
@@ -104,50 +118,53 @@ def _slot_targets() -> dict[tuple[ExtAffine, ExtAffine, int | None], tuple]:
     return table
 
 
-def _deriver(rhobar: TamePresentation, table: _SlotTable) -> Callable[..., AdjacencyInstance]:
+def _deriver(rhobar: TamePresentation, table: _SlotTable, vertices: Mapping = MappingProxyType({})
+             ) -> Callable[..., AdjacencyInstance]:
     """The maker of rhobar's instances: derive(pair, s, sigma1), for a
     pair of AP' singles, an allowed s and the pair's predicted weight,
-    which the instance keeps.  Its memo lives as long as the maker:
-    rhobar.w_tilde() is made once, each slot of it is composed with each
-    `_slot_targets` row once, and each distinct tau and rhobar0 is
-    presented once.  An instance fails as it fails alone: the depth guards
-    refuse tau and then rhobar0, then F_tau(w), which must be sigma1, and
-    F_tau(sw) are read off tau's full slots in `table`, the caller's."""
+    which the instance keeps.  Its memo lives as long as the maker: each
+    slot of rhobar meets each `_slot_targets` row once, giving tau's and
+    rhobar0's slots there as (s, mu), their depths and the outer indices.
+    An instance fails as it fails alone: a mu outside the lowest alcove
+    and then the depth guards refuse tau before rhobar0, then F_tau(w),
+    which must be sigma1, and F_tau(sw) are read off tau's full slots in
+    `table`, the caller's; sigma2 is its value in `vertices` if a key."""
     targets = _slot_targets()
-    x = rhobar.w_tilde()
     need = derived_depth_bound(rhobar.depth())  # margins scale with rhobar's depth
-    slots: dict = {}
-    made: dict[tuple, TamePresentation] = {}
-
-    def present(kind: str, wt: tuple) -> TamePresentation:
-        pres = made.get((kind, wt))
-        if pres is None:
-            pres = made[kind, wt] = presentation_from_w_tilde(kind, wt, rhobar.p)
-        return pres
+    p = rhobar.p
+    rows: dict = {}
+    last: list = [None, None]  # the last pair and its rhobar0, which its instances share
 
     def derive(pair: APPair, s: tuple[int, int], sigma1: SerreWeight) -> AdjacencyInstance:
         # w(tau) = w(rhobar) w1^(-1) s^(-1) w0^(-1) wh w2, so
         # w(rhobar0) = w(tau) w2^(-1) wh^(-1) w0 s w2 = w(rhobar) w1^(-1) w2
         # slot by slot: s cancels, and rhobar0 depends on the pair alone.
         i, j = s
-        rows = []
-        for k, (w1, w2) in enumerate(zip(pair.w1, pair.w2)):
+        got = []
+        for k, (w1, w2, sk, mk) in enumerate(zip(pair.w1, pair.w2, rhobar.s, rhobar.mu)):
             key = (k, w1, w2, i if k == j else None)
-            row = slots.get(key)
+            row = rows.get(key)
             if row is None:
                 g_inv, w1_inv_w2, k_w, k_sw = targets[key[1:]]
-                row = slots[key] = (compose(x[k], g_inv), compose(x[k], w1_inv_w2), k_w, k_sw)
-            rows.append(row)
-        tau_wt, rhobar0_wt, w_combo, sw_combo = zip(*rows)
-        tau, rhobar0 = present("type", tau_wt), present("param", rhobar0_wt)
-        if tau.depth() < need:
-            raise GenericityError("derived type has depth %d < %d" % (tau.depth(), need))
-        if rhobar0.depth() < need:
-            raise GenericityError("derived parameter has depth %d < %d" % (rhobar0.depth(), need))
-        at_w, sigma2 = table.read(tau, "type", w_combo, sw_combo)
+                # t_(mk+eta) sk t_nu w = t_(mu+eta) s for s = sk w and mu = mk + sk(nu)
+                tau_k, rho0_k = ((weyl_mul(sk, y.w), mk + sk.act(y.nu)) for y in (g_inv, w1_inv_w2))
+                row = rows[key] = (tau_k, lowest_alcove_depth(tau_k[1], p),
+                                   rho0_k, lowest_alcove_depth(rho0_k[1], p), k_w, k_sw)
+            got.append(row)
+        tau, tau_depth, rhobar0, rhobar0_depth, w_combo, sw_combo = zip(*got)
+        if pair is not last[0]:
+            last[:] = pair, rhobar0
+        td, rd, rhobar0 = min(tau_depth), min(rhobar0_depth), last[1]
+        if min(td, rd) < 0:  # each refused, tau first, as presentation_from_w_tilde refuses it
+            _presented("type", tau, p), _presented("param", rhobar0, p)
+        if td < need:
+            raise GenericityError("derived type has depth %d < %d" % (td, need))
+        if rd < need:
+            raise GenericityError("derived parameter has depth %d < %d" % (rd, need))
+        at_w, sigma2 = table.read(table.numbered("type", tau, p), "type", p, w_combo, sw_combo)
         if at_w != sigma1:
             raise AssertionError("sigma1 does not match the weight of the pair")
-        return AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, sigma2)
+        return AdjacencyInstance(rhobar, pair, s, tau, rhobar0, sigma1, vertices.get(sigma2, sigma2))
 
     return derive
 
@@ -195,15 +212,17 @@ def build_instance(
 
 def _check(instances: Iterable[AdjacencyInstance], table: _SlotTable) -> None:
     """Raise AssertionError at the first of `instances` whose sigma1 and
-    sigma2 are not distinct or do not exhaust W?(rhobar0) & JH(tau), read
-    from the caller's `table` and chained once per (rhobar0, tau) in the
-    call: the adjacency condition alone, since sigma1 was checked where
-    the instance was made."""
+    sigma2 are not distinct or do not exhaust W?(rhobar0) & JH(tau), met
+    by slot number in the caller's `table` once per distinct (rhobar0,
+    tau) in the call: sigma1 was checked where the instance was made."""
     met: dict = {}
     for inst in instances:
-        got = met.get((inst.rhobar0, inst.tau))
+        key = (inst.rhobar0_slots, inst.tau_slots)
+        got = met.get(key)
         if got is None:
-            got = met[inst.rhobar0, inst.tau] = intersect_w_jh(inst.rhobar0, inst.tau, table)
+            p = inst.rhobar.p
+            got = met[key] = table.meet(table.numbered("param", inst.rhobar0_slots, p),
+                                        table.numbered("type", inst.tau_slots, p), p)
         if got != frozenset((inst.sigma1, inst.sigma2)) or inst.sigma1 == inst.sigma2:
             raise AssertionError(
                 "intersection is not the expected two outer weights: %s"
@@ -284,7 +303,7 @@ def _graph_of(rhobar: TamePresentation) -> _GraphState:
     if len(back) != len(wq):
         raise AssertionError("F_rhobar failed to be injective")
     vertices = tuple(sorted(back, key=SerreWeight.sort_key))
-    derive = _deriver(rhobar, table)
+    derive = _deriver(rhobar, table, {sigma: sigma for sigma in back})
     instances = {(pair, s): derive(pair, s, sigma)
                  for pair, sigma in wq.items() for s in valid_simples(pair)}
     edges: dict[tuple[SerreWeight, SerreWeight], list[AdjacencyInstance]] = {}

@@ -151,9 +151,6 @@ class PolyMat(NamedTuple):
             return LaurentPoly.const(field, x)
         raise TypeError("cannot use %r as a matrix entry" % (x,))
 
-    def transpose(self) -> "PolyMat":
-        return PolyMat(self.field, tuple(zip(*self.rows)))
-
     def __mul__(self, other):
         if not isinstance(other, PolyMat):
             return NotImplemented
@@ -208,12 +205,6 @@ def e_poly(field, p: int) -> LaurentPoly:
 
 # the symplectic form: antidiagonal (1, 1, -1, -1), by row
 _J_SIGNS = (1, 1, -1, -1)
-
-
-def j_matrix(field) -> PolyMat:
-    zero = LaurentPoly.zero(field)
-    return PolyMat(field, tuple(tuple(LaurentPoly.const(field, s) if j == 3 - i else zero
-                                      for j in range(4)) for i, s in enumerate(_J_SIGNS)))
 
 
 # Weyl generators acting on the character-exponent coordinates: s1 is
@@ -549,7 +540,8 @@ def monodromy_defect(A: PolyMat, params: MonodromyParams):
 
     Entry (i, j) of v*dA/dv + A*Diag is A_ij with each v^k term scaled by
     k + d_j, for d_j the j-th diagonal value.  J is antisymmetric, so
-    transpose(X)*J + J*X = S - transpose(S) for S = transpose(X)*J.
+    transpose(X)*J + J*X = S - transpose(S) for S = transpose(X)*J, and a
+    signed permutation, so each entry of S is one signed entry of X.
     Over a prime field p must be its characteristic, else ValueError.
     """
     if A.field != params.field:
@@ -570,18 +562,18 @@ def monodromy_defect(A: PolyMat, params: MonodromyParams):
                 return MonodromyDefect(
                     1, (i, j),
                     "denominator %s is not a unit" % x[i][j].den.display())
-    xm = PolyMat(field, tuple(tuple(e.num for e in row) for row in x))
-    jm = j_matrix(field)
-    s = (xm.transpose() * jm).rows
-    scalar = s[0][3] - s[3][0]
+    xm = [[e.num for e in row] for row in x]
+    # J is a signed permutation: S = X^t J is S[i][j] = J[3-j][j] X[3-j][i]
+    s = [[xm[3 - j][i].scale(_J_SIGNS[3 - j]) for j in range(4)] for i in range(4)]
+    scalar, zero = s[0][3] - s[3][0], LaurentPoly.zero(field)
     for i in range(4):
         for j in range(4):
-            if s[i][j] - s[j][i] != scalar * jm.rows[i][j]:
+            if s[i][j] - s[j][i] != (scalar.scale(_J_SIGNS[i]) if j == 3 - i else zero):
                 return MonodromyDefect(
                     2, (i, j), "X^t J + J X is not a multiple of J")
     for i in range(4):
         for j in range(4):
-            e = xm.rows[i][j]
+            e = xm[i][j]
             if e.is_zero:
                 continue
             if e.low_degree < 0:

@@ -364,10 +364,11 @@ def _slot_parts(kind, s, mu, p, ts, cells) -> list[dict[int, Part]]:
     return out
 
 
-def _guard(pres: TamePresentation, kind: str) -> None:
+def _guard(pres: TamePresentation, kind: str) -> tuple[tuple[FiniteWeyl, Weight], ...]:
     """The checks a kernel of `pres` runs before any part: its kind, that
     each mu lies inside the lowest alcove, then its depth against
-    WEIGHT_DEPTH, the one threshold of the weight maps."""
+    WEIGHT_DEPTH, the one threshold of the weight maps.  Returns the slots
+    of `pres` as (s, mu)."""
     if pres.kind != kind:
         raise ValueError(
             "expected a %s presentation, got a %s presentation" % (kind, pres.kind))
@@ -377,6 +378,7 @@ def _guard(pres: TamePresentation, kind: str) -> None:
     if pres.depth() < WEIGHT_DEPTH:
         raise GenericityError("presentation %s is only %d-deep; need at least %d"
                               % (pres.display(), pres.depth(), WEIGHT_DEPTH))
+    return tuple(zip(pres.s, pres.mu))
 
 
 def _slot_index(wq_slot: list[dict[int, Part]]) -> dict[tuple[int, int], list]:
@@ -413,53 +415,63 @@ class _SlotTable:
     one: (distinct y) x (distinct theta) entries per slot, 8 x 12, instead
     of f * singles^f.  At f = 1 slot j - 1 is slot j, so row i holds only
     the thetas of the singles whose own y is the i-th.  A full slot
-    depends on (kind, s_j, mu_j, p, f), the (a, b) index of a W? slot on
-    that slot, and a join on its two full slots; each is made on first use
-    under that key and then read, so a table holds no check result.  One
-    weight alone (`weight`, the sigma1 of an instance built alone) is made
-    on every read and stored nowhere.
+    depends on (kind, s_j, mu_j, p, f), and `numbered` numbers it when it
+    first makes it; the (a, b) index of a W? slot is keyed by its number,
+    and a join by its two.  Each is made on first use and then read, so a
+    table holds no check result.  One weight alone (`weight`, the sigma1
+    of an instance built alone) is made on every read and stored nowhere.
 
     Three checks run: the lowest-alcove test on each theta, per slot, and
     so on every single's theta; `is_restricted_element` on each distinct
     y, once, when its table row is built; and `is_p_restricted` on every
     part.  Of these only the first can fail (each y is restricted, and
-    y . theta is then p-restricted).  An entry is stored only after its
+    y . theta is then p-restricted).  A slot is numbered only after its
     lowest-alcove test passed, so a failing test runs, and raises, on
     every use.  The guards of `_guard` run on every use too."""
 
     def __init__(self):
-        self._parts: dict[tuple, list[dict[int, Part]]] = {}  # by (kind, s, mu, p, f)
-        self._indexes: dict[tuple, dict] = {}  # by W? slot key
-        self._joins: dict[tuple[tuple, tuple], dict] = {}
+        self._numbers: dict[tuple, int] = {}  # (kind, s, mu, p, f) -> slot number
+        self._parts: list[list[dict[int, Part]]] = []  # the full slots, by number
+        self._indexes: dict[int, dict] = {}  # by W? slot number
+        self._joins: dict[tuple[int, int], dict] = {}  # by (W? slot, JH slot) numbers
 
-    def slots(self, pres: TamePresentation, kind: str) -> tuple[tuple, ...]:
-        """The keys of the full slots of `pres`, each made on first use."""
-        _guard(pres, kind)
+    def numbered(self, kind: str, slots: tuple[tuple[FiniteWeyl, Weight], ...],
+                 p: int) -> tuple[int, ...]:
+        """The numbers of the full slots of the presentation given slot by
+        slot as (s, mu), each made on first use after the guards, which make
+        the presentation only to name it in a refusal: the one slot maker."""
+        if min([lowest_alcove_depth(mu, p) for _, mu in slots]) < WEIGHT_DEPTH:
+            _guard(TamePresentation.make(kind, *zip(*slots), p), kind)
+        sing, f, out = _singles(kind), len(slots), []
+        for s, mu in slots:
+            key = (kind, s, mu, p, f)
+            n = self._numbers.get(key)
+            if n is None:
+                ts = range(len(sing.members))
+                self._parts.append(_slot_parts(kind, s, mu, p, ts, (ts,) * len(sing.ys) if f > 1
+                                               else sing.own))
+                n = self._numbers[key] = len(self._parts) - 1
+            out.append(n)
+        return tuple(out)
+
+    def read(self, slots: tuple[int, ...], kind: str, p: int, *combos: tuple) -> list[SerreWeight]:
+        """F at each index tuple of `combos`, read from the full slots
+        numbered `slots`: part j is slot j's entry for k_j's theta in the
+        row of k_(j-1)'s y."""
         sing = _singles(kind)
-        ts = range(len(sing.members))
-        cells = (ts,) * len(sing.ys) if pres.f > 1 else sing.own
-        keys = tuple((kind, s, mu, pres.p, pres.f) for s, mu in zip(pres.s, pres.mu))
-        for key in keys:
-            if key not in self._parts:
-                self._parts[key] = _slot_parts(kind, key[1], key[2], pres.p, ts, cells)
-        return keys
-
-    def read(self, pres: TamePresentation, kind: str, *combos: tuple) -> list[SerreWeight]:
-        """F_pres at each index tuple of `combos`, read from the full slots:
-        part j is slot j's entry for k_j's theta in the row of k_(j-1)'s y."""
-        p, sing = pres.p, _singles(kind)
         y_slot, x_slot = sing.y_slot, sing.x_slot
-        slots = [self._parts[key] for key in self.slots(pres, kind)]
-        return [SerreWeight._trusted(p, [slots[j][y_slot[combo[j - 1]]][x_slot[k]]
+        parts = [self._parts[n] for n in slots]
+        return [SerreWeight._trusted(p, [parts[j][y_slot[combo[j - 1]]][x_slot[k]]
                                          for j, k in enumerate(combo)])
                 for combo in combos]
 
     def weights(self, pres: TamePresentation, kind: str) -> list[SerreWeight]:
         """F_pres on every index tuple, slot 0 varying slowest."""
-        return self.read(pres, kind, *product(range(len(_singles(kind).y_slot)), repeat=pres.f))
+        return self.read(self.numbered(kind, _guard(pres, kind), pres.p), kind, pres.p,
+                         *product(range(len(_singles(kind).y_slot)), repeat=pres.f))
 
-    def join(self, wq: tuple, jh: tuple) -> dict:
-        """The join of W? slot `wq` with JH slot `jh`, given by their keys."""
+    def join(self, wq: int, jh: int) -> dict:
+        """The join of W? slot `wq` with JH slot `jh`, given by their numbers."""
         groups = self._joins.get((wq, jh))
         if groups is None:
             index = self._indexes.get(wq)
@@ -468,15 +480,20 @@ class _SlotTable:
             groups = self._joins[wq, jh] = _slot_join(index, self._parts[jh])
         return groups
 
+    def meet(self, wq: tuple[int, ...], jh: tuple[int, ...], p: int) -> frozenset[SerreWeight]:
+        """W? & JH on the full slots numbered `wq` and `jh` (see `intersect_w_jh`)."""
+        joins, found = [self.join(a, b) for a, b in zip(wq, jh)], set()
+        for start in joins[0]:
+            _chain(joins, 0, start, start, 0, (), p, p ** len(wq) - 1, found)
+        return frozenset(found)
+
     @staticmethod
     def weight(pres: TamePresentation, kind: str, combo: tuple[int, ...]) -> SerreWeight:
         """F_pres at one index tuple, the weight `weights` reads there,
         made on every call and stored nowhere: the lowest-alcove test runs
         on the thetas of combo's singles alone, and no full slot is made."""
-        _guard(pres, kind)
-        sing = _singles(kind)
-        parts = []
-        for j, (s, mu) in enumerate(zip(pres.s, pres.mu)):
+        sing, parts = _singles(kind), []
+        for j, (s, mu) in enumerate(_guard(pres, kind)):
             i, t = sing.y_slot[combo[j - 1]], sing.x_slot[combo[j]]
             cells = [()] * len(sing.ys)
             cells[i] = (t,)
@@ -534,18 +551,10 @@ def intersect_w_jh(
     and joins are read from `table`, a fresh one unless the caller shares
     its own; the guards of both presentations run, and the chains are
     followed, on every call."""
-    if table is None:
-        table = _SlotTable()
-    wq = table.slots(rhobar, "param")
-    jh = table.slots(tau, "type")
-    if (rhobar.p, rhobar.f) != (tau.p, tau.f):
-        return frozenset()
-    p, modulus = rhobar.p, rhobar.p ** rhobar.f - 1
-    joins = [table.join(a, b) for a, b in zip(wq, jh)]
-    found: set[SerreWeight] = set()
-    for start in joins[0]:
-        _chain(joins, 0, start, start, 0, (), p, modulus, found)
-    return frozenset(found)
+    table = _SlotTable() if table is None else table
+    wq, jh = (table.numbered(kind, _guard(pres, kind), pres.p)
+              for pres, kind in ((rhobar, "param"), (tau, "type")))
+    return table.meet(wq, jh, rhobar.p) if (rhobar.p, rhobar.f) == (tau.p, tau.f) else frozenset()
 
 
 def obvious_weights(rhobar: TamePresentation) -> dict[tuple[FiniteWeyl, ...], SerreWeight]:

@@ -104,7 +104,6 @@ from gsp4weights.localmodel import (
     PolyMat,
     RegColOneParams,
     e_poly,
-    j_matrix,
     weyl_matrix,
 )
 from gsp4weights.weights import (
@@ -924,6 +923,16 @@ def mat_scale(A: PolyMat, c) -> PolyMat:
     return PolyMat.make(A.field, [[laurent_mul(c, e) for e in row] for row in A.rows])
 
 
+def transpose(A: PolyMat) -> PolyMat:
+    return PolyMat(A.field, tuple(zip(*A.rows)))
+
+
+def j_matrix(field) -> PolyMat:
+    """The symplectic form: antidiagonal (1, 1, -1, -1), by row."""
+    return PolyMat.make(field, [[sign if j == 3 - i else 0 for j in range(4)]
+                                for i, sign in enumerate((1, 1, -1, -1))])
+
+
 def mat_add(A: PolyMat, B: PolyMat) -> PolyMat:
     return PolyMat.make(A.field, [[a + b for a, b in zip(ra, rb)]
                                   for ra, rb in zip(A.rows, B.rows)])
@@ -978,7 +987,7 @@ def similitude_form(A: PolyMat):
     else (None, (i, j)) with the first entry in row-major order of all 16
     where they differ."""
     J = j_matrix(A.field)
-    S = matmul(matmul(A.transpose(), J), A)
+    S = matmul(matmul(transpose(A), J), A)
     c = S.rows[0][3]
     for i in range(4):
         for j in range(4):
@@ -1012,7 +1021,7 @@ def monodromy_defect_oracle(A: PolyMat, params):
                     1, (i, j), "denominator %s is not a unit" % x[i][j].den.display())
     xm = PolyMat.make(field, [[e.num for e in row] for row in x])
     J = j_matrix(field)
-    S = mat_add(matmul(xm.transpose(), J), matmul(J, xm))
+    S = mat_add(matmul(transpose(xm), J), matmul(J, xm))
     scalar = S.rows[0][3]
     for i in range(4):
         for j in range(4):

@@ -60,7 +60,6 @@ from gsp4weights.localmodel import (
     RegColOneParams,
     SimilitudeResult,
     build_regcolone_matrix,
-    j_matrix,
     monodromy_defect,
     monodromy_params_of,
     monomial_matrix,
@@ -165,8 +164,8 @@ def test_value_types_are_named_tuples_hashing_as_their_fields():
         MonodromyParams: [monodromy_params_of(solved, 37), MonodromyParams.make(QQ, 1, 2, 3, 37)],
         MonodromyDefect: [monodromy_defect(off, monodromy_params_of(solved, 37))],
         PolyMat: [mat1, oracles.identity(QQ), mat1 * family, off.adjugate(), family,
-                  oracles.mat_add(off.transpose(), off), oracles.mat_scale(off, v),
-                  j_matrix(PrimeField(37)), monomial_matrix(instances[0].pair.w1[0], QQ),
+                  oracles.mat_add(oracles.transpose(off), off), oracles.mat_scale(off, v),
+                  oracles.j_matrix(PrimeField(37)), monomial_matrix(instances[0].pair.w1[0], QQ),
                   oracles.diagonal(QQ, MonodromyParams.make(QQ, 1, 2, 3, 37).diag_values()),
                   PolyMat.make(QQ, [[1, 0, 0, v]] * 4)],
         RatFunc: [RatFunc.make(v * v - 1, v - 1), RatFunc.make(v, 2 * v * (v + 1)),
@@ -579,21 +578,24 @@ def test_shallow_parameter_warned_once_per_build(caplog):
 def test_memo_hit_reruns_every_check(monkeypatch):
     # a checked call on the memo chains each of the 23 distinct (rhobar0,
     # tau) of rb41's 34 instances once, in order, over the state's table,
-    # and every call chains them all again
+    # by the numbers of their full slots there, and every call chains them
+    # all again
     rho = rho41()
     build_graph(rho, check=False)
     state = _graph_of(rho)
     hits = _graph_of.cache_info().hits
     calls = []
-    real = adjacency.intersect_w_jh
-    monkeypatch.setattr(adjacency, "intersect_w_jh",
+    real = weights._SlotTable.meet
+    monkeypatch.setattr(weights._SlotTable, "meet",
                         lambda *args: calls.append(args) or real(*args))
     distinct = list(dict.fromkeys((inst.rhobar0, inst.tau) for inst in state.instances.values()))
     for _ in range(2):
         calls.clear()
         build_graph(rho, check=True)
-        assert [args[:2] for args in calls] == distinct and len(distinct) == 23
-        assert all(args[2] is state.table for args in calls)
+        numbered = [tuple(state.table.numbered(pres.kind, tuple(zip(pres.s, pres.mu)), rho.p)
+                          for pres in pair) + (rho.p,) for pair in distinct]
+        assert [args[1:] for args in calls] == numbered and len(distinct) == 23
+        assert all(args[0] is state.table for args in calls)
     assert _graph_of.cache_info().hits == hits + 2
     # every instance is still compared: a later instance whose intersection
     # was chained for an earlier one fails on its own weights
@@ -635,7 +637,7 @@ def test_rb41_makes_each_weight_part_once_per_parameter(monkeypatch):
     rho = fixture("rb41.json")
     made = Counter()
     real_parts, real_index = weights._slot_parts, weights._slot_index
-    real_join, real_meet = weights._slot_join, adjacency.intersect_w_jh
+    real_join, real_meet = weights._slot_join, weights._SlotTable.meet
 
     def parts(kind, s, mu, p, ks, cells):
         made["single" if len(ks) == 1 else "slot", kind] += 1
@@ -644,7 +646,7 @@ def test_rb41_makes_each_weight_part_once_per_parameter(monkeypatch):
     monkeypatch.setattr(weights, "_slot_parts", parts)
     monkeypatch.setattr(weights, "_slot_index", lambda *a: made.update(["index"]) or real_index(*a))
     monkeypatch.setattr(weights, "_slot_join", lambda *a: made.update(["join"]) or real_join(*a))
-    monkeypatch.setattr(adjacency, "intersect_w_jh",
+    monkeypatch.setattr(weights._SlotTable, "meet",
                         lambda *a: made.update(["chain"]) or real_meet(*a))
     _graph_of.cache_clear()
     graph = build_graph(rho, check=True)
@@ -662,33 +664,53 @@ def test_rb41_makes_each_weight_part_once_per_parameter(monkeypatch):
 # full slots, parts, index entries and join entries of a cold checked build
 COLD_CHECKED_SIZES = {"rb41.json": (33, 660, 200, 76), "rb_f2.json": (106, 10176, 1920, 4888)}
 
+# full slots made by kind: W?'s own and the distinct tau slots in a cold
+# unchecked build, then the distinct rhobar0 slots that are not W?'s in the
+# first checked call
+SLOTS_MADE = {"rb41.json": ({"param": 1, "type": 23}, {"param": 9}),
+              "rb_f2.json": ({"param": 2, "type": 86}, {"param": 18})}
+
 
 @pytest.mark.parametrize("name, types, params, indexes, reads", [
     ("rb41.json", 23, 10, 10, 23), ("rb_f2.json", 920, 100, 20, 1840)])
 def test_each_presentation_and_w_question_index_is_made_once_per_call(
         monkeypatch, name, types, params, indexes, reads):
-    # a cold unchecked build presents each distinct tau and rhobar0 once
-    # (68 and 2720 presentations one instance at a time); the first checked
-    # call indexes each distinct W? slot once, for the parameter, and every
-    # checked call reads the joins of each distinct (rhobar0, tau) once (34
-    # and 2720 slot reads, one per check and slot)
+    # a cold unchecked build makes no presentation: of its `types` distinct
+    # taus and `params` distinct rhobar0, it makes each distinct tau slot
+    # once, and the first checked call each distinct rhobar0 slot once
+    # (W?'s own are made for W?); the first checked call indexes each
+    # distinct W? slot once, for the parameter, and every checked call
+    # reads the joins of each distinct (rhobar0, tau) once (34 and 2720
+    # slot reads, one per check and slot)
     rho = fixture(name)
-    made, index, joins = [], [], []
-    real = adjacency.presentation_from_w_tilde
-    monkeypatch.setattr(adjacency, "presentation_from_w_tilde",
-                        lambda kind, *args: made.append(kind) or real(kind, *args))
+    presented, made, index, joins = [], Counter(), [], []
+    real_make, real_parts = weights.TamePresentation.make, weights._slot_parts
+
+    def parts(kind, s, mu, p, ts, cells):
+        made[kind] += 1
+        return real_parts(kind, s, mu, p, ts, cells)
+
+    monkeypatch.setattr(weights.TamePresentation, "make", staticmethod(
+        lambda *args: presented.append(args) or real_make(*args)))
+    monkeypatch.setattr(weights, "_slot_parts", parts)
     _graph_of.cache_clear()
     build_graph(rho, check=False)
-    assert (made.count("type"), made.count("param")) == (types, params)
+    state = _graph_of(rho)
+    assert dict(made) == SLOTS_MADE[name][0]
+    assert made["type"] == len({sl for inst in state.instances.values() for sl in inst.tau_slots})
+    assert len({inst.tau_slots for inst in state.instances.values()}) == types
+    assert len({inst.rhobar0_slots for inst in state.instances.values()}) == params
     real_index, real_join = weights._slot_index, weights._SlotTable.join
     monkeypatch.setattr(weights, "_slot_index", lambda *args: index.append(1) or real_index(*args))
     monkeypatch.setattr(weights._SlotTable, "join",
                         lambda *args: joins.append(1) or real_join(*args))
-    for made in (indexes, 0):
+    for slots, count in ((SLOTS_MADE[name][1], indexes), ({}, 0)):
+        made.clear()
         index.clear()
         joins.clear()
         build_graph(rho, check=True)
-        assert (len(index), len(joins)) == (made, reads)
+        assert (dict(made), len(index), len(joins)) == (slots, count, reads)
+    assert presented == []
     # a cold checked build keys its parts by theta: a full slot holds one
     # part per (y, theta), 8 x 12, at f = 2, and at f = 1, where each row's
     # thetas are distinct, one per single
@@ -702,8 +724,7 @@ def test_each_presentation_and_w_question_index_is_made_once_per_call(
             return out
         return counted
 
-    monkeypatch.setattr(adjacency, "presentation_from_w_tilde", real)
-    monkeypatch.setattr(weights, "_slot_parts", entries("parts", weights._slot_parts))
+    monkeypatch.setattr(weights, "_slot_parts", entries("parts", real_parts))
     monkeypatch.setattr(weights, "_slot_index", entries("index", real_index))
     monkeypatch.setattr(weights, "_slot_join", entries("join", weights._slot_join))
     _graph_of.cache_clear()
@@ -739,7 +760,7 @@ def test_failing_check_raises_after_unchecked_build(monkeypatch):
     rho = rho41()
     build_graph(rho, check=True)
     build_graph(rho, check=False)
-    monkeypatch.setattr(adjacency, "intersect_w_jh", lambda *args: frozenset())
+    monkeypatch.setattr(weights._SlotTable, "meet", lambda *args: frozenset())
     with pytest.raises(AssertionError, match="expected two outer weights"):
         build_graph(rho, check=True)
     assert len(build_graph(rho, check=False).components()) == 1
@@ -749,7 +770,7 @@ def test_steered_steps_are_checked_on_the_shared_graph(monkeypatch):
     rho = rho41()
     graph = build_graph(rho, check=True)
     sigma = next(s for s in graph.vertices if s not in graph.obvious)
-    monkeypatch.setattr(adjacency, "intersect_w_jh", lambda *args: frozenset())
+    monkeypatch.setattr(weights._SlotTable, "meet", lambda *args: frozenset())
     with pytest.raises(AssertionError, match="expected two outer weights"):
         find_chain(rho, sigma)
 
@@ -900,6 +921,65 @@ def test_per_slot_build_equals_the_single_instance_path_on_an_f3_sample():
     chosen = set(pairs)
     assert [key for key in state.instances if key[0] in chosen] == list(alone)
     assert [state.instances[key] for key in alone] == list(alone.values())
+
+
+def _composed(rho, pair, s):
+    """tau and rhobar0 of (pair, s) as presentation_from_w_tilde makes them
+    from w(rhobar) g^(-1) and w(rhobar) w1^(-1) w2, slot by slot from the
+    `_slot_targets` rows of the pair and s, tau first."""
+    targets = adjacency._slot_targets()
+    i, j = s
+    rows = [targets[w1, w2, i if k == j else None]
+            for k, (w1, w2) in enumerate(zip(pair.w1, pair.w2))]
+    x = rho.w_tilde()
+    return tuple(
+        presentation_from_w_tilde(kind, tuple(compose(xk, row[n]) for xk, row in zip(x, rows)), rho.p)
+        for kind, n in (("type", 0), ("param", 1)))
+
+
+@pytest.mark.parametrize("name", ["rb1.json", "rb41.json", "rb_f2.json", "f3"])
+def test_derived_presentations_equal_the_composed_ones(name):
+    # an instance keeps tau and rhobar0 slot by slot as (s, mu) and makes
+    # their presentations when they are read: on every instance of the
+    # fixtures' graphs, and alone on the 40 f = 3 pairs of the sample
+    # above, they are the presentations the composed elements give
+    if name == "f3":
+        rho = rho_f3()
+        order = {pair: n for n, pair in enumerate(enumerate_ap_prime(3))}
+        pairs = sorted(random.Random(5).sample(enumerate_ap_prime(3), 40), key=order.get)
+        instances = list(_single_instances(rho, pairs).values())
+    else:
+        rho = fixture(name)
+        instances = list(_graph_of(rho).instances.values())
+    assert len(instances) == {"rb_f2.json": 1360, "f3": 196}.get(name, 34)
+    for inst in instances:
+        assert (inst.tau, inst.rhobar0) == _composed(rho, inst.pair, inst.s)
+        assert (inst.tau_slots, inst.rhobar0_slots) == tuple(
+            tuple(zip(pres.s, pres.mu)) for pres in (inst.tau, inst.rhobar0))
+
+
+def test_derived_mu_outside_the_lowest_alcove_is_refused_as_presented(monkeypatch):
+    # below the shipped weight depth a derived tau or rhobar0 can leave the
+    # lowest alcove; an instance whose sigma1 is read is then refused with
+    # the ValueError that presentation_from_w_tilde raises on the composed
+    # element, tau first
+    monkeypatch.setattr(weights, "WEIGHT_DEPTH", 0)
+    rho = TamePresentation.make("param", (W_E,), (Weight(0, 0, 0),), 37)
+    index = weights._singles("param").index
+    refused = []
+    for pair in enumerate_ap_prime(1):
+        try:
+            weights._SlotTable.weight(rho, "param", (index[pair.w1[0], pair.w2[0]],))
+        except GenericityError:
+            continue
+        for s in valid_simples(pair):
+            try:
+                _composed(rho, pair, s)
+            except ValueError as exc:
+                with pytest.raises(ValueError) as alone:
+                    build_instance(rho, pair, s, check=False)
+                refused.append(str(alone.value) == str(exc))
+    assert len(refused) == 12 and all(refused)
 
 
 def test_f3_graph_unchecked_then_checked():
@@ -1275,8 +1355,8 @@ def test_checked_build_fails_where_its_first_failing_instance_does(monkeypatch):
     made = []
     real = adjacency._deriver
 
-    def deriver(rhobar, table):
-        derive = real(rhobar, table)
+    def deriver(*args):
+        derive = real(*args)
         return lambda pair, s, sigma1: made.append((pair, s)) or derive(pair, s, sigma1)
 
     monkeypatch.setattr(adjacency, "_deriver", deriver)

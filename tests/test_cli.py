@@ -15,7 +15,7 @@ from gsp4weights.cli import (
     main,
     run,
 )
-from gsp4weights import adjacency, cli
+from gsp4weights import adjacency, cli, weights
 from gsp4weights.exactalg import PrimeField
 from gsp4weights.weights import TamePresentation
 
@@ -659,7 +659,7 @@ def test_shallow_parameter_warned_once_per_run(capsys, caplog):
 
 
 def test_invariant_failure_prints_reproducer(capsys, monkeypatch):
-    monkeypatch.setattr(adjacency, "intersect_w_jh", lambda *args: frozenset())
+    monkeypatch.setattr(weights._SlotTable, "meet", lambda *args: frozenset())
     argv = ["graph", "--rhobar", fx("rb1.json")]
     code, out, err = capture(capsys, argv)
     assert code == 3 and out == ""

@@ -35,6 +35,11 @@ a rational function only by `RatFunc.make`.  Only `LaurentPoly` keeps
 slots behind a raising `__setattr__`, and nothing in src/ calls
 `object.__setattr__`.
 
+An adjacency instance is derived on (s, mu) slots: the instance maker
+of `adjacency._deriver` calls no `compose` and makes no presentation, and
+a full slot's key is read only by `_SlotTable.numbered`, which numbers
+it.
+
 A nested function that names itself holds its own closure cell, a
 reference cycle left for the collector on every call of the function
 around it, so no src/ function defines a nested function that refers to
@@ -479,7 +484,8 @@ def test_traced_class_methods_resolve():
             missing += ["%s.%s.%s" % (mod, cls_name, m) for m in methods if m not in cls.__dict__]
     # LaurentPoly's evaluate, negation, reflected subtraction and power,
     # RatFunc's arithmetic, PolyMat's scalar product, sum, subtraction,
-    # derivative and inverse_unit_det were deleted from the library, and
+    # derivative and inverse_unit_det were deleted from the library, its
+    # transpose moved to tests/oracles.py, and
     # RatFunc and PolyMat became NamedTuples made by `make`, with no
     # __init__ (no per-layer metric reads either); their tracer entries go
     # with the next benchmark change
@@ -487,7 +493,8 @@ def test_traced_class_methods_resolve():
         "__neg__", "__rsub__", "__pow__", "evaluate")] + ["exactalg.RatFunc.%s" % m for m in (
         "__init__", "__add__", "__neg__", "__sub__", "__rsub__", "__mul__", "__truediv__",
         "__rtruediv__")] + ["localmodel.PolyMat.%s" % m for m in (
-        "__init__", "__rmul__", "__add__", "__sub__", "derivative", "inverse_unit_det")]
+        "__init__", "__rmul__", "__add__", "__sub__", "transpose", "derivative",
+        "inverse_unit_det")]
 
 
 def test_only_the_slot_table_makes_weight_parts():
@@ -501,6 +508,37 @@ def test_only_the_slot_table_makes_weight_parts():
              and getattr(node.func, "id", getattr(node.func, "attr", None)) == "_slot_parts"]
     assert calls
     assert [node.lineno for node in calls if id(node) not in inside] == []
+
+
+def test_instances_are_derived_without_presentations():
+    # the instance maker inside adjacency._deriver works on (s, mu) slots:
+    # it calls neither compose, presentation_from_w_tilde nor
+    # TamePresentation.make (only a refused presentation is made, by
+    # adjacency._presented, to be named)
+    tree = _package_trees()["adjacency"]
+    (deriver,) = [fn for fn in tree.body
+                  if isinstance(fn, ast.FunctionDef) and fn.name == "_deriver"]
+    (derive,) = [fn for fn in deriver.body if isinstance(fn, ast.FunctionDef)]
+    called = {getattr(node.func, "id", getattr(node.func, "attr", None))
+              for node in ast.walk(derive) if isinstance(node, ast.Call)}
+    assert {"read", "numbered"} <= called
+    assert called & {"compose", "presentation_from_w_tilde", "make", "TamePresentation"} == set()
+
+
+def test_only_the_slot_maker_reads_slot_numbers_by_key():
+    # a full slot's key is hashed where it is made and numbered: the
+    # key-to-number dict of _SlotTable is read only in _SlotTable.numbered
+    trees = _package_trees()
+    (table,) = [cls for cls in trees["weights"].body
+                if isinstance(cls, ast.ClassDef) and cls.name == "_SlotTable"]
+    (slot,) = [fn for fn in table.body
+               if isinstance(fn, ast.FunctionDef) and fn.name == "numbered"]
+    inside = {id(node) for node in ast.walk(slot)}
+    reads = [(mod, node) for mod, tree in trees.items() for node in ast.walk(tree)
+             if isinstance(node, ast.Attribute) and node.attr == "_numbers"
+             and isinstance(node.ctx, ast.Load)]
+    assert reads
+    assert [(mod, node.lineno) for mod, node in reads if id(node) not in inside] == []
 
 
 def _self_naming_nested_functions(trees):
