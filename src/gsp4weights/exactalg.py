@@ -397,11 +397,6 @@ class LaurentPoly:
         terms = ((e - 1, c * e % q if q else c * e) for e, c in self.terms)
         return LaurentPoly._canonical(self.field, tuple(t for t in terms if t[1]), self.den)
 
-    def truncate(self, n: int) -> "LaurentPoly":
-        """Drop all terms of exponent >= n."""
-        return LaurentPoly._canonical(
-            self.field, tuple([t for t in self.terms if t[0] < n]), self.den)
-
     # -- comparison and display
 
     def __eq__(self, other):

@@ -11,6 +11,7 @@ F_p, where E(v) = v.  No floating point anywhere.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import lcm
@@ -320,10 +321,11 @@ def symplectic_similitude(A: PolyMat, p: int) -> SimilitudeResult:
 # diagonal matrix of units in the Iwahori allows and no valuation sees.
 
 
-def _local_pivots(rows, prec: int) -> list[tuple[int, int, int]]:
-    """Pivots (row, column, valuation), in elimination order, of a square
-    matrix of power series without negative exponents, truncated mod
-    v^prec with prec above the valuation of its nonzero determinant.
+def _local_pivots(rows, k: int, prec: int) -> list[tuple[int, int, int]]:
+    """Pivots (row, column, valuation), in elimination order, of v^-k
+    times a square matrix, a matrix of power series without negative
+    exponents truncated mod v^prec, with prec above the valuation of its
+    nonzero determinant.
 
     Each step takes the nonzero entry minimizing (valuation, bottom-most
     row, left-most column) among the rows and columns left and clears its
@@ -334,34 +336,49 @@ def _local_pivots(rows, prec: int) -> list[tuple[int, int, int]]:
     checked.  With the pivot u * v^m, u a unit, row i with entry e * v^m
     in the pivot's column becomes u * row_i - e * pivot row: the row
     scaled by a unit, then cleared, with no division in either field.
+
+    Entries are read once as (exponent - k, numerator) terms, each row
+    over the rationals scaled by the lcm of its denominators (a unit).  A
+    step packs u and the pivot row once by `exactalg._pack`, at a width
+    holding 2 * prec products of numerators up to top, the largest left in
+    the block (q - 1 over F_q); each cleared entry is read back once.
     """
-    work = [list(r) for r in rows]
-    rows_left = list(range(len(work)))
-    cols_left = list(range(len(work)))
+    q = rows[0][0].field.char
+    work = []
+    for row in rows:
+        d = lcm(*(e.den for e in row))
+        work.append([tuple([(x - k, c * (d // e.den)) for x, c in e.terms if x - k < prec])
+                     for e in row])
+    rows_left, cols_left = list(range(len(work))), list(range(len(work)))
     pivots = []
     while rows_left:
-        best = min(((work[r][c].low_degree, -r, c) for r in rows_left for c in cols_left
-                    if not work[r][c].is_zero), default=None)
+        best = min(((work[r][c][0][0], -r, c) for r in rows_left for c in cols_left
+                    if work[r][c]), default=None)
         assert best is not None, "a block left by the elimination vanishes mod v^prec"
         m, r, c = best[0], -best[1], best[2]
+        top = q - 1 if q else max(abs(x) for i in rows_left for j in cols_left
+                                  for _, x in work[i][j])
+        w = (2 * prec * top * top).bit_length() + 1
         rows_left.remove(r)
         cols_left.remove(c)
         prow = work[r]
         for j in cols_left:
-            e = prow[j]
-            assert e.is_zero or e.low_degree - m >= (1 if j < c else 0), \
+            assert not prow[j] or prow[j][0][0] - m >= (1 if j < c else 0), \
                 "pivot rule produced a non-Iwahori column operation"
-        u = prow[c].shift(-m)
+        u = _pack(prow[c], m, w)
+        ys = [(j, _pack(prow[j], 0, w)) for j in cols_left]
         for i in rows_left:
             e = work[i][c]
-            if e.is_zero:
+            if not e:
                 continue
-            assert e.low_degree - m >= (1 if i > r else 0), \
+            assert e[0][0] - m >= (1 if i > r else 0), \
                 "pivot rule produced a non-Iwahori row operation"
-            e = e.shift(-m)
+            e = _pack(e, m, w)
             row = work[i]
-            for j in cols_left:
-                row[j] = (u * row[j] - e * prow[j]).truncate(prec)
+            for j, y in ys:
+                # u * x and e * y have exponents below 2 * prec - m - 1
+                terms = _unpack(u * _pack(row[j], 0, w) - e * y, 0, 2 * prec - m - 1, w, q)
+                row[j] = terms[:bisect_left(terms, (prec,))]
         pivots.append((r, c, m))
     return pivots
 
@@ -410,24 +427,23 @@ def e_divisor_pattern(A: PolyMat, p: int) -> tuple[int, int, int, int]:
     E-adic means order of vanishing at v = -p over the rationals and
     plain v-adic valuation over F_q.  The exponents are the pivot
     valuations of the local elimination kernel at the E-adic precision
-    val(det) + 1.  The least valuation k of the entries is divided out
-    first: over the rationals v is a unit at E, over F_q k is added back.
-    Over the rationals v = u - p turns the E-adic valuation into the
-    u-adic one.  Over a prime field p must be its characteristic, else
-    ValueError.
+    val(det) + 1 of v^-k * A, for k the least valuation of the entries.
+    Over the rationals v is a unit at E, so v^-k * A is Taylor shifted by
+    v = u - p, which turns the E-adic valuation into the u-adic one; over
+    F_q the kernel divides v^k out and k is added back.  Over a prime
+    field p must be its characteristic, else ValueError.
     """
     field = A.field
     _check_p(field, p)
-    k = _least_valuation(A)
-    rows = [[e.shift(-k) for e in row] for row in A.rows]
+    rows, k = A.rows, _least_valuation(A)
     if field.char == 0:
-        rows = [[_taylor_shift(e, -p) for e in row] for row in rows]
+        rows = [[_taylor_shift(e.shift(-k), -p) for e in row] for row in rows]
         k = 0  # v^k is a unit at E over the rationals
     det = _determinant(rows)
     if det.is_zero:
         raise ValueError("matrix is singular")
-    prec = det.low_degree + 1
-    pivots = _local_pivots([[e.truncate(prec) for e in row] for row in rows], prec)
+    # over F_q, det(v^-k * A) = v^-4k * det(A)
+    pivots = _local_pivots(rows, k, det.low_degree - 4 * k + 1)
     return tuple(sorted((m + k for _, _, m in pivots), reverse=True))
 
 
@@ -480,8 +496,7 @@ def shape_of(A: PolyMat) -> ExtAffine:
     # a global v-power is a central translation which we restore at the end
     k = _least_valuation(A)
     prec = 2 * c.low_degree - 4 * k + 1
-    work = [[e.shift(-k).truncate(prec) for e in row] for row in A.rows]
-    pivots = {r: (col, m) for r, col, m in _local_pivots(work, prec)}
+    pivots = {r: (col, m) for r, col, m in _local_pivots(A.rows, k, prec)}
     support = frozenset((r, pivots[r][0]) for r in pivots)
     w = _weyl_patterns().get(support)
     assert w is not None, \

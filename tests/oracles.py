@@ -908,6 +908,11 @@ def v_power(field, k: int) -> LaurentPoly:
     return LaurentPoly(field, {k: 1})
 
 
+def truncate(a: LaurentPoly, n: int) -> LaurentPoly:
+    """a without its terms of exponent >= n."""
+    return LaurentPoly(a.field, [(e, c) for e, c in a.coeffs if e < n])
+
+
 def diagonal(field, values) -> PolyMat:
     """The diagonal matrix of four Laurent polynomials or scalars."""
     return PolyMat.make(field, [[values[i] if i == j else 0 for j in range(4)] for i in range(4)])
@@ -1132,7 +1137,7 @@ def _series_div(num, piv, prec):
             break
         t = LaurentPoly(field, {k - m: rem.coeff(k) * field.inv(lead)})
         q = q + t
-        rem = (rem - t * piv).truncate(prec + m)
+        rem = truncate(rem - t * piv, prec + m)
     return q
 
 
@@ -1172,13 +1177,13 @@ def shape_of(A):
             assert q.is_zero or q.low_degree >= (1 if i > r else 0), \
                 "non-Iwahori row operation"
             for j in cols_left:
-                work[i][j] = (work[i][j] - q * work[r][j]).truncate(prec)
+                work[i][j] = truncate(work[i][j] - q * work[r][j], prec)
         for j in cols_left - {c}:
             q = _series_div(work[r][j], piv, prec)
             assert q.is_zero or q.low_degree >= (1 if j < c else 0), \
                 "non-Iwahori column operation"
             for i in rows_left:
-                work[i][j] = (work[i][j] - q * work[i][c]).truncate(prec)
+                work[i][j] = truncate(work[i][j] - q * work[i][c], prec)
         pivots[r] = (c, piv.low_degree)
         rows_left.remove(r)
         cols_left.remove(c)

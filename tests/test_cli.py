@@ -1,10 +1,14 @@
 import json
 import os
+import random
 import re
 import shlex
+from collections import Counter
 
 import pytest
 
+import matrix_fuzz
+from crosschecks import random_iwahori
 from gsp4weights.cli import (
     COMMANDS,
     USAGE,
@@ -16,7 +20,10 @@ from gsp4weights.cli import (
     run,
 )
 from gsp4weights import adjacency, cli, weights
+from gsp4weights.admissible import adm_dual_set, elem_sort_key
+from gsp4weights.base import ETA
 from gsp4weights.exactalg import PrimeField
+from gsp4weights.localmodel import monomial_matrix
 from gsp4weights.weights import TamePresentation
 
 FIXTURES = os.path.join(os.path.dirname(__file__), os.pardir, "fixtures")
@@ -494,6 +501,44 @@ def test_localmodel_shape_reads_a_matching_p(capsys, tmp_path):
                                 "rows": _identity_rows({"coeffs": {"0": "1"}})}))
     code, out, err = capture(capsys, ["localmodel", "--shape", str(path), "--q", "41"])
     assert code == 0 and err == "" and "shape: e" in out
+
+
+def test_mutated_matrix_fixtures_exit_0_or_2(capsys, tmp_path):
+    # 300 seeded mutations (tests/matrix_fuzz.py) of mat1.json and of three
+    # Iwahori sandwich fixtures: each is read or refused with an error
+    # line, never an invariant failure (exit 3) or a traceback.  A damaged
+    # cell array, exponent key or row is always refused, and a central
+    # power of v always read.
+    rng = random.Random(47)
+    with open(fx("mat1.json")) as fh:
+        bases = [(json.load(fh), 37)]
+    elems = sorted(adm_dual_set(ETA), key=elem_sort_key)
+    for q in (5, 37, 37):
+        F = PrimeField(q)
+        M = random_iwahori(F, rng) * monomial_matrix(rng.choice(elems), F) * random_iwahori(F, rng)
+        bases.append((matrix_fuzz.fixture(M, q), q))
+    path = str(tmp_path / "mutant.json")
+    codes = Counter()
+    for base, q in bases:
+        argv = ["localmodel", "--shape", matrix_fuzz.write(path, base), "--q", str(q)]
+        assert capture(capsys, argv)[0] == 0
+        for name, obj in matrix_fuzz.mutants(base, rng, 75):
+            matrix_fuzz.write(path, obj)
+            code, out, err = capture(capsys, argv)
+            assert code in (0, 2), (name, obj, err)
+            assert "Traceback" not in err
+            if code == 2:
+                assert out == "" and err.startswith("error: ") and err.count("\n") == 1, err
+            else:
+                assert err == "" and "\nshape: " in out, out
+            if name in ("drop_cell", "extra_cell", "bad_exponent", "zero_row"):
+                assert code == 2, (name, obj)
+            if name == "shift_all":
+                assert code == 0, (name, obj)
+            codes[name, code] += 1
+    assert sum(codes.values()) == 300
+    assert {name for name, _ in codes} == {m.__name__ for m in matrix_fuzz.MUTATIONS}
+    assert {code for _, code in codes} == {0, 2}
 
 
 @pytest.mark.parametrize("draws", ["0", "-3"])

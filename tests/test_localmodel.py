@@ -493,6 +493,29 @@ def test_shape_sandwich_at_a_larger_lambda():
         assert shape_of(M) == x, x
 
 
+def test_shape_sandwich_at_lambda_40_15_0(monkeypatch):
+    # the 4 longest elements of Adm(40, 15, 0) and a seeded sample of 16
+    # more, between seeded Iwahori elements over F_37: the kernel runs at
+    # precisions up to 111 there, against 3 or 7 on Adm(eta).  Each
+    # sandwich has its shape, and the E-divisors of M(x).
+    precs = []
+    real = localmodel._local_pivots
+    monkeypatch.setattr(localmodel, "_local_pivots",
+                        lambda rows, k, prec: precs.append(prec) or real(rows, k, prec))
+    F = PrimeField(P)
+    rng = random.Random(40)
+    elems = sorted(adm_set(Weight(40, 15, 0)).order, key=elem_sort_key)
+    assert len(elems) == 20731
+    for n, x in enumerate(elems[-4:] + rng.sample(elems[:-4], 16)):
+        M = random_iwahori(F, rng) * monomial_matrix(x, F) * random_iwahori(F, rng)
+        assert shape_of(M) == x, x
+        assert e_divisor_pattern(M, P) == e_divisor_pattern(monomial_matrix(x, F), P)
+        if n % 5 == 0:
+            assert oracles.shape_of(M) == x
+            assert oracles.e_divisor_pattern(M, P) == e_divisor_pattern(M, P)
+    assert max(precs) == 111
+
+
 def test_shape_central_shift():
     F = PrimeField(5)
     z = star(translation(ETA))
@@ -513,7 +536,7 @@ def test_central_shift_by_a_large_power_of_v(monkeypatch):
     precs = []
     real = localmodel._local_pivots
     monkeypatch.setattr(localmodel, "_local_pivots",
-                        lambda rows, prec: precs.append(prec) or real(rows, prec))
+                        lambda rows, k, prec: precs.append(prec) or real(rows, k, prec))
     F = PrimeField(P)
     mat1 = load_matrix(os.path.join(os.path.dirname(__file__), "..", "fixtures", "mat1.json"), F)
     elems = sorted(adm_dual_set(ETA), key=elem_sort_key)
@@ -536,6 +559,49 @@ def test_central_shift_by_a_large_power_of_v(monkeypatch):
     for E in (1, 400):
         assert e_divisor_pattern(oracles.mat_scale(family, oracles.v_power(QQ, E)), P) == pattern
     assert precs == precs[:1] * 3
+
+
+def test_the_kernel_makes_no_laurent_polynomial(monkeypatch):
+    # the local elimination kernel works on packed integer rows: inside
+    # _local_pivots no LaurentPoly is made, multiplied, subtracted or
+    # shifted.  The oracle's elimination on LaurentPoly entries, counted
+    # the same way, shows that the counters see such calls.
+    inside, calls = [False], Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name, inside[0]] += 1
+            return fn(*args)
+        return wrapper
+
+    def counted_inside(fn):
+        def wrapper(*args):
+            inside[0] = True
+            try:
+                return fn(*args)
+            finally:
+                inside[0] = False
+        return wrapper
+
+    names = ("_canonical", "__mul__", "__sub__", "shift")
+    for name in names:
+        fn = counted(name, getattr(LaurentPoly, name))
+        monkeypatch.setattr(LaurentPoly, name, staticmethod(fn) if name == "_canonical" else fn)
+    monkeypatch.setattr(localmodel, "_local_pivots", counted_inside(localmodel._local_pivots))
+    F = PrimeField(P)
+    rng = random.Random(7)
+    mat1 = load_matrix(os.path.join(os.path.dirname(__file__), "..", "fixtures", "mat1.json"), F)
+    z = rng.choice(sorted(adm_dual_set(ETA), key=elem_sort_key))
+    sandwich = random_iwahori(F, rng) * monomial_matrix(z, F) * random_iwahori(F, rng)
+    for A in (mat1, sandwich):
+        shape_of(A)
+        e_divisor_pattern(A, P)
+    for field in (QQ, F):
+        e_divisor_pattern(family_draws(field, rng, 1)[0], P)
+    assert sum(calls.values()) > 0
+    assert [key for key in calls if key[1]] == []
+    counted_inside(oracles.shape_of)(sandwich)
+    assert {name for name, in_kernel in calls if in_kernel} == set(names)
 
 
 def test_shape_errors():
